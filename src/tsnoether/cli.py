@@ -33,8 +33,10 @@ def main(argv=None) -> int:
     if args.cmd is None:
         parser.print_help()
         return 2
-    _threads_cap()  # orchestration is sequential; the cap is validated, never exceeded
+    _threads_cap()  # read but without effect: everything runs sequentially
     try:
+        if getattr(args, "trials", 1) < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         report, ok = args.run(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -141,7 +143,7 @@ def _emit(report: dict, args) -> None:
 
 
 def _threads_cap() -> int:
-    # Orchestration is sequential; the cap is honored trivially.
+    # Everything runs sequentially, so the value changes nothing.
     try:
         return max(1, int(os.environ.get("NOETHER_THREADS", "1")))
     except ValueError:

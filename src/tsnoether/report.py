@@ -12,7 +12,8 @@ class ResidualReport:
     """Residual values on an index window plus their norms and a verdict.
 
     sup_norm is the max absolute entry, l2_norm the plain Euclidean norm
-    over all entries.  verdict is sup_norm <= tolerance.  For results on a
+    over all entries.  verdict is sup_norm <= tolerance on a nonempty
+    per_point; an empty one never passes.  For results on a
     multi-axis grid, domain records the first-axis window; for trial-based
     checks it records the window the trials were evaluated on (or the trial
     range where noted).
@@ -36,7 +37,7 @@ class ResidualReport:
             sup_norm=sup,
             l2_norm=l2,
             tolerance=float(tolerance),
-            verdict=bool(sup <= tolerance),
+            verdict=arr.size > 0 and sup <= tolerance,
         )
 
     def to_json(self, include_per_point: bool = False) -> dict:

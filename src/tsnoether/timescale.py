@@ -10,7 +10,7 @@ derivative order) is visible in the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class TimeScale:
     points: np.ndarray
     kind: str  # "explicit" | "h-uniform" | "q-geometric" | "real-approx"
     condition_h: tuple[float, float] | None = None
-    param: float | None = field(default=None)  # h or q for the tagged families
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -51,10 +50,6 @@ class TimeScale:
                 raise ValueError("points do not satisfy the declared jump law")
 
     def __len__(self) -> int:
-        return self.points.size
-
-    @property
-    def n_points(self) -> int:
         return self.points.size
 
     def t(self, i: int) -> float:
@@ -132,7 +127,7 @@ def _uniform(h: float, a: float, b: float, kind: str) -> TimeScale:
     if n < 1 or abs(steps - n) > 1e-9 * max(1.0, abs(steps)):
         raise ValueError("b - a must be a positive multiple of h")
     pts = a + h * np.arange(n + 1)
-    return TimeScale(pts, kind=kind, condition_h=(1.0, h), param=h)
+    return TimeScale(pts, kind=kind, condition_h=(1.0, h))
 
 
 def q_geometric(q: float, a: float, count: int) -> TimeScale:
@@ -148,7 +143,7 @@ def q_geometric(q: float, a: float, count: int) -> TimeScale:
     pts[0] = a
     for i in range(1, count):
         pts[i] = pts[i - 1] * q
-    return TimeScale(pts, kind="q-geometric", condition_h=(float(q), 0.0), param=q)
+    return TimeScale(pts, kind="q-geometric", condition_h=(float(q), 0.0))
 
 
 def explicit_scale(points) -> TimeScale:

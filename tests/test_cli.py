@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from tsnoether.cli import main
 
@@ -38,6 +39,21 @@ class TestExitCodes:
              "--family", "does-not-exist.json"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check-invariance", "--scale", "h:1:0:10", "--lagrangian", "pair-difference",
+             "--family", "pairdiff-broken"],
+            ["check2d", "--grid", "h:1:0:5,h:1:0:5", "--family", "grad2-broken"],
+            ["em", "--lattice", "default"],
+        ],
+        ids=["check-invariance", "check2d", "em"],
+    )
+    def test_no_trials_rejected(self, tmp_path, capsys, args):
+        code, data, _ = run(tmp_path, *args, "--trials", "0")
+        assert code == 2 and data is None
+        assert "--trials must be at least 1" in capsys.readouterr().err
 
     def test_verdict_failure_exits_one(self, tmp_path):
         fam = write_pairdiff_family(tmp_path, broken=True)

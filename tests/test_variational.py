@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsnoether import (
     BoundaryData,
@@ -18,6 +20,7 @@ from tsnoether import (
     solve_extremal,
 )
 from tsnoether.report import ResidualReport
+from tsnoether.variational import _coloured_jacobian, _interior_residual
 
 
 def random_quadratic(rng, n):
@@ -52,7 +55,12 @@ class TestFunctional:
 
     def test_positional_density_sums_shifted_values(self):
         ts = h_uniform(1.0, 0, 3)
-        L = Lagrangian(n=1, eval=lambda t, u, v: float(u[0]))
+        L = Lagrangian(
+            n=1,
+            eval=lambda t, u, v: float(u[0]),
+            d_u=lambda t, u, v: np.ones(1),
+            d_v=lambda t, u, v: np.zeros(1),
+        )
         y = GridFunction.from_callable(ts, lambda t: t)
         assert eval_functional(L, y) == 6.0
 
@@ -237,6 +245,100 @@ class TestSolver:
         with pytest.raises(ConvergenceError) as err:
             solve_extremal(L, ts, BoundaryData([0.0], [0.1]), tol=0.0, max_iter=2)
         assert err.value.final_residual > 0
+        assert len(err.value.history) == 2
+        assert err.value.history[-1][0] == err.value.final_residual
+        assert all(0.0 < scale <= 1.0 for _, scale in err.value.history)
+
+    def test_singular_jacobian_history(self):
+        # dL/du = 1 and dL/dv = 0: the residual is 1 everywhere, the Jacobian 0
+        L = Lagrangian(
+            n=1,
+            eval=lambda t, u, v: float(u[0]),
+            d_u=lambda t, u, v: np.ones(1),
+            d_v=lambda t, u, v: np.zeros(1),
+        )
+        with pytest.raises(ConvergenceError, match="singular") as err:
+            solve_extremal(L, h_uniform(1.0, 0, 4), BoundaryData([0.0], [1.0]))
+        assert err.value.history == [(1.0, 0.0)]
+        assert err.value.final_residual == 1.0
+
+
+def brute_force_jacobian(fn, z, f0):
+    """Perturb one unknown at a time: column k is (fn(z + h e_k) - f0) / h
+    with h = 1e-7 * max(1, |z_k|)."""
+    jac = np.empty((f0.size, z.size))
+    for k in range(z.size):
+        h = 1e-7 * max(1.0, abs(z[k]))
+        zp = z.copy()
+        zp[k] += h
+        jac[:, k] = (fn(zp) - f0) / h
+    return jac
+
+
+def nonlinear_density(rng, n):
+    """Coupled, time-dependent, non-polynomial density given by its values
+    only, so every partial comes from finite differences."""
+    a = rng.uniform(0.5, 1.5, n)
+    b = rng.uniform(-1, 1, n)
+    c = float(rng.uniform(-1, 1))
+    return Lagrangian(
+        n=n,
+        eval=lambda t, u, v: float(0.5 * a @ (v * v) + np.cos(b @ u) * (1 + 0.1 * np.sin(t)) + c * np.tanh(u @ v)),
+    )
+
+
+def quartic_density(n, calls):
+    """0.5|v|^2 + 0.25|u|^4 + sin(t) sum(u); calls[0] counts dL/dv samples."""
+
+    def d_v(t, u, v):
+        calls[0] += 1
+        return v.copy()
+
+    return Lagrangian(
+        n=n,
+        eval=lambda t, u, v: float(0.5 * v @ v + 0.25 * (u @ u) ** 2 + np.sin(t) * np.sum(u)),
+        d_u=lambda t, u, v: (u @ u) * u + np.sin(t),
+        d_v=d_v,
+    )
+
+
+class TestColouredJacobian:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        npts=st.integers(3, 14),
+        geometric=st.booleans(),
+        nonlinear=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, npts=3, geometric=False, nonlinear=True, seed=0)
+    @example(n=3, npts=4, geometric=True, nonlinear=False, seed=1)
+    @example(n=1, npts=4, geometric=False, nonlinear=True, seed=2)
+    def test_equals_one_column_at_a_time(self, n, npts, geometric, nonlinear, seed):
+        rng = np.random.default_rng(seed)
+        ts = q_geometric(1.1, 0.5, npts) if geometric else h_uniform(0.25, 0.0, 0.25 * (npts - 1))
+        L = nonlinear_density(rng, n) if nonlinear else random_quadratic(rng, n)
+        residual = _interior_residual(L, ts, rng.uniform(-2, 2, (npts, n)))
+        # entries beyond 1 in magnitude exercise the relative step
+        z = rng.uniform(-3, 3, (npts - 2) * n)
+        f0 = residual(z)
+        assert np.array_equal(_coloured_jacobian(residual, z, f0, n), brute_force_jacobian(residual, z, f0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("ts", [h_uniform(0.1, 0.0, 2.0), q_geometric(1.05, 1.0, 21)])
+    def test_residual_evaluations_per_newton_step(self, n, ts):
+        calls = [0]
+        L = quartic_density(n, calls)
+        alpha, beta = np.linspace(-1.0, 1.0, n), np.linspace(2.0, 0.5, n)
+        with pytest.raises(ConvergenceError) as err:
+            solve_extremal(L, ts, BoundaryData(alpha, beta), tol=0.0, max_iter=4)
+        per_eval = len(ts) - 1  # dL/dv is sampled once per point of [0, N-2]
+        assert calls[0] % per_eval == 0
+        # A step accepted at scale 2^-j made j + 1 damping trials; when all 20
+        # fail (scale 2^-20) the 20 trials plus one recompute make 21 too.
+        trials = [round(-np.log2(scale)) + 1 for _, scale in err.value.history]
+        assert len(trials) == 4
+        assert calls[0] // per_eval == 1 + sum(3 * n + j for j in trials)
 
 
 class TestRealApproxConvergence:
@@ -277,6 +379,11 @@ class TestResidualReport:
         rep = ResidualReport.from_per_point((0, 6), arr, tolerance=1.0)
         assert rep.sup_norm == pytest.approx(np.max(np.abs(arr)), abs=1e-14)
         assert rep.l2_norm == pytest.approx(np.sqrt(np.sum(arr**2)), abs=1e-14)
+
+    def test_empty_per_point_fails(self):
+        rep = ResidualReport.from_per_point((0, -1), [], tolerance=1.0)
+        assert rep.sup_norm == 0.0 and rep.verdict is False
+        assert rep.to_json()["verdict"] == "fail"
 
     def test_json_shape(self):
         rep = ResidualReport.from_per_point((2, 4), [0.0, 1e-12, 0.0], tolerance=1e-9)
