@@ -1,12 +1,18 @@
-"""Frozen `noether solve` reports and extremal CSVs.
+"""Frozen CLI reports and result CSVs.
 
-The files under tests/golden/ were written by the solver with a
-one-column-at-a-time Newton Jacobian.  The coloured Jacobian computes the
-same entries, so every Newton iterate, and with it every byte below, must
-stay the same.  Regenerate a file only for a deliberate change of the
-solver's arithmetic, and say so in CHANGES.md.
+The files under tests/golden/ were written before the calculus kernels
+were shared between the 1-D and the product-grid layers, and before the
+Newton Jacobian was coloured.  Both changes compute the same floating
+point operations, so every byte below must stay the same.  Regenerate a
+file only for a deliberate change of the arithmetic, and say so in
+CHANGES.md.
+
+Each case is a full `noether` argument list, whether it also writes a
+`--result-csv`, and its expected exit code.  `{tmp}` stands for the
+test's temporary directory, which holds the family files of FAMILIES.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -15,25 +21,51 @@ from tsnoether.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+FAMILIES = {
+    # An order-1 family: both components get p^sigma^0 + 0.5 p^delta.
+    "fam1.json": {"r": 1, "m": 1, "n": 2, "g": [[[1.0, 0.5], [1.0, 0.5]]]},
+    "famt.json": {"r": 1, "m": 0, "n": 2, "g": [[[1.0], [1.0]]], "f": [[0.0]]},
+}
+
+PAIR = ["--lagrangian", "pair-difference"]
+
 CASES = [
-    ("solve_h_poisson", ["--scale", "h:1:0:5", "--lagrangian", "poisson", "--alpha", "0", "--beta", "5"], True),
-    ("solve_q_poisson", ["--scale", "q:1.01:1:150", "--lagrangian", "poisson", "--alpha", "0", "--beta", "5"], True),
+    ("solve_h_poisson", ["solve", "--scale", "h:1:0:5", "--lagrangian", "poisson", "--alpha", "0", "--beta", "5"], True, 0),
+    ("solve_q_poisson", ["solve", "--scale", "q:1.01:1:150", "--lagrangian", "poisson", "--alpha", "0", "--beta", "5"], True, 0),
     (
         "solve_quad2_verbose",
-        ["--scale", "h:0.1:0:3", "--lagrangian", "quad:2:0.5:0.1:0.2", "--alpha", "0,1", "--beta", "2,-1", "--verbose"],
+        ["solve", "--scale", "h:0.1:0:3", "--lagrangian", "quad:2:0.5:0.1:0.2", "--alpha", "0,1", "--beta", "2,-1", "--verbose"],
         False,
+        0,
     ),
+    ("derive_h_verbose", ["derive", "--scale", "h:1:0:5", "--poly", "0,0,1", "--order", "1", "--verbose"], True, 0),
+    ("derive_q_order2_verbose", ["derive", "--scale", "q:1.1:1:40", "--poly", "1,-2,0,0.5", "--order", "2", "--verbose"], True, 0),
+    ("integrate_q", ["integrate", "--scale", "q:2:1:4", "--poly", "0,1"], False, 0),
+    ("el_h_verbose", ["el", "--scale", "h:1:0:5", "--lagrangian", "dirichlet", "--poly", "0,1", "--verbose"], False, 0),
+    ("invariance_h_verbose", ["check-invariance", "--scale", "h:1:0:10", *PAIR, "--family", "pairdiff", "--trials", "50", "--verbose"], False, 0),
+    ("invariance_h_broken_verbose", ["check-invariance", "--scale", "h:1:0:10", *PAIR, "--family", "pairdiff-broken", "--verbose"], False, 1),
+    ("invariance_real_1e4_verbose", ["check-invariance", "--scale", "real:0.0001:0:1", *PAIR, "--family", "pairdiff", "--verbose"], False, 0),
+    ("noether_q_m1_verbose", ["check-noether", "--scale", "q:2:1:11", *PAIR, "--family", "{tmp}/fam1.json", "--verbose"], False, 0),
+    ("noether_time_h_verbose", ["check-noether-time", "--scale", "h:1:0:10", *PAIR, "--family", "{tmp}/famt.json", "--verbose"], False, 0),
+    ("check2d_verbose", ["check2d", "--grid", "h:1:0:5,q:2:1:6", "--lagrangian", "curl2", "--family", "grad2", "--verbose"], False, 0),
+    ("check2d_broken_verbose", ["check2d", "--grid", "h:1:0:5,q:2:1:6", "--lagrangian", "curl2", "--family", "grad2-broken", "--verbose"], False, 1),
+    ("em_default_verbose", ["em", "--lattice", "default", "--trials", "50", "--verbose"], False, 0),
+    ("em_mixed", ["em", "--lattice", "h:1:0:5,q:2:1:6,h:0.5:0:2.5,q:1.5:1:6", "--trials", "5"], False, 0),
+    ("oracle_fl_q_impulse", ["oracle-fl", "--scale", "q:2:1:9", "--order", "2", "--mode", "impulse"], False, 1),
+    ("oracle_fl_h_vanishing", ["oracle-fl", "--scale", "h:0.5:0:5", "--order", "2"], False, 0),
 ]
 
 
-@pytest.mark.parametrize("name, args, with_csv", CASES, ids=[c[0] for c in CASES])
-def test_solve_report_is_byte_identical(tmp_path, name, args, with_csv):
+@pytest.mark.parametrize("name, argv, with_csv, code", CASES, ids=[c[0] for c in CASES])
+def test_solve_report_is_byte_identical(tmp_path, name, argv, with_csv, code):
+    for fname, family in FAMILIES.items():
+        (tmp_path / fname).write_text(json.dumps(family))
     report = tmp_path / "report.json"
-    csv = tmp_path / "extremal.csv"
-    argv = ["solve", *args, "--out", str(report)]
+    csv = tmp_path / "result.csv"
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(report)]
     if with_csv:
         argv += ["--result-csv", str(csv)]
-    assert main(argv) == 0
+    assert main(argv) == code
     assert report.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
     if with_csv:
         assert csv.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
