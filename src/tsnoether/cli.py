@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,10 +18,9 @@ from . import em as em_mod
 from . import multigrid as mg
 from . import noether as nt
 from .report import ResidualReport
-from .timescale import GridFunction, TimeScale, parse_scale_spec, read_csv, write_csv
-from .variational import BoundaryData, ConvergenceError, Lagrangian, catalog
-from .variational import el_residual, solve_extremal
-from .timescale import delta_derivative, delta_integral
+from .timescale import GridFunction, TimeScale, delta_derivative, delta_integral
+from .timescale import parse_scale_spec, read_csv, write_csv
+from .variational import BoundaryData, ConvergenceError, catalog, el_residual, solve_extremal
 
 SCHEMA_VERSION = 1
 
@@ -33,7 +31,6 @@ def main(argv=None) -> int:
     if args.cmd is None:
         parser.print_help()
         return 2
-    _threads_cap()  # read but without effect: everything runs sequentially
     try:
         if getattr(args, "trials", 1) < 1:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
@@ -140,14 +137,6 @@ def _emit(report: dict, args) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _threads_cap() -> int:
-    # Everything runs sequentially, so the value changes nothing.
-    try:
-        return max(1, int(os.environ.get("NOETHER_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _report_sections(sections: list[dict]) -> tuple[dict, bool]:
@@ -327,46 +316,8 @@ def _cmd_check_noether_time(args):
     return _report_sections(_identity_sections(args, time_variant=True))
 
 
-def catalog2d(name: str, d: int = 2) -> mg.LagrangianD:
-    if name == "curl2":
-        def density(coords, U, G):
-            return 0.5 * (G[0][1] - G[1][0]) ** 2
-
-        def d_u(coords, U, G):
-            return np.zeros_like(U)
-
-        def d_g(coords, U, G):
-            out = np.zeros_like(G)
-            F = G[0][1] - G[1][0]
-            out[0][1] = F
-            out[1][0] = -F
-            return out
-
-        return mg.LagrangianD(d=2, n=2, density=density, d_u=d_u, d_g=d_g)
-    if name == "dirichlet2":
-        def density(coords, U, G):
-            return 0.5 * (G[0][0] ** 2 + G[1][0] ** 2)
-
-        def d_u(coords, U, G):
-            return np.zeros_like(U)
-
-        def d_g(coords, U, G):
-            return G.copy()
-
-        return mg.LagrangianD(d=2, n=1, density=density, d_u=d_u, d_g=d_g)
-    raise ValueError(f"unknown 2-d Lagrangian {name!r}")
-
-
-def _builtin_family2d(name: str, grid: mg.GridD):
-    if name == "grad2":
-        return mg.GaugeFamilyD.constant(grid, [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
-    if name == "grad2-broken":
-        return mg.GaugeFamilyD.constant(grid, [(0.0, 1.1, 0.0), (0.0, 0.0, 1.0)])
-    return None
-
-
 def load_family2d(path_or_name: str, grid: mg.GridD):
-    builtin = _builtin_family2d(path_or_name, grid)
+    builtin = mg.builtin_family2d(path_or_name, grid)
     if builtin is not None:
         return builtin
     with open(path_or_name) as fh:
@@ -377,7 +328,7 @@ def load_family2d(path_or_name: str, grid: mg.GridD):
 def _cmd_check2d(args):
     specs = args.grid.split(",")
     grid = mg.GridD(tuple(parse_scale_spec(s) for s in specs))
-    L = catalog2d(args.lagrangian)
+    L = mg.catalog2d(args.lagrangian)
     fam = load_family2d(args.family, grid)
     u = tuple(
         mg.random_polynomial_field(grid, seed=[args.seed, 7 + k], degree=2, amplitude=1.0)
@@ -398,15 +349,13 @@ def _cmd_em(args):
         if len(specs) != 4:
             raise ValueError("the lattice needs 4 scale specs")
         grid = mg.GridD(tuple(parse_scale_spec(s) for s in specs))
-    devs = np.empty(args.trials)
-    worst_base = 1.0
-    for trial in range(args.trials):
+
+    def pair(trial: int) -> tuple[float, float]:
         F_t = em_mod.random_em_field(grid, seed=[args.seed, 1, trial])
-        base = em_mod.em_functional(F_t)
-        worst_base = max(worst_base, abs(base))
         p = mg.random_polynomial_field(grid, seed=[args.seed, 2, trial])
-        devs[trial] = abs(em_mod.em_functional(em_mod.em_gauge(F_t, p)) - base)
-    gauge_rep = ResidualReport.from_per_point((0, args.trials - 1), devs, 1e-12 * worst_base)
+        return em_mod.em_functional(F_t), em_mod.em_functional(em_mod.em_gauge(F_t, p))
+
+    gauge_rep = ResidualReport.from_trials((0, args.trials - 1), args.trials, pair, 1e-12)
     F = em_mod.random_em_field(grid, seed=[args.seed, 1])
     ident = em_mod.em_noether_residual(F, tolerance=args.tol)
     FL = em_mod.lorentz_field(grid)
@@ -424,28 +373,11 @@ def _cmd_em(args):
 def _cmd_oracle_fl(args):
     ts = parse_scale_spec(args.scale)
     m = args.order
-    b1 = ts.condition_h[0] if ts.condition_h else None
-    if b1 is None:
-        raise ValueError("the oracle needs a scale with an affine jump law")
-    rng = np.random.default_rng([args.seed, 5])
-    upper = len(ts) - m if m >= 1 else len(ts) - 1
-    fs = [
-        GridFunction(ts, 0, rng.uniform(-1, 1, upper)) for _ in range(m)
-    ]
-    # Make the weighted combination vanish by solving for f_0.
-    target = np.zeros(upper)
-    from .timescale import delta_derivative as dd
-
-    for i, f in enumerate(fs, start=1):
-        term = dd(f, i)
-        w = (-1.0) ** i * (1.0 / b1) ** ((i * (i - 1)) // 2)
-        target[: term.values.shape[0]] -= w * term.values[:, 0]
-    f0 = GridFunction(ts, 0, target)
-    fs = [f0] + fs
+    fs = nt.vanishing_coefficients(ts, m, np.random.default_rng([args.seed, 5]))
     if args.mode == "impulse":
-        bump = f0.values.copy()
-        mid = max(0, min(upper - 1 - m, upper // 2))
-        bump[mid] += 0.5
+        bump = fs[0].values[:, 0].copy()
+        upper = bump.size
+        bump[max(0, min(upper - 1 - m, upper // 2))] += 0.5
         fs[0] = GridFunction(ts, 0, bump)
     rep = nt.fundamental_lemma_oracle(ts, fs, tolerance=args.tol)
     section = {

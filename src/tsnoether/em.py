@@ -17,6 +17,8 @@ Euler-Lagrange expression collapses to a wave operator applied to A_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -135,20 +137,11 @@ def em_noether_residual(F: EMField, tolerance: float = 1e-9) -> ResidualReport:
 
 
 def em_noether_field(F: EMField) -> FieldD:
-    es = em_el_expressions(F)
-    total = None
-    for k, e in enumerate(es):
-        term = partial_delta(e, k)
-        total = term if total is None else total + term
-    return total
+    return reduce(add, (partial_delta(e, k) for k, e in enumerate(em_el_expressions(F))))
 
 
 def _div_spatial(F: EMField) -> FieldD:
-    out = None
-    for i in (1, 2, 3):
-        term = partial_delta(F.A[i], i)
-        out = term if out is None else out + term
-    return out
+    return reduce(add, (partial_delta(F.A[i], i) for i in (1, 2, 3)))
 
 
 def em_lorentz_check(F: EMField, tolerance: float = 1e-10) -> ResidualReport:

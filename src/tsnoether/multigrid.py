@@ -14,11 +14,14 @@ adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
 
 from .report import ResidualReport
+from .timescale import forward_quotient, shift_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,15 +127,8 @@ def partial_delta(f: FieldD, axis: int) -> FieldD:
     n = f.values.shape[axis]
     if n < 2:
         raise ValueError(f"window too small on axis {axis}")
-    mu = f.grid.mu(axis)[f.lo[axis] : f.lo[axis] + n - 1]
-    shape = [1] * f.grid.d
-    shape[axis] = n - 1
-    upper = [slice(None)] * f.grid.d
-    lower = [slice(None)] * f.grid.d
-    upper[axis] = slice(1, None)
-    lower[axis] = slice(None, -1)
-    vals = (f.values[tuple(upper)] - f.values[tuple(lower)]) / mu.reshape(shape)
-    return FieldD(f.grid, f.lo, vals)
+    pts = f.grid.scales[axis].points[f.lo[axis] : f.lo[axis] + n]
+    return FieldD(f.grid, f.lo, forward_quotient(f.values, pts, axis))
 
 
 def shift_axis(f: FieldD, axis: int, k: int) -> FieldD:
@@ -140,27 +136,10 @@ def shift_axis(f: FieldD, axis: int, k: int) -> FieldD:
     saturating at the scale minimum) along one axis."""
     if k == 0:
         return f
-    npts = f.grid.shape[axis]
-    lo_ax, hi_ax = f.lo[axis], f.hi[axis]
-    if k > 0:
-        new_lo, new_hi = max(lo_ax - k, 0), hi_ax - k
-        if new_lo > new_hi:
-            raise ValueError("shift exhausts the window")
-        idx = np.arange(new_lo, new_hi + 1) + k
-    else:
-        steps = -k
-        new_lo = lo_ax if lo_ax == 0 else lo_ax + steps
-        new_hi = min(hi_ax + steps, npts - 1)
-        if new_lo > new_hi:
-            raise ValueError("shift exhausts the window")
-        idx = np.maximum(np.arange(new_lo, new_hi + 1) - steps, 0)
-        if idx.min() < lo_ax or idx.max() > hi_ax:
-            raise ValueError("shift exhausts the window")
-    take = [slice(None)] * f.grid.d
-    take[axis] = idx - lo_ax
+    new_lo, offsets = shift_index(f.lo[axis], f.hi[axis], f.grid.shape[axis], k)
     lo = list(f.lo)
     lo[axis] = new_lo
-    return FieldD(f.grid, tuple(lo), f.values[tuple(take)])
+    return FieldD(f.grid, tuple(lo), np.take(f.values, offsets, axis=axis))
 
 
 def shift_all_except(f: FieldD, axis: int, k: int = 1) -> FieldD:
@@ -366,6 +345,16 @@ def _is_zero(f: FieldD) -> bool:
     return bool(np.all(f.values == 0.0))
 
 
+def _gauge_sum(row, term) -> FieldD | None:
+    """Sum of term(i, row[i]) over the coefficients that are not identically
+    zero, so that skipped terms do not shrink the window; None if all are."""
+    out = None
+    for i, c in enumerate(row):
+        if not _is_zero(c):
+            out = term(i, c) if out is None else out + term(i, c)
+    return out
+
+
 def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
     """The perturbation of component k:
     a0*p + sum_j a_{j} * (dp/dx_j at the rho_j-shifted point).
@@ -373,13 +362,9 @@ def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
     Identically-zero coefficients contribute nothing and are skipped so
     they do not shrink the window.
     """
-    row = fam.a[k]
-    out = None if _is_zero(row[0]) else row[0] * p
-    for j in range(fam.grid.d):
-        if _is_zero(row[1 + j]):
-            continue
-        term = row[1 + j] * shift_axis(partial_delta(p, j), j, -1)
-        out = term if out is None else out + term
+    out = _gauge_sum(
+        fam.a[k], lambda i, c: c * (p if i == 0 else shift_axis(partial_delta(p, i - 1), i - 1, -1))
+    )
     if out is None:
         return FieldD(p.grid, (0,) * p.grid.d, np.zeros(p.grid.shape))
     return out
@@ -387,13 +372,7 @@ def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
 
 def gauge_field_adjoint(fam: GaugeFamilyD, q: FieldD, k: int) -> FieldD:
     """Summation-by-parts transpose: q*a0 - sum_j d/dx_j (q * a_j)."""
-    row = fam.a[k]
-    out = None if _is_zero(row[0]) else q * row[0]
-    for j in range(fam.grid.d):
-        if _is_zero(row[1 + j]):
-            continue
-        term = partial_delta(q * row[1 + j], j)
-        out = -term if out is None else out - term
+    out = _gauge_sum(fam.a[k], lambda i, c: q * c if i == 0 else -partial_delta(q * c, i - 1))
     if out is None:
         return FieldD(q.grid, (0,) * q.grid.d, np.zeros(q.grid.shape))
     return out
@@ -404,13 +383,10 @@ def gauge_pairing(fam: GaugeFamilyD, p: FieldD, q: FieldD, k: int) -> tuple[floa
     integral of q * (shifted-pattern gauge term of p) versus
     integral of adjoint(q) * p^sigma.  They agree when p vanishes near the
     fence."""
-    row = fam.a[k]
-    lhs_field = None if _is_zero(row[0]) else row[0] * shift_all(p)
-    for j in range(fam.grid.d):
-        if _is_zero(row[1 + j]):
-            continue
-        term = row[1 + j] * shift_all_except(partial_delta(p, j), j)
-        lhs_field = term if lhs_field is None else lhs_field + term
+    lhs_field = _gauge_sum(
+        fam.a[k],
+        lambda i, c: c * (shift_all(p) if i == 0 else shift_all_except(partial_delta(p, i - 1), i - 1)),
+    )
     if lhs_field is None:
         return 0.0, 0.0
     lhs = multi_integral(q * lhs_field)
@@ -456,12 +432,12 @@ def check_invariance_d(
 ) -> ResidualReport:
     """Functional deviation under seeded random polynomial parameters."""
     base = functional_d(L, u)
-    devs = np.empty(trials)
-    for trial in range(trials):
+
+    def pair(trial: int) -> tuple[float, float]:
         p = random_polynomial_field(fam.grid, seed=[seed, trial], amplitude=amplitude)
-        devs[trial] = abs(functional_d(L, transform_d(fam, p, u)) - base)
-    tol_eff = tolerance * max(1.0, abs(base))
-    return ResidualReport.from_per_point((0, trials - 1), devs, tol_eff)
+        return base, functional_d(L, transform_d(fam, p, u))
+
+    return ResidualReport.from_trials((0, trials - 1), trials, pair, tolerance)
 
 
 def noether_identity_d(
@@ -469,10 +445,7 @@ def noether_identity_d(
 ) -> ResidualReport:
     """Residual of sum_k adjoint_k(E_k) on the largest interior window."""
     es = el_expressions_d(L, u)
-    total = None
-    for k in range(fam.n):
-        term = gauge_field_adjoint(fam, es[k], k)
-        total = term if total is None else total + term
+    total = reduce(add, (gauge_field_adjoint(fam, es[k], k) for k in range(fam.n)))
     return ResidualReport.from_per_point((total.lo[0], total.hi[0]), total.values, tolerance)
 
 
@@ -530,3 +503,46 @@ def read_csv_d(grid: GridD, path) -> FieldD:
     out = np.empty(shape)
     out[tuple((idx - lo).T)] = vals
     return FieldD(grid, tuple(int(x) for x in lo), out)
+
+
+# Built-in 2-d densities and gauge families selectable by name from the
+# command line.
+
+def _zero_d_u(coords, U, G):
+    return np.zeros_like(U)
+
+
+def catalog2d(name: str) -> LagrangianD:
+    """Named 2-d densities: curl2 (1/2 (g_01 - g_10)^2, two components) and
+    dirichlet2 (1/2 |grad u|^2, one component)."""
+    if name == "curl2":
+        def density(coords, U, G):
+            return 0.5 * (G[0][1] - G[1][0]) ** 2
+
+        def d_g(coords, U, G):
+            out = np.zeros_like(G)
+            F = G[0][1] - G[1][0]
+            out[0][1] = F
+            out[1][0] = -F
+            return out
+
+        return LagrangianD(d=2, n=2, density=density, d_u=_zero_d_u, d_g=d_g)
+    if name == "dirichlet2":
+        def density(coords, U, G):
+            return 0.5 * (G[0][0] ** 2 + G[1][0] ** 2)
+
+        def d_g(coords, U, G):
+            return G.copy()
+
+        return LagrangianD(d=2, n=1, density=density, d_u=_zero_d_u, d_g=d_g)
+    raise ValueError(f"unknown 2-d Lagrangian {name!r}")
+
+
+def builtin_family2d(name: str, grid: GridD) -> GaugeFamilyD | None:
+    """grad2 adds the axis-j quotient of the parameter to component j;
+    grad2-broken scales the axis-0 term by 1.1.  None for other names."""
+    if name == "grad2":
+        return GaugeFamilyD.constant(grid, [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    if name == "grad2-broken":
+        return GaugeFamilyD.constant(grid, [(0.0, 1.1, 0.0), (0.0, 0.0, 1.0)])
+    return None

@@ -24,6 +24,8 @@ oracle for the weighted fundamental lemma that underlies them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -160,11 +162,7 @@ class GaugeParams:
 
 
 def _term_sum(coeffs, p: GridFunction, m: int) -> GridFunction:
-    total = None
-    for i, c in enumerate(coeffs):
-        term = c * mixed(p, m - i - 1, i)
-        total = term if total is None else total + term
-    return total
+    return reduce(add, (c * mixed(p, m - i - 1, i) for i, c in enumerate(coeffs)))
 
 
 def gauge_term(fam: GaugeFamily, params: GaugeParams, k: int, j: int) -> GridFunction:
@@ -190,10 +188,7 @@ def time_shift_term(fam: GaugeFamily, params: GaugeParams, j: int) -> GridFuncti
 def _perturbation(fam: GaugeFamily, params: GaugeParams, y: GridFunction) -> np.ndarray:
     cols = []
     for k in range(fam.n):
-        acc = None
-        for j in range(fam.r):
-            t = gauge_term(fam, params, k, j)
-            acc = t if acc is None else acc + t
+        acc = reduce(add, (gauge_term(fam, params, k, j) for j in range(fam.r)))
         cols.append(acc.restrict(y.lo, y.hi).values)
     return np.hstack(cols)
 
@@ -216,10 +211,7 @@ def transform(fam: GaugeFamily, params: GaugeParams, y: GridFunction):
     ybar_vals = y.values + _perturbation(fam, params, y)
     if fam.f is None:
         return None, GridFunction(y.ts, y.lo, ybar_vals)
-    hsum = None
-    for j in range(fam.r):
-        t = time_shift_term(fam, params, j)
-        hsum = t if hsum is None else hsum + t
+    hsum = reduce(add, (time_shift_term(fam, params, j) for j in range(fam.r)))
     alpha_vals = y.ts.points[y.lo : y.hi + 1] + hsum.restrict(y.lo, y.hi).values[:, 0]
     if not np.all(np.diff(alpha_vals) > 0):
         raise ValueError("time reparametrization is not strictly increasing")
@@ -260,13 +252,12 @@ def check_invariance(
     time coefficients are evaluated on the image scale of each trial.
     """
     base = eval_functional(L, y)
-    devs = np.empty(trials)
-    for trial in range(trials):
+
+    def pair(trial: int) -> tuple[float, float]:
         params = random_gauge_params(fam, seed=[seed, trial], amplitude=amplitude)
-        _, ybar = transform(fam, params, y)
-        devs[trial] = abs(eval_functional(L, ybar) - base)
-    tol_eff = tolerance * max(1.0, abs(base))
-    return ResidualReport.from_per_point(y.window, devs, tol_eff)
+        return base, eval_functional(L, transform(fam, params, y)[1])
+
+    return ResidualReport.from_trials(y.window, trials, pair, tolerance)
 
 
 def necessary_condition_residual(
@@ -287,7 +278,7 @@ def _identity_weight(b1: float, i: int) -> float:
 
 def _require_condition_h(ts: TimeScale) -> float:
     if ts.condition_h is None:
-        raise ValueError("identity evaluation needs an affine jump law sigma(t) = b1*t + b0")
+        raise ValueError("this check needs a scale with an affine jump law sigma(t) = b1*t + b0")
     return ts.condition_h[0]
 
 
@@ -300,7 +291,7 @@ def noether_identity(
     E = el_expressions(L, y)
     reports = []
     for j in range(fam.r):
-        total = _identity_sum(fam.g[j], E, b1, fam.m)
+        total = _identity_sum(fam.g[j], E, b1)
         reports.append(ResidualReport.from_per_point(total.window, total.values, tolerance))
     return reports
 
@@ -320,24 +311,20 @@ def noether_identity_time(
     Es = second_el_expression(L, y)
     reports = []
     for j in range(fam.r):
-        total = _identity_sum(fam.g[j], E, b1, fam.m)
+        total = _identity_sum(fam.g[j], E, b1)
         if any(np.any(c.values != 0.0) for c in fam.f[j]):
-            extra = _identity_sum((fam.f[j],), Es, b1, fam.m)
+            extra = _identity_sum((fam.f[j],), Es, b1)
             total = total + extra
         reports.append(ResidualReport.from_per_point(total.window, total.values, tolerance))
     return reports
 
 
-def _identity_sum(comp_tables, E: GridFunction, b1: float, m: int) -> GridFunction:
-    total = None
-    for k, coeffs in enumerate(comp_tables):
-        for i, g in enumerate(coeffs):
-            term = shift(g, 1) * E.component(k)
-            if i:
-                term = delta_derivative(term, i)
-            term = _identity_weight(b1, i) * term
-            total = term if total is None else total + term
-    return total
+def _identity_sum(comp_tables, E: GridFunction, b1: float) -> GridFunction:
+    def term(k: int, i: int, g: GridFunction) -> GridFunction:
+        t = shift(g, 1) * E.component(k)
+        return _identity_weight(b1, i) * (delta_derivative(t, i) if i else t)
+
+    return reduce(add, (term(k, i, g) for k, row in enumerate(comp_tables) for i, g in enumerate(row)))
 
 
 def second_el_via_reparametrization(L: Lagrangian, y: GridFunction) -> GridFunction:
@@ -478,7 +465,7 @@ def fundamental_lemma_oracle(
     conclusion = None
     for i, f in enumerate(fs):
         term = f if i == 0 else delta_derivative(f, i)
-        term = (-1.0) ** i * (1.0 / b1) ** ((i * (i - 1)) // 2) * term
+        term = _lemma_weight(b1, i) * term
         conclusion = term if conclusion is None else conclusion + term
     reach_hi = upper - 1 - m
     window = (0, min(conclusion.hi, reach_hi))
@@ -496,6 +483,24 @@ def fundamental_lemma_oracle(
         verdict=ints_ok and concl_ok,
         consistent=ints_ok == concl_ok,
     )
+
+
+def _lemma_weight(b1: float, i: int) -> float:
+    return (-1.0) ** i * (1.0 / b1) ** ((i * (i - 1)) // 2)
+
+
+def vanishing_coefficients(ts: TimeScale, m: int, rng) -> list[GridFunction]:
+    """Coefficients f_0 .. f_m for fundamental_lemma_oracle whose weighted
+    alternating combination vanishes: f_1 .. f_m are uniform draws on
+    [-1, 1] from the numpy Generator rng, and f_0 is solved for."""
+    b1 = _require_condition_h(ts)
+    upper = len(ts) - m if m >= 1 else len(ts) - 1
+    fs = [GridFunction(ts, 0, rng.uniform(-1, 1, upper)) for _ in range(m)]
+    target = np.zeros(upper)
+    for i, f in enumerate(fs, start=1):
+        term = delta_derivative(f, i)
+        target[: term.values.shape[0]] -= _lemma_weight(b1, i) * term.values[:, 0]
+    return [GridFunction(ts, 0, target)] + fs
 
 
 def _impulse(npts: int, at: int) -> np.ndarray:

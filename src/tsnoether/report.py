@@ -40,6 +40,20 @@ class ResidualReport:
             verdict=arr.size > 0 and sup <= tolerance,
         )
 
+    @staticmethod
+    def from_trials(domain: tuple[int, int], trials: int, pair, tolerance: float) -> "ResidualReport":
+        """Invariance deviations |after - before| for trials 0 .. trials-1,
+        where pair(trial) returns the action before and after one
+        transformation.  The tolerance is scaled by max(1, max |before|).
+        Trials run one at a time, so only one trial's fields are alive."""
+        devs = np.empty(trials)
+        scale = 1.0
+        for trial in range(trials):
+            before, after = pair(trial)
+            devs[trial] = abs(after - before)
+            scale = max(scale, abs(before))
+        return ResidualReport.from_per_point(domain, devs, tolerance * scale)
+
     def to_json(self, include_per_point: bool = False) -> dict:
         out = {
             "domain": list(self.domain),

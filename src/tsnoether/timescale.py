@@ -277,6 +277,35 @@ def common_window(*fns: GridFunction) -> tuple[int, int]:
     return lo, hi
 
 
+def forward_quotient(values: np.ndarray, pts: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Forward difference quotient of samples along one axis: np.diff of the
+    values over np.diff of the window's points pts.  The result has one
+    entry fewer on that axis."""
+    shape = [1] * values.ndim
+    shape[axis] = pts.size - 1
+    return np.diff(values, axis=axis) / np.diff(pts).reshape(shape)
+
+
+def shift_index(lo: int, hi: int, npts: int, k: int) -> tuple[int, np.ndarray]:
+    """Window start and source offsets (relative to lo) of the composition
+    with sigma^k (k > 0) or the saturating rho^|k| (k < 0) on the window
+    [lo, hi] of an npts-point axis.
+
+    Positive k is a pure index translation, so the window moves down and
+    may gain the scale maximum only through values that already exist.
+    Negative k saturates at the scale minimum, where the value repeats
+    (sigma(rho(t)) = t holds off the minimum only).  Every offset lies in
+    [0, hi - lo]; only an empty new window is an error.
+    """
+    if k > 0:
+        new_lo, new_hi = max(lo - k, 0), hi - k
+    else:
+        new_lo, new_hi = (lo if lo == 0 else lo - k), min(hi - k, npts - 1)
+    if new_lo > new_hi:
+        raise ValueError("shift exhausts the window")
+    return new_lo, np.maximum(np.arange(new_lo, new_hi + 1) + k, 0) - lo
+
+
 def delta_derivative(f: GridFunction, order: int = 1) -> GridFunction:
     """Iterated forward difference quotient (f(sigma(t)) - f(t)) / mu(t).
 
@@ -288,43 +317,17 @@ def delta_derivative(f: GridFunction, order: int = 1) -> GridFunction:
     for _ in range(order):
         if out.hi - out.lo < 1:
             raise ValueError("window too small for another delta derivative")
-        mu = out.ts.points[out.lo + 1 : out.hi + 1] - out.ts.points[out.lo : out.hi]
-        vals = (out.values[1:] - out.values[:-1]) / mu[:, None]
-        out = GridFunction(out.ts, out.lo, vals)
+        out = GridFunction(out.ts, out.lo, forward_quotient(out.values, out.times()))
     return out
 
 
 def shift(f: GridFunction, k: int) -> GridFunction:
-    """Composition with sigma^k; negative k composes with rho^|k|.
-
-    Positive k is a pure index translation, so the window moves down and
-    may gain the scale maximum only through values that already exist.
-    Negative k uses the saturating rho, so at the scale minimum the value
-    repeats (sigma(rho(t)) = t holds off the minimum only).
-    """
+    """Composition with sigma^k; negative k composes with rho^|k|
+    (see shift_index for the window rules)."""
     if k == 0:
         return f
-    n_pts = len(f.ts)
-    if k > 0:
-        idx = [i + k for i in range(max(f.lo - k, 0), min(f.hi - k, n_pts - 1) + 1)]
-        new_lo = max(f.lo - k, 0)
-    else:
-        steps = -k
-        lo = f.lo if f.lo == 0 else f.lo + steps
-        hi = min(f.hi + steps, n_pts - 1)
-        idx = []
-        for i in range(lo, hi + 1):
-            j = i
-            for _ in range(steps):
-                j = max(j - 1, 0)
-            idx.append(j)
-        new_lo = lo
-    if not idx:
-        raise ValueError("shift exhausts the window")
-    for j in idx:
-        if not f.lo <= j <= f.hi:
-            raise ValueError("shift exhausts the window")
-    return GridFunction(f.ts, new_lo, f.values[[j - f.lo for j in idx]])
+    new_lo, offsets = shift_index(f.lo, f.hi, len(f.ts), k)
+    return GridFunction(f.ts, new_lo, f.values[offsets])
 
 
 def mixed(f: GridFunction, s: int, d: int) -> GridFunction:

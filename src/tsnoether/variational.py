@@ -227,6 +227,7 @@ def solve_extremal(
         if not (np.allclose(y0.values[0], boundary.alpha) and np.allclose(y0.values[-1], boundary.beta)):
             raise ValueError("y0 does not satisfy the boundary data")
         start = y0.values.copy()
+        start[0], start[-1] = boundary.alpha, boundary.beta
 
     residual = _interior_residual(L, ts, start)
     z = start[1:-1].ravel().copy()

@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 import tsnoether as tn
-from tsnoether.cli import catalog2d
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -222,19 +221,12 @@ def test_criterion_7_fundamental_lemma():
         for m in (0, 1, 2):
             for npts in (7, 11, 15):
                 ts = make(npts)
-                b1 = ts.condition_h[0]
                 rng = np.random.default_rng([7, fam_idx, m, npts])
-                upper = npts - m if m >= 1 else npts - 1
-                fs = [tn.GridFunction(ts, 0, rng.uniform(-1, 1, upper)) for _ in range(m)]
-                target = np.zeros(upper)
-                for i, f in enumerate(fs, start=1):
-                    d = tn.delta_derivative(f, i)
-                    w = (-1.0) ** i * (1.0 / b1) ** ((i * (i - 1)) // 2)
-                    target[: d.values.shape[0]] -= w * d.values[:, 0]
-                fs = [tn.GridFunction(ts, 0, target)] + fs
+                fs = tn.vanishing_coefficients(ts, m, rng)
                 rep = tn.fundamental_lemma_oracle(ts, fs)
                 all_ok = all_ok and rep.verdict and rep.consistent
-                spiked = target.copy()
+                spiked = fs[0].values[:, 0].copy()
+                upper = spiked.size
                 spiked[max(0, min(upper - 1 - m, upper // 2))] += 0.5
                 rep2 = tn.fundamental_lemma_oracle(
                     ts, [tn.GridFunction(ts, 0, spiked)] + fs[1:]
@@ -266,7 +258,7 @@ def test_criterion_8_multi_integral():
     impulse_ok = impulse_ok and zints == 0.0 and zcons
 
     grid6 = tn.GridD((tn.h_uniform(1.0, 0, 5), tn.q_geometric(2.0, 1.0, 6)))
-    L = catalog2d("curl2")
+    L = tn.catalog2d("curl2")
     fam_ok = tn.GaugeFamilyD.constant(grid6, [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
     fam_bad = tn.GaugeFamilyD.constant(grid6, [(0.0, 1.1, 0.0), (0.0, 0.0, 1.0)])
     rng6 = np.random.default_rng(86)

@@ -240,11 +240,6 @@ class TestFamilyCoefficientForms:
                      "--lagrangian", "dirichlet", "--family", str(fam_path)])
         assert code == 2
 
-    def test_threads_env_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NOETHER_THREADS", "4")
-        code, _, _ = run(tmp_path, "scale", "--scale", "h:1:0:3")
-        assert code == 0
-
 
 def test_em_default_lattice_passes(tmp_path):
     code, data, _ = run(tmp_path, "em", "--lattice", "default")

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsnoether import (
     FieldD,
+    GridFunction,
     GaugeFamilyD,
     GridD,
     LagrangianD,
+    catalog2d,
     check_invariance_d,
+    delta_derivative,
     double_fundamental_oracle,
+    explicit_scale,
     el_expressions_d,
     el_residual_d,
     functional_d,
@@ -21,10 +27,10 @@ from tsnoether import (
     partial_delta,
     q_geometric,
     random_polynomial_field,
+    shift,
     shift_axis,
     transform_d,
 )
-from tsnoether.cli import catalog2d
 
 
 def grid_z2(nx=4, ny=3):
@@ -322,3 +328,84 @@ class TestFieldCsv:
         back = read_csv_d(g, path)
         assert back.lo == sub.lo
         assert np.array_equal(back.values, sub.values)
+
+
+# The 1-D calculus (shift, delta_derivative) and the product-grid one
+# (shift_axis, partial_delta) share their axis kernels; both must agree with
+# a per-index reference that applies rho one step at a time.
+
+scales = st.one_of(
+    st.builds(
+        lambda h, a, n: h_uniform(h, a, a + h * (n - 1)),
+        st.sampled_from([0.1, 0.25, 0.5, 1.0, 3.0]),
+        st.integers(-5, 5),
+        st.integers(2, 12),
+    ),
+    st.builds(q_geometric, st.floats(1.05, 3.0), st.floats(0.5, 2.0), st.integers(2, 12)),
+    st.builds(
+        lambda a, gaps: explicit_scale(a + np.cumsum([0.0, *gaps])),
+        st.floats(-5.0, 5.0),
+        st.lists(st.floats(0.01, 4.0), min_size=1, max_size=11),
+    ),
+)
+
+
+def reference_shift(ts, lo, hi, vals, k):
+    """Window start and values of the k-shift, or None when nothing is left."""
+
+    def source(i):
+        if k > 0:
+            return i + k
+        for _ in range(-k):
+            i = ts.rho(i)
+        return i
+
+    idx = [i for i in range(len(ts)) if lo <= source(i) <= hi]
+    if not idx:
+        return None
+    assert idx == list(range(idx[0], idx[-1] + 1))
+    return idx[0], np.array([vals[source(i) - lo] for i in idx])
+
+
+def reference_quotient(ts, lo, hi, vals):
+    return np.array([(vals[i + 1 - lo] - vals[i - lo]) / ts.mu(i) for i in range(lo, hi)])
+
+
+@given(ts=scales, k=st.integers(-3, 3), axis=st.integers(0, 1), seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_shift_and_quotient_agree_in_1d_and_2d(ts, k, axis, seed, data):
+    lo = data.draw(st.integers(0, len(ts) - 1), label="lo")
+    hi = data.draw(st.integers(lo, len(ts) - 1), label="hi")
+    other = h_uniform(1.0, 0.0, 2.0)
+    grid = GridD((ts, other) if axis == 0 else (other, ts))
+    vals = np.random.default_rng(seed).uniform(-1, 1, (hi - lo + 1, len(other)))
+    f1 = GridFunction(ts, lo, vals)
+    fd = FieldD(grid, (lo, 0) if axis == 0 else (0, lo), vals if axis == 0 else vals.T)
+
+    def along(fd_out):
+        """The 2-d result as (window start on the drawn axis, (points, n) values)."""
+        return fd_out.lo[axis], fd_out.values if axis == 0 else fd_out.values.T
+
+    ref = reference_shift(ts, lo, hi, vals, k)
+    if ref is None:
+        with pytest.raises(ValueError):
+            shift(f1, k)
+        with pytest.raises(ValueError):
+            shift_axis(fd, axis, k)
+    else:
+        s1 = shift(f1, k)
+        sd_lo, sd_vals = along(shift_axis(fd, axis, k))
+        assert s1.lo == sd_lo == ref[0]
+        assert np.array_equal(s1.values, sd_vals) and np.array_equal(s1.values, ref[1])
+
+    if hi == lo:
+        with pytest.raises(ValueError):
+            delta_derivative(f1)
+        with pytest.raises(ValueError):
+            partial_delta(fd, axis)
+    else:
+        d1 = delta_derivative(f1)
+        dd_lo, dd_vals = along(partial_delta(fd, axis))
+        assert d1.window == (dd_lo, dd_lo + dd_vals.shape[0] - 1) == (lo, hi - 1)
+        assert np.array_equal(d1.values, dd_vals)
+        assert np.array_equal(d1.values, reference_quotient(ts, lo, hi, vals))

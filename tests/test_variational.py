@@ -233,6 +233,17 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_extremal(catalog("dirichlet"), ts, BoundaryData([0.0], [4.0]), y0=y0)
 
+    def test_start_ends_replaced_by_boundary_data(self):
+        # y0 meets the boundary only to np.allclose; the result must meet it exactly
+        ts = h_uniform(1.0, 0, 5)
+        start = np.linspace(0.0, 5.0, 6)[:, None]
+        start[0, 0] = 1e-9
+        start[-1, 0] = 5.0 + 1e-9
+        bd = BoundaryData([0.0], [5.0])
+        y = solve_extremal(catalog("dirichlet"), ts, bd, y0=GridFunction(ts, 0, start))
+        assert y.values[0, 0] == 0.0 and y.values[-1, 0] == 5.0
+        assert np.max(np.abs(y.values[:, 0] - np.arange(6.0))) <= 1e-10
+
     def test_reports_final_residual_on_failure(self):
         ts = h_uniform(1.0, 0, 4)
         # concave density: Newton step exists but cannot meet a 0 tolerance
