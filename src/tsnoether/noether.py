@@ -465,7 +465,7 @@ def fundamental_lemma_oracle(
     conclusion = None
     for i, f in enumerate(fs):
         term = f if i == 0 else delta_derivative(f, i)
-        term = _lemma_weight(b1, i) * term
+        term = (-1.0) ** i * (1.0 / b1) ** ((i * (i - 1)) // 2) * term
         conclusion = term if conclusion is None else conclusion + term
     reach_hi = upper - 1 - m
     window = (0, min(conclusion.hi, reach_hi))
@@ -485,10 +485,6 @@ def fundamental_lemma_oracle(
     )
 
 
-def _lemma_weight(b1: float, i: int) -> float:
-    return (-1.0) ** i * (1.0 / b1) ** ((i * (i - 1)) // 2)
-
-
 def vanishing_coefficients(ts: TimeScale, m: int, rng) -> list[GridFunction]:
     """Coefficients f_0 .. f_m for fundamental_lemma_oracle whose weighted
     alternating combination vanishes: f_1 .. f_m are uniform draws on
@@ -499,7 +495,8 @@ def vanishing_coefficients(ts: TimeScale, m: int, rng) -> list[GridFunction]:
     target = np.zeros(upper)
     for i, f in enumerate(fs, start=1):
         term = delta_derivative(f, i)
-        target[: term.values.shape[0]] -= _lemma_weight(b1, i) * term.values[:, 0]
+        w = (-1.0) ** i * (1.0 / b1) ** ((i * (i - 1)) // 2)
+        target[: term.values.shape[0]] -= w * term.values[:, 0]
     return [GridFunction(ts, 0, target)] + fs
 
 

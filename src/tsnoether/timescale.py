@@ -5,7 +5,8 @@ The jump operators sigma/rho act on indices (saturating at the ends),
 the graininess mu(i) is the gap to the next point, and delta derivatives
 are forward difference quotients.  Grid functions carry an explicit index
 window so that every domain shrink (one point lost from the top per
-derivative order) is visible in the result.
+derivative order) is visible in the result.  The axis kernels shift_index
+and forward_quotient also serve the product grids of multigrid.
 """
 
 from __future__ import annotations
@@ -278,12 +279,14 @@ def common_window(*fns: GridFunction) -> tuple[int, int]:
 
 
 def forward_quotient(values: np.ndarray, pts: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Forward difference quotient of samples along one axis: np.diff of the
-    values over np.diff of the window's points pts.  The result has one
-    entry fewer on that axis."""
+    """Forward difference quotient of float samples along one axis: np.diff
+    of the values over np.diff of the window's points pts.  The result has
+    one entry fewer on that axis; dividing in place saves a temporary."""
     shape = [1] * values.ndim
     shape[axis] = pts.size - 1
-    return np.diff(values, axis=axis) / np.diff(pts).reshape(shape)
+    out = np.diff(values, axis=axis)
+    out /= np.diff(pts).reshape(shape)
+    return out
 
 
 def shift_index(lo: int, hi: int, npts: int, k: int) -> tuple[int, np.ndarray]:
