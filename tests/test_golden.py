@@ -1,11 +1,11 @@
 """Frozen CLI reports and result CSVs.
 
-The files under tests/golden/ were written before the calculus kernels
-were shared between the 1-D and the product-grid layers, and before the
-Newton Jacobian was coloured.  Both changes compute the same floating
-point operations, so every byte below must stay the same.  Regenerate a
-file only for a deliberate change of the arithmetic, and say so in
-CHANGES.md.
+The three `solve` files under tests/golden/ were written before the
+Newton Jacobian was coloured, and all of them before the 1-D and the
+product-grid calculi shared their axis kernels and their trial loop.
+Both changes compute the same floating point operations, so every byte
+below must stay the same.  Regenerate a file only for a deliberate
+change of the arithmetic, and say so in CHANGES.md.
 
 Each case is a full `noether` argument list, whether it also writes a
 `--result-csv`, and its expected exit code.  `{tmp}` stands for the
@@ -38,6 +38,7 @@ CASES = [
         False,
         0,
     ),
+    ("scale_q", ["scale", "--scale", "q:2:1:6"], False, 0),
     ("derive_h_verbose", ["derive", "--scale", "h:1:0:5", "--poly", "0,0,1", "--order", "1", "--verbose"], True, 0),
     ("derive_q_order2_verbose", ["derive", "--scale", "q:1.1:1:40", "--poly", "1,-2,0,0.5", "--order", "2", "--verbose"], True, 0),
     ("integrate_q", ["integrate", "--scale", "q:2:1:4", "--poly", "0,1"], False, 0),
