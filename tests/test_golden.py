@@ -48,6 +48,19 @@ CASES = [
     ("invariance_real_1e4_verbose", ["check-invariance", "--scale", "real:0.0001:0:1", *PAIR, "--family", "pairdiff", "--verbose"], False, 0),
     ("noether_q_m1_verbose", ["check-noether", "--scale", "q:2:1:11", *PAIR, "--family", "{tmp}/fam1.json", "--verbose"], False, 0),
     ("noether_time_h_verbose", ["check-noether-time", "--scale", "h:1:0:10", *PAIR, "--family", "{tmp}/famt.json", "--verbose"], False, 0),
+    # The only paths where an n >= 2 catalog density's value reaches the report bytes.
+    (
+        "invariance_q_quad2_verbose",
+        ["check-invariance", "--scale", "q:1.1:1:40", "--lagrangian", "quad:2:0.5:0.3:0.2", "--family", "pairdiff", "--verbose"],
+        False,
+        1,
+    ),
+    (
+        "noether_time_quad2_verbose",
+        ["check-noether-time", "--scale", "h:0.1:0:3", "--lagrangian", "quad:2:0.5:0.3:0.2", "--family", "pairdiff-time0", "--verbose"],
+        False,
+        1,
+    ),
     ("check2d_verbose", ["check2d", "--grid", "h:1:0:5,q:2:1:6", "--lagrangian", "curl2", "--family", "grad2", "--verbose"], False, 0),
     ("check2d_broken_verbose", ["check2d", "--grid", "h:1:0:5,q:2:1:6", "--lagrangian", "curl2", "--family", "grad2-broken", "--verbose"], False, 1),
     ("em_default_verbose", ["em", "--lattice", "default", "--trials", "50", "--verbose"], False, 0),
