@@ -34,7 +34,6 @@ from .timescale import (
     GridFunction,
     TimeScale,
     delta_derivative,
-    delta_integral,
     explicit_scale,
     mixed,
     shift,
@@ -43,8 +42,8 @@ from .variational import (
     Lagrangian,
     el_expressions,
     eval_functional,
-    lagrangian_along,
     second_el_expression,
+    variation_pairing,
 )
 
 
@@ -265,11 +264,7 @@ def necessary_condition_residual(
 ) -> float:
     """Value of the first-variation pairing of the path with the family's
     perturbation; zero (to rounding) whenever the action is invariant."""
-    pert = GridFunction(y.ts, y.lo, _perturbation(fam, params, y))
-    pu = lagrangian_along(L, y, "u")
-    pv = lagrangian_along(L, y, "v")
-    integrand = pu * shift(pert, 1) + pv * delta_derivative(pert, 1)
-    return float(np.sum(delta_integral(integrand)))
+    return variation_pairing(L, y, GridFunction(y.ts, y.lo, _perturbation(fam, params, y)))
 
 
 def _identity_weight(b1: float, i: int) -> float:
@@ -346,7 +341,7 @@ def second_el_via_reparametrization(L: Lagrangian, y: GridFunction) -> GridFunct
         return float(gaps[i])
 
     def density(t, U, V):
-        return L.eval(U[0] - mu_of(t) * V[0], U[1:], V[1:] / V[0]) * V[0]
+        return L.at("L", U[0] - mu_of(t) * V[0], U[1:], V[1:] / V[0]) * V[0]
 
     augmented = Lagrangian(n=L.n + 1, eval=density)
     s = GridFunction(ts, y.lo, pts[y.lo : y.hi + 1])
@@ -489,6 +484,10 @@ def vanishing_coefficients(ts: TimeScale, m: int, rng) -> list[GridFunction]:
     """Coefficients f_0 .. f_m for fundamental_lemma_oracle whose weighted
     alternating combination vanishes: f_1 .. f_m are uniform draws on
     [-1, 1] from the numpy Generator rng, and f_0 is solved for."""
+    if m < 0:
+        raise ValueError(f"the order must be at least 0, got {m}")
+    if len(ts) < 2 * m + 1:
+        raise ValueError(f"order {m} needs a grid of at least {2 * m + 1} points, this one has {len(ts)}")
     b1 = _require_condition_h(ts)
     upper = len(ts) - m if m >= 1 else len(ts) - 1
     fs = [GridFunction(ts, 0, rng.uniform(-1, 1, upper)) for _ in range(m)]

@@ -9,6 +9,7 @@ discrete Euler-Lagrange boundary value problems by damped Newton.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 from typing import Callable
 
 import numpy as np
@@ -33,64 +34,74 @@ class ConvergenceError(RuntimeError):
 class Lagrangian:
     """An evaluable density L(t, u, v) with u, v in R^n.
 
+    Per point (vectorized=False), each callable takes (t, u[n], v[n]) and
+    returns a float (eval, d_t) or an n-vector (d_u, d_v).  Vectorized, it
+    takes a whole path (t[N], U[N, n], V[N, n]) and returns (N,) or (N, n).
+    `sample` is the only caller of the callables in either convention.
     Analytic partials are optional; central finite differences with a step
     of fd_step * max(1, |value|) fill in for any that are missing.
     """
 
     n: int
-    eval: Callable[[float, np.ndarray, np.ndarray], float]
+    eval: Callable
     d_t: Callable | None = None
     d_u: Callable | None = None
     d_v: Callable | None = None
     fd_step: float = 1e-6
+    vectorized: bool = False
 
-    def partial_t(self, t: float, u: np.ndarray, v: np.ndarray) -> float:
-        if self.d_t is not None:
-            return float(self.d_t(t, u, v))
-        h = self.fd_step * max(1.0, abs(t))
-        return (self.eval(t + h, u, v) - self.eval(t - h, u, v)) / (2 * h)
+    def sample(self, which: str, T: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """L ("L") or its partial ("t", "u", "v") at the points (T[i], U[i], V[i]):
+        shape (N,) for "L" and "t", (N, n) for "u" and "v"."""
+        fn = {"L": self.eval, "t": self.d_t, "u": self.d_u, "v": self.d_v}[which]
+        if fn is None:
+            return self._central_difference(which, T, U, V)
+        if self.vectorized:
+            out = np.asarray(fn(T, U, V), dtype=float)
+        else:
+            out = np.array([fn(t, u, v) for t, u, v in zip(T, U, V)], dtype=float)
+        return out.reshape(len(T), -1) if which in ("u", "v") else out.reshape(len(T))
 
-    def partial_u(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.d_u is not None:
-            return np.asarray(self.d_u(t, u, v), dtype=float)
-        return self._fd_vec(lambda uu: self.eval(t, uu, v), u)
+    def _central_difference(self, which: str, T: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Central differences of L in the slot of `which`, one column at a time."""
+        args = [T, U, V]
+        slot = "tuv".index(which)
+        shape = args[slot].shape
+        X = np.reshape(args[slot], (len(T), -1))
+        out = np.empty(X.shape)
+        for k in range(X.shape[1]):
+            h = self.fd_step * np.maximum(1.0, np.abs(X[:, k]))
+            Xp, Xm = X.copy(), X.copy()
+            Xp[:, k] += h
+            Xm[:, k] -= h
+            args[slot] = Xp.reshape(shape)
+            fp = self.sample("L", *args)
+            args[slot] = Xm.reshape(shape)
+            out[:, k] = (fp - self.sample("L", *args)) / (2 * h)
+        return out.reshape(shape)
 
-    def partial_v(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.d_v is not None:
-            return np.asarray(self.d_v(t, u, v), dtype=float)
-        return self._fd_vec(lambda vv: self.eval(t, u, vv), v)
+    def at(self, which: str, t: float, u, v):
+        """One point of `sample`: a float for "L" and "t", an n-vector for
+        "u" and "v".  The per-point oracles read the density through this."""
+        row = self.sample(which, np.array([t], dtype=float), np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0]
+        return float(row) if which in ("L", "t") else row
 
-    def _fd_vec(self, f, x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.size)
-        for k in range(x.size):
-            h = self.fd_step * max(1.0, abs(x[k]))
-            xp, xm = x.copy(), x.copy()
-            xp[k] += h
-            xm[k] -= h
-            out[k] = (f(xp) - f(xm)) / (2 * h)
-        return out
+    partial_t = partialmethod(at, "t")
+    partial_u = partialmethod(at, "u")
+    partial_v = partialmethod(at, "v")
 
     def self_check(self, seed: int = 0, trials: int = 20, rtol: float = 1e-6) -> float:
         """Worst relative gap between analytic partials and central differences
-        on random probe points.  Raises if it exceeds rtol."""
-        rng = np.random.default_rng(seed)
+        on random probe points, all sampled in one call per partial.  Raises
+        if it exceeds rtol."""
+        probes = np.random.default_rng(seed).uniform(-2, 2, (trials, 1 + 2 * self.n))
+        T, U, V = probes[:, 0], probes[:, 1 : 1 + self.n], probes[:, 1 + self.n :]
         worst = 0.0
-        for _ in range(trials):
-            t = float(rng.uniform(-2, 2))
-            u = rng.uniform(-2, 2, self.n)
-            v = rng.uniform(-2, 2, self.n)
-            pairs = []
-            if self.d_t is not None:
-                h = self.fd_step * max(1.0, abs(t))
-                fd = (self.eval(t + h, u, v) - self.eval(t - h, u, v)) / (2 * h)
-                pairs.append((np.atleast_1d(self.d_t(t, u, v)), np.atleast_1d(fd)))
-            if self.d_u is not None:
-                pairs.append((np.asarray(self.d_u(t, u, v)), self._fd_vec(lambda uu: self.eval(t, uu, v), u)))
-            if self.d_v is not None:
-                pairs.append((np.asarray(self.d_v(t, u, v)), self._fd_vec(lambda vv: self.eval(t, u, vv), v)))
-            for got, fd in pairs:
-                scale = np.maximum(1.0, np.abs(fd))
-                worst = max(worst, float(np.max(np.abs(got - fd) / scale)))
+        for which, fn in (("t", self.d_t), ("u", self.d_u), ("v", self.d_v)):
+            if fn is not None:
+                fd = self._central_difference(which, T, U, V)
+                gap = np.abs(self.sample(which, T, U, V) - fd) / np.maximum(1.0, np.abs(fd))
+                worst = max(worst, float(np.max(gap)))
         if worst > rtol:
             raise ValueError(f"analytic partials disagree with finite differences: {worst:.3e}")
         return worst
@@ -132,30 +143,36 @@ def eval_functional(L: Lagrangian, y: GridFunction) -> float:
     _check_dims(L, y)
     ts, us, vs = _path_args(y)
     mu = y.ts.points[y.lo + 1 : y.hi + 1] - y.ts.points[y.lo : y.hi]
-    return float(sum(m * L.eval(t, u, v) for m, t, u, v in zip(mu, ts, us, vs)))
+    # Summed left to right from +0.0, Python's sum order, which fixes the
+    # rounding of every reported action; np.sum adds pairwise.
+    return float(np.add.accumulate(mu * L.sample("L", ts, us, vs))[-1] + 0.0)
 
 
 def lagrangian_along(L: Lagrangian, y: GridFunction, which: str) -> GridFunction:
-    """Sample a partial of L along (t, y(sigma(t)), y_delta(t)) on [lo, hi-1]."""
+    """Sample L ("L") or a partial ("t", "u", "v") along
+    (t, y(sigma(t)), y_delta(t)) on [lo, hi-1]."""
     _check_dims(L, y)
     ts, us, vs = _path_args(y)
-    fn = {"t": L.partial_t, "u": L.partial_u, "v": L.partial_v, "L": L.eval}[which]
-    rows = [np.atleast_1d(fn(t, u, v)) for t, u, v in zip(ts, us, vs)]
-    return GridFunction(y.ts, y.lo, np.vstack(rows))
+    return GridFunction(y.ts, y.lo, L.sample(which, ts, us, vs))
 
 
 def first_variation(L: Lagrangian, y: GridFunction, eta: GridFunction) -> float:
     """Directional derivative of the action at y along an admissible eta."""
+    if np.any(eta.values[0] != 0) or np.any(eta.values[-1] != 0):
+        raise ValueError("eta must vanish at both endpoints")
+    return variation_pairing(L, y, eta)
+
+
+def variation_pairing(L: Lagrangian, y: GridFunction, eta: GridFunction) -> float:
+    """Delta integral of L_u . eta^sigma + L_v . eta^delta along y, for any
+    eta on the path window (first_variation when eta vanishes at the ends)."""
     _check_dims(L, y)
     if eta.n != y.n or eta.lo != y.lo or eta.hi != y.hi:
         raise ValueError("eta must share the path window and component count")
-    if np.any(eta.values[0] != 0) or np.any(eta.values[-1] != 0):
-        raise ValueError("eta must vanish at both endpoints")
     pu = lagrangian_along(L, y, "u")
     pv = lagrangian_along(L, y, "v")
     integrand = pu * shift(eta, 1) + pv * delta_derivative(eta, 1)
-    total = delta_integral(integrand)
-    return float(np.sum(total))
+    return float(np.sum(delta_integral(integrand)))
 
 
 def el_expressions(L: Lagrangian, y: GridFunction) -> GridFunction:
@@ -304,16 +321,35 @@ def _coloured_jacobian(fn, z: np.ndarray, f0: np.ndarray, n: int) -> np.ndarray:
     return jac
 
 
-# Built-in densities selectable by name from the command line.
+# Built-in densities selectable by name from the command line.  They are
+# vectorized; each value rounds exactly as the same formula evaluated one
+# point at a time.
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row i.  A stack of (1, n) @ (n, 1) products
+    takes the same dot kernel as a 1-D a[i] @ b[i]; np.sum(a * b, axis=1)
+    and einsum round differently."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _zeros(t, U, V) -> np.ndarray:
+    return np.zeros(len(t))
+
 
 def _quadratic(n: int, cv: float, cu: float, cuv: float) -> Lagrangian:
     return Lagrangian(
         n=n,
-        eval=lambda t, u, v: float(cv * v @ v + cu * u @ u + cuv * u @ v),
-        d_t=lambda t, u, v: 0.0,
-        d_u=lambda t, u, v: 2 * cu * u + cuv * v,
-        d_v=lambda t, u, v: 2 * cv * v + cuv * u,
+        eval=lambda t, U, V: _rowdot(cv * V, V) + _rowdot(cu * U, U) + _rowdot(cuv * U, V),
+        d_t=_zeros,
+        d_u=lambda t, U, V: 2 * cu * U + cuv * V,
+        d_v=lambda t, U, V: 2 * cv * V + cuv * U,
+        vectorized=True,
     )
+
+
+def _pair_difference_dv(t, U, V) -> np.ndarray:
+    w = V[:, 0] - V[:, 1]
+    return np.column_stack([2 * w, -2 * w])
 
 
 def catalog(name: str) -> Lagrangian:
@@ -324,18 +360,23 @@ def catalog(name: str) -> Lagrangian:
     if name == "poisson":
         return Lagrangian(
             n=1,
-            eval=lambda t, u, v: float(0.5 * v @ v + u[0]),
-            d_t=lambda t, u, v: 0.0,
-            d_u=lambda t, u, v: np.ones(1),
-            d_v=lambda t, u, v: v.copy(),
+            eval=lambda t, U, V: _rowdot(0.5 * V, V) + U[:, 0],
+            d_t=_zeros,
+            d_u=lambda t, U, V: np.ones((len(t), 1)),
+            d_v=lambda t, U, V: V.copy(),
+            vectorized=True,
         )
     if name == "pair-difference":
         return Lagrangian(
             n=2,
-            eval=lambda t, u, v: float((v[0] - v[1]) ** 2),
-            d_t=lambda t, u, v: 0.0,
-            d_u=lambda t, u, v: np.zeros(2),
-            d_v=lambda t, u, v: np.array([2 * (v[0] - v[1]), -2 * (v[0] - v[1])]),
+            # A scalar ** 2 calls libm pow, which float_power also calls per
+            # element; an array ** 2 multiplies and differs in the last bit
+            # in about one value in a thousand.
+            eval=lambda t, U, V: np.float_power(V[:, 0] - V[:, 1], 2),
+            d_t=_zeros,
+            d_u=lambda t, U, V: np.zeros((len(t), 2)),
+            d_v=_pair_difference_dv,
+            vectorized=True,
         )
     if name.startswith("quad:"):
         try:

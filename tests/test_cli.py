@@ -55,6 +55,16 @@ class TestExitCodes:
         assert code == 2 and data is None
         assert "--trials must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "order, message",
+        [("-1", "the order must be at least 0, got -1"), ("3", "order 3 needs a grid of at least 7 points, this one has 6")],
+        ids=["negative", "too-large"],
+    )
+    def test_oracle_order_rejected(self, tmp_path, capsys, order, message):
+        code, data, _ = run(tmp_path, "oracle-fl", "--scale", "h:1:0:5", "--order", order)
+        assert code == 2 and data is None
+        assert message in capsys.readouterr().err
+
     def test_verdict_failure_exits_one(self, tmp_path):
         fam = write_pairdiff_family(tmp_path, broken=True)
         code, data, _ = run(

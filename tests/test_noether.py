@@ -260,6 +260,48 @@ class TestNoetherIdentity:
         assert np.max(np.abs(generic - coro[:k]) / scale) <= 1e-12
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(0, 2),
+        n=st.integers(1, 2),
+        geometric=st.booleans(),
+        step=st.sampled_from([0, 1, 2]),
+        npts=st.integers(8, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_calculus_forms_match_generic_for_random_coefficients(self, m, n, geometric, step, npts, seed):
+        # Random quadratic coefficient polynomials g[k][i] and a random
+        # quadratic density; the h- and q-forms keep their own quotients.
+        rng = np.random.default_rng(seed)
+        if geometric:
+            q = (1.5, 2.0, 1.1)[step]
+            ts = q_geometric(q, 1.0, npts)
+        else:
+            h = (0.5, 0.25, 0.1)[step]
+            ts = h_uniform(h, 0, h * (npts - 1))
+        hi = len(ts) - 1 - m
+        t = ts.points
+        coeffs = rng.uniform(-1, 1, (n, m + 1, 3)) / t[hi] ** np.arange(3)
+        g_callables = [
+            [(lambda c: (lambda tt: np.polynomial.polynomial.polyval(tt, c)))(coeffs[k, i]) for i in range(m + 1)]
+            for k in range(n)
+        ]
+        fam = GaugeFamily((tuple(tuple(GridFunction(ts, 0, g(t[: hi + 1])) for g in row) for row in g_callables),))
+        cv, cu, cuv = rng.uniform(0.2, 1.0), rng.uniform(-1, 1), rng.uniform(-1, 1)
+        L = catalog(f"quad:{n}:{cv!r}:{cu!r}:{cuv!r}")
+        y = GridFunction(ts, 0, rng.uniform(-1, 1, (hi + 1, n)))
+        generic = noether_identity(L, fam, y, tolerance=np.inf)[0].per_point[:, 0]
+        if geometric:
+            form = identity_lhs_q_calculus(L, g_callables, t[: hi + 1], y.values, q, m)
+        else:
+            form = identity_lhs_h_calculus(L, g_callables, t[: hi + 1], y.values, h, m)
+        k = generic.shape[0]
+        # Where t + h or q t is inexact the coefficients are sampled at
+        # points an ulp apart; the gap is rounding of the summed terms,
+        # whose size the sup of the residual stands for.
+        assert np.max(np.abs(generic - form[:k])) <= 1e-12 * max(1.0, np.max(np.abs(generic)))
+
+
 class TestNoetherIdentityTime:
     def test_zero_f_reduces_bitwise(self):
         ts = q_geometric(2.0, 1.0, 10)

@@ -12,6 +12,7 @@ from tsnoether import (
     el_expressions,
     el_residual,
     eval_functional,
+    explicit_scale,
     first_variation,
     h_uniform,
     q_geometric,
@@ -20,7 +21,7 @@ from tsnoether import (
     solve_extremal,
 )
 from tsnoether.report import ResidualReport
-from tsnoether.variational import _coloured_jacobian, _interior_residual
+from tsnoether.variational import _coloured_jacobian, _interior_residual, lagrangian_along
 
 
 def random_quadratic(rng, n):
@@ -367,11 +368,125 @@ class TestRealApproxConvergence:
         assert sups[1] / sups[0] < 0.75 and sups[2] / sups[1] < 0.75
 
 
+# Per-point copies of the catalog densities, one point per call.  The
+# vectorized catalog must reproduce every sample and action bit for bit.
+
+def per_point_quadratic(n, cv, cu, cuv):
+    return Lagrangian(
+        n=n,
+        eval=lambda t, u, v: float(cv * v @ v + cu * u @ u + cuv * u @ v),
+        d_t=lambda t, u, v: 0.0,
+        d_u=lambda t, u, v: 2 * cu * u + cuv * v,
+        d_v=lambda t, u, v: 2 * cv * v + cuv * u,
+    )
+
+
+PER_POINT_CATALOG = {
+    "poisson": Lagrangian(
+        n=1,
+        eval=lambda t, u, v: float(0.5 * v @ v + u[0]),
+        d_t=lambda t, u, v: 0.0,
+        d_u=lambda t, u, v: np.ones(1),
+        d_v=lambda t, u, v: v.copy(),
+    ),
+    "pair-difference": Lagrangian(
+        n=2,
+        eval=lambda t, u, v: float((v[0] - v[1]) ** 2),
+        d_t=lambda t, u, v: 0.0,
+        d_u=lambda t, u, v: np.zeros(2),
+        d_v=lambda t, u, v: np.array([2 * (v[0] - v[1]), -2 * (v[0] - v[1])]),
+    ),
+}
+
+
+def rational_density(n, vectorized):
+    """A density given by its values only, so every partial comes from
+    central differences; the same formula in either calling convention."""
+    if vectorized:
+        def density(t, U, V):
+            w = U[:, -1] - V[:, 0]
+            return t * U[:, 0] * V[:, -1] + w * w * w / (1.0 + V[:, 0] * V[:, 0])
+    else:
+        def density(t, u, v):
+            w = u[-1] - v[0]
+            return float(t * u[0] * v[-1] + w * w * w / (1.0 + v[0] * v[0]))
+    return Lagrangian(n=n, eval=density, vectorized=vectorized)
+
+
+def differential_scale(kind, npts, rng):
+    if kind == "h":
+        return h_uniform(0.25, -1.0, -1.0 + 0.25 * (npts - 1))
+    if kind == "q":
+        return q_geometric(1.05, 0.5, npts)
+    return explicit_scale(np.cumsum(rng.uniform(0.01, 1.0, npts)) - 2.0)
+
+
+class TestArrayDensities:
+    coefficient = st.floats(-2.0, 2.0, allow_nan=False)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(["quad", "poisson", "pair-difference", "rational"]),
+        n=st.integers(1, 3),
+        cv=coefficient,
+        cu=coefficient,
+        cuv=coefficient,
+        kind=st.sampled_from(["h", "q", "explicit"]),
+        npts=st.integers(2, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(name="quad", n=2, cv=0.5, cu=0.3, cuv=0.2, kind="q", npts=200, seed=0)
+    @example(name="pair-difference", n=2, cv=0.0, cu=0.0, cuv=0.0, kind="explicit", npts=150, seed=1)
+    @example(name="rational", n=3, cv=0.0, cu=0.0, cuv=0.0, kind="h", npts=100, seed=2)
+    def test_catalog_equals_per_point_copy(self, name, n, cv, cu, cuv, kind, npts, seed):
+        if name == "quad":
+            fast = catalog(f"quad:{n}:{cv!r}:{cu!r}:{cuv!r}")
+            slow = per_point_quadratic(n, cv, cu, cuv)
+        elif name == "rational":
+            fast, slow = rational_density(n, True), rational_density(n, False)
+        else:
+            fast, slow = catalog(name), PER_POINT_CATALOG[name]
+        assert fast.vectorized and not slow.vectorized
+        rng = np.random.default_rng(seed)
+        ts = differential_scale(kind, npts, rng)
+        # entries beyond 1 in magnitude exercise the relative difference step
+        y = GridFunction(ts, 0, rng.uniform(-3, 3, (npts, fast.n)))
+        for which in ("t", "u", "v", "L"):
+            a, b = lagrangian_along(fast, y, which), lagrangian_along(slow, y, which)
+            assert a.window == b.window and np.array_equal(a.values, b.values), which
+        assert eval_functional(fast, y) == eval_functional(slow, y)
+
+
 class TestLagrangianPartials:
     def test_self_check_passes_for_consistent_partials(self):
         rng = np.random.default_rng(0)
         L = random_quadratic(rng, 2)
         assert L.self_check(seed=1) < 1e-6
+
+    @pytest.mark.parametrize("name", ["dirichlet", "poisson", "pair-difference", "quad:3:0.5:-0.3:0.2"])
+    def test_self_check_passes_for_catalog(self, name):
+        assert catalog(name).self_check(seed=2) < 1e-6
+
+    def test_self_check_samples_each_partial_once(self):
+        calls = []
+
+        def counted(fn):
+            def wrapped(t, U, V):
+                calls.append(len(t))
+                return fn(t, U, V)
+
+            return wrapped
+
+        L = catalog("pair-difference")
+        L = Lagrangian(n=2, eval=L.eval, d_t=counted(L.d_t), d_u=counted(L.d_u), d_v=counted(L.d_v), vectorized=True)
+        L.self_check(trials=7)
+        assert calls == [7, 7, 7]
+
+    def test_self_check_catches_wrong_vectorized_partial(self):
+        L = catalog("quad:2:0.5:0.3:0.2")
+        wrong = Lagrangian(n=2, eval=L.eval, d_u=L.d_u, d_v=lambda t, U, V: 0.5 * U + 0.3 * V, vectorized=True)
+        with pytest.raises(ValueError):
+            wrong.self_check(seed=1)
 
     def test_self_check_catches_wrong_partial(self):
         L = Lagrangian(
