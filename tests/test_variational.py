@@ -54,6 +54,13 @@ class TestFunctional:
         y = GridFunction.from_callable(ts, lambda t: np.sin(t))
         assert eval_functional(L, y) == 0.0
 
+    def test_negative_zero_density_sums_to_positive_zero(self):
+        # Python's sum starts from +0, so an action of -0.0 terms is +0.0.
+        ts = q_geometric(2.0, 1.0, 6)
+        y = GridFunction.from_callable(ts, lambda t: np.sin(t))
+        for L in (Lagrangian(n=1, eval=lambda t, u, v: -0.0), Lagrangian(n=1, eval=lambda t, U, V: -0.0 * t, vectorized=True)):
+            assert str(eval_functional(L, y)) == "0.0"
+
     def test_positional_density_sums_shifted_values(self):
         ts = h_uniform(1.0, 0, 3)
         L = Lagrangian(
@@ -413,6 +420,31 @@ def rational_density(n, vectorized):
     return Lagrangian(n=n, eval=density, vectorized=vectorized)
 
 
+def per_point_sample(L, which, t, u, v):
+    """One point of L or a partial, reading each missing partial as a
+    central difference with the step fd_step * max(1, |x_k|) per entry."""
+    if which == "L":
+        return L.eval(t, u, v)
+    fn = {"t": L.d_t, "u": L.d_u, "v": L.d_v}[which]
+    if fn is not None:
+        return fn(t, u, v)
+    if which == "t":
+        h = L.fd_step * max(1.0, abs(t))
+        return (L.eval(t + h, u, v) - L.eval(t - h, u, v)) / (2 * h)
+    x = u if which == "u" else v
+    out = np.empty(x.size)
+    for k in range(x.size):
+        h = L.fd_step * max(1.0, abs(x[k]))
+        xp, xm = x.copy(), x.copy()
+        xp[k] += h
+        xm[k] -= h
+        if which == "u":
+            out[k] = (L.eval(t, xp, v) - L.eval(t, xm, v)) / (2 * h)
+        else:
+            out[k] = (L.eval(t, u, xp) - L.eval(t, u, xm)) / (2 * h)
+    return out
+
+
 def differential_scale(kind, npts, rng):
     if kind == "h":
         return h_uniform(0.25, -1.0, -1.0 + 0.25 * (npts - 1))
@@ -451,10 +483,17 @@ class TestArrayDensities:
         ts = differential_scale(kind, npts, rng)
         # entries beyond 1 in magnitude exercise the relative difference step
         y = GridFunction(ts, 0, rng.uniform(-3, 3, (npts, fast.n)))
+        # The path arguments (t, y^sigma, y^delta) and the action as a
+        # left-to-right Python sum, one point at a time.
+        mu = np.diff(ts.points)
+        args = list(zip(ts.points[:-1], y.values[1:], np.diff(y.values, axis=0) / mu[:, None]))
         for which in ("t", "u", "v", "L"):
             a, b = lagrangian_along(fast, y, which), lagrangian_along(slow, y, which)
-            assert a.window == b.window and np.array_equal(a.values, b.values), which
-        assert eval_functional(fast, y) == eval_functional(slow, y)
+            assert a.window == b.window == (0, npts - 2)
+            ref = np.array([per_point_sample(slow, which, *arg) for arg in args], dtype=float)
+            assert np.array_equal(a.values, b.values) and np.array_equal(b.values, ref.reshape(b.values.shape)), which
+        action = sum(m * slow.eval(*arg) for m, arg in zip(mu, args))
+        assert eval_functional(fast, y) == eval_functional(slow, y) == action
 
 
 class TestLagrangianPartials:
