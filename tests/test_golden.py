@@ -3,7 +3,9 @@
 The three `solve` files under tests/golden/ were written before the
 Newton Jacobian was coloured, and all of them before the 1-D and the
 product-grid calculi shared their axis kernels and their trial loop.
-Both changes compute the same floating point operations, so every byte
+`check2d_qh_grad2_verbose` and `em_mixed_spatial_q_verbose` were written
+before lattice values stopped being copied on every construction.  These
+changes compute the same floating point operations, so every byte
 below must stay the same.  Regenerate a file only for a deliberate
 change of the arithmetic, and say so in CHANGES.md.
 
@@ -64,7 +66,16 @@ CASES = [
     ("check2d_verbose", ["check2d", "--grid", "h:1:0:5,q:2:1:6", "--lagrangian", "curl2", "--family", "grad2", "--verbose"], False, 0),
     ("check2d_broken_verbose", ["check2d", "--grid", "h:1:0:5,q:2:1:6", "--lagrangian", "curl2", "--family", "grad2-broken", "--verbose"], False, 1),
     ("em_default_verbose", ["em", "--lattice", "default", "--trials", "50", "--verbose"], False, 0),
+    # The q x h axis order of the benchmark's check2d tasks.
+    ("check2d_qh_grad2_verbose", ["check2d", "--grid", "q:1.1:1:12,h:1:0:11", "--family", "grad2", "--verbose"], False, 0),
     ("em_mixed", ["em", "--lattice", "h:1:0:5,q:2:1:6,h:0.5:0:2.5,q:1.5:1:6", "--trials", "5"], False, 0),
+    # Spatial q axes, with the per-point arrays.
+    (
+        "em_mixed_spatial_q_verbose",
+        ["em", "--lattice", "h:0.5:0:2.5,q:1.5:1:6,h:1:0:5,q:2:1:6", "--trials", "5", "--verbose"],
+        False,
+        0,
+    ),
     ("oracle_fl_q_impulse", ["oracle-fl", "--scale", "q:2:1:9", "--order", "2", "--mode", "impulse"], False, 1),
     ("oracle_fl_h_vanishing", ["oracle-fl", "--scale", "h:0.5:0:5", "--order", "2"], False, 0),
 ]
