@@ -325,9 +325,23 @@ def load_family2d(path_or_name: str, grid: mg.GridD):
     return mg.GaugeFamilyD.constant(grid, [tuple(map(float, row)) for row in data["a"]])
 
 
-def _cmd_check2d(args):
-    specs = args.grid.split(",")
+# Points per axis that check2d and em need: the identity takes three
+# quotients along an axis, and one point must remain.
+MIN_LATTICE_POINTS = 4
+
+
+def _lattice(specs: list[str]) -> mg.GridD:
     grid = mg.GridD(tuple(parse_scale_spec(s) for s in specs))
+    for ax, npts in enumerate(grid.shape):
+        if npts < MIN_LATTICE_POINTS:
+            raise ValueError(
+                f"axis {ax} has {npts} points; the minimum is {MIN_LATTICE_POINTS} per axis"
+            )
+    return grid
+
+
+def _cmd_check2d(args):
+    grid = _lattice(args.grid.split(","))
     L = mg.catalog2d(args.lagrangian)
     fam = load_family2d(args.family, grid)
     u = tuple(
@@ -348,7 +362,7 @@ def _cmd_em(args):
         specs = args.lattice.split(",")
         if len(specs) != 4:
             raise ValueError("the lattice needs 4 scale specs")
-        grid = mg.GridD(tuple(parse_scale_spec(s) for s in specs))
+        grid = _lattice(specs)
 
     def pair(trial: int) -> tuple[float, float]:
         F_t = em_mod.random_em_field(grid, seed=[args.seed, 1, trial])

@@ -14,14 +14,14 @@ adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Callable
 
 import numpy as np
 
 from .report import ResidualReport
-from .timescale import forward_quotient, shift_index
+from .timescale import _frozen, _sealed, forward_quotient, shift_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +40,7 @@ class GridD:
     def d(self) -> int:
         return len(self.scales)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.scales)
 
@@ -64,14 +64,13 @@ class FieldD:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         lo = tuple(int(x) for x in self.lo)
-        if vals.ndim != self.grid.d or len(lo) != self.grid.d:
+        shape = self.grid.shape
+        if vals.ndim != len(shape) or len(lo) != len(shape):
             raise ValueError("field dimension does not match the grid")
-        for ax, (l, n) in enumerate(zip(lo, vals.shape)):
-            if n == 0 or l < 0 or l + n - 1 >= self.grid.shape[ax]:
+        for ax, (l, n, size) in enumerate(zip(lo, vals.shape, shape)):
+            if n == 0 or l < 0 or l + n - 1 >= size:
                 raise ValueError(f"window exceeds the grid on axis {ax}")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals))
         object.__setattr__(self, "lo", lo)
 
     @property
@@ -103,8 +102,8 @@ class FieldD:
             hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
             if any(l > h for l, h in zip(lo, hi)):
                 raise ValueError("windows do not overlap")
-            return FieldD(self.grid, lo, op(self.restrict(lo, hi).values, other.restrict(lo, hi).values))
-        return FieldD(self.grid, self.lo, op(self.values, float(other)))
+            return FieldD(self.grid, lo, _sealed(op(self.restrict(lo, hi).values, other.restrict(lo, hi).values)))
+        return FieldD(self.grid, self.lo, _sealed(op(self.values, float(other))))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -119,7 +118,7 @@ class FieldD:
         return self._binary(other, np.multiply)
 
     def __neg__(self):
-        return FieldD(self.grid, self.lo, -self.values)
+        return FieldD(self.grid, self.lo, _sealed(-self.values))
 
 
 def partial_delta(f: FieldD, axis: int) -> FieldD:
@@ -132,14 +131,15 @@ def partial_delta(f: FieldD, axis: int) -> FieldD:
 
 
 def shift_axis(f: FieldD, axis: int, k: int) -> FieldD:
-    """Compose with sigma^k (k > 0, pure translation) or rho^|k| (k < 0,
-    saturating at the scale minimum) along one axis."""
+    """Compose with sigma^k (k > 0, pure translation, a view of f) or
+    rho^|k| (k < 0, saturating at the scale minimum, a gather) along one
+    axis."""
     if k == 0:
         return f
-    new_lo, offsets = shift_index(f.lo[axis], f.hi[axis], f.grid.shape[axis], k)
+    new_lo, index = shift_index(f.lo[axis], f.hi[axis], f.grid.shape[axis], k)
     lo = list(f.lo)
     lo[axis] = new_lo
-    return FieldD(f.grid, tuple(lo), np.take(f.values, offsets, axis=axis))
+    return FieldD(f.grid, tuple(lo), _sealed(f.values[(slice(None),) * axis + (index,)]))
 
 
 def shift_all_except(f: FieldD, axis: int, k: int = 1) -> FieldD:
@@ -164,12 +164,18 @@ def multi_integral(f: FieldD) -> float:
     hi = [min(h, n - 2) for h, n in zip(f.hi, f.grid.shape)]
     if any(h < l for l, h in zip(lo, hi)):
         return 0.0
-    vals = f.restrict(lo, hi).values.copy()
+    vals = f.restrict(lo, hi).values
     for ax in range(f.grid.d):
         mu = f.grid.mu(ax)[lo[ax] : hi[ax] + 1]
         shape = [1] * f.grid.d
         shape[ax] = mu.size
-        vals = vals * mu.reshape(shape)
+        if ax == 0:
+            # The one copy, in C order whatever the layout of the values (a
+            # rho gather along a later axis is not), so np.sum adds the same
+            # pairs every time; the other products run in place.
+            vals = np.multiply(vals, mu.reshape(shape), order="C")
+        else:
+            vals *= mu.reshape(shape)
     return float(np.sum(vals))
 
 
@@ -245,7 +251,8 @@ def _pattern_args(L: LagrangianD, u: tuple):
     """Shifted-argument slots on the base-cell window shared by all of them.
 
     The u slot carries sigma on every axis; gradient slot j carries the
-    axis-j quotient with sigma on every other axis.
+    axis-j quotient with sigma on every other axis.  The slots are views
+    until they are written into U and G, each value once.
     """
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
@@ -255,13 +262,12 @@ def _pattern_args(L: LagrangianD, u: tuple):
     cell_hi = tuple(h - 1 for h in hi)
     if any(c < l for l, c in zip(lo, cell_hi)):
         raise ValueError("window too small for the shifted argument pattern")
-    U = np.stack([shift_all(f.restrict(lo, hi)).values for f in u])
-    G = np.stack(
-        [
-            np.stack([shift_all_except(partial_delta(f.restrict(lo, hi), j), j).values for f in u])
-            for j in range(grid.d)
-        ]
-    )
+    parts = [f.restrict(lo, hi) for f in u]
+    U = np.stack([shift_all(f).restrict(lo, cell_hi).values for f in parts])
+    G = np.empty((grid.d, L.n) + U.shape[1:])
+    for j in range(grid.d):
+        for k, f in enumerate(parts):
+            G[j, k] = shift_all_except(partial_delta(f, j), j).restrict(lo, cell_hi).values
     coords = []
     for ax in range(grid.d):
         shape = [1] * grid.d
@@ -366,7 +372,7 @@ def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
         fam.a[k], lambda i, c: c * (p if i == 0 else shift_axis(partial_delta(p, i - 1), i - 1, -1))
     )
     if out is None:
-        return FieldD(p.grid, (0,) * p.grid.d, np.zeros(p.grid.shape))
+        return FieldD(p.grid, (0,) * p.grid.d, _sealed(np.zeros(p.grid.shape)))
     return out
 
 
@@ -374,7 +380,7 @@ def gauge_field_adjoint(fam: GaugeFamilyD, q: FieldD, k: int) -> FieldD:
     """Summation-by-parts transpose: q*a0 - sum_j d/dx_j (q * a_j)."""
     out = _gauge_sum(fam.a[k], lambda i, c: q * c if i == 0 else -partial_delta(q * c, i - 1))
     if out is None:
-        return FieldD(q.grid, (0,) * q.grid.d, np.zeros(q.grid.shape))
+        return FieldD(q.grid, (0,) * q.grid.d, _sealed(np.zeros(q.grid.shape)))
     return out
 
 
@@ -401,11 +407,17 @@ def transform_d(fam: GaugeFamilyD, p: FieldD, u: tuple) -> tuple:
 
 
 def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float = 1.0) -> FieldD:
-    """Seeded separable polynomial samples scaled to the given sup amplitude."""
+    """Seeded separable polynomial samples scaled to the given sup amplitude.
+
+    Each of the three terms is the product of one polynomial per axis,
+    multiplied out axis by axis, ((a0*a1)*a2)*a3, by broadcasting; only the
+    last product has the grid's size, and it reuses one buffer.
+    """
     rng = np.random.default_rng(seed)
     vals = np.zeros(grid.shape)
+    term = np.empty(grid.shape)
     for _ in range(3):
-        term = np.ones(grid.shape)
+        factors = []
         for ax, s in enumerate(grid.scales):
             t = s.points
             span = np.max(np.abs(t))
@@ -413,12 +425,13 @@ def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float
             axis_vals = np.polynomial.polynomial.polyval(t / max(span, 1.0), coeffs)
             shape = [1] * grid.d
             shape[ax] = t.size
-            term = term * axis_vals.reshape(shape)
+            factors.append(axis_vals.reshape(shape))
+        np.multiply(reduce(np.multiply, factors[:-1]), factors[-1], out=term)
         vals += term
-    peak = np.max(np.abs(vals))
+    peak = np.max(np.abs(vals, out=term))
     if peak > 0:
         vals *= amplitude / peak
-    return FieldD(grid, (0,) * grid.d, vals)
+    return FieldD(grid, (0,) * grid.d, _sealed(vals))
 
 
 def check_invariance_d(
@@ -498,11 +511,16 @@ def read_csv_d(grid: GridD, path) -> FieldD:
     lo = idx.min(axis=0)
     hi = idx.max(axis=0)
     shape = tuple(hi - lo + 1)
+    flat = np.ravel_multi_index(tuple((idx - lo).T), shape)
+    _, first, counts = np.unique(flat, return_index=True, return_counts=True)
+    if counts.max() > 1:
+        dup = idx[first[counts > 1].min()]
+        raise ValueError(f"duplicate row for index {tuple(int(i) for i in dup)}")
     if len(rows) != int(np.prod(shape)):
         raise ValueError("rows do not fill a rectangular window")
     out = np.empty(shape)
-    out[tuple((idx - lo).T)] = vals
-    return FieldD(grid, tuple(int(x) for x in lo), out)
+    out.flat[flat] = vals
+    return FieldD(grid, tuple(int(x) for x in lo), _sealed(out))
 
 
 # Built-in 2-d densities and gauge families selectable by name from the

@@ -28,7 +28,8 @@ class ResidualReport:
 
     @staticmethod
     def from_per_point(domain: tuple[int, int], per_point, tolerance: float) -> "ResidualReport":
-        arr = np.atleast_1d(np.asarray(per_point, dtype=float))
+        # C order makes the l2 sum add the same pairs whatever the layout.
+        arr = np.atleast_1d(np.asarray(per_point, dtype=float, order="C"))
         sup = float(np.max(np.abs(arr))) if arr.size else 0.0
         l2 = float(np.sqrt(np.sum(arr * arr)))
         return ResidualReport(

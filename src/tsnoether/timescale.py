@@ -7,6 +7,11 @@ are forward difference quotients.  Grid functions carry an explicit index
 window so that every domain shrink (one point lost from the top per
 derivative order) is visible in the result.  The axis kernels shift_index
 and forward_quotient also serve the product grids of multigrid.
+
+Values are read-only and copied only when needed: a kernel marks the
+arrays it creates read-only and they are stored as they are, a sigma shift
+is a view of its source, and an array from a caller is copied once (see
+_frozen).
 """
 
 from __future__ import annotations
@@ -84,6 +89,36 @@ class TimeScale:
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.points.size:
             raise ValueError(f"index {i} out of range [0, {self.points.size - 1}]")
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """The read-only array a grid value class stores.
+
+    values itself when it and every array in its .base chain are read-only
+    (a kernel result, or a view of one), since nothing can write to it;
+    otherwise a read-only copy, so a caller's writeable array, or a
+    read-only view of one, can change later without changing the field.
+    """
+    arr = values
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        arr = arr.base
+    if arr is None:
+        return values
+    out = values.copy()
+    out.setflags(write=False)
+    return out
+
+
+def _sealed(values: np.ndarray) -> np.ndarray:
+    """Mark an array a kernel just created read-only, so that _frozen
+    stores it without a copy.  Arrays it views are marked too: they are
+    read-only field values, or the private temporary of a gather along a
+    later axis, which numpy returns as a transposed view of one."""
+    arr = values
+    while isinstance(arr, np.ndarray):
+        arr.setflags(write=False)
+        arr = arr.base
+    return values
 
 
 def _affine_jump_holds(pts: np.ndarray, b1: float, b0: float) -> bool:
@@ -194,9 +229,7 @@ class GridFunction:
             raise ValueError("values must be a nonempty (npoints, n) array")
         if self.lo < 0 or self.lo + vals.shape[0] - 1 >= len(self.ts):
             raise ValueError("window [lo, hi] does not fit inside the scale")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals))
 
     @property
     def hi(self) -> int:
@@ -231,13 +264,13 @@ class GridFunction:
     def from_callable(ts: TimeScale, fn, lo: int = 0, hi: int | None = None) -> "GridFunction":
         hi = len(ts) - 1 if hi is None else hi
         rows = [np.atleast_1d(np.asarray(fn(ts.t(i)), dtype=float)) for i in range(lo, hi + 1)]
-        return GridFunction(ts, lo, np.vstack(rows))
+        return GridFunction(ts, lo, _sealed(np.vstack(rows)))
 
     @staticmethod
     def stack(parts: list["GridFunction"]) -> "GridFunction":
         lo, hi = common_window(*parts)
         cols = [p.values[lo - p.lo : hi - p.lo + 1] for p in parts]
-        return GridFunction(parts[0].ts, lo, np.hstack(cols))
+        return GridFunction(parts[0].ts, lo, _sealed(np.hstack(cols)))
 
     def _binary(self, other, op) -> "GridFunction":
         if isinstance(other, GridFunction):
@@ -248,8 +281,8 @@ class GridFunction:
             b = other.values[lo - other.lo : hi - other.lo + 1]
             if a.shape[1] != b.shape[1] and 1 not in (a.shape[1], b.shape[1]):
                 raise ValueError("component counts differ")
-            return GridFunction(self.ts, lo, op(a, b))
-        return GridFunction(self.ts, self.lo, op(self.values, float(other)))
+            return GridFunction(self.ts, lo, _sealed(op(a, b)))
+        return GridFunction(self.ts, self.lo, _sealed(op(self.values, float(other))))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -267,7 +300,7 @@ class GridFunction:
         return self._binary(other, np.multiply)
 
     def __neg__(self):
-        return GridFunction(self.ts, self.lo, -self.values)
+        return GridFunction(self.ts, self.lo, _sealed(-self.values))
 
 
 def common_window(*fns: GridFunction) -> tuple[int, int]:
@@ -281,32 +314,38 @@ def common_window(*fns: GridFunction) -> tuple[int, int]:
 def forward_quotient(values: np.ndarray, pts: np.ndarray, axis: int = 0) -> np.ndarray:
     """Forward difference quotient of float samples along one axis: np.diff
     of the values over np.diff of the window's points pts.  The result has
-    one entry fewer on that axis; dividing in place saves a temporary."""
+    one entry fewer on that axis; dividing in place saves a temporary.  The
+    result is a fresh read-only array."""
     shape = [1] * values.ndim
     shape[axis] = pts.size - 1
     out = np.diff(values, axis=axis)
     out /= np.diff(pts).reshape(shape)
-    return out
+    return _sealed(out)
 
 
-def shift_index(lo: int, hi: int, npts: int, k: int) -> tuple[int, np.ndarray]:
-    """Window start and source offsets (relative to lo) of the composition
+def shift_index(lo: int, hi: int, npts: int, k: int) -> tuple[int, slice | np.ndarray]:
+    """Window start and source index (relative to lo) of the composition
     with sigma^k (k > 0) or the saturating rho^|k| (k < 0) on the window
     [lo, hi] of an npts-point axis.
 
     Positive k is a pure index translation, so the window moves down and
-    may gain the scale maximum only through values that already exist.
-    Negative k saturates at the scale minimum, where the value repeats
-    (sigma(rho(t)) = t holds off the minimum only).  Every offset lies in
-    [0, hi - lo]; only an empty new window is an error.
+    may gain the scale maximum only through values that already exist; the
+    source index is a slice, and indexing with it gives a view (of the
+    whole window when lo >= k, so the shift only relabels lo).  Negative k
+    saturates at the scale minimum, where the value repeats
+    (sigma(rho(t)) = t holds off the minimum only); the source index is an
+    offset array, and indexing with it gathers a fresh array.  Every source
+    lies in [0, hi - lo]; only an empty new window is an error.
     """
     if k > 0:
         new_lo, new_hi = max(lo - k, 0), hi - k
+        index = slice(new_lo + k - lo, new_hi + k - lo + 1)
     else:
         new_lo, new_hi = (lo if lo == 0 else lo - k), min(hi - k, npts - 1)
+        index = np.maximum(np.arange(new_lo, new_hi + 1) + k, 0) - lo
     if new_lo > new_hi:
         raise ValueError("shift exhausts the window")
-    return new_lo, np.maximum(np.arange(new_lo, new_hi + 1) + k, 0) - lo
+    return new_lo, index
 
 
 def delta_derivative(f: GridFunction, order: int = 1) -> GridFunction:
@@ -329,8 +368,8 @@ def shift(f: GridFunction, k: int) -> GridFunction:
     (see shift_index for the window rules)."""
     if k == 0:
         return f
-    new_lo, offsets = shift_index(f.lo, f.hi, len(f.ts), k)
-    return GridFunction(f.ts, new_lo, f.values[offsets])
+    new_lo, index = shift_index(f.lo, f.hi, len(f.ts), k)
+    return GridFunction(f.ts, new_lo, _sealed(f.values[index]))
 
 
 def mixed(f: GridFunction, s: int, d: int) -> GridFunction:

@@ -65,6 +65,23 @@ class TestExitCodes:
         assert code == 2 and data is None
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["check2d", "--grid", "h:1:0:5,q:2:1:3"], "axis 1 has 3 points; the minimum is 4 per axis"),
+            (["em", "--lattice", "h:1:0:3,h:1:0:3,h:1:0:2,h:1:0:3"], "axis 2 has 3 points; the minimum is 4 per axis"),
+        ],
+        ids=["check2d", "em"],
+    )
+    def test_small_lattice_rejected(self, tmp_path, capsys, args, message):
+        code, data, _ = run(tmp_path, *args, "--trials", "2")
+        assert code == 2 and data is None
+        assert message in capsys.readouterr().err
+
+    def test_four_points_per_axis_suffice(self, tmp_path):
+        assert run(tmp_path, "check2d", "--grid", "h:1:0:3,q:2:1:4", "--trials", "2")[0] == 0
+        assert run(tmp_path, "em", "--lattice", ",".join(["h:1:0:3"] * 4), "--trials", "2")[0] == 0
+
     def test_verdict_failure_exits_one(self, tmp_path):
         fam = write_pairdiff_family(tmp_path, broken=True)
         code, data, _ = run(

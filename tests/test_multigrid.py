@@ -31,6 +31,7 @@ from tsnoether import (
     shift_axis,
     transform_d,
 )
+from tsnoether import multigrid
 
 
 def grid_z2(nx=4, ny=3):
@@ -150,6 +151,20 @@ class TestEulerLagrangeD:
         L = LagrangianD(d=2, n=1, density=lambda c, U, G: c[0] + 0 * U[0])
         u = (random_polynomial_field(g, seed=1),)
         assert el_residual_d(L, u).sup_norm <= 1e-9
+
+    def test_pattern_on_window_above_the_grid_minimum(self):
+        # The slots of a field whose window starts past index 0 are the same
+        # as on a grid that starts where the window does.
+        full = GridD((h_uniform(1.0, 0, 5), q_geometric(2.0, 1.0, 6)))
+        cut = GridD((h_uniform(1.0, 1, 5), q_geometric(2.0, 2.0, 5)))
+        vals = random_polynomial_field(full, seed=4).values
+        for name in ("curl2", "dirichlet2"):
+            L = catalog2d(name)
+            u = tuple(FieldD(full, (1, 1), vals[1:, 1:] + k) for k in range(L.n))
+            v = tuple(FieldD(cut, (0, 0), vals[1:, 1:] + k) for k in range(L.n))
+            assert functional_d(L, u) == functional_d(L, v)
+            for a, b in zip(el_expressions_d(L, u), el_expressions_d(L, v)):
+                assert a.lo == (1, 1) and np.array_equal(a.values, b.values)
 
     def test_functional_value(self):
         g = grid_z2(4, 3)
@@ -316,6 +331,15 @@ class TestThreeAxes:
 
 
 class TestFieldCsv:
+    def test_duplicate_index_rejected(self, tmp_path):
+        from tsnoether import read_csv_d
+
+        # Four rows fill the 2 x 2 window by count, but (1, 0) is missing.
+        path = tmp_path / "field.csv"
+        path.write_text("i0,i1,value\n0,0,1.0\n0,1,2.0\n0,0,3.0\n1,1,4.0\n")
+        with pytest.raises(ValueError, match=r"duplicate row for index \(0, 0\)"):
+            read_csv_d(grid_z2(), path)
+
     def test_round_trip(self, tmp_path):
         from tsnoether import read_csv_d, write_csv_d
 
@@ -409,3 +433,199 @@ def test_shift_and_quotient_agree_in_1d_and_2d(ts, k, axis, seed, data):
         assert d1.window == (dd_lo, dd_lo + dd_vals.shape[0] - 1) == (lo, hi - 1)
         assert np.array_equal(d1.values, dd_vals)
         assert np.array_equal(d1.values, reference_quotient(ts, lo, hi, vals))
+
+
+# Value ownership on product grids: kernel results are read-only and stored
+# without a copy, sigma shifts are views of their source, rho shifts gather
+# the per-index reference, and an array a caller can still write to (itself
+# or through the array it views) is copied.
+
+def axis_scales(max_points):
+    return st.one_of(
+        st.builds(
+            lambda h, n: h_uniform(h, 0.0, h * (n - 1)),
+            st.sampled_from([0.25, 0.5, 1.0]),
+            st.integers(2, max_points),
+        ),
+        st.builds(q_geometric, st.floats(1.05, 3.0), st.floats(0.5, 2.0), st.integers(2, max_points)),
+    )
+
+
+def rho_reference_d(f, axis, k):
+    """rho^k (k > 0) along one axis one index at a time, as (lo, values)."""
+    ts = f.grid.scales[axis]
+
+    def source(i):
+        for _ in range(k):
+            i = ts.rho(i)
+        return i
+
+    idx = [i for i in range(len(ts)) if f.lo[axis] <= source(i) <= f.hi[axis]]
+    if not idx:
+        return None
+    vals = np.stack([np.take(f.values, source(i) - f.lo[axis], axis=axis) for i in idx], axis=axis)
+    return idx[0], vals
+
+
+@given(
+    scales=st.lists(axis_scales(7), min_size=2, max_size=3),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_field_value_ownership(count_copies, scales, seed, data):
+    grid = GridD(tuple(scales))
+    lo = tuple(data.draw(st.integers(0, n - 1), label="lo") for n in grid.shape)
+    hi = tuple(data.draw(st.integers(l, n - 1), label="hi") for l, n in zip(lo, grid.shape))
+    axis = data.draw(st.integers(0, grid.d - 1), label="axis")
+    k = data.draw(st.integers(1, 3), label="k")
+    rng = np.random.default_rng(seed)
+    caller = rng.uniform(-1, 1, tuple(h - l + 1 for l, h in zip(lo, hi)))
+    snapshot = caller.copy()
+    view = caller[::-1]
+    view.setflags(write=False)
+    f = FieldD(grid, lo, caller)
+    g = FieldD(grid, lo, view)
+    assert caller.flags.writeable
+    caller += 1.0
+    assert np.array_equal(f.values, snapshot)
+    assert np.array_equal(g.values, snapshot[::-1])
+
+    # Every kernel below stores what it computes without a copy.
+    with count_copies(multigrid) as copies:
+        results = [f + g, f - 2.0, 3.0 * g, f * g, -f, f.restrict(hi, hi)]
+        results.append(random_polynomial_field(grid, seed=seed))
+        if hi[axis] > lo[axis]:
+            results.append(partial_delta(f, axis))
+        if hi[axis] >= k:
+            sigma = shift_axis(f, axis, k)
+            results.append(sigma)
+        ref = rho_reference_d(f, axis, k)
+        if ref is None:
+            with pytest.raises(ValueError):
+                shift_axis(f, axis, -k)
+        else:
+            rho = shift_axis(f, axis, -k)
+            results.append(rho)
+    assert copies == []
+    if hi[axis] >= k:
+        assert np.shares_memory(sigma.values, f.values)
+        start = max(lo[axis] - k, 0) + k - lo[axis]
+        assert np.array_equal(sigma.values, np.take(f.values, range(start, f.values.shape[axis]), axis=axis))
+    if ref is not None:
+        assert rho.lo[axis] == ref[0] and np.array_equal(rho.values, ref[1])
+    for r in results:
+        assert not r.values.flags.writeable
+        with pytest.raises(ValueError):
+            r.values[(0,) * grid.d] = 7.0
+    assert np.array_equal(f.values, snapshot)
+
+
+# Bitwise differential: the one-buffer polynomial field, the integral whose
+# first weight multiply makes its only copy, and the functional whose slots
+# are written once into U and G equal test-local copies of the earlier
+# ones-and-multiply loop, copy-then-multiply integral and nested-stack
+# assembly, on fields of every layout the kernels produce.
+
+def earlier_random_polynomial_field(grid, seed, degree=2, amplitude=1.0):
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(grid.shape)
+    for _ in range(3):
+        term = np.ones(grid.shape)
+        for ax, s in enumerate(grid.scales):
+            t = s.points
+            span = np.max(np.abs(t))
+            coeffs = rng.uniform(-1, 1, degree + 1)
+            axis_vals = np.polynomial.polynomial.polyval(t / max(span, 1.0), coeffs)
+            shape = [1] * grid.d
+            shape[ax] = t.size
+            term = term * axis_vals.reshape(shape)
+        vals += term
+    peak = np.max(np.abs(vals))
+    if peak > 0:
+        vals *= amplitude / peak
+    return vals
+
+
+def earlier_multi_integral(f):
+    lo = f.lo
+    hi = [min(h, n - 2) for h, n in zip(f.hi, f.grid.shape)]
+    if any(h < l for l, h in zip(lo, hi)):
+        return 0.0
+    vals = f.restrict(lo, hi).values.copy()
+    for ax in range(f.grid.d):
+        mu = f.grid.mu(ax)[lo[ax] : hi[ax] + 1]
+        shape = [1] * f.grid.d
+        shape[ax] = mu.size
+        vals = vals * mu.reshape(shape)
+    return float(np.sum(vals))
+
+
+def earlier_functional_d(L, u):
+    from tsnoether.multigrid import shift_all, shift_all_except
+
+    grid = u[0].grid
+    lo = tuple(max(f.lo[ax] for f in u) for ax in range(grid.d))
+    hi = tuple(min(f.hi[ax] for f in u) for ax in range(grid.d))
+    cell_hi = tuple(h - 1 for h in hi)
+    U = np.stack([shift_all(f.restrict(lo, hi)).values for f in u])
+    G = np.stack(
+        [
+            np.stack([shift_all_except(partial_delta(f.restrict(lo, hi), j), j).values for f in u])
+            for j in range(grid.d)
+        ]
+    )
+    coords = []
+    for ax in range(grid.d):
+        shape = [1] * grid.d
+        shape[ax] = cell_hi[ax] - lo[ax] + 1
+        coords.append(grid.scales[ax].points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
+    dens = np.broadcast_to(L.density(tuple(coords), U, G), U.shape[1:])
+    return earlier_multi_integral(FieldD(grid, lo, dens))
+
+
+def density_d(d, n):
+    """A density with products of slots, so that rounding shows."""
+    if d == 2 and n == 2:
+        return catalog2d("curl2")
+    if d == 4 and n == 4:
+        from tsnoether.em import em_lagrangian
+
+        return em_lagrangian()
+
+    def density(coords, U, G):
+        out = 0.3 * U[0] * G[0, 0] + coords[0] * U[n - 1]
+        for j in range(d):
+            for k in range(n):
+                out = out + 0.5 * G[j, k] * G[j, k]
+        return out
+
+    return LagrangianD(d=d, n=n, density=density)
+
+
+@given(
+    d=st.integers(2, 4),
+    scales=st.lists(axis_scales(6).filter(lambda s: len(s) >= 4), min_size=4, max_size=4),
+    n=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+    degree=st.integers(1, 3),
+    amplitude=st.sampled_from([1.0, 0.1, 37.5]),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernels_bitwise_equal_earlier_copies(d, scales, n, seed, degree, amplitude):
+    grid = GridD(tuple(scales[:d]))
+    n = 4 if d == 4 else n
+    vals = random_polynomial_field(grid, [seed, 0], degree, amplitude).values
+    assert vals.tobytes() == earlier_random_polynomial_field(grid, [seed, 0], degree, amplitude).tobytes()
+
+    u = tuple(random_polynomial_field(grid, [seed, 1 + k]) for k in range(n))
+    # The same fields as sigma views, rho gathers along every axis (a gather
+    # along a later axis has a transposed layout) and gauge transforms.
+    fields = [u[0], *(shift_axis(u[0], ax, k) for ax in range(d) for k in (1, -1))]
+    for f in fields:
+        assert multi_integral(f) == earlier_multi_integral(f)
+    L = density_d(d, n)
+    fam = GaugeFamilyD.constant(grid, [tuple(0.5 * (j == k) + 0.25 for j in range(d + 1)) for k in range(n)])
+    p = random_polynomial_field(grid, [seed, 9], amplitude=0.1)
+    for args in (u, tuple(shift_axis(f, d - 1, -1) for f in u), transform_d(fam, p, u)):
+        assert functional_d(L, args) == earlier_functional_d(L, args)

@@ -17,6 +17,7 @@ from tsnoether import (
     shift,
     write_csv,
 )
+from tsnoether import timescale
 
 
 def scales_zoo():
@@ -330,3 +331,80 @@ class TestGridFunction:
         f = GridFunction.from_callable(ts, lambda t: t)
         with pytest.raises(ValueError):
             f.values[0, 0] = 99.0
+
+
+# Value ownership: results of the calculus are read-only and stored without a
+# copy, sigma shifts are views of their source, and an array that a caller
+# can still write to (directly or through the array it views) is copied.
+
+ownership_scales = st.one_of(
+    st.builds(
+        lambda h, n: h_uniform(h, 0.0, h * (n - 1)),
+        st.sampled_from([0.25, 0.5, 1.0]),
+        st.integers(2, 10),
+    ),
+    st.builds(q_geometric, st.floats(1.05, 3.0), st.floats(0.5, 2.0), st.integers(2, 10)),
+)
+
+
+def rho_reference(ts, f, k):
+    """The rho^k shift (k > 0) one index at a time, as (lo, values)."""
+
+    def source(i):
+        for _ in range(k):
+            i = ts.rho(i)
+        return i
+
+    idx = [i for i in range(len(ts)) if f.lo <= source(i) <= f.hi]
+    if not idx:
+        return None
+    return idx[0], np.array([f.at(source(i)) for i in idx])
+
+
+@given(ts=ownership_scales, n=st.integers(1, 3), seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_value_ownership(count_copies, ts, n, seed, data):
+    lo = data.draw(st.integers(0, len(ts) - 1), label="lo")
+    hi = data.draw(st.integers(lo, len(ts) - 1), label="hi")
+    k = data.draw(st.integers(1, 3), label="k")
+    rng = np.random.default_rng(seed)
+    caller = rng.uniform(-1, 1, (hi - lo + 1, n))
+    snapshot = caller.copy()
+    view = caller[:, ::-1]
+    view.setflags(write=False)
+    f = GridFunction(ts, lo, caller)
+    g = GridFunction(ts, lo, view)
+    flat = GridFunction(ts, lo, caller[:, 0])
+    assert caller.flags.writeable
+    caller += 1.0
+    assert np.array_equal(f.values, snapshot)
+    assert np.array_equal(g.values, snapshot[:, ::-1])
+    assert np.array_equal(flat.values[:, 0], snapshot[:, 0])
+
+    # Every kernel below stores what it computes without a copy.
+    with count_copies(timescale) as copies:
+        results = [f + g, f - 2.0, 3.0 * g, f * g, -f, f.restrict(hi, hi), f.component(n - 1)]
+        results += [GridFunction.stack([f, g]), GridFunction.from_callable(ts, np.sin, lo, hi)]
+        if hi > lo:
+            results.append(delta_derivative(f))
+        if hi >= k:
+            sigma = shift(f, k)
+            results.append(sigma)
+        ref = rho_reference(ts, f, k)
+        if ref is None:
+            with pytest.raises(ValueError):
+                shift(f, -k)
+        else:
+            rho = shift(f, -k)
+            results.append(rho)
+    assert copies == []
+    if hi >= k:
+        assert np.shares_memory(sigma.values, f.values)
+        assert np.array_equal(sigma.values, f.values[max(lo - k, 0) + k - lo :])
+    if ref is not None:
+        assert rho.lo == ref[0] and np.array_equal(rho.values, ref[1])
+    for r in results:
+        assert not r.values.flags.writeable
+        with pytest.raises(ValueError):
+            r.values[0, 0] = 7.0
+    assert np.array_equal(f.values, snapshot)

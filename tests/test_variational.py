@@ -545,6 +545,17 @@ class TestResidualReport:
         assert rep.sup_norm == pytest.approx(np.max(np.abs(arr)), abs=1e-14)
         assert rep.l2_norm == pytest.approx(np.sqrt(np.sum(arr**2)), abs=1e-14)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_l2_norm_independent_of_layout(self, seed):
+        # A rho gather along a later axis of a lattice field has a transposed
+        # layout; the norm must add the same pairs as for a C-ordered copy.
+        arr = np.random.default_rng(seed).uniform(-2, 2, (6, 6, 6, 6))
+        gathered = arr[:, :, :, [0, 0, 1, 2, 3, 4]]
+        rep = ResidualReport.from_per_point((0, 5), gathered, tolerance=1.0)
+        rep_c = ResidualReport.from_per_point((0, 5), np.ascontiguousarray(gathered), tolerance=1.0)
+        assert rep.l2_norm == rep_c.l2_norm
+        assert rep.per_point.tolist() == rep_c.per_point.tolist()
+
     def test_empty_per_point_fails(self):
         rep = ResidualReport.from_per_point((0, -1), [], tolerance=1.0)
         assert rep.sup_norm == 0.0 and rep.verdict is False
