@@ -160,14 +160,18 @@ def shift_all(f: FieldD, k: int = 1) -> FieldD:
 def multi_integral(f: FieldD) -> float:
     """Iterated delta integral: sum of f * prod(mu_i) over the window with
     the top index excluded on every axis (where mu is defined)."""
-    lo = f.lo
-    hi = [min(h, n - 2) for h, n in zip(f.hi, f.grid.shape)]
+    return _window_integral(f.grid, f.lo, f.values)
+
+
+def _window_integral(grid: GridD, lo: tuple, values: np.ndarray) -> float:
+    """multi_integral of the samples values on the window starting at lo."""
+    hi = [min(l + n - 1, size - 2) for l, n, size in zip(lo, values.shape, grid.shape)]
     if any(h < l for l, h in zip(lo, hi)):
         return 0.0
-    vals = f.restrict(lo, hi).values
-    for ax in range(f.grid.d):
-        mu = f.grid.mu(ax)[lo[ax] : hi[ax] + 1]
-        shape = [1] * f.grid.d
+    vals = values[tuple(slice(0, h - l + 1) for l, h in zip(lo, hi))]
+    for ax in range(grid.d):
+        mu = grid.mu(ax)[lo[ax] : hi[ax] + 1]
+        shape = [1] * grid.d
         shape[ax] = mu.size
         if ax == 0:
             # The one copy, in C order whatever the layout of the values (a
@@ -251,51 +255,62 @@ def _pattern_args(L: LagrangianD, u: tuple):
     """Shifted-argument slots on the base-cell window shared by all of them.
 
     The u slot carries sigma on every axis; gradient slot j carries the
-    axis-j quotient with sigma on every other axis.  The slots are views
-    until they are written into U and G, each value once.
+    axis-j quotient with sigma on every other axis.  Each slot is written
+    straight from the component's own values: U[k] is the all-sigma view,
+    and G[j, k] the difference of that view and the one without sigma on
+    axis j, divided by mu_j, element by element as forward_quotient does.
     """
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
         raise ValueError("component or dimension mismatch")
     lo = tuple(max(f.lo[ax] for f in u) for ax in range(grid.d))
-    hi = tuple(min(f.hi[ax] for f in u) for ax in range(grid.d))
-    cell_hi = tuple(h - 1 for h in hi)
+    cell_hi = tuple(min(f.hi[ax] for f in u) - 1 for ax in range(grid.d))
     if any(c < l for l, c in zip(lo, cell_hi)):
         raise ValueError("window too small for the shifted argument pattern")
-    parts = [f.restrict(lo, hi) for f in u]
-    U = np.stack([shift_all(f).restrict(lo, cell_hi).values for f in parts])
-    G = np.empty((grid.d, L.n) + U.shape[1:])
-    for j in range(grid.d):
-        for k, f in enumerate(parts):
-            G[j, k] = shift_all_except(partial_delta(f, j), j).restrict(lo, cell_hi).values
-    coords = []
+    cells = tuple(c - l + 1 for l, c in zip(lo, cell_hi))
+    coords, mus = [], []
     for ax in range(grid.d):
         shape = [1] * grid.d
-        shape[ax] = cell_hi[ax] - lo[ax] + 1
+        shape[ax] = cells[ax]
         coords.append(grid.scales[ax].points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
+        mus.append(grid.mu(ax)[lo[ax] : cell_hi[ax] + 1].reshape(shape))
+    U = np.empty((L.n,) + cells)
+    G = np.empty((grid.d, L.n) + cells)
+    for k, f in enumerate(u):
+        up = [slice(l + 1 - fl, c + 2 - fl) for l, c, fl in zip(lo, cell_hi, f.lo)]
+        U[k] = f.values[tuple(up)]
+        for j in range(grid.d):
+            down = list(up)
+            down[j] = slice(lo[j] - f.lo[j], cell_hi[j] + 1 - f.lo[j])
+            np.subtract(U[k], f.values[tuple(down)], out=G[j, k])
+            G[j, k] /= mus[j]
     return tuple(coords), U, G, lo, cell_hi
 
 
 def functional_d(L: LagrangianD, u: tuple) -> float:
     """The d-fold delta integral of the density along the shifted pattern."""
     coords, U, G, lo, cell_hi = _pattern_args(L, u)
-    dens = np.broadcast_to(L.density(coords, U, G), U.shape[1:])
-    return multi_integral(FieldD(u[0].grid, lo, dens))
+    return _window_integral(u[0].grid, lo, np.broadcast_to(L.density(coords, U, G), U.shape[1:]))
 
 
 def el_expressions_d(L: LagrangianD, u: tuple) -> tuple:
     """Euler-Lagrange expressions dL/du_k - sum_j d/dx_j (dL/dg_jk), one field
-    per component, on the doubly shrunk interior."""
+    per component, on the doubly shrunk interior; each is one array, the
+    axis quotients of the density's g-partials subtracted in axis order."""
     coords, U, G, lo, cell_hi = _pattern_args(L, u)
+    if any(c == l for l, c in zip(lo, cell_hi)):
+        raise ValueError("window too small for the Euler-Lagrange expressions")
     grid = u[0].grid
     P = np.broadcast_to(L.partial_u(coords, U, G), U.shape)
     Q = np.broadcast_to(L.partial_g(coords, U, G), G.shape)
+    inner = tuple(slice(0, c - l) for l, c in zip(lo, cell_hi))
     out = []
     for k in range(L.n):
-        e = FieldD(grid, lo, P[k])
+        e = P[k][inner].copy()
         for j in range(grid.d):
-            e = e - partial_delta(FieldD(grid, lo, Q[j, k]), j)
-        out.append(e)
+            slab = inner[:j] + (slice(None),) + inner[j + 1 :]
+            e -= forward_quotient(Q[j, k][slab], grid.scales[j].points[lo[j] : cell_hi[j] + 1], j)
+        out.append(FieldD(grid, lo, _sealed(e)))
     return tuple(out)
 
 
@@ -309,54 +324,46 @@ def el_residual_d(L: LagrangianD, u: tuple, tolerance: float = 1e-8) -> Residual
 
 @dataclass(frozen=True)
 class GaugeFamilyD:
-    """First-order gauge coefficients: for each component k, a multiplicative
-    field a[k][0] and one field a[k][1+j] per axis j weighting the axis-j
-    quotient of the parameter taken at the rho-shifted own coordinate."""
+    """First-order gauge coefficients, constant on the grid: for each
+    component k, a multiplier a[k][0] and one weight a[k][1+j] per axis j
+    of the axis-j quotient of the parameter taken at the rho-shifted own
+    coordinate."""
 
+    grid: GridD
     a: tuple
 
     def __post_init__(self):
-        a = tuple(tuple(row) for row in self.a)
+        try:
+            a = tuple(tuple(float(c) for c in row) for row in self.a)
+        except TypeError as exc:
+            raise ValueError(f"the coefficient table must be rows of numbers: {exc}") from exc
         if not a or not a[0]:
             raise ValueError("empty coefficient table")
-        grid = a[0][0].grid
-        for row in a:
-            if len(row) != grid.d + 1:
-                raise ValueError("each component needs 1 + d coefficient fields")
-            for c in row:
-                if not c.grid.same_as(grid):
-                    raise ValueError("coefficients must share the grid")
+        for k, row in enumerate(a):
+            if len(row) != self.grid.d + 1:
+                raise ValueError("each component needs 1 + d coefficients")
+            for i, c in enumerate(row):
+                if not np.isfinite(c):
+                    raise ValueError(f"coefficient a[{k}][{i}] is not finite: {c}")
         object.__setattr__(self, "a", a)
 
     @property
     def n(self) -> int:
         return len(self.a)
 
-    @property
-    def grid(self) -> GridD:
-        return self.a[0][0].grid
-
     @staticmethod
     def constant(grid: GridD, table) -> "GaugeFamilyD":
         """table[k] = (a0, a1, ..., ad) constants."""
-        rows = []
-        for row in table:
-            rows.append(
-                tuple(FieldD(grid, (0,) * grid.d, np.full(grid.shape, float(c))) for c in row)
-            )
-        return GaugeFamilyD(tuple(rows))
-
-
-def _is_zero(f: FieldD) -> bool:
-    return bool(np.all(f.values == 0.0))
+        return GaugeFamilyD(grid, table)
 
 
 def _gauge_sum(row, term) -> FieldD | None:
-    """Sum of term(i, row[i]) over the coefficients that are not identically
-    zero, so that skipped terms do not shrink the window; None if all are."""
+    """Sum of term(i, row[i]) over the coefficients that are not zero (of
+    either sign), so that skipped terms do not shrink the window; None if
+    all are."""
     out = None
     for i, c in enumerate(row):
-        if not _is_zero(c):
+        if c != 0.0:
             out = term(i, c) if out is None else out + term(i, c)
     return out
 
@@ -365,8 +372,8 @@ def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
     """The perturbation of component k:
     a0*p + sum_j a_{j} * (dp/dx_j at the rho_j-shifted point).
 
-    Identically-zero coefficients contribute nothing and are skipped so
-    they do not shrink the window.
+    Zero coefficients contribute nothing and are skipped so they do not
+    shrink the window.
     """
     out = _gauge_sum(
         fam.a[k], lambda i, c: c * (p if i == 0 else shift_axis(partial_delta(p, i - 1), i - 1, -1))

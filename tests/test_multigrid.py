@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from tsnoether import (
     GaugeFamilyD,
     GridD,
     LagrangianD,
+    ResidualReport,
     catalog2d,
     check_invariance_d,
     delta_derivative,
@@ -166,6 +170,16 @@ class TestEulerLagrangeD:
             for a, b in zip(el_expressions_d(L, u), el_expressions_d(L, v)):
                 assert a.lo == (1, 1) and np.array_equal(a.values, b.values)
 
+    def test_window_too_small(self):
+        g = grid_z2(5, 5)
+        L = catalog2d("dirichlet2")
+        two = (FieldD(g, (1, 0), np.ones((2, 5))),)
+        assert functional_d(L, two) == 0.0
+        with pytest.raises(ValueError, match="too small for the Euler-Lagrange expressions"):
+            el_expressions_d(L, two)
+        with pytest.raises(ValueError, match="too small for the shifted argument pattern"):
+            functional_d(L, (FieldD(g, (1, 0), np.ones((1, 5))),))
+
     def test_functional_value(self):
         g = grid_z2(4, 3)
         L = LagrangianD(d=2, n=1, density=lambda c, U, G: np.ones_like(U[0]))
@@ -195,6 +209,17 @@ class TestGaugeOperators:
         tq = gauge_field_adjoint(fam, q, 0)
         qv = q.values
         assert np.allclose(tq.values, -(qv[1:, :] - qv[:-1, :]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_family_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=r"coefficient a\[1\]\[2\] is not finite"):
+            GaugeFamilyD.constant(grid_z2(), [(0.0, 1.0, 0.0), (0.0, 0.0, bad)])
+
+    def test_family_rows_are_floats(self):
+        fam = GaugeFamilyD.constant(grid_z2(), [(0, 1, -0.0)])
+        assert fam.a == ((0.0, 1.0, -0.0),) and all(type(c) is float for c in fam.a[0])
+        with pytest.raises(ValueError, match="1 \\+ d coefficients"):
+            GaugeFamilyD.constant(grid_z2(), [(0.0, 1.0)])
 
     @pytest.mark.parametrize("grid", [grid_z2(5, 5), grid_mixed()])
     def test_adjoint_pairing(self, grid):
@@ -521,11 +546,11 @@ def test_field_value_ownership(count_copies, scales, seed, data):
     assert np.array_equal(f.values, snapshot)
 
 
-# Bitwise differential: the one-buffer polynomial field, the integral whose
-# first weight multiply makes its only copy, and the functional whose slots
-# are written once into U and G equal test-local copies of the earlier
-# ones-and-multiply loop, copy-then-multiply integral and nested-stack
-# assembly, on fields of every layout the kernels produce.
+# Bitwise differential: the one-buffer polynomial field and the integral
+# whose first weight multiply makes its only copy equal test-local copies of
+# the earlier ones-and-multiply loop and copy-then-multiply integral, and the
+# functional equals the field-by-field path below, on fields of every layout
+# the kernels produce.
 
 def earlier_random_polynomial_field(grid, seed, degree=2, amplitude=1.0):
     rng = np.random.default_rng(seed)
@@ -559,29 +584,6 @@ def earlier_multi_integral(f):
         shape[ax] = mu.size
         vals = vals * mu.reshape(shape)
     return float(np.sum(vals))
-
-
-def earlier_functional_d(L, u):
-    from tsnoether.multigrid import shift_all, shift_all_except
-
-    grid = u[0].grid
-    lo = tuple(max(f.lo[ax] for f in u) for ax in range(grid.d))
-    hi = tuple(min(f.hi[ax] for f in u) for ax in range(grid.d))
-    cell_hi = tuple(h - 1 for h in hi)
-    U = np.stack([shift_all(f.restrict(lo, hi)).values for f in u])
-    G = np.stack(
-        [
-            np.stack([shift_all_except(partial_delta(f.restrict(lo, hi), j), j).values for f in u])
-            for j in range(grid.d)
-        ]
-    )
-    coords = []
-    for ax in range(grid.d):
-        shape = [1] * grid.d
-        shape[ax] = cell_hi[ax] - lo[ax] + 1
-        coords.append(grid.scales[ax].points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
-    dens = np.broadcast_to(L.density(tuple(coords), U, G), U.shape[1:])
-    return earlier_multi_integral(FieldD(grid, lo, dens))
 
 
 def density_d(d, n):
@@ -628,4 +630,206 @@ def test_kernels_bitwise_equal_earlier_copies(d, scales, n, seed, degree, amplit
     fam = GaugeFamilyD.constant(grid, [tuple(0.5 * (j == k) + 0.25 for j in range(d + 1)) for k in range(n)])
     p = random_polynomial_field(grid, [seed, 9], amplitude=0.1)
     for args in (u, tuple(shift_axis(f, d - 1, -1) for f in u), transform_d(fam, p, u)):
-        assert functional_d(L, args) == earlier_functional_d(L, args)
+        assert functional_d(L, args) == fieldwise_functional_d(L, args)
+
+
+# Bitwise differential of the fused slot kernels.  The reference is the
+# field-by-field path: each pattern slot built as partial_delta, then sigma
+# on the other axes, then restrict, and copied into U and G; Euler-Lagrange
+# expressions as FieldD differences of the copied P and Q slots; gauge
+# coefficients as constant full-grid fields, skipped when every sample
+# compares equal to zero.
+
+def fieldwise_pattern_args(L, u):
+    from tsnoether.multigrid import shift_all, shift_all_except
+
+    grid = u[0].grid
+    lo = tuple(max(f.lo[ax] for f in u) for ax in range(grid.d))
+    hi = tuple(min(f.hi[ax] for f in u) for ax in range(grid.d))
+    cell_hi = tuple(h - 1 for h in hi)
+    parts = [f.restrict(lo, hi) for f in u]
+    U = np.stack([shift_all(f).restrict(lo, cell_hi).values for f in parts])
+    G = np.empty((grid.d, L.n) + U.shape[1:])
+    for j in range(grid.d):
+        for k, f in enumerate(parts):
+            G[j, k] = shift_all_except(partial_delta(f, j), j).restrict(lo, cell_hi).values
+    coords = []
+    for ax in range(grid.d):
+        shape = [1] * grid.d
+        shape[ax] = cell_hi[ax] - lo[ax] + 1
+        coords.append(grid.scales[ax].points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
+    return tuple(coords), U, G, lo
+
+
+def fieldwise_functional_d(L, u):
+    coords, U, G, lo = fieldwise_pattern_args(L, u)
+    dens = np.broadcast_to(L.density(coords, U, G), U.shape[1:])
+    return earlier_multi_integral(FieldD(u[0].grid, lo, dens))
+
+
+def fieldwise_el_expressions_d(L, u):
+    coords, U, G, lo = fieldwise_pattern_args(L, u)
+    grid = u[0].grid
+    P = np.broadcast_to(L.partial_u(coords, U, G), U.shape)
+    Q = np.broadcast_to(L.partial_g(coords, U, G), G.shape)
+    out = []
+    for k in range(L.n):
+        e = FieldD(grid, lo, P[k])
+        for j in range(grid.d):
+            e = e - partial_delta(FieldD(grid, lo, Q[j, k]), j)
+        out.append(e)
+    return tuple(out)
+
+
+class ConstantFieldFamily:
+    def __init__(self, grid, table):
+        self.grid = grid
+        self.n = len(table)
+        self.a = tuple(
+            tuple(FieldD(grid, (0,) * grid.d, np.full(grid.shape, float(c))) for c in row) for row in table
+        )
+
+
+def fieldwise_gauge_sum(row, term):
+    out = None
+    for i, c in enumerate(row):
+        if not np.all(c.values == 0.0):
+            out = term(i, c) if out is None else out + term(i, c)
+    return out
+
+
+def fieldwise_gauge_field(fam, p, k):
+    out = fieldwise_gauge_sum(
+        fam.a[k], lambda i, c: c * (p if i == 0 else shift_axis(partial_delta(p, i - 1), i - 1, -1))
+    )
+    return FieldD(p.grid, (0,) * p.grid.d, np.zeros(p.grid.shape)) if out is None else out
+
+
+def fieldwise_gauge_field_adjoint(fam, q, k):
+    out = fieldwise_gauge_sum(fam.a[k], lambda i, c: q * c if i == 0 else -partial_delta(q * c, i - 1))
+    return FieldD(q.grid, (0,) * q.grid.d, np.zeros(q.grid.shape)) if out is None else out
+
+
+def fieldwise_gauge_pairing(fam, p, q, k):
+    from tsnoether.multigrid import shift_all, shift_all_except
+
+    lhs_field = fieldwise_gauge_sum(
+        fam.a[k],
+        lambda i, c: c * (shift_all(p) if i == 0 else shift_all_except(partial_delta(p, i - 1), i - 1)),
+    )
+    if lhs_field is None:
+        return 0.0, 0.0
+    lhs = earlier_multi_integral(q * lhs_field)
+    rhs = earlier_multi_integral(fieldwise_gauge_field_adjoint(fam, q, k) * shift_all(p))
+    return lhs, rhs
+
+
+def fieldwise_check_invariance_d(L, fam, u, trials, seed, amplitude=0.1, tolerance=1e-12):
+    base = fieldwise_functional_d(L, u)
+
+    def pair(trial):
+        p = random_polynomial_field(fam.grid, seed=[seed, trial], amplitude=amplitude)
+        return base, fieldwise_functional_d(L, tuple(u_k + fieldwise_gauge_field(fam, p, k) for k, u_k in enumerate(u)))
+
+    return ResidualReport.from_trials((0, trials - 1), trials, pair, tolerance)
+
+
+def fieldwise_noether_identity_d(L, fam, u, tolerance=1e-9):
+    es = fieldwise_el_expressions_d(L, u)
+    total = reduce(add, (fieldwise_gauge_field_adjoint(fam, es[k], k) for k in range(fam.n)))
+    return ResidualReport.from_per_point((total.lo[0], total.hi[0]), total.values, tolerance)
+
+
+def bits(x):
+    """Everything a result is compared by: windows, shapes and raw bytes
+    (so -0.0 differs from 0.0), for fields, reports, floats and tuples."""
+    if isinstance(x, FieldD):
+        return ("field", x.lo, x.values.shape, x.values.tobytes())
+    if isinstance(x, ResidualReport):
+        return ("report", x.domain, bits(x.per_point), bits(x.sup_norm), bits(x.l2_norm), x.verdict)
+    if isinstance(x, tuple):
+        return tuple(bits(v) for v in x)
+    return ("array", np.asarray(x).shape, np.asarray(x, dtype=float).tobytes())
+
+
+def lattice_axis():
+    """h, q and explicit scales of 7 or 8 points."""
+    count = st.integers(7, 8)
+    return st.one_of(
+        st.builds(lambda h, m: h_uniform(h, 0.0, h * (m - 1)), st.sampled_from([0.25, 0.5, 1.0]), count),
+        st.builds(q_geometric, st.floats(1.05, 1.6), st.floats(0.5, 2.0), count),
+        st.builds(
+            lambda t0, gaps: explicit_scale(np.cumsum([t0, *gaps])),
+            st.floats(-1.0, 1.0),
+            st.lists(st.floats(0.125, 2.0), min_size=6, max_size=7),
+        ),
+    )
+
+
+def density_with_partials(d, n, analytic):
+    """A density with products of slots and a coordinate factor, with its
+    partials given analytically or left to finite differences."""
+
+    def density(coords, U, G):
+        out = 0.3 * U[0] * G[0, 0] + coords[0] * U[n - 1] * U[0]
+        for j in range(d):
+            for k in range(n):
+                out = out + (0.5 + 0.25 * j - 0.125 * k) * G[j, k] * G[j, k]
+        return out
+
+    def d_u(coords, U, G):
+        out = np.zeros_like(U)
+        out[0] += 0.3 * G[0, 0] + coords[0] * U[n - 1]
+        out[n - 1] += coords[0] * U[0]
+        return out
+
+    def d_g(coords, U, G):
+        out = np.empty_like(G)
+        for j in range(d):
+            for k in range(n):
+                out[j, k] = 2.0 * (0.5 + 0.25 * j - 0.125 * k) * G[j, k]
+        out[0, 0] += 0.3 * U[0]
+        return out
+
+    if analytic:
+        return LagrangianD(d=d, n=n, density=density, d_u=d_u, d_g=d_g)
+    return LagrangianD(d=d, n=n, density=density)
+
+
+@given(
+    d=st.integers(2, 4),
+    scales=st.lists(lattice_axis(), min_size=4, max_size=4),
+    n=st.integers(1, 3),
+    analytic=st.booleans(),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_fused_slots_bitwise_equal_field_path(d, scales, n, analytic, seed, data):
+    grid = GridD(tuple(scales[:d]))
+    u = []
+    for k in range(n):
+        lo = tuple(data.draw(st.integers(0, 1), label=f"lo{k}") for _ in range(d))
+        hi = tuple(data.draw(st.integers(m - 2, m - 1), label=f"hi{k}") for m in grid.shape)
+        f = random_polynomial_field(grid, [seed, k], degree=3).restrict(lo, hi)
+        if data.draw(st.booleans(), label=f"rho{k}"):
+            f = shift_axis(f, d - 1, -1)  # a gather along the last axis has a transposed layout
+        u.append(f)
+    u = tuple(u)
+    coeff = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.375, -2.5])
+    table = [tuple(data.draw(coeff, label=f"a{k}") for _ in range(d + 1)) for k in range(n)]
+    fam, fields = GaugeFamilyD.constant(grid, table), ConstantFieldFamily(grid, table)
+    L = density_with_partials(d, n, analytic)
+    p = random_polynomial_field(grid, [seed, 9], amplitude=0.1)
+
+    assert bits(functional_d(L, u)) == bits(fieldwise_functional_d(L, u))
+    es = el_expressions_d(L, u)
+    assert bits(es) == bits(fieldwise_el_expressions_d(L, u))
+    assert bits(noether_identity_d(L, fam, u)) == bits(fieldwise_noether_identity_d(L, fields, u))
+    assert bits(check_invariance_d(L, fam, u, trials=2, seed=seed)) == bits(
+        fieldwise_check_invariance_d(L, fields, u, trials=2, seed=seed)
+    )
+    for k in range(n):
+        assert bits(gauge_field(fam, p, k)) == bits(fieldwise_gauge_field(fields, p, k))
+        assert bits(gauge_field_adjoint(fam, es[k], k)) == bits(fieldwise_gauge_field_adjoint(fields, es[k], k))
+        assert bits(gauge_pairing(fam, p, u[k], k)) == bits(fieldwise_gauge_pairing(fields, p, u[k], k))
