@@ -192,16 +192,18 @@ def _builtin_family(name: str, ts: TimeScale):
     return None
 
 
-def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int) -> GridFunction:
+def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> GridFunction:
     t = ts.points[lo : hi + 1]
     if isinstance(spec, (int, float)):
         vals = np.full(t.size, float(spec))
     elif isinstance(spec, dict) and "poly" in spec:
         vals = np.polynomial.polynomial.polyval(t, [float(c) for c in spec["poly"]])
     elif isinstance(spec, dict) and "csv" in spec:
-        return read_csv(ts, spec["csv"]).restrict(lo, hi)
+        vals = read_csv(ts, spec["csv"]).restrict(lo, hi).values
     else:
         raise ValueError(f"bad coefficient spec {spec!r}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"coefficient {name} is not finite")
     return GridFunction(ts, lo, vals)
 
 
@@ -217,13 +219,17 @@ def load_family(path_or_name: str, ts: TimeScale):
     if len(g_spec) != r or any(len(comp) != n for comp in g_spec):
         raise ValueError("family table shape does not match r and n")
     g = tuple(
-        tuple(tuple(_coeff_grid(ts, g_spec[j][k][i], lo, hi) for i in range(m + 1)) for k in range(n))
+        tuple(
+            tuple(_coeff_grid(ts, g_spec[j][k][i], lo, hi, f"g[{j}][{k}][{i}]") for i in range(m + 1))
+            for k in range(n)
+        )
         for j in range(r)
     )
     f = None
     if data.get("f") is not None:
         f = tuple(
-            tuple(_coeff_grid(ts, data["f"][j][i], lo, hi) for i in range(m + 1)) for j in range(r)
+            tuple(_coeff_grid(ts, data["f"][j][i], lo, hi, f"f[{j}][{i}]") for i in range(m + 1))
+            for j in range(r)
         )
     return nt.GaugeFamily(g, f)
 
@@ -322,7 +328,9 @@ def load_family2d(path_or_name: str, grid: mg.GridD):
         return builtin
     with open(path_or_name) as fh:
         data = json.load(fh)
-    return mg.GaugeFamilyD.constant(grid, [tuple(map(float, row)) for row in data["a"]])
+    if not isinstance(data, dict) or "a" not in data:
+        raise ValueError(f"{path_or_name}: a d-D family file needs an \"a\" coefficient table")
+    return mg.GaugeFamilyD.constant(grid, data["a"])
 
 
 # Points per axis that check2d and em need: the identity takes three

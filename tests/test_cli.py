@@ -82,6 +82,34 @@ class TestExitCodes:
         assert run(tmp_path, "check2d", "--grid", "h:1:0:3,q:2:1:4", "--trials", "2")[0] == 0
         assert run(tmp_path, "em", "--lattice", ",".join(["h:1:0:3"] * 4), "--trials", "2")[0] == 0
 
+    @pytest.mark.parametrize(
+        "family, args, message",
+        [
+            ('{"a": [[0, NaN, 0], [0, 0, 1]]}', ["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2"],
+             "coefficient a[0][1] is not finite: nan"),
+            ('{"a": [[0, 1, 0], [0, 0, -Infinity]]}', ["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2"],
+             "coefficient a[1][2] is not finite: -inf"),
+            ('{"r": 1, "m": 0, "n": 2, "g": [[[NaN], [1.0]]]}',
+             ["check-noether", "--scale", "h:1:0:9", "--lagrangian", "pair-difference"],
+             "coefficient g[0][0][0] is not finite"),
+            ('{"r": 1, "m": 0, "n": 2, "g": [[[1.0], [{"poly": [0, Infinity]}]]]}',
+             ["check-invariance", "--scale", "h:1:0:9", "--lagrangian", "pair-difference", "--trials", "2"],
+             "coefficient g[0][1][0] is not finite"),
+            ('{"b": [[0, 1, 0]]}', ["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2"],
+             'a d-D family file needs an "a" coefficient table'),
+            ('{"a": [1, 2]}', ["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2"],
+             "the coefficient table must be rows of numbers"),
+        ],
+        ids=["check2d-nan", "check2d-inf", "check-noether-nan", "check-invariance-inf-poly", "check2d-no-a",
+             "check2d-rows"],
+    )
+    def test_bad_family_file_rejected(self, tmp_path, capsys, family, args, message):
+        path = tmp_path / "fam.json"
+        path.write_text(family)
+        code, data, _ = run(tmp_path, *args, "--family", str(path))
+        assert code == 2 and data is None
+        assert message in capsys.readouterr().err
+
     def test_verdict_failure_exits_one(self, tmp_path):
         fam = write_pairdiff_family(tmp_path, broken=True)
         code, data, _ = run(
