@@ -22,6 +22,8 @@ import numpy as np
 
 # Relative tolerance used when detecting an affine jump law sigma(t) = b1*t + b0.
 AFFINE_JUMP_RTOL = 1e-12
+# Rows that write_csv formats per write.
+CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,12 +402,15 @@ def delta_integral(f: GridFunction, a_idx: int | None = None, b_idx: int | None 
 
 
 def write_csv(f: GridFunction, path) -> None:
-    """Serialize as CSV with header t,y1..yn, one row per window index."""
-    header = "t," + ",".join(f"y{k + 1}" for k in range(f.n))
+    """Serialize as CSV with header t,y1..yn, one row per window index.
+    Values are written with repr, a block of rows per write, so the text
+    of a long function is never held whole."""
+    table = np.column_stack((f.times(), f.values))
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(f.times(), f.values):
-            fh.write(",".join(repr(float(v)) for v in (t, *row)) + "\n")
+        fh.write("t," + ",".join(f"y{k + 1}" for k in range(f.n)) + "\n")
+        for i in range(0, len(table), CSV_BLOCK_ROWS):
+            rows = table[i : i + CSV_BLOCK_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def read_csv(ts: TimeScale, path) -> GridFunction:

@@ -326,6 +326,18 @@ class TestGridFunction:
         assert g.window == f.window
         assert np.array_equal(g.values, f.values)
 
+    @pytest.mark.parametrize("rows", [1, timescale.CSV_BLOCK_ROWS, 2 * timescale.CSV_BLOCK_ROWS + 3])
+    def test_csv_bytes_match_row_loop(self, tmp_path, rows):
+        ts = h_uniform(0.001, 0, 0.001 * (rows + 1))
+        vals = np.random.default_rng(rows).uniform(-1e3, 1e3, (rows, 3))
+        vals[0, :2] = [-0.0, 1e-300]
+        f = GridFunction(ts, 1, vals)
+        write_csv(f, tmp_path / "f.csv")
+        lines = ["t,y1,y2,y3"]
+        for t, row in zip(f.times(), f.values):
+            lines.append(",".join(repr(float(v)) for v in (t, *row)))
+        assert (tmp_path / "f.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_values_frozen(self):
         ts = h_uniform(1.0, 0, 3)
         f = GridFunction.from_callable(ts, lambda t: t)
