@@ -213,24 +213,31 @@ def load_family(path_or_name: str, ts: TimeScale):
         return builtin
     with open(path_or_name) as fh:
         data = json.load(fh)
-    r, m, n = int(data["r"]), int(data["m"]), int(data["n"])
+    missing = [key for key in ("r", "m", "n", "g") if not isinstance(data, dict) or key not in data]
+    if missing:
+        raise ValueError(f"{path_or_name}: a family file needs r, m, n and g; missing: {', '.join(missing)}")
+    if not all(isinstance(data[key], int) and data[key] >= 0 for key in "rmn"):
+        raise ValueError(f"{path_or_name}: r, m and n must be non-negative integers")
+    r, m, n = data["r"], data["m"], data["n"]
     lo, hi = 0, len(ts) - 1 - m
+
+    def row(spec, name: str) -> tuple:
+        """The m + 1 coefficients of one g[j][k] or f[j] entry."""
+        if not isinstance(spec, list) or len(spec) != m + 1:
+            raise ValueError(f"{name} must be a list of m + 1 = {m + 1} coefficient specs, got {spec!r}")
+        return tuple(_coeff_grid(ts, c, lo, hi, f"{name}[{i}]") for i, c in enumerate(spec))
+
     g_spec = data["g"]
-    if len(g_spec) != r or any(len(comp) != n for comp in g_spec):
+    if not isinstance(g_spec, list) or len(g_spec) != r or any(
+        not isinstance(comp, list) or len(comp) != n for comp in g_spec
+    ):
         raise ValueError("family table shape does not match r and n")
-    g = tuple(
-        tuple(
-            tuple(_coeff_grid(ts, g_spec[j][k][i], lo, hi, f"g[{j}][{k}][{i}]") for i in range(m + 1))
-            for k in range(n)
-        )
-        for j in range(r)
-    )
-    f = None
-    if data.get("f") is not None:
-        f = tuple(
-            tuple(_coeff_grid(ts, data["f"][j][i], lo, hi, f"f[{j}][{i}]") for i in range(m + 1))
-            for j in range(r)
-        )
+    g = tuple(tuple(row(g_spec[j][k], f"g[{j}][{k}]") for k in range(n)) for j in range(r))
+    f = data.get("f")
+    if f is not None:
+        if not isinstance(f, list) or len(f) != r:
+            raise ValueError(f"the f table needs one row per parameter (r = {r}), got {f!r}")
+        f = tuple(row(f[j], f"f[{j}]") for j in range(r))
     return nt.GaugeFamily(g, f)
 
 
@@ -372,14 +379,18 @@ def _cmd_em(args):
             raise ValueError("the lattice needs 4 scale specs")
         grid = _lattice(specs)
 
+    fam = em_mod.em_gauge_family(grid)
+
     def pair(trial: int) -> tuple[float, float]:
         F_t = em_mod.random_em_field(grid, seed=[args.seed, 1, trial])
         p = mg.random_polynomial_field(grid, seed=[args.seed, 2, trial])
-        return em_mod.em_functional(F_t), em_mod.em_functional(em_mod.em_gauge(F_t, p))
+        # The family subtracts the quotient; -p adds it, as the golden reports pin.
+        F_g = em_mod.EMField(grid, mg.transform_d(fam, -p, F_t.A))
+        return em_mod.em_functional(F_t), em_mod.em_functional(F_g)
 
     gauge_rep = ResidualReport.from_trials((0, args.trials - 1), args.trials, pair, 1e-12)
     F = em_mod.random_em_field(grid, seed=[args.seed, 1])
-    ident = em_mod.em_noether_residual(F, tolerance=args.tol)
+    ident = mg.noether_identity_d(em_mod.em_lagrangian(), fam, F.A, tolerance=args.tol)
     FL = em_mod.lorentz_field(grid)
     lorentz = em_mod.em_lorentz_check(FL, tolerance=1e-10)
     wave = em_mod.em_wave_reduction_residual(FL, tolerance=args.tol)

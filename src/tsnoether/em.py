@@ -1,17 +1,20 @@
 """Electromagnetic density on a 4-d lattice of time scales.
 
-Axis 0 is time, axes 1..3 are space.  With pg(A, j) denoting the axis-j
-quotient of A evaluated with sigma applied on every other axis, the field
-strength entries are the antisymmetric differences pg(A_k, j) - pg(A_j, k),
-and the density is
+Axis 0 is time, axes 1..3 are space.  The density is a LagrangianD on the
+shifted argument pattern of multigrid: with G[j, k] the axis-j quotient of
+A_k taken with sigma on every other axis, the field strength entries are
+the antisymmetric differences G[j, k] - G[k, j], and the density is
 
     1/2 |grad A_0 - dA/dt|^2 - 1/2 |curl A|^2.
 
-Adding the axis-k quotient of the rho_k-shifted scalar p to each A_k leaves
-every field-strength entry unchanged, so the action is gauge invariant and
-the divergence of the four Euler-Lagrange expressions vanishes identically.
-When the four shifted continuity (Lorentz) conditions hold, each
-Euler-Lagrange expression collapses to a wave operator applied to A_k.
+The gauge family subtracts from each A_k the axis-k quotient of the
+rho_k-shifted scalar p, A_k - (Delta_k p)^rho_k.  That leaves every
+field-strength entry unchanged, so the action is gauge invariant, and the
+generic identity of multigrid (the sum of the family's adjoints applied to
+the Euler-Lagrange expressions, here the divergence sum_k Delta_k E_k)
+vanishes identically.  When the four shifted continuity (Lorentz)
+conditions hold, each Euler-Lagrange expression collapses to a wave
+operator applied to A_k.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .multigrid import (
     functional_d,
     partial_delta,
     shift_all_except,
-    shift_axis,
 )
 
 
@@ -85,59 +87,18 @@ def em_lagrangian() -> LagrangianD:
     return LagrangianD(d=4, n=4, density=density, d_u=d_u, d_g=d_g)
 
 
-def _pg(A: FieldD, axis: int) -> FieldD:
-    """Axis quotient with sigma on every other axis (the density's pattern)."""
-    return shift_all_except(partial_delta(A, axis), axis)
-
-
-def em_density(F: EMField) -> FieldD:
-    """The density as a field on the base-cell window."""
-    total = None
-    for j, k in _ELECTRIC:
-        w = _pg(F.A[k], j) - _pg(F.A[j], k)
-        term = 0.5 * (w * w)
-        total = term if total is None else total + term
-    for j, k in _MAGNETIC:
-        w = _pg(F.A[k], j) - _pg(F.A[j], k)
-        total = total - 0.5 * (w * w)
-    return total
-
-
 def em_functional(F: EMField) -> float:
     return functional_d(em_lagrangian(), F.A)
 
 
-def em_gauge(F: EMField, p: FieldD) -> EMField:
-    """A_k picks up the axis-k quotient of p at the rho_k-shifted point."""
-    newA = tuple(
-        A_k + shift_axis(partial_delta(p, k), k, -1) for k, A_k in enumerate(F.A)
-    )
-    return EMField(F.grid, newA)
-
-
 def em_gauge_family(grid: GridD) -> GaugeFamilyD:
-    """The same transformation in gauge-family form: a0 = 0 and the axis-k
-    coefficient of component k equal to one."""
-    table = []
-    for k in range(4):
-        row = [0.0] * 5
-        row[1 + k] = 1.0
-        table.append(tuple(row))
-    return GaugeFamilyD.constant(grid, table)
+    """The Maxwell gauge A_k - (Delta_k p)^rho_k as a gauge family: a0 = 0
+    and the axis-k coefficient of component k equal to minus one."""
+    return GaugeFamilyD.constant(grid, [[-1.0 if i == 1 + k else 0.0 for i in range(5)] for k in range(4)])
 
 
 def em_el_expressions(F: EMField) -> tuple:
     return el_expressions_d(em_lagrangian(), F.A)
-
-
-def em_noether_residual(F: EMField, tolerance: float = 1e-9) -> ResidualReport:
-    """Residual of sum_k d/dx_k E_k on the interior window."""
-    field = em_noether_field(F)
-    return ResidualReport.from_per_point((field.lo[0], field.hi[0]), field.values, tolerance)
-
-
-def em_noether_field(F: EMField) -> FieldD:
-    return reduce(add, (partial_delta(e, k) for k, e in enumerate(em_el_expressions(F))))
 
 
 def _div_spatial(F: EMField) -> FieldD:

@@ -263,6 +263,8 @@ def _pattern_args(L: LagrangianD, u: tuple):
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
         raise ValueError("component or dimension mismatch")
+    if not all(f.grid.same_as(grid) for f in u):
+        raise ValueError("components live on different grids")
     lo = tuple(max(f.lo[ax] for f in u) for ax in range(grid.d))
     cell_hi = tuple(min(f.hi[ax] for f in u) - 1 for ax in range(grid.d))
     if any(c < l for l, c in zip(lo, cell_hi)):

@@ -148,12 +148,15 @@ def eval_functional(L: Lagrangian, y: GridFunction) -> float:
     return float(np.add.accumulate(mu * L.sample("L", ts, us, vs))[-1] + 0.0)
 
 
-def lagrangian_along(L: Lagrangian, y: GridFunction, which: str) -> GridFunction:
+def lagrangian_along(L: Lagrangian, y: GridFunction, *which: str):
     """Sample L ("L") or a partial ("t", "u", "v") along
-    (t, y(sigma(t)), y_delta(t)) on [lo, hi-1]."""
+    (t, y(sigma(t)), y_delta(t)) on [lo, hi-1]: one GridFunction per entry
+    of which, all from one sample of the path arguments, and a tuple of
+    them when there are several."""
     _check_dims(L, y)
     ts, us, vs = _path_args(y)
-    return GridFunction(y.ts, y.lo, L.sample(which, ts, us, vs))
+    out = tuple(GridFunction(y.ts, y.lo, L.sample(w, ts, us, vs)) for w in which)
+    return out[0] if len(out) == 1 else out
 
 
 def first_variation(L: Lagrangian, y: GridFunction, eta: GridFunction) -> float:
@@ -169,8 +172,7 @@ def variation_pairing(L: Lagrangian, y: GridFunction, eta: GridFunction) -> floa
     _check_dims(L, y)
     if eta.n != y.n or eta.lo != y.lo or eta.hi != y.hi:
         raise ValueError("eta must share the path window and component count")
-    pu = lagrangian_along(L, y, "u")
-    pv = lagrangian_along(L, y, "v")
+    pu, pv = lagrangian_along(L, y, "u", "v")
     integrand = pu * shift(eta, 1) + pv * delta_derivative(eta, 1)
     return float(np.sum(delta_integral(integrand)))
 
@@ -184,8 +186,7 @@ def el_expressions(L: Lagrangian, y: GridFunction) -> GridFunction:
     _check_dims(L, y)
     if y.hi - y.lo < 2:
         raise ValueError("need at least 3 points to form Euler-Lagrange expressions")
-    pu = lagrangian_along(L, y, "u")
-    pv = lagrangian_along(L, y, "v")
+    pu, pv = lagrangian_along(L, y, "u", "v")
     return pu.restrict(pu.lo, pu.hi - 1) - delta_derivative(pv, 1)
 
 
@@ -200,12 +201,11 @@ def second_el_expression(L: Lagrangian, y: GridFunction) -> GridFunction:
     _check_dims(L, y)
     if y.hi - y.lo < 2:
         raise ValueError("need at least 3 points")
-    lt = lagrangian_along(L, y, "t")
-    lv = lagrangian_along(L, y, "v")
-    lval = lagrangian_along(L, y, "L")
-    ydel = delta_derivative(y, 1)
+    # One sample of the path serves the three partials and y_delta (vs).
+    ts, us, vs = _path_args(y)
+    lt, lv, lval = (GridFunction(y.ts, y.lo, L.sample(w, ts, us, vs)) for w in "tvL")
     mu = (y.ts.points[y.lo + 1 : y.hi + 1] - y.ts.points[y.lo : y.hi])[:, None]
-    inner_vals = lval.values - np.sum(ydel.values * lv.values, axis=1, keepdims=True) - mu * lt.values
+    inner_vals = lval.values - np.sum(vs * lv.values, axis=1, keepdims=True) - mu * lt.values
     inner = GridFunction(y.ts, y.lo, inner_vals)
     return lt.restrict(lt.lo, lt.hi - 1) - delta_derivative(inner, 1)
 

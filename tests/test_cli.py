@@ -288,6 +288,29 @@ class TestFamilyCoefficientForms:
         )
         assert code == 0 and data["sections"][0]["sup_norm"] <= 1e-9
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ({"m": 0, "n": 2, "g": [[[1.0], [1.0]]]}, "a family file needs r, m, n and g; missing: r"),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], {"poly": [0, 1]}]]},
+             "g[0][1] must be a list of m + 1 = 1 coefficient specs, got {'poly': [0, 1]}"),
+            ({"r": 1, "m": 1, "n": 2, "g": [[[1.0, 0.5], [1.0]]]},
+             "g[0][1] must be a list of m + 1 = 2 coefficient specs, got [1.0]"),
+            ({"r": 1, "m": 0, "n": 2, "g": [1.0, 1.0]}, "family table shape does not match r and n"),
+            ({"r": None, "m": 0, "n": 2, "g": [[[1.0], [1.0]]]}, "r, m and n must be non-negative integers"),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [1.0]]], "f": []},
+             "the f table needs one row per parameter (r = 1), got []"),
+        ],
+        ids=["missing-r", "bare-spec", "short-row", "flat-g", "null-r", "short-f"],
+    )
+    def test_malformed_family_file_named(self, tmp_path, capsys, family, message):
+        fam_path = tmp_path / "bad.json"
+        fam_path.write_text(json.dumps(family))
+        code = main(["check-noether", "--scale", "h:1:0:9", "--lagrangian", "pair-difference",
+                     "--family", str(fam_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_coefficient_spec(self, tmp_path):
         fam_path = tmp_path / "bad.json"
         fam_path.write_text(json.dumps({"r": 1, "m": 0, "n": 1, "g": [[["nope"]]]}))

@@ -1,31 +1,34 @@
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
 from tsnoether import (
     EMField,
     FieldD,
+    GaugeFamilyD,
     GridD,
     default_lattice,
-    em_density,
     em_el_expressions,
     em_functional,
-    em_gauge,
     em_gauge_family,
+    em_lagrangian,
     em_lorentz_check,
-    em_noether_field,
-    em_noether_residual,
     em_wave_form,
     em_wave_reduction_residual,
-    gauge_field_adjoint,
     h_uniform,
     lorentz_field,
     multi_integral,
     noether_identity_d,
+    partial_delta,
     q_geometric,
     random_em_field,
     random_polynomial_field,
+    shift_all_except,
+    shift_axis,
+    transform_d,
 )
-from tsnoether.em import em_lagrangian
 
 
 def zero_field(grid):
@@ -45,12 +48,55 @@ def mixed_lattice():
 
 
 GRID = default_lattice(6)
+LATTICES = [GRID, mixed_lattice()]
+_ELECTRIC = ((1, 0), (2, 0), (3, 0))
+_MAGNETIC = ((2, 3), (3, 1), (1, 2))
+
+
+# Field-by-field references for what em computes on the generic d-D path:
+# the density written with the FieldD operators, the gauge that adds the
+# rho_k-shifted axis-k quotient of p, and the divergence of the
+# Euler-Lagrange expressions.
+
+
+def ref_pg(A, axis):
+    """Axis quotient with sigma on every other axis (the density's pattern)."""
+    return shift_all_except(partial_delta(A, axis), axis)
+
+
+def ref_density(F):
+    total = None
+    for j, k in _ELECTRIC:
+        w = ref_pg(F.A[k], j) - ref_pg(F.A[j], k)
+        term = 0.5 * (w * w)
+        total = term if total is None else total + term
+    for j, k in _MAGNETIC:
+        w = ref_pg(F.A[k], j) - ref_pg(F.A[j], k)
+        total = total - 0.5 * (w * w)
+    return total
+
+
+def ref_gauge(F, p):
+    return tuple(A_k + shift_axis(partial_delta(p, k), k, -1) for k, A_k in enumerate(F.A))
+
+
+def ref_divergence(F):
+    return reduce(add, (partial_delta(e, k) for k, e in enumerate(em_el_expressions(F))))
+
+
+def gauge(F, p):
+    """em's trial transformation: A_k + (Delta_k p)^rho_k."""
+    return EMField(F.grid, transform_d(em_gauge_family(F.grid), -p, F.A))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestDensity:
     def test_zero_potential(self):
         F = zero_field(GRID)
-        assert np.all(em_density(F).values == 0.0)
+        assert np.all(ref_density(F).values == 0.0)
         assert em_functional(F) == 0.0
 
     def test_linear_scalar_potential(self):
@@ -59,26 +105,34 @@ class TestDensity:
         A0 = np.broadcast_to(t1[None, :, None, None], GRID.shape)
         F = zero_field(GRID)
         F = EMField(GRID, (FieldD(GRID, (0,) * 4, A0),) + F.A[1:])
-        dens = em_density(F)
-        assert np.allclose(dens.values, 0.5)
+        assert np.allclose(ref_density(F).values, 0.5)
+        # 5^4 unit base cells
+        assert em_functional(F) == pytest.approx(0.5 * 5**4)
 
     def test_pure_gauge_density_vanishes(self):
         F = zero_field(GRID)
         p = random_polynomial_field(GRID, seed=0, degree=2)
-        Fg = em_gauge(F, p)
-        assert np.max(np.abs(em_density(Fg).values)) <= 1e-12
+        Fg = gauge(F, p)
+        assert np.max(np.abs(ref_density(Fg).values)) <= 1e-12
+        assert abs(em_functional(Fg)) <= 1e-12
+
+    @pytest.mark.parametrize("grid", LATTICES)
+    def test_functional_integrates_reference_density(self, grid):
+        for seed in range(10):
+            F = random_em_field(grid, seed=[12, seed])
+            assert multi_integral(ref_density(F)) == em_functional(F)
 
 
 class TestGaugeInvariance:
     def test_zero_parameter_identity(self):
         F = random_em_field(GRID, seed=1)
-        Fg = em_gauge(F, FieldD(GRID, (0,) * 4, np.zeros(GRID.shape)))
+        Fg = gauge(F, FieldD(GRID, (0,) * 4, np.zeros(GRID.shape)))
         for a, b in zip(F.A, Fg.A):
             assert np.array_equal(a.values, b.values)
 
     def test_constant_parameter_identity(self):
         F = random_em_field(GRID, seed=2)
-        Fg = em_gauge(F, FieldD(GRID, (0,) * 4, np.full(GRID.shape, 3.7)))
+        Fg = gauge(F, FieldD(GRID, (0,) * 4, np.full(GRID.shape, 3.7)))
         for a, b in zip(F.A, Fg.A):
             assert np.allclose(a.values, b.values)
 
@@ -87,7 +141,7 @@ class TestGaugeInvariance:
         F = random_em_field(GRID, seed=[3, seed])
         base = em_functional(F)
         p = random_polynomial_field(GRID, seed=[4, seed])
-        dev = abs(em_functional(em_gauge(F, p)) - base)
+        dev = abs(em_functional(gauge(F, p)) - base)
         assert dev <= 1e-12 * max(1.0, abs(base))
 
     def test_functional_invariant_on_mixed_lattice(self):
@@ -95,32 +149,46 @@ class TestGaugeInvariance:
         F = random_em_field(grid, seed=5)
         base = em_functional(F)
         p = random_polynomial_field(grid, seed=6)
-        dev = abs(em_functional(em_gauge(F, p)) - base)
+        dev = abs(em_functional(gauge(F, p)) - base)
         assert dev <= 1e-12 * max(1.0, abs(base))
+
+    @pytest.mark.parametrize("grid", LATTICES)
+    def test_family_transform_equals_reference_gauge(self, grid):
+        F = random_em_field(grid, seed=13)
+        p = random_polynomial_field(grid, seed=14)
+        for a, b in zip(gauge(F, p).A, ref_gauge(F, p)):
+            assert a.lo == b.lo and same_bits(a.values, b.values)
+
+    def test_family_subtracts_the_quotient(self):
+        F = random_em_field(GRID, seed=15)
+        p = random_polynomial_field(GRID, seed=16)
+        plus = ref_gauge(F, p)
+        minus = transform_d(em_gauge_family(GRID), p, F.A)
+        for a, b, c in zip(F.A, plus, minus):
+            assert np.allclose((b - a).values, (a - c).values, rtol=0, atol=1e-12)
+            assert np.max(np.abs((b - a).values)) > 1e-3
 
 
 class TestNoetherResidual:
     def test_zero_potential(self):
-        assert em_noether_residual(zero_field(GRID)).sup_norm == 0.0
+        F = zero_field(GRID)
+        assert noether_identity_d(em_lagrangian(), em_gauge_family(GRID), F.A).sup_norm == 0.0
 
-    @pytest.mark.parametrize("grid", [GRID, mixed_lattice()])
+    @pytest.mark.parametrize("grid", LATTICES)
     def test_random_polynomial_potential(self, grid):
         F = random_em_field(grid, seed=7, degree=2)
-        rep = em_noether_residual(F)
+        rep = noether_identity_d(em_lagrangian(), em_gauge_family(grid), F.A)
         assert rep.sup_norm <= 1e-9 and rep.verdict
 
-    def test_matches_adjoint_family_form(self):
-        F = random_em_field(GRID, seed=8)
-        fam = em_gauge_family(GRID)
-        direct = em_noether_field(F)
-        es = em_el_expressions(F)
-        total = None
-        for k in range(4):
-            term = gauge_field_adjoint(fam, es[k], k)
-            total = term if total is None else total + term
-        lo, hi = total.lo, total.hi
-        a = direct.restrict(lo, hi).values
-        assert np.max(np.abs(a + total.values)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
+    @pytest.mark.parametrize("grid", LATTICES)
+    def test_identity_equals_reference_divergence(self, grid):
+        # Bitwise, signed zeros included: the adjoint of the -1 family is
+        # +sum_k Delta_k E_k, not its negation.
+        F = random_em_field(grid, seed=8)
+        rep = noether_identity_d(em_lagrangian(), em_gauge_family(grid), F.A)
+        div = ref_divergence(F)
+        assert rep.domain == (div.lo[0], div.hi[0])
+        assert same_bits(rep.per_point, div.values)
 
     def test_family_identity_form_passes(self):
         F = random_em_field(GRID, seed=9)
@@ -128,14 +196,9 @@ class TestNoetherResidual:
         assert rep.sup_norm <= 1e-9
 
     def test_broken_family_negative_control(self):
-        from tsnoether import GaugeFamilyD
-
         F = random_em_field(GRID, seed=10)
-        table = []
-        for k in range(4):
-            row = [0.0] * 5
-            row[1 + k] = 1.1 if k == 1 else 1.0
-            table.append(tuple(row))
+        table = [list(row) for row in em_gauge_family(GRID).a]
+        table[1][2] = -1.1
         fam = GaugeFamilyD.constant(GRID, table)
         rep = noether_identity_d(em_lagrangian(), fam, F.A)
         assert rep.sup_norm > 1e-3
@@ -192,5 +255,4 @@ class TestConstruction:
     def test_functional_of_gauge_on_integration_window(self):
         # em functional integrates over base cells only
         F = zero_field(GRID)
-        dens = em_density(F)
-        assert multi_integral(dens) == 0.0
+        assert multi_integral(ref_density(F)) == 0.0

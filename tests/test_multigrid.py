@@ -170,6 +170,18 @@ class TestEulerLagrangeD:
             for a, b in zip(el_expressions_d(L, u), el_expressions_d(L, v)):
                 assert a.lo == (1, 1) and np.array_equal(a.values, b.values)
 
+    def test_components_on_different_grids_rejected(self):
+        # Two 6 x 6 grids: the pattern would read only the first component's
+        # points and steps, so the value would depend on the order.
+        a = random_polynomial_field(grid_z2(6, 6), seed=5)
+        b = random_polynomial_field(GridD((h_uniform(0.5, 0, 2.5), q_geometric(2.0, 1.0, 6))), seed=6)
+        L = catalog2d("curl2")
+        for u in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="different grids"):
+                functional_d(L, u)
+            with pytest.raises(ValueError, match="different grids"):
+                el_expressions_d(L, u)
+
     def test_window_too_small(self):
         g = grid_z2(5, 5)
         L = catalog2d("dirichlet2")

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +22,9 @@ from tsnoether import (
     second_el_residual,
     solve_extremal,
 )
+from tsnoether import GaugeFamily, noether_identity_time, second_el_expression, variational
 from tsnoether.report import ResidualReport
-from tsnoether.variational import _coloured_jacobian, _interior_residual, lagrangian_along
+from tsnoether.variational import _coloured_jacobian, _interior_residual, lagrangian_along, variation_pairing
 
 
 def random_quadratic(rng, n):
@@ -204,6 +207,48 @@ class TestSecondEulerLagrange:
         )
         y = GridFunction.from_callable(ts, lambda t: 1.0 / t)
         assert second_el_residual(L, y).sup_norm == 0.0
+
+
+class TestOnePathSample:
+    """Each expression samples (t, y^sigma, y^delta) once for all the
+    partials it needs."""
+
+    @pytest.fixture
+    def path_samples(self):
+        calls = []
+        real = variational._path_args
+
+        def counting(y):
+            calls.append(y.window)
+            return real(y)
+
+        with mock.patch.object(variational, "_path_args", counting):
+            yield calls
+
+    def test_expressions(self, path_samples):
+        ts = q_geometric(1.5, 1.0, 12)
+        L = catalog("quad:2:0.5:0.3:0.2")
+        rng = np.random.default_rng(0)
+        y = GridFunction(ts, 0, rng.uniform(-1, 1, (len(ts), 2)))
+        eta = GridFunction(ts, 0, rng.uniform(-1, 1, (len(ts), 2)))
+        fam = GaugeFamily.constant(ts, [[[1.0], [1.0]]], f=[[1.0]])
+        for fn, args, samples in (
+            (lagrangian_along, (L, y, "t", "u", "v", "L"), 1),
+            (el_expressions, (L, y), 1),
+            (second_el_expression, (L, y), 1),
+            (variation_pairing, (L, y, eta), 1),
+            (noether_identity_time, (L, fam, y), 2),
+        ):
+            path_samples.clear()
+            fn(*args)
+            assert len(path_samples) == samples, fn.__name__
+
+    def test_several_partials_equal_one_at_a_time(self):
+        ts = h_uniform(0.5, 0, 4)
+        L = catalog("quad:2:0.5:0.3:0.2")
+        y = GridFunction(ts, 0, np.random.default_rng(1).uniform(-1, 1, (len(ts), 2)))
+        for w, gf in zip("tuvL", lagrangian_along(L, y, *"tuvL")):
+            assert np.array_equal(gf.values, lagrangian_along(L, y, w).values)
 
 
 class TestSolver:
