@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .report import ResidualReport
-from .timescale import _frozen, _sealed, forward_quotient, shift_index
+from .timescale import _frozen, _sealed, forward_quotient, shift_index, window_integral
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,27 +160,7 @@ def shift_all(f: FieldD, k: int = 1) -> FieldD:
 def multi_integral(f: FieldD) -> float:
     """Iterated delta integral: sum of f * prod(mu_i) over the window with
     the top index excluded on every axis (where mu is defined)."""
-    return _window_integral(f.grid, f.lo, f.values)
-
-
-def _window_integral(grid: GridD, lo: tuple, values: np.ndarray) -> float:
-    """multi_integral of the samples values on the window starting at lo."""
-    hi = [min(l + n - 1, size - 2) for l, n, size in zip(lo, values.shape, grid.shape)]
-    if any(h < l for l, h in zip(lo, hi)):
-        return 0.0
-    vals = values[tuple(slice(0, h - l + 1) for l, h in zip(lo, hi))]
-    for ax in range(grid.d):
-        mu = grid.mu(ax)[lo[ax] : hi[ax] + 1]
-        shape = [1] * grid.d
-        shape[ax] = mu.size
-        if ax == 0:
-            # The one copy, in C order whatever the layout of the values (a
-            # rho gather along a later axis is not), so np.sum adds the same
-            # pairs every time; the other products run in place.
-            vals = np.multiply(vals, mu.reshape(shape), order="C")
-        else:
-            vals *= mu.reshape(shape)
-    return float(np.sum(vals))
+    return float(window_integral(f.grid.scales, f.lo, f.values[..., None])[0])
 
 
 def greens_residual(M: FieldD, N: FieldD) -> float:
@@ -199,13 +179,10 @@ def greens_residual(M: FieldD, N: FieldD) -> float:
     Mv = M.restrict(lo, hi)
     Nv = N.restrict(lo, hi)
     lhs = multi_integral(partial_delta(Nv, 0) - partial_delta(Mv, 1))
-    mux = M.grid.mu(0)[lo[0] : hi[0]]
-    muy = M.grid.mu(1)[lo[1] : hi[1]]
-    bottom = float(mux @ Mv.values[:-1, 0])
-    top = float(mux @ Mv.values[:-1, -1])
-    right = float(muy @ Nv.values[-1, :-1])
-    left = float(muy @ Nv.values[0, :-1])
-    return abs(lhs - (bottom + right - top - left))
+    sx, sy = M.grid.scales
+    bottom, top = window_integral((sx,), (lo[0],), Mv.values[:-1, [0, -1]])
+    left, right = window_integral((sy,), (lo[1],), Nv.values[[0, -1], :-1].T)
+    return float(abs(lhs - (bottom + right - top - left)))
 
 
 @dataclass(frozen=True)
@@ -292,7 +269,8 @@ def _pattern_args(L: LagrangianD, u: tuple):
 def functional_d(L: LagrangianD, u: tuple) -> float:
     """The d-fold delta integral of the density along the shifted pattern."""
     coords, U, G, lo, cell_hi = _pattern_args(L, u)
-    return _window_integral(u[0].grid, lo, np.broadcast_to(L.density(coords, U, G), U.shape[1:]))
+    density = np.broadcast_to(L.density(coords, U, G), U.shape[1:])
+    return float(window_integral(u[0].grid.scales, lo, density[..., None])[0])
 
 
 def el_expressions_d(L: LagrangianD, u: tuple) -> tuple:

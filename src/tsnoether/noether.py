@@ -454,7 +454,7 @@ def fundamental_lemma_oracle(
         lo, hi = integrand.window
         if lo > 0 or hi < upper - 1:
             raise ValueError("variation terms do not cover the integration window")
-        val = float(mu[:upper] @ integrand.values[0 - integrand.lo : upper - integrand.lo, 0])
+        val = float(np.sum(mu[:upper] * integrand.values[0 - integrand.lo : upper - integrand.lo, 0]))
         max_integral = max(max_integral, abs(val))
 
     conclusion = None

@@ -5,8 +5,9 @@ The jump operators sigma/rho act on indices (saturating at the ends),
 the graininess mu(i) is the gap to the next point, and delta derivatives
 are forward difference quotients.  Grid functions carry an explicit index
 window so that every domain shrink (one point lost from the top per
-derivative order) is visible in the result.  The axis kernels shift_index
-and forward_quotient also serve the product grids of multigrid.
+derivative order) is visible in the result.  The kernels shift_index,
+forward_quotient and window_integral also serve the product grids of
+multigrid.
 
 Values are read-only and copied only when needed: a kernel marks the
 arrays it creates read-only and they are stored as they are, a sigma shift
@@ -384,6 +385,22 @@ def mixed(f: GridFunction, s: int, d: int) -> GridFunction:
     return out
 
 
+def window_integral(scales, lo, values: np.ndarray) -> np.ndarray:
+    """Delta integral of samples with a trailing component axis on the window
+    at lo of a product of 1 to 4 time scales: cells at a scale maximum are
+    dropped, the rest weighted by each axis's mu, one np.sum per component.
+    The first product is the only copy, component-major in C order whatever
+    the layout of values (a rho gather along a later axis, a broadcast), so
+    np.sum adds the same pairs every time; the others run in place."""
+    cells = tuple(slice(0, min(n, len(s) - 1 - l)) for s, l, n in zip(scales, lo, values.shape))
+    weighted = np.moveaxis(values[cells], -1, 0)
+    for ax, (s, l) in enumerate(zip(scales, lo)):
+        n = weighted.shape[ax + 1]
+        mu = np.diff(s.points[l : l + n + 1]).reshape((n,) + (1,) * (len(scales) - ax - 1))
+        weighted = np.multiply(weighted, mu, order="C") if ax == 0 else np.multiply(weighted, mu, out=weighted)
+    return np.array([np.sum(c) for c in weighted])
+
+
 def delta_integral(f: GridFunction, a_idx: int | None = None, b_idx: int | None = None) -> np.ndarray:
     """Delta integral from points[a_idx] to points[b_idx]: sum of mu(i) * f(i)
     over a_idx <= i < b_idx.  The upper limit itself is never sampled, so it
@@ -394,11 +411,7 @@ def delta_integral(f: GridFunction, a_idx: int | None = None, b_idx: int | None 
     b_idx = top if b_idx is None else b_idx
     if not (f.lo <= a_idx <= b_idx <= top):
         raise ValueError("integration limits outside the window")
-    if a_idx == b_idx:
-        return np.zeros(f.n)
-    mu = f.ts.points[a_idx + 1 : b_idx + 1] - f.ts.points[a_idx : b_idx]
-    chunk = f.values[a_idx - f.lo : b_idx - f.lo]
-    return mu @ chunk
+    return window_integral((f.ts,), (a_idx,), f.values[a_idx - f.lo : b_idx - f.lo])
 
 
 def write_csv(f: GridFunction, path) -> None:
@@ -414,15 +427,23 @@ def write_csv(f: GridFunction, path) -> None:
 
 
 def read_csv(ts: TimeScale, path) -> GridFunction:
-    """Read a GridFunction written by write_csv; rows must match scale points."""
+    """Read a GridFunction written by write_csv; each row must have the
+    header's field count and match a scale point."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("t,"):
             raise ValueError("missing t,y1..yn header")
-        rows = [[float(x) for x in line.split(",")] for line in fh if line.strip()]
-    if not rows:
+        width = header.count(",") + 1
+        fields = []
+        for lineno, line in enumerate(fh, start=2):
+            row = line.split(",")
+            if len(row) == width:
+                fields += row
+            elif line.strip():
+                raise ValueError(f"line {lineno} has {len(row)} fields, the header has {width}")
+    if not fields:
         raise ValueError("empty grid function file")
-    data = np.asarray(rows)
+    data = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, width)
     t0 = data[0, 0]
     lo = int(np.searchsorted(ts.points, t0))
     hi = lo + data.shape[0] - 1

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .report import ResidualReport
-from .timescale import GridFunction, TimeScale, delta_derivative, delta_integral, shift
+from .timescale import GridFunction, TimeScale, delta_derivative, delta_integral, shift, window_integral
 
 
 class ConvergenceError(RuntimeError):
@@ -142,10 +142,8 @@ def eval_functional(L: Lagrangian, y: GridFunction) -> float:
     """Delta integral of L(t, y(sigma(t)), y_delta(t)) over the path window."""
     _check_dims(L, y)
     ts, us, vs = _path_args(y)
-    mu = y.ts.points[y.lo + 1 : y.hi + 1] - y.ts.points[y.lo : y.hi]
-    # Summed left to right from +0.0, Python's sum order, which fixes the
-    # rounding of every reported action; np.sum adds pairwise.
-    return float(np.add.accumulate(mu * L.sample("L", ts, us, vs))[-1] + 0.0)
+    # Adding +0.0 makes an action of -0.0 terms +0.0 however np.sum starts.
+    return float(window_integral((y.ts,), (y.lo,), L.sample("L", ts, us, vs)[:, None])[0] + 0.0)
 
 
 def lagrangian_along(L: Lagrangian, y: GridFunction, *which: str):

@@ -110,6 +110,21 @@ class TestExitCodes:
         assert code == 2 and data is None
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0.0,0.0,1.0", "1.0,1.0,2.0", "2.0,2.0,3.0"], "line 2 has 3 fields, the header has 2"),
+            (["0.0,0.0", "1.0,1.0,5.0", "2.0,2.0"], "line 3 has 3 fields, the header has 2"),
+        ],
+        ids=["wider-than-header", "ragged"],
+    )
+    def test_path_csv_row_width_checked(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "y.csv"
+        path.write_text("\n".join(["t,y1", *rows]) + "\n")
+        code, data, _ = run(tmp_path, "el", "--scale", "h:1:0:2", "--lagrangian", "dirichlet", "--csv", str(path))
+        assert code == 2 and data is None
+        assert message in capsys.readouterr().err
+
     def test_verdict_failure_exits_one(self, tmp_path):
         fam = write_pairdiff_family(tmp_path, broken=True)
         code, data, _ = run(

@@ -318,13 +318,14 @@ class TestGridFunction:
 
     def test_csv_round_trip(self, tmp_path):
         ts = q_geometric(2.0, 1.0, 5)
-        f = GridFunction(ts, 1, np.column_stack([ts.points[1:] ** 2, 1 / ts.points[1:]]))
+        special = [[-0.0, -np.inf], [np.inf, 1e-310], [np.nan, -5e-324], [5e-324, 0.0]]
+        f = GridFunction(ts, 1, np.column_stack([ts.points[1:] ** 2, 1 / ts.points[1:], special]))
         path = tmp_path / "f.csv"
         write_csv(f, path)
-        assert path.read_text().splitlines()[0] == "t,y1,y2"
+        assert path.read_text().splitlines()[0] == "t,y1,y2,y3,y4"
         g = read_csv(ts, path)
         assert g.window == f.window
-        assert np.array_equal(g.values, f.values)
+        assert g.values.tobytes() == f.values.tobytes()
 
     @pytest.mark.parametrize("rows", [1, timescale.CSV_BLOCK_ROWS, 2 * timescale.CSV_BLOCK_ROWS + 3])
     def test_csv_bytes_match_row_loop(self, tmp_path, rows):
@@ -420,3 +421,52 @@ def test_value_ownership(count_copies, ts, n, seed, data):
         with pytest.raises(ValueError):
             r.values[0, 0] = 7.0
     assert np.array_equal(f.values, snapshot)
+
+
+# The integral kernel: one summation order whatever the layout of its input.
+
+kernel_scales = st.one_of(
+    ownership_scales,
+    st.builds(
+        lambda gaps: explicit_scale(np.cumsum([0.5, *gaps])),
+        st.lists(st.floats(0.1, 2.0), min_size=1, max_size=6),
+    ),
+)
+
+
+def kernel_reference(scales, lo, values):
+    """Per component, np.sum of a C-contiguous mu-weighted copy of the
+    window's cells below every scale maximum."""
+    hi = [min(l + n, len(s) - 1) for s, l, n in zip(scales, lo, values.shape)]
+    w = values[tuple(slice(0, h - l) for l, h in zip(lo, hi))]
+    for ax, (s, l, h) in enumerate(zip(scales, lo, hi)):
+        mu = s.points[l + 1 : h + 1] - s.points[l:h]
+        w = w * mu.reshape([-1 if a == ax else 1 for a in range(values.ndim)])
+    return np.array([np.sum(np.ascontiguousarray(w[..., k])) for k in range(values.shape[-1])])
+
+
+@given(d=st.integers(1, 4), seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_window_integral_is_layout_independent(d, seed, data):
+    scales = [data.draw(kernel_scales, label=f"scale{ax}") for ax in range(d)]
+    lo, shape = [], []
+    for s in scales:
+        lo.append(data.draw(st.integers(0, len(s) - 1)))
+        to_max = data.draw(st.booleans())
+        shape.append(len(s) - lo[-1] if to_max else data.draw(st.integers(0, len(s) - lo[-1])))
+    n = data.draw(st.integers(1, 3)) if d == 1 else 1
+    flat = data.draw(st.sampled_from([None, *range(d)]), label="constant along")
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1e3, 1e3, (*shape, n))
+    if flat is not None:
+        values = np.broadcast_to(values[(slice(None),) * flat + (slice(0, 1),)], values.shape)
+    layouts = [np.ascontiguousarray(values), np.asfortranarray(values)]
+    layouts.append(layouts[0][:, np.arange(values.shape[1])])  # a gather along a later axis
+    if flat is not None:
+        layouts.append(values)
+    ref = kernel_reference(scales, lo, layouts[0])
+    assert ref.shape == (n,)
+    if 0 in shape:
+        assert np.array_equal(ref, np.zeros(n))
+    for arr in layouts:
+        assert timescale.window_integral(scales, lo, arr).tobytes() == ref.tobytes()

@@ -58,7 +58,8 @@ class TestFunctional:
         assert eval_functional(L, y) == 0.0
 
     def test_negative_zero_density_sums_to_positive_zero(self):
-        # Python's sum starts from +0, so an action of -0.0 terms is +0.0.
+        # An action of -0.0 terms is +0.0: eval_functional adds +0.0 to the
+        # sum, so the sign does not hang on where np.sum starts.
         ts = q_geometric(2.0, 1.0, 6)
         y = GridFunction.from_callable(ts, lambda t: np.sin(t))
         for L in (Lagrangian(n=1, eval=lambda t, u, v: -0.0), Lagrangian(n=1, eval=lambda t, U, V: -0.0 * t, vectorized=True)):
@@ -528,8 +529,9 @@ class TestArrayDensities:
         ts = differential_scale(kind, npts, rng)
         # entries beyond 1 in magnitude exercise the relative difference step
         y = GridFunction(ts, 0, rng.uniform(-3, 3, (npts, fast.n)))
-        # The path arguments (t, y^sigma, y^delta) and the action as a
-        # left-to-right Python sum, one point at a time.
+        # The path arguments (t, y^sigma, y^delta), one point at a time, and
+        # the action in the integral kernel's order: np.sum of the mu-weighted
+        # per-point values.
         mu = np.diff(ts.points)
         args = list(zip(ts.points[:-1], y.values[1:], np.diff(y.values, axis=0) / mu[:, None]))
         for which in ("t", "u", "v", "L"):
@@ -537,7 +539,7 @@ class TestArrayDensities:
             assert a.window == b.window == (0, npts - 2)
             ref = np.array([per_point_sample(slow, which, *arg) for arg in args], dtype=float)
             assert np.array_equal(a.values, b.values) and np.array_equal(b.values, ref.reshape(b.values.shape)), which
-        action = sum(m * slow.eval(*arg) for m, arg in zip(mu, args))
+        action = np.sum(mu * np.array([slow.eval(*arg) for arg in args], dtype=float))
         assert eval_functional(fast, y) == eval_functional(slow, y) == action
 
 
