@@ -9,6 +9,7 @@ produce byte-identical reports.  Exit codes: 0 when every section passes,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -45,7 +46,10 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The noether parser, built on the first call and shared by every later
+    main() in the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(prog="noether", description=__doc__)
     parser.set_defaults(cmd=None)
     sub = parser.add_subparsers(dest="cmd")

@@ -177,11 +177,15 @@ def q_geometric(q: float, a: float, count: int) -> TimeScale:
         raise ValueError("start a must be positive")
     if count < 2:
         raise ValueError("need at least 2 points")
-    # Cumulative products keep sigma(t) == q*t exact in floating point.
-    pts = np.empty(count)
+    # Cumulative products keep sigma(t) == q*t exact in floating point;
+    # accumulate takes them one after another, as a loop would.
+    pts = np.full(count, float(q))
     pts[0] = a
-    for i in range(1, count):
-        pts[i] = pts[i - 1] * q
+    with np.errstate(over="ignore"):
+        np.multiply.accumulate(pts, out=pts)
+    bad = np.flatnonzero(~np.isfinite(pts))
+    if bad.size:
+        raise ValueError(f"point {bad[0]} of the geometric scale, a*q**{bad[0]}, is not a finite float")
     return TimeScale(pts, kind="q-geometric", condition_h=(float(q), 0.0))
 
 

@@ -132,10 +132,8 @@ def _path_args(y: GridFunction):
     """Times, y(sigma(t)) and y_delta(t) on [lo, hi-1]."""
     if y.hi - y.lo < 1:
         raise ValueError("path window too small")
-    ysig = shift(y, 1)
-    ydel = delta_derivative(y, 1)
-    ts = y.ts.points[y.lo : y.hi]
-    return ts, ysig.values, ydel.values
+    # sigma of each row in [lo, hi-1] is the next row.
+    return y.ts.points[y.lo : y.hi], y.values[1:], delta_derivative(y, 1).values
 
 
 def eval_functional(L: Lagrangian, y: GridFunction) -> float:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tsnoether import cli
 from tsnoether.cli import main
 
 
@@ -124,6 +125,19 @@ class TestExitCodes:
         code, data, _ = run(tmp_path, "el", "--scale", "h:1:0:2", "--lagrangian", "dirichlet", "--csv", str(path))
         assert code == 2 and data is None
         assert message in capsys.readouterr().err
+
+    def test_q_scale_overflow_named(self, capsys):
+        assert main(["scale", "--scale", "q:3:1:1000"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad scale spec 'q:3:1:1000': point 647 of the geometric scale, a*q**647, is not a finite float\n"
+
+    def test_path_window_above_zero(self, tmp_path):
+        # A path CSV that starts at t = 1 lives on the window [1, 5].
+        path = tmp_path / "y.csv"
+        path.write_text("t,y1\n" + "".join(f"{t}.0,{2 * t}.0\n" for t in range(1, 6)))
+        code, data, _ = run(tmp_path, "el", "--scale", "h:1:0:5", "--lagrangian", "dirichlet", "--csv", str(path))
+        assert code == 0
+        assert data["sections"][0]["domain"] == [1, 3] and data["sections"][0]["sup_norm"] == 0.0
 
     def test_verdict_failure_exits_one(self, tmp_path):
         fam = write_pairdiff_family(tmp_path, broken=True)
@@ -276,8 +290,40 @@ class TestDeterminism:
         _, fat, _ = run(tmp_path, "check-noether", "--scale", "h:1:0:10",
                         "--lagrangian", "pair-difference", "--family", str(fam),
                         "--verbose", name="fat.json")
+        _, slim_again, _ = run(tmp_path, "check-noether", "--scale", "h:1:0:10",
+                               "--lagrangian", "pair-difference", "--family", str(fam),
+                               name="slim_again.json")
         assert "per_point" not in slim["sections"][0]
         assert "per_point" in fat["sections"][0]
+        assert slim_again == slim
+
+
+class TestOneParser:
+    """main builds its parser once per process; no call leaves state that
+    changes the next one (for --verbose, see test_verbose_adds_per_point)."""
+
+    CHECK = ["check-noether", "--scale", "h:1:0:10", "--lagrangian", "pair-difference", "--family", "pairdiff"]
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_out_does_not_stick(self, tmp_path, capsys):
+        code, data, out = run(tmp_path, *self.CHECK)
+        assert code == 0 and out.exists()
+        capsys.readouterr()
+        assert main(self.CHECK) == 0
+        assert json.loads(capsys.readouterr().out) == data
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.CHECK, "--no-such-option"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["el", "--scale", "h:1:0:5"])
+        assert "required: --lagrangian" in capsys.readouterr().err
+        code, data, _ = run(tmp_path, *self.CHECK, "--seed", "3")
+        assert code == 0 and data["command"] == "check-noether" and data["seed"] == 3
 
 
 class TestFamilyCoefficientForms:

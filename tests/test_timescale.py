@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsnoether import (
@@ -291,6 +291,37 @@ def test_linearity_of_derivative_and_integral(coeffs, alpha, beta):
     assert delta_integral(combo)[0] == pytest.approx(
         alpha * delta_integral(f)[0] + beta * delta_integral(g)[0], abs=1e-9
     )
+
+
+def sequential_q_points(q, a, count):
+    """a, a*q, (a*q)*q, ...: one Python float product per point."""
+    pts = [a]
+    for _ in range(count - 1):
+        pts.append(pts[-1] * q)
+    return np.array(pts)
+
+
+@given(
+    q=st.floats(1.0, 4.0, exclude_min=True),
+    a=st.floats(1e-3, 1e3),
+    count=st.integers(2, 20_000),
+)
+@example(q=1.1, a=0.3, count=2)
+@example(q=1.1, a=0.3, count=3)
+@example(q=3.0, a=1.0, count=1000)
+@settings(max_examples=100, deadline=None)
+def test_q_geometric_equals_sequential_products(q, a, count):
+    ref = sequential_q_points(q, a, count)
+    bad = np.flatnonzero(~np.isfinite(ref))
+    if bad.size == 0:
+        assert np.array_equal(q_geometric(q, a, count).points, ref)
+        return
+    # Past the largest float the scale is refused at its first infinite
+    # point; the points before it are still the sequential products.
+    with pytest.raises(ValueError, match=f"point {bad[0]} of the geometric scale"):
+        q_geometric(q, a, count)
+    if bad[0] >= 2:
+        assert np.array_equal(q_geometric(q, a, int(bad[0])).points, ref[: bad[0]])
 
 
 class TestGridFunction:

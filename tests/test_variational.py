@@ -76,6 +76,13 @@ class TestFunctional:
         y = GridFunction.from_callable(ts, lambda t: t)
         assert eval_functional(L, y) == 6.0
 
+    def test_window_above_zero_reads_next_row(self):
+        # L = u sums y(sigma(t)) * mu over [2, 5]: 3^2 + 4^2 + 5^2 + 6^2.
+        ts = h_uniform(1.0, 0, 6)
+        L = Lagrangian(n=1, eval=lambda t, u, v: float(u[0]))
+        y = GridFunction(ts, 2, ts.points[2:] ** 2)
+        assert eval_functional(L, y) == 86.0
+
     def test_dimension_mismatch(self):
         ts = h_uniform(1.0, 0, 3)
         y = GridFunction(ts, 0, np.zeros((4, 2)))
@@ -250,6 +257,52 @@ class TestOnePathSample:
         y = GridFunction(ts, 0, np.random.default_rng(1).uniform(-1, 1, (len(ts), 2)))
         for w, gf in zip("tuvL", lagrangian_along(L, y, *"tuvL")):
             assert np.array_equal(gf.values, lagrangian_along(L, y, w).values)
+
+
+class TestPathWindowAboveZero:
+    """Paths whose window starts above index 0 against a per-point reference:
+    at each i in [lo, hi-1] the arguments are t_i, y(i+1) and
+    (y(i+1) - y(i)) / mu_i."""
+
+    @staticmethod
+    def reference(L, y):
+        t = y.ts.points
+        rows = range(y.lo, y.hi)
+        mu = np.array([t[i + 1] - t[i] for i in rows])
+        args = [(t[i], y.at(i + 1), (y.at(i + 1) - y.at(i)) / (t[i + 1] - t[i])) for i in rows]
+        lt, lu, lv, lval = (np.array([per_point_sample(L, w, *arg) for arg in args]) for w in "tuvL")
+        el = lu[:-1] - (lv[1:] - lv[:-1]) / mu[:-1, None]
+        inner = np.array([lval[k] - np.sum(args[k][2] * lv[k]) - mu[k] * lt[k] for k in range(len(args))])
+        second = lt[:-1] - (inner[1:] - inner[:-1]) / mu[:-1]
+        return lu, lv, el, second
+
+    @pytest.mark.parametrize("kind", ["h", "q", "explicit"])
+    @pytest.mark.parametrize("lo", [1, 4])
+    @pytest.mark.parametrize("density", ["quad", "rational"])
+    def test_expressions_match_per_point_reference(self, kind, lo, density):
+        rng = np.random.default_rng(lo)
+        ts = differential_scale(kind, 12, rng)
+        if density == "quad":
+            fast, slow = catalog("quad:2:0.5:0.3:0.2"), per_point_quadratic(2, 0.5, 0.3, 0.2)
+        else:
+            fast, slow = rational_density(2, True), rational_density(2, False)
+        y = GridFunction(ts, lo, rng.uniform(-2, 2, (len(ts) - lo - 1, 2)))
+        eta = GridFunction(ts, lo, rng.uniform(-2, 2, (len(ts) - lo - 1, 2)))
+        lu, lv, el, second = self.reference(slow, y)
+        t = ts.points
+        pairing = sum(
+            (t[i + 1] - t[i]) * (lu[k] @ eta.at(i + 1) + lv[k] @ ((eta.at(i + 1) - eta.at(i)) / (t[i + 1] - t[i])))
+            for k, i in enumerate(range(y.lo, y.hi))
+        )
+        for L in (fast, slow):
+            pu, pv = lagrangian_along(L, y, "u", "v")
+            assert pu.window == (lo, y.hi - 1)
+            assert np.array_equal(pu.values, lu) and np.array_equal(pv.values, lv)
+            e = el_expressions(L, y)
+            assert e.window == (lo, y.hi - 2) and np.array_equal(e.values, el)
+            e2 = second_el_expression(L, y)
+            assert e2.window == (lo, y.hi - 2) and np.array_equal(e2.values[:, 0], second)
+            assert variation_pairing(L, y, eta) == pytest.approx(pairing, rel=1e-12, abs=1e-12)
 
 
 class TestSolver:
