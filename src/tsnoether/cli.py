@@ -196,19 +196,22 @@ def _builtin_family(name: str, ts: TimeScale):
     return None
 
 
-def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> GridFunction:
+def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
     t = ts.points[lo : hi + 1]
     if isinstance(spec, (int, float)):
         vals = np.full(t.size, float(spec))
     elif isinstance(spec, dict) and "poly" in spec:
         vals = np.polynomial.polynomial.polyval(t, [float(c) for c in spec["poly"]])
     elif isinstance(spec, dict) and "csv" in spec:
-        vals = read_csv(ts, spec["csv"]).restrict(lo, hi).values
+        c = read_csv(ts, spec["csv"]).restrict(lo, hi)
+        if c.n != 1:
+            raise ValueError(f"coefficient {name} must have one component")
+        vals = c.values[:, 0]
     else:
         raise ValueError(f"bad coefficient spec {spec!r}")
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"coefficient {name} is not finite")
-    return GridFunction(ts, lo, vals)
+    return vals
 
 
 def load_family(path_or_name: str, ts: TimeScale):
@@ -225,24 +228,24 @@ def load_family(path_or_name: str, ts: TimeScale):
     r, m, n = data["r"], data["m"], data["n"]
     lo, hi = 0, len(ts) - 1 - m
 
-    def row(spec, name: str) -> tuple:
+    def row(spec, name: str) -> list:
         """The m + 1 coefficients of one g[j][k] or f[j] entry."""
         if not isinstance(spec, list) or len(spec) != m + 1:
             raise ValueError(f"{name} must be a list of m + 1 = {m + 1} coefficient specs, got {spec!r}")
-        return tuple(_coeff_grid(ts, c, lo, hi, f"{name}[{i}]") for i, c in enumerate(spec))
+        return [_coeff_grid(ts, c, lo, hi, f"{name}[{i}]") for i, c in enumerate(spec)]
 
     g_spec = data["g"]
     if not isinstance(g_spec, list) or len(g_spec) != r or any(
         not isinstance(comp, list) or len(comp) != n for comp in g_spec
     ):
         raise ValueError("family table shape does not match r and n")
-    g = tuple(tuple(row(g_spec[j][k], f"g[{j}][{k}]") for k in range(n)) for j in range(r))
+    g = [[row(g_spec[j][k], f"g[{j}][{k}]") for k in range(n)] for j in range(r)]
     f = data.get("f")
     if f is not None:
         if not isinstance(f, list) or len(f) != r:
             raise ValueError(f"the f table needs one row per parameter (r = {r}), got {f!r}")
-        f = tuple(row(f[j], f"f[{j}]") for j in range(r))
-    return nt.GaugeFamily(g, f)
+        f = [row(f[j], f"f[{j}]") for j in range(r)]
+    return nt.GaugeFamily(ts, lo, g, f)
 
 
 def _cmd_scale(args):
@@ -341,7 +344,7 @@ def load_family2d(path_or_name: str, grid: mg.GridD):
         data = json.load(fh)
     if not isinstance(data, dict) or "a" not in data:
         raise ValueError(f"{path_or_name}: a d-D family file needs an \"a\" coefficient table")
-    return mg.GaugeFamilyD.constant(grid, data["a"])
+    return mg.GaugeFamilyD(grid, data["a"])
 
 
 # Points per axis that check2d and em need: the identity takes three
@@ -386,18 +389,18 @@ def _cmd_em(args):
     fam = em_mod.em_gauge_family(grid)
 
     def pair(trial: int) -> tuple[float, float]:
-        F_t = em_mod.random_em_field(grid, seed=[args.seed, 1, trial])
+        A = em_mod.random_em_field(grid, seed=[args.seed, 1, trial])
         p = mg.random_polynomial_field(grid, seed=[args.seed, 2, trial])
         # The family subtracts the quotient; -p adds it, as the golden reports pin.
-        F_g = em_mod.EMField(grid, mg.transform_d(fam, -p, F_t.A))
-        return em_mod.em_functional(F_t), em_mod.em_functional(F_g)
+        return em_mod.em_functional(A), em_mod.em_functional(mg.transform_d(fam, -p, A))
 
     gauge_rep = ResidualReport.from_trials((0, args.trials - 1), args.trials, pair, 1e-12)
-    F = em_mod.random_em_field(grid, seed=[args.seed, 1])
-    ident = mg.noether_identity_d(em_mod.em_lagrangian(), fam, F.A, tolerance=args.tol)
-    FL = em_mod.lorentz_field(grid)
-    lorentz = em_mod.em_lorentz_check(FL, tolerance=1e-10)
-    wave = em_mod.em_wave_reduction_residual(FL, tolerance=args.tol)
+    ident = mg.noether_identity_d(
+        em_mod.em_lagrangian(), fam, em_mod.random_em_field(grid, seed=[args.seed, 1]), tolerance=args.tol
+    )
+    A = em_mod.lorentz_field(grid)
+    lorentz = em_mod.em_lorentz_check(A, tolerance=1e-10)
+    wave = em_mod.em_wave_reduction_residual(A, tolerance=args.tol)
     sections = [
         _section("gauge-invariance", gauge_rep, args.verbose),
         _section("identity", ident, args.verbose),

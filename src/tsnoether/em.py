@@ -1,6 +1,7 @@
 """Electromagnetic density on a 4-d lattice of time scales.
 
-Axis 0 is time, axes 1..3 are space.  The density is a LagrangianD on the
+Axis 0 is time, axes 1..3 are space, and the potentials are a tuple
+(A_0, A_1, A_2, A_3) of FieldD on one grid.  The density is a LagrangianD on the
 shifted argument pattern of multigrid: with G[j, k] the axis-j quotient of
 A_k taken with sigma on every other axis, the field strength entries are
 the antisymmetric differences G[j, k] - G[k, j], and the density is
@@ -19,7 +20,6 @@ operator applied to A_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -36,22 +36,6 @@ from .multigrid import (
     partial_delta,
     shift_all_except,
 )
-
-
-@dataclass(frozen=True)
-class EMField:
-    """Four potential components on one 4-d grid."""
-
-    grid: GridD
-    A: tuple
-
-    def __post_init__(self):
-        if self.grid.d != 4 or len(self.A) != 4:
-            raise ValueError("need a 4-d grid and 4 components")
-        for a in self.A:
-            if not a.grid.same_as(self.grid):
-                raise ValueError("components must share the grid")
-        object.__setattr__(self, "A", tuple(self.A))
 
 
 # Field strength index pairs appearing in the density: electric (i, 0) and
@@ -87,29 +71,21 @@ def em_lagrangian() -> LagrangianD:
     return LagrangianD(d=4, n=4, density=density, d_u=d_u, d_g=d_g)
 
 
-def em_functional(F: EMField) -> float:
-    return functional_d(em_lagrangian(), F.A)
+def em_functional(A: tuple) -> float:
+    return functional_d(em_lagrangian(), A)
 
 
 def em_gauge_family(grid: GridD) -> GaugeFamilyD:
     """The Maxwell gauge A_k - (Delta_k p)^rho_k as a gauge family: a0 = 0
     and the axis-k coefficient of component k equal to minus one."""
-    return GaugeFamilyD.constant(grid, [[-1.0 if i == 1 + k else 0.0 for i in range(5)] for k in range(4)])
+    return GaugeFamilyD(grid, [[-1.0 if i == 1 + k else 0.0 for i in range(5)] for k in range(4)])
 
 
-def em_el_expressions(F: EMField) -> tuple:
-    return el_expressions_d(em_lagrangian(), F.A)
-
-
-def _div_spatial(F: EMField) -> FieldD:
-    return reduce(add, (partial_delta(F.A[i], i) for i in (1, 2, 3)))
-
-
-def em_lorentz_check(F: EMField, tolerance: float = 1e-10) -> ResidualReport:
+def em_lorentz_check(A: tuple, tolerance: float = 1e-10) -> ResidualReport:
     """Residual of div A = dA_0/dt at the four shifted argument patterns
     (sigma on every axis except one in turn)."""
-    div = _div_spatial(F)
-    dA0 = partial_delta(F.A[0], 0)
+    div = reduce(add, (partial_delta(A[i], i) for i in (1, 2, 3)))
+    dA0 = partial_delta(A[0], 0)
     per = []
     domain = None
     for k in range(4):
@@ -119,7 +95,7 @@ def em_lorentz_check(F: EMField, tolerance: float = 1e-10) -> ResidualReport:
     return ResidualReport.from_per_point(domain, np.concatenate(per), tolerance)
 
 
-def em_wave_form(F: EMField) -> tuple:
+def em_wave_form(A: tuple) -> tuple:
     """The wave operator each Euler-Lagrange expression equals under the
     Lorentz conditions: the second time quotient at (t0, sigma...) minus the
     spatial operator sum_i d^2/dx_i^2 at (sigma on all axes but i).
@@ -130,7 +106,7 @@ def em_wave_form(F: EMField) -> tuple:
     cross terms cancel with opposite orientations for k = 0 and k > 0).
     """
     out = []
-    for k, A_k in enumerate(F.A):
+    for k, A_k in enumerate(A):
         wave = shift_all_except(partial_delta(partial_delta(A_k, 0), 0), 0)
         for i in (1, 2, 3):
             wave = wave - shift_all_except(partial_delta(partial_delta(A_k, i), i), i)
@@ -138,11 +114,11 @@ def em_wave_form(F: EMField) -> tuple:
     return tuple(out)
 
 
-def em_wave_reduction_residual(F: EMField, tolerance: float = 1e-9) -> ResidualReport:
+def em_wave_reduction_residual(A: tuple, tolerance: float = 1e-9) -> ResidualReport:
     """Gap between the Euler-Lagrange expressions and the wave form; small
     only when the Lorentz conditions hold."""
-    es = em_el_expressions(F)
-    waves = em_wave_form(F)
+    es = el_expressions_d(em_lagrangian(), A)
+    waves = em_wave_form(A)
     per = []
     domain = None
     for e, w in zip(es, waves):
@@ -158,17 +134,16 @@ def default_lattice(points_per_axis: int = 6) -> GridD:
     return GridD(tuple(h_uniform(1.0, 0.0, points_per_axis - 1.0) for _ in range(4)))
 
 
-def random_em_field(grid: GridD, seed, degree: int = 2, amplitude: float = 1.0) -> EMField:
+def random_em_field(grid: GridD, seed, degree: int = 2, amplitude: float = 1.0) -> tuple:
     from .multigrid import random_polynomial_field
 
-    comps = tuple(
+    return tuple(
         random_polynomial_field(grid, seed=[seed, k], degree=degree, amplitude=amplitude)
         for k in range(4)
     )
-    return EMField(grid, comps)
 
 
-def lorentz_field(grid: GridD) -> EMField:
+def lorentz_field(grid: GridD) -> tuple:
     """A field satisfying the continuity conditions exactly: A_0 = t0*t1,
     A_1 the axis-1 delta antiderivative of t1, A_2 = A_3 = 0, so that
     div A and dA_0/dt both equal t1 as fields."""
@@ -180,12 +155,4 @@ def lorentz_field(grid: GridD) -> EMField:
     anti = np.concatenate(([0.0], np.cumsum(grid.mu(1) * t1[:-1])))
     A1 = anti[None, :, None, None] * np.ones((shape[0], 1, shape[2], shape[3]))
     lo = (0, 0, 0, 0)
-    return EMField(
-        grid,
-        (
-            FieldD(grid, lo, A0),
-            FieldD(grid, lo, A1),
-            FieldD(grid, lo, zeros),
-            FieldD(grid, lo, zeros),
-        ),
-    )
+    return (FieldD(grid, lo, A0), FieldD(grid, lo, A1), FieldD(grid, lo, zeros), FieldD(grid, lo, zeros))

@@ -331,11 +331,6 @@ class GaugeFamilyD:
     def n(self) -> int:
         return len(self.a)
 
-    @staticmethod
-    def constant(grid: GridD, table) -> "GaugeFamilyD":
-        """table[k] = (a0, a1, ..., ad) constants."""
-        return GaugeFamilyD(grid, table)
-
 
 def _gauge_sum(row, term) -> FieldD | None:
     """Sum of term(i, row[i]) over the coefficients that are not zero (of
@@ -547,7 +542,7 @@ def builtin_family2d(name: str, grid: GridD) -> GaugeFamilyD | None:
     """grad2 adds the axis-j quotient of the parameter to component j;
     grad2-broken scales the axis-0 term by 1.1.  None for other names."""
     if name == "grad2":
-        return GaugeFamilyD.constant(grid, [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+        return GaugeFamilyD(grid, [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
     if name == "grad2-broken":
-        return GaugeFamilyD.constant(grid, [(0.0, 1.1, 0.0), (0.0, 0.0, 1.0)])
+        return GaugeFamilyD(grid, [(0.0, 1.1, 0.0), (0.0, 0.0, 1.0)])
     return None

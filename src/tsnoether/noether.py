@@ -33,6 +33,7 @@ from .report import ResidualReport
 from .timescale import (
     GridFunction,
     TimeScale,
+    _frozen,
     delta_derivative,
     explicit_scale,
     mixed,
@@ -47,71 +48,51 @@ from .variational import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugeFamily:
     """Coefficient tables for a gauge transformation family.
 
-    g[j][k][i] is the coefficient multiplying the i-th order term of
-    parameter j in component k; the optional f[j][i] plays the same role
-    for the time reparametrization.  All coefficients are grid functions
-    sharing one scale and one window (the interval the identity lives on).
+    g[j, k, i] holds the samples, on the family window starting at index lo
+    of the scale ts, of the coefficient multiplying the i-th order term of
+    parameter j in component k; the optional f[j, i] plays the same role for
+    the time reparametrization.  The window is the interval the identity
+    lives on.  Both tables are stored as read-only float arrays.
     """
 
-    g: tuple
-    f: tuple | None = None
+    ts: TimeScale
+    lo: int
+    g: np.ndarray
+    f: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.g or not self.g[0] or not self.g[0][0]:
-            raise ValueError("empty coefficient table")
-        g = tuple(tuple(tuple(row) for row in comp) for comp in self.g)
-        object.__setattr__(self, "g", g)
-        m1 = len(g[0][0])
-        ts = g[0][0][0].ts
-        lo, hi = g[0][0][0].window
-        for comp in g:
-            if len(comp) != len(g[0]):
-                raise ValueError("ragged coefficient table")
-            for row in comp:
-                if len(row) != m1:
-                    raise ValueError("ragged coefficient table")
-                for c in row:
-                    if c.n != 1 or not c.ts.same_as(ts) or c.window != (lo, hi):
-                        raise ValueError("coefficients must share scale and window")
+        g = np.asarray(self.g, dtype=float)
+        if g.ndim != 4 or 0 in g.shape:
+            raise ValueError(f"g must be a nonempty [parameter][component][order][point] table, got shape {g.shape}")
+        if self.lo < 0 or self.lo + g.shape[3] > len(self.ts):
+            raise ValueError(f"the window of {g.shape[3]} points at {self.lo} does not fit inside the scale")
+        object.__setattr__(self, "g", _frozen(g))
         if self.f is not None:
-            f = tuple(tuple(row) for row in self.f)
-            object.__setattr__(self, "f", f)
-            if len(f) != len(g):
-                raise ValueError("f table must have one row per parameter")
-            for row in f:
-                if len(row) != m1:
-                    raise ValueError("f table order differs from g")
-                for c in row:
-                    if c.n != 1 or not c.ts.same_as(ts) or c.window != (lo, hi):
-                        raise ValueError("coefficients must share scale and window")
+            f = np.asarray(self.f, dtype=float)
+            want = (g.shape[0],) + g.shape[2:]
+            if f.shape != want:
+                raise ValueError(f"f must be a [parameter][order][point] table of shape {want}, got {f.shape}")
+            object.__setattr__(self, "f", _frozen(f))
 
     @property
     def r(self) -> int:
-        return len(self.g)
+        return self.g.shape[0]
 
     @property
     def n(self) -> int:
-        return len(self.g[0])
+        return self.g.shape[1]
 
     @property
     def m(self) -> int:
-        return len(self.g[0][0]) - 1
-
-    @property
-    def ts(self) -> TimeScale:
-        return self.g[0][0][0].ts
+        return self.g.shape[2] - 1
 
     @property
     def window(self) -> tuple[int, int]:
-        return self.g[0][0][0].window
-
-    @property
-    def has_time(self) -> bool:
-        return self.f is not None
+        return (self.lo, self.lo + self.g.shape[3] - 1)
 
     @staticmethod
     def constant(
@@ -120,28 +101,22 @@ class GaugeFamily:
         f=None,
         window: tuple[int, int] | None = None,
     ) -> "GaugeFamily":
-        """Build a family from nested constant tables g[j][k][i] (and f[j][i])."""
+        """Build a family from nested constant tables g[j][k][i] (and f[j][i]),
+        each entry held along the whole window."""
         g = np.asarray(g, dtype=float)
         if g.ndim != 3:
             raise ValueError("g must be indexed [parameter][component][order]")
-        m = g.shape[2] - 1
-        lo, hi = window if window is not None else (0, len(ts) - 1 - m)
-        npts = hi - lo + 1
+        lo, hi = window if window is not None else (0, len(ts) - g.shape[2])
 
-        def const_gf(c: float) -> GridFunction:
-            return GridFunction(ts, lo, np.full((npts, 1), c))
+        def along(table: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(table[..., None], table.shape + (hi - lo + 1,))
 
-        g_t = tuple(
-            tuple(tuple(const_gf(g[j, k, i]) for i in range(m + 1)) for k in range(g.shape[1]))
-            for j in range(g.shape[0])
-        )
-        f_t = None
         if f is not None:
             f = np.asarray(f, dtype=float)
-            if f.shape != (g.shape[0], m + 1):
+            if f.shape != (g.shape[0], g.shape[2]):
                 raise ValueError("f must be indexed [parameter][order]")
-            f_t = tuple(tuple(const_gf(f[j, i]) for i in range(m + 1)) for j in range(g.shape[0]))
-        return GaugeFamily(g_t, f_t)
+            f = along(f)
+        return GaugeFamily(ts, lo, along(g), f)
 
 
 @dataclass(frozen=True)
@@ -160,28 +135,27 @@ class GaugeParams:
         object.__setattr__(self, "p", p)
 
 
-def _term_sum(coeffs, p: GridFunction, m: int) -> GridFunction:
-    return reduce(add, (c * mixed(p, m - i - 1, i) for i, c in enumerate(coeffs)))
-
-
-def gauge_term(fam: GaugeFamily, params: GaugeParams, k: int, j: int) -> GridFunction:
-    """The contribution of parameter j to component k, on the family window."""
-    total = _term_sum(fam.g[j][k], params.p[j], fam.m)
+def _term_sum(fam: GaugeFamily, row: np.ndarray, p: GridFunction) -> GridFunction:
+    """sum_i row[i] * p^(sigma^(m-i-1), delta^i) on the family window."""
+    total = reduce(
+        add, (GridFunction(fam.ts, fam.lo, c) * mixed(p, fam.m - i - 1, i) for i, c in enumerate(row))
+    )
     lo, hi = fam.window
     if total.lo > lo or total.hi < hi:
         raise ValueError("parameter window too small for the requested term")
     return total.restrict(lo, hi)
+
+
+def gauge_term(fam: GaugeFamily, params: GaugeParams, k: int, j: int) -> GridFunction:
+    """The contribution of parameter j to component k, on the family window."""
+    return _term_sum(fam, fam.g[j, k], params.p[j])
 
 
 def time_shift_term(fam: GaugeFamily, params: GaugeParams, j: int) -> GridFunction:
     """The contribution of parameter j to the time reparametrization."""
     if fam.f is None:
         raise ValueError("family has no time coefficients")
-    total = _term_sum(fam.f[j], params.p[j], fam.m)
-    lo, hi = fam.window
-    if total.lo > lo or total.hi < hi:
-        raise ValueError("parameter window too small for the requested term")
-    return total.restrict(lo, hi)
+    return _term_sum(fam, fam.f[j], params.p[j])
 
 
 def _perturbation(fam: GaugeFamily, params: GaugeParams, y: GridFunction) -> np.ndarray:
@@ -286,7 +260,7 @@ def noether_identity(
     E = el_expressions(L, y)
     reports = []
     for j in range(fam.r):
-        total = _identity_sum(fam.g[j], E, b1)
+        total = _identity_sum(fam, fam.g[j], E, b1)
         reports.append(ResidualReport.from_per_point(total.window, total.values, tolerance))
     return reports
 
@@ -306,20 +280,21 @@ def noether_identity_time(
     Es = second_el_expression(L, y)
     reports = []
     for j in range(fam.r):
-        total = _identity_sum(fam.g[j], E, b1)
-        if any(np.any(c.values != 0.0) for c in fam.f[j]):
-            extra = _identity_sum((fam.f[j],), Es, b1)
-            total = total + extra
+        total = _identity_sum(fam, fam.g[j], E, b1)
+        if np.any(fam.f[j] != 0.0):
+            total = total + _identity_sum(fam, fam.f[j][None], Es, b1)
         reports.append(ResidualReport.from_per_point(total.window, total.values, tolerance))
     return reports
 
 
-def _identity_sum(comp_tables, E: GridFunction, b1: float) -> GridFunction:
-    def term(k: int, i: int, g: GridFunction) -> GridFunction:
-        t = shift(g, 1) * E.component(k)
+def _identity_sum(fam: GaugeFamily, table: np.ndarray, E: GridFunction, b1: float) -> GridFunction:
+    """The identity's terms for one parameter: table[k, i] pairs with E's
+    component k at order i."""
+    def term(k: int, i: int, row: np.ndarray) -> GridFunction:
+        t = shift(GridFunction(fam.ts, fam.lo, row), 1) * E.component(k)
         return _identity_weight(b1, i) * (delta_derivative(t, i) if i else t)
 
-    return reduce(add, (term(k, i, g) for k, row in enumerate(comp_tables) for i, g in enumerate(row)))
+    return reduce(add, (term(k, i, row) for k, rows in enumerate(table) for i, row in enumerate(rows)))
 
 
 def second_el_via_reparametrization(L: Lagrangian, y: GridFunction) -> GridFunction:
@@ -372,8 +347,8 @@ def identity_lhs_h_calculus(L: Lagrangian, g_funcs, t: np.ndarray, y: np.ndarray
 def _el_uniform(L: Lagrangian, t: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
     u = y[1:]
     v = (y[1:] - y[:-1]) / h
-    pu = np.array([L.partial_u(tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
-    pv = np.array([L.partial_v(tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
+    pu = np.array([L.at("u", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
+    pv = np.array([L.at("v", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
     return pu[:-1] - (pv[1:] - pv[:-1]) / h
 
 
@@ -382,8 +357,8 @@ def identity_lhs_q_calculus(L: Lagrangian, g_funcs, t: np.ndarray, y: np.ndarray
     y = np.atleast_2d(y.T).T
     u = y[1:]
     v = (y[1:] - y[:-1]) / ((q - 1) * t[:-1])[:, None]
-    pu = np.array([L.partial_u(tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
-    pv = np.array([L.partial_v(tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
+    pu = np.array([L.at("u", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
+    pv = np.array([L.at("v", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
     E = pu[:-1] - (pv[1:] - pv[:-1]) / ((q - 1) * t[:-2])[:, None]
     npts = E.shape[0]
     out = np.zeros(npts - m)

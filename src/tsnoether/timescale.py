@@ -157,6 +157,9 @@ def real_approx(h: float, a: float, b: float) -> TimeScale:
 
 
 def _uniform(h: float, a: float, b: float, kind: str) -> TimeScale:
+    bad = [f"{name}={v}" for name, v in (("h", h), ("a", a), ("b", b)) if not np.isfinite(v)]
+    if bad:
+        raise ValueError(f"h, a and b must be finite, got {', '.join(bad)}")
     if h <= 0:
         raise ValueError("step h must be positive")
     if b <= a:

@@ -9,7 +9,6 @@ discrete Euler-Lagrange boundary value problems by damped Newton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partialmethod
 from typing import Callable
 
 import numpy as np
@@ -85,10 +84,6 @@ class Lagrangian:
         "u" and "v".  The per-point oracles read the density through this."""
         row = self.sample(which, np.array([t], dtype=float), np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0]
         return float(row) if which in ("L", "t") else row
-
-    partial_t = partialmethod(at, "t")
-    partial_u = partialmethod(at, "u")
-    partial_v = partialmethod(at, "v")
 
     def self_check(self, seed: int = 0, trials: int = 20, rtol: float = 1e-6) -> float:
         """Worst relative gap between analytic partials and central differences

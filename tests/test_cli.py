@@ -131,6 +131,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: bad scale spec 'q:3:1:1000': point 647 of the geometric scale, a*q**647, is not a finite float\n"
 
+    @pytest.mark.parametrize(
+        "spec, named", [("real:0.5:0:inf", "b=inf"), ("h:1:-inf:0", "a=-inf")], ids=["real-b", "h-a"]
+    )
+    def test_infinite_uniform_bound_named(self, capsys, spec, named):
+        assert main(["scale", "--scale", spec]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad scale spec {spec!r}: h, a and b must be finite, got {named}\n"
+
     def test_path_window_above_zero(self, tmp_path):
         # A path CSV that starts at t = 1 lives on the window [1, 5].
         path = tmp_path / "y.csv"
@@ -371,6 +379,19 @@ class TestFamilyCoefficientForms:
                      "--family", str(fam_path)])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_csv_coefficient_with_two_components_named(self, tmp_path, capsys):
+        import tsnoether as tn
+
+        ts = tn.parse_scale_spec("h:1:0:9")
+        coeff_path = tmp_path / "g00.csv"
+        tn.write_csv(tn.GridFunction(ts, 0, np.ones((10, 2))), coeff_path)
+        fam_path = tmp_path / "two.json"
+        fam_path.write_text(json.dumps({"r": 1, "m": 0, "n": 2, "g": [[[{"csv": str(coeff_path)}], [1.0]]]}))
+        code = main(["check-noether", "--scale", "h:1:0:9", "--lagrangian", "pair-difference",
+                     "--family", str(fam_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: coefficient g[0][0][0] must have one component\n"
 
     def test_bad_coefficient_spec(self, tmp_path):
         fam_path = tmp_path / "bad.json"

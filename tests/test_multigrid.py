@@ -202,7 +202,7 @@ class TestEulerLagrangeD:
 class TestGaugeOperators:
     def test_multiplicative_self_adjoint(self):
         g = grid_z2(5, 5)
-        fam = GaugeFamilyD.constant(g, [(1.0, 0.0, 0.0)])
+        fam = GaugeFamilyD(g, [(1.0, 0.0, 0.0)])
         p = random_polynomial_field(g, seed=2)
         q = random_polynomial_field(g, seed=3)
         tp = gauge_field(fam, p, 0)
@@ -212,7 +212,7 @@ class TestGaugeOperators:
 
     def test_backward_difference_and_transpose_on_integers(self):
         g = grid_z2(5, 5)
-        fam = GaugeFamilyD.constant(g, [(0.0, 1.0, 0.0)])
+        fam = GaugeFamilyD(g, [(0.0, 1.0, 0.0)])
         p = random_polynomial_field(g, seed=4)
         tp = gauge_field(fam, p, 0)
         pv = p.values
@@ -225,18 +225,18 @@ class TestGaugeOperators:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_family_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match=r"coefficient a\[1\]\[2\] is not finite"):
-            GaugeFamilyD.constant(grid_z2(), [(0.0, 1.0, 0.0), (0.0, 0.0, bad)])
+            GaugeFamilyD(grid_z2(), [(0.0, 1.0, 0.0), (0.0, 0.0, bad)])
 
     def test_family_rows_are_floats(self):
-        fam = GaugeFamilyD.constant(grid_z2(), [(0, 1, -0.0)])
+        fam = GaugeFamilyD(grid_z2(), [(0, 1, -0.0)])
         assert fam.a == ((0.0, 1.0, -0.0),) and all(type(c) is float for c in fam.a[0])
         with pytest.raises(ValueError, match="1 \\+ d coefficients"):
-            GaugeFamilyD.constant(grid_z2(), [(0.0, 1.0)])
+            GaugeFamilyD(grid_z2(), [(0.0, 1.0)])
 
     @pytest.mark.parametrize("grid", [grid_z2(5, 5), grid_mixed()])
     def test_adjoint_pairing(self, grid):
         rng = np.random.default_rng(6)
-        fam = GaugeFamilyD.constant(grid, [(0.4, -1.1, 0.8)])
+        fam = GaugeFamilyD(grid, [(0.4, -1.1, 0.8)])
         pv = np.zeros(grid.shape)
         pv[2:-2, 2:-2] = rng.uniform(-1, 1, tuple(max(n - 4, 0) for n in grid.shape))
         if pv[2:-2, 2:-2].size == 0:
@@ -251,7 +251,7 @@ class TestNoetherIdentityD:
     def curl_setup(self, grid, broken=False):
         L = catalog2d("curl2")
         fam_name = [(0.0, 1.1 if broken else 1.0, 0.0), (0.0, 0.0, 1.0)]
-        fam = GaugeFamilyD.constant(grid, fam_name)
+        fam = GaugeFamilyD(grid, fam_name)
         u = tuple(random_polynomial_field(grid, seed=[8, k], degree=2) for k in range(2))
         return L, fam, u
 
@@ -273,7 +273,7 @@ class TestNoetherIdentityD:
     def test_zero_family_zero_residual(self):
         grid = grid_z2(5, 5)
         L = catalog2d("curl2")
-        fam = GaugeFamilyD.constant(grid, [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
+        fam = GaugeFamilyD(grid, [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
         u = tuple(random_polynomial_field(grid, seed=[9, k]) for k in range(2))
         assert noether_identity_d(L, fam, u).sup_norm == 0.0
 
@@ -358,7 +358,7 @@ class TestThreeAxes:
     def test_gauge_adjoint_pairing(self):
         g = self.grid3()
         rng = np.random.default_rng(30)
-        fam = GaugeFamilyD.constant(g, [(0.5, 1.0, -0.4, 0.9)])
+        fam = GaugeFamilyD(g, [(0.5, 1.0, -0.4, 0.9)])
         pv = np.zeros(g.shape)
         pv[2, 2, 2] = 1.3
         p = FieldD(g, (0, 0, 0), pv)
@@ -639,7 +639,7 @@ def test_kernels_bitwise_equal_earlier_copies(d, scales, n, seed, degree, amplit
     for f in fields:
         assert multi_integral(f) == earlier_multi_integral(f)
     L = density_d(d, n)
-    fam = GaugeFamilyD.constant(grid, [tuple(0.5 * (j == k) + 0.25 for j in range(d + 1)) for k in range(n)])
+    fam = GaugeFamilyD(grid, [tuple(0.5 * (j == k) + 0.25 for j in range(d + 1)) for k in range(n)])
     p = random_polynomial_field(grid, [seed, 9], amplitude=0.1)
     for args in (u, tuple(shift_axis(f, d - 1, -1) for f in u), transform_d(fam, p, u)):
         assert functional_d(L, args) == fieldwise_functional_d(L, args)
@@ -830,7 +830,7 @@ def test_fused_slots_bitwise_equal_field_path(d, scales, n, analytic, seed, data
     u = tuple(u)
     coeff = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.375, -2.5])
     table = [tuple(data.draw(coeff, label=f"a{k}") for _ in range(d + 1)) for k in range(n)]
-    fam, fields = GaugeFamilyD.constant(grid, table), ConstantFieldFamily(grid, table)
+    fam, fields = GaugeFamilyD(grid, table), ConstantFieldFamily(grid, table)
     L = density_with_partials(d, n, analytic)
     p = random_polynomial_field(grid, [seed, 9], amplitude=0.1)
 

@@ -46,6 +46,44 @@ def random_path(ts, n, seed, lo=0, hi=None):
     return GridFunction(ts, lo, rng.uniform(-1, 1, (hi - lo + 1, n)))
 
 
+class TestGaugeFamily:
+    def test_constant_tables_are_read_only_arrays_along_the_window(self, count_copies):
+        from tsnoether import timescale
+
+        ts = h_uniform(1.0, 0, 6)
+        fam = GaugeFamily.constant(ts, [[[0.5, -1.0]], [[2.0, 0.0]]], f=[[0.1, 0.2], [0.0, 0.3]])
+        assert (fam.r, fam.n, fam.m, fam.window) == (2, 1, 1, (0, 5))
+        assert fam.g.shape == (2, 1, 2, 6) and fam.f.shape == (2, 2, 6)
+        assert not fam.g.flags.writeable and not fam.f.flags.writeable
+        assert np.all(fam.g[0, 0, 1] == -1.0) and np.all(fam.f[1, 1] == 0.3)
+        # A row is a view of the read-only table, so wrapping it copies nothing.
+        with count_copies(timescale) as copies:
+            row = GridFunction(fam.ts, fam.lo, fam.g[1, 0, 0])
+        assert copies == [] and row.window == fam.window
+
+    def test_caller_table_is_copied(self):
+        ts = h_uniform(1.0, 0, 4)
+        g = np.ones((1, 1, 1, 3))
+        fam = GaugeFamily(ts, 1, g)
+        g[:] = 7.0
+        assert fam.window == (1, 3) and np.all(fam.g == 1.0)
+
+    @pytest.mark.parametrize("g", [np.ones((1, 1, 5)), np.ones((1, 1, 1, 1, 5)), np.ones((1, 0, 1, 5))])
+    def test_rejects_g_that_is_not_a_nonempty_4d_table(self, g):
+        with pytest.raises(ValueError, match=r"g must be a nonempty \[parameter\]\[component\]\[order\]\[point\] table"):
+            GaugeFamily(h_uniform(1.0, 0, 4), 0, g)
+
+    @pytest.mark.parametrize("f_shape", [(1, 2), (2, 2, 5), (1, 1, 5), (1, 2, 4)])
+    def test_rejects_f_that_is_not_parameter_order_point(self, f_shape):
+        with pytest.raises(ValueError, match=r"f must be a \[parameter\]\[order\]\[point\] table of shape \(1, 2, 5\)"):
+            GaugeFamily(h_uniform(1.0, 0, 5), 0, np.ones((1, 1, 2, 5)), np.ones(f_shape))
+
+    @pytest.mark.parametrize("lo, npts", [(1, 5), (0, 6), (-1, 3)])
+    def test_rejects_window_past_the_scale(self, lo, npts):
+        with pytest.raises(ValueError, match=f"the window of {npts} points at {lo} does not fit inside the scale"):
+            GaugeFamily(h_uniform(1.0, 0, 4), lo, np.ones((1, 1, 1, npts)))
+
+
 class TestGaugeTerm:
     def test_order_zero_unit_coefficient_is_rho_shift(self):
         ts = h_uniform(1.0, 0, 6)
@@ -215,17 +253,7 @@ class TestNoetherIdentity:
         hi = len(ts) - 1 - m
         t = ts.points
         g_callables = [[(lambda c: (lambda tt: 1 + c * tt))(0.1 * (i + 1)) for i in range(m + 1)]]
-        g = tuple(
-            tuple(
-                tuple(
-                    GridFunction(ts, 0, g_callables[k][i](t[: hi + 1]))
-                    for i in range(m + 1)
-                )
-                for k in range(1)
-            )
-            for _ in range(1)
-        )
-        fam = GaugeFamily(g)
+        fam = GaugeFamily(ts, 0, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
         L = catalog("quad:1:0.5:0.3:0.1")
         y = random_path(ts, 1, seed=[15, m], hi=hi)
         generic = noether_identity(L, fam, y, tolerance=np.inf)[0].per_point[:, 0]
@@ -241,16 +269,7 @@ class TestNoetherIdentity:
         hi = len(ts) - 1 - m
         t = ts.points
         g_callables = [[(lambda c: (lambda tt: 1 + c * tt / 100))(0.3 * (i + 1)) for i in range(m + 1)]]
-        g = tuple(
-            tuple(
-                tuple(
-                    GridFunction(ts, 0, g_callables[0][i](t[: hi + 1])) for i in range(m + 1)
-                )
-                for _ in range(1)
-            )
-            for _ in range(1)
-        )
-        fam = GaugeFamily(g)
+        fam = GaugeFamily(ts, 0, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
         L = catalog("quad:1:0.5:0.3:0.1")
         y = random_path(ts, 1, seed=[16, m], hi=hi)
         generic = noether_identity(L, fam, y, tolerance=np.inf)[0].per_point[:, 0]
@@ -286,7 +305,7 @@ class TestNoetherIdentity:
             [(lambda c: (lambda tt: np.polynomial.polynomial.polyval(tt, c)))(coeffs[k, i]) for i in range(m + 1)]
             for k in range(n)
         ]
-        fam = GaugeFamily((tuple(tuple(GridFunction(ts, 0, g(t[: hi + 1])) for g in row) for row in g_callables),))
+        fam = GaugeFamily(ts, 0, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
         cv, cu, cuv = rng.uniform(0.2, 1.0), rng.uniform(-1, 1), rng.uniform(-1, 1)
         L = catalog(f"quad:{n}:{cv!r}:{cu!r}:{cuv!r}")
         y = GridFunction(ts, 0, rng.uniform(-1, 1, (hi + 1, n)))
