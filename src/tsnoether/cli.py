@@ -226,6 +226,8 @@ def load_family(path_or_name: str, ts: TimeScale):
     if not all(isinstance(data[key], int) and data[key] >= 0 for key in "rmn"):
         raise ValueError(f"{path_or_name}: r, m and n must be non-negative integers")
     r, m, n = data["r"], data["m"], data["n"]
+    if m >= len(ts):
+        raise ValueError(f"{path_or_name}: a family of order m = {m} needs more than {m} points, the scale has {len(ts)}")
     lo, hi = 0, len(ts) - 1 - m
 
     def row(spec, name: str) -> list:

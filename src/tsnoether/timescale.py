@@ -25,6 +25,9 @@ import numpy as np
 AFFINE_JUMP_RTOL = 1e-12
 # Rows that write_csv formats per write.
 CSV_BLOCK_ROWS = 1024
+# Most points a uniform or geometric scale spec may ask for: 100 times the
+# largest grid the solver sweeps are timed on (10^5), 80 MB of float points.
+MAX_POINTS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,11 +168,18 @@ def _uniform(h: float, a: float, b: float, kind: str) -> TimeScale:
     if b <= a:
         raise ValueError("need b > a")
     steps = (b - a) / h
+    _check_point_count(steps + 1)
     n = round(steps)
     if n < 1 or abs(steps - n) > 1e-9 * max(1.0, abs(steps)):
         raise ValueError("b - a must be a positive multiple of h")
     pts = a + h * np.arange(n + 1)
     return TimeScale(pts, kind=kind, condition_h=(1.0, h))
+
+
+def _check_point_count(npts: float) -> None:
+    """Refuse a scale of more than MAX_POINTS points before allocating it."""
+    if not npts <= MAX_POINTS:
+        raise ValueError(f"the scale would have {npts:.0f} points, more than the limit of {MAX_POINTS}")
 
 
 def q_geometric(q: float, a: float, count: int) -> TimeScale:
@@ -180,6 +190,7 @@ def q_geometric(q: float, a: float, count: int) -> TimeScale:
         raise ValueError("start a must be positive")
     if count < 2:
         raise ValueError("need at least 2 points")
+    _check_point_count(count)
     # Cumulative products keep sigma(t) == q*t exact in floating point;
     # accumulate takes them one after another, as a loop would.
     pts = np.full(count, float(q))

@@ -14,14 +14,16 @@ from typing import Callable
 import numpy as np
 
 from .report import ResidualReport
-from .timescale import GridFunction, TimeScale, delta_derivative, delta_integral, shift, window_integral
+from .timescale import GridFunction, TimeScale, _sealed, delta_derivative, delta_integral, forward_quotient, shift
+from .timescale import window_integral
 
 
 class ConvergenceError(RuntimeError):
     """Newton failed; carries the final residual sup-norm and the iteration
     history, one (residual sup after the step, damping scale) per Newton
     iteration.  An iteration whose Jacobian was singular took no step and
-    records its residual with scale 0.0."""
+    records its residual with scale 0.0; solve_extremal states when that
+    can happen."""
 
     def __init__(self, message: str, final_residual: float, history=()):
         super().__init__(message)
@@ -127,8 +129,13 @@ def _path_args(y: GridFunction):
     """Times, y(sigma(t)) and y_delta(t) on [lo, hi-1]."""
     if y.hi - y.lo < 1:
         raise ValueError("path window too small")
-    # sigma of each row in [lo, hi-1] is the next row.
-    return y.ts.points[y.lo : y.hi], y.values[1:], delta_derivative(y, 1).values
+    return _path_sample(y.times(), y.values)
+
+
+def _path_sample(pts: np.ndarray, vals: np.ndarray):
+    """Times, y(sigma(t)) and y_delta(t) of the samples vals at the points
+    pts, one row fewer than vals: sigma of each row is the next row."""
+    return pts[:-1], vals[1:], forward_quotient(vals, pts)
 
 
 def eval_functional(L: Lagrangian, y: GridFunction) -> float:
@@ -178,7 +185,14 @@ def el_expressions(L: Lagrangian, y: GridFunction) -> GridFunction:
     if y.hi - y.lo < 2:
         raise ValueError("need at least 3 points to form Euler-Lagrange expressions")
     pu, pv = lagrangian_along(L, y, "u", "v")
-    return pu.restrict(pu.lo, pu.hi - 1) - delta_derivative(pv, 1)
+    return GridFunction(y.ts, y.lo, _sealed(_el_values(pu.values, pv.values, pu.times())))
+
+
+def _el_values(pu: np.ndarray, pv: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """dL/du - (dL/dv)_delta from samples of L_u and L_v at the points pts,
+    one row fewer than the samples.  el_expressions and the Newton residual
+    of solve_extremal both take this arithmetic."""
+    return pu[:-1] - forward_quotient(pv, pts)
 
 
 def el_residual(L: Lagrangian, y: GridFunction, tolerance: float = 1e-8) -> ResidualReport:
@@ -218,7 +232,18 @@ def solve_extremal(
     endpoint rows pinned to the boundary data.
 
     Newton iteration with step halving (up to 20 times per step) when the
-    residual does not decrease.  Success means el sup-norm <= tol.
+    residual does not decrease.  Success means el sup-norm <= tol, the
+    residual being el_expressions' to the bit.  Each trial path is sampled
+    once, and the accepted one's samples also serve the next Jacobian
+    (see _jacobian_bands), which _cyclic_reduction solves in O(N n^3).
+
+    E_i reads y_i, y_{i+1} and y_{i+2} only, so the Jacobian J is block
+    tridiagonal.  E_i is (dS/dy_{i+1}) / mu_i for the action S, so J is
+    diag(mu)^-1 times the Hessian of S.  Cyclic reduction is block LU in
+    odd-even order without pivoting across blocks: its pivot blocks are
+    nonsingular whenever that Hessian is positive definite.  On an
+    indefinite Hessian it can report a singular Jacobian where a pivoted
+    dense LU would not.
     """
     n = L.n
     if boundary.alpha.size != n:
@@ -228,88 +253,127 @@ def solve_extremal(
         raise ValueError("scale too small for a boundary value problem")
     if y0 is None:
         lam = np.linspace(0.0, 1.0, npts)[:, None]
-        start = (1 - lam) * boundary.alpha[None, :] + lam * boundary.beta[None, :]
+        y = (1 - lam) * boundary.alpha[None, :] + lam * boundary.beta[None, :]
     else:
         if y0.lo != 0 or y0.hi != npts - 1 or y0.n != n:
             raise ValueError("y0 must cover the full scale with matching components")
         if not (np.allclose(y0.values[0], boundary.alpha) and np.allclose(y0.values[-1], boundary.beta)):
             raise ValueError("y0 does not satisfy the boundary data")
-        start = y0.values.copy()
-        start[0], start[-1] = boundary.alpha, boundary.beta
+        y = y0.values.copy()
+        y[0], y[-1] = boundary.alpha, boundary.beta
 
-    residual = _interior_residual(L, ts, start)
-    z = start[1:-1].ravel().copy()
-    r = residual(z)
+    pts, mu = ts.points, ts.mu_array()
+    path, r = _newton_sample(L, pts, y)
     rnorm = float(np.max(np.abs(r)))
     history: list[tuple[float, float]] = []
     for _ in range(max_iter):
         if rnorm <= tol:
             break
-        jac = _coloured_jacobian(residual, z, r, n)
         try:
-            step = np.linalg.solve(jac, -r)
+            step = _cyclic_reduction(*_jacobian_bands(L, path, mu), -r)
         except np.linalg.LinAlgError as exc:
             history.append((rnorm, 0.0))
             raise ConvergenceError(f"singular Jacobian: {exc}", rnorm, history) from exc
-        # Damping: halve until the residual norm decreases.
+        # Damping: halve until the residual norm decreases; after 20
+        # halvings the step at scale 2^-20 is taken as it is.
         scale = 1.0
-        for _ in range(20):
-            trial = z + scale * step
-            r_trial = residual(trial)
-            if np.max(np.abs(r_trial)) < rnorm:
-                z, r = trial, r_trial
+        for halvings in range(21):
+            trial = y.copy()
+            trial[1:-1] += scale * step
+            path_trial, r_trial = _newton_sample(L, pts, trial)
+            if halvings == 20 or np.max(np.abs(r_trial)) < rnorm:
                 break
             scale *= 0.5
-        else:
-            z = z + scale * step
-            r = residual(z)
+        y, path, r = trial, path_trial, r_trial
         rnorm = float(np.max(np.abs(r)))
         history.append((rnorm, scale))
     if not rnorm <= tol:  # a NaN residual fails too
         raise ConvergenceError(f"Newton did not converge: residual {rnorm:.3e}", rnorm, history)
-    vals = start.copy()
-    vals[1:-1] = z.reshape(npts - 2, n)
-    return GridFunction(ts, 0, vals)
+    return GridFunction(ts, 0, y)
 
 
-def _interior_residual(L: Lagrangian, ts: TimeScale, start: np.ndarray):
-    """The Euler-Lagrange expressions over the full scale as a function of
-    the flattened interior rows, with the endpoint rows taken from start."""
-    npts, n = start.shape
-
-    def residual(z: np.ndarray) -> np.ndarray:
-        vals = start.copy()
-        vals[1:-1] = z.reshape(npts - 2, n)
-        return el_expressions(L, GridFunction(ts, 0, vals)).values.ravel()
-
-    return residual
+def _newton_sample(L: Lagrangian, pts: np.ndarray, vals: np.ndarray):
+    """The path sample (T, U, V, Pu, Pv) of the full-scale path vals and its
+    Euler-Lagrange expressions, as el_expressions computes them."""
+    T, U, V = _path_sample(pts, vals)
+    Pu, Pv = L.sample("u", T, U, V), L.sample("v", T, U, V)
+    return (T, U, V, Pu, Pv), _el_values(Pu, Pv, T)
 
 
-def _coloured_jacobian(fn, z: np.ndarray, f0: np.ndarray, n: int) -> np.ndarray:
-    """Forward-difference Jacobian of the interior residual, 3*n evaluations.
+def _jacobian_bands(L: Lagrangian, path, mu: np.ndarray):
+    """The blocks A_i, B_i, C_i = dE_i/dy_i, dE_i/dy_{i+1}, dE_i/dy_{i+2}
+    of the Newton Jacobian, each of shape (N-2, n, n), with A_0 and C_{N-3}
+    zero because the end rows are pinned.
 
-    Row block i of the residual reads y[i], y[i+1], y[i+2], i.e. unknown
-    blocks i-1, i, i+1, so columns whose blocks are 3 apart share no row
-    and are perturbed together (Curtis, Powell & Reid 1974).  Each entry is
-    the same quotient (fn(z + h e_k) - f0) / h as a one-column-at-a-time
-    Jacobian, with h = 1e-7 * max(1, |z_k|); entries off the band are 0.
+    P_j = L_u or L_v at (T_j, U_j, V_j) reads U_j = y_{j+1} and
+    V_j = (y_{j+1} - y_j) / mu_j.  Its local partials in U and V are
+    forward quotients of 2n sample passes, one per column of U and of V,
+    with steps h = 1e-7 * max(1, |x|) of each entry x, against the base
+    sample of path (Curtis, Powell & Reid 1974, with the pattern of the
+    density instead of a colouring).  The chain rule then gives
+    dP_j/dy_{j+1} = P_U + P_V / mu_j and dP_j/dy_j = -P_V / mu_j, and
+    E_i = Pu_i - (Pv_{i+1} - Pv_i) / mu_i gives the bands.
     """
-    m = z.size // n
-    jac = np.zeros((f0.size, z.size))
-    h = 1e-7 * np.maximum(1.0, np.abs(z))
-    blocks = np.arange(m)
-    for c in range(min(3, m)):
-        # The one block of colour c among i-1, i, i+1 owns row block i.
-        owner = blocks - 1 + (c - blocks + 1) % 3
-        ok = (owner >= 0) & (owner < m)
-        rows = (blocks[ok, None] * n + np.arange(n)).ravel()
+    T, U, V, Pu, Pv = path
+    n = U.shape[1]
+    # H[p, s, j, :, k]: the quotient of Pu (p = 0) or Pv (p = 1) at row j
+    # in column k of U (s = 0) or V (s = 1).
+    H = np.empty((2, 2) + U.shape + (n,))
+    for s, X in enumerate((U, V)):
         for k in range(n):
-            zp = z.copy()
-            cols = np.arange(c, m, 3) * n + k
-            zp[cols] += h[cols]
-            row_cols = np.repeat(owner[ok] * n + k, n)
-            jac[rows, row_cols] = (fn(zp)[rows] - f0[rows]) / h[row_cols]
-    return jac
+            h = 1e-7 * np.maximum(1.0, np.abs(X[:, k]))
+            Xp = X.copy()
+            Xp[:, k] += h
+            args = (T, Xp, V) if s == 0 else (T, U, Xp)
+            H[0, s, :, :, k] = (L.sample("u", *args) - Pu) / h[:, None]
+            H[1, s, :, :, k] = (L.sample("v", *args) - Pv) / h[:, None]
+    by_v = H[:, 1] / mu[:, None, None]
+    up, down = H[:, 0] + by_v, -by_v  # dP_j/dy_{j+1}, dP_j/dy_j
+    mi = mu[:-1, None, None]
+    A = down[0, :-1] + down[1, :-1] / mi
+    B = up[0, :-1] - (down[1, 1:] - up[1, :-1]) / mi
+    C = -up[1, 1:] / mi
+    A[0] = 0.0
+    C[-1] = 0.0
+    return A, B, C
+
+
+def _cyclic_reduction(A: np.ndarray, B: np.ndarray, C: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Solve A_i x_{i-1} + B_i x_i + C_i x_{i+1} = f_i for i = 0 .. m-1
+    (blocks (m, n, n), f and x (m, n)) by block cyclic reduction (Buzbee,
+    Golub & Nielson 1970).
+
+    Each level solves the odd rows' diagonal blocks against [A | C | f] in
+    one batched np.linalg.solve, which keeps X = B_odd^-1 [A | C | f],
+    substitutes x_odd = X_f - X_A x_left - X_C x_right into the even rows
+    and recurses on them; back-substitution then needs matmuls only.  A
+    zero block pads the missing neighbours at both ends, so A_0 and C_{m-1}
+    meet only zeros.  A singular pivot raises np.linalg.LinAlgError.
+    """
+    m, n = f.shape
+    if m == 1:
+        return np.linalg.solve(B, f[:, :, None])[:, :, 0]
+    even = slice(0, None, 2)
+    odd = slice(1, None, 2)
+    X = np.linalg.solve(B[odd], np.concatenate((A[odd], C[odd], f[odd, :, None]), axis=2))
+    k = m - m // 2
+    pad = np.zeros((1,) + X.shape[1:])
+    padded = np.concatenate((pad, X, pad))
+    AX = A[even] @ padded[:k]
+    CX = C[even] @ padded[1 : k + 1]
+    x_even = _cyclic_reduction(
+        -AX[:, :, :n],
+        B[even] - AX[:, :, n : 2 * n] - CX[:, :, :n],
+        -CX[:, :, n : 2 * n],
+        f[even] - AX[:, :, 2 * n] - CX[:, :, 2 * n],
+    )
+    x = np.empty_like(f)
+    x[even] = x_even
+    x_pad = np.concatenate((x_even, np.zeros((1, n))))
+    n_odd = m // 2
+    sides = np.concatenate((x_pad[:n_odd], x_pad[1 : n_odd + 1]), axis=1)[:, :, None]
+    x[odd] = X[:, :, 2 * n] - (X[:, :, : 2 * n] @ sides)[:, :, 0]
+    return x
 
 
 # Built-in densities selectable by name from the command line.  They are

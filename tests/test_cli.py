@@ -1,10 +1,13 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from tsnoether import cli
 from tsnoether.cli import main
+from tsnoether.timescale import MAX_POINTS
 
 
 def run(tmp_path, *args, name="report.json"):
@@ -138,6 +141,49 @@ class TestExitCodes:
         assert main(["scale", "--scale", spec]) == 2
         err = capsys.readouterr().err
         assert err == f"error: bad scale spec {spec!r}: h, a and b must be finite, got {named}\n"
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [
+            ("h:1:0:1e12", "1000000000001"),
+            ("h:1:0:10000000", "10000001"),
+            ("real:5e-324:0:1", "inf"),
+            ("q:1.5:1:10000000000000", "10000000000000"),
+        ],
+        ids=["h-huge", "h-limit-plus-one", "real-subnormal-step", "q-huge"],
+    )
+    def test_oversized_scale_refused_before_allocation(self, capsys, spec, count):
+        tracemalloc.start()
+        try:
+            code = main(["scale", "--scale", spec])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20
+        err = capsys.readouterr().err
+        assert err == f"error: bad scale spec {spec!r}: the scale would have {count} points, more than the limit of {MAX_POINTS}\n"
+
+    def test_scale_of_exactly_the_limit_is_built(self):
+        # Well above the largest solver sweep (10^5 points); the limit itself
+        # passes the check and reaches the allocation, stopped here unbuilt.
+        assert MAX_POINTS >= 100 * 10**5
+
+        class Allocating(Exception):
+            pass
+
+        with mock.patch("numpy.arange", side_effect=Allocating) as arange, pytest.raises(Allocating):
+            main(["scale", "--scale", f"h:1:0:{MAX_POINTS - 1}"])
+        assert arange.call_args.args == (MAX_POINTS,)
+
+    def test_family_order_beyond_the_scale_named(self, tmp_path, capsys):
+        fam = tmp_path / "fam12.json"
+        fam.write_text(json.dumps({"r": 1, "m": 12, "n": 2, "g": [[[1.0] * 13, [1.0] * 13]]}))
+        # Refused before any coefficient is sampled.
+        with mock.patch.object(cli, "_coeff_grid", side_effect=AssertionError("coefficient sampled")):
+            code = main(["check-noether", "--scale", "h:1:0:9", "--lagrangian", "pair-difference", "--family", str(fam)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {fam}: a family of order m = 12 needs more than 12 points, the scale has 10\n"
 
     def test_path_window_above_zero(self, tmp_path):
         # A path CSV that starts at t = 1 lives on the window [1, 5].

@@ -1,7 +1,6 @@
 """Frozen CLI reports and result CSVs.
 
-The three `solve` files under tests/golden/ were written before the
-Newton Jacobian was coloured, and all of them before the 1-D and the
+The files under tests/golden/ were written before the 1-D and the
 product-grid calculi shared their axis kernels and their trial loop.
 `check2d_qh_grad2_verbose` and `em_mixed_spatial_q_verbose` were written
 before lattice values stopped being copied on every construction.  These
@@ -9,12 +8,20 @@ changes compute the same floating point operations, so every byte
 below must stay the same.  Regenerate a file only for a deliberate
 change of the arithmetic, and say so in CHANGES.md.
 
-The one such change so far: `invariance_h_verbose`,
-`invariance_h_broken_verbose`, `invariance_q_quad2_verbose` and
-`invariance_real_1e4_verbose` were re-frozen when the action stopped
-being summed left to right and took the pairwise order of the one delta
-integral kernel, which moved some per-point deviations in their last
-bits.  REFROZEN checks each of their values against the old sum.
+Two such changes so far:
+- `invariance_h_verbose`, `invariance_h_broken_verbose`,
+  `invariance_q_quad2_verbose` and `invariance_real_1e4_verbose` were
+  re-frozen when the action stopped being summed left to right and took
+  the pairwise order of the one delta integral kernel, which moved some
+  per-point deviations in their last bits.  REFROZEN checks each of their
+  values against the old sum.
+- The five `solve` files were re-frozen when Newton's Jacobian became
+  banded, built from local partials of the density, and solved by block
+  cyclic reduction instead of a dense LU.  Its quotients differ from the
+  old one-unknown-at-a-time ones, so Newton stops at another point within
+  its tolerance.  The files they replaced are kept in
+  tests/golden_superseded/, and RESOLVED checks each new extremal against
+  the old one.
 
 Each case is a full `noether` argument list, whether it also writes a
 `--result-csv`, and its expected exit code.  `{tmp}` stands for the
@@ -30,10 +37,11 @@ import pytest
 from tsnoether import cli
 from tsnoether.cli import main
 from tsnoether.noether import random_gauge_params, transform
-from tsnoether.timescale import parse_scale_spec
-from tsnoether.variational import catalog, eval_functional
+from tsnoether.timescale import GridFunction, parse_scale_spec
+from tsnoether.variational import catalog, el_expressions, eval_functional
 
 GOLDEN = Path(__file__).parent / "golden"
+SUPERSEDED = Path(__file__).parent / "golden_superseded"
 
 FAMILIES = {
     # An order-1 family: both components get p^sigma^0 + 0.5 p^delta.
@@ -143,3 +151,40 @@ def test_refrozen_deviations_are_within_summation_error_of_the_old_sum(name):
         after, abs_after, _ = left_to_right_action(L, ybar)
         bound = 4 * n * np.finfo(float).eps * (abs_before + abs_after)
         assert abs(value - abs(after - before)) <= bound, trial
+
+
+RESOLVED = ["solve_h_poisson", "solve_q_poisson", "solve_quad2_verbose"]
+
+
+def frozen_solution(directory: Path, name: str) -> np.ndarray:
+    if (directory / f"{name}.csv").exists():
+        return np.loadtxt(directory / f"{name}.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+    return np.array(json.loads((directory / f"{name}.json").read_text())["sections"][0]["solution"])
+
+
+@pytest.mark.parametrize("name", RESOLVED)
+def test_resolved_extremals_are_within_twice_the_tolerance_of_the_old(name):
+    """Both extremals meet |E| <= tol, and E is affine in y for these
+    quadratic densities, so they differ by at most 2 tol ||J^-1||_inf, J
+    being the Jacobian of E in the interior rows.  For Poisson the discrete
+    Green's function gives ||J^-1||_inf <= (b - a)^2 / 8; quad2's is
+    computed here from J's exact columns E(e_k) - E(0)."""
+    args = cli._build_parser().parse_args(next(argv for case, argv, *_ in CASES if case == name))
+    ts = parse_scale_spec(args.scale)
+    L = catalog(args.lagrangian)
+    npts, n = len(ts), L.n
+    zero = np.zeros((npts, n))
+    base = el_expressions(L, GridFunction(ts, 0, zero)).values.ravel()
+    jac = np.empty((base.size, base.size))
+    for k in range(base.size):
+        unit = zero.copy()
+        unit[1 + k // n, k % n] = 1.0
+        jac[:, k] = el_expressions(L, GridFunction(ts, 0, unit)).values.ravel() - base
+    inv_norm = float(np.max(np.sum(np.abs(np.linalg.inv(jac)), axis=1)))
+    if args.lagrangian == "poisson":
+        green = (ts.points[-1] - ts.points[0]) ** 2 / 8
+        assert inv_norm <= green
+        inv_norm = green
+    old, new = frozen_solution(SUPERSEDED, name), frozen_solution(GOLDEN, name)
+    assert old.shape == new.shape == (npts, n)
+    assert np.max(np.abs(new - old)) <= 2 * args.tol * inv_norm

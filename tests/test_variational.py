@@ -17,6 +17,7 @@ from tsnoether import (
     explicit_scale,
     first_variation,
     h_uniform,
+    parse_scale_spec,
     q_geometric,
     real_approx,
     second_el_residual,
@@ -24,7 +25,7 @@ from tsnoether import (
 )
 from tsnoether import GaugeFamily, noether_identity_time, second_el_expression, variational
 from tsnoether.report import ResidualReport
-from tsnoether.variational import _coloured_jacobian, _interior_residual, lagrangian_along, variation_pairing
+from tsnoether.variational import _cyclic_reduction, _jacobian_bands, _newton_sample, lagrangian_along, variation_pairing
 
 
 def random_quadratic(rng, n):
@@ -381,6 +382,19 @@ class TestSolver:
         assert err.value.final_residual == 1.0
 
 
+def interior_residual(L, ts, start):
+    """The Euler-Lagrange expressions over the full scale as a function of
+    the flattened interior rows, with the end rows taken from start."""
+    npts, n = start.shape
+
+    def residual(z):
+        vals = start.copy()
+        vals[1:-1] = z.reshape(npts - 2, n)
+        return el_expressions(L, GridFunction(ts, 0, vals)).values.ravel()
+
+    return residual
+
+
 def brute_force_jacobian(fn, z, f0):
     """Perturb one unknown at a time: column k is (fn(z + h e_k) - f0) / h
     with h = 1e-7 * max(1, |z_k|)."""
@@ -391,6 +405,35 @@ def brute_force_jacobian(fn, z, f0):
         zp[k] += h
         jac[:, k] = (fn(zp) - f0) / h
     return jac
+
+
+def dense_from_bands(A, B, C):
+    """The (m n) x (m n) block tridiagonal matrix of the bands, without A_0
+    and C_{m-1}, which would multiply the pinned end rows."""
+    m, n, _ = B.shape
+    jac = np.zeros((m * n, m * n))
+    for i in range(m):
+        rows = slice(i * n, (i + 1) * n)
+        jac[rows, rows] = B[i]
+        if i > 0:
+            jac[rows, (i - 1) * n : i * n] = A[i]
+        if i < m - 1:
+            jac[rows, (i + 1) * n : (i + 2) * n] = C[i]
+    return jac
+
+
+def block_thomas(A, B, C, f):
+    """Sequential block LU of a block tridiagonal system, one row at a time."""
+    m = len(B)
+    pivots, rhs = [B[0]], [f[0]]
+    for i in range(1, m):
+        w = A[i] @ np.linalg.inv(pivots[-1])
+        pivots.append(B[i] - w @ C[i - 1])
+        rhs.append(f[i] - w @ rhs[-1])
+    x = [np.linalg.solve(pivots[-1], rhs[-1])]
+    for i in range(m - 2, -1, -1):
+        x.insert(0, np.linalg.solve(pivots[i], rhs[i] - C[i] @ x[0]))
+    return np.array(x)
 
 
 def nonlinear_density(rng, n):
@@ -420,7 +463,7 @@ def quartic_density(n, calls):
     )
 
 
-class TestColouredJacobian:
+class TestBandedNewton:
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(1, 3),
@@ -432,19 +475,90 @@ class TestColouredJacobian:
     @example(n=2, npts=3, geometric=False, nonlinear=True, seed=0)
     @example(n=3, npts=4, geometric=True, nonlinear=False, seed=1)
     @example(n=1, npts=4, geometric=False, nonlinear=True, seed=2)
-    def test_equals_one_column_at_a_time(self, n, npts, geometric, nonlinear, seed):
+    def test_bands_match_one_column_at_a_time(self, n, npts, geometric, nonlinear, seed):
+        """Both Jacobians are forward quotients, with steps of at least 1e-7,
+        of samples that carry an absolute error delta: eps * max|P| with
+        analytic partials, eps * max|L| / fd_step with central-difference
+        ones.  An entry of either sums at most four such quotients scaled by
+        at most 1 / mu_min^2, so they differ by at most
+        16 delta / (1e-7 mu_min^2).  The quadratic has no truncation error,
+        and over 3,000 random cases on these grids the gap of either density,
+        truncation included, stayed within 1.3 delta / (1e-7 mu_min^2)."""
         rng = np.random.default_rng(seed)
         ts = q_geometric(1.1, 0.5, npts) if geometric else h_uniform(0.25, 0.0, 0.25 * (npts - 1))
         L = nonlinear_density(rng, n) if nonlinear else random_quadratic(rng, n)
-        residual = _interior_residual(L, ts, rng.uniform(-2, 2, (npts, n)))
+        start = rng.uniform(-2, 2, (npts, n))
+        residual = interior_residual(L, ts, start)
         # entries beyond 1 in magnitude exercise the relative step
         z = rng.uniform(-3, 3, (npts - 2) * n)
         f0 = residual(z)
-        assert np.array_equal(_coloured_jacobian(residual, z, f0, n), brute_force_jacobian(residual, z, f0))
+        vals = start.copy()
+        vals[1:-1] = z.reshape(npts - 2, n)
+        path, r = _newton_sample(L, ts.points, vals)
+        assert np.array_equal(r.ravel(), f0)
+        A, B, C = _jacobian_bands(L, path, ts.mu_array())
+        assert A.shape == B.shape == C.shape == (npts - 2, n, n)
+        assert np.all(A[0] == 0.0) and np.all(C[-1] == 0.0)
+        T, U, V, Pu, Pv = path
+        eps = np.finfo(float).eps
+        if nonlinear:
+            delta = eps * np.max(np.abs(L.sample("L", T, U, V))) / L.fd_step
+        else:
+            delta = eps * max(np.max(np.abs(Pu)), np.max(np.abs(Pv)))
+        bound = 16 * delta / (1e-7 * np.min(ts.mu_array()) ** 2)
+        gap = np.abs(dense_from_bands(A, B, C) - brute_force_jacobian(residual, z, f0))
+        assert np.max(gap) <= bound
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_quotient_steps_follow_each_entry(self, n):
+        # Every perturbed sample moves one column of U or of V by
+        # 1e-7 * max(1, |x|) of its own entries x and leaves the rest alone.
+        seen = []
+
+        def d_v(t, U, V):
+            seen.append((U.copy(), V.copy()))
+            return V.copy()
+
+        L = Lagrangian(
+            n=n,
+            eval=lambda t, U, V: 0.5 * np.sum(V * V, axis=1),
+            d_u=lambda t, U, V: np.zeros_like(U),
+            d_v=d_v,
+            vectorized=True,
+        )
+        ts = q_geometric(1.5, 1.0, 9)
+        vals = np.random.default_rng(n).uniform(-40, 40, (9, n))
+        path = _newton_sample(L, ts.points, vals)[0]
+        T, U, V = path[:3]
+        seen.clear()
+        _jacobian_bands(L, path, ts.mu_array())
+        assert len(seen) == 2 * n
+        for (Up, Vp), (slot, k) in zip(seen, [(s, k) for s in range(2) for k in range(n)]):
+            X, Xp, other, other_p = (U, Up, V, Vp) if slot == 0 else (V, Vp, U, Up)
+            assert np.array_equal(other_p, other)
+            assert np.array_equal(np.delete(Xp, k, axis=1), np.delete(X, k, axis=1))
+            assert np.array_equal(Xp[:, k], X[:, k] + 1e-7 * np.maximum(1.0, np.abs(X[:, k])))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 33])
+    def test_cyclic_reduction_matches_block_thomas(self, m, n):
+        rng = np.random.default_rng([m, n])
+        A, B, C = rng.uniform(-1, 1, (3, m, n, n))
+        # Block diagonally dominant: each diagonal block outweighs its row's
+        # off-diagonal blocks, so both eliminations meet nonsingular pivots.
+        B += 3 * n * np.eye(n)
+        f = rng.uniform(-1, 1, (m, n))
+        # Finite garbage in A_0 and C_{m-1}, which must meet only zeros.
+        x = _cyclic_reduction(A, B, C, f)
+        A[0], C[-1] = 0.0, 0.0
+        expected = block_thomas(A, B, C, f)
+        assert x.shape == (m, n)
+        assert np.max(np.abs(x - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(dense_from_bands(A, B, C) @ x.ravel() - f.ravel())) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("ts", [h_uniform(0.1, 0.0, 2.0), q_geometric(1.05, 1.0, 21)])
-    def test_residual_evaluations_per_newton_step(self, n, ts):
+    def test_density_samples_per_newton_step(self, n, ts):
         calls = [0]
         L = quartic_density(n, calls)
         alpha, beta = np.linspace(-1.0, 1.0, n), np.linspace(2.0, 0.5, n)
@@ -452,11 +566,36 @@ class TestColouredJacobian:
             solve_extremal(L, ts, BoundaryData(alpha, beta), tol=0.0, max_iter=4)
         per_eval = len(ts) - 1  # dL/dv is sampled once per point of [0, N-2]
         assert calls[0] % per_eval == 0
-        # A step accepted at scale 2^-j made j + 1 damping trials; when all 20
-        # fail (scale 2^-20) the 20 trials plus one recompute make 21 too.
+        # The start is sampled once.  Each step then samples 2n perturbed
+        # paths for the Jacobian and its damping trials: a step accepted at
+        # scale 2^-j made j + 1 trials; when all 20 fail (scale 2^-20) the 20
+        # trials plus one recompute make 21 too.
         trials = [round(-np.log2(scale)) + 1 for _, scale in err.value.history]
         assert len(trials) == 4
-        assert calls[0] // per_eval == 1 + sum(3 * n + j for j in trials)
+        assert calls[0] // per_eval == 1 + sum(2 * n + j for j in trials)
+
+    @pytest.mark.parametrize(
+        "density, spec, alpha, beta",
+        [
+            ("poisson", "h:1:0:5", [0.0], [5.0]),
+            ("poisson", "q:1.01:1:150", [0.0], [5.0]),
+            ("quad:2:0.5:0.1:0.2", "h:0.1:0:3", [0.0, 1.0], [2.0, -1.0]),
+            ("quartic", "q:1.05:1:21", [-1.0], [2.0]),
+        ],
+    )
+    def test_final_residual_is_el_residual(self, density, spec, alpha, beta):
+        # Newton's last residual is the one el_residual reports, to the bit.
+        L = quartic_density(1, [0]) if density == "quartic" else catalog(density)
+        real = variational._el_values
+        seen = []
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        with mock.patch.object(variational, "_el_values", spy):
+            y = solve_extremal(L, parse_scale_spec(spec), BoundaryData(alpha, beta))
+        assert float(np.max(np.abs(seen[-1]))) == el_residual(L, y).sup_norm <= 1e-8
 
 
 class TestRealApproxConvergence:
