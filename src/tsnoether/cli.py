@@ -35,6 +35,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "trials", 1) < 1:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        for option in ("tol", "inv_tol"):
+            value = getattr(args, option, 0.0)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"--{option.replace('_', '-')} must be finite and non-negative, got {value}")
         report, ok = args.run(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,11 +46,20 @@ _MAGNETIC = ((2, 3), (3, 1), (1, 2))
 
 def em_lagrangian() -> LagrangianD:
     def density(coords, U, G):
-        out = 0.0
-        for j, k in _ELECTRIC:
-            out = out + 0.5 * (G[j, k] - G[k, j]) ** 2
-        for j, k in _MAGNETIC:
-            out = out - 0.5 * (G[j, k] - G[k, j]) ** 2
+        # The sum of 1/2 (G[j, k] - G[k, j])^2 over the electric pairs minus
+        # that over the magnetic ones, term by term in pair order, formed
+        # in place.  The first term starts the sum: adding it to 0.0 would
+        # change no bit, since it is never -0.0.
+        out = F = None
+        for accumulate, pairs in ((np.add, _ELECTRIC), (np.subtract, _MAGNETIC)):
+            for j, k in pairs:
+                F = np.subtract(G[j, k], G[k, j], out=F)
+                np.multiply(F, F, out=F)
+                F *= 0.5
+                if out is None:
+                    out, F = F, None
+                else:
+                    accumulate(out, F, out=out)
         return out
 
     def d_u(coords, U, G):

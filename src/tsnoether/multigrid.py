@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .report import ResidualReport
-from .timescale import _frozen, _sealed, forward_quotient, shift_index, window_integral
+from .timescale import _frozen, _sealed, forward_quotient, shift_values, window_integral
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,23 +123,21 @@ class FieldD:
 
 def partial_delta(f: FieldD, axis: int) -> FieldD:
     """Forward difference quotient along one axis; its top index is lost."""
-    n = f.values.shape[axis]
-    if n < 2:
+    if f.values.shape[axis] < 2:
         raise ValueError(f"window too small on axis {axis}")
-    pts = f.grid.scales[axis].points[f.lo[axis] : f.lo[axis] + n]
-    return FieldD(f.grid, f.lo, forward_quotient(f.values, pts, axis))
+    return FieldD(f.grid, f.lo, forward_quotient(f.values, f.grid.scales[axis], f.lo[axis], axis))
 
 
 def shift_axis(f: FieldD, axis: int, k: int) -> FieldD:
     """Compose with sigma^k (k > 0, pure translation, a view of f) or
-    rho^|k| (k < 0, saturating at the scale minimum, a gather) along one
-    axis."""
+    rho^|k| (k < 0, saturating at the scale minimum) along one axis; see
+    shift_values."""
     if k == 0:
         return f
-    new_lo, index = shift_index(f.lo[axis], f.hi[axis], f.grid.shape[axis], k)
+    new_lo, values = shift_values(f.values, axis, f.lo[axis], f.grid.shape[axis], k)
     lo = list(f.lo)
     lo[axis] = new_lo
-    return FieldD(f.grid, tuple(lo), _sealed(f.values[(slice(None),) * axis + (index,)]))
+    return FieldD(f.grid, tuple(lo), _sealed(values))
 
 
 def shift_all_except(f: FieldD, axis: int, k: int = 1) -> FieldD:
@@ -235,7 +233,8 @@ def _pattern_args(L: LagrangianD, u: tuple):
     axis-j quotient with sigma on every other axis.  Each slot is written
     straight from the component's own values: U[k] is the all-sigma view,
     and G[j, k] the difference of that view and the one without sigma on
-    axis j, divided by mu_j, element by element as forward_quotient does.
+    axis j, divided by mu_j, element by element as forward_quotient does
+    (and, like it, not divided on a scale of unit steps).
     """
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
@@ -252,7 +251,7 @@ def _pattern_args(L: LagrangianD, u: tuple):
         shape = [1] * grid.d
         shape[ax] = cells[ax]
         coords.append(grid.scales[ax].points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
-        mus.append(grid.mu(ax)[lo[ax] : cell_hi[ax] + 1].reshape(shape))
+        mus.append(None if grid.scales[ax].unit_steps else grid.mu(ax)[lo[ax] : cell_hi[ax] + 1].reshape(shape))
     U = np.empty((L.n,) + cells)
     G = np.empty((grid.d, L.n) + cells)
     for k, f in enumerate(u):
@@ -262,7 +261,8 @@ def _pattern_args(L: LagrangianD, u: tuple):
             down = list(up)
             down[j] = slice(lo[j] - f.lo[j], cell_hi[j] + 1 - f.lo[j])
             np.subtract(U[k], f.values[tuple(down)], out=G[j, k])
-            G[j, k] /= mus[j]
+            if mus[j] is not None:
+                G[j, k] /= mus[j]
     return tuple(coords), U, G, lo, cell_hi
 
 
@@ -289,17 +289,9 @@ def el_expressions_d(L: LagrangianD, u: tuple) -> tuple:
         e = P[k][inner].copy()
         for j in range(grid.d):
             slab = inner[:j] + (slice(None),) + inner[j + 1 :]
-            e -= forward_quotient(Q[j, k][slab], grid.scales[j].points[lo[j] : cell_hi[j] + 1], j)
+            e -= forward_quotient(Q[j, k][slab], grid.scales[j], lo[j], j)
         out.append(FieldD(grid, lo, _sealed(e)))
     return tuple(out)
-
-
-def el_residual_d(L: LagrangianD, u: tuple, tolerance: float = 1e-8) -> ResidualReport:
-    es = el_expressions_d(L, u)
-    lo = tuple(max(e.lo[ax] for e in es) for ax in range(es[0].grid.d))
-    hi = tuple(min(e.hi[ax] for e in es) for ax in range(es[0].grid.d))
-    stacked = np.stack([e.restrict(lo, hi).values for e in es])
-    return ResidualReport.from_per_point((lo[0], hi[0]), stacked, tolerance)
 
 
 @dataclass(frozen=True)
@@ -343,6 +335,11 @@ def _gauge_sum(row, term) -> FieldD | None:
     return out
 
 
+def _times(c: float, f: FieldD) -> FieldD:
+    """c * f, or f itself when c is 1.0, where the product changes no bit."""
+    return f if c == 1.0 else c * f
+
+
 def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
     """The perturbation of component k:
     a0*p + sum_j a_{j} * (dp/dx_j at the rho_j-shifted point).
@@ -351,7 +348,7 @@ def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
     shrink the window.
     """
     out = _gauge_sum(
-        fam.a[k], lambda i, c: c * (p if i == 0 else shift_axis(partial_delta(p, i - 1), i - 1, -1))
+        fam.a[k], lambda i, c: _times(c, p if i == 0 else shift_axis(partial_delta(p, i - 1), i - 1, -1))
     )
     if out is None:
         return FieldD(p.grid, (0,) * p.grid.d, _sealed(np.zeros(p.grid.shape)))
@@ -360,7 +357,7 @@ def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
 
 def gauge_field_adjoint(fam: GaugeFamilyD, q: FieldD, k: int) -> FieldD:
     """Summation-by-parts transpose: q*a0 - sum_j d/dx_j (q * a_j)."""
-    out = _gauge_sum(fam.a[k], lambda i, c: q * c if i == 0 else -partial_delta(q * c, i - 1))
+    out = _gauge_sum(fam.a[k], lambda i, c: _times(c, q) if i == 0 else -partial_delta(_times(c, q), i - 1))
     if out is None:
         return FieldD(q.grid, (0,) * q.grid.d, _sealed(np.zeros(q.grid.shape)))
     return out
@@ -373,7 +370,7 @@ def gauge_pairing(fam: GaugeFamilyD, p: FieldD, q: FieldD, k: int) -> tuple[floa
     fence."""
     lhs_field = _gauge_sum(
         fam.a[k],
-        lambda i, c: c * (shift_all(p) if i == 0 else shift_all_except(partial_delta(p, i - 1), i - 1)),
+        lambda i, c: _times(c, shift_all(p) if i == 0 else shift_all_except(partial_delta(p, i - 1), i - 1)),
     )
     if lhs_field is None:
         return 0.0, 0.0
@@ -391,24 +388,25 @@ def transform_d(fam: GaugeFamilyD, p: FieldD, u: tuple) -> tuple:
 def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float = 1.0) -> FieldD:
     """Seeded separable polynomial samples scaled to the given sup amplitude.
 
+    The coefficients are one draw of shape (3, d, degree + 1): term, axis,
+    power.  Each axis evaluates its three polynomials in one polyval call.
     Each of the three terms is the product of one polynomial per axis,
     multiplied out axis by axis, ((a0*a1)*a2)*a3, by broadcasting; only the
     last product has the grid's size, and it reuses one buffer.
     """
     rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1, 1, (3, grid.d, degree + 1))
+    factors = []
+    for ax, s in enumerate(grid.scales):
+        t = s.points
+        shape = [3] + [1] * grid.d
+        shape[1 + ax] = t.size
+        axis_vals = np.polynomial.polynomial.polyval(t / max(np.max(np.abs(t)), 1.0), coeffs[:, ax].T)
+        factors.append(axis_vals.reshape(shape))
     vals = np.zeros(grid.shape)
     term = np.empty(grid.shape)
-    for _ in range(3):
-        factors = []
-        for ax, s in enumerate(grid.scales):
-            t = s.points
-            span = np.max(np.abs(t))
-            coeffs = rng.uniform(-1, 1, degree + 1)
-            axis_vals = np.polynomial.polynomial.polyval(t / max(span, 1.0), coeffs)
-            shape = [1] * grid.d
-            shape[ax] = t.size
-            factors.append(axis_vals.reshape(shape))
-        np.multiply(reduce(np.multiply, factors[:-1]), factors[-1], out=term)
+    for i in range(3):
+        np.multiply(reduce(np.multiply, [f[i] for f in factors[:-1]]), factors[-1][i], out=term)
         vals += term
     peak = np.max(np.abs(vals, out=term))
     if peak > 0:
@@ -466,43 +464,6 @@ def double_fundamental_oracle(M: FieldD, tolerance: float = 1e-12) -> tuple[floa
     sup_m = float(np.max(np.abs(M.restrict(lo, hi).values)))
     consistent = (max_integral <= tolerance) == (sup_m <= tolerance)
     return max_integral, sup_m, consistent
-
-
-def write_csv_d(f: FieldD, path) -> None:
-    """Flat CSV: one axis-index column per dimension, then the value."""
-    d = f.grid.d
-    header = ",".join(f"i{ax}" for ax in range(d)) + ",value"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for cell in np.ndindex(*f.values.shape):
-            idx = [c + l for c, l in zip(cell, f.lo)]
-            fh.write(",".join(str(i) for i in idx) + "," + repr(float(f.values[cell])) + "\n")
-
-
-def read_csv_d(grid: GridD, path) -> FieldD:
-    """Read a field written by write_csv_d; rows must fill a rectangle."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != [f"i{ax}" for ax in range(grid.d)] + ["value"]:
-            raise ValueError("unexpected field CSV header")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
-        raise ValueError("empty field file")
-    idx = np.array([[int(x) for x in r[:-1]] for r in rows])
-    vals = np.array([float(r[-1]) for r in rows])
-    lo = idx.min(axis=0)
-    hi = idx.max(axis=0)
-    shape = tuple(hi - lo + 1)
-    flat = np.ravel_multi_index(tuple((idx - lo).T), shape)
-    _, first, counts = np.unique(flat, return_index=True, return_counts=True)
-    if counts.max() > 1:
-        dup = idx[first[counts > 1].min()]
-        raise ValueError(f"duplicate row for index {tuple(int(i) for i in dup)}")
-    if len(rows) != int(np.prod(shape)):
-        raise ValueError("rows do not fill a rectangular window")
-    out = np.empty(shape)
-    out.flat[flat] = vals
-    return FieldD(grid, tuple(int(x) for x in lo), _sealed(out))
 
 
 # Built-in 2-d densities and gauge families selectable by name from the

@@ -5,19 +5,20 @@ The jump operators sigma/rho act on indices (saturating at the ends),
 the graininess mu(i) is the gap to the next point, and delta derivatives
 are forward difference quotients.  Grid functions carry an explicit index
 window so that every domain shrink (one point lost from the top per
-derivative order) is visible in the result.  The kernels shift_index,
+derivative order) is visible in the result.  The kernels shift_values,
 forward_quotient and window_integral also serve the product grids of
 multigrid.
 
 Values are read-only and copied only when needed: a kernel marks the
 arrays it creates read-only and they are stored as they are, a sigma shift
-is a view of its source, and an array from a caller is copied once (see
-_frozen).
+(and a rho shift that does not reach the scale minimum) is a view of its
+source, and an array from a caller is copied once (see _frozen).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,15 @@ class TimeScale:
         """Gaps points[i+1] - points[i] for i = 0 .. n-2."""
         return np.diff(self.points)
 
+    @cached_property
+    def unit_steps(self) -> bool:
+        """Whether every gap is exactly 1.0, so that dividing by mu changes
+        no bit (the h = 1 calculus, whose delta derivative is the forward
+        difference); decided once per scale, from the first gap alone when
+        that is not 1.0."""
+        pts = self.points
+        return bool(pts[1] - pts[0] == 1.0 and np.all(np.diff(pts) == 1.0))
+
     def same_as(self, other: "TimeScale") -> bool:
         return self is other or (
             self.points.size == other.points.size
@@ -117,13 +127,10 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 def _sealed(values: np.ndarray) -> np.ndarray:
     """Mark an array a kernel just created read-only, so that _frozen
-    stores it without a copy.  Arrays it views are marked too: they are
-    read-only field values, or the private temporary of a gather along a
-    later axis, which numpy returns as a transposed view of one."""
-    arr = values
-    while isinstance(arr, np.ndarray):
-        arr.setflags(write=False)
-        arr = arr.base
+    stores it without a copy.  A kernel may also seal a view it took of
+    read-only field values (a sigma shift, or a rho shift above the scale
+    minimum); those values are read-only already."""
+    values.setflags(write=False)
     return values
 
 
@@ -332,41 +339,55 @@ def common_window(*fns: GridFunction) -> tuple[int, int]:
     return lo, hi
 
 
-def forward_quotient(values: np.ndarray, pts: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Forward difference quotient of float samples along one axis: np.diff
-    of the values over np.diff of the window's points pts.  The result has
-    one entry fewer on that axis; dividing in place saves a temporary.  The
-    result is a fresh read-only array."""
-    shape = [1] * values.ndim
-    shape[axis] = pts.size - 1
+def forward_quotient(values: np.ndarray, ts: TimeScale, lo: int, axis: int = 0) -> np.ndarray:
+    """Forward difference quotient of float samples along one axis, whose
+    window on the scale ts starts at index lo: np.diff of the values over
+    np.diff of the window's points.  The result has one entry fewer on that
+    axis; it is divided in place, and not at all on a scale of unit steps.
+    The result is a fresh read-only array."""
     out = np.diff(values, axis=axis)
-    out /= np.diff(pts).reshape(shape)
+    if not ts.unit_steps:
+        shape = [1] * values.ndim
+        shape[axis] = out.shape[axis]
+        out /= np.diff(ts.points[lo : lo + shape[axis] + 1]).reshape(shape)
     return _sealed(out)
 
 
-def shift_index(lo: int, hi: int, npts: int, k: int) -> tuple[int, slice | np.ndarray]:
-    """Window start and source index (relative to lo) of the composition
-    with sigma^k (k > 0) or the saturating rho^|k| (k < 0) on the window
-    [lo, hi] of an npts-point axis.
+def shift_values(values: np.ndarray, axis: int, lo: int, npts: int, k: int) -> tuple[int, np.ndarray]:
+    """Window start and values of the composition with sigma^k (k > 0) or
+    the saturating rho^|k| (k < 0) along one axis of the samples values,
+    whose window starts at index lo of an npts-point axis.
 
     Positive k is a pure index translation, so the window moves down and
     may gain the scale maximum only through values that already exist; the
-    source index is a slice, and indexing with it gives a view (of the
-    whole window when lo >= k, so the shift only relabels lo).  Negative k
-    saturates at the scale minimum, where the value repeats
-    (sigma(rho(t)) = t holds off the minimum only); the source index is an
-    offset array, and indexing with it gathers a fresh array.  Every source
-    lies in [0, hi - lo]; only an empty new window is an error.
+    result is a view (of the whole window when lo >= k, so the shift only
+    relabels lo).  Negative k saturates at the scale minimum, where the
+    value repeats (sigma(rho(t)) = t holds off the minimum only).  On a
+    window above the minimum nothing saturates and the result is a view as
+    well; on one at the minimum it is a fresh array, the minimum's slab
+    repeated over the first |k| entries and then one slice of the values.
+    Only an empty new window is an error.
     """
+    hi = lo + values.shape[axis] - 1
     if k > 0:
         new_lo, new_hi = max(lo - k, 0), hi - k
-        index = slice(new_lo + k - lo, new_hi + k - lo + 1)
     else:
         new_lo, new_hi = (lo if lo == 0 else lo - k), min(hi - k, npts - 1)
-        index = np.maximum(np.arange(new_lo, new_hi + 1) + k, 0) - lo
     if new_lo > new_hi:
         raise ValueError("shift exhausts the window")
-    return new_lo, index
+    size = new_hi - new_lo + 1
+    head = min(-k, size) if k < 0 and lo == 0 else 0
+    before = (slice(None),) * axis
+    start = max(new_lo + head + k - lo, 0)
+    tail = values[before + (slice(start, start + size - head),)]
+    if not head:
+        return new_lo, tail
+    shape = list(values.shape)
+    shape[axis] = size
+    out = np.empty(shape)
+    out[before + (slice(0, head),)] = values[before + (slice(0, 1),)]
+    out[before + (slice(head, size),)] = tail
+    return new_lo, out
 
 
 def delta_derivative(f: GridFunction, order: int = 1) -> GridFunction:
@@ -380,17 +401,17 @@ def delta_derivative(f: GridFunction, order: int = 1) -> GridFunction:
     for _ in range(order):
         if out.hi - out.lo < 1:
             raise ValueError("window too small for another delta derivative")
-        out = GridFunction(out.ts, out.lo, forward_quotient(out.values, out.times()))
+        out = GridFunction(out.ts, out.lo, forward_quotient(out.values, out.ts, out.lo))
     return out
 
 
 def shift(f: GridFunction, k: int) -> GridFunction:
     """Composition with sigma^k; negative k composes with rho^|k|
-    (see shift_index for the window rules)."""
+    (see shift_values for the window rules)."""
     if k == 0:
         return f
-    new_lo, index = shift_index(f.lo, f.hi, len(f.ts), k)
-    return GridFunction(f.ts, new_lo, _sealed(f.values[index]))
+    new_lo, values = shift_values(f.values, 0, f.lo, len(f.ts), k)
+    return GridFunction(f.ts, new_lo, _sealed(values))
 
 
 def mixed(f: GridFunction, s: int, d: int) -> GridFunction:
@@ -408,11 +429,14 @@ def window_integral(scales, lo, values: np.ndarray) -> np.ndarray:
     at lo of a product of 1 to 4 time scales: cells at a scale maximum are
     dropped, the rest weighted by each axis's mu, one np.sum per component.
     The first product is the only copy, component-major in C order whatever
-    the layout of values (a rho gather along a later axis, a broadcast), so
-    np.sum adds the same pairs every time; the others run in place."""
+    the layout of values (a strided shift view, a transposed edge, a
+    broadcast), so np.sum adds the same pairs every time; the others run in
+    place, and not at all on a later axis of unit steps."""
     cells = tuple(slice(0, min(n, len(s) - 1 - l)) for s, l, n in zip(scales, lo, values.shape))
     weighted = np.moveaxis(values[cells], -1, 0)
     for ax, (s, l) in enumerate(zip(scales, lo)):
+        if ax and s.unit_steps:
+            continue
         n = weighted.shape[ax + 1]
         mu = np.diff(s.points[l : l + n + 1]).reshape((n,) + (1,) * (len(scales) - ax - 1))
         weighted = np.multiply(weighted, mu, order="C") if ax == 0 else np.multiply(weighted, mu, out=weighted)

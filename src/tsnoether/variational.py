@@ -129,13 +129,13 @@ def _path_args(y: GridFunction):
     """Times, y(sigma(t)) and y_delta(t) on [lo, hi-1]."""
     if y.hi - y.lo < 1:
         raise ValueError("path window too small")
-    return _path_sample(y.times(), y.values)
+    return _path_sample(y.ts, y.lo, y.values)
 
 
-def _path_sample(pts: np.ndarray, vals: np.ndarray):
-    """Times, y(sigma(t)) and y_delta(t) of the samples vals at the points
-    pts, one row fewer than vals: sigma of each row is the next row."""
-    return pts[:-1], vals[1:], forward_quotient(vals, pts)
+def _path_sample(ts: TimeScale, lo: int, vals: np.ndarray):
+    """Times, y(sigma(t)) and y_delta(t) of the samples vals on the window
+    of ts at lo, one row fewer than vals: sigma of each row is the next row."""
+    return ts.points[lo : lo + len(vals) - 1], vals[1:], forward_quotient(vals, ts, lo)
 
 
 def eval_functional(L: Lagrangian, y: GridFunction) -> float:
@@ -185,14 +185,14 @@ def el_expressions(L: Lagrangian, y: GridFunction) -> GridFunction:
     if y.hi - y.lo < 2:
         raise ValueError("need at least 3 points to form Euler-Lagrange expressions")
     pu, pv = lagrangian_along(L, y, "u", "v")
-    return GridFunction(y.ts, y.lo, _sealed(_el_values(pu.values, pv.values, pu.times())))
+    return GridFunction(y.ts, y.lo, _sealed(_el_values(pu.values, pv.values, y.ts, y.lo)))
 
 
-def _el_values(pu: np.ndarray, pv: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """dL/du - (dL/dv)_delta from samples of L_u and L_v at the points pts,
+def _el_values(pu: np.ndarray, pv: np.ndarray, ts: TimeScale, lo: int) -> np.ndarray:
+    """dL/du - (dL/dv)_delta from samples of L_u and L_v on the window of ts at lo,
     one row fewer than the samples.  el_expressions and the Newton residual
     of solve_extremal both take this arithmetic."""
-    return pu[:-1] - forward_quotient(pv, pts)
+    return pu[:-1] - forward_quotient(pv, ts, lo)
 
 
 def el_residual(L: Lagrangian, y: GridFunction, tolerance: float = 1e-8) -> ResidualReport:
@@ -262,8 +262,8 @@ def solve_extremal(
         y = y0.values.copy()
         y[0], y[-1] = boundary.alpha, boundary.beta
 
-    pts, mu = ts.points, ts.mu_array()
-    path, r = _newton_sample(L, pts, y)
+    mu = ts.mu_array()
+    path, r = _newton_sample(L, ts, y)
     rnorm = float(np.max(np.abs(r)))
     history: list[tuple[float, float]] = []
     for _ in range(max_iter):
@@ -280,7 +280,7 @@ def solve_extremal(
         for halvings in range(21):
             trial = y.copy()
             trial[1:-1] += scale * step
-            path_trial, r_trial = _newton_sample(L, pts, trial)
+            path_trial, r_trial = _newton_sample(L, ts, trial)
             if halvings == 20 or np.max(np.abs(r_trial)) < rnorm:
                 break
             scale *= 0.5
@@ -292,12 +292,12 @@ def solve_extremal(
     return GridFunction(ts, 0, y)
 
 
-def _newton_sample(L: Lagrangian, pts: np.ndarray, vals: np.ndarray):
+def _newton_sample(L: Lagrangian, ts: TimeScale, vals: np.ndarray):
     """The path sample (T, U, V, Pu, Pv) of the full-scale path vals and its
     Euler-Lagrange expressions, as el_expressions computes them."""
-    T, U, V = _path_sample(pts, vals)
+    T, U, V = _path_sample(ts, 0, vals)
     Pu, Pv = L.sample("u", T, U, V), L.sample("v", T, U, V)
-    return (T, U, V, Pu, Pv), _el_values(Pu, Pv, T)
+    return (T, U, V, Pu, Pv), _el_values(Pu, Pv, ts, 0)
 
 
 def _jacobian_bands(L: Lagrangian, path, mu: np.ndarray):

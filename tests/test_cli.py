@@ -82,6 +82,23 @@ class TestExitCodes:
         assert code == 2 and data is None
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["check-noether", "--scale", "h:1:0:20", "--lagrangian", "pair-difference",
+              "--family", "pairdiff-broken", "--tol", "inf"], "--tol must be finite and non-negative, got inf"),
+            (["em", "--lattice", "default", "--trials", "2", "--tol", "nan"],
+             "--tol must be finite and non-negative, got nan"),
+            (["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2", "--inv-tol", "-1"],
+             "--inv-tol must be finite and non-negative, got -1.0"),
+        ],
+        ids=["check-noether-inf", "em-nan", "check2d-inv-tol-negative"],
+    )
+    def test_bad_tolerance_rejected(self, tmp_path, capsys, args, message):
+        code, data, _ = run(tmp_path, *args)
+        assert code == 2 and data is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_four_points_per_axis_suffice(self, tmp_path):
         assert run(tmp_path, "check2d", "--grid", "h:1:0:3,q:2:1:4", "--trials", "2")[0] == 0
         assert run(tmp_path, "em", "--lattice", ",".join(["h:1:0:3"] * 4), "--trials", "2")[0] == 0

@@ -494,7 +494,7 @@ class TestBandedNewton:
         f0 = residual(z)
         vals = start.copy()
         vals[1:-1] = z.reshape(npts - 2, n)
-        path, r = _newton_sample(L, ts.points, vals)
+        path, r = _newton_sample(L, ts, vals)
         assert np.array_equal(r.ravel(), f0)
         A, B, C = _jacobian_bands(L, path, ts.mu_array())
         assert A.shape == B.shape == C.shape == (npts - 2, n, n)
@@ -528,7 +528,7 @@ class TestBandedNewton:
         )
         ts = q_geometric(1.5, 1.0, 9)
         vals = np.random.default_rng(n).uniform(-40, 40, (9, n))
-        path = _newton_sample(L, ts.points, vals)[0]
+        path = _newton_sample(L, ts, vals)[0]
         T, U, V = path[:3]
         seen.clear()
         _jacobian_bands(L, path, ts.mu_array())
