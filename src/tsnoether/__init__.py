@@ -28,16 +28,13 @@ from .variational import (
     eval_functional,
     first_variation,
     second_el_expression,
-    second_el_residual,
     solve_extremal,
 )
 from .noether import (
     FundamentalLemmaReport,
     GaugeFamily,
-    GaugeParams,
     check_invariance,
     fundamental_lemma_oracle,
-    gauge_term,
     identity_lhs_h_calculus,
     identity_lhs_q_calculus,
     necessary_condition_residual,
@@ -45,7 +42,6 @@ from .noether import (
     noether_identity_time,
     random_gauge_params,
     second_el_via_reparametrization,
-    time_shift_term,
     transform,
     vanishing_coefficients,
 )

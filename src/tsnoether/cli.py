@@ -14,6 +14,7 @@ import json
 import sys
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from . import em as em_mod
 from . import multigrid as mg
@@ -159,31 +160,27 @@ def _section(name: str, rep: ResidualReport, verbose: bool) -> dict:
 
 
 def _load_path(args, ts: TimeScale, n: int, lo: int = 0, hi: int | None = None) -> GridFunction:
+    """The path from --csv, from --poly / --y-poly on [lo, hi], or else a
+    seeded random cubic per component; every sample must be finite."""
     hi = len(ts) - 1 if hi is None else hi
+    t = ts.points[lo : hi + 1]
     poly = getattr(args, "poly", None) or getattr(args, "y_poly", None)
     if getattr(args, "csv", None):
-        return read_csv(ts, args.csv)
-    if poly:
+        y = read_csv(ts, args.csv)
+    elif poly:
         comps = poly.split(";")
         if len(comps) != n:
             raise ValueError(f"expected {n} component polynomials")
-        cols = []
-        t = ts.points[lo : hi + 1]
-        for comp in comps:
-            coeffs = [float(c) for c in comp.split(",")]
-            cols.append(np.polynomial.polynomial.polyval(t, coeffs))
-        return GridFunction(ts, lo, np.column_stack(cols))
-    rng = np.random.default_rng([args.seed, 97])
-    vals = np.column_stack(
-        [
-            np.polynomial.polynomial.polyval(
-                ts.points[lo : hi + 1] / max(1.0, np.max(np.abs(ts.points))),
-                rng.uniform(-1, 1, 4),
-            )
-            for _ in range(n)
-        ]
-    )
-    return GridFunction(ts, lo, vals)
+        cols = [polyval(t, [float(c) for c in comp.split(",")]) for comp in comps]
+        y = GridFunction(ts, lo, np.column_stack(cols))
+    else:
+        coeffs = np.random.default_rng([args.seed, 97]).uniform(-1, 1, (n, 4))
+        scaled = t[:, None] / max(1.0, np.max(np.abs(ts.points)))
+        y = GridFunction(ts, lo, polyval(scaled, coeffs.T, tensor=False))
+    bad = np.flatnonzero(~np.all(np.isfinite(y.values), axis=1))
+    if bad.size:
+        raise ValueError(f"the path is not finite at t = {float(y.ts.points[y.lo + bad[0]])!r}")
+    return y
 
 
 # Built-in gauge families keyed by name; files override these.
@@ -205,7 +202,7 @@ def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
     if isinstance(spec, (int, float)):
         vals = np.full(t.size, float(spec))
     elif isinstance(spec, dict) and "poly" in spec:
-        vals = np.polynomial.polynomial.polyval(t, [float(c) for c in spec["poly"]])
+        vals = polyval(t, [float(c) for c in spec["poly"]])
     elif isinstance(spec, dict) and "csv" in spec:
         c = read_csv(ts, spec["csv"]).restrict(lo, hi)
         if c.n != 1:

@@ -95,97 +95,72 @@ class GaugeFamily:
         return (self.lo, self.lo + self.g.shape[3] - 1)
 
     @staticmethod
-    def constant(
-        ts: TimeScale,
-        g,
-        f=None,
-        window: tuple[int, int] | None = None,
-    ) -> "GaugeFamily":
+    def constant(ts: TimeScale, g, f=None) -> "GaugeFamily":
         """Build a family from nested constant tables g[j][k][i] (and f[j][i]),
-        each entry held along the whole window."""
+        each entry held along the window [0, len(ts) - 1 - m]."""
         g = np.asarray(g, dtype=float)
         if g.ndim != 3:
             raise ValueError("g must be indexed [parameter][component][order]")
-        lo, hi = window if window is not None else (0, len(ts) - g.shape[2])
+        width = len(ts) - g.shape[2] + 1
 
         def along(table: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(table[..., None], table.shape + (hi - lo + 1,))
+            return np.broadcast_to(table[..., None], table.shape + (width,))
 
         if f is not None:
             f = np.asarray(f, dtype=float)
             if f.shape != (g.shape[0], g.shape[2]):
                 raise ValueError("f must be indexed [parameter][order]")
             f = along(f)
-        return GaugeFamily(ts, lo, along(g), f)
+        return GaugeFamily(ts, 0, along(g), f)
 
 
-@dataclass(frozen=True)
-class GaugeParams:
-    """One parameter grid function per family slot, on an extended window."""
+def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.ndarray, np.ndarray | None]:
+    """What the family adds on y's window: to the components, shape
+    (points, n), and to the times, shape (points,) or None without f.
 
-    p: tuple
-
-    def __post_init__(self):
-        p = tuple(self.p)
-        if not p:
-            raise ValueError("no parameter functions")
-        for gf in p:
-            if gf.n != 1:
-                raise ValueError("parameter functions are scalar")
-        object.__setattr__(self, "p", p)
-
-
-def _term_sum(fam: GaugeFamily, row: np.ndarray, p: GridFunction) -> GridFunction:
-    """sum_i row[i] * p^(sigma^(m-i-1), delta^i) on the family window."""
-    total = reduce(
-        add, (GridFunction(fam.ts, fam.lo, c) * mixed(p, fam.m - i - 1, i) for i, c in enumerate(row))
-    )
+    params holds one scalar GridFunction per parameter.  Each term
+    D[j, i] = p_j^(sigma^(m-i-1), delta^i) is taken once on the family
+    window, and the g and f tables weight it with left-to-right sums, i
+    inside and j outside.
+    """
+    if len(params) != fam.r:
+        raise ValueError(f"family expects {fam.r} parameters")
+    if any(p.n != 1 for p in params):
+        raise ValueError("parameter functions are scalar")
+    if y.n != fam.n:
+        raise ValueError("component count mismatch")
     lo, hi = fam.window
-    if total.lo > lo or total.hi < hi:
-        raise ValueError("parameter window too small for the requested term")
-    return total.restrict(lo, hi)
+    if y.lo < lo or y.hi > hi:
+        raise ValueError("family coefficients do not cover the path window")
+    D = np.empty((fam.r, fam.m + 1, hi - lo + 1))
+    for j, p in enumerate(params):
+        for i in range(fam.m + 1):
+            term = mixed(p, fam.m - i - 1, i)
+            if term.lo > lo or term.hi < hi:
+                raise ValueError("parameter window too small for the requested term")
+            D[j, i] = term.values[lo - term.lo : hi - term.lo + 1, 0]
+    rows = slice(y.lo - lo, y.hi - lo + 1)
+
+    def weighted(table: np.ndarray) -> np.ndarray:
+        sums = (reduce(add, (table[j, ..., i, :] * D[j, i] for i in range(fam.m + 1))) for j in range(fam.r))
+        return reduce(add, sums)[..., rows]
+
+    return weighted(fam.g).T, None if fam.f is None else weighted(fam.f)
 
 
-def gauge_term(fam: GaugeFamily, params: GaugeParams, k: int, j: int) -> GridFunction:
-    """The contribution of parameter j to component k, on the family window."""
-    return _term_sum(fam, fam.g[j, k], params.p[j])
-
-
-def time_shift_term(fam: GaugeFamily, params: GaugeParams, j: int) -> GridFunction:
-    """The contribution of parameter j to the time reparametrization."""
-    if fam.f is None:
-        raise ValueError("family has no time coefficients")
-    return _term_sum(fam, fam.f[j], params.p[j])
-
-
-def _perturbation(fam: GaugeFamily, params: GaugeParams, y: GridFunction) -> np.ndarray:
-    cols = []
-    for k in range(fam.n):
-        acc = reduce(add, (gauge_term(fam, params, k, j) for j in range(fam.r)))
-        cols.append(acc.restrict(y.lo, y.hi).values)
-    return np.hstack(cols)
-
-
-def transform(fam: GaugeFamily, params: GaugeParams, y: GridFunction):
-    """Apply the family to a path.
+def transform(fam: GaugeFamily, params: tuple, y: GridFunction):
+    """Apply the family with one scalar parameter GridFunction per slot.
 
     Returns (None, ybar) without time coefficients.  With them, returns
     (alpha, ybar) where alpha holds the new times on y's window and ybar
     lives on the image scale alpha(points); alpha must come out strictly
     increasing.
     """
-    if len(params.p) != fam.r:
-        raise ValueError(f"family expects {fam.r} parameters")
-    if y.n != fam.n:
-        raise ValueError("component count mismatch")
-    flo, fhi = fam.window
-    if y.lo < flo or y.hi > fhi:
-        raise ValueError("family coefficients do not cover the path window")
-    ybar_vals = y.values + _perturbation(fam, params, y)
-    if fam.f is None:
+    dy, dt = _perturbation(fam, params, y)
+    ybar_vals = y.values + dy
+    if dt is None:
         return None, GridFunction(y.ts, y.lo, ybar_vals)
-    hsum = reduce(add, (time_shift_term(fam, params, j) for j in range(fam.r)))
-    alpha_vals = y.ts.points[y.lo : y.hi + 1] + hsum.restrict(y.lo, y.hi).values[:, 0]
+    alpha_vals = y.ts.points[y.lo : y.hi + 1] + dt
     if not np.all(np.diff(alpha_vals) > 0):
         raise ValueError("time reparametrization is not strictly increasing")
     alpha = GridFunction(y.ts, y.lo, alpha_vals)
@@ -193,21 +168,14 @@ def transform(fam: GaugeFamily, params: GaugeParams, y: GridFunction):
     return alpha, GridFunction(image, 0, ybar_vals)
 
 
-def random_gauge_params(fam: GaugeFamily, seed, amplitude: float = 0.1) -> GaugeParams:
-    """Seeded polynomial probes of degree m+2 scaled to the given sup amplitude,
-    defined on the whole scale."""
-    rng = np.random.default_rng(seed)
-    ts = fam.ts
-    t = ts.points
-    ps = []
-    for _ in range(fam.r):
-        coeffs = rng.uniform(-1, 1, fam.m + 3)
-        vals = np.polynomial.polynomial.polyval(t, coeffs)
-        peak = np.max(np.abs(vals))
-        if peak > 0:
-            vals = vals * (amplitude / peak)
-        ps.append(GridFunction(ts, 0, vals))
-    return GaugeParams(tuple(ps))
+def random_gauge_params(fam: GaugeFamily, seed, amplitude: float = 0.1) -> tuple:
+    """Seeded polynomial probes of degree m+2 scaled to the given sup
+    amplitude, defined on the whole scale: one scalar GridFunction per
+    parameter, from one draw of (r, m+3) coefficients."""
+    coeffs = np.random.default_rng(seed).uniform(-1, 1, (fam.r, fam.m + 3))
+    vals = np.polynomial.polynomial.polyval(fam.ts.points, coeffs.T)
+    peaks = np.max(np.abs(vals), axis=1)
+    return tuple(GridFunction(fam.ts, 0, v * (amplitude / peak) if peak > 0 else v) for v, peak in zip(vals, peaks))
 
 
 def check_invariance(
@@ -216,10 +184,10 @@ def check_invariance(
     y: GridFunction,
     trials: int = 20,
     seed: int = 0,
-    amplitude: float = 0.1,
     tolerance: float = 1e-12,
 ) -> ResidualReport:
-    """Action deviation |action(y) - action(ybar)| over seeded random probes.
+    """Action deviation |action(y) - action(ybar)| over seeded random probes
+    of sup 0.1 (random_gauge_params').
 
     The verdict tolerance is scaled by max(1, |action(y)|).  Families with
     time coefficients are evaluated on the image scale of each trial.
@@ -227,18 +195,16 @@ def check_invariance(
     base = eval_functional(L, y)
 
     def pair(trial: int) -> tuple[float, float]:
-        params = random_gauge_params(fam, seed=[seed, trial], amplitude=amplitude)
+        params = random_gauge_params(fam, seed=[seed, trial])
         return base, eval_functional(L, transform(fam, params, y)[1])
 
     return ResidualReport.from_trials(y.window, trials, pair, tolerance)
 
 
-def necessary_condition_residual(
-    L: Lagrangian, fam: GaugeFamily, y: GridFunction, params: GaugeParams
-) -> float:
+def necessary_condition_residual(L: Lagrangian, fam: GaugeFamily, y: GridFunction, params: tuple) -> float:
     """Value of the first-variation pairing of the path with the family's
     perturbation; zero (to rounding) whenever the action is invariant."""
-    return variation_pairing(L, y, GridFunction(y.ts, y.lo, _perturbation(fam, params, y)))
+    return variation_pairing(L, y, GridFunction(y.ts, y.lo, _perturbation(fam, params, y)[0]))
 
 
 def _identity_weight(b1: float, i: int) -> float:
@@ -256,13 +222,7 @@ def noether_identity(
 ) -> list[ResidualReport]:
     """Per-parameter residual of the gauge dependency among the
     Euler-Lagrange expressions, on the largest window all terms share."""
-    b1 = _require_condition_h(y.ts)
-    E = el_expressions(L, y)
-    reports = []
-    for j in range(fam.r):
-        total = _identity_sum(fam, fam.g[j], E, b1)
-        reports.append(ResidualReport.from_per_point(total.window, total.values, tolerance))
-    return reports
+    return _identity_reports(L, fam, y, tolerance, time_variant=False)
 
 
 def noether_identity_time(
@@ -275,13 +235,21 @@ def noether_identity_time(
     """
     if fam.f is None:
         raise ValueError("time variant needs a family with f coefficients")
+    return _identity_reports(L, fam, y, tolerance, time_variant=True)
+
+
+def _identity_reports(
+    L: Lagrangian, fam: GaugeFamily, y: GridFunction, tolerance: float, time_variant: bool
+) -> list[ResidualReport]:
+    if fam.n != y.n:
+        raise ValueError(f"component count mismatch: the family has n = {fam.n}, the path n = {y.n}")
     b1 = _require_condition_h(y.ts)
     E = el_expressions(L, y)
-    Es = second_el_expression(L, y)
+    Es = second_el_expression(L, y) if time_variant else None
     reports = []
     for j in range(fam.r):
         total = _identity_sum(fam, fam.g[j], E, b1)
-        if np.any(fam.f[j] != 0.0):
+        if time_variant and np.any(fam.f[j] != 0.0):
             total = total + _identity_sum(fam, fam.f[j][None], Es, b1)
         reports.append(ResidualReport.from_per_point(total.window, total.values, tolerance))
     return reports

@@ -8,7 +8,8 @@ discrete Euler-Lagrange boundary value problems by damped Newton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,30 @@ class ConvergenceError(RuntimeError):
         self.history = list(history)
 
 
+# Relative step of every central difference that fills in a missing
+# partial of a density: each perturbed entry x moves by FD_STEP * max(1, |x|).
+FD_STEP = 1e-6
+
+
+def _central_difference(fn: Callable, args: tuple, slot: int, indices) -> np.ndarray:
+    """Central differences of fn(*args) in the argument args[slot], shaped
+    like it: for each index, the entries x = args[slot][index] move together
+    by +-h, h = FD_STEP * max(1, |x|) elementwise, and the quotient
+    (fn(x + h) - fn(x - h)) / (2h) fills those entries."""
+    X = args[slot]
+    out = np.empty(X.shape)
+    for index in indices:
+        x = X[index]
+        h = FD_STEP * np.maximum(1.0, np.abs(x))
+        values = []
+        for step in (h, -h):
+            moved = X.copy()
+            moved[index] = x + step
+            values.append(fn(*args[:slot], moved, *args[slot + 1 :]))
+        out[index] = (values[0] - values[1]) / (2 * h)
+    return out
+
+
 @dataclass(frozen=True)
 class Lagrangian:
     """An evaluable density L(t, u, v) with u, v in R^n.
@@ -39,8 +64,8 @@ class Lagrangian:
     returns a float (eval, d_t) or an n-vector (d_u, d_v).  Vectorized, it
     takes a whole path (t[N], U[N, n], V[N, n]) and returns (N,) or (N, n).
     `sample` is the only caller of the callables in either convention.
-    Analytic partials are optional; central finite differences with a step
-    of fd_step * max(1, |value|) fill in for any that are missing.
+    Analytic partials are optional; central differences with the step
+    FD_STEP * max(1, |x|) of each entry x fill in for any that are missing.
     """
 
     n: int
@@ -48,7 +73,6 @@ class Lagrangian:
     d_t: Callable | None = None
     d_u: Callable | None = None
     d_v: Callable | None = None
-    fd_step: float = 1e-6
     vectorized: bool = False
 
     def sample(self, which: str, T: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -56,30 +80,14 @@ class Lagrangian:
         shape (N,) for "L" and "t", (N, n) for "u" and "v"."""
         fn = {"L": self.eval, "t": self.d_t, "u": self.d_u, "v": self.d_v}[which]
         if fn is None:
-            return self._central_difference(which, T, U, V)
+            slot = "tuv".index(which)
+            columns = [(slice(None), k) for k in range(self.n)] if slot else [...]
+            return _central_difference(partial(self.sample, "L"), (T, U, V), slot, columns)
         if self.vectorized:
             out = np.asarray(fn(T, U, V), dtype=float)
         else:
             out = np.array([fn(t, u, v) for t, u, v in zip(T, U, V)], dtype=float)
         return out.reshape(len(T), -1) if which in ("u", "v") else out.reshape(len(T))
-
-    def _central_difference(self, which: str, T: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Central differences of L in the slot of `which`, one column at a time."""
-        args = [T, U, V]
-        slot = "tuv".index(which)
-        shape = args[slot].shape
-        X = np.reshape(args[slot], (len(T), -1))
-        out = np.empty(X.shape)
-        for k in range(X.shape[1]):
-            h = self.fd_step * np.maximum(1.0, np.abs(X[:, k]))
-            Xp, Xm = X.copy(), X.copy()
-            Xp[:, k] += h
-            Xm[:, k] -= h
-            args[slot] = Xp.reshape(shape)
-            fp = self.sample("L", *args)
-            args[slot] = Xm.reshape(shape)
-            out[:, k] = (fp - self.sample("L", *args)) / (2 * h)
-        return out.reshape(shape)
 
     def at(self, which: str, t: float, u, v):
         """One point of `sample`: a float for "L" and "t", an n-vector for
@@ -93,10 +101,11 @@ class Lagrangian:
         if it exceeds rtol."""
         probes = np.random.default_rng(seed).uniform(-2, 2, (trials, 1 + 2 * self.n))
         T, U, V = probes[:, 0], probes[:, 1 : 1 + self.n], probes[:, 1 + self.n :]
+        bare = replace(self, d_t=None, d_u=None, d_v=None)
         worst = 0.0
         for which, fn in (("t", self.d_t), ("u", self.d_u), ("v", self.d_v)):
             if fn is not None:
-                fd = self._central_difference(which, T, U, V)
+                fd = bare.sample(which, T, U, V)
                 gap = np.abs(self.sample(which, T, U, V) - fd) / np.maximum(1.0, np.abs(fd))
                 worst = max(worst, float(np.max(gap)))
         if worst > rtol:
@@ -116,6 +125,8 @@ class BoundaryData:
         b = np.atleast_1d(np.asarray(self.beta, dtype=float))
         if a.shape != b.shape:
             raise ValueError("alpha and beta dimensions differ")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError(f"boundary values must be finite, got alpha {a.tolist()} and beta {b.tolist()}")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
 
@@ -213,11 +224,6 @@ def second_el_expression(L: Lagrangian, y: GridFunction) -> GridFunction:
     inner_vals = lval.values - np.sum(vs * lv.values, axis=1, keepdims=True) - mu * lt.values
     inner = GridFunction(y.ts, y.lo, inner_vals)
     return lt.restrict(lt.lo, lt.hi - 1) - delta_derivative(inner, 1)
-
-
-def second_el_residual(L: Lagrangian, y: GridFunction, tolerance: float = 1e-8) -> ResidualReport:
-    e = second_el_expression(L, y)
-    return ResidualReport.from_per_point(e.window, e.values, tolerance)
 
 
 def solve_extremal(

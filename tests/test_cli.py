@@ -1,13 +1,16 @@
+import argparse
 import json
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsnoether import cli
 from tsnoether.cli import main
-from tsnoether.timescale import MAX_POINTS
+from tsnoether.timescale import MAX_POINTS, parse_scale_spec
 
 
 def run(tmp_path, *args, name="report.json"):
@@ -209,6 +212,37 @@ class TestExitCodes:
         code, data, _ = run(tmp_path, "el", "--scale", "h:1:0:5", "--lagrangian", "dirichlet", "--csv", str(path))
         assert code == 0
         assert data["sections"][0]["domain"] == [1, 3] and data["sections"][0]["sup_norm"] == 0.0
+
+    @pytest.mark.parametrize("cmd", ["check-noether", "check-noether-time"])
+    def test_identity_family_component_count_checked(self, tmp_path, capsys, cmd):
+        fam = tmp_path / "fam_n1.json"
+        fam.write_text(json.dumps({"r": 1, "m": 0, "n": 1, "g": [[[1.0]]], "f": [[0.0]]}))
+        code, data, _ = run(tmp_path, cmd, "--scale", "h:1:0:10", "--lagrangian", "pair-difference",
+                            "--family", str(fam), "--y-poly", "0,1,0.3;0,2")
+        assert code == 2 and data is None
+        assert capsys.readouterr().err == "error: component count mismatch: the family has n = 1, the path n = 2\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["integrate", "--scale", "h:1:0:5", "--poly", "inf"], "the path is not finite at t = 0.0"),
+            (["derive", "--scale", "h:1:0:5", "--poly", "1,nan"], "the path is not finite at t = 0.0"),
+            (["el", "--scale", "h:1:0:2", "--lagrangian", "dirichlet", "--csv", "{tmp}/y.csv"],
+             "the path is not finite at t = 1.0"),
+            (["check-invariance", "--scale", "h:1:0:10", "--lagrangian", "pair-difference", "--family", "pairdiff",
+              "--y-poly", "0,1;0,1e308,1e308"], "the path is not finite at t = 1.0"),
+            (["solve", "--scale", "h:1:0:5", "--lagrangian", "poisson", "--alpha", "nan", "--beta", "1"],
+             "boundary values must be finite, got alpha [nan] and beta [1.0]"),
+            (["solve", "--scale", "h:1:0:5", "--lagrangian", "poisson", "--alpha", "0", "--beta=-inf"],
+             "boundary values must be finite, got alpha [0.0] and beta [-inf]"),
+        ],
+        ids=["poly-inf", "poly-nan", "csv-nan", "y-poly-overflow", "alpha-nan", "beta-inf"],
+    )
+    def test_non_finite_path_or_boundary_refused(self, tmp_path, capsys, args, message):
+        (tmp_path / "y.csv").write_text("t,y1\n0.0,1.0\n1.0,nan\n2.0,3.0\n")
+        code, data, _ = run(tmp_path, *(a.replace("{tmp}", str(tmp_path)) for a in args))
+        assert code == 2 and data is None
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_verdict_failure_exits_one(self, tmp_path):
         fam = write_pairdiff_family(tmp_path, broken=True)
@@ -467,3 +501,27 @@ class TestFamilyCoefficientForms:
 def test_em_default_lattice_passes(tmp_path):
     code, data, _ = run(tmp_path, "em", "--lattice", "default")
     assert code == 0 and data["verdict"] == "pass"
+
+
+def earlier_seeded_path(seed, ts, n, lo, hi):
+    """The random path of _load_path as it was before its coefficients were
+    drawn at once: one draw of four and one polyval per component."""
+    rng = np.random.default_rng([seed, 97])
+    t = ts.points[lo : hi + 1] / max(1.0, np.max(np.abs(ts.points)))
+    return np.column_stack([np.polynomial.polynomial.polyval(t, rng.uniform(-1, 1, 4)) for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(["h:0.25:-1:2", "q:1.5:0.5:12", "real:0.1:-3:-1", "q:3:1:600"]),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_seeded_path_bitwise_equals_earlier_copy(spec, n, seed, data):
+    ts = parse_scale_spec(spec)
+    lo = data.draw(st.integers(0, 2))
+    hi = data.draw(st.integers(lo, len(ts) - 1))
+    y = cli._load_path(argparse.Namespace(seed=seed), ts, n, lo, hi)
+    assert y.window == (lo, hi) and y.values.flags.c_contiguous
+    assert y.values.tobytes() == earlier_seeded_path(seed, ts, n, lo, hi).tobytes()

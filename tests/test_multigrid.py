@@ -46,7 +46,9 @@ def grid_mixed():
 
 
 def field_from(grid, fn):
-    return FieldD.from_callable(grid, fn)
+    """Samples of fn(x0, x1, ...) on the whole grid."""
+    coords = np.meshgrid(*[s.points for s in grid.scales], indexing="ij", sparse=True)
+    return FieldD(grid, (0,) * grid.d, np.broadcast_to(fn(*coords), grid.shape))
 
 
 def el_residual_d(L, u, tolerance=1e-8):
@@ -285,6 +287,14 @@ class TestNoetherIdentityD:
         u = tuple(random_polynomial_field(grid, seed=[9, k]) for k in range(2))
         assert noether_identity_d(L, fam, u).sup_norm == 0.0
 
+    @pytest.mark.parametrize("rows", [[(0.0, 1.0, 0.0)], [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 1.0)]])
+    def test_family_of_another_component_count_refused(self, rows):
+        # One row would silently drop E_1 from the sum, three would index past it.
+        L, _, u = self.curl_setup(grid_z2(5, 5))
+        fam = GaugeFamilyD(u[0].grid, rows)
+        with pytest.raises(ValueError, match=f"component count mismatch: the family has n = {len(rows)}, the density n = 2"):
+            noether_identity_d(L, fam, u)
+
     def test_transform_zero_parameter(self):
         grid = grid_z2(5, 5)
         L, fam, u = self.curl_setup(grid)
@@ -360,7 +370,7 @@ class TestThreeAxes:
         L = LagrangianD(d=3, n=1, density=density,
                         d_u=lambda c, U, G: np.zeros_like(U),
                         d_g=lambda c, U, G: G.copy())
-        u = (FieldD.from_callable(g, lambda x, y, z: x + 2 * y + 0 * z),)
+        u = (field_from(g, lambda x, y, z: x + 2 * y + 0 * z),)
         assert el_residual_d(L, u).sup_norm <= 1e-13
 
     def test_gauge_adjoint_pairing(self):
@@ -898,3 +908,49 @@ def test_fused_slots_bitwise_equal_field_path(d, scales, n, analytic, seed, data
         assert bits(gauge_field(fam, p, k)) == bits(fieldwise_gauge_field(fields, p, k))
         assert bits(gauge_field_adjoint(fam, es[k], k)) == bits(fieldwise_gauge_field_adjoint(fields, es[k], k))
         assert bits(gauge_pairing(fam, p, u[k], k)) == bits(fieldwise_gauge_pairing(fields, p, u[k], k))
+
+
+def earlier_partial_u(L, coords, U, G):
+    """LagrangianD's finite-difference u partial as it was before the 1-D and
+    d-D loops shared one kernel, with its step 1e-6 * max(1, |x|)."""
+    out = np.empty_like(U)
+    for k in range(L.n):
+        h = 1e-6 * np.maximum(1.0, np.abs(U[k]))
+        up, um = U.copy(), U.copy()
+        up[k] = U[k] + h
+        um[k] = U[k] - h
+        out[k] = (L.density(coords, up, G) - L.density(coords, um, G)) / (2 * h)
+    return out
+
+
+def earlier_partial_g(L, coords, U, G):
+    out = np.empty_like(G)
+    for j in range(L.d):
+        for k in range(L.n):
+            h = 1e-6 * np.maximum(1.0, np.abs(G[j, k]))
+            gp, gm = G.copy(), G.copy()
+            gp[j, k] = G[j, k] + h
+            gm[j, k] = G[j, k] - h
+            out[j, k] = (L.density(coords, U, gp) - L.density(coords, U, gm)) / (2 * h)
+    return out
+
+
+@given(
+    d=st.integers(2, 4),
+    n=st.integers(1, 3),
+    spread=st.sampled_from([0.5, 3.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_central_differences_bitwise_equal_earlier_copies(d, n, spread, seed, data):
+    rng = np.random.default_rng(seed)
+    cells = tuple(data.draw(st.integers(1, 4), label=f"cells{ax}") for ax in range(d))
+    coords = tuple(
+        rng.uniform(-1, 1, cells[ax]).reshape([cells[ax] if a == ax else 1 for a in range(d)]) for ax in range(d)
+    )
+    U = rng.uniform(-spread, spread, (n,) + cells)
+    G = rng.uniform(-spread, spread, (d, n) + cells)
+    L = density_with_partials(d, n, analytic=False)
+    assert L.partial_u(coords, U, G).tobytes() == earlier_partial_u(L, coords, U, G).tobytes()
+    assert L.partial_g(coords, U, G).tobytes() == earlier_partial_g(L, coords, U, G).tobytes()

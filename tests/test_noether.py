@@ -1,11 +1,13 @@
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tsnoether import (
     GaugeFamily,
-    GaugeParams,
     GridFunction,
     check_invariance,
     catalog,
@@ -14,7 +16,6 @@ from tsnoether import (
     eval_functional,
     explicit_scale,
     fundamental_lemma_oracle,
-    gauge_term,
     h_uniform,
     identity_lhs_h_calculus,
     identity_lhs_q_calculus,
@@ -26,11 +27,11 @@ from tsnoether import (
     random_gauge_params,
     second_el_expression,
     second_el_via_reparametrization,
+    shift,
     solve_extremal,
-    time_shift_term,
     transform,
 )
-from tsnoether.variational import BoundaryData, Lagrangian
+from tsnoether.variational import BoundaryData, Lagrangian, variation_pairing
 
 PAIRDIFF = catalog("pair-difference")
 
@@ -84,12 +85,19 @@ class TestGaugeFamily:
             GaugeFamily(h_uniform(1.0, 0, 4), lo, np.ones((1, 1, 1, npts)))
 
 
+def gauge_term(fam, params):
+    """The perturbation of a one-component family, read off transform on a
+    zero path over the family window."""
+    y = GridFunction(fam.ts, fam.lo, np.zeros((fam.g.shape[3], 1)))
+    return transform(fam, params, y)[1]
+
+
 class TestGaugeTerm:
     def test_order_zero_unit_coefficient_is_rho_shift(self):
         ts = h_uniform(1.0, 0, 6)
         fam = GaugeFamily.constant(ts, [[[1.0]]])
         p = GridFunction.from_callable(ts, lambda t: t * t)
-        term = gauge_term(fam, GaugeParams((p,)), k=0, j=0)
+        term = gauge_term(fam, (p,))
         # value at t is p(rho(t)); at the minimum rho saturates
         expect = np.array([0.0, 0.0, 1.0, 4.0, 9.0, 16.0, 25.0])
         assert np.allclose(term.values[:, 0], expect)
@@ -98,14 +106,14 @@ class TestGaugeTerm:
         ts = q_geometric(2.0, 1.0, 7)
         fam = GaugeFamily.constant(ts, [[[0.3, -0.4]]])
         p = GridFunction(ts, 0, np.zeros(7))
-        term = gauge_term(fam, GaugeParams((p,)), 0, 0)
+        term = gauge_term(fam, (p,))
         assert np.all(term.values == 0)
 
     def test_first_order_backward_difference_on_integers(self):
         ts = h_uniform(1.0, 0, 7)
         fam = GaugeFamily.constant(ts, [[[0.0, 1.0]]])
         p = GridFunction.from_callable(ts, lambda t: t**3)
-        term = gauge_term(fam, GaugeParams((p,)), 0, 0)
+        term = gauge_term(fam, (p,))
         t = ts.points[1 : term.hi + 1]
         assert np.allclose(term.values[1:, 0], t**3 - (t - 1) ** 3)
 
@@ -114,9 +122,9 @@ class TestGaugeTerm:
         fam = GaugeFamily.constant(ts, [[[0.5, -1.0, 0.25]]])
         pa = random_gauge_params(fam, seed=1)
         pb = random_gauge_params(fam, seed=2)
-        combo = GaugeParams((pa.p[0] * 2.0 + pb.p[0] * (-3.0),))
-        lhs = gauge_term(fam, combo, 0, 0).values
-        rhs = 2.0 * gauge_term(fam, pa, 0, 0).values - 3.0 * gauge_term(fam, pb, 0, 0).values
+        combo = (pa[0] * 2.0 + pb[0] * (-3.0),)
+        lhs = gauge_term(fam, combo).values
+        rhs = 2.0 * gauge_term(fam, pa).values - 3.0 * gauge_term(fam, pb).values
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -125,7 +133,7 @@ class TestTransform:
         ts = h_uniform(1.0, 0, 8)
         fam = pairdiff_family(ts)
         y = random_path(ts, 2, seed=0)
-        zero = GaugeParams((GridFunction(ts, 0, np.zeros(9)),))
+        zero = (GridFunction(ts, 0, np.zeros(9)),)
         tbar, ybar = transform(fam, zero, y)
         assert tbar is None
         assert np.array_equal(ybar.values, y.values)
@@ -149,13 +157,27 @@ class TestTransform:
         assert len(ybar.ts) == len(ts)
         assert np.allclose(ybar.ts.points, alpha.values[:, 0])
 
+    @pytest.mark.parametrize(
+        "count, n, message",
+        [(0, 1, "family expects 1 parameters"), (2, 1, "family expects 1 parameters"), (1, 2, "parameter functions are scalar")],
+        ids=["none", "two", "vector"],
+    )
+    def test_parameter_count_and_scalar_checked(self, count, n, message):
+        ts = h_uniform(1.0, 0, 8)
+        y = random_path(ts, 2, seed=1)
+        params = tuple(GridFunction(ts, 0, np.ones((9, n))) for _ in range(count))
+        with pytest.raises(ValueError, match=message):
+            transform(pairdiff_family(ts), params, y)
+        with pytest.raises(ValueError, match=message):
+            necessary_condition_residual(PAIRDIFF, pairdiff_family(ts), y, params)
+
     def test_time_case_monotonicity_violation_raises(self):
         ts = h_uniform(1.0, 0, 8)
         fam = GaugeFamily.constant(ts, [[[0.0]]], f=[[1.0]])
         y = random_path(ts, 1, seed=3)
         sawtooth = GridFunction(ts, 0, np.where(np.arange(9) % 2 == 0, 0.9, -0.9))
         with pytest.raises(ValueError):
-            transform(fam, GaugeParams((sawtooth,)), y)
+            transform(fam, (sawtooth,), y)
 
 
 class TestInvariance:
@@ -163,7 +185,7 @@ class TestInvariance:
         ts = h_uniform(1.0, 0, 8)
         fam = pairdiff_family(ts)
         y = random_path(ts, 2, seed=5)
-        zero = GaugeParams((GridFunction(ts, 0, np.zeros(9)),))
+        zero = (GridFunction(ts, 0, np.zeros(9)),)
         _, ybar = transform(fam, zero, y)
         assert eval_functional(PAIRDIFF, ybar) == eval_functional(PAIRDIFF, y)
 
@@ -187,7 +209,7 @@ class TestNecessaryCondition:
         ts = h_uniform(1.0, 0, 9)
         fam = pairdiff_family(ts)
         y = random_path(ts, 2, seed=7)
-        zero = GaugeParams((GridFunction(ts, 0, np.zeros(10)),))
+        zero = (GridFunction(ts, 0, np.zeros(10)),)
         assert necessary_condition_residual(PAIRDIFF, fam, y, zero) == 0.0
 
     def test_invariant_family_near_zero(self):
@@ -228,6 +250,17 @@ class TestNoetherIdentity:
         y = random_path(ts, 2, seed=11)
         rep = noether_identity(PAIRDIFF, fam, y)[0]
         assert rep.sup_norm > 1e-3 and not rep.verdict
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_family_of_another_component_count_refused(self, n):
+        # Fewer rows would silently drop Euler-Lagrange expressions, more
+        # would index past them.
+        ts = h_uniform(1.0, 0, 10)
+        fam = GaugeFamily.constant(ts, [[[1.0]] * n], f=[[0.0]])
+        y = random_path(ts, 2, seed=11)
+        for identity in (noether_identity, noether_identity_time):
+            with pytest.raises(ValueError, match=f"component count mismatch: the family has n = {n}, the path n = 2"):
+                identity(PAIRDIFF, fam, y)
 
     def test_window_shrinks_by_order_plus_two(self):
         ts = h_uniform(1.0, 0, 12)
@@ -453,16 +486,17 @@ class TestTimeShiftTerm:
         ts = h_uniform(1.0, 0, 8)
         fam = GaugeFamily.constant(ts, [[[0.0]]], f=[[1.0]])
         p = GridFunction.from_callable(ts, lambda t: 0.1 * t)
-        h = time_shift_term(fam, GaugeParams((p,)), 0)
-        # order zero term is p(rho(t))
-        assert h.at(4)[0] == pytest.approx(0.3)
+        alpha, _ = transform(fam, (p,), GridFunction(ts, 0, np.zeros(9)))
+        # order zero term is p(rho(t)), added to the time t
+        assert alpha.at(4)[0] == pytest.approx(4.3)
 
     def test_missing_f(self):
+        # Without f coefficients the family moves no time.
         ts = h_uniform(1.0, 0, 8)
         fam = GaugeFamily.constant(ts, [[[1.0]]])
         p = GridFunction.from_callable(ts, lambda t: t)
-        with pytest.raises(ValueError):
-            time_shift_term(fam, GaugeParams((p,)), 0)
+        alpha, ybar = transform(fam, (p,), GridFunction(ts, 0, np.zeros(9)))
+        assert alpha is None and ybar.ts is ts
 
 
 class TestSpecNegativeControlVariant:
@@ -524,3 +558,167 @@ def test_pair_difference_identity_for_arbitrary_paths(vals):
     fam = GaugeFamily.constant(ts, [[[1.0], [1.0]]])
     rep = noether_identity(PAIRDIFF, fam, y, tolerance=1e-9)[0]
     assert rep.sup_norm <= 1e-9
+
+
+# Test-local copies of the gauge pass as it was before each term
+# p_j^(sigma^(m-i-1), delta^i) was taken once for all components and the
+# time table, and of the probe generator before its coefficients were
+# drawn at once.  transform and random_gauge_params must match them bit
+# for bit.
+
+def earlier_term_sum(fam, row, p):
+    total = reduce(add, (GridFunction(fam.ts, fam.lo, c) * mixed(p, fam.m - i - 1, i) for i, c in enumerate(row)))
+    lo, hi = fam.window
+    if total.lo > lo or total.hi < hi:
+        raise ValueError("parameter window too small for the requested term")
+    return total.restrict(lo, hi)
+
+
+def earlier_perturbation(fam, params, y):
+    cols = []
+    for k in range(fam.n):
+        acc = reduce(add, (earlier_term_sum(fam, fam.g[j, k], params[j]) for j in range(fam.r)))
+        cols.append(acc.restrict(y.lo, y.hi).values)
+    return np.hstack(cols)
+
+
+def earlier_transform(fam, params, y):
+    """(alpha values or None, ybar values), without the input checks."""
+    ybar = y.values + earlier_perturbation(fam, params, y)
+    if fam.f is None:
+        return None, ybar
+    hsum = reduce(add, (earlier_term_sum(fam, fam.f[j], params[j]) for j in range(fam.r)))
+    return y.ts.points[y.lo : y.hi + 1] + hsum.restrict(y.lo, y.hi).values[:, 0], ybar
+
+
+def earlier_random_gauge_params(fam, seed, amplitude=0.1):
+    rng = np.random.default_rng(seed)
+    ps = []
+    for _ in range(fam.r):
+        vals = np.polynomial.polynomial.polyval(fam.ts.points, rng.uniform(-1, 1, fam.m + 3))
+        peak = np.max(np.abs(vals))
+        if peak > 0:
+            vals = vals * (amplitude / peak)
+        ps.append(GridFunction(fam.ts, 0, vals))
+    return tuple(ps)
+
+
+def gauge_scale(kind, npts, rng):
+    if kind == "h":
+        return h_uniform(0.5, -1.0, -1.0 + 0.5 * (npts - 1))
+    if kind == "q":
+        return q_geometric(1.25, 0.5, npts)
+    return explicit_scale(np.cumsum(rng.uniform(0.25, 1.0, npts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(1, 2),
+    n=st.integers(1, 3),
+    m=st.integers(0, 2),
+    with_f=st.booleans(),
+    kind=st.sampled_from(["h", "q", "explicit"]),
+    amplitude=st.sampled_from([0.1, 1.0, 37.5]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_gauge_pass_bitwise_equals_earlier_copy(r, n, m, with_f, kind, amplitude, seed, data):
+    rng = np.random.default_rng(seed)
+    ts = gauge_scale(kind, data.draw(st.integers(m + 2, 14), label="npts"), rng)
+    top = len(ts) - 1 - m  # the highest index every term of a whole-scale parameter reaches
+    flo = data.draw(st.integers(0, top - 1), label="family lo")
+    fhi = data.draw(st.integers(flo + 1, top), label="family hi")
+    ylo = data.draw(st.integers(flo, fhi - 1), label="path lo")
+    yhi = data.draw(st.integers(ylo + 1, fhi), label="path hi")
+    width = fhi - flo + 1
+    f = rng.uniform(-1, 1, (r, m + 1, width)) if with_f else None
+    fam = GaugeFamily(ts, flo, rng.uniform(-1, 1, (r, n, m + 1, width)), f)
+    params = random_gauge_params(fam, [seed, 1], amplitude)
+    for new, old in zip(params, earlier_random_gauge_params(fam, [seed, 1], amplitude)):
+        assert new.window == old.window and new.values.tobytes() == old.values.tobytes()
+    # Parameters on windows that start above the scale minimum: rho no
+    # longer saturates there, and a window above the family's is refused.
+    plo = data.draw(st.integers(0, flo + 1), label="parameter lo")
+    params = tuple(p.restrict(plo, p.hi) for p in params)
+    y = GridFunction(ts, ylo, rng.uniform(-1, 1, (yhi - ylo + 1, n)))
+    try:
+        alpha, ybar = earlier_transform(fam, params, y)
+    except ValueError as exc:
+        # The earlier pass could also fail on windows that do not overlap.
+        event(f"refused: {exc}")
+        with pytest.raises(ValueError, match="parameter window too small|shift exhausts|window too small"):
+            transform(fam, params, y)
+        return
+    if alpha is not None and not np.all(np.diff(alpha) > 0):
+        event("refused: time reparametrization is not strictly increasing")
+        with pytest.raises(ValueError, match="time reparametrization is not strictly increasing"):
+            transform(fam, params, y)
+        return
+    new_alpha, new_ybar = transform(fam, params, y)
+    assert new_ybar.values.tobytes() == ybar.tobytes()
+    if alpha is None:
+        assert new_alpha is None and new_ybar.ts is ts
+    else:
+        assert new_alpha.values[:, 0].tobytes() == alpha.tobytes()
+        assert new_ybar.ts.points.tobytes() == alpha.tobytes()
+    L = catalog(f"quad:{n}:0.5:0.25:0.125")
+    eta = GridFunction(ts, ylo, earlier_perturbation(fam, params, y))
+    assert necessary_condition_residual(L, fam, y, params) == variation_pairing(L, y, eta)
+
+
+def test_parameter_window_too_small_refused_as_before():
+    ts = h_uniform(1.0, 0, 8)
+    fam = GaugeFamily.constant(ts, [[[1.0, 0.5]]])
+    p = GridFunction(ts, 2, np.ones(7))  # its terms start at index 2 and 3, the family at 0
+    y = GridFunction(ts, 0, np.zeros((8, 1)))
+    for apply in (transform, earlier_transform):
+        with pytest.raises(ValueError, match="parameter window too small for the requested term"):
+            apply(fam, (p,), y)
+
+
+def earlier_identity_time(L, fam, y, tolerance=1e-9):
+    """noether_identity_time as it was before it shared noether_identity's
+    loop, with its own copy of the identity's terms."""
+    b1 = y.ts.condition_h[0]
+    E, Es = el_expressions(L, y), second_el_expression(L, y)
+
+    def identity_sum(table, E):
+        def term(k, i, row):
+            t = shift(GridFunction(fam.ts, fam.lo, row), 1) * E.component(k)
+            return (-1.0) ** i * (1.0 / b1) ** ((i * (i + 1)) // 2) * (delta_derivative(t, i) if i else t)
+
+        return reduce(add, (term(k, i, row) for k, rows in enumerate(table) for i, row in enumerate(rows)))
+
+    totals = []
+    for j in range(fam.r):
+        total = identity_sum(fam.g[j], E)
+        if np.any(fam.f[j] != 0.0):
+            total = total + identity_sum(fam.f[j][None], Es)
+        totals.append(total)
+    return totals
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(1, 2),
+    n=st.integers(1, 2),
+    m=st.integers(0, 2),
+    geometric=st.booleans(),
+    zero_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_time_identity_bitwise_equals_earlier_copy(r, n, m, geometric, zero_row, seed):
+    # The f-weighted time-component term enters with random, non-zero f; a
+    # zero f row is skipped, not added.
+    rng = np.random.default_rng(seed)
+    ts = q_geometric(1.25, 0.5, 12) if geometric else h_uniform(0.25, -1.0, 1.75)
+    hi = len(ts) - 1 - m
+    f = rng.uniform(-1, 1, (r, m + 1, hi + 1))
+    if zero_row:
+        f[0] = 0.0
+    fam = GaugeFamily(ts, 0, rng.uniform(-1, 1, (r, n, m + 1, hi + 1)), f)
+    L = catalog(f"quad:{n}:0.5:0.25:0.125")
+    y = GridFunction(ts, 0, rng.uniform(-1, 1, (hi + 1, n)))
+    reports = noether_identity_time(L, fam, y)
+    for rep, total in zip(reports, earlier_identity_time(L, fam, y), strict=True):
+        assert rep.domain == total.window and rep.per_point.tobytes() == total.values.tobytes()

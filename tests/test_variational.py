@@ -20,7 +20,6 @@ from tsnoether import (
     parse_scale_spec,
     q_geometric,
     real_approx,
-    second_el_residual,
     solve_extremal,
 )
 from tsnoether import GaugeFamily, noether_identity_time, second_el_expression, variational
@@ -189,8 +188,8 @@ class TestEulerLagrange:
 class TestSecondEulerLagrange:
     def test_autonomous_kinetic_along_identity(self):
         ts = h_uniform(1.0, 0, 5)
-        rep = second_el_residual(catalog("dirichlet"), GridFunction.from_callable(ts, lambda t: t))
-        assert rep.sup_norm == 0.0
+        e = second_el_expression(catalog("dirichlet"), GridFunction.from_callable(ts, lambda t: t))
+        assert np.max(np.abs(e.values)) == 0.0
 
     def test_pure_time_density_on_integers(self):
         ts = h_uniform(1.0, 0, 6)
@@ -202,8 +201,8 @@ class TestSecondEulerLagrange:
             d_v=lambda t, u, v: np.zeros(1),
         )
         y = GridFunction.from_callable(ts, lambda t: np.cos(t))
-        rep = second_el_residual(L, y)
-        assert rep.sup_norm == pytest.approx(0.0, abs=1e-14)
+        e = second_el_expression(L, y)
+        assert np.max(np.abs(e.values)) == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_density(self):
         ts = q_geometric(2.0, 1.0, 7)
@@ -215,7 +214,7 @@ class TestSecondEulerLagrange:
             d_v=lambda t, u, v: np.zeros(1),
         )
         y = GridFunction.from_callable(ts, lambda t: 1.0 / t)
-        assert second_el_residual(L, y).sup_norm == 0.0
+        assert np.max(np.abs(second_el_expression(L, y).values)) == 0.0
 
 
 class TestOnePathSample:
@@ -478,7 +477,7 @@ class TestBandedNewton:
     def test_bands_match_one_column_at_a_time(self, n, npts, geometric, nonlinear, seed):
         """Both Jacobians are forward quotients, with steps of at least 1e-7,
         of samples that carry an absolute error delta: eps * max|P| with
-        analytic partials, eps * max|L| / fd_step with central-difference
+        analytic partials, eps * max|L| / FD_STEP with central-difference
         ones.  An entry of either sums at most four such quotients scaled by
         at most 1 / mu_min^2, so they differ by at most
         16 delta / (1e-7 mu_min^2).  The quadratic has no truncation error,
@@ -502,7 +501,7 @@ class TestBandedNewton:
         T, U, V, Pu, Pv = path
         eps = np.finfo(float).eps
         if nonlinear:
-            delta = eps * np.max(np.abs(L.sample("L", T, U, V))) / L.fd_step
+            delta = eps * np.max(np.abs(L.sample("L", T, U, V))) / variational.FD_STEP
         else:
             delta = eps * max(np.max(np.abs(Pu)), np.max(np.abs(Pv)))
         bound = 16 * delta / (1e-7 * np.min(ts.mu_array()) ** 2)
@@ -660,19 +659,19 @@ def rational_density(n, vectorized):
 
 def per_point_sample(L, which, t, u, v):
     """One point of L or a partial, reading each missing partial as a
-    central difference with the step fd_step * max(1, |x_k|) per entry."""
+    central difference with the step FD_STEP * max(1, |x_k|) per entry."""
     if which == "L":
         return L.eval(t, u, v)
     fn = {"t": L.d_t, "u": L.d_u, "v": L.d_v}[which]
     if fn is not None:
         return fn(t, u, v)
     if which == "t":
-        h = L.fd_step * max(1.0, abs(t))
+        h = variational.FD_STEP * max(1.0, abs(t))
         return (L.eval(t + h, u, v) - L.eval(t - h, u, v)) / (2 * h)
     x = u if which == "u" else v
     out = np.empty(x.size)
     for k in range(x.size):
-        h = L.fd_step * max(1.0, abs(x[k]))
+        h = variational.FD_STEP * max(1.0, abs(x[k]))
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
@@ -774,6 +773,45 @@ class TestLagrangianPartials:
         )
         with pytest.raises(ValueError):
             L.self_check(seed=1)
+
+
+def earlier_central_difference(L, which, T, U, V):
+    """Lagrangian's central differences as they were before the 1-D and d-D
+    loops shared one kernel: one column at a time, step 1e-6 * max(1, |x|)."""
+    args = [T, U, V]
+    slot = "tuv".index(which)
+    shape = args[slot].shape
+    X = np.reshape(args[slot], (len(T), -1))
+    out = np.empty(X.shape)
+    for k in range(X.shape[1]):
+        h = 1e-6 * np.maximum(1.0, np.abs(X[:, k]))
+        Xp, Xm = X.copy(), X.copy()
+        Xp[:, k] += h
+        Xm[:, k] -= h
+        args[slot] = Xp.reshape(shape)
+        fp = L.sample("L", *args)
+        args[slot] = Xm.reshape(shape)
+        out[:, k] = (fp - L.sample("L", *args)) / (2 * h)
+    return out.reshape(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    vectorized=st.booleans(),
+    npts=st.integers(1, 12),
+    spread=st.sampled_from([0.5, 3.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_central_differences_bitwise_equal_earlier_copy(n, vectorized, npts, spread, seed):
+    # Entries on both sides of 1 in magnitude take both branches of the step.
+    rng = np.random.default_rng(seed)
+    T, U, V = (rng.uniform(-spread, spread, shape) for shape in ((npts,), (npts, n), (npts, n)))
+    L = rational_density(n, vectorized)
+    for which in "tuv":
+        new = L.sample(which, T, U, V)
+        assert new.shape == ((npts,) if which == "t" else (npts, n))
+        assert new.tobytes() == earlier_central_difference(L, which, T, U, V).tobytes()
 
 
 class TestResidualReport:
