@@ -95,7 +95,11 @@ class GaugeFamily:
         return (self.lo, self.lo + self.g.shape[3] - 1)
 
     @staticmethod
-    def constant(ts: TimeScale, g, f=None) -> "GaugeFamily":
+    def constant(
+        ts: TimeScale,
+        g,
+        f=None,
+    ) -> "GaugeFamily":
         """Build a family from nested constant tables g[j][k][i] (and f[j][i]),
         each entry held along the window [0, len(ts) - 1 - m]."""
         g = np.asarray(g, dtype=float)
@@ -168,14 +172,20 @@ def transform(fam: GaugeFamily, params: tuple, y: GridFunction):
     return alpha, GridFunction(image, 0, ybar_vals)
 
 
-def random_gauge_params(fam: GaugeFamily, seed, amplitude: float = 0.1) -> tuple:
-    """Seeded polynomial probes of degree m+2 scaled to the given sup
-    amplitude, defined on the whole scale: one scalar GridFunction per
-    parameter, from one draw of (r, m+3) coefficients."""
+# Sup of each seeded probe parameter of the invariance checks.
+PROBE_AMPLITUDE = 0.1
+
+
+def random_gauge_params(fam: GaugeFamily, seed) -> tuple:
+    """Seeded polynomial probes of degree m+2 scaled to sup PROBE_AMPLITUDE,
+    defined on the whole scale: one scalar GridFunction per parameter, from
+    one draw of (r, m+3) coefficients."""
     coeffs = np.random.default_rng(seed).uniform(-1, 1, (fam.r, fam.m + 3))
     vals = np.polynomial.polynomial.polyval(fam.ts.points, coeffs.T)
     peaks = np.max(np.abs(vals), axis=1)
-    return tuple(GridFunction(fam.ts, 0, v * (amplitude / peak) if peak > 0 else v) for v, peak in zip(vals, peaks))
+    return tuple(
+        GridFunction(fam.ts, 0, v * (PROBE_AMPLITUDE / peak) if peak > 0 else v) for v, peak in zip(vals, peaks)
+    )
 
 
 def check_invariance(
@@ -186,8 +196,8 @@ def check_invariance(
     seed: int = 0,
     tolerance: float = 1e-12,
 ) -> ResidualReport:
-    """Action deviation |action(y) - action(ybar)| over seeded random probes
-    of sup 0.1 (random_gauge_params').
+    """Action deviation |action(y) - action(ybar)| over the seeded probes
+    of random_gauge_params.
 
     The verdict tolerance is scaled by max(1, |action(y)|).  Families with
     time coefficients are evaluated on the image scale of each trial.
@@ -201,7 +211,9 @@ def check_invariance(
     return ResidualReport.from_trials(y.window, trials, pair, tolerance)
 
 
-def necessary_condition_residual(L: Lagrangian, fam: GaugeFamily, y: GridFunction, params: tuple) -> float:
+def necessary_condition_residual(
+    L: Lagrangian, fam: GaugeFamily, y: GridFunction, params: tuple
+) -> float:
     """Value of the first-variation pairing of the path with the family's
     perturbation; zero (to rounding) whenever the action is invariant."""
     return variation_pairing(L, y, GridFunction(y.ts, y.lo, _perturbation(fam, params, y)[0]))

@@ -81,7 +81,7 @@ class Lagrangian:
         fn = {"L": self.eval, "t": self.d_t, "u": self.d_u, "v": self.d_v}[which]
         if fn is None:
             slot = "tuv".index(which)
-            columns = [(slice(None), k) for k in range(self.n)] if slot else [...]
+            columns = [(slice(None), *k) for k in np.ndindex(np.shape((T, U, V)[slot])[1:])]
             return _central_difference(partial(self.sample, "L"), (T, U, V), slot, columns)
         if self.vectorized:
             out = np.asarray(fn(T, U, V), dtype=float)

@@ -145,8 +145,8 @@ def test_refrozen_deviations_are_within_summation_error_of_the_old_sum(name):
     assert len(frozen) == args.trials
     before, abs_before, n = left_to_right_action(L, y)
     for trial, value in enumerate(frozen):
-        # The probes of check_invariance: seed [seed, trial], amplitude 0.1.
-        ybar = transform(fam, random_gauge_params(fam, seed=[args.seed, trial], amplitude=0.1), y)[1]
+        # The probes of check_invariance: seed [seed, trial].
+        ybar = transform(fam, random_gauge_params(fam, seed=[args.seed, trial]), y)[1]
         assert value == abs(eval_functional(L, ybar) - eval_functional(L, y)), trial
         after, abs_after, _ = left_to_right_action(L, ybar)
         bound = 4 * n * np.finfo(float).eps * (abs_before + abs_after)

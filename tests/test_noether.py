@@ -223,7 +223,7 @@ class TestNecessaryCondition:
         ts = h_uniform(1.0, 0, 9)
         fam = pairdiff_family(ts, broken=True)
         y = random_path(ts, 2, seed=8)
-        params = random_gauge_params(fam, seed=10, amplitude=1.0)
+        params = tuple(10.0 * p for p in random_gauge_params(fam, seed=10))  # sup 1
         assert abs(necessary_condition_residual(PAIRDIFF, fam, y, params)) > 1e-3
 
 
@@ -591,14 +591,14 @@ def earlier_transform(fam, params, y):
     return y.ts.points[y.lo : y.hi + 1] + hsum.restrict(y.lo, y.hi).values[:, 0], ybar
 
 
-def earlier_random_gauge_params(fam, seed, amplitude=0.1):
+def earlier_random_gauge_params(fam, seed):
     rng = np.random.default_rng(seed)
     ps = []
     for _ in range(fam.r):
         vals = np.polynomial.polynomial.polyval(fam.ts.points, rng.uniform(-1, 1, fam.m + 3))
         peak = np.max(np.abs(vals))
         if peak > 0:
-            vals = vals * (amplitude / peak)
+            vals = vals * (0.1 / peak)
         ps.append(GridFunction(fam.ts, 0, vals))
     return tuple(ps)
 
@@ -618,11 +618,11 @@ def gauge_scale(kind, npts, rng):
     m=st.integers(0, 2),
     with_f=st.booleans(),
     kind=st.sampled_from(["h", "q", "explicit"]),
-    amplitude=st.sampled_from([0.1, 1.0, 37.5]),
+    scale=st.sampled_from([1.0, 10.0, 375.0]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_gauge_pass_bitwise_equals_earlier_copy(r, n, m, with_f, kind, amplitude, seed, data):
+def test_gauge_pass_bitwise_equals_earlier_copy(r, n, m, with_f, kind, scale, seed, data):
     rng = np.random.default_rng(seed)
     ts = gauge_scale(kind, data.draw(st.integers(m + 2, 14), label="npts"), rng)
     top = len(ts) - 1 - m  # the highest index every term of a whole-scale parameter reaches
@@ -633,9 +633,10 @@ def test_gauge_pass_bitwise_equals_earlier_copy(r, n, m, with_f, kind, amplitude
     width = fhi - flo + 1
     f = rng.uniform(-1, 1, (r, m + 1, width)) if with_f else None
     fam = GaugeFamily(ts, flo, rng.uniform(-1, 1, (r, n, m + 1, width)), f)
-    params = random_gauge_params(fam, [seed, 1], amplitude)
-    for new, old in zip(params, earlier_random_gauge_params(fam, [seed, 1], amplitude)):
+    params = random_gauge_params(fam, [seed, 1])
+    for new, old in zip(params, earlier_random_gauge_params(fam, [seed, 1])):
         assert new.window == old.window and new.values.tobytes() == old.values.tobytes()
+    params = tuple(scale * p for p in params)  # sups 0.1, 1 and 37.5
     # Parameters on windows that start above the scale minimum: rho no
     # longer saturates there, and a window above the family's is refused.
     plo = data.draw(st.integers(0, flo + 1), label="parameter lo")

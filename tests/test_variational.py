@@ -798,19 +798,22 @@ def earlier_central_difference(L, which, T, U, V):
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 3),
+    width=st.integers(1, 4),
     vectorized=st.booleans(),
     npts=st.integers(1, 12),
     spread=st.sampled_from([0.5, 3.0, 1e3]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_central_differences_bitwise_equal_earlier_copy(n, vectorized, npts, spread, seed):
+def test_central_differences_bitwise_equal_earlier_copy(n, width, vectorized, npts, spread, seed):
     # Entries on both sides of 1 in magnitude take both branches of the step.
+    # u and v may be wider or narrower than n: each of their own columns is
+    # differenced, as the density itself takes them.
     rng = np.random.default_rng(seed)
-    T, U, V = (rng.uniform(-spread, spread, shape) for shape in ((npts,), (npts, n), (npts, n)))
+    T, U, V = (rng.uniform(-spread, spread, shape) for shape in ((npts,), (npts, width), (npts, width)))
     L = rational_density(n, vectorized)
     for which in "tuv":
         new = L.sample(which, T, U, V)
-        assert new.shape == ((npts,) if which == "t" else (npts, n))
+        assert new.shape == ((npts,) if which == "t" else (npts, width))
         assert new.tobytes() == earlier_central_difference(L, which, T, U, V).tobytes()
 
 

@@ -1,6 +1,6 @@
 """Replay the recorded mutants and say which the tests kill.
 
-    python tools/mutants.py [--only ID ...] [--write] [--timeout 600]
+    python tools/mutants.py
 
 Each mutant in MUTANTS.json names a file, an exact old text that must occur
 in it once, the new text that replaces it, and the tests to run (pytest
@@ -9,14 +9,15 @@ directory, runs every listed test there once on the unmutated code, and
 then, one mutant at a time, writes the mutated file, runs the mutant's
 tests with pytest -x and puts the file back.
 
-A mutant is killed when its tests fail (or error, or run past --timeout),
-and survived when they pass; killed_by names the first failing test.  A
-mutant whose old text no longer occurs exactly once is stale: the code it
-guarded has changed, and it needs rewriting or removing, not silent
-dropping.  Hypothesis runs with a fixed seed and no example database, so a
-verdict does not depend on earlier runs.  --write stores each mutant's
-status and killed_by back into the record.  The exit code is 1 when a
-mutant survived, 2 when the unmutated tests fail, else 0.
+A mutant is killed when its tests fail (or error, or run past TIMEOUT
+seconds), and survived when they pass; killed_by names the first failing
+test.  A mutant whose old text no longer occurs exactly once is stale: the
+code it guarded has changed, and it needs rewriting or removing, not
+silent dropping.  Hypothesis runs with a fixed seed and no example
+database, so a verdict does not depend on earlier runs.  Every mutant is
+replayed, and each one's status and killed_by are written back into the
+record.  The exit code is 1 when a mutant survived, 2 when the unmutated
+tests fail, else 0.
 
 Only the standard library and pytest are used.  The runner is not part of
 the tier-1 suite: a full replay takes a few minutes.
@@ -24,7 +25,6 @@ the tier-1 suite: a full replay takes a few minutes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -38,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "MUTANTS.json"
 COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT = 600.0  # seconds per pytest run
 
 
 def _copy_tree(dest: Path) -> None:
@@ -50,16 +51,16 @@ def _copy_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def _pytest(copy: Path, tests: list[str], timeout: float) -> tuple[bool, str]:
+def _pytest(copy: Path, tests: list[str]) -> tuple[bool, str]:
     """Run the tests in the copy: (passed, first failing test or reason)."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", *tests]
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
+        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return False, f"timeout after {timeout:g} s"
+        return False, f"timeout after {TIMEOUT:g} s"
     if done.returncode == 0:
         return True, ""
     found = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", done.stdout, re.MULTILINE)
@@ -69,14 +70,14 @@ def _pytest(copy: Path, tests: list[str], timeout: float) -> tuple[bool, str]:
     return False, f"pytest exit {done.returncode}: {tail[-1] if tail else ''}"
 
 
-def replay(mutants: list[dict], timeout: float) -> list[dict]:
+def replay(mutants: list[dict]) -> list[dict]:
     """Status and killed_by for each mutant, in order."""
     results = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         _copy_tree(copy)
         baseline = sorted({t for m in mutants for t in m["tests"]})
-        passed, why = _pytest(copy, baseline, timeout)
+        passed, why = _pytest(copy, baseline)
         if not passed:
             raise RuntimeError(f"the unmutated tests fail ({why}); no mutant can be judged")
         for m in mutants:
@@ -88,7 +89,7 @@ def replay(mutants: list[dict], timeout: float) -> list[dict]:
             else:
                 path.write_text(original.replace(m["old"], m["new"]))
                 try:
-                    passed, why = _pytest(copy, m["tests"], timeout)
+                    passed, why = _pytest(copy, m["tests"])
                 finally:
                     path.write_text(original)
                 results.append({"status": "survived" if passed else "killed", "killed_by": why or None})
@@ -96,30 +97,20 @@ def replay(mutants: list[dict], timeout: float) -> list[dict]:
     return results
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="ID", help="replay only these mutants")
-    parser.add_argument("--write", action="store_true", help="store the outcomes in the record")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per pytest run")
-    args = parser.parse_args(argv)
+def main() -> int:
     record = json.loads(RECORD.read_text())
-    chosen = [m for m in record["mutants"] if not args.only or m["id"] in args.only]
-    unknown = set(args.only or ()) - {m["id"] for m in chosen}
-    if unknown:
-        parser.error(f"no mutant named {', '.join(sorted(unknown))}")
     start = time.monotonic()
     try:
-        results = replay(chosen, args.timeout)
+        results = replay(record["mutants"])
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 2
-    for m, result in zip(chosen, results):
+    for m, result in zip(record["mutants"], results):
         m.update(result)
     counts = {s: sum(r["status"] == s for r in results) for s in ("killed", "survived", "stale")}
     print(f"{len(results)} mutants in {time.monotonic() - start:.0f} s: "
           + ", ".join(f"{n} {s}" for s, n in counts.items()))
-    if args.write:
-        RECORD.write_text(json.dumps(record, indent=2, ensure_ascii=False) + "\n")
+    RECORD.write_text(json.dumps(record, indent=2, ensure_ascii=False) + "\n")
     return 1 if counts["survived"] else 0
 
 
