@@ -173,7 +173,8 @@ def _load_path(args, ts: TimeScale, n: int, lo: int = 0, hi: int | None = None) 
         cols = []
         for comp in comps:
             coeffs = [float(c) for c in comp.split(",")]
-            cols.append(np.polynomial.polynomial.polyval(t, coeffs))
+            with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below names the point
+                cols.append(np.polynomial.polynomial.polyval(t, coeffs))
         y = GridFunction(ts, lo, np.column_stack(cols))
     else:
         coeffs = np.random.default_rng([args.seed, 97]).uniform(-1, 1, (n, 4))
@@ -205,7 +206,8 @@ def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
     if isinstance(spec, (int, float)):
         vals = np.full(t.size, float(spec))
     elif isinstance(spec, dict) and "poly" in spec:
-        vals = np.polynomial.polynomial.polyval(t, [float(c) for c in spec["poly"]])
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
+            vals = np.polynomial.polynomial.polyval(t, [float(c) for c in spec["poly"]])
     elif isinstance(spec, dict) and "csv" in spec:
         c = read_csv(ts, spec["csv"]).restrict(lo, hi)
         if c.n != 1:
@@ -230,8 +232,7 @@ def load_family(path_or_name: str, ts: TimeScale):
     if not all(isinstance(data[key], int) and data[key] >= 0 for key in "rmn"):
         raise ValueError(f"{path_or_name}: r, m and n must be non-negative integers")
     r, m, n = data["r"], data["m"], data["n"]
-    if m >= len(ts):
-        raise ValueError(f"{path_or_name}: a family of order m = {m} needs more than {m} points, the scale has {len(ts)}")
+    nt._check_order(m, ts, f"{path_or_name}: ")
     lo, hi = 0, len(ts) - 1 - m
 
     def row(spec, name: str) -> list:

@@ -34,8 +34,10 @@ from .multigrid import (
     el_expressions_d,
     functional_d,
     partial_delta,
+    random_polynomial_field,
     shift_all_except,
 )
+from .timescale import h_uniform
 
 
 # Field strength index pairs appearing in the density: electric (i, 0) and
@@ -95,13 +97,13 @@ def em_lorentz_check(A: tuple, tolerance: float = 1e-10) -> ResidualReport:
     (sigma on every axis except one in turn)."""
     div = reduce(add, (partial_delta(A[i], i) for i in (1, 2, 3)))
     dA0 = partial_delta(A[0], 0)
-    per = []
-    domain = None
-    for k in range(4):
-        resid = shift_all_except(div, k) - shift_all_except(dA0, k)
-        per.append(resid.values.ravel())
-        domain = (resid.lo[0], resid.hi[0])
-    return ResidualReport.from_per_point(domain, np.concatenate(per), tolerance)
+    return _fields_report([shift_all_except(div, k) - shift_all_except(dA0, k) for k in range(4)], tolerance)
+
+
+def _fields_report(fields: list, tolerance: float) -> ResidualReport:
+    """One report over the ravelled values of fields, on the last one's axis-0 window."""
+    per_point = np.concatenate([f.values.ravel() for f in fields])
+    return ResidualReport.from_per_point((fields[-1].lo[0], fields[-1].hi[0]), per_point, tolerance)
 
 
 def em_wave_form(A: tuple) -> tuple:
@@ -126,30 +128,15 @@ def em_wave_form(A: tuple) -> tuple:
 def em_wave_reduction_residual(A: tuple, tolerance: float = 1e-9) -> ResidualReport:
     """Gap between the Euler-Lagrange expressions and the wave form; small
     only when the Lorentz conditions hold."""
-    es = el_expressions_d(em_lagrangian(), A)
-    waves = em_wave_form(A)
-    per = []
-    domain = None
-    for e, w in zip(es, waves):
-        gap = e - w
-        per.append(gap.values.ravel())
-        domain = (gap.lo[0], gap.hi[0])
-    return ResidualReport.from_per_point(domain, np.concatenate(per), tolerance)
+    return _fields_report([e - w for e, w in zip(el_expressions_d(em_lagrangian(), A), em_wave_form(A))], tolerance)
 
 
 def default_lattice(points_per_axis: int = 6) -> GridD:
-    from .timescale import h_uniform
-
     return GridD(tuple(h_uniform(1.0, 0.0, points_per_axis - 1.0) for _ in range(4)))
 
 
-def random_em_field(grid: GridD, seed, degree: int = 2, amplitude: float = 1.0) -> tuple:
-    from .multigrid import random_polynomial_field
-
-    return tuple(
-        random_polynomial_field(grid, seed=[seed, k], degree=degree, amplitude=amplitude)
-        for k in range(4)
-    )
+def random_em_field(grid: GridD, seed, degree: int = 2) -> tuple:
+    return tuple(random_polynomial_field(grid, seed=[seed, k], degree=degree) for k in range(4))
 
 
 def lorentz_field(grid: GridD) -> tuple:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .report import ResidualReport
 from .timescale import _frozen, _sealed, forward_quotient, shift_values, window_integral
-from .variational import _central_difference
+from .variational import _central_difference, _el_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,18 +136,18 @@ def shift_axis(f: FieldD, axis: int, k: int) -> FieldD:
     return FieldD(f.grid, tuple(lo), _sealed(values))
 
 
-def shift_all_except(f: FieldD, axis: int, k: int = 1) -> FieldD:
+def shift_all_except(f: FieldD, axis: int) -> FieldD:
     out = f
     for ax in range(f.grid.d):
         if ax != axis:
-            out = shift_axis(out, ax, k)
+            out = shift_axis(out, ax, 1)
     return out
 
 
-def shift_all(f: FieldD, k: int = 1) -> FieldD:
+def shift_all(f: FieldD) -> FieldD:
     out = f
     for ax in range(f.grid.d):
-        out = shift_axis(out, ax, k)
+        out = shift_axis(out, ax, 1)
     return out
 
 
@@ -186,8 +186,9 @@ class LagrangianD:
     u has one slot per component, g one slot per (axis, component) pair.
     All callables are vectorized over trailing cell axes: u is passed with
     shape (n, *cells) and g with shape (d, n, *cells); coords is a tuple of
-    broadcastable coordinate arrays.  Missing partials are filled in by
-    central differences, one slot entry U[k] or G[j, k] at a time.
+    broadcastable coordinate arrays.  `sample` is the only caller of the
+    callables.  Missing partials are filled in by central differences, one
+    slot entry U[k] or G[j, k] at a time.
     """
 
     d: int
@@ -196,15 +197,16 @@ class LagrangianD:
     d_u: Callable | None = None
     d_g: Callable | None = None
 
-    def partial_u(self, coords, U, G) -> np.ndarray:
-        if self.d_u is not None:
-            return np.asarray(self.d_u(coords, U, G), dtype=float)
-        return _central_difference(self.density, (coords, U, G), 1, np.ndindex(self.n))
-
-    def partial_g(self, coords, U, G) -> np.ndarray:
-        if self.d_g is not None:
-            return np.asarray(self.d_g(coords, U, G), dtype=float)
-        return _central_difference(self.density, (coords, U, G), 2, np.ndindex(self.d, self.n))
+    def sample(self, which: str, coords, U, G) -> np.ndarray:
+        """L ("L") or its partial ("u", "g") at the pattern (coords, U, G),
+        broadcast to the cell shape U.shape[1:], to U.shape or to G.shape."""
+        fn = {"L": self.density, "u": self.d_u, "g": self.d_g}[which]
+        if fn is None:
+            args, slot = (coords, U, G), "Lug".index(which)
+            out = _central_difference(self.density, args, slot, np.ndindex(args[slot].shape[:slot]))
+        else:
+            out = np.asarray(fn(coords, U, G), dtype=float)
+        return np.broadcast_to(out, {"L": U.shape[1:], "u": U.shape, "g": G.shape}[which])
 
 
 def _pattern_args(L: LagrangianD, u: tuple):
@@ -250,29 +252,19 @@ def _pattern_args(L: LagrangianD, u: tuple):
 def functional_d(L: LagrangianD, u: tuple) -> float:
     """The d-fold delta integral of the density along the shifted pattern."""
     coords, U, G, lo, cell_hi = _pattern_args(L, u)
-    density = np.broadcast_to(L.density(coords, U, G), U.shape[1:])
-    return float(window_integral(u[0].grid.scales, lo, density[..., None])[0])
+    return float(window_integral(u[0].grid.scales, lo, L.sample("L", coords, U, G)[..., None])[0])
 
 
 def el_expressions_d(L: LagrangianD, u: tuple) -> tuple:
     """Euler-Lagrange expressions dL/du_k - sum_j d/dx_j (dL/dg_jk), one field
-    per component, on the doubly shrunk interior; each is one array, the
-    axis quotients of the density's g-partials subtracted in axis order."""
+    per component, on the doubly shrunk interior; each is one array, taken
+    by the assembly _el_values that the 1-D expressions share."""
     coords, U, G, lo, cell_hi = _pattern_args(L, u)
     if any(c == l for l, c in zip(lo, cell_hi)):
         raise ValueError("window too small for the Euler-Lagrange expressions")
     grid = u[0].grid
-    P = np.broadcast_to(L.partial_u(coords, U, G), U.shape)
-    Q = np.broadcast_to(L.partial_g(coords, U, G), G.shape)
-    inner = tuple(slice(0, c - l) for l, c in zip(lo, cell_hi))
-    out = []
-    for k in range(L.n):
-        e = P[k][inner].copy()
-        for j in range(grid.d):
-            slab = inner[:j] + (slice(None),) + inner[j + 1 :]
-            e -= forward_quotient(Q[j, k][slab], grid.scales[j], lo[j], j)
-        out.append(FieldD(grid, lo, _sealed(e)))
-    return tuple(out)
+    P, Q = L.sample("u", coords, U, G), L.sample("g", coords, U, G)
+    return tuple(FieldD(grid, lo, _sealed(_el_values(P[k], Q[:, k], grid.scales, lo))) for k in range(L.n))
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,7 @@ class GaugeFamily:
         g = np.asarray(g, dtype=float)
         if g.ndim != 3:
             raise ValueError("g must be indexed [parameter][component][order]")
+        _check_order(g.shape[2] - 1, ts, "")
         width = len(ts) - g.shape[2] + 1
 
         def along(table: np.ndarray) -> np.ndarray:
@@ -116,6 +117,12 @@ class GaugeFamily:
                 raise ValueError("f must be indexed [parameter][order]")
             f = along(f)
         return GaugeFamily(ts, 0, along(g), f)
+
+
+def _check_order(m: int, ts: TimeScale, source: str) -> None:
+    """Refuse a family order m that leaves no window on ts; source starts the message."""
+    if m >= len(ts):
+        raise ValueError(f"{source}a family of order m = {m} needs more than {m} points, the scale has {len(ts)}")
 
 
 def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.ndarray, np.ndarray | None]:

@@ -196,14 +196,19 @@ def el_expressions(L: Lagrangian, y: GridFunction) -> GridFunction:
     if y.hi - y.lo < 2:
         raise ValueError("need at least 3 points to form Euler-Lagrange expressions")
     pu, pv = lagrangian_along(L, y, "u", "v")
-    return GridFunction(y.ts, y.lo, _sealed(_el_values(pu.values, pv.values, y.ts, y.lo)))
+    return GridFunction(y.ts, y.lo, _sealed(_el_values(pu.values, pv.values[None], (y.ts,), (y.lo,))))
 
 
-def _el_values(pu: np.ndarray, pv: np.ndarray, ts: TimeScale, lo: int) -> np.ndarray:
-    """dL/du - (dL/dv)_delta from samples of L_u and L_v on the window of ts at lo,
-    one row fewer than the samples.  el_expressions and the Newton residual
-    of solve_extremal both take this arithmetic."""
-    return pu[:-1] - forward_quotient(pv, ts, lo)
+def _el_values(P: np.ndarray, Q: np.ndarray, scales: tuple, lo: tuple) -> np.ndarray:
+    """P minus the axis-j quotient of each Q[j], subtracted in axis order, from
+    samples on the window at lo of the product of scales: one entry fewer on
+    each leading axis, a trailing component axis kept whole.  Every
+    Euler-Lagrange expression, 1-D and d-D, and Newton's residual take this."""
+    inner = (slice(0, -1),) * len(scales)
+    e = P[inner].copy()
+    for j, (ts, l) in enumerate(zip(scales, lo)):
+        e -= forward_quotient(Q[j][inner[:j] + (slice(None),) + inner[j + 1 :]], ts, l, j)
+    return e
 
 
 def el_residual(L: Lagrangian, y: GridFunction, tolerance: float = 1e-8) -> ResidualReport:
@@ -219,11 +224,10 @@ def second_el_expression(L: Lagrangian, y: GridFunction) -> GridFunction:
         raise ValueError("need at least 3 points")
     # One sample of the path serves the three partials and y_delta (vs).
     ts, us, vs = _path_args(y)
-    lt, lv, lval = (GridFunction(y.ts, y.lo, L.sample(w, ts, us, vs)) for w in "tvL")
+    lt, lv, lval = (GridFunction(y.ts, y.lo, L.sample(w, ts, us, vs)).values for w in "tvL")
     mu = (y.ts.points[y.lo + 1 : y.hi + 1] - y.ts.points[y.lo : y.hi])[:, None]
-    inner_vals = lval.values - np.sum(vs * lv.values, axis=1, keepdims=True) - mu * lt.values
-    inner = GridFunction(y.ts, y.lo, inner_vals)
-    return lt.restrict(lt.lo, lt.hi - 1) - delta_derivative(inner, 1)
+    inner = lval - np.sum(vs * lv, axis=1, keepdims=True) - mu * lt
+    return GridFunction(y.ts, y.lo, _sealed(_el_values(lt, inner[None], (y.ts,), (y.lo,))))
 
 
 def solve_extremal(
@@ -303,7 +307,7 @@ def _newton_sample(L: Lagrangian, ts: TimeScale, vals: np.ndarray):
     Euler-Lagrange expressions, as el_expressions computes them."""
     T, U, V = _path_sample(ts, 0, vals)
     Pu, Pv = L.sample("u", T, U, V), L.sample("v", T, U, V)
-    return (T, U, V, Pu, Pv), _el_values(Pu, Pv, ts, 0)
+    return (T, U, V, Pu, Pv), _el_values(Pu, Pv[None], (ts,), (0,))
 
 
 def _jacobian_bands(L: Lagrangian, path, mu: np.ndarray):

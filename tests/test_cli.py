@@ -222,6 +222,7 @@ class TestExitCodes:
         assert code == 2 and data is None
         assert capsys.readouterr().err == "error: component count mismatch: the family has n = 1, the path n = 2\n"
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print before the message
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -235,11 +236,18 @@ class TestExitCodes:
              "boundary values must be finite, got alpha [nan] and beta [1.0]"),
             (["solve", "--scale", "h:1:0:5", "--lagrangian", "poisson", "--alpha", "0", "--beta=-inf"],
              "boundary values must be finite, got alpha [0.0] and beta [-inf]"),
+            (["integrate", "--scale", "h:1:0:5", "--poly", "0,0,inf"], "the path is not finite at t = 0.0"),
+            (["integrate", "--scale", "h:1:0:5", "--poly", "0,0,1e308"], "the path is not finite at t = 2.0"),
+            (["check-noether", "--scale", "h:1:0:5", "--lagrangian", "pair-difference", "--family", "{tmp}/fam.json"],
+             "coefficient g[0][0][0] is not finite"),
         ],
-        ids=["poly-inf", "poly-nan", "csv-nan", "y-poly-overflow", "alpha-nan", "beta-inf"],
+        ids=["poly-inf", "poly-nan", "csv-nan", "y-poly-overflow", "alpha-nan", "beta-inf",
+             "poly-invalid", "poly-overflow", "family-poly-overflow"],
     )
     def test_non_finite_path_or_boundary_refused(self, tmp_path, capsys, args, message):
         (tmp_path / "y.csv").write_text("t,y1\n0.0,1.0\n1.0,nan\n2.0,3.0\n")
+        fam = {"r": 1, "m": 0, "n": 2, "g": [[[{"poly": [0.0, 0.0, 1e308]}], [1.0]]]}
+        (tmp_path / "fam.json").write_text(json.dumps(fam))
         code, data, _ = run(tmp_path, *(a.replace("{tmp}", str(tmp_path)) for a in args))
         assert code == 2 and data is None
         assert capsys.readouterr().err == f"error: {message}\n"

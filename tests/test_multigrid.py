@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tsnoether import (
     FieldD,
     GridFunction,
+    Lagrangian,
     GaugeFamilyD,
     GridD,
     LagrangianD,
@@ -18,6 +19,7 @@ from tsnoether import (
     delta_derivative,
     double_fundamental_oracle,
     explicit_scale,
+    el_expressions,
     el_expressions_d,
     functional_d,
     gauge_field,
@@ -30,11 +32,13 @@ from tsnoether import (
     partial_delta,
     q_geometric,
     random_polynomial_field,
+    second_el_expression,
     shift,
     shift_axis,
     transform_d,
 )
-from tsnoether import multigrid
+from tsnoether import multigrid, variational
+from tsnoether.timescale import forward_quotient
 
 
 def grid_z2(nx=4, ny=3):
@@ -745,8 +749,7 @@ def fieldwise_functional_d(L, u):
 def fieldwise_el_expressions_d(L, u):
     coords, U, G, lo = fieldwise_pattern_args(L, u)
     grid = u[0].grid
-    P = np.broadcast_to(L.partial_u(coords, U, G), U.shape)
-    Q = np.broadcast_to(L.partial_g(coords, U, G), G.shape)
+    P, Q = L.sample("u", coords, U, G), L.sample("g", coords, U, G)
     out = []
     for k in range(L.n):
         e = FieldD(grid, lo, P[k])
@@ -899,7 +902,7 @@ def test_fused_slots_bitwise_equal_field_path(d, scales, n, analytic, seed, data
 
     assert bits(functional_d(L, u)) == bits(fieldwise_functional_d(L, u))
     es = el_expressions_d(L, u)
-    assert bits(es) == bits(fieldwise_el_expressions_d(L, u))
+    assert bits(es) == bits(fieldwise_el_expressions_d(L, u)) == bits(earlier_el_expressions_d(L, u))
     assert bits(noether_identity_d(L, fam, u)) == bits(fieldwise_noether_identity_d(L, fields, u))
     assert bits(check_invariance_d(L, fam, u, trials=2, seed=seed)) == bits(
         fieldwise_check_invariance_d(L, fields, u, trials=2, seed=seed)
@@ -952,5 +955,96 @@ def test_central_differences_bitwise_equal_earlier_copies(d, n, spread, seed, da
     U = rng.uniform(-spread, spread, (n,) + cells)
     G = rng.uniform(-spread, spread, (d, n) + cells)
     L = density_with_partials(d, n, analytic=False)
-    assert L.partial_u(coords, U, G).tobytes() == earlier_partial_u(L, coords, U, G).tobytes()
-    assert L.partial_g(coords, U, G).tobytes() == earlier_partial_g(L, coords, U, G).tobytes()
+    assert L.sample("u", coords, U, G).tobytes() == earlier_partial_u(L, coords, U, G).tobytes()
+    assert L.sample("g", coords, U, G).tobytes() == earlier_partial_g(L, coords, U, G).tobytes()
+
+
+# The Euler-Lagrange assemblies as they were written before the 1-D and d-D
+# stacks shared variational._el_values, kept as bitwise references.
+
+def earlier_el_values(pu, pv, ts, lo):
+    return pu[:-1] - forward_quotient(pv, ts, lo)
+
+
+def earlier_el_expressions_d(L, u):
+    coords, U, G, lo, cell_hi = multigrid._pattern_args(L, u)
+    grid = u[0].grid
+    P, Q = L.sample("u", coords, U, G), L.sample("g", coords, U, G)
+    inner = tuple(slice(0, c - l) for l, c in zip(lo, cell_hi))
+    out = []
+    for k in range(L.n):
+        e = P[k][inner].copy()
+        for j in range(grid.d):
+            slab = inner[:j] + (slice(None),) + inner[j + 1 :]
+            e -= forward_quotient(Q[j, k][slab], grid.scales[j], lo[j], j)
+        out.append(FieldD(grid, lo, e))
+    return tuple(out)
+
+
+def earlier_second_el_expression(L, y):
+    T, U, V = variational._path_args(y)
+    lt, lv, lval = (GridFunction(y.ts, y.lo, L.sample(w, T, U, V)) for w in "tvL")
+    mu = (y.ts.points[y.lo + 1 : y.hi + 1] - y.ts.points[y.lo : y.hi])[:, None]
+    inner = GridFunction(y.ts, y.lo, lval.values - np.sum(V * lv.values, axis=1, keepdims=True) - mu * lt.values)
+    return lt.restrict(lt.lo, lt.hi - 1) - delta_derivative(inner, 1)
+
+
+def elementwise_densities(n):
+    """One elementwise density in the 1-D convention and in the d = 2 one:
+    d_u = U^3 and d_v = d_g[0] = V (1 + U^2), with d_g[1] = 0.  Only the
+    assemblies are compared, so the values and the time partial need not
+    be the ones these partials integrate to."""
+    path = Lagrangian(
+        n=n,
+        eval=lambda t, U, V: t * np.sum(U * V, axis=1),
+        d_t=lambda t, U, V: np.sum(U * V, axis=1),
+        d_u=lambda t, U, V: U * U * U,
+        d_v=lambda t, U, V: V * (1 + U * U),
+        vectorized=True,
+    )
+    lattice = LagrangianD(
+        d=2,
+        n=n,
+        density=lambda coords, U, G: np.zeros(U.shape[1:]),
+        d_u=lambda coords, U, G: U * U * U,
+        d_g=lambda coords, U, G: np.stack([G[0] * (1 + U * U), np.zeros_like(G[1])]),
+    )
+    return path, lattice
+
+
+@given(
+    kind=st.sampled_from(["h", "q", "explicit"]),
+    npts=st.integers(6, 40),
+    lo=st.integers(0, 1),
+    short_top=st.booleans(),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_path_equals_lattice_constant_along_a_second_axis(kind, npts, lo, short_top, n, seed):
+    # A 1-D path is the d = 2 pattern of fields constant along a second
+    # axis: every column of el_expressions_d(...)[k] is column k of
+    # el_expressions(...), byte for byte, on the same axis-0 window.
+    rng = np.random.default_rng(seed)
+    if kind == "h":
+        ts = h_uniform(0.25, -1.0, -1.0 + 0.25 * (npts - 1))
+    elif kind == "q":
+        ts = q_geometric(1.05, 0.5, npts)
+    else:
+        ts = explicit_scale(np.cumsum(rng.uniform(0.01, 1.0, npts)) - 2.0)
+    y = GridFunction(ts, lo, rng.uniform(-2.0, 2.0, (npts - lo - short_top, n)))
+    grid = GridD((ts, h_uniform(1.0, 0.0, 3.0)))
+    u = tuple(FieldD(grid, (lo, 0), np.repeat(y.values[:, k : k + 1], 4, axis=1)) for k in range(n))
+    path, lattice = elementwise_densities(n)
+
+    e = el_expressions(path, y)
+    pu, pv = variational.lagrangian_along(path, y, "u", "v")
+    assert e.values.tobytes() == earlier_el_values(pu.values, pv.values, ts, lo).tobytes()
+    es = el_expressions_d(lattice, u)
+    assert bits(es) == bits(earlier_el_expressions_d(lattice, u))
+    for k, ek in enumerate(es):
+        assert ek.lo[0] == e.lo and ek.values.shape == (len(e.values), 2)
+        for m in range(2):
+            assert ek.values[:, m].tobytes() == e.values[:, k].tobytes()
+    s, s_earlier = second_el_expression(path, y), earlier_second_el_expression(path, y)
+    assert (s.lo, s.values.tobytes()) == (s_earlier.lo, s_earlier.values.tobytes())

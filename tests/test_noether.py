@@ -62,6 +62,12 @@ class TestGaugeFamily:
             row = GridFunction(fam.ts, fam.lo, fam.g[1, 0, 0])
         assert copies == [] and row.window == fam.window
 
+    @pytest.mark.parametrize("m", [2, 4], ids=["m-equals-points", "m-beyond-points"])
+    def test_constant_order_beyond_the_scale_named(self, m):
+        with pytest.raises(ValueError) as err:
+            GaugeFamily.constant(h_uniform(1.0, 0, 1), [[[1.0] * (m + 1)]])
+        assert str(err.value) == f"a family of order m = {m} needs more than {m} points, the scale has 2"
+
     def test_caller_table_is_copied(self):
         ts = h_uniform(1.0, 0, 4)
         g = np.ones((1, 1, 1, 3))

@@ -4,10 +4,10 @@
 
 Each mutant in MUTANTS.json names a file, an exact old text that must occur
 in it once, the new text that replaces it, and the tests to run (pytest
-node ids or files).  The runner copies src/ and tests/ into a temporary
-directory, runs every listed test there once on the unmutated code, and
-then, one mutant at a time, writes the mutated file, runs the mutant's
-tests with pytest -x and puts the file back.
+node ids or files).  The runner copies src/ and tests/ into WORKERS
+temporary directories, runs every listed test once on the unmutated code,
+and then has each copy take the next mutant in turn: it writes the mutated
+file, runs the mutant's tests with pytest -x and puts the file back.
 
 A mutant is killed when its tests fail (or error, or run past TIMEOUT
 seconds), and survived when they pass; killed_by names the first failing
@@ -27,18 +27,21 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "MUTANTS.json"
 COPIED = ("src", "tests", "pyproject.toml")
 TIMEOUT = 600.0  # seconds per pytest run
+WORKERS = 2  # tree copies, each running one pytest process at a time
 
 
 def _copy_tree(dest: Path) -> None:
@@ -70,31 +73,47 @@ def _pytest(copy: Path, tests: list[str]) -> tuple[bool, str]:
     return False, f"pytest exit {done.returncode}: {tail[-1] if tail else ''}"
 
 
+def _judge(copy: Path, m: dict) -> dict:
+    """Status and killed_by of one mutant, replayed in the tree copy."""
+    path = copy / m["file"]
+    original = path.read_text()
+    count = original.count(m["old"])
+    if count != 1:
+        result = {"status": "stale", "killed_by": f"old text found {count} times"}
+    else:
+        path.write_text(original.replace(m["old"], m["new"]))
+        try:
+            passed, why = _pytest(copy, m["tests"])
+        finally:
+            path.write_text(original)
+        result = {"status": "survived" if passed else "killed", "killed_by": why or None}
+    print(f"{result['status']:8} {m['id']}: {result['killed_by'] or ''}", flush=True)
+    return result
+
+
 def replay(mutants: list[dict]) -> list[dict]:
     """Status and killed_by for each mutant, in order."""
-    results = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        copy = Path(tmp)
-        _copy_tree(copy)
+        copies = queue.Queue()
+        for i in range(WORKERS):
+            copy = Path(tmp) / str(i)
+            copy.mkdir()
+            _copy_tree(copy)
+            copies.put(copy)
         baseline = sorted({t for m in mutants for t in m["tests"]})
-        passed, why = _pytest(copy, baseline)
+        passed, why = _pytest(Path(tmp) / "0", baseline)
         if not passed:
             raise RuntimeError(f"the unmutated tests fail ({why}); no mutant can be judged")
-        for m in mutants:
-            path = copy / m["file"]
-            original = path.read_text()
-            count = original.count(m["old"])
-            if count != 1:
-                results.append({"status": "stale", "killed_by": f"old text found {count} times"})
-            else:
-                path.write_text(original.replace(m["old"], m["new"]))
-                try:
-                    passed, why = _pytest(copy, m["tests"])
-                finally:
-                    path.write_text(original)
-                results.append({"status": "survived" if passed else "killed", "killed_by": why or None})
-            print(f"{results[-1]['status']:8} {m['id']}: {results[-1]['killed_by'] or ''}", flush=True)
-    return results
+
+        def judge(m: dict) -> dict:
+            copy = copies.get()
+            try:
+                return _judge(copy, m)
+            finally:
+                copies.put(copy)
+
+        with ThreadPoolExecutor(WORKERS) as pool:
+            return list(pool.map(judge, mutants))
 
 
 def main() -> int:
