@@ -354,7 +354,7 @@ def gauge_pairing(fam: GaugeFamilyD, p: FieldD, q: FieldD, k: int) -> tuple[floa
 
 def transform_d(fam: GaugeFamilyD, p: FieldD, u: tuple) -> tuple:
     if len(u) != fam.n:
-        raise ValueError("component count mismatch")
+        raise ValueError(f"component count mismatch: the family has n = {fam.n}, the field n = {len(u)}")
     return tuple(u_k + gauge_field(fam, p, k) for k, u_k in enumerate(u))
 
 

@@ -139,7 +139,7 @@ def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.
     if any(p.n != 1 for p in params):
         raise ValueError("parameter functions are scalar")
     if y.n != fam.n:
-        raise ValueError("component count mismatch")
+        raise ValueError(f"component count mismatch: the family has n = {fam.n}, the path n = {y.n}")
     lo, hi = fam.window
     if y.lo < lo or y.hi > hi:
         raise ValueError("family coefficients do not cover the path window")

@@ -457,20 +457,21 @@ def delta_integral(f: GridFunction, a_idx: int | None = None, b_idx: int | None 
 
 
 def write_csv(f: GridFunction, path) -> None:
-    """Serialize as CSV with header t,y1..yn, one row per window index.
-    Values are written with repr, a block of rows per write, so the text
-    of a long function is never held whole."""
+    """CSV with header t,y1..yn and the repr of each value, one row per
+    window index; one %-format per block, so the text is never held whole."""
     table = np.column_stack((f.times(), f.values))
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("t," + ",".join(f"y{k + 1}" for k in range(f.n)) + "\n")
         for i in range(0, len(table), CSV_BLOCK_ROWS):
-            rows = table[i : i + CSV_BLOCK_ROWS].tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+            block = table[i : i + CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_csv(ts: TimeScale, path) -> GridFunction:
     """Read a GridFunction written by write_csv; each row must have the
-    header's field count and match a scale point."""
+    header's field count and match a scale point within 1e-12, the first
+    row's time placing the window at its nearest point."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("t,"):
@@ -488,6 +489,8 @@ def read_csv(ts: TimeScale, path) -> GridFunction:
     data = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, width)
     t0 = data[0, 0]
     lo = int(np.searchsorted(ts.points, t0))
+    if lo == len(ts) or (lo > 0 and t0 - ts.points[lo - 1] < ts.points[lo] - t0):
+        lo -= 1  # the nearer point: t0 may sit just above it
     hi = lo + data.shape[0] - 1
     if hi >= len(ts) or not np.allclose(ts.points[lo : hi + 1], data[:, 0], rtol=0, atol=1e-12):
         raise ValueError("CSV times do not match the scale points")

@@ -222,6 +222,23 @@ class TestExitCodes:
         assert code == 2 and data is None
         assert capsys.readouterr().err == "error: component count mismatch: the family has n = 1, the path n = 2\n"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["check-invariance", "--scale", "h:1:0:20", "--lagrangian", "pair-difference", "--family", "{fam}"],
+             "the family has n = 1, the path n = 2"),
+            (["check2d", "--grid", "h:1:0:8,q:1.5:1:7", "--lagrangian", "dirichlet2", "--family", "grad2-broken"],
+             "the family has n = 2, the field n = 1"),
+        ],
+        ids=["check-invariance", "check2d"],
+    )
+    def test_transform_component_count_named(self, tmp_path, capsys, args, message):
+        fam = tmp_path / "fam_n1.json"
+        fam.write_text(json.dumps({"r": 1, "m": 0, "n": 1, "g": [[[1.0]]]}))
+        code, data, _ = run(tmp_path, *(a.format(fam=fam) for a in args))
+        assert code == 2 and data is None
+        assert capsys.readouterr().err == f"error: component count mismatch: {message}\n"
+
     @pytest.mark.filterwarnings("error")  # a numpy warning would print before the message
     @pytest.mark.parametrize(
         "args, message",

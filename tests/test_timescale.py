@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tsnoether import (
     GridFunction,
@@ -293,6 +294,32 @@ def test_linearity_of_derivative_and_integral(coeffs, alpha, beta):
     )
 
 
+CSV_SPECIALS = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310]
+
+
+@given(
+    width=st.integers(1, 5),
+    rows=st.sampled_from([1, 1023, 1024, 1025, 2049]),
+    lo=st.integers(1, 4),
+    q_scale=st.booleans(),
+    values=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_csv_bytes_match_row_reference_and_read_back_bitwise(tmp_path_factory, width, rows, lo, q_scale, values):
+    ts = q_geometric(1.001, 0.3, lo + rows) if q_scale else h_uniform(0.1, -7.0, -7.0 + 0.1 * (lo + rows))
+    elements = st.one_of(st.floats(allow_nan=False), st.sampled_from(CSV_SPECIALS))
+    vals = values.draw(hnp.arrays(np.float64, (rows, width), elements=elements))
+    f = GridFunction(ts, lo, vals)
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    write_csv(f, path)
+    lines = ["t," + ",".join(f"y{k + 1}" for k in range(width))]
+    lines += [",".join(repr(float(v)) for v in (t, *row)) for t, row in zip(f.times(), f.values)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    g = read_csv(ts, path)
+    assert g.window == f.window
+    assert g.values.tobytes() == f.values.tobytes()
+
+
 def sequential_q_points(q, a, count):
     """a, a*q, (a*q)*q, ...: one Python float product per point."""
     pts = [a]
@@ -369,6 +396,23 @@ class TestGridFunction:
         for t, row in zip(f.times(), f.values):
             lines.append(",".join(repr(float(v)) for v in (t, *row)))
         assert (tmp_path / "f.csv").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "spec, idx, fmt",
+        [("h:0.3:0:30", 3, "{:.1f}"), ("q:1.1:1:50", 27, "{:.12f}"), ("h:0.3:0:0.9", 3, "{:.1f}")],
+        ids=["h-0.9", "q-12-digits", "h-scale-end"],
+    )
+    def test_csv_first_time_just_above_its_point(self, tmp_path, spec, idx, fmt):
+        # The file's first time lies above its scale point, within the row
+        # tolerance, so the window starts at that point, not the next one.
+        ts = parse_scale_spec(spec)
+        times = [fmt.format(t) for t in ts.points[idx : idx + 3]]
+        assert float(times[0]) > ts.points[idx]
+        path = tmp_path / "f.csv"
+        path.write_text("t,y1\n" + "".join(f"{t},{k}.0\n" for k, t in enumerate(times)))
+        g = read_csv(ts, path)
+        assert g.window == (idx, idx + len(times) - 1)
+        assert np.array_equal(g.values[:, 0], np.arange(len(times)))
 
     def test_values_frozen(self):
         ts = h_uniform(1.0, 0, 3)
