@@ -4,7 +4,6 @@ checks of the gauge-invariance identities it induces."""
 from .timescale import (
     GridFunction,
     TimeScale,
-    common_window,
     delta_derivative,
     delta_integral,
     explicit_scale,

@@ -98,13 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-12)
 
-    p = add("check-noether", _cmd_check_noether, help="gauge identity residual")
-    _family_args(p)
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add("check-noether-time", _cmd_check_noether_time, help="time-transformed identity residual")
-    _family_args(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    for name, time_variant, kind in (("check-noether", False, "gauge"), ("check-noether-time", True, "time-transformed")):
+        p = add(name, functools.partial(_cmd_identity, time_variant=time_variant), help=f"{kind} identity residual")
+        _family_args(p)
+        p.add_argument("--tol", type=float, default=1e-9)
 
     p = add("check2d", _cmd_check2d, help="double-integral invariance and identity")
     p.add_argument("--grid", required=True, help="comma-separated scale specs, one per axis")
@@ -316,31 +313,24 @@ def _cmd_solve(args):
     return _report_sections([section])
 
 
-def _cmd_check_invariance(args):
+def _family_problem(args):
+    """The density, the gauge family and the path of the family commands."""
     ts = parse_scale_spec(args.scale)
     L = catalog(args.lagrangian)
     fam = load_family(args.family, ts)
-    y = _load_path(args, ts, L.n, hi=len(ts) - 1 - fam.m)
+    return L, fam, _load_path(args, ts, L.n, hi=len(ts) - 1 - fam.m)
+
+
+def _cmd_check_invariance(args):
+    L, fam, y = _family_problem(args)
     rep = nt.check_invariance(L, fam, y, trials=args.trials, seed=args.seed, tolerance=args.tol)
     return _report_sections([_section("invariance", rep, args.verbose)])
 
 
-def _identity_sections(args, time_variant: bool):
-    ts = parse_scale_spec(args.scale)
-    L = catalog(args.lagrangian)
-    fam = load_family(args.family, ts)
-    y = _load_path(args, ts, L.n, hi=len(ts) - 1 - fam.m)
+def _cmd_identity(args, time_variant: bool):
     fn = nt.noether_identity_time if time_variant else nt.noether_identity
-    reports = fn(L, fam, y, tolerance=args.tol)
-    return [_section(f"identity-j{j}", rep, args.verbose) for j, rep in enumerate(reports)]
-
-
-def _cmd_check_noether(args):
-    return _report_sections(_identity_sections(args, time_variant=False))
-
-
-def _cmd_check_noether_time(args):
-    return _report_sections(_identity_sections(args, time_variant=True))
+    reports = fn(*_family_problem(args), tolerance=args.tol)
+    return _report_sections([_section(f"identity-j{j}", rep, args.verbose) for j, rep in enumerate(reports)])
 
 
 def load_family2d(path_or_name: str, grid: mg.GridD):

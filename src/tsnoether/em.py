@@ -36,6 +36,7 @@ from .multigrid import (
     partial_delta,
     random_polynomial_field,
     shift_all_except,
+    _zero_d_u,
 )
 from .timescale import h_uniform
 
@@ -64,9 +65,6 @@ def em_lagrangian() -> LagrangianD:
                     accumulate(out, F, out=out)
         return out
 
-    def d_u(coords, U, G):
-        return np.zeros_like(U)
-
     def d_g(coords, U, G):
         out = np.zeros_like(G)
         for j, k in _ELECTRIC:
@@ -79,7 +77,7 @@ def em_lagrangian() -> LagrangianD:
             out[k, j] += F
         return out
 
-    return LagrangianD(d=4, n=4, density=density, d_u=d_u, d_g=d_g)
+    return LagrangianD(d=4, n=4, density=density, d_u=_zero_d_u, d_g=d_g)
 
 
 def em_functional(A: tuple) -> float:

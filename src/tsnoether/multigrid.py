@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .report import ResidualReport
-from .timescale import _frozen, _sealed, forward_quotient, shift_values, window_integral
+from .timescale import _Arithmetic, _frozen, _overlap, _sealed, forward_quotient, shift_values, window_integral
 from .variational import _central_difference, _el_values
 
 
@@ -55,7 +55,7 @@ class GridD:
 
 
 @dataclass(frozen=True, eq=False)
-class FieldD:
+class FieldD(_Arithmetic):
     """Scalar samples on a rectangular index window of a GridD."""
 
     grid: GridD
@@ -94,26 +94,12 @@ class FieldD:
         if isinstance(other, FieldD):
             if not self.grid.same_as(other.grid):
                 raise ValueError("fields live on different grids")
-            lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
-            hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
-            if any(l > h for l, h in zip(lo, hi)):
-                raise ValueError("windows do not overlap")
-            return FieldD(self.grid, lo, _sealed(op(self.restrict(lo, hi).values, other.restrict(lo, hi).values)))
+            lo, (a, b) = _overlap((self.lo, self.values), (other.lo, other.values))
+            return FieldD(self.grid, lo, _sealed(op(a, b)))
         return FieldD(self.grid, self.lo, _sealed(op(self.values, float(other))))
 
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self._binary(other, np.multiply)
-
     def __neg__(self):
+        # np.negative flips the sign of a NaN; multiplying by -1.0 does not.
         return FieldD(self.grid, self.lo, _sealed(-self.values))
 
 
@@ -168,14 +154,11 @@ def greens_residual(M: FieldD, N: FieldD) -> float:
     """
     if M.grid.d != 2 or not M.grid.same_as(N.grid):
         raise ValueError("Green residual is defined for two fields on one 2-d grid")
-    lo = tuple(max(a, b) for a, b in zip(M.lo, N.lo))
-    hi = tuple(min(a, b) for a, b in zip(M.hi, N.hi))
-    Mv = M.restrict(lo, hi)
-    Nv = N.restrict(lo, hi)
-    lhs = multi_integral(partial_delta(Nv, 0) - partial_delta(Mv, 1))
+    lo, (m, n) = _overlap((M.lo, M.values), (N.lo, N.values))
+    lhs = multi_integral(partial_delta(FieldD(N.grid, lo, n), 0) - partial_delta(FieldD(M.grid, lo, m), 1))
     sx, sy = M.grid.scales
-    bottom, top = window_integral((sx,), (lo[0],), Mv.values[:-1, [0, -1]])
-    left, right = window_integral((sy,), (lo[1],), Nv.values[[0, -1], :-1].T)
+    bottom, top = window_integral((sx,), (lo[0],), m[:-1, [0, -1]])
+    left, right = window_integral((sy,), (lo[1],), n[[0, -1], :-1].T)
     return float(abs(lhs - (bottom + right - top - left)))
 
 
@@ -224,11 +207,11 @@ def _pattern_args(L: LagrangianD, u: tuple):
         raise ValueError("component or dimension mismatch")
     if not all(f.grid.same_as(grid) for f in u):
         raise ValueError("components live on different grids")
-    lo = tuple(max(f.lo[ax] for f in u) for ax in range(grid.d))
-    cell_hi = tuple(min(f.hi[ax] for f in u) - 1 for ax in range(grid.d))
-    if any(c < l for l, c in zip(lo, cell_hi)):
+    lo, views = _overlap(*((f.lo, f.values) for f in u))
+    cells = tuple(n - 1 for n in views[0].shape)
+    if 0 in cells:
         raise ValueError("window too small for the shifted argument pattern")
-    cells = tuple(c - l + 1 for l, c in zip(lo, cell_hi))
+    cell_hi = tuple(l + c - 1 for l, c in zip(lo, cells))
     coords, mus = [], []
     for ax in range(grid.d):
         shape = [1] * grid.d
@@ -237,13 +220,11 @@ def _pattern_args(L: LagrangianD, u: tuple):
         mus.append(None if grid.scales[ax].unit_steps else grid.mu(ax)[lo[ax] : cell_hi[ax] + 1].reshape(shape))
     U = np.empty((L.n,) + cells)
     G = np.empty((grid.d, L.n) + cells)
-    for k, f in enumerate(u):
-        up = [slice(l + 1 - fl, c + 2 - fl) for l, c, fl in zip(lo, cell_hi, f.lo)]
-        U[k] = f.values[tuple(up)]
+    up = (slice(1, None),) * grid.d
+    for k, v in enumerate(views):
+        U[k] = v[up]
         for j in range(grid.d):
-            down = list(up)
-            down[j] = slice(lo[j] - f.lo[j], cell_hi[j] + 1 - f.lo[j])
-            np.subtract(U[k], f.values[tuple(down)], out=G[j, k])
+            np.subtract(U[k], v[up[:j] + (slice(0, -1),) + up[j + 1 :]], out=G[j, k])
             if mus[j] is not None:
                 G[j, k] /= mus[j]
     return tuple(coords), U, G, lo, cell_hi

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, ge, sub
 
 import numpy as np
 
@@ -237,8 +238,35 @@ def parse_scale_spec(spec: str) -> TimeScale:
     raise ValueError(f"bad scale spec {spec!r}")
 
 
+def _overlap(*parts) -> tuple[tuple, list]:
+    """The common window of (lo, values) pairs, lo a tuple over the leading
+    axes of values (a further component axis is carried whole): its lo, and
+    each values cut to it as a view.  Raises when the windows are disjoint."""
+    lo = tuple(map(max, zip(*[l for l, _ in parts])))
+    end = tuple(map(min, zip(*[map(add, l, v.shape) for l, v in parts])))
+    if any(map(ge, lo, end)):
+        raise ValueError("windows do not overlap")
+    return lo, [v[tuple(map(slice, map(sub, lo, l), map(sub, end, l)))] for l, v in parts]
+
+
+class _Arithmetic:
+    """+, - and * (also reflected) on the common window of two operands, or
+    with a scalar, through the class's own _binary(other, op)."""
+
+    def __add__(self, other):
+        return self._binary(other, np.add)
+
+    def __sub__(self, other):
+        return self._binary(other, np.subtract)
+
+    def __mul__(self, other):
+        return self._binary(other, np.multiply)
+
+    __rmul__ = __mul__
+
+
 @dataclass(frozen=True, eq=False)
-class GridFunction:
+class GridFunction(_Arithmetic):
     """Vector-valued samples on the index window [lo, hi] of a time scale.
 
     values has shape (hi - lo + 1, n).  All arithmetic restricts to the
@@ -296,47 +324,18 @@ class GridFunction:
 
     @staticmethod
     def stack(parts: list["GridFunction"]) -> "GridFunction":
-        lo, hi = common_window(*parts)
-        cols = [p.values[lo - p.lo : hi - p.lo + 1] for p in parts]
+        (lo,), cols = _overlap(*(((p.lo,), p.values) for p in parts))
         return GridFunction(parts[0].ts, lo, _sealed(np.hstack(cols)))
 
     def _binary(self, other, op) -> "GridFunction":
         if isinstance(other, GridFunction):
             if not self.ts.same_as(other.ts):
                 raise ValueError("grid functions live on different scales")
-            lo, hi = common_window(self, other)
-            a = self.values[lo - self.lo : hi - self.lo + 1]
-            b = other.values[lo - other.lo : hi - other.lo + 1]
+            (lo,), (a, b) = _overlap(((self.lo,), self.values), ((other.lo,), other.values))
             if a.shape[1] != b.shape[1] and 1 not in (a.shape[1], b.shape[1]):
                 raise ValueError("component counts differ")
             return GridFunction(self.ts, lo, _sealed(op(a, b)))
         return GridFunction(self.ts, self.lo, _sealed(op(self.values, float(other))))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __radd__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self._binary(other, np.multiply)
-
-    def __neg__(self):
-        return GridFunction(self.ts, self.lo, _sealed(-self.values))
-
-
-def common_window(*fns: GridFunction) -> tuple[int, int]:
-    lo = max(f.lo for f in fns)
-    hi = min(f.hi for f in fns)
-    if lo > hi:
-        raise ValueError("windows do not overlap")
-    return lo, hi
 
 
 def forward_quotient(values: np.ndarray, ts: TimeScale, lo: int, axis: int = 0) -> np.ndarray:
@@ -470,8 +469,9 @@ def write_csv(f: GridFunction, path) -> None:
 
 def read_csv(ts: TimeScale, path) -> GridFunction:
     """Read a GridFunction written by write_csv; each row must have the
-    header's field count and match a scale point within 1e-12, the first
-    row's time placing the window at its nearest point."""
+    header's field count and its time t match its scale point p with
+    |t - p| <= 1e-12 * max(1, |p|), the first row's time placing the window
+    at its nearest point."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("t,"):
@@ -491,7 +491,7 @@ def read_csv(ts: TimeScale, path) -> GridFunction:
     lo = int(np.searchsorted(ts.points, t0))
     if lo == len(ts) or (lo > 0 and t0 - ts.points[lo - 1] < ts.points[lo] - t0):
         lo -= 1  # the nearer point: t0 may sit just above it
-    hi = lo + data.shape[0] - 1
-    if hi >= len(ts) or not np.allclose(ts.points[lo : hi + 1], data[:, 0], rtol=0, atol=1e-12):
+    pts = ts.points[lo : lo + data.shape[0]]
+    if pts.size < data.shape[0] or not np.all(np.abs(data[:, 0] - pts) <= 1e-12 * np.maximum(1.0, np.abs(pts))):
         raise ValueError("CSV times do not match the scale points")
     return GridFunction(ts, lo, data[:, 1:])

