@@ -184,18 +184,28 @@ def _load_path(args, ts: TimeScale, n: int, lo: int = 0, hi: int | None = None) 
     return y
 
 
-# Built-in gauge families keyed by name; files override these.
+# Built-in gauge families: family-file tables selected by name in place of
+# a file.  pairdiff moves both path components by the parameter and
+# pairdiff-broken the first by 1.1 times it; pairdiff-time0 adds an all-zero
+# time table, and time-translation moves time alone.  grad2 adds the axis-j
+# quotient of the parameter to component j of a 2-d field, and grad2-broken
+# 1.1 times it on axis 0.
+_FAMILIES = {
+    "pairdiff": {"r": 1, "m": 0, "n": 2, "g": [[[1.0], [1.0]]]},
+    "pairdiff-broken": {"r": 1, "m": 0, "n": 2, "g": [[[1.1], [1.0]]]},
+    "pairdiff-time0": {"r": 1, "m": 0, "n": 2, "g": [[[1.0], [1.0]]], "f": [[0.0]]},
+    "time-translation": {"r": 1, "m": 0, "n": 1, "g": [[[0.0]]], "f": [[1.0]]},
+    "grad2": {"a": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    "grad2-broken": {"a": [[0.0, 1.1, 0.0], [0.0, 0.0, 1.0]]},
+}
 
-def _builtin_family(name: str, ts: TimeScale):
-    if name == "pairdiff":
-        return nt.GaugeFamily.constant(ts, [[[1.0], [1.0]]])
-    if name == "pairdiff-broken":
-        return nt.GaugeFamily.constant(ts, [[[1.1], [1.0]]])
-    if name == "pairdiff-time0":
-        return nt.GaugeFamily.constant(ts, [[[1.0], [1.0]]], f=[[0.0]])
-    if name == "time-translation":
-        return nt.GaugeFamily.constant(ts, [[[0.0]]], f=[[1.0]])
-    return None
+
+def _family_table(path_or_name: str):
+    """The built-in table of that name, or else the JSON file at that path."""
+    if path_or_name in _FAMILIES:
+        return _FAMILIES[path_or_name]
+    with open(path_or_name) as fh:
+        return json.load(fh)
 
 
 def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
@@ -218,11 +228,7 @@ def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
 
 
 def load_family(path_or_name: str, ts: TimeScale):
-    builtin = _builtin_family(path_or_name, ts)
-    if builtin is not None:
-        return builtin
-    with open(path_or_name) as fh:
-        data = json.load(fh)
+    data = _family_table(path_or_name)
     missing = [key for key in ("r", "m", "n", "g") if not isinstance(data, dict) or key not in data]
     if missing:
         raise ValueError(f"{path_or_name}: a family file needs r, m, n and g; missing: {', '.join(missing)}")
@@ -334,11 +340,7 @@ def _cmd_identity(args, time_variant: bool):
 
 
 def load_family2d(path_or_name: str, grid: mg.GridD):
-    builtin = mg.builtin_family2d(path_or_name, grid)
-    if builtin is not None:
-        return builtin
-    with open(path_or_name) as fh:
-        data = json.load(fh)
+    data = _family_table(path_or_name)
     if not isinstance(data, dict) or "a" not in data:
         raise ValueError(f"{path_or_name}: a d-D family file needs an \"a\" coefficient table")
     return mg.GaugeFamilyD(grid, data["a"])

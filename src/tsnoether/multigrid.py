@@ -278,15 +278,15 @@ class GaugeFamilyD:
         return len(self.a)
 
 
-def _gauge_sum(row, term) -> FieldD | None:
+def _gauge_sum(row, term, grid: GridD) -> FieldD:
     """Sum of term(i, row[i]) over the coefficients that are not zero (of
-    either sign), so that skipped terms do not shrink the window; None if
-    all are."""
+    either sign), so that skipped terms do not shrink the window; the zero
+    field on the whole grid if all are."""
     out = None
     for i, c in enumerate(row):
         if c != 0.0:
             out = term(i, c) if out is None else out + term(i, c)
-    return out
+    return FieldD(grid, (0,) * grid.d, _sealed(np.zeros(grid.shape))) if out is None else out
 
 
 def _times(c: float, f: FieldD) -> FieldD:
@@ -301,20 +301,14 @@ def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
     Zero coefficients contribute nothing and are skipped so they do not
     shrink the window.
     """
-    out = _gauge_sum(
-        fam.a[k], lambda i, c: _times(c, p if i == 0 else shift_axis(partial_delta(p, i - 1), i - 1, -1))
+    return _gauge_sum(
+        fam.a[k], lambda i, c: _times(c, p if i == 0 else shift_axis(partial_delta(p, i - 1), i - 1, -1)), p.grid
     )
-    if out is None:
-        return FieldD(p.grid, (0,) * p.grid.d, _sealed(np.zeros(p.grid.shape)))
-    return out
 
 
 def gauge_field_adjoint(fam: GaugeFamilyD, q: FieldD, k: int) -> FieldD:
     """Summation-by-parts transpose: q*a0 - sum_j d/dx_j (q * a_j)."""
-    out = _gauge_sum(fam.a[k], lambda i, c: _times(c, q) if i == 0 else -partial_delta(_times(c, q), i - 1))
-    if out is None:
-        return FieldD(q.grid, (0,) * q.grid.d, _sealed(np.zeros(q.grid.shape)))
-    return out
+    return _gauge_sum(fam.a[k], lambda i, c: _times(c, q) if i == 0 else -partial_delta(_times(c, q), i - 1), q.grid)
 
 
 def gauge_pairing(fam: GaugeFamilyD, p: FieldD, q: FieldD, k: int) -> tuple[float, float]:
@@ -322,12 +316,13 @@ def gauge_pairing(fam: GaugeFamilyD, p: FieldD, q: FieldD, k: int) -> tuple[floa
     integral of q * (shifted-pattern gauge term of p) versus
     integral of adjoint(q) * p^sigma.  They agree when p vanishes near the
     fence."""
+    if not any(fam.a[k]):
+        return 0.0, 0.0
     lhs_field = _gauge_sum(
         fam.a[k],
         lambda i, c: _times(c, shift_all(p) if i == 0 else shift_all_except(partial_delta(p, i - 1), i - 1)),
+        p.grid,
     )
-    if lhs_field is None:
-        return 0.0, 0.0
     lhs = multi_integral(q * lhs_field)
     rhs = multi_integral(gauge_field_adjoint(fam, q, k) * shift_all(p))
     return lhs, rhs
@@ -422,8 +417,7 @@ def double_fundamental_oracle(M: FieldD, tolerance: float = 1e-12) -> tuple[floa
     return max_integral, sup_m, consistent
 
 
-# Built-in 2-d densities and gauge families selectable by name from the
-# command line.
+# Built-in 2-d densities selectable by name from the command line.
 
 def _zero_d_u(coords, U, G):
     return np.zeros_like(U)
@@ -453,13 +447,3 @@ def catalog2d(name: str) -> LagrangianD:
 
         return LagrangianD(d=2, n=1, density=density, d_u=_zero_d_u, d_g=d_g)
     raise ValueError(f"unknown 2-d Lagrangian {name!r}")
-
-
-def builtin_family2d(name: str, grid: GridD) -> GaugeFamilyD | None:
-    """grad2 adds the axis-j quotient of the parameter to component j;
-    grad2-broken scales the axis-0 term by 1.1.  None for other names."""
-    if name == "grad2":
-        return GaugeFamilyD(grid, [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
-    if name == "grad2-broken":
-        return GaugeFamilyD(grid, [(0.0, 1.1, 0.0), (0.0, 0.0, 1.0)])
-    return None

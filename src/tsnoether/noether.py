@@ -15,10 +15,11 @@ among the Euler-Lagrange expressions:
 
     sum_k sum_i (-1)^i (1/b1)^(i(i+1)/2) ((g[j][k][i])^sigma E_k)^(delta^i) = 0
 
-and, with time transformation, an extra term of the same shape pairing f
-with the time-component expression.  This module evaluates those residuals,
-checks invariance numerically, and provides the brute-force summation
-oracle for the weighted fundamental lemma that underlies them.
+and, for a family that also moves time, an extra term of the same shape
+pairing each nonzero f row with the time-component expression.  This
+module evaluates those residuals, checks invariance numerically, and
+provides the brute-force summation oracle for the weighted fundamental
+lemma that underlies them.
 """
 
 from __future__ import annotations
@@ -108,15 +109,11 @@ class GaugeFamily:
         _check_order(g.shape[2] - 1, ts, "")
         width = len(ts) - g.shape[2] + 1
 
-        def along(table: np.ndarray) -> np.ndarray:
+        def along(table) -> np.ndarray:
+            table = np.asarray(table, dtype=float)
             return np.broadcast_to(table[..., None], table.shape + (width,))
 
-        if f is not None:
-            f = np.asarray(f, dtype=float)
-            if f.shape != (g.shape[0], g.shape[2]):
-                raise ValueError("f must be indexed [parameter][order]")
-            f = along(f)
-        return GaugeFamily(ts, 0, along(g), f)
+        return GaugeFamily(ts, 0, along(g), None if f is None else along(f))
 
 
 def _check_order(m: int, ts: TimeScale, source: str) -> None:
@@ -226,10 +223,6 @@ def necessary_condition_residual(
     return variation_pairing(L, y, GridFunction(y.ts, y.lo, _perturbation(fam, params, y)[0]))
 
 
-def _identity_weight(b1: float, i: int) -> float:
-    return (-1.0) ** i * (1.0 / b1) ** ((i * (i + 1)) // 2)
-
-
 def _require_condition_h(ts: TimeScale) -> float:
     if ts.condition_h is None:
         raise ValueError("this check needs a scale with an affine jump law sigma(t) = b1*t + b0")
@@ -240,35 +233,35 @@ def noether_identity(
     L: Lagrangian, fam: GaugeFamily, y: GridFunction, tolerance: float = 1e-9
 ) -> list[ResidualReport]:
     """Per-parameter residual of the gauge dependency among the
-    Euler-Lagrange expressions, on the largest window all terms share."""
-    return _identity_reports(L, fam, y, tolerance, time_variant=False)
+    Euler-Lagrange expressions, on the largest window all terms share.
+
+    A parameter whose f row is not all zero also gets the f-weighted
+    time-component term; an all-zero row is skipped, not added as zeros,
+    so such a family's residual is bitwise that of the family without f.
+    """
+    return _identity_reports(L, fam, y, tolerance)
 
 
 def noether_identity_time(
     L: Lagrangian, fam: GaugeFamily, y: GridFunction, tolerance: float = 1e-9
 ) -> list[ResidualReport]:
-    """Time-transformed variant: adds the f-weighted time-component term.
-
-    With identically zero f coefficients this reproduces noether_identity
-    bitwise (the extra term is skipped, not added as zeros).
-    """
+    """noether_identity for a family that must have f coefficients."""
     if fam.f is None:
         raise ValueError("time variant needs a family with f coefficients")
-    return _identity_reports(L, fam, y, tolerance, time_variant=True)
+    return _identity_reports(L, fam, y, tolerance)
 
 
-def _identity_reports(
-    L: Lagrangian, fam: GaugeFamily, y: GridFunction, tolerance: float, time_variant: bool
-) -> list[ResidualReport]:
+def _identity_reports(L: Lagrangian, fam: GaugeFamily, y: GridFunction, tolerance: float) -> list[ResidualReport]:
     if fam.n != y.n:
         raise ValueError(f"component count mismatch: the family has n = {fam.n}, the path n = {y.n}")
     b1 = _require_condition_h(y.ts)
     E = el_expressions(L, y)
-    Es = second_el_expression(L, y) if time_variant else None
+    moves_time = [fam.f is not None and np.any(fam.f[j] != 0.0) for j in range(fam.r)]
+    Es = second_el_expression(L, y) if any(moves_time) else None
     reports = []
     for j in range(fam.r):
         total = _identity_sum(fam, fam.g[j], E, b1)
-        if time_variant and np.any(fam.f[j] != 0.0):
+        if moves_time[j]:
             total = total + _identity_sum(fam, fam.f[j][None], Es, b1)
         reports.append(ResidualReport.from_per_point(total.window, total.values, tolerance))
     return reports
@@ -279,7 +272,7 @@ def _identity_sum(fam: GaugeFamily, table: np.ndarray, E: GridFunction, b1: floa
     component k at order i."""
     def term(k: int, i: int, row: np.ndarray) -> GridFunction:
         t = shift(GridFunction(fam.ts, fam.lo, row), 1) * E.component(k)
-        return _identity_weight(b1, i) * (delta_derivative(t, i) if i else t)
+        return (-1.0) ** i * (1.0 / b1) ** ((i * (i + 1)) // 2) * (delta_derivative(t, i) if i else t)
 
     return reduce(add, (term(k, i, row) for k, rows in enumerate(table) for i, row in enumerate(rows)))
 

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import add, ge, sub
 
 import numpy as np
 
 # Relative tolerance used when detecting an affine jump law sigma(t) = b1*t + b0.
 AFFINE_JUMP_RTOL = 1e-12
-# Rows that write_csv formats per write.
+# Rows that write_csv formats per write and read_csv parses per block.
 CSV_BLOCK_ROWS = 1024
 # Most points a uniform or geometric scale spec may ask for: 100 times the
 # largest grid the solver sweeps are timed on (10^5), 80 MB of float points.
@@ -471,22 +472,27 @@ def read_csv(ts: TimeScale, path) -> GridFunction:
     """Read a GridFunction written by write_csv; each row must have the
     header's field count and its time t match its scale point p with
     |t - p| <= 1e-12 * max(1, |p|), the first row's time placing the window
-    at its nearest point."""
+    at its nearest point.  Rows are parsed CSV_BLOCK_ROWS lines at a time,
+    so only one block's text is held at once."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("t,"):
             raise ValueError("missing t,y1..yn header")
         width = header.count(",") + 1
-        fields = []
-        for lineno, line in enumerate(fh, start=2):
-            row = line.split(",")
-            if len(row) == width:
-                fields += row
-            elif line.strip():
-                raise ValueError(f"line {lineno} has {len(row)} fields, the header has {width}")
-    if not fields:
+        rows, blocks = enumerate(fh, start=2), []
+        for lines in iter(lambda: list(islice(rows, CSV_BLOCK_ROWS)), []):
+            fields = []
+            for lineno, line in lines:
+                row = line.split(",")
+                if len(row) == width:
+                    fields += row
+                elif line.strip():
+                    raise ValueError(f"line {lineno} has {len(row)} fields, the header has {width}")
+            blocks.append(np.fromiter(map(float, fields), dtype=float, count=len(fields)))
+    data = np.concatenate(blocks or [np.empty(0)]).reshape(-1, width)
+    del blocks  # before GridFunction copies the value columns
+    if not data.size:
         raise ValueError("empty grid function file")
-    data = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, width)
     t0 = data[0, 0]
     lo = int(np.searchsorted(ts.points, t0))
     if lo == len(ts) or (lo > 0 and t0 - ts.points[lo - 1] < ts.points[lo] - t0):

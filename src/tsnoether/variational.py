@@ -234,18 +234,18 @@ def solve_extremal(
     L: Lagrangian,
     ts: TimeScale,
     boundary: BoundaryData,
-    y0: GridFunction | None = None,
     tol: float = 1e-8,
     max_iter: int = 50,
 ) -> GridFunction:
     """Solve the Euler-Lagrange system over the full scale window with the
     endpoint rows pinned to the boundary data.
 
-    Newton iteration with step halving (up to 20 times per step) when the
-    residual does not decrease.  Success means el sup-norm <= tol, the
-    residual being el_expressions' to the bit.  Each trial path is sampled
-    once, and the accepted one's samples also serve the next Jacobian
-    (see _jacobian_bands), which _cyclic_reduction solves in O(N n^3).
+    Newton iteration from the straight line between the boundary values,
+    with step halving (up to 20 times per step) when the residual does not
+    decrease.  Success means el sup-norm <= tol, the residual being
+    el_expressions' to the bit.  Each trial path is sampled once, and the
+    accepted one's samples also serve the next Jacobian (see
+    _jacobian_bands), which _cyclic_reduction solves in O(N n^3).
 
     E_i reads y_i, y_{i+1} and y_{i+2} only, so the Jacobian J is block
     tridiagonal.  E_i is (dS/dy_{i+1}) / mu_i for the action S, so J is
@@ -261,16 +261,8 @@ def solve_extremal(
     npts = len(ts)
     if npts < 3:
         raise ValueError("scale too small for a boundary value problem")
-    if y0 is None:
-        lam = np.linspace(0.0, 1.0, npts)[:, None]
-        y = (1 - lam) * boundary.alpha[None, :] + lam * boundary.beta[None, :]
-    else:
-        if y0.lo != 0 or y0.hi != npts - 1 or y0.n != n:
-            raise ValueError("y0 must cover the full scale with matching components")
-        if not (np.allclose(y0.values[0], boundary.alpha) and np.allclose(y0.values[-1], boundary.beta)):
-            raise ValueError("y0 does not satisfy the boundary data")
-        y = y0.values.copy()
-        y[0], y[-1] = boundary.alpha, boundary.beta
+    lam = np.linspace(0.0, 1.0, npts)[:, None]
+    y = (1 - lam) * boundary.alpha[None, :] + lam * boundary.beta[None, :]
 
     mu = ts.mu_array()
     path, r = _newton_sample(L, ts, y)

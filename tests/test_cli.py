@@ -367,6 +367,32 @@ class TestCheckers:
         )
         assert code == 0
 
+    def test_check_noether_applies_the_family_f_table(self, tmp_path):
+        # g = 0 and f = t: the family moves time alone, so its identity is
+        # the f-weighted time-component term, and both commands report it.
+        fam = tmp_path / "famf.json"
+        fam.write_text(json.dumps({"r": 1, "m": 0, "n": 1, "g": [[[0.0]]], "f": [[{"poly": [0, 1]}]]}))
+        args = ["--scale", "h:0.1:0:3", "--lagrangian", "dirichlet", "--family", str(fam), "--y-poly", "0,1,1"]
+        code, plain, _ = run(tmp_path, "check-noether", *args)
+        code_time, timed, _ = run(tmp_path, "check-noether-time", *args)
+        assert code == code_time == 1
+        assert plain["sections"] == timed["sections"]
+        assert plain["sections"][0]["sup_norm"] == pytest.approx(39.44, rel=1e-6)
+
+    def test_identity_commands_look_up_the_noether_functions(self, tmp_path, monkeypatch):
+        # The parser is built once per process; each call must still reach
+        # the functions bound on the noether module then, which is how the
+        # benchmark's tracer times them.
+        cli._build_parser()
+        calls = []
+        for name in ("noether_identity", "noether_identity_time"):
+            original = getattr(cli.nt, name)
+            monkeypatch.setattr(cli.nt, name, lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k))
+        args = ["--scale", "h:1:0:10", "--lagrangian", "pair-difference", "--family", "pairdiff-time0"]
+        assert run(tmp_path, "check-noether", *args)[0] == 0
+        assert run(tmp_path, "check-noether-time", *args)[0] == 0
+        assert calls == ["noether_identity", "noether_identity_time"]
+
     def test_check2d(self, tmp_path):
         code, data, _ = run(
             tmp_path,
@@ -570,3 +596,37 @@ def test_ab_tool_on_two_copies_of_one_tree(tmp_path):
     assert found, done.stdout
     q1, median, q3 = float(found[2]), float(found[1]), float(found[3])
     assert 0 < q1 <= median <= q3
+
+
+def earlier_builtin_family(name, ts):
+    """The built-in 1-D families as code, before they were tables."""
+    from tsnoether.noether import GaugeFamily
+
+    g, f = {
+        "pairdiff": ([[[1.0], [1.0]]], None),
+        "pairdiff-broken": ([[[1.1], [1.0]]], None),
+        "pairdiff-time0": ([[[1.0], [1.0]]], [[0.0]]),
+        "time-translation": ([[[0.0]]], [[1.0]]),
+    }[name]
+    return GaugeFamily.constant(ts, g, f=f)
+
+
+@pytest.mark.parametrize("name", ["pairdiff", "pairdiff-broken", "pairdiff-time0", "time-translation"])
+@pytest.mark.parametrize("spec", ["h:0.5:0:4", "q:2:1:7", "real:0.25:-1:1"])
+def test_builtin_family_tables_equal_earlier_code(name, spec):
+    ts = parse_scale_spec(spec)
+    new, old = cli.load_family(name, ts), earlier_builtin_family(name, ts)
+    assert (new.ts, new.lo, new.g.shape, new.g.tobytes()) == (old.ts, old.lo, old.g.shape, old.g.tobytes())
+    assert (new.f is None) == (old.f is None)
+    assert new.f is None or (new.f.shape, new.f.tobytes()) == (old.f.shape, old.f.tobytes())
+
+
+@pytest.mark.parametrize(
+    "name, rows",
+    [("grad2", [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]), ("grad2-broken", [(0.0, 1.1, 0.0), (0.0, 0.0, 1.0)])],
+)
+def test_builtin_2d_family_tables_equal_earlier_code(name, rows):
+    from tsnoether.multigrid import GaugeFamilyD
+
+    grid = cli._lattice(["h:1:0:5", "q:2:1:6"])
+    assert cli.load_family2d(name, grid) == GaugeFamilyD(grid, rows)

@@ -705,18 +705,9 @@ def earlier_identity_time(L, fam, y, tolerance=1e-9):
     return totals
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    r=st.integers(1, 2),
-    n=st.integers(1, 2),
-    m=st.integers(0, 2),
-    geometric=st.booleans(),
-    zero_row=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_time_identity_bitwise_equals_earlier_copy(r, n, m, geometric, zero_row, seed):
-    # The f-weighted time-component term enters with random, non-zero f; a
-    # zero f row is skipped, not added.
+def time_family_case(r, n, m, geometric, zero_row, seed):
+    """A quadratic density, a family with random g and f tables (f's first
+    row all zero when zero_row) and a random path on an h or q scale."""
     rng = np.random.default_rng(seed)
     ts = q_geometric(1.25, 0.5, 12) if geometric else h_uniform(0.25, -1.0, 1.75)
     hi = len(ts) - 1 - m
@@ -725,7 +716,39 @@ def test_time_identity_bitwise_equals_earlier_copy(r, n, m, geometric, zero_row,
         f[0] = 0.0
     fam = GaugeFamily(ts, 0, rng.uniform(-1, 1, (r, n, m + 1, hi + 1)), f)
     L = catalog(f"quad:{n}:0.5:0.25:0.125")
-    y = GridFunction(ts, 0, rng.uniform(-1, 1, (hi + 1, n)))
+    return L, fam, GridFunction(ts, 0, rng.uniform(-1, 1, (hi + 1, n)))
+
+
+TIME_FAMILY_CASES = dict(
+    r=st.integers(1, 2),
+    n=st.integers(1, 2),
+    m=st.integers(0, 2),
+    geometric=st.booleans(),
+    zero_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**TIME_FAMILY_CASES)
+def test_time_identity_bitwise_equals_earlier_copy(r, n, m, geometric, zero_row, seed):
+    # The f-weighted time-component term enters with random, non-zero f; a
+    # zero f row is skipped, not added.
+    L, fam, y = time_family_case(r, n, m, geometric, zero_row, seed)
     reports = noether_identity_time(L, fam, y)
     for rep, total in zip(reports, earlier_identity_time(L, fam, y), strict=True):
         assert rep.domain == total.window and rep.per_point.tobytes() == total.values.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**TIME_FAMILY_CASES)
+def test_identity_applies_f_bitwise_as_time_identity(r, n, m, geometric, zero_row, seed):
+    # One identity path: both functions add the f term of every nonzero f
+    # row, so they agree bit for bit on every family with f, an all-zero
+    # one (r = 1 with zero_row) included.
+    L, fam, y = time_family_case(r, n, m, geometric, zero_row, seed)
+    plain, timed = noether_identity(L, fam, y), noether_identity_time(L, fam, y)
+    assert len(plain) == len(timed) == r
+    for a, b in zip(plain, timed):
+        assert a.domain == b.domain and a.per_point.tobytes() == b.per_point.tobytes()
+        assert (a.sup_norm, a.l2_norm, a.tolerance, a.verdict) == (b.sup_norm, b.l2_norm, b.tolerance, b.verdict)

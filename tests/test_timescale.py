@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -429,6 +431,38 @@ class TestGridFunction:
         path.write_text(f"t,y1\n32768.0,0.0\n{65536.0 * (1 + 2e-12)!r},1.0\n")
         with pytest.raises(ValueError, match="do not match the scale points"):
             read_csv(ts, path)
+
+    @pytest.mark.parametrize("bad", [2, timescale.CSV_BLOCK_ROWS, timescale.CSV_BLOCK_ROWS + 3, 3001])
+    def test_csv_line_numbers_and_blank_lines_across_blocks(self, tmp_path, bad):
+        # Two blank lines straddle the first block boundary; they are skipped,
+        # and a wrong field count is named by its line in the file.
+        ts = h_uniform(1.0, 0, 2999)
+        lines = ["t,y1"] + [f"{float(i)!r},{i / 7!r}" for i in range(3000)]
+        lines[timescale.CSV_BLOCK_ROWS : timescale.CSV_BLOCK_ROWS] = ["", "  "]
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join(lines) + "\n")
+        g = read_csv(ts, path)
+        assert g.window == (0, 2999) and g.values[:, 0].tobytes() == (np.arange(3000) / 7).tobytes()
+        lines[bad - 1] += ",9.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^line {bad} has 3 fields, the header has 2$"):
+            read_csv(ts, path)
+
+    def test_csv_read_memory_is_bounded(self, tmp_path):
+        # Rows are parsed a block at a time: 10^5 rows of 3 components, a
+        # 2.4 MB result, peaked at 34.9 MB when every field's text was held.
+        ts = h_uniform(1.0, 0, 10**5 - 1)
+        f = GridFunction(ts, 0, np.random.default_rng(3).uniform(-1, 1, (10**5, 3)))
+        path = tmp_path / "f.csv"
+        write_csv(f, path)
+        tracemalloc.start()
+        try:
+            g = read_csv(ts, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.values.tobytes() == f.values.tobytes()
+        assert peak <= 10e6, peak
 
     def test_values_frozen(self):
         ts = h_uniform(1.0, 0, 3)

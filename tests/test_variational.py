@@ -65,6 +65,15 @@ class TestFunctional:
         for L in (Lagrangian(n=1, eval=lambda t, u, v: -0.0), Lagrangian(n=1, eval=lambda t, U, V: -0.0 * t, vectorized=True)):
             assert str(eval_functional(L, y)) == "0.0"
 
+    def test_negative_zero_integral_returns_positive_zero(self):
+        # The guard itself, whatever np.sum returns for -0.0 terms: an
+        # integral kernel that gives -0.0 still yields an action of +0.0.
+        ts = h_uniform(1.0, 0, 4)
+        y = GridFunction(ts, 0, np.zeros((5, 1)))
+        with mock.patch.object(variational, "window_integral", lambda *args: np.array([-0.0])):
+            action = eval_functional(catalog("dirichlet"), y)
+        assert action == 0.0 and not np.signbit(action)
+
     def test_positional_density_sums_shifted_values(self):
         ts = h_uniform(1.0, 0, 3)
         L = Lagrangian(
@@ -333,23 +342,6 @@ class TestSolver:
         )
         y = solve_extremal(L, ts, BoundaryData([0.0], [1.0]))
         assert el_residual(L, y).sup_norm <= 1e-8
-
-    def test_bad_start_rejected(self):
-        ts = h_uniform(1.0, 0, 4)
-        y0 = GridFunction(ts, 0, np.ones((5, 1)))
-        with pytest.raises(ValueError):
-            solve_extremal(catalog("dirichlet"), ts, BoundaryData([0.0], [4.0]), y0=y0)
-
-    def test_start_ends_replaced_by_boundary_data(self):
-        # y0 meets the boundary only to np.allclose; the result must meet it exactly
-        ts = h_uniform(1.0, 0, 5)
-        start = np.linspace(0.0, 5.0, 6)[:, None]
-        start[0, 0] = 1e-9
-        start[-1, 0] = 5.0 + 1e-9
-        bd = BoundaryData([0.0], [5.0])
-        y = solve_extremal(catalog("dirichlet"), ts, bd, y0=GridFunction(ts, 0, start))
-        assert y.values[0, 0] == 0.0 and y.values[-1, 0] == 5.0
-        assert np.max(np.abs(y.values[:, 0] - np.arange(6.0))) <= 1e-10
 
     def test_reports_final_residual_on_failure(self):
         ts = h_uniform(1.0, 0, 4)
