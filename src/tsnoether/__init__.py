@@ -62,7 +62,6 @@ from .multigrid import (
     noether_identity_d,
     partial_delta,
     random_polynomial_field,
-    shift_all,
     shift_all_except,
     shift_axis,
     transform_d,

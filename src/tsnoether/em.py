@@ -36,7 +36,7 @@ from .multigrid import (
     partial_delta,
     random_polynomial_field,
     shift_all_except,
-    _zero_d_u,
+    _field_strength_lagrangian,
 )
 from .timescale import h_uniform
 
@@ -48,36 +48,7 @@ _MAGNETIC = ((2, 3), (3, 1), (1, 2))
 
 
 def em_lagrangian() -> LagrangianD:
-    def density(coords, U, G):
-        # The sum of 1/2 (G[j, k] - G[k, j])^2 over the electric pairs minus
-        # that over the magnetic ones, term by term in pair order, formed
-        # in place.  The first term starts the sum: adding it to 0.0 would
-        # change no bit, since it is never -0.0.
-        out = F = None
-        for accumulate, pairs in ((np.add, _ELECTRIC), (np.subtract, _MAGNETIC)):
-            for j, k in pairs:
-                F = np.subtract(G[j, k], G[k, j], out=F)
-                np.multiply(F, F, out=F)
-                F *= 0.5
-                if out is None:
-                    out, F = F, None
-                else:
-                    accumulate(out, F, out=out)
-        return out
-
-    def d_g(coords, U, G):
-        out = np.zeros_like(G)
-        for j, k in _ELECTRIC:
-            F = G[j, k] - G[k, j]
-            out[j, k] += F
-            out[k, j] -= F
-        for j, k in _MAGNETIC:
-            F = G[j, k] - G[k, j]
-            out[j, k] -= F
-            out[k, j] += F
-        return out
-
-    return LagrangianD(d=4, n=4, density=density, d_u=_zero_d_u, d_g=d_g)
+    return _field_strength_lagrangian(4, 4, _ELECTRIC, _MAGNETIC)
 
 
 def em_functional(A: tuple) -> float:
@@ -146,7 +117,7 @@ def lorentz_field(grid: GridD) -> tuple:
     shape = grid.shape
     zeros = np.zeros(shape)
     A0 = (t0[:, None] * t1[None, :])[:, :, None, None] * np.ones((1, 1, shape[2], shape[3]))
-    anti = np.concatenate(([0.0], np.cumsum(grid.mu(1) * t1[:-1])))
+    anti = np.concatenate(([0.0], np.cumsum(grid.scales[1].mu_array() * t1[:-1])))
     A1 = anti[None, :, None, None] * np.ones((shape[0], 1, shape[2], shape[3]))
     lo = (0, 0, 0, 0)
     return (FieldD(grid, lo, A0), FieldD(grid, lo, A1), FieldD(grid, lo, zeros), FieldD(grid, lo, zeros))

@@ -45,9 +45,6 @@ class GridD:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.scales)
 
-    def mu(self, axis: int) -> np.ndarray:
-        return self.scales[axis].mu_array()
-
     def same_as(self, other: "GridD") -> bool:
         return self is other or (
             self.d == other.d and all(a.same_as(b) for a, b in zip(self.scales, other.scales))
@@ -122,18 +119,12 @@ def shift_axis(f: FieldD, axis: int, k: int) -> FieldD:
     return FieldD(f.grid, tuple(lo), _sealed(values))
 
 
-def shift_all_except(f: FieldD, axis: int) -> FieldD:
+def shift_all_except(f: FieldD, axis: int | None) -> FieldD:
+    """Compose with sigma on every axis but `axis` (on all when it is None)."""
     out = f
     for ax in range(f.grid.d):
         if ax != axis:
             out = shift_axis(out, ax, 1)
-    return out
-
-
-def shift_all(f: FieldD) -> FieldD:
-    out = f
-    for ax in range(f.grid.d):
-        out = shift_axis(out, ax, 1)
     return out
 
 
@@ -213,11 +204,11 @@ def _pattern_args(L: LagrangianD, u: tuple):
         raise ValueError("window too small for the shifted argument pattern")
     cell_hi = tuple(l + c - 1 for l, c in zip(lo, cells))
     coords, mus = [], []
-    for ax in range(grid.d):
+    for ax, s in enumerate(grid.scales):
         shape = [1] * grid.d
         shape[ax] = cells[ax]
-        coords.append(grid.scales[ax].points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
-        mus.append(None if grid.scales[ax].unit_steps else grid.mu(ax)[lo[ax] : cell_hi[ax] + 1].reshape(shape))
+        coords.append(s.points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
+        mus.append(None if s.unit_steps else s.mu_array()[lo[ax] : cell_hi[ax] + 1].reshape(shape))
     U = np.empty((L.n,) + cells)
     G = np.empty((grid.d, L.n) + cells)
     up = (slice(1, None),) * grid.d
@@ -318,13 +309,14 @@ def gauge_pairing(fam: GaugeFamilyD, p: FieldD, q: FieldD, k: int) -> tuple[floa
     fence."""
     if not any(fam.a[k]):
         return 0.0, 0.0
+    p_sigma = shift_all_except(p, None)
     lhs_field = _gauge_sum(
         fam.a[k],
-        lambda i, c: _times(c, shift_all(p) if i == 0 else shift_all_except(partial_delta(p, i - 1), i - 1)),
+        lambda i, c: _times(c, p_sigma if i == 0 else shift_all_except(partial_delta(p, i - 1), i - 1)),
         p.grid,
     )
     lhs = multi_integral(q * lhs_field)
-    rhs = multi_integral(gauge_field_adjoint(fam, q, k) * shift_all(p))
+    rhs = multi_integral(gauge_field_adjoint(fam, q, k) * p_sigma)
     return lhs, rhs
 
 
@@ -410,34 +402,56 @@ def double_fundamental_oracle(M: FieldD, tolerance: float = 1e-12) -> tuple[floa
     for cell in np.ndindex(*(h - l + 1 for l, h in zip(lo, hi))):
         spike = np.zeros(grid.shape)
         spike[tuple(c + l + 1 for c, l in zip(cell, lo))] = 1.0
-        eta_sigma = shift_all(FieldD(grid, (0,) * grid.d, spike))
+        eta_sigma = shift_all_except(FieldD(grid, (0,) * grid.d, spike), None)
         max_integral = max(max_integral, abs(multi_integral(M * eta_sigma)))
     sup_m = float(np.max(np.abs(M.restrict(lo, hi).values)))
     consistent = (max_integral <= tolerance) == (sup_m <= tolerance)
     return max_integral, sup_m, consistent
 
 
-# Built-in 2-d densities selectable by name from the command line.
+# The field-strength densities (curl2 and em) and the named 2-d densities.
 
 def _zero_d_u(coords, U, G):
     return np.zeros_like(U)
 
 
+def _field_strength_lagrangian(d: int, n: int, plus: tuple, minus: tuple = ()) -> LagrangianD:
+    """Squared field strengths, which no gauge A_k + Delta_k p changes: the
+    sum of 1/2 (G[j, k] - G[k, j])^2 over the pairs (j, k) of plus minus
+    that over minus, formed in place term by term in pair order.  The first
+    term starts the sum: adding it to 0.0 would change no bit."""
+
+    def density(coords, U, G):
+        out = F = None
+        for accumulate, pairs in ((np.add, plus), (np.subtract, minus)):
+            for j, k in pairs:
+                F = np.subtract(G[j, k], G[k, j], out=F)
+                np.multiply(F, F, out=F)
+                F *= 0.5
+                if out is None:
+                    out, F = F, None
+                else:
+                    accumulate(out, F, out=out)
+        return out
+
+    def d_g(coords, U, G):
+        out = np.zeros_like(G)
+        for (first, second), pairs in (((np.add, np.subtract), plus), ((np.subtract, np.add), minus)):
+            for j, k in pairs:
+                F = G[j, k] - G[k, j]
+                first(out[j, k], F, out=out[j, k])
+                second(out[k, j], F, out=out[k, j])
+        return out
+
+    return LagrangianD(d=d, n=n, density=density, d_u=_zero_d_u, d_g=d_g)
+
+
 def catalog2d(name: str) -> LagrangianD:
-    """Named 2-d densities: curl2 (1/2 (g_01 - g_10)^2, two components) and
-    dirichlet2 (1/2 |grad u|^2, one component)."""
+    """Named 2-d densities: curl2 (1/2 (g_01 - g_10)^2, two components, the
+    magnetic term of em on two axes) and dirichlet2 (1/2 |grad u|^2, one
+    component)."""
     if name == "curl2":
-        def density(coords, U, G):
-            return 0.5 * (G[0][1] - G[1][0]) ** 2
-
-        def d_g(coords, U, G):
-            out = np.zeros_like(G)
-            F = G[0][1] - G[1][0]
-            out[0][1] = F
-            out[1][0] = -F
-            return out
-
-        return LagrangianD(d=2, n=2, density=density, d_u=_zero_d_u, d_g=d_g)
+        return _field_strength_lagrangian(2, 2, ((0, 1),))
     if name == "dirichlet2":
         def density(coords, U, G):
             return 0.5 * (G[0][0] ** 2 + G[1][0] ** 2)

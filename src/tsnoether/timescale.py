@@ -473,7 +473,7 @@ def read_csv(ts: TimeScale, path) -> GridFunction:
     header's field count and its time t match its scale point p with
     |t - p| <= 1e-12 * max(1, |p|), the first row's time placing the window
     at its nearest point.  Rows are parsed CSV_BLOCK_ROWS lines at a time,
-    so only one block's text is held at once."""
+    and a block keeps only its value columns once its times match."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("t,"):
@@ -488,16 +488,19 @@ def read_csv(ts: TimeScale, path) -> GridFunction:
                     fields += row
                 elif line.strip():
                     raise ValueError(f"line {lineno} has {len(row)} fields, the header has {width}")
-            blocks.append(np.fromiter(map(float, fields), dtype=float, count=len(fields)))
-    data = np.concatenate(blocks or [np.empty(0)]).reshape(-1, width)
-    del blocks  # before GridFunction copies the value columns
-    if not data.size:
+            block = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, width)
+            if not block.size:
+                continue
+            if not blocks:
+                t0 = block[0, 0]
+                lo = end = int(np.searchsorted(ts.points, t0))
+                if lo == len(ts) or (lo > 0 and t0 - ts.points[lo - 1] < ts.points[lo] - t0):
+                    lo = end = lo - 1  # the nearer point: t0 may sit just above it
+            pts = ts.points[end : end + len(block)]
+            if pts.size < len(block) or not np.all(np.abs(block[:, 0] - pts) <= 1e-12 * np.maximum(1.0, np.abs(pts))):
+                raise ValueError("CSV times do not match the scale points")
+            blocks.append(block[:, 1:].copy())
+            end += len(block)
+    if not blocks:
         raise ValueError("empty grid function file")
-    t0 = data[0, 0]
-    lo = int(np.searchsorted(ts.points, t0))
-    if lo == len(ts) or (lo > 0 and t0 - ts.points[lo - 1] < ts.points[lo] - t0):
-        lo -= 1  # the nearer point: t0 may sit just above it
-    pts = ts.points[lo : lo + data.shape[0]]
-    if pts.size < data.shape[0] or not np.all(np.abs(data[:, 0] - pts) <= 1e-12 * np.maximum(1.0, np.abs(pts))):
-        raise ValueError("CSV times do not match the scale points")
-    return GridFunction(ts, lo, data[:, 1:])
+    return GridFunction(ts, lo, _sealed(blocks[0] if len(blocks) == 1 else np.concatenate(blocks)))

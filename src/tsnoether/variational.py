@@ -224,8 +224,8 @@ def second_el_expression(L: Lagrangian, y: GridFunction) -> GridFunction:
         raise ValueError("need at least 3 points")
     # One sample of the path serves the three partials and y_delta (vs).
     ts, us, vs = _path_args(y)
-    lt, lv, lval = (GridFunction(y.ts, y.lo, L.sample(w, ts, us, vs)).values for w in "tvL")
-    mu = (y.ts.points[y.lo + 1 : y.hi + 1] - y.ts.points[y.lo : y.hi])[:, None]
+    lt, lv, lval = (L.sample(w, ts, us, vs).reshape(len(ts), -1) for w in "tvL")
+    mu = np.diff(y.ts.points[y.lo : y.hi + 1])[:, None]
     inner = lval - np.sum(vs * lv, axis=1, keepdims=True) - mu * lt
     return GridFunction(y.ts, y.lo, _sealed(_el_values(lt, inner[None], (y.ts,), (y.lo,))))
 

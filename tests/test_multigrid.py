@@ -659,7 +659,7 @@ def earlier_multi_integral(f):
         return 0.0
     vals = f.restrict(lo, hi).values.copy()
     for ax in range(f.grid.d):
-        mu = f.grid.mu(ax)[lo[ax] : hi[ax] + 1]
+        mu = f.grid.scales[ax].mu_array()[lo[ax] : hi[ax] + 1]
         shape = [1] * f.grid.d
         shape[ax] = mu.size
         vals = vals * mu.reshape(shape)
@@ -721,14 +721,14 @@ def test_kernels_bitwise_equal_earlier_copies(d, scales, n, seed, degree, amplit
 # compares equal to zero.
 
 def fieldwise_pattern_args(L, u):
-    from tsnoether.multigrid import shift_all, shift_all_except
+    from tsnoether.multigrid import shift_all_except
 
     grid = u[0].grid
     lo = tuple(max(f.lo[ax] for f in u) for ax in range(grid.d))
     hi = tuple(min(f.hi[ax] for f in u) for ax in range(grid.d))
     cell_hi = tuple(h - 1 for h in hi)
     parts = [f.restrict(lo, hi) for f in u]
-    U = np.stack([shift_all(f).restrict(lo, cell_hi).values for f in parts])
+    U = np.stack([shift_all_except(f, None).restrict(lo, cell_hi).values for f in parts])
     G = np.empty((grid.d, L.n) + U.shape[1:])
     for j in range(grid.d):
         for k, f in enumerate(parts):
@@ -790,16 +790,16 @@ def fieldwise_gauge_field_adjoint(fam, q, k):
 
 
 def fieldwise_gauge_pairing(fam, p, q, k):
-    from tsnoether.multigrid import shift_all, shift_all_except
+    from tsnoether.multigrid import shift_all_except
 
     lhs_field = fieldwise_gauge_sum(
         fam.a[k],
-        lambda i, c: c * (shift_all(p) if i == 0 else shift_all_except(partial_delta(p, i - 1), i - 1)),
+        lambda i, c: c * (shift_all_except(p, None) if i == 0 else shift_all_except(partial_delta(p, i - 1), i - 1)),
     )
     if lhs_field is None:
         return 0.0, 0.0
     lhs = earlier_multi_integral(q * lhs_field)
-    rhs = earlier_multi_integral(fieldwise_gauge_field_adjoint(fam, q, k) * shift_all(p))
+    rhs = earlier_multi_integral(fieldwise_gauge_field_adjoint(fam, q, k) * shift_all_except(p, None))
     return lhs, rhs
 
 
@@ -1116,7 +1116,7 @@ def earlier_pattern_args(L, u):
         shape = [1] * grid.d
         shape[ax] = cells[ax]
         coords.append(grid.scales[ax].points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
-        mus.append(None if grid.scales[ax].unit_steps else grid.mu(ax)[lo[ax] : cell_hi[ax] + 1].reshape(shape))
+        mus.append(None if grid.scales[ax].unit_steps else grid.scales[ax].mu_array()[lo[ax] : cell_hi[ax] + 1].reshape(shape))
     U = np.empty((L.n,) + cells)
     G = np.empty((grid.d, L.n) + cells)
     for k, f in enumerate(u):
@@ -1218,3 +1218,131 @@ def test_window_arithmetic_bitwise_equals_earlier_copies(d, scales, n, scalar, s
             assert expected == ("error", "window too small for the shifted argument pattern")
             expected = disjoint
         assert outcome(new, L, u) == expected
+
+
+# One field-strength builder serves curl2 and em.  The references are
+# test-local copies of the two densities it replaced: em's in-place pair
+# loop and curl2's own expression.  curl2's d_g wrote -F into its (1, 0)
+# slot, so where F was +0.0 that slot held -0.0; the shared loop subtracts F
+# from +0.0 and writes +0.0, as em's always did.  The partials are therefore
+# equal by value and equal in bits except for the sign of a zero; the
+# density, the functional and the Euler-Lagrange expressions (which start
+# from the zero u-partial) are equal in bits.
+
+EARLIER_ELECTRIC = ((1, 0), (2, 0), (3, 0))
+EARLIER_MAGNETIC = ((2, 3), (3, 1), (1, 2))
+
+
+def earlier_zero_d_u(coords, U, G):
+    return np.zeros_like(U)
+
+
+def earlier_em_lagrangian():
+    def density(coords, U, G):
+        out = F = None
+        for accumulate, pairs in ((np.add, EARLIER_ELECTRIC), (np.subtract, EARLIER_MAGNETIC)):
+            for j, k in pairs:
+                F = np.subtract(G[j, k], G[k, j], out=F)
+                np.multiply(F, F, out=F)
+                F *= 0.5
+                if out is None:
+                    out, F = F, None
+                else:
+                    accumulate(out, F, out=out)
+        return out
+
+    def d_g(coords, U, G):
+        out = np.zeros_like(G)
+        for j, k in EARLIER_ELECTRIC:
+            F = G[j, k] - G[k, j]
+            out[j, k] += F
+            out[k, j] -= F
+        for j, k in EARLIER_MAGNETIC:
+            F = G[j, k] - G[k, j]
+            out[j, k] -= F
+            out[k, j] += F
+        return out
+
+    return LagrangianD(d=4, n=4, density=density, d_u=earlier_zero_d_u, d_g=d_g)
+
+
+def earlier_curl2():
+    def density(coords, U, G):
+        return 0.5 * (G[0][1] - G[1][0]) ** 2
+
+    def d_g(coords, U, G):
+        out = np.zeros_like(G)
+        F = G[0][1] - G[1][0]
+        out[0][1] = F
+        out[1][0] = -F
+        return out
+
+    return LagrangianD(d=2, n=2, density=density, d_u=earlier_zero_d_u, d_g=d_g)
+
+
+def field_strength_component(grid, kind, seed, lo):
+    """A polynomial field, a constant one (every F entry it takes part in
+    is an exact zero) or signed samples with +-0.0 and equal neighbours,
+    on the window at lo."""
+    if kind == "poly":
+        vals = random_polynomial_field(grid, seed).values
+    elif kind == "signed":
+        vals = signed_samples(np.random.default_rng(seed), grid.shape)
+    else:
+        vals = np.full(grid.shape, {"zero": 0.0, "negzero": -0.0, "const": 1.5}[kind])
+    return FieldD(grid, (0,) * grid.d, vals).restrict(lo, tuple(n - 1 for n in grid.shape))
+
+
+@given(
+    em=st.booleans(),
+    scales=st.lists(lattice_axis(), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_field_strength_densities_equal_earlier_copies(em, scales, seed, data):
+    from tsnoether.em import em_lagrangian
+
+    d = 4 if em else 2
+    grid = GridD(tuple(scales[:d]))
+    kinds = st.sampled_from(["poly", "signed", "zero", "negzero", "const"])
+    u = tuple(
+        field_strength_component(
+            grid,
+            data.draw(kinds, label=f"kind{k}"),
+            [seed, k],
+            tuple(data.draw(st.integers(0, 1), label=f"lo{k}") for _ in range(d)),
+        )
+        for k in range(d)
+    )
+    new, earlier = (em_lagrangian(), earlier_em_lagrangian()) if em else (catalog2d("curl2"), earlier_curl2())
+    coords, U, G, lo, cell_hi = multigrid._pattern_args(new, u)
+    assert new.sample("L", coords, U, G).tobytes() == earlier.sample("L", coords, U, G).tobytes()
+    dg, dg_earlier = new.sample("g", coords, U, G), earlier.sample("g", coords, U, G)
+    assert np.array_equal(dg, dg_earlier)
+    assert np.all((dg.view(np.int64) == dg_earlier.view(np.int64)) | (dg == 0.0))
+    assert not np.signbit(dg[dg == 0.0]).any()  # each slot sums from +0.0
+    assert bits(functional_d(new, u)) == bits(functional_d(earlier, u))
+    assert bits(el_expressions_d(new, u)) == bits(el_expressions_d(earlier, u))
+
+
+@given(
+    d=st.integers(2, 4),
+    scales=st.lists(axis_scales(5), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_shift_all_except_none_shifts_every_axis(d, scales, seed, data):
+    from tsnoether.multigrid import shift_all_except
+
+    grid = GridD(tuple(scales[:d]))
+    lo = tuple(data.draw(st.integers(1, n - 1), label="lo") for n in grid.shape)
+    hi = tuple(data.draw(st.integers(l, n - 1), label="hi") for l, n in zip(lo, grid.shape))
+    f = FieldD(grid, lo, signed_samples(np.random.default_rng(seed), tuple(h - l + 1 for l, h in zip(lo, hi))))
+    ref = f
+    for ax in range(d):
+        ref = shift_axis(ref, ax, 1)
+    out = shift_all_except(f, None)
+    assert out.lo == ref.lo == tuple(l - 1 for l in lo)
+    assert same_bytes(out.values, ref.values) and same_bytes(out.values, f.values)

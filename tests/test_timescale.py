@@ -449,8 +449,10 @@ class TestGridFunction:
             read_csv(ts, path)
 
     def test_csv_read_memory_is_bounded(self, tmp_path):
-        # Rows are parsed a block at a time: 10^5 rows of 3 components, a
-        # 2.4 MB result, peaked at 34.9 MB when every field's text was held.
+        # Rows are parsed a block at a time and each block keeps only its
+        # value columns: 10^5 rows of 3 components, a 2.4 MB result, peaked
+        # at 34.9 MB when every field's text was held, and at 6.8 MB when
+        # the whole table was joined before its value columns were copied.
         ts = h_uniform(1.0, 0, 10**5 - 1)
         f = GridFunction(ts, 0, np.random.default_rng(3).uniform(-1, 1, (10**5, 3)))
         path = tmp_path / "f.csv"
@@ -462,7 +464,45 @@ class TestGridFunction:
         finally:
             tracemalloc.stop()
         assert g.values.tobytes() == f.values.tobytes()
-        assert peak <= 10e6, peak
+        assert peak <= 5.6e6, peak
+
+    @pytest.mark.parametrize("rows", [1, timescale.CSV_BLOCK_ROWS, 2 * timescale.CSV_BLOCK_ROWS + 3])
+    def test_csv_read_values_are_not_copied_again(self, tmp_path, count_copies, rows):
+        # The joined value columns (or the one block's) are sealed, so the
+        # GridFunction stores them as they are.
+        ts = h_uniform(1.0, 0, rows + 1)
+        f = GridFunction(ts, 1, np.random.default_rng(rows).uniform(-1, 1, (rows, 2)))
+        write_csv(f, tmp_path / "f.csv")
+        with count_copies(timescale) as copies:
+            g = read_csv(ts, tmp_path / "f.csv")
+        assert copies == []
+        assert g.window == f.window and g.values.tobytes() == f.values.tobytes()
+
+    def test_csv_time_mismatch_reported_before_a_later_block(self, tmp_path):
+        # Each block's times are checked as it is parsed: a time off its
+        # point in the first block is named before a bad row in the third.
+        ts = h_uniform(1.0, 0, 2999)
+        lines = ["t,y1"] + [f"{float(i)!r},0.0" for i in range(3000)]
+        lines[5] = "4.5,0.0"
+        lines[2500] += ",9.0"
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="do not match the scale points"):
+            read_csv(ts, path)
+        lines[5] = "4.0,0.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^line 2501 has 3 fields, the header has 2$"):
+            read_csv(ts, path)
+
+    def test_csv_blocks_of_blank_lines_are_skipped(self, tmp_path):
+        ts = h_uniform(1.0, 0, 9)
+        path = tmp_path / "f.csv"
+        path.write_text("t,y1\n" + "\n" * (timescale.CSV_BLOCK_ROWS + 5) + "3.0,1.5\n4.0,-0.0\n")
+        g = read_csv(ts, path)
+        assert g.window == (3, 4) and g.values[:, 0].tobytes() == np.array([1.5, -0.0]).tobytes()
+        path.write_text("t,y1\n" + "\n" * 5)
+        with pytest.raises(ValueError, match="empty grid function file"):
+            read_csv(ts, path)
 
     def test_values_frozen(self):
         ts = h_uniform(1.0, 0, 3)
