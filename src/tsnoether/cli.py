@@ -115,6 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", default="default", help='"default" or 4 comma-separated scale specs')
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--inv-tol", type=float, default=1e-12)
 
     p = add("oracle-fl", _cmd_oracle_fl, help="fundamental lemma brute-force oracle")
     p.add_argument("--scale", required=True)
@@ -386,14 +387,7 @@ def _cmd_em(args):
         grid = _lattice(specs)
 
     fam = em_mod.em_gauge_family(grid)
-
-    def pair(trial: int) -> tuple[float, float]:
-        A = em_mod.random_em_field(grid, seed=[args.seed, 1, trial])
-        p = mg.random_polynomial_field(grid, seed=[args.seed, 2, trial])
-        # The family subtracts the quotient; -p adds it, as the golden reports pin.
-        return em_mod.em_functional(A), em_mod.em_functional(mg.transform_d(fam, -p, A))
-
-    gauge_rep = ResidualReport.from_trials((0, args.trials - 1), args.trials, pair, 1e-12)
+    gauge_rep = em_mod.em_gauge_invariance(fam, trials=args.trials, seed=args.seed, tolerance=args.inv_tol)
     ident = mg.noether_identity_d(
         em_mod.em_lagrangian(), fam, em_mod.random_em_field(grid, seed=[args.seed, 1]), tolerance=args.tol
     )

@@ -36,7 +36,9 @@ from .multigrid import (
     partial_delta,
     random_polynomial_field,
     shift_all_except,
+    transform_d,
     _field_strength_lagrangian,
+    _invariance_trials,
 )
 from .timescale import h_uniform
 
@@ -51,14 +53,30 @@ def em_lagrangian() -> LagrangianD:
     return _field_strength_lagrangian(4, 4, _ELECTRIC, _MAGNETIC)
 
 
-def em_functional(A: tuple) -> float:
-    return functional_d(em_lagrangian(), A)
+def em_functional(A: tuple, _slots: list | None = None) -> float:
+    return functional_d(em_lagrangian(), A, _slots=_slots)
 
 
 def em_gauge_family(grid: GridD) -> GaugeFamilyD:
     """The Maxwell gauge A_k - (Delta_k p)^rho_k as a gauge family: a0 = 0
     and the axis-k coefficient of component k equal to minus one."""
     return GaugeFamilyD(grid, [[-1.0 if i == 1 + k else 0.0 for i in range(5)] for k in range(4)])
+
+
+def em_gauge_invariance(fam: GaugeFamilyD, trials: int = 50, seed: int = 0, tolerance: float = 1e-12) -> ResidualReport:
+    """Action deviation under the gauge family `fam` on its grid: trial t
+    draws a potential (seed [seed, 1, t]) and a parameter p (seed
+    [seed, 2, t]) and compares the actions before and after the transform
+    by -p, which adds the quotient that em_gauge_family subtracts."""
+    grid = fam.grid
+
+    def transform(trial: int, A: tuple) -> tuple:
+        return transform_d(fam, -random_polynomial_field(grid, seed=[seed, 2, trial]), A)
+
+    def draw(trial: int) -> tuple:
+        return random_em_field(grid, seed=[seed, 1, trial])
+
+    return _invariance_trials(em_functional, trials, tolerance, transform, draw=draw)
 
 
 def em_lorentz_check(A: tuple, tolerance: float = 1e-10) -> ResidualReport:

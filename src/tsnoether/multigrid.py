@@ -14,7 +14,7 @@ adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import add
 from typing import Callable
 
@@ -183,7 +183,7 @@ class LagrangianD:
         return np.broadcast_to(out, {"L": U.shape[1:], "u": U.shape, "g": G.shape}[which])
 
 
-def _pattern_args(L: LagrangianD, u: tuple):
+def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     """Shifted-argument slots on the base-cell window shared by all of them.
 
     The u slot carries sigma on every axis; gradient slot j carries the
@@ -192,6 +192,11 @@ def _pattern_args(L: LagrangianD, u: tuple):
     and G[j, k] the difference of that view and the one without sigma on
     axis j, divided by mu_j, element by element as forward_quotient does
     (and, like it, not divided on a scale of unit steps).
+
+    `slots` is a held (U, G) pair, a list that is empty until the first
+    call: U and G are written into it when their shapes match, and a new
+    pair is made and stored in it when they do not.  Every entry is
+    rewritten, so a reused pair gives the bits of a fresh one.
     """
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
@@ -209,8 +214,11 @@ def _pattern_args(L: LagrangianD, u: tuple):
         shape[ax] = cells[ax]
         coords.append(s.points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
         mus.append(None if s.unit_steps else s.mu_array()[lo[ax] : cell_hi[ax] + 1].reshape(shape))
-    U = np.empty((L.n,) + cells)
-    G = np.empty((grid.d, L.n) + cells)
+    shapes = ((L.n,) + cells, (grid.d, L.n) + cells)
+    held = slots is not None and tuple(a.shape for a in slots) == shapes
+    U, G = slots if held else (np.empty(shapes[0]), np.empty(shapes[1]))
+    if slots is not None:
+        slots[:] = U, G
     up = (slice(1, None),) * grid.d
     for k, v in enumerate(views):
         U[k] = v[up]
@@ -221,9 +229,12 @@ def _pattern_args(L: LagrangianD, u: tuple):
     return tuple(coords), U, G, lo, cell_hi
 
 
-def functional_d(L: LagrangianD, u: tuple) -> float:
-    """The d-fold delta integral of the density along the shifted pattern."""
-    coords, U, G, lo, cell_hi = _pattern_args(L, u)
+def functional_d(L: LagrangianD, u: tuple, _slots: list | None = None) -> float:
+    """The d-fold delta integral of the density along the shifted pattern.
+    `_slots` is a trial loop's held (U, G) pair (see _pattern_args); the
+    density's result is summed before the call returns, so a result that is
+    a view of G is never read after the next call rewrites it."""
+    coords, U, G, lo, cell_hi = _pattern_args(L, u, _slots)
     return float(window_integral(u[0].grid.scales, lo, L.sample("L", coords, U, G)[..., None])[0])
 
 
@@ -365,11 +376,32 @@ def check_invariance_d(
 ) -> ResidualReport:
     """Functional deviation under seeded random polynomial parameters of
     sup 0.1."""
-    base = functional_d(L, u)
+
+    def transform(trial: int, fields: tuple) -> tuple:
+        return transform_d(fam, random_polynomial_field(fam.grid, seed=[seed, trial], amplitude=0.1), fields)
+
+    return _invariance_trials(partial(functional_d, L), trials, tolerance, transform, base=u)
+
+
+def _invariance_trials(
+    action: Callable, trials: int, tolerance: float, transform: Callable, base: tuple | None = None,
+    draw: Callable | None = None,
+) -> ResidualReport:
+    """The invariance report of trials 0 .. trials-1: each compares the
+    action of the fields before a transform, `base` or draw(trial), with
+    that of transform(trial, fields); action(fields, _slots=...) gives each
+    action, and base's is taken once.  Every action writes its pattern into
+    one (U, G) pair that the loop holds from its first action until it
+    returns (see _pattern_args), in place of allocating both twice per
+    trial."""
+    slots: list = []
+    base_action = None if base is None else action(base, _slots=slots)
 
     def pair(trial: int) -> tuple[float, float]:
-        p = random_polynomial_field(fam.grid, seed=[seed, trial], amplitude=0.1)
-        return base, functional_d(L, transform_d(fam, p, u))
+        if draw is None:
+            return base_action, action(transform(trial, base), _slots=slots)
+        fields = draw(trial)
+        return action(fields, _slots=slots), action(transform(trial, fields), _slots=slots)
 
     return ResidualReport.from_trials((0, trials - 1), trials, pair, tolerance)
 

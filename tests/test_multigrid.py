@@ -1,10 +1,13 @@
+from contextlib import contextmanager
 from functools import reduce
 import operator
+import weakref
 from operator import add
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from tsnoether import (
@@ -1346,3 +1349,171 @@ def test_shift_all_except_none_shifts_every_axis(d, scales, seed, data):
     out = shift_all_except(f, None)
     assert out.lo == ref.lo == tuple(l - 1 for l in lo)
     assert same_bytes(out.values, ref.values) and same_bytes(out.values, f.values)
+
+
+# Held pattern slots: the invariance loops write every action's U and G into
+# one pair they hold, which must change no bit.
+
+
+@contextmanager
+def recorded_actions(module, name, keep_pairs=True):
+    """Patch module.name, an action taking (..., fields, _slots=...), so that
+    each call logs its fields, its value, the _slots list and the pair the
+    call left in it; with keep_pairs False, only weak references to the pair
+    are logged, and neither the list nor the pair is kept alive."""
+    log = []
+    real = getattr(module, name)
+
+    def recording(*args, _slots=None):
+        value = real(*args, _slots=_slots)
+        if keep_pairs:
+            log.append((args[-1], value, _slots, tuple(_slots)))
+        else:
+            log.append((args[-1], value, None, tuple(weakref.ref(a) for a in _slots)))
+        return value
+
+    with mock.patch.object(module, name, recording):
+        yield log
+
+
+def assert_one_held_pair_bitwise_fresh(log, L):
+    """Every logged action wrote into the first action's list and (U, G)
+    pair, and equals a fresh functional_d call bit for bit.  (The asserts
+    compare plain values: explaining a failure by the repr of the fields
+    and slots would take minutes.)"""
+    first = log[0]
+    one_list = all(slots is first[2] for _, _, slots, _ in log)
+    one_pair = all(len(pair) == 2 and all(a is b for a, b in zip(pair, first[3])) for _, _, _, pair in log)
+    assert one_list and one_pair
+    for fields, value, _, _ in log:
+        fresh = functional_d(L, fields)
+        assert bits(value) == bits(fresh)
+
+
+def em_lattice(kind, n):
+    """n^4 points, all axes h:1 or the mixed h(0.5)/q/h(1)/q axes."""
+    if kind == "uniform":
+        return GridD(tuple(h_uniform(1.0, 0.0, n - 1.0) for _ in range(4)))
+    return GridD(
+        (h_uniform(0.5, 0.0, 0.5 * (n - 1)), q_geometric(1.1, 1.0, n), h_uniform(1.0, 0.0, n - 1.0),
+         q_geometric(1.15, 0.5, n))
+    )
+
+
+def earlier_em_gauge_invariance(fam, trials, seed, tolerance=1e-12):
+    """The em gauge section as the command built it in its own closure, with
+    a fresh U and G for every action."""
+    from tsnoether.em import em_functional, random_em_field
+
+    def pair(trial):
+        A = random_em_field(fam.grid, seed=[seed, 1, trial])
+        p = random_polynomial_field(fam.grid, seed=[seed, 2, trial])
+        return em_functional(A), em_functional(transform_d(fam, -p, A))
+
+    return ResidualReport.from_trials((0, trials - 1), trials, pair, tolerance)
+
+
+def grid_2d(kind, k):
+    h, q = h_uniform(1.0, 0.0, k - 1.0), q_geometric(1 + 3 / k, 1.0, k)
+    return GridD((h, q) if kind == "hq" else (q, h))
+
+
+TABLES_2D = {"curl2": [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)], "dirichlet2": [(0.375, 1.0, -2.5)]}
+
+
+def test_invariance_loops_drop_their_pair_on_return():
+    from tsnoether import em
+
+    fam = em.em_gauge_family(em_lattice("mixed", 5))
+    with recorded_actions(em, "em_functional", keep_pairs=False) as log:
+        em.em_gauge_invariance(fam, trials=3, seed=1)
+    grid = grid_2d("hq", 20)
+    u = tuple(random_polynomial_field(grid, seed=[1, k]) for k in range(2))
+    with recorded_actions(multigrid, "functional_d", keep_pairs=False) as log2d:
+        check_invariance_d(catalog2d("curl2"), GaugeFamilyD(grid, TABLES_2D["curl2"]), u, trials=3, seed=1)
+    counts = len(log), len(log2d)
+    dead = all(ref() is None for entry in log + log2d for ref in entry[3])
+    assert counts == (6, 4) and dead
+
+
+def test_held_slots_reallocated_when_the_pattern_shape_changes():
+    grid = GridD((h_uniform(0.5, 0.0, 4.5), q_geometric(1.2, 1.0, 10)))
+    L = catalog2d("curl2")
+    full = tuple(random_polynomial_field(grid, seed=[3, k]) for k in range(2))
+    small = tuple(f.restrict((1, 2), (8, 9)) for f in full)
+    moved = tuple(f.restrict((0, 0), (7, 7)) for f in full)  # small's shape on another window
+    three = GridD((*grid.scales, h_uniform(1.0, 0.0, 5.0)))
+    L3 = LagrangianD(d=3, n=2, density=lambda coords, U, G: G[2, 1] * G[0, 0] + coords[1] * U[0])
+    cube = tuple(random_polynomial_field(three, seed=[4, k]) for k in range(2))
+    slots = []
+    previous = None
+    for lagrangian, u, reused in ((L, full, False), (L, small, False), (L, moved, True), (L, full, False),
+                                  (L3, cube, False), (L3, cube, True), (L, full, False)):
+        value = functional_d(lagrangian, u, _slots=slots)
+        assert bits(value) == bits(functional_d(lagrangian, u)) == bits(fieldwise_functional_d(lagrangian, u))
+        _, U, G, _, _ = multigrid._pattern_args(lagrangian, u)
+        assert (slots[0].shape, slots[1].shape) == (U.shape, G.shape)
+        assert (slots[1] is previous) == reused
+        previous = slots[1]
+
+
+def test_held_slots_divide_by_mu_on_every_call():
+    grid = GridD((q_geometric(1.3, 0.5, 9), h_uniform(1.0, 0.0, 8.0), h_uniform(0.25, 0.0, 2.0)))
+    L = LagrangianD(d=3, n=2, density=lambda coords, U, G: G[0, 0] * G[2, 1] - G[1, 1] * U[0])
+    f = tuple(random_polynomial_field(grid, seed=[5, k]) for k in range(2))
+    g = tuple(random_polynomial_field(grid, seed=[6, k], amplitude=3.0).restrict((1, 0, 1), (8, 7, 8)) for k in range(2))
+    slots = []
+    for u in (f, g, f, g, g):
+        value = functional_d(L, u, _slots=slots)
+        _, U, G, _, _ = multigrid._pattern_args(L, u)
+        assert slots[0].tobytes() == U.tobytes() and slots[1].tobytes() == G.tobytes()
+        assert bits(value) == bits(functional_d(L, u)) == bits(fieldwise_functional_d(L, u))
+
+
+def test_held_slots_with_a_density_that_returns_a_view_of_g():
+    grid = grid_2d("qh", 12)
+    L = LagrangianD(d=2, n=1, density=lambda coords, U, G: G[1, 0])
+    u = (random_polynomial_field(grid, seed=[8, 0]),)
+    coords, U, G, _, _ = multigrid._pattern_args(L, u)
+    assert np.shares_memory(L.sample("L", coords, U, G), G)
+    table = [(0.5, 1.0, -0.75)]
+    with recorded_actions(multigrid, "functional_d") as log:
+        report = check_invariance_d(L, GaugeFamilyD(grid, table), u, trials=4, seed=8)
+    assert bits(report) == bits(fieldwise_check_invariance_d(L, ConstantFieldFamily(grid, table), u, 4, 8))
+    values = {bits(entry[1]) for entry in log}
+    assert len(values) == 5
+    assert_one_held_pair_bitwise_fresh(log, L)
+
+
+@given(
+    kind=st.sampled_from(["uniform", "mixed", "hq", "qh"]),
+    size=st.integers(5, 7),
+    trials=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    density=st.sampled_from(sorted(TABLES_2D)),
+)
+# No explain phase: it reruns failing examples under a line tracer, which took
+# about 4 s per example of this numpy-heavy test and minutes per failure.
+@settings(max_examples=40, deadline=None, phases=tuple(p for p in Phase if p is not Phase.explain))
+def test_held_slot_actions_bitwise_equal_fresh_calls(kind, size, trials, seed, density):
+    from tsnoether import em
+
+    if kind in ("uniform", "mixed"):
+        fam = em.em_gauge_family(em_lattice(kind, size))
+        with recorded_actions(em, "em_functional") as log:
+            report = em.em_gauge_invariance(fam, trials=trials, seed=seed)
+        actions = len(log)
+        assert bits(report) == bits(earlier_em_gauge_invariance(fam, trials, seed))
+        assert actions == 2 * trials
+        assert_one_held_pair_bitwise_fresh(log, em.em_lagrangian())
+    else:
+        grid = grid_2d(kind, 6 * size)
+        L = catalog2d(density)
+        u = tuple(random_polynomial_field(grid, seed=[seed, 7 + k]) for k in range(L.n))
+        fam, fields = GaugeFamilyD(grid, TABLES_2D[density]), ConstantFieldFamily(grid, TABLES_2D[density])
+        with recorded_actions(multigrid, "functional_d") as log:
+            report = check_invariance_d(L, fam, u, trials=trials, seed=seed)
+        actions, base_actions = len(log), [entry[0] is u for entry in log].count(True)
+        assert bits(report) == bits(fieldwise_check_invariance_d(L, fields, u, trials, seed))
+        assert (actions, base_actions) == (trials + 1, 1)
+        assert_one_held_pair_bitwise_fresh(log, L)
