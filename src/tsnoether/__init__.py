@@ -70,7 +70,6 @@ from .em import (
     default_lattice,
     em_functional,
     em_gauge_family,
-    em_gauge_invariance,
     em_lagrangian,
     em_lorentz_check,
     em_wave_form,

@@ -115,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", default="default", help='"default" or 4 comma-separated scale specs')
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--inv-tol", type=float, default=1e-12)
 
     p = add("oracle-fl", _cmd_oracle_fl, help="fundamental lemma brute-force oracle")
     p.add_argument("--scale", required=True)
@@ -387,7 +386,7 @@ def _cmd_em(args):
         grid = _lattice(specs)
 
     fam = em_mod.em_gauge_family(grid)
-    gauge_rep = em_mod.em_gauge_invariance(fam, trials=args.trials, seed=args.seed, tolerance=args.inv_tol)
+    gauge_rep = em_mod._gauge_invariance(fam, args.trials, args.seed, 1e-12)
     ident = mg.noether_identity_d(
         em_mod.em_lagrangian(), fam, em_mod.random_em_field(grid, seed=[args.seed, 1]), tolerance=args.tol
     )

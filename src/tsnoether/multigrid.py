@@ -14,7 +14,7 @@ adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Callable
 
@@ -375,33 +375,15 @@ def check_invariance_d(
     tolerance: float = 1e-12,
 ) -> ResidualReport:
     """Functional deviation under seeded random polynomial parameters of
-    sup 0.1."""
-
-    def transform(trial: int, fields: tuple) -> tuple:
-        return transform_d(fam, random_polynomial_field(fam.grid, seed=[seed, trial], amplitude=0.1), fields)
-
-    return _invariance_trials(partial(functional_d, L), trials, tolerance, transform, base=u)
-
-
-def _invariance_trials(
-    action: Callable, trials: int, tolerance: float, transform: Callable, base: tuple | None = None,
-    draw: Callable | None = None,
-) -> ResidualReport:
-    """The invariance report of trials 0 .. trials-1: each compares the
-    action of the fields before a transform, `base` or draw(trial), with
-    that of transform(trial, fields); action(fields, _slots=...) gives each
-    action, and base's is taken once.  Every action writes its pattern into
-    one (U, G) pair that the loop holds from its first action until it
-    returns (see _pattern_args), in place of allocating both twice per
-    trial."""
+    sup 0.1.  Every action writes its pattern into one (U, G) pair that the
+    loop holds until it returns (see _pattern_args), in place of allocating
+    both on every trial."""
     slots: list = []
-    base_action = None if base is None else action(base, _slots=slots)
+    base = functional_d(L, u, _slots=slots)
 
     def pair(trial: int) -> tuple[float, float]:
-        if draw is None:
-            return base_action, action(transform(trial, base), _slots=slots)
-        fields = draw(trial)
-        return action(fields, _slots=slots), action(transform(trial, fields), _slots=slots)
+        p = random_polynomial_field(fam.grid, seed=[seed, trial], amplitude=0.1)
+        return base, functional_d(L, transform_d(fam, p, u), _slots=slots)
 
     return ResidualReport.from_trials((0, trials - 1), trials, pair, tolerance)
 

@@ -99,10 +99,8 @@ class TestExitCodes:
              "--tol must be finite and non-negative, got nan"),
             (["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2", "--inv-tol", "-1"],
              "--inv-tol must be finite and non-negative, got -1.0"),
-            (["em", "--lattice", "default", "--trials", "2", "--inv-tol", "inf"],
-             "--inv-tol must be finite and non-negative, got inf"),
         ],
-        ids=["check-noether-inf", "em-nan", "check2d-inv-tol-negative", "em-inv-tol-inf"],
+        ids=["check-noether-inf", "em-nan", "check2d-inv-tol-negative"],
     )
     def test_bad_tolerance_rejected(self, tmp_path, capsys, args, message):
         code, data, _ = run(tmp_path, *args)
@@ -420,20 +418,6 @@ class TestCheckers:
         assert code == 0
         names = [s["name"] for s in data["sections"]]
         assert names == ["gauge-invariance", "identity", "lorentz", "wave-form"]
-
-    def test_em_inv_tol_sets_the_gauge_tolerance(self, tmp_path):
-        args = ["em", "--lattice", "h:1:0:4,h:1:0:4,h:1:0:4,h:1:0:4", "--trials", "3"]
-        _, default, _ = run(tmp_path, *args, name="default.json")
-        _, loose, _ = run(tmp_path, *args, "--inv-tol", "1e-6", name="loose.json")
-        code, exact, _ = run(tmp_path, *args, "--inv-tol", "0", name="exact.json")
-        # The gauge tolerance is the option times max(1, max |action before|),
-        # a factor that does not depend on the option.
-        scale = default["sections"][0]["tolerance"] / 1e-12
-        assert loose["sections"][0]["tolerance"] == pytest.approx(1e-6 * scale, rel=1e-12)
-        assert default["sections"][0]["sup_norm"] == loose["sections"][0]["sup_norm"] > 0.0
-        assert exact["sections"][0]["tolerance"] == 0.0 and exact["sections"][0]["verdict"] == "fail"
-        assert code == 1
-        assert default["sections"][1:] == loose["sections"][1:] == exact["sections"][1:]
 
     def test_oracle_fl_modes(self, tmp_path):
         code, _, _ = run(tmp_path, "oracle-fl", "--scale", "h:1:0:8", "--order", "1")

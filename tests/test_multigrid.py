@@ -1426,7 +1426,7 @@ def test_invariance_loops_drop_their_pair_on_return():
 
     fam = em.em_gauge_family(em_lattice("mixed", 5))
     with recorded_actions(em, "em_functional", keep_pairs=False) as log:
-        em.em_gauge_invariance(fam, trials=3, seed=1)
+        em._gauge_invariance(fam, 3, 1, 1e-12)
     grid = grid_2d("hq", 20)
     u = tuple(random_polynomial_field(grid, seed=[1, k]) for k in range(2))
     with recorded_actions(multigrid, "functional_d", keep_pairs=False) as log2d:
@@ -1501,7 +1501,7 @@ def test_held_slot_actions_bitwise_equal_fresh_calls(kind, size, trials, seed, d
     if kind in ("uniform", "mixed"):
         fam = em.em_gauge_family(em_lattice(kind, size))
         with recorded_actions(em, "em_functional") as log:
-            report = em.em_gauge_invariance(fam, trials=trials, seed=seed)
+            report = em._gauge_invariance(fam, trials, seed, 1e-12)
         actions = len(log)
         assert bits(report) == bits(earlier_em_gauge_invariance(fam, trials, seed))
         assert actions == 2 * trials
