@@ -64,7 +64,8 @@ def em_trial(grid: tn.GridD, seed: int):
     def trial(t: int) -> None:
         A = tn.random_em_field(grid, seed=[seed, 1, t])
         tn.em_functional(A, _slots=slots)
-        tn.em_functional(tn.transform_d(fam, -tn.random_polynomial_field(grid, seed=[seed, 2, t]), A), _slots=slots)
+        p = tn.random_polynomial_field(grid, seed=[seed, 2, t])
+        tn.em_functional(tn.transform_d(fam, -p, A), _slots=slots)
 
     return trial
 
