@@ -39,7 +39,7 @@ from .multigrid import (
     transform_d,
     _field_strength_lagrangian,
 )
-from .timescale import h_uniform
+from .timescale import _sealed, h_uniform
 
 
 # Field strength index pairs appearing in the density: electric (i, 0) and
@@ -133,9 +133,9 @@ def lorentz_field(grid: GridD) -> tuple:
     t0 = grid.scales[0].points
     t1 = grid.scales[1].points
     shape = grid.shape
-    zeros = np.zeros(shape)
-    A0 = (t0[:, None] * t1[None, :])[:, :, None, None] * np.ones((1, 1, shape[2], shape[3]))
+    zeros = _sealed(np.zeros(shape))
+    A0 = _sealed((t0[:, None] * t1[None, :])[:, :, None, None] * np.ones((1, 1, shape[2], shape[3])))
     anti = np.concatenate(([0.0], np.cumsum(grid.scales[1].mu_array() * t1[:-1])))
-    A1 = anti[None, :, None, None] * np.ones((shape[0], 1, shape[2], shape[3]))
+    A1 = _sealed(anti[None, :, None, None] * np.ones((shape[0], 1, shape[2], shape[3])))
     lo = (0, 0, 0, 0)
     return (FieldD(grid, lo, A0), FieldD(grid, lo, A1), FieldD(grid, lo, zeros), FieldD(grid, lo, zeros))

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
+from math import prod
 from operator import add
 from typing import Callable
 
@@ -296,6 +298,25 @@ def _times(c: float, f: FieldD) -> FieldD:
     return f if c == 1.0 else c * f
 
 
+def _rho_quotient(p: FieldD, axis: int) -> FieldD:
+    """shift_axis(partial_delta(p, axis), axis, -1).  On a window at the
+    scale minimum it is one buffer of p's shape: the quotient written after
+    the first slab and divided in place, as forward_quotient divides, then
+    that slab repeated in front.  Above the minimum the shift is a view."""
+    n = p.values.shape[axis]
+    if p.lo[axis] or n < 2:
+        return shift_axis(partial_delta(p, axis), axis, -1)
+    before = (slice(None),) * axis
+    out = np.empty(p.values.shape)
+    body = out[before + (slice(1, None),)]
+    np.subtract(p.values[before + (slice(1, None),)], p.values[before + (slice(0, -1),)], out=body)
+    ts = p.grid.scales[axis]
+    if not ts.unit_steps:
+        body /= np.diff(ts.points[:n]).reshape((n - 1,) + (1,) * (p.grid.d - axis - 1))
+    out[before + (slice(0, 1),)] = body[before + (slice(0, 1),)]
+    return FieldD(p.grid, p.lo, _sealed(out))
+
+
 def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
     """The perturbation of component k:
     a0*p + sum_j a_{j} * (dp/dx_j at the rho_j-shifted point).
@@ -303,9 +324,7 @@ def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
     Zero coefficients contribute nothing and are skipped so they do not
     shrink the window.
     """
-    return _gauge_sum(
-        fam.a[k], lambda i, c: _times(c, p if i == 0 else shift_axis(partial_delta(p, i - 1), i - 1, -1)), p.grid
-    )
+    return _gauge_sum(fam.a[k], lambda i, c: _times(c, p if i == 0 else _rho_quotient(p, i - 1)), p.grid)
 
 
 def gauge_field_adjoint(fam: GaugeFamilyD, q: FieldD, k: int) -> FieldD:
@@ -341,28 +360,35 @@ def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float
     """Seeded separable polynomial samples scaled to the given sup amplitude.
 
     The coefficients are one draw of shape (3, d, degree + 1): term, axis,
-    power.  Each axis evaluates its three polynomials in one polyval call.
-    Each of the three terms is the product of one polynomial per axis,
-    multiplied out axis by axis, ((a0*a1)*a2)*a3, by broadcasting; only the
-    last product has the grid's size, and it reuses one buffer.
+    power, evaluated by one polyval call on all axes' scaled points laid
+    end to end.  Each term is the product ((a0*a1)*a2)*a3 of one
+    polynomial per axis.  Its last product is formed in rows of the last
+    axis when that axis is the shorter, as numpy runs one inner loop per
+    row and factors commute bit for bit, and in the grid's layout
+    otherwise.  The sum ((0.0 + t0) + t1) + t2 turns a -0.0 into +0.0; it
+    is scaled into a grid-shaped buffer made after the product's is freed.
     """
-    rng = np.random.default_rng(seed)
-    coeffs = rng.uniform(-1, 1, (3, grid.d, degree + 1))
-    factors = []
-    for ax, s in enumerate(grid.scales):
-        t = s.points
-        shape = [3] + [1] * grid.d
-        shape[1 + ax] = t.size
-        axis_vals = np.polynomial.polynomial.polyval(t / max(np.max(np.abs(t)), 1.0), coeffs[:, ax].T)
-        factors.append(axis_vals.reshape(shape))
-    vals = np.zeros(grid.shape)
-    term = np.empty(grid.shape)
+    coeffs = np.random.default_rng(seed).uniform(-1, 1, (3, grid.d, degree + 1))
+    table = np.polynomial.polynomial.polyval(
+        np.concatenate([s.points / max(np.max(np.abs(s.points)), 1.0) for s in grid.scales]),
+        np.repeat(coeffs, grid.shape, axis=1).transpose(2, 0, 1),
+        tensor=False,
+    )
+    *axes, last = (table[:, e - n : e] for n, e in zip(grid.shape, accumulate(grid.shape)))
+    rows = (prod(grid.shape[:-1]), grid.shape[-1])
+    transposed = rows[1] < rows[0]
+    vals = None if transposed else np.empty(grid.shape)
+    acc = np.empty(rows[::-1]) if transposed else vals.reshape(rows)
+    term = np.empty_like(acc)
     for i in range(3):
-        np.multiply(reduce(np.multiply, [f[i] for f in factors[:-1]]), factors[-1][i], out=term)
-        vals += term
-    peak = np.max(np.abs(vals, out=term))
-    if peak > 0:
-        vals *= amplitude / peak
+        head = reduce(np.multiply.outer, [a[i] for a in axes]).ravel()
+        np.multiply.outer(*((last[i], head) if transposed else (head, last[i])), out=term)
+        np.add(acc if i else 0.0, term, out=acc)
+    peak = np.max(np.abs(acc, out=term))
+    del term
+    if transposed:
+        vals = np.empty(grid.shape)
+    np.multiply(acc.T if transposed else acc, amplitude / peak if peak > 0 else 1.0, out=vals.reshape(rows))
     return FieldD(grid, (0,) * grid.d, _sealed(vals))
 
 

@@ -35,6 +35,7 @@ from .timescale import (
     GridFunction,
     TimeScale,
     _frozen,
+    _sealed,
     delta_derivative,
     explicit_scale,
     mixed,
@@ -165,10 +166,10 @@ def transform(fam: GaugeFamily, params: tuple, y: GridFunction):
     increasing.
     """
     dy, dt = _perturbation(fam, params, y)
-    ybar_vals = y.values + dy
+    ybar_vals = _sealed(y.values + dy)
     if dt is None:
         return None, GridFunction(y.ts, y.lo, ybar_vals)
-    alpha_vals = y.ts.points[y.lo : y.hi + 1] + dt
+    alpha_vals = _sealed(y.ts.points[y.lo : y.hi + 1] + dt)
     if not np.all(np.diff(alpha_vals) > 0):
         raise ValueError("time reparametrization is not strictly increasing")
     alpha = GridFunction(y.ts, y.lo, alpha_vals)
@@ -185,10 +186,11 @@ def random_gauge_params(fam: GaugeFamily, seed) -> tuple:
     defined on the whole scale: one scalar GridFunction per parameter, from
     one draw of (r, m+3) coefficients."""
     coeffs = np.random.default_rng(seed).uniform(-1, 1, (fam.r, fam.m + 3))
-    vals = np.polynomial.polynomial.polyval(fam.ts.points, coeffs.T)
+    vals = _sealed(np.polynomial.polynomial.polyval(fam.ts.points, coeffs.T))
     peaks = np.max(np.abs(vals), axis=1)
     return tuple(
-        GridFunction(fam.ts, 0, v * (PROBE_AMPLITUDE / peak) if peak > 0 else v) for v, peak in zip(vals, peaks)
+        GridFunction(fam.ts, 0, _sealed(v * (PROBE_AMPLITUDE / peak)) if peak > 0 else v)
+        for v, peak in zip(vals, peaks)
     )
 
 

@@ -291,7 +291,7 @@ def solve_extremal(
         history.append((rnorm, scale))
     if not rnorm <= tol:  # a NaN residual fails too
         raise ConvergenceError(f"Newton did not converge: residual {rnorm:.3e}", rnorm, history)
-    return GridFunction(ts, 0, y)
+    return GridFunction(ts, 0, _sealed(y))
 
 
 def _newton_sample(L: Lagrangian, ts: TimeScale, vals: np.ndarray):

@@ -42,6 +42,7 @@ from tsnoether import (
     transform_d,
 )
 from tsnoether import multigrid, variational
+from tsnoether.em import lorentz_field
 from tsnoether.timescale import forward_quotient, window_integral
 
 
@@ -548,8 +549,10 @@ def test_field_value_ownership(count_copies, scales, seed, data):
     with count_copies(multigrid) as copies:
         results = [f + g, f - 2.0, 3.0 * g, f * g, -f, f.restrict(hi, hi)]
         results.append(random_polynomial_field(grid, seed=seed))
+        results += lorentz_field(GridD(tuple(scales * 2)[:4]))
         if hi[axis] > lo[axis]:
             results.append(partial_delta(f, axis))
+            results.append(multigrid._rho_quotient(f, axis))
         if hi[axis] >= k:
             sigma = shift_axis(f, axis, k)
             results.append(sigma)
@@ -714,6 +717,160 @@ def test_kernels_bitwise_equal_earlier_copies(d, scales, n, seed, degree, amplit
     p = random_polynomial_field(grid, [seed, 9], amplitude=0.1)
     for args in (u, tuple(shift_axis(f, d - 1, -1) for f in u), transform_d(fam, p, u)):
         assert functional_d(L, args) == fieldwise_functional_d(L, args)
+
+
+# Bitwise differential of the long-row polynomial field and the one-buffer
+# rho-shifted quotient of the gauge term, against test-local copies of the
+# kernels they replace: one polyval call per axis with the terms multiplied
+# in the grid's layout, and partial_delta followed by shift_axis(., -1).
+
+def per_axis_random_polynomial_field(grid, seed, degree=2, amplitude=1.0):
+    coeffs = np.random.default_rng(seed).uniform(-1, 1, (3, grid.d, degree + 1))
+    factors = []
+    for ax, s in enumerate(grid.scales):
+        t = s.points
+        shape = [3] + [1] * grid.d
+        shape[1 + ax] = t.size
+        axis_vals = np.polynomial.polynomial.polyval(t / max(np.max(np.abs(t)), 1.0), coeffs[:, ax].T)
+        factors.append(axis_vals.reshape(shape))
+    vals = np.zeros(grid.shape)
+    for i in range(3):
+        vals += reduce(np.multiply, [f[i] for f in factors[:-1]]) * factors[-1][i]
+    peak = np.max(np.abs(vals))
+    if peak > 0:
+        vals *= amplitude / peak
+    return vals
+
+
+def quotient_then_rho(f, axis):
+    """shift_axis(partial_delta(f, axis), axis, -1) as (lo, values): the
+    quotient divided by every gap, then its first slab repeated at the
+    scale minimum or the window start moved up above it."""
+    n = f.values.shape[axis]
+    shape = [1] * f.grid.d
+    shape[axis] = n - 1
+    gaps = np.diff(f.grid.scales[axis].points[f.lo[axis] : f.lo[axis] + n])
+    q = np.diff(f.values, axis=axis) / gaps.reshape(shape)
+    lo = list(f.lo)
+    if lo[axis] == 0:
+        q = np.concatenate([np.take(q, [0], axis=axis), q], axis=axis)
+    else:
+        lo[axis] += 1
+    return tuple(lo), q
+
+
+def probe_scales(max_points):
+    """h scales from below, at and above 0, q scales and explicit ones, so
+    that points of both signs and unit and other gaps occur."""
+    return st.one_of(
+        st.builds(lambda h, a, n: h_uniform(h, a, a + h * (n - 1)), st.sampled_from([0.25, 0.5, 1.0]),
+                  st.sampled_from([-1.0, 0.0, 0.5]), st.integers(2, max_points)),
+        st.builds(q_geometric, st.floats(1.05, 3.0), st.floats(0.5, 2.0), st.integers(2, max_points)),
+        st.builds(lambda a, gaps: explicit_scale(a + np.cumsum([0.0, *gaps])), st.sampled_from([-2.0, 0.0]),
+                  st.lists(st.floats(0.1, 2.0), min_size=1, max_size=max_points - 1)),
+    )
+
+
+@contextmanager
+def fixed_draw(draw):
+    """Every default_rng(seed).uniform(-1, 1, shape) returns a copy of draw."""
+
+    class Draw:
+        def uniform(self, low, high, shape):
+            assert (low, high, shape) == (-1, 1, draw.shape)
+            return draw.copy()
+
+    with mock.patch.object(np.random, "default_rng", lambda seed: Draw()):
+        yield
+
+
+@given(
+    d=st.integers(2, 4),
+    scales=st.lists(probe_scales(6), min_size=3, max_size=3),
+    last=probe_scales(9),
+    degree=st.integers(0, 3),
+    amplitude=st.sampled_from([1.0, 0.1, 37.5]),
+    zeros=st.sampled_from(["none", "constant", "all"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_long_row_field_bitwise_equals_per_axis_copy(count_copies, d, scales, last, degree, amplitude, zeros, seed):
+    # The last axis is shorter than the others' product (rows of the last
+    # axis) or not (rows of the grid) on every d; "constant" zeroes one
+    # axis's constant coefficients with random signs, so that all three
+    # terms are signed zeros where its points are 0, and "all" zeroes every
+    # coefficient, so that the peak is 0.
+    grid = GridD((*scales[: d - 1], last))
+    rng = np.random.default_rng(seed)
+    draw = rng.uniform(-1, 1, (3, d, degree + 1))
+    signed_zeros = np.where(rng.integers(0, 2, draw.shape), -0.0, 0.0)
+    if zeros == "constant":
+        axis = int(rng.integers(0, d))
+        draw[:, axis, 0] = signed_zeros[:, axis, 0]
+    elif zeros == "all":
+        draw = signed_zeros
+    with fixed_draw(draw):
+        with count_copies(multigrid) as copies:
+            f = random_polynomial_field(grid, seed, degree, amplitude)
+        ref = per_axis_random_polynomial_field(grid, seed, degree, amplitude)
+    assert copies == []
+    assert f.lo == (0,) * d and same_bytes(f.values, ref)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (2, 2, 3), (2, 2, 5), (2, 2, 2, 2), (2, 2, 2, 9)])
+def test_field_sum_of_signed_zero_terms_is_positive_zero(shape):
+    # All coefficients -0.0: each term is -0.0 where an odd number of axes
+    # sits at a negative point, and the sum starts from +0.0 in both layouts.
+    grid = GridD(tuple(h_uniform(1.0, -1.0, n - 2.0) for n in shape))
+    with fixed_draw(np.full((3, len(shape), 1), -0.0)):
+        vals = random_polynomial_field(grid, 0, degree=0).values
+        ref = per_axis_random_polynomial_field(grid, 0, degree=0)
+    assert same_bytes(vals, ref)
+    assert not np.signbit(vals).any() and np.array_equal(vals, np.zeros(shape))
+
+
+@given(
+    d=st.integers(2, 4),
+    scales=st.lists(probe_scales(5), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_rho_quotient_bitwise_equals_two_kernel_copy(count_copies, d, scales, seed, data):
+    # Windows start at the scale minimum or one or two points above it.
+    grid = GridD(tuple(scales[:d]))
+    lo = tuple(data.draw(st.integers(0, min(2, n - 1)), label="lo") for n in grid.shape)
+    hi = tuple(data.draw(st.integers(l, n - 1), label="hi") for l, n in zip(lo, grid.shape))
+    rng = np.random.default_rng(seed)
+    p = FieldD(grid, lo, signed_samples(rng, tuple(h - l + 1 for l, h in zip(lo, hi))))
+    for axis in range(d):
+        if hi[axis] == lo[axis]:
+            with pytest.raises(ValueError, match="window too small"):
+                multigrid._rho_quotient(p, axis)
+            continue
+        with count_copies(multigrid) as copies:
+            out = multigrid._rho_quotient(p, axis)
+        assert copies == [] and not out.values.flags.writeable
+        ref_lo, ref = quotient_then_rho(p, axis)
+        assert out.lo == ref_lo and same_bytes(np.ascontiguousarray(out.values), ref)
+    # The gauge term of each component, with coefficients of 0 (skipped),
+    # 1 and others on the parameter and on every axis.
+    a = rng.choice([0.0, 1.0, -1.0, 0.5], (2, d + 1))
+    fam = GaugeFamilyD(grid, a)
+    for k in range(2):
+        fields = [FieldD(grid, lo, p.values) if i == 0 else FieldD(grid, *quotient_then_rho(p, i - 1))
+                  for i, c in enumerate(a[k]) if c != 0.0 and (i == 0 or hi[i - 1] > lo[i - 1])]
+        if len(fields) < sum(c != 0.0 for c in a[k]):
+            with pytest.raises(ValueError):
+                gauge_field(fam, p, k)
+            continue
+        coeffs = [float(c) for c in a[k] if c != 0.0]
+        ref = reduce(add, (c * f for c, f in zip(coeffs, fields))) if fields else None
+        out = gauge_field(fam, p, k)
+        if ref is None:
+            assert out.lo == (0,) * d and not out.values.any()
+        else:
+            assert out.lo == ref.lo and same_bytes(np.ascontiguousarray(out.values), np.ascontiguousarray(ref.values))
 
 
 # Bitwise differential of the fused slot kernels.  The reference is the

@@ -21,6 +21,8 @@ from tsnoether import (
     write_csv,
 )
 from tsnoether import timescale
+from tsnoether.noether import GaugeFamily, random_gauge_params, transform
+from tsnoether.variational import BoundaryData, catalog, solve_extremal
 
 
 def scales_zoo():
@@ -563,6 +565,13 @@ def test_value_ownership(count_copies, ts, n, seed, data):
     with count_copies(timescale) as copies:
         results = [f + g, f - 2.0, 3.0 * g, f * g, f.restrict(hi, hi), f.component(n - 1)]
         results += [GridFunction.stack([f, g]), GridFunction.from_callable(ts, np.sin, lo, hi)]
+        # The probes and paths of the 1-D trial loops, and the Newton solution.
+        params = random_gauge_params(GaugeFamily.constant(ts, [[[0.5]] * n]), seed)
+        results += [*params, transform(GaugeFamily.constant(ts, [[[0.5]] * n]), params, f)[1]]
+        if hi > lo:  # the image scale of a time family needs two points
+            results += transform(GaugeFamily.constant(ts, [[[0.5]] * n], f=[[0.0]]), params, f)
+        if len(ts) >= 3:
+            results.append(solve_extremal(catalog(f"quad:{n}:0.5:1:0"), ts, BoundaryData([0.0] * n, [1.0] * n)))
         if hi > lo:
             results.append(delta_derivative(f))
         if hi >= k:

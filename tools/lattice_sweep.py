@@ -7,14 +7,17 @@ grows, or whole lattice tasks under three allocation histories.
 An em trial is what `noether em` does per trial: a seeded random potential
 and parameter, the action before and the action after the gauge transform,
 both written into one pair of pattern slots held across the trials, as the
-command's trial loop holds it.  It runs on n^4 lattices, n = 8 .. 20, all
-axes h:1 ("uniform") or the mixed h/q axes h:0.5, q:1.1, h:1, q:1.15
-("mixed").  A check2d trial is what `noether check2d` does per trial with
-curl2 and grad2: a seeded parameter and the action of the transformed
-fields, in held slots too, on h:1 x q:(1 + 3/k) grids of k^2 points,
-k = 100 .. 600.  Each line prints the size, the best wall time of --repeat
-trials after one untimed warm-up, and the median count of minor page
-faults (ru_minflt) that one trial took, as one JSON object per line.
+command's trial loop holds it; so that its phases are timed apart, it
+draws both fields before the first action.  It runs on n^4 lattices,
+n = 8 .. 20, all axes h:1 ("uniform") or the mixed h/q axes h:0.5, q:1.1,
+h:1, q:1.15 ("mixed").  A check2d trial is what `noether check2d` does per
+trial with curl2 and grad2: a seeded parameter and the action of the
+transformed fields, in held slots too, on h:1 x q:(1 + 3/k) grids of k^2
+points, k = 100 .. 600.  Each line prints the size, the best wall time of
+--repeat trials after one untimed warm-up, the best time of each of its
+three phases (drawing the fields, the gauge transform and the actions),
+and the median count of minor page faults (ru_minflt) that one trial took,
+as one JSON object per line.
 
 --tasks runs the five lattice-4d tasks of bench/workloads.py (the em and
 check2d command lines at --seed, through cli.main) instead.  Each task runs
@@ -61,11 +64,16 @@ def em_trial(grid: tn.GridD, seed: int):
     fam = tn.em_gauge_family(grid)
     slots: list = []
 
-    def trial(t: int) -> None:
+    def trial(t: int) -> dict:
+        start = time.perf_counter()
         A = tn.random_em_field(grid, seed=[seed, 1, t])
-        tn.em_functional(A, _slots=slots)
         p = tn.random_polynomial_field(grid, seed=[seed, 2, t])
-        tn.em_functional(tn.transform_d(fam, -p, A), _slots=slots)
+        drawn = time.perf_counter()
+        moved = tn.transform_d(fam, -p, A)
+        transformed = time.perf_counter()
+        tn.em_functional(A, _slots=slots)
+        tn.em_functional(moved, _slots=slots)
+        return phases(start, drawn, transformed, time.perf_counter())
 
     return trial
 
@@ -77,11 +85,22 @@ def check2d_trial(k: int, seed: int):
     u = tuple(tn.random_polynomial_field(grid, seed=[seed, 7 + c]) for c in range(L.n))
     slots: list = []
 
-    def trial(t: int) -> None:
+    def trial(t: int) -> dict:
+        start = time.perf_counter()
         p = tn.random_polynomial_field(grid, seed=[seed, t], amplitude=0.1)
-        tn.functional_d(L, tn.transform_d(fam, p, u), _slots=slots)
+        drawn = time.perf_counter()
+        moved = tn.transform_d(fam, p, u)
+        transformed = time.perf_counter()
+        tn.functional_d(L, moved, _slots=slots)
+        return phases(start, drawn, transformed, time.perf_counter())
 
     return trial
+
+
+def phases(start: float, drawn: float, transformed: float, end: float) -> dict:
+    """The wall time of a trial and of its three phases."""
+    return {"trial_s": end - start, "fields_s": drawn - start, "transform_s": transformed - drawn,
+            "action_s": end - transformed}
 
 
 def measure(trial, repeat: int) -> dict:
@@ -89,11 +108,11 @@ def measure(trial, repeat: int) -> dict:
     times, faults = [], []
     for t in range(repeat):
         flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        start = time.perf_counter()
-        trial(t)
-        times.append(time.perf_counter() - start)
+        times.append(trial(t))
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
-    return {"trial_s": round(min(times), 5), "minflt": statistics.median(faults)}
+    row = {key: round(min(t[key] for t in times), 5) for key in times[0]}
+    row["minflt"] = statistics.median(faults)
+    return row
 
 
 def lattice_tasks(seed: int) -> dict:
