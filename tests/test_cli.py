@@ -589,13 +589,35 @@ def test_ab_tool_on_two_copies_of_one_tree(tmp_path):
     root = Path(__file__).resolve().parent.parent
     for side in "ab":
         shutil.copytree(root / "src", tmp_path / side / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    argv = [sys.executable, str(root / "tools" / "ab.py"), str(tmp_path / "a"), str(tmp_path / "b")]
-    done = subprocess.run([*argv, "scale", "--scale", "h:1:0:3"], capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    found = re.search(r"B/A median (\S+) \(IQR (\S+)-(\S+)\) over 30 pairs; stdout identical: yes", done.stdout)
-    assert found, done.stdout
-    q1, median, q3 = float(found[2]), float(found[1]), float(found[3])
-    assert 0 < q1 <= median <= q3
+    # --fixed-heap prints the default reading, then the one under fixed
+    # malloc thresholds.
+    trees = [str(tmp_path / "a"), str(tmp_path / "b"), "scale", "--scale", "h:1:0:3"]
+    for mode, prefixes in (([], [""]), (["--fixed-heap"], ["default heap: ", "fixed heap:   "])):
+        argv = [sys.executable, str(root / "tools" / "ab.py"), *mode, *trees]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == len(prefixes), done.stdout
+        for prefix, line in zip(prefixes, lines):
+            found = re.fullmatch(
+                prefix + r"A \S+ ms, B \S+ ms; B/A median (\S+) \(IQR (\S+)-(\S+)\) over 30 pairs; stdout identical: yes", line
+            )
+            assert found, done.stdout
+            q1, median, q3 = float(found[2]), float(found[1]), float(found[3])
+            assert 0 < q1 <= median <= q3
+
+
+def test_ab_tool_fixed_heap_refused_without_mallopt():
+    # Where libc has no mallopt, --fixed-heap exits 2 before importing a tree.
+    tool = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+    script = (
+        "import ctypes, runpy, sys\n"
+        "ctypes.CDLL = lambda name: object()\n"
+        f"sys.argv = [{str(tool)!r}, '--fixed-heap', 'no-tree-a', 'no-tree-b', 'scale']\n"
+        f"runpy.run_path({str(tool)!r}, run_name='__main__')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "mallopt" in done.stderr and not done.stdout
 
 
 def earlier_builtin_family(name, ts):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -627,7 +628,8 @@ PER_POINT_CATALOG = {
     ),
     "pair-difference": Lagrangian(
         n=2,
-        eval=lambda t, u, v: float((v[0] - v[1]) ** 2),
+        # one multiply rounds the exact square once; a scalar ** 2 calls libm pow
+        eval=lambda t, u, v: float((v[0] - v[1]) * (v[0] - v[1])),
         d_t=lambda t, u, v: 0.0,
         d_u=lambda t, u, v: np.zeros(2),
         d_v=lambda t, u, v: np.array([2 * (v[0] - v[1]), -2 * (v[0] - v[1])]),
@@ -698,6 +700,8 @@ class TestArrayDensities:
     )
     @example(name="quad", n=2, cv=0.5, cu=0.3, cuv=0.2, kind="q", npts=200, seed=0)
     @example(name="pair-difference", n=2, cv=0.0, cu=0.0, cuv=0.0, kind="explicit", npts=150, seed=1)
+    # one sample of this path is 1 ulp off under libm pow
+    @example(name="pair-difference", n=2, cv=0.0, cu=0.0, cuv=0.0, kind="explicit", npts=150, seed=8)
     @example(name="rational", n=3, cv=0.0, cu=0.0, cuv=0.0, kind="h", npts=100, seed=2)
     def test_catalog_equals_per_point_copy(self, name, n, cv, cu, cuv, kind, npts, seed):
         if name == "quad":
@@ -724,6 +728,21 @@ class TestArrayDensities:
             assert np.array_equal(a.values, b.values) and np.array_equal(b.values, ref.reshape(b.values.shape)), which
         action = np.sum(mu * np.array([slow.eval(*arg) for arg in args], dtype=float))
         assert eval_functional(fast, y) == eval_functional(slow, y) == action
+
+
+class TestPairDifferenceSquare:
+    # |v| <= 1e150 keeps (v0 - v1)^2 below the largest float
+    bounded = st.floats(-1e150, 1e150, allow_nan=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(bounded, bounded), min_size=1, max_size=40))
+    @example(pairs=[(0.687611213910762, 0.0), (1.0, -0.9686715461435784), (2.0**-540, 0.0)])
+    def test_density_is_the_correctly_rounded_square(self, pairs):
+        V = np.array(pairs, dtype=float)
+        w = V[:, 0] - V[:, 1]
+        out = catalog("pair-difference").eval(np.zeros(len(V)), np.zeros_like(V), V)
+        assert np.array_equal(out, w * w)
+        assert out.tolist() == [float(Fraction(x) ** 2) for x in w.tolist()]
 
 
 class TestLagrangianPartials:

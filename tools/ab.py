@@ -1,6 +1,6 @@
 """Time one noether command on two source trees in one process.
 
-    python tools/ab.py TREE_A TREE_B NOETHER_ARGV...
+    python tools/ab.py [--fixed-heap] TREE_A TREE_B NOETHER_ARGV...
 
 for example
 
@@ -17,22 +17,47 @@ processes per run cannot tell a code effect of a few percent on a
 millisecond command from the heap layout each process happens to get; one
 process shares one history between both sides.
 
+One history still leaves one heap layout, and a layout can move a short
+command by 10-40%.  With --fixed-heap the tool also takes the reading with
+glibc's mmap threshold set to 4 MB and its trim threshold to 64 MB, through
+mallopt, before either tree (or numpy) is imported; then most of the page
+faults that the layout decides are gone.  The default reading runs in a
+child process, and the tool prints both, default first.  A gain seen only
+in the default reading is a layout effect, not the code's.  The mode exits
+2 where mallopt is missing or refuses the values.
+
 Only the standard library and numpy (through the trees) are used.  The
 exit code is 1 when the outputs differ, 2 on a usage error, else 0.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib
 import importlib.util
 import io
 import statistics
+import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
 PAIRS = 30
+# mallopt parameters from glibc's malloc.h, and the values --fixed-heap sets.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+FIXED_HEAP = ((M_MMAP_THRESHOLD, 4 << 20), (M_TRIM_THRESHOLD, 64 << 20))
+
+
+def fix_heap() -> bool:
+    """Set FIXED_HEAP in this process; False where mallopt is missing or
+    refuses a value."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all(mallopt(param, value) == 1 for param, value in FIXED_HEAP)
 
 
 def load_cli(tree: str, name: str):
@@ -55,12 +80,10 @@ def timed_call(cli, argv: list[str]) -> tuple[float, tuple[int, bytes]]:
     return elapsed, (code, out.getvalue().encode())
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) < 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    clis = (load_cli(argv[0], "tsnoether_a"), load_cli(argv[1], "tsnoether_b"))
-    command = argv[2:]
+def reading(trees: list[str], command: list[str]) -> tuple[str, bool]:
+    """The timing line of PAIRS alternating pairs, and whether every call
+    wrote the same stdout bytes and exit code."""
+    clis = (load_cli(trees[0], "tsnoether_a"), load_cli(trees[1], "tsnoether_b"))
     times: tuple[list, list] = ([], [])
     outputs = set()
     for i in range(PAIRS + 1):
@@ -71,12 +94,36 @@ def main(argv: list[str]) -> int:
                 times[side].append(elapsed)
     ratios = [b / a for a, b in zip(*times)]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
-    print(
+    identical = len(outputs) == 1
+    line = (
         f"A {statistics.median(times[0]) * 1e3:.3f} ms, B {statistics.median(times[1]) * 1e3:.3f} ms; "
         f"B/A median {statistics.median(ratios):.3f} (IQR {q1:.3f}-{q3:.3f}) over {PAIRS} pairs; "
-        f"stdout identical: {'yes' if len(outputs) == 1 else 'no'}"
+        f"stdout identical: {'yes' if identical else 'no'}"
     )
-    return 0 if len(outputs) == 1 else 1
+    return line, identical
+
+
+def main(argv: list[str]) -> int:
+    fixed = argv[:1] == ["--fixed-heap"]
+    argv = argv[1:] if fixed else argv
+    if len(argv) < 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    if not fixed:
+        line, identical = reading(argv[:2], argv[2:])
+        print(line)
+        return 0 if identical else 1
+    if not fix_heap():
+        print("error: --fixed-heap needs glibc's mallopt, which is missing here or refused the values", file=sys.stderr)
+        return 2
+    default = subprocess.run([sys.executable, __file__, *argv], capture_output=True, text=True)
+    if default.returncode not in (0, 1):
+        print(default.stderr, end="", file=sys.stderr)
+        return default.returncode
+    line, identical = reading(argv[:2], argv[2:])
+    print(f"default heap: {default.stdout.strip()}")
+    print(f"fixed heap:   {line}")
+    return 0 if identical and default.returncode == 0 else 1
 
 
 if __name__ == "__main__":
