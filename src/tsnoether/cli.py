@@ -35,10 +35,6 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "trials", 1) < 1:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        for option in ("tol", "inv_tol"):
-            value = getattr(args, option, 0.0)
-            if not 0.0 <= value < np.inf:
-                raise ValueError(f"--{option.replace('_', '-')} must be finite and non-negative, got {value}")
         report, ok = args.run(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -83,44 +79,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lagrangian", required=True)
     p.add_argument("--poly", help="path polynomials")
     p.add_argument("--csv")
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = add("solve", _cmd_solve, help="solve the Euler-Lagrange boundary value problem")
     p.add_argument("--scale", required=True)
     p.add_argument("--lagrangian", required=True)
     p.add_argument("--alpha", required=True, help="comma-separated left boundary values")
     p.add_argument("--beta", required=True, help="comma-separated right boundary values")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--result-csv", help="write the extremal here")
 
     p = add("check-invariance", _cmd_check_invariance, help="random-probe invariance check")
     _family_args(p)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-12)
 
     for name, time_variant, kind in (("check-noether", False, "gauge"), ("check-noether-time", True, "time-transformed")):
         p = add(name, functools.partial(_cmd_identity, time_variant=time_variant), help=f"{kind} identity residual")
         _family_args(p)
-        p.add_argument("--tol", type=float, default=1e-9)
 
     p = add("check2d", _cmd_check2d, help="double-integral invariance and identity")
     p.add_argument("--grid", required=True, help="comma-separated scale specs, one per axis")
     p.add_argument("--lagrangian", default="curl2")
     p.add_argument("--family", default="grad2")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--inv-tol", type=float, default=1e-12)
 
     p = add("em", _cmd_em, help="electromagnetic density checks on a 4-d lattice")
     p.add_argument("--lattice", default="default", help='"default" or 4 comma-separated scale specs')
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-9)
 
     p = add("oracle-fl", _cmd_oracle_fl, help="fundamental lemma brute-force oracle")
     p.add_argument("--scale", required=True)
     p.add_argument("--order", type=int, default=1, help="highest derivative order m")
     p.add_argument("--mode", choices=["vanishing", "impulse"], default="vanishing")
-    p.add_argument("--tol", type=float, default=1e-10)
 
     return parser
 
@@ -210,18 +198,23 @@ def _family_table(path_or_name: str):
 
 def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
     t = ts.points[lo : hi + 1]
-    if isinstance(spec, (int, float)):
+    if type(spec) in (int, float):  # exact types: JSON true and false are bools, which are ints
         vals = np.full(t.size, float(spec))
     elif isinstance(spec, dict) and "poly" in spec:
+        coeffs = spec["poly"]
+        if not isinstance(coeffs, list) or not coeffs or not all(type(c) in (int, float) for c in coeffs):
+            raise ValueError(f"coefficient {name}: \"poly\" must be a non-empty list of numbers, got {coeffs!r}")
         with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
-            vals = np.polynomial.polynomial.polyval(t, [float(c) for c in spec["poly"]])
+            vals = np.polynomial.polynomial.polyval(t, [float(c) for c in coeffs])
     elif isinstance(spec, dict) and "csv" in spec:
+        if not isinstance(spec["csv"], str):
+            raise ValueError(f"coefficient {name}: \"csv\" must be a file path, got {spec['csv']!r}")
         c = read_csv(ts, spec["csv"]).restrict(lo, hi)
         if c.n != 1:
             raise ValueError(f"coefficient {name} must have one component")
         vals = c.values[:, 0]
     else:
-        raise ValueError(f"bad coefficient spec {spec!r}")
+        raise ValueError(f"coefficient {name} must be a number, {{\"poly\": [...]}} or {{\"csv\": path}}, got {spec!r}")
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"coefficient {name} is not finite")
     return vals
@@ -232,8 +225,8 @@ def load_family(path_or_name: str, ts: TimeScale):
     missing = [key for key in ("r", "m", "n", "g") if not isinstance(data, dict) or key not in data]
     if missing:
         raise ValueError(f"{path_or_name}: a family file needs r, m, n and g; missing: {', '.join(missing)}")
-    if not all(isinstance(data[key], int) and data[key] >= 0 for key in "rmn"):
-        raise ValueError(f"{path_or_name}: r, m and n must be non-negative integers")
+    if not all(type(data[key]) is int and data[key] >= 0 for key in "rmn"):
+        raise ValueError(f"{path_or_name}: r, m and n must be non-negative integers, got {[data[k] for k in 'rmn']}")
     r, m, n = data["r"], data["m"], data["n"]
     nt._check_order(m, ts, f"{path_or_name}: ")
     lo, hi = 0, len(ts) - 1 - m
@@ -299,7 +292,7 @@ def _cmd_el(args):
     ts = parse_scale_spec(args.scale)
     L = catalog(args.lagrangian)
     y = _load_path(args, ts, L.n)
-    rep = el_residual(L, y, tolerance=args.tol)
+    rep = el_residual(L, y)
     return _report_sections([_section("el", rep, args.verbose)])
 
 
@@ -310,10 +303,10 @@ def _cmd_solve(args):
         np.array([float(x) for x in args.alpha.split(",")]),
         np.array([float(x) for x in args.beta.split(",")]),
     )
-    y = solve_extremal(L, ts, bd, tol=args.tol)
+    y = solve_extremal(L, ts, bd)
     if args.result_csv:
         write_csv(y, args.result_csv)
-    rep = el_residual(L, y, tolerance=args.tol)
+    rep = el_residual(L, y)
     section = _section("solve", rep, args.verbose)
     section["solution"] = y.values.tolist() if args.verbose else None
     return _report_sections([section])
@@ -329,13 +322,13 @@ def _family_problem(args):
 
 def _cmd_check_invariance(args):
     L, fam, y = _family_problem(args)
-    rep = nt.check_invariance(L, fam, y, trials=args.trials, seed=args.seed, tolerance=args.tol)
+    rep = nt.check_invariance(L, fam, y, trials=args.trials, seed=args.seed)
     return _report_sections([_section("invariance", rep, args.verbose)])
 
 
 def _cmd_identity(args, time_variant: bool):
     fn = nt.noether_identity_time if time_variant else nt.noether_identity
-    reports = fn(*_family_problem(args), tolerance=args.tol)
+    reports = fn(*_family_problem(args))
     return _report_sections([_section(f"identity-j{j}", rep, args.verbose) for j, rep in enumerate(reports)])
 
 
@@ -365,12 +358,9 @@ def _cmd_check2d(args):
     grid = _lattice(args.grid.split(","))
     L = mg.catalog2d(args.lagrangian)
     fam = load_family2d(args.family, grid)
-    u = tuple(
-        mg.random_polynomial_field(grid, seed=[args.seed, 7 + k], degree=2, amplitude=1.0)
-        for k in range(L.n)
-    )
-    inv = mg.check_invariance_d(L, fam, u, trials=args.trials, seed=args.seed, tolerance=args.inv_tol)
-    ident = mg.noether_identity_d(L, fam, u, tolerance=args.tol)
+    u = tuple(mg.random_polynomial_field(grid, seed=[args.seed, 7 + k]) for k in range(L.n))
+    inv = mg.check_invariance_d(L, fam, u, trials=args.trials, seed=args.seed)
+    ident = mg.noether_identity_d(L, fam, u)
     return _report_sections(
         [_section("invariance", inv, args.verbose), _section("identity", ident, args.verbose)]
     )
@@ -378,7 +368,7 @@ def _cmd_check2d(args):
 
 def _cmd_em(args):
     if args.lattice == "default":
-        grid = em_mod.default_lattice(6)
+        grid = em_mod.default_lattice()
     else:
         specs = args.lattice.split(",")
         if len(specs) != 4:
@@ -386,13 +376,11 @@ def _cmd_em(args):
         grid = _lattice(specs)
 
     fam = em_mod.em_gauge_family(grid)
-    gauge_rep = em_mod._gauge_invariance(fam, args.trials, args.seed, 1e-12)
-    ident = mg.noether_identity_d(
-        em_mod.em_lagrangian(), fam, em_mod.random_em_field(grid, seed=[args.seed, 1]), tolerance=args.tol
-    )
+    gauge_rep = em_mod._gauge_invariance(fam, args.trials, args.seed)
+    ident = mg.noether_identity_d(em_mod.em_lagrangian(), fam, em_mod.random_em_field(grid, seed=[args.seed, 1]))
     A = em_mod.lorentz_field(grid)
-    lorentz = em_mod.em_lorentz_check(A, tolerance=1e-10)
-    wave = em_mod.em_wave_reduction_residual(A, tolerance=args.tol)
+    lorentz = em_mod.em_lorentz_check(A)
+    wave = em_mod.em_wave_reduction_residual(A)
     sections = [
         _section("gauge-invariance", gauge_rep, args.verbose),
         _section("identity", ident, args.verbose),
@@ -411,7 +399,7 @@ def _cmd_oracle_fl(args):
         upper = bump.size
         bump[max(0, min(upper - 1 - m, upper // 2))] += 0.5
         fs[0] = GridFunction(ts, 0, bump)
-    rep = nt.fundamental_lemma_oracle(ts, fs, tolerance=args.tol)
+    rep = nt.fundamental_lemma_oracle(ts, fs)
     section = {
         "name": "fundamental-lemma",
         "order": rep.m,

@@ -62,7 +62,7 @@ def em_gauge_family(grid: GridD) -> GaugeFamilyD:
     return GaugeFamilyD(grid, [[-1.0 if i == 1 + k else 0.0 for i in range(5)] for k in range(4)])
 
 
-def _gauge_invariance(fam: GaugeFamilyD, trials: int, seed: int, tolerance: float) -> ResidualReport:
+def _gauge_invariance(fam: GaugeFamilyD, trials: int, seed: int, tolerance: float = 1e-12) -> ResidualReport:
     """Action deviation under the gauge family `fam`: trial t draws a
     potential (seed [seed, 1, t]) and a parameter p (seed [seed, 2, t]).
     Both actions of every trial write their pattern into one (U, G) pair

@@ -8,7 +8,7 @@ discrete Euler-Lagrange boundary value problems by damped Newton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -94,23 +94,6 @@ class Lagrangian:
         "u" and "v".  The per-point oracles read the density through this."""
         row = self.sample(which, np.array([t], dtype=float), np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0]
         return float(row) if which in ("L", "t") else row
-
-    def self_check(self, seed: int = 0, trials: int = 20, rtol: float = 1e-6) -> float:
-        """Worst relative gap between analytic partials and central differences
-        on random probe points, all sampled in one call per partial.  Raises
-        if it exceeds rtol."""
-        probes = np.random.default_rng(seed).uniform(-2, 2, (trials, 1 + 2 * self.n))
-        T, U, V = probes[:, 0], probes[:, 1 : 1 + self.n], probes[:, 1 + self.n :]
-        bare = replace(self, d_t=None, d_u=None, d_v=None)
-        worst = 0.0
-        for which, fn in (("t", self.d_t), ("u", self.d_u), ("v", self.d_v)):
-            if fn is not None:
-                fd = bare.sample(which, T, U, V)
-                gap = np.abs(self.sample(which, T, U, V) - fd) / np.maximum(1.0, np.abs(fd))
-                worst = max(worst, float(np.max(gap)))
-        if worst > rtol:
-            raise ValueError(f"analytic partials disagree with finite differences: {worst:.3e}")
-        return worst
 
 
 @dataclass(frozen=True)

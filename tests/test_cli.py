@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -91,21 +92,33 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "args, message",
+        "args",
         [
-            (["check-noether", "--scale", "h:1:0:20", "--lagrangian", "pair-difference",
-              "--family", "pairdiff-broken", "--tol", "inf"], "--tol must be finite and non-negative, got inf"),
-            (["em", "--lattice", "default", "--trials", "2", "--tol", "nan"],
-             "--tol must be finite and non-negative, got nan"),
-            (["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2", "--inv-tol", "-1"],
-             "--inv-tol must be finite and non-negative, got -1.0"),
+            ["check-noether", "--scale", "h:1:0:20", "--lagrangian", "pair-difference",
+             "--family", "pairdiff-broken", "--tol", "inf"],
+            ["em", "--lattice", "default", "--trials", "2", "--tol", "nan"],
+            ["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2", "--inv-tol", "-1"],
+            ["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2", "--tol", "1e-3"],
+            ["el", "--scale", "h:1:0:5", "--lagrangian", "dirichlet", "--tol", "1e-3"],
+            ["solve", "--scale", "h:1:0:5", "--lagrangian", "poisson", "--alpha", "0", "--beta", "5",
+             "--tol", "1e-3"],
+            ["check-invariance", "--scale", "h:1:0:10", "--lagrangian", "pair-difference",
+             "--family", "pairdiff-broken", "--tol", "inf"],
+            ["check-noether-time", "--scale", "h:1:0:10", "--lagrangian", "pair-difference",
+             "--family", "pairdiff-time0", "--tol", "1e-3"],
+            ["oracle-fl", "--scale", "h:1:0:5", "--mode", "impulse", "--tol", "inf"],
         ],
-        ids=["check-noether-inf", "em-nan", "check2d-inv-tol-negative"],
+        ids=["check-noether-inf", "em-nan", "check2d-inv-tol-negative", "check2d", "el", "solve",
+             "check-invariance-inf", "check-noether-time", "oracle-fl-inf"],
     )
-    def test_bad_tolerance_rejected(self, tmp_path, capsys, args, message):
-        code, data, _ = run(tmp_path, *args)
-        assert code == 2 and data is None
-        assert capsys.readouterr().err == f"error: {message}\n"
+    def test_bad_tolerance_rejected(self, tmp_path, capsys, args):
+        """No command takes a tolerance: each check uses its library default,
+        so no option can pass a broken control or fail an exact identity."""
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
 
     def test_four_points_per_axis_suffice(self, tmp_path):
         assert run(tmp_path, "check2d", "--grid", "h:1:0:3,q:2:1:4", "--trials", "2")[0] == 0
@@ -522,8 +535,32 @@ class TestFamilyCoefficientForms:
             ({"r": None, "m": 0, "n": 2, "g": [[[1.0], [1.0]]]}, "r, m and n must be non-negative integers"),
             ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [1.0]]], "f": []},
              "the f table needs one row per parameter (r = 1), got []"),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[{"poly": 5}], [1.0]]]},
+             'coefficient g[0][0][0]: "poly" must be a non-empty list of numbers, got 5'),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[{"poly": None}], [1.0]]]},
+             'coefficient g[0][0][0]: "poly" must be a non-empty list of numbers, got None'),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [{"poly": [[1]]}]]]},
+             'coefficient g[0][1][0]: "poly" must be a non-empty list of numbers, got [[1]]'),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[{"poly": []}], [1.0]]]},
+             'coefficient g[0][0][0]: "poly" must be a non-empty list of numbers, got []'),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[{"poly": [0, True]}], [1.0]]]},
+             'coefficient g[0][0][0]: "poly" must be a non-empty list of numbers, got [0, True]'),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[{"csv": None}], [1.0]]]},
+             'coefficient g[0][0][0]: "csv" must be a file path, got None'),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[{"csv": 5}], [1.0]]]},
+             'coefficient g[0][0][0]: "csv" must be a file path, got 5'),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [True]]]},
+             'coefficient g[0][1][0] must be a number, {"poly": [...]} or {"csv": path}, got True'),
+            ({"r": True, "m": 0, "n": 2, "g": [[[1.0], [1.0]]]},
+             "r, m and n must be non-negative integers, got [True, 0, 2]"),
+            ({"r": 1, "m": False, "n": 2, "g": [[[1.0], [1.0]]]},
+             "r, m and n must be non-negative integers, got [1, False, 2]"),
+            ({"r": 1, "m": 0, "n": True, "g": [[[1.0], [1.0]]]},
+             "r, m and n must be non-negative integers, got [1, 0, True]"),
         ],
-        ids=["missing-r", "bare-spec", "short-row", "flat-g", "null-r", "short-f"],
+        ids=["missing-r", "bare-spec", "short-row", "flat-g", "null-r", "short-f", "poly-number", "poly-null",
+             "poly-nested", "poly-empty", "poly-bool", "csv-null", "csv-number", "bool-constant", "bool-r",
+             "bool-m", "bool-n"],
     )
     def test_malformed_family_file_named(self, tmp_path, capsys, family, message):
         fam_path = tmp_path / "bad.json"
@@ -581,6 +618,33 @@ def test_seeded_path_bitwise_equals_earlier_copy(spec, n, seed, data):
     y = cli._load_path(argparse.Namespace(seed=seed), ts, n, lo, hi)
     assert y.window == (lo, hi) and y.values.flags.c_contiguous
     assert y.values.tobytes() == earlier_seeded_path(seed, ts, n, lo, hi).tobytes()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(fence: str) -> str:
+    """The first ```<fence> block under README's "## Command line" heading."""
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    return section.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+README_COMMANDS = [shlex.split(line) for line in readme_block("sh").splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[1] for argv in README_COMMANDS])
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys, argv):
+    """Each documented command parses and runs: it exits 0 or 1, never 2, so
+    the README cannot keep an option or input the program refuses."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("fam.json", "famt.json"):
+        (tmp_path / name).write_text(readme_block("json"))
+    assert argv[0] == "noether"
+    try:
+        code = main(argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1), capsys.readouterr().err
 
 
 def test_ab_tool_on_two_copies_of_one_tree(tmp_path):

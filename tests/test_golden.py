@@ -28,6 +28,7 @@ Each case is a full `noether` argument list, whether it also writes a
 test's temporary directory, which holds the family files of FAMILIES.
 """
 
+import inspect
 import json
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from tsnoether import cli
 from tsnoether.cli import main
 from tsnoether.noether import random_gauge_params, transform
 from tsnoether.timescale import GridFunction, parse_scale_spec
-from tsnoether.variational import catalog, el_expressions, eval_functional
+from tsnoether.variational import catalog, el_expressions, eval_functional, solve_extremal
 
 GOLDEN = Path(__file__).parent / "golden"
 SUPERSEDED = Path(__file__).parent / "golden_superseded"
@@ -168,8 +169,11 @@ def test_resolved_extremals_are_within_twice_the_tolerance_of_the_old(name):
     quadratic densities, so they differ by at most 2 tol ||J^-1||_inf, J
     being the Jacobian of E in the interior rows.  For Poisson the discrete
     Green's function gives ||J^-1||_inf <= (b - a)^2 / 8; quad2's is
-    computed here from J's exact columns E(e_k) - E(0)."""
+    computed here from J's exact columns E(e_k) - E(0).  The tolerance is
+    solve_extremal's default, the one `solve` uses."""
     args = cli._build_parser().parse_args(next(argv for case, argv, *_ in CASES if case == name))
+    tol = inspect.signature(solve_extremal).parameters["tol"].default
+    assert tol == 1e-8
     ts = parse_scale_spec(args.scale)
     L = catalog(args.lagrangian)
     npts, n = len(ts), L.n
@@ -187,4 +191,4 @@ def test_resolved_extremals_are_within_twice_the_tolerance_of_the_old(name):
         inv_norm = green
     old, new = frozen_solution(SUPERSEDED, name), frozen_solution(GOLDEN, name)
     assert old.shape == new.shape == (npts, n)
-    assert np.max(np.abs(new - old)) <= 2 * args.tol * inv_norm
+    assert np.max(np.abs(new - old)) <= 2 * tol * inv_norm
