@@ -165,6 +165,13 @@ class LagrangianD:
     broadcastable coordinate arrays.  `sample` is the only caller of the
     callables.  Missing partials are filled in by central differences, one
     slot entry U[k] or G[j, k] at a time.
+
+    `g_slots`, a tuple of (j, k) pairs, names the gradient slots that the
+    density and its partials read; None means every slot.  The pattern
+    writes only those, and its other G slots hold NaN, so a density that
+    reads one fails.  A missing g partial is differenced in those slots
+    only and is exactly 0.0 in the others, the partial of a density that
+    does not read them.
     """
 
     d: int
@@ -172,6 +179,7 @@ class LagrangianD:
     density: Callable
     d_u: Callable | None = None
     d_g: Callable | None = None
+    g_slots: tuple | None = None
 
     def sample(self, which: str, coords, U, G) -> np.ndarray:
         """L ("L") or its partial ("u", "g") at the pattern (coords, U, G),
@@ -179,7 +187,10 @@ class LagrangianD:
         fn = {"L": self.density, "u": self.d_u, "g": self.d_g}[which]
         if fn is None:
             args, slot = (coords, U, G), "Lug".index(which)
-            out = _central_difference(self.density, args, slot, np.ndindex(args[slot].shape[:slot]))
+            indices = np.ndindex(args[slot].shape[:slot])
+            if which == "g" and self.g_slots is not None:
+                indices = self.g_slots
+            out = _central_difference(self.density, args, slot, indices)
         else:
             out = np.asarray(fn(coords, U, G), dtype=float)
         return np.broadcast_to(out, {"L": U.shape[1:], "u": U.shape, "g": G.shape}[which])
@@ -193,12 +204,13 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     straight from the component's own values: U[k] is the all-sigma view,
     and G[j, k] the difference of that view and the one without sigma on
     axis j, divided by mu_j, element by element as forward_quotient does
-    (and, like it, not divided on a scale of unit steps).
+    (and, like it, not divided on a scale of unit steps).  Only the G slots
+    of L.g_slots are written; the others are NaN from the pair's making.
 
-    `slots` is a held (U, G) pair, a list that is empty until the first
-    call: U and G are written into it when their shapes match, and a new
-    pair is made and stored in it when they do not.  Every entry is
-    rewritten, so a reused pair gives the bits of a fresh one.
+    `slots` is a held (U, G) pair of one density, a list that is empty
+    until the first call: U and G are written into it when their shapes
+    match, and a new pair is made and stored in it when they do not.  Every
+    slot read is rewritten, so a reused pair gives the bits of a fresh one.
     """
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
@@ -225,9 +237,12 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     for k, v in enumerate(views):
         U[k] = v[up]
         for j in range(grid.d):
-            np.subtract(U[k], v[up[:j] + (slice(0, -1),) + up[j + 1 :]], out=G[j, k])
-            if mus[j] is not None:
-                G[j, k] /= mus[j]
+            if L.g_slots is None or (j, k) in L.g_slots:
+                np.subtract(U[k], v[up[:j] + (slice(0, -1),) + up[j + 1 :]], out=G[j, k])
+                if mus[j] is not None:
+                    G[j, k] /= mus[j]
+            elif not held:
+                G[j, k] = np.nan
     return tuple(coords), U, G, lo, cell_hi
 
 
@@ -264,7 +279,12 @@ class GaugeFamilyD:
 
     def __post_init__(self):
         try:
-            a = tuple(tuple(float(c) for c in row) for row in self.a)
+            rows = tuple(tuple(row) for row in self.a)
+            for k, row in enumerate(rows):
+                for i, c in enumerate(row):
+                    if isinstance(c, (bool, np.bool_, str, bytes)):  # float() takes True and "1"
+                        raise ValueError(f"coefficient a[{k}][{i}] must be a number, got {c!r}")
+            a = tuple(tuple(float(c) for c in row) for row in rows)
         except TypeError as exc:
             raise ValueError(f"the coefficient table must be rows of numbers: {exc}") from exc
         if not a or not a[0]:
@@ -459,7 +479,8 @@ def _field_strength_lagrangian(d: int, n: int, plus: tuple, minus: tuple = ()) -
     """Squared field strengths, which no gauge A_k + Delta_k p changes: the
     sum of 1/2 (G[j, k] - G[k, j])^2 over the pairs (j, k) of plus minus
     that over minus, formed in place term by term in pair order.  The first
-    term starts the sum: adding it to 0.0 would change no bit."""
+    term starts the sum: adding it to 0.0 would change no bit.  The density
+    reads the slots of the pairs and their transposes, and declares them."""
 
     def density(coords, U, G):
         out = F = None
@@ -483,7 +504,8 @@ def _field_strength_lagrangian(d: int, n: int, plus: tuple, minus: tuple = ()) -
                 second(out[k, j], F, out=out[k, j])
         return out
 
-    return LagrangianD(d=d, n=n, density=density, d_u=_zero_d_u, d_g=d_g)
+    slots = tuple(s for j, k in plus + minus for s in ((j, k), (k, j)))
+    return LagrangianD(d=d, n=n, density=density, d_u=_zero_d_u, d_g=d_g, g_slots=slots)
 
 
 def catalog2d(name: str) -> LagrangianD:

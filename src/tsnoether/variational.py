@@ -41,9 +41,10 @@ def _central_difference(fn: Callable, args: tuple, slot: int, indices) -> np.nda
     """Central differences of fn(*args) in the argument args[slot], shaped
     like it: for each index, the entries x = args[slot][index] move together
     by +-h, h = FD_STEP * max(1, |x|) elementwise, and the quotient
-    (fn(x + h) - fn(x - h)) / (2h) fills those entries."""
+    (fn(x + h) - fn(x - h)) / (2h) fills those entries; the entries of no
+    index are 0.0."""
     X = args[slot]
-    out = np.empty(X.shape)
+    out = np.zeros(X.shape)
     for index in indices:
         x = X[index]
         h = FD_STEP * np.maximum(1.0, np.abs(x))

@@ -141,9 +141,15 @@ class TestExitCodes:
              'a d-D family file needs an "a" coefficient table'),
             ('{"a": [1, 2]}', ["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2"],
              "the coefficient table must be rows of numbers"),
+            ('{"a": [[0, true, 0], [0, 0, "1"]]}', ["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2"],
+             "coefficient a[0][1] must be a number, got True"),
+            ('{"a": [[0, 1, 0], [0, 0, "1"]]}', ["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2"],
+             "coefficient a[1][2] must be a number, got '1'"),
+            ('{"a": [[false, 1, 0], [0, 0, 1]]}', ["check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2"],
+             "coefficient a[0][0] must be a number, got False"),
         ],
         ids=["check2d-nan", "check2d-inf", "check-noether-nan", "check-invariance-inf-poly", "check2d-no-a",
-             "check2d-rows"],
+             "check2d-rows", "check2d-bool", "check2d-string", "check2d-false"],
     )
     def test_bad_family_file_rejected(self, tmp_path, capsys, family, args, message):
         path = tmp_path / "fam.json"

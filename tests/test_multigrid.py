@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import reduce
 import operator
 import weakref
@@ -1674,3 +1675,98 @@ def test_held_slot_actions_bitwise_equal_fresh_calls(kind, size, trials, seed, d
         assert bits(report) == bits(fieldwise_check_invariance_d(L, fields, u, trials, seed))
         assert (actions, base_actions) == (trials + 1, 1)
         assert_one_held_pair_bitwise_fresh(log, L)
+
+
+# Declared gradient slots: a density names the G slots it reads
+# (LagrangianD.g_slots), the pattern writes only those and leaves NaN in the
+# others, and the central-difference fallback differences only those.
+
+
+def field_strength_densities():
+    from tsnoether.em import em_lagrangian
+
+    return {"em": em_lagrangian(), "curl2": catalog2d("curl2")}
+
+
+def undeclared(L):
+    return [s for s in np.ndindex(L.d, L.n) if s not in L.g_slots]
+
+
+def test_builtin_densities_declare_their_slots():
+    densities = field_strength_densities()
+    counts = {name: (len(L.g_slots), len(set(L.g_slots)), L.d * L.n) for name, L in densities.items()}
+    assert counts == {"em": (12, 12, 16), "curl2": (2, 2, 4)}
+    assert all(set(undeclared(L)) == {(j, j) for j in range(L.d)} for L in densities.values())
+    assert catalog2d("dirichlet2").g_slots is None
+
+
+@given(name=st.sampled_from(["em", "curl2"]), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_undeclared_slots_change_no_bit(name, seed, data):
+    L = field_strength_densities()[name]
+    rng = np.random.default_rng(seed)
+    cells = tuple(data.draw(st.integers(1, 4), label=f"cells{ax}") for ax in range(L.d))
+    coords = tuple(rng.uniform(-1, 1, c).reshape([c if a == ax else 1 for a in range(L.d)]) for ax, c in enumerate(cells))
+    U = signed_samples(rng, (L.n,) + cells)
+    G = signed_samples(rng, (L.d, L.n) + cells)
+    reference = [L.sample(which, coords, U, G).tobytes() for which in "Lug"]
+    for fill in (lambda: rng.uniform(-1e3, 1e3, cells), lambda: np.full(cells, np.nan)):
+        moved = G.copy()
+        for s in undeclared(L):
+            moved[s] = fill()
+        assert [L.sample(which, coords, U, moved).tobytes() for which in "Lug"] == reference
+    d_g = L.sample("g", coords, U, G)
+    assert all(d_g[s].tobytes() == np.zeros(cells).tobytes() for s in undeclared(L))
+
+
+@pytest.mark.parametrize("name", ["em", "curl2"])
+def test_pattern_writes_only_the_declared_slots(name):
+    L = field_strength_densities()[name]
+    every = replace(L, g_slots=None)
+    grid = em_lattice("mixed", 6) if name == "em" else grid_2d("qh", 12)
+    full = [tuple(random_polynomial_field(grid, seed=[seed, k]) for k in range(L.n)) for seed in (1, 2)]
+    inner = tuple(f.restrict((1,) * grid.d, tuple(n - 2 for n in grid.shape)) for f in full[0])
+    slots = []
+    for u in (full[0], full[1], inner, full[1], full[0]):
+        for held in (slots, None):
+            _, U, G, lo, cell_hi = multigrid._pattern_args(L, u, held)
+            _, U_all, G_all, lo_all, cell_hi_all = multigrid._pattern_args(every, u)
+            assert (lo, cell_hi, U.tobytes()) == (lo_all, cell_hi_all, U_all.tobytes())
+            assert all(G[s].tobytes() == G_all[s].tobytes() for s in L.g_slots)
+            assert all(np.isnan(G[s]).all() for s in undeclared(L))
+            assert not np.isnan(G_all).any()
+
+
+def test_density_reading_an_undeclared_slot_fails():
+    grid = grid_2d("hq", 20)
+    curl2 = catalog2d("curl2")
+    honest = replace(curl2, density=lambda coords, U, G: curl2.density(coords, U, G) + 0.0 * G[0, 0], g_slots=None)
+    reading = replace(honest, g_slots=curl2.g_slots)
+    u = tuple(random_polynomial_field(grid, seed=[3, k]) for k in range(2))
+    fam = GaugeFamilyD(grid, TABLES_2D["curl2"])
+    assert check_invariance_d(honest, fam, u, trials=3, seed=3).verdict
+    report = check_invariance_d(reading, fam, u, trials=3, seed=3)
+    assert not report.verdict and np.isnan(report.sup_norm)
+    assert np.isnan(functional_d(reading, u))
+
+
+def test_central_differences_of_the_declared_slots_only():
+    def density(coords, U, G):
+        return G[0, 1] * G[2, 0] + coords[1] * G[0, 1] ** 2 + U[1] * G[2, 0] ** 3
+
+    declared = LagrangianD(d=3, n=2, density=density, g_slots=((2, 0), (0, 1)))
+    every = replace(declared, g_slots=None)
+    rng = np.random.default_rng(24)
+    cells = (3, 2, 4)
+    coords = tuple(rng.uniform(-1, 1, c).reshape([c if a == ax else 1 for a in range(3)]) for ax, c in enumerate(cells))
+    U = rng.uniform(-2, 2, (2,) + cells)
+    G = rng.uniform(-2, 2, (3, 2) + cells)
+    with_nan = G.copy()
+    for s in undeclared(declared):
+        with_nan[s] = np.nan
+    d_g = declared.sample("g", coords, U, with_nan)
+    d_g_every = every.sample("g", coords, U, G)
+    assert all(d_g[s].tobytes() == d_g_every[s].tobytes() for s in declared.g_slots)
+    assert all(d_g[s].tobytes() == np.zeros(cells).tobytes() for s in undeclared(declared))
+    assert not np.all(d_g[declared.g_slots[0]] == 0.0)
+    assert declared.sample("u", coords, U, with_nan).tobytes() == every.sample("u", coords, U, G).tobytes()
