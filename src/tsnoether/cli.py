@@ -196,59 +196,9 @@ def _family_table(path_or_name: str):
         return json.load(fh)
 
 
-def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
-    t = ts.points[lo : hi + 1]
-    if type(spec) in (int, float):  # exact types: JSON true and false are bools, which are ints
-        vals = np.full(t.size, float(spec))
-    elif isinstance(spec, dict) and "poly" in spec:
-        coeffs = spec["poly"]
-        if not isinstance(coeffs, list) or not coeffs or not all(type(c) in (int, float) for c in coeffs):
-            raise ValueError(f"coefficient {name}: \"poly\" must be a non-empty list of numbers, got {coeffs!r}")
-        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
-            vals = np.polynomial.polynomial.polyval(t, [float(c) for c in coeffs])
-    elif isinstance(spec, dict) and "csv" in spec:
-        if not isinstance(spec["csv"], str):
-            raise ValueError(f"coefficient {name}: \"csv\" must be a file path, got {spec['csv']!r}")
-        c = read_csv(ts, spec["csv"]).restrict(lo, hi)
-        if c.n != 1:
-            raise ValueError(f"coefficient {name} must have one component")
-        vals = c.values[:, 0]
-    else:
-        raise ValueError(f"coefficient {name} must be a number, {{\"poly\": [...]}} or {{\"csv\": path}}, got {spec!r}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"coefficient {name} is not finite")
-    return vals
-
-
-def load_family(path_or_name: str, ts: TimeScale):
-    data = _family_table(path_or_name)
-    missing = [key for key in ("r", "m", "n", "g") if not isinstance(data, dict) or key not in data]
-    if missing:
-        raise ValueError(f"{path_or_name}: a family file needs r, m, n and g; missing: {', '.join(missing)}")
-    if not all(type(data[key]) is int and data[key] >= 0 for key in "rmn"):
-        raise ValueError(f"{path_or_name}: r, m and n must be non-negative integers, got {[data[k] for k in 'rmn']}")
-    r, m, n = data["r"], data["m"], data["n"]
-    nt._check_order(m, ts, f"{path_or_name}: ")
-    lo, hi = 0, len(ts) - 1 - m
-
-    def row(spec, name: str) -> list:
-        """The m + 1 coefficients of one g[j][k] or f[j] entry."""
-        if not isinstance(spec, list) or len(spec) != m + 1:
-            raise ValueError(f"{name} must be a list of m + 1 = {m + 1} coefficient specs, got {spec!r}")
-        return [_coeff_grid(ts, c, lo, hi, f"{name}[{i}]") for i, c in enumerate(spec)]
-
-    g_spec = data["g"]
-    if not isinstance(g_spec, list) or len(g_spec) != r or any(
-        not isinstance(comp, list) or len(comp) != n for comp in g_spec
-    ):
-        raise ValueError("family table shape does not match r and n")
-    g = [[row(g_spec[j][k], f"g[{j}][{k}]") for k in range(n)] for j in range(r)]
-    f = data.get("f")
-    if f is not None:
-        if not isinstance(f, list) or len(f) != r:
-            raise ValueError(f"the f table needs one row per parameter (r = {r}), got {f!r}")
-        f = [row(f[j], f"f[{j}]") for j in range(r)]
-    return nt.GaugeFamily(ts, lo, g, f)
+def load_family(path_or_name: str, ts: TimeScale) -> nt.GaugeFamily:
+    """The built-in 1-D family of that name, or else the family file at that path."""
+    return nt.GaugeFamily.from_table(ts, _family_table(path_or_name), f"{path_or_name}: ")
 
 
 def _cmd_scale(args):

@@ -207,10 +207,10 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     (and, like it, not divided on a scale of unit steps).  Only the G slots
     of L.g_slots are written; the others are NaN from the pair's making.
 
-    `slots` is a held (U, G) pair of one density, a list that is empty
-    until the first call: U and G are written into it when their shapes
-    match, and a new pair is made and stored in it when they do not.  Every
-    slot read is rewritten, so a reused pair gives the bits of a fresh one.
+    `slots` is a loop's held [U, G, key] list, empty until the first call:
+    U and G are rewritten when the key (both shapes and L.g_slots) matches,
+    and a new pair is made and stored with its key when it does not, so a
+    reused pair gives the bits of a fresh one, NaN slots included.
     """
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
@@ -228,11 +228,11 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
         shape[ax] = cells[ax]
         coords.append(s.points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
         mus.append(None if s.unit_steps else s.mu_array()[lo[ax] : cell_hi[ax] + 1].reshape(shape))
-    shapes = ((L.n,) + cells, (grid.d, L.n) + cells)
-    held = slots is not None and tuple(a.shape for a in slots) == shapes
-    U, G = slots if held else (np.empty(shapes[0]), np.empty(shapes[1]))
+    key = ((L.n,) + cells, (grid.d, L.n) + cells, L.g_slots)
+    held = bool(slots) and slots[2] == key
+    U, G = slots[:2] if held else (np.empty(key[0]), np.empty(key[1]))
     if slots is not None:
-        slots[:] = U, G
+        slots[:] = U, G, key
     up = (slice(1, None),) * grid.d
     for k, v in enumerate(views):
         U[k] = v[up]

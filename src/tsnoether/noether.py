@@ -39,6 +39,7 @@ from .timescale import (
     delta_derivative,
     explicit_scale,
     mixed,
+    read_csv,
     shift,
 )
 from .variational import (
@@ -97,30 +98,77 @@ class GaugeFamily:
         return (self.lo, self.lo + self.g.shape[3] - 1)
 
     @staticmethod
-    def constant(
-        ts: TimeScale,
-        g,
-        f=None,
-    ) -> "GaugeFamily":
-        """Build a family from nested constant tables g[j][k][i] (and f[j][i]),
-        each entry held along the window [0, len(ts) - 1 - m]."""
+    def from_table(ts: TimeScale, table, source: str = "") -> "GaugeFamily":
+        """The family of a family-file table (integers r, n >= 1 and m >= 0,
+        g[j][k] and an optional f[j], each a list of m + 1 _coeff_grid specs)
+        on the window [0, len(ts) - 1 - m]; source, "{path}: " for a file,
+        starts the messages about the table as a whole."""
+        missing = [key for key in ("r", "m", "n", "g") if not isinstance(table, dict) or key not in table]
+        if missing:
+            raise ValueError(f"{source}a family file needs r, m, n and g; missing: {', '.join(missing)}")
+        if not all(type(table[key]) is int and table[key] >= 0 for key in "rmn"):
+            raise ValueError(f"{source}r, m and n must be non-negative integers, got {[table[k] for k in 'rmn']}")
+        r, m, n = table["r"], table["m"], table["n"]
+        if r == 0 or n == 0:
+            raise ValueError(f"{source}r and n must be positive, got r = {r}, n = {n}")
+        if m >= len(ts):
+            raise ValueError(f"{source}a family of order m = {m} needs more than {m} points, the scale has {len(ts)}")
+        lo, hi = 0, len(ts) - 1 - m
+
+        def row(spec, name: str) -> list:
+            """The m + 1 coefficients of one g[j][k] or f[j] entry."""
+            if not isinstance(spec, list) or len(spec) != m + 1:
+                raise ValueError(f"{name} must be a list of m + 1 = {m + 1} coefficient specs, got {spec!r}")
+            return [_coeff_grid(ts, c, lo, hi, f"{name}[{i}]") for i, c in enumerate(spec)]
+
+        g = table["g"]
+        if not isinstance(g, list) or len(g) != r or any(not isinstance(comp, list) or len(comp) != n for comp in g):
+            raise ValueError("family table shape does not match r and n")
+        g = [[row(g[j][k], f"g[{j}][{k}]") for k in range(n)] for j in range(r)]
+        f = table.get("f")
+        if f is not None and (not isinstance(f, list) or len(f) != r):
+            raise ValueError(f"the f table needs one row per parameter (r = {r}), got {f!r}")
+        return GaugeFamily(ts, lo, g, None if f is None else [row(f[j], f"f[{j}]") for j in range(r)])
+
+    @staticmethod
+    def constant(ts: TimeScale, g, f=None) -> "GaugeFamily":
+        """from_table of nested constant tables g[j][k][i] (and f[j][i]),
+        with r, n and m + 1 the shape of g: each entry is held along the
+        window, and a non-finite one is refused."""
         g = np.asarray(g, dtype=float)
         if g.ndim != 3:
             raise ValueError("g must be indexed [parameter][component][order]")
-        _check_order(g.shape[2] - 1, ts, "")
-        width = len(ts) - g.shape[2] + 1
-
-        def along(table) -> np.ndarray:
-            table = np.asarray(table, dtype=float)
-            return np.broadcast_to(table[..., None], table.shape + (width,))
-
-        return GaugeFamily(ts, 0, along(g), None if f is None else along(f))
+        r, n, width = g.shape
+        f = None if f is None else np.asarray(f, dtype=float).tolist()
+        return GaugeFamily.from_table(ts, {"r": r, "m": width - 1, "n": n, "g": g.tolist(), "f": f})
 
 
-def _check_order(m: int, ts: TimeScale, source: str) -> None:
-    """Refuse a family order m that leaves no window on ts; source starts the message."""
-    if m >= len(ts):
-        raise ValueError(f"{source}a family of order m = {m} needs more than {m} points, the scale has {len(ts)}")
+def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
+    """The samples on [lo, hi] of one family-table coefficient spec: a
+    number, {"poly": [c0, c1, ...]} or {"csv": path} with one value column."""
+    t = ts.points[lo : hi + 1]
+    if type(spec) in (int, float):  # exact types: JSON true and false are bools, which are ints
+        vals = np.full(t.size, float(spec))
+    elif isinstance(spec, dict) and "poly" in spec:
+        coeffs = spec["poly"]
+        if not isinstance(coeffs, list) or not coeffs or not all(type(c) in (int, float) for c in coeffs):
+            raise ValueError(f"coefficient {name}: \"poly\" must be a non-empty list of numbers, got {coeffs!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
+            vals = np.polynomial.polynomial.polyval(t, [float(c) for c in coeffs])
+    elif isinstance(spec, dict) and "csv" in spec:
+        if not isinstance(spec["csv"], str):
+            raise ValueError(f"coefficient {name}: \"csv\" must be a file path, got {spec['csv']!r}")
+        c = read_csv(ts, spec["csv"])
+        if c.lo > lo or c.hi < hi:
+            raise ValueError(f"coefficient {name}: the CSV covers [{c.lo}, {c.hi}], not the family window [{lo}, {hi}]")
+        if c.n != 1:
+            raise ValueError(f"coefficient {name} must have one component")
+        vals = c.values[lo - c.lo : hi - c.lo + 1, 0]
+    else:
+        raise ValueError(f"coefficient {name} must be a number, {{\"poly\": [...]}} or {{\"csv\": path}}, got {spec!r}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"coefficient {name} is not finite")
+    return vals
 
 
 def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.ndarray, np.ndarray | None]:

@@ -5,6 +5,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsnoether import cli
+from tsnoether import cli, noether
 from tsnoether.cli import main
 from tsnoether.timescale import MAX_POINTS, parse_scale_spec
 
@@ -223,7 +224,7 @@ class TestExitCodes:
         fam = tmp_path / "fam12.json"
         fam.write_text(json.dumps({"r": 1, "m": 12, "n": 2, "g": [[[1.0] * 13, [1.0] * 13]]}))
         # Refused before any coefficient is sampled.
-        with mock.patch.object(cli, "_coeff_grid", side_effect=AssertionError("coefficient sampled")):
+        with mock.patch.object(noether, "_coeff_grid", side_effect=AssertionError("coefficient sampled")):
             code = main(["check-noether", "--scale", "h:1:0:9", "--lagrangian", "pair-difference", "--family", str(fam)])
         assert code == 2
         err = capsys.readouterr().err
@@ -563,12 +564,19 @@ class TestFamilyCoefficientForms:
              "r, m and n must be non-negative integers, got [1, False, 2]"),
             ({"r": 1, "m": 0, "n": True, "g": [[[1.0], [1.0]]]},
              "r, m and n must be non-negative integers, got [1, 0, True]"),
+            ({"r": 0, "m": 0, "n": 2, "g": []}, "bad.json: r and n must be positive, got r = 0, n = 2"),
+            ({"r": 1, "m": 0, "n": 0, "g": [[]]}, "bad.json: r and n must be positive, got r = 1, n = 0"),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [{"csv": "g3.csv"}]]]},
+             "coefficient g[0][1][0]: the CSV covers [0, 2], not the family window [0, 9]"),
         ],
         ids=["missing-r", "bare-spec", "short-row", "flat-g", "null-r", "short-f", "poly-number", "poly-null",
              "poly-nested", "poly-empty", "poly-bool", "csv-null", "csv-number", "bool-constant", "bool-r",
-             "bool-m", "bool-n"],
+             "bool-m", "bool-n", "zero-r", "zero-n", "csv-short"],
     )
-    def test_malformed_family_file_named(self, tmp_path, capsys, family, message):
+    def test_malformed_family_file_named(self, tmp_path, monkeypatch, capsys, family, message):
+        # g3.csv, a coefficient on 3 of the scale's 10 points, for the csv-short case.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g3.csv").write_text("t,y1\n0.0,1.0\n1.0,1.0\n2.0,1.0\n")
         fam_path = tmp_path / "bad.json"
         fam_path.write_text(json.dumps(family))
         code = main(["check-noether", "--scale", "h:1:0:9", "--lagrangian", "pair-difference",
@@ -690,27 +698,67 @@ def test_ab_tool_fixed_heap_refused_without_mallopt():
     assert done.returncode == 2 and "mallopt" in done.stderr and not done.stdout
 
 
+def earlier_constant_family(ts, g, f=None):
+    """GaugeFamily.constant as it was before it read its tables through
+    GaugeFamily.from_table: each table broadcast along the window."""
+    g = np.asarray(g, dtype=float)
+    width = len(ts) - g.shape[2] + 1
+
+    def along(table):
+        table = np.asarray(table, dtype=float)
+        return np.broadcast_to(table[..., None], table.shape + (width,))
+
+    return noether.GaugeFamily(ts, 0, along(g), None if f is None else along(f))
+
+
 def earlier_builtin_family(name, ts):
     """The built-in 1-D families as code, before they were tables."""
-    from tsnoether.noether import GaugeFamily
-
     g, f = {
         "pairdiff": ([[[1.0], [1.0]]], None),
         "pairdiff-broken": ([[[1.1], [1.0]]], None),
         "pairdiff-time0": ([[[1.0], [1.0]]], [[0.0]]),
         "time-translation": ([[[0.0]]], [[1.0]]),
     }[name]
-    return GaugeFamily.constant(ts, g, f=f)
+    return earlier_constant_family(ts, g, f=f)
+
+
+def family_bits(fam):
+    """The scale, the window start, and the shape and bytes of each table."""
+    return fam.ts, fam.lo, fam.g.shape, fam.g.tobytes(), None if fam.f is None else (fam.f.shape, fam.f.tobytes())
 
 
 @pytest.mark.parametrize("name", ["pairdiff", "pairdiff-broken", "pairdiff-time0", "time-translation"])
 @pytest.mark.parametrize("spec", ["h:0.5:0:4", "q:2:1:7", "real:0.25:-1:1"])
 def test_builtin_family_tables_equal_earlier_code(name, spec):
     ts = parse_scale_spec(spec)
-    new, old = cli.load_family(name, ts), earlier_builtin_family(name, ts)
-    assert (new.ts, new.lo, new.g.shape, new.g.tobytes()) == (old.ts, old.lo, old.g.shape, old.g.tobytes())
-    assert (new.f is None) == (old.f is None)
-    assert new.f is None or (new.f.shape, new.f.tobytes()) == (old.f.shape, old.f.tobytes())
+    assert family_bits(cli.load_family(name, ts)) == family_bits(earlier_builtin_family(name, ts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(["h:0.5:0:4", "q:2:1:7", "real:0.25:-1:1"]),
+    r=st.integers(1, 3),
+    n=st.integers(1, 3),
+    m=st.integers(0, 2),
+    moves_time=st.booleans(),
+    data=st.data(),
+)
+def test_constant_family_equals_earlier_code_and_family_file(spec, r, n, m, moves_time, data):
+    # One builder: the constant case, the broadcast it replaced and the same
+    # table read from a JSON file give the same bits.
+    ts = parse_scale_spec(spec)
+    def rows(size, entry):
+        return st.lists(entry, min_size=size, max_size=size)
+
+    orders = rows(m + 1, st.floats(allow_nan=False, allow_infinity=False))
+    g = data.draw(rows(r, rows(n, orders)), label="g")
+    f = data.draw(rows(r, orders), label="f") if moves_time else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fam.json"
+        path.write_text(json.dumps({"r": r, "m": m, "n": n, "g": g, **({"f": f} if moves_time else {})}))
+        from_file = cli.load_family(str(path), ts)
+    fam = noether.GaugeFamily.constant(ts, g, f=f)
+    assert family_bits(fam) == family_bits(earlier_constant_family(ts, g, f=f)) == family_bits(from_file)
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,17 @@ class TestGaugeFamily:
             GaugeFamily.constant(h_uniform(1.0, 0, 1), [[[1.0] * (m + 1)]])
         assert str(err.value) == f"a family of order m = {m} needs more than {m} points, the scale has 2"
 
+    @pytest.mark.parametrize(
+        "g, f, entry",
+        [([[[np.nan]]], None, "g[0][0][0]"), ([[[1.0, -np.inf]], [[0.5, 0.0]]], None, "g[0][0][1]"),
+         ([[[1.0]]], [[np.nan]], "f[0][0]")],
+    )
+    def test_constant_refuses_non_finite_entries(self, g, f, entry):
+        # As a family file does: NaN always fails.
+        with pytest.raises(ValueError) as err:
+            GaugeFamily.constant(h_uniform(1.0, 0, 4), g, f=f)
+        assert str(err.value) == f"coefficient {entry} is not finite"
+
     def test_caller_table_is_copied(self):
         ts = h_uniform(1.0, 0, 4)
         g = np.ones((1, 1, 1, 3))
