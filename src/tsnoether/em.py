@@ -25,7 +25,7 @@ from operator import add
 
 import numpy as np
 
-from .report import ResidualReport
+from .report import INVARIANCE_TOLERANCE, ResidualReport
 from .multigrid import (
     FieldD,
     GaugeFamilyD,
@@ -62,7 +62,7 @@ def em_gauge_family(grid: GridD) -> GaugeFamilyD:
     return GaugeFamilyD(grid, [[-1.0 if i == 1 + k else 0.0 for i in range(5)] for k in range(4)])
 
 
-def _gauge_invariance(fam: GaugeFamilyD, trials: int, seed: int, tolerance: float = 1e-12) -> ResidualReport:
+def _gauge_invariance(fam: GaugeFamilyD, trials: int, seed: int) -> ResidualReport:
     """Action deviation under the gauge family `fam`: trial t draws a
     potential (seed [seed, 1, t]) and a parameter p (seed [seed, 2, t]).
     Both actions of every trial write their pattern into one (U, G) pair
@@ -76,15 +76,15 @@ def _gauge_invariance(fam: GaugeFamilyD, trials: int, seed: int, tolerance: floa
         # The family subtracts the quotient; -p adds it, as the golden reports pin.
         return before, em_functional(transform_d(fam, -p, A), _slots=slots)
 
-    return ResidualReport.from_trials((0, trials - 1), trials, pair, tolerance)
+    return ResidualReport.from_trials((0, trials - 1), trials, pair, INVARIANCE_TOLERANCE)
 
 
-def em_lorentz_check(A: tuple, tolerance: float = 1e-10) -> ResidualReport:
+def em_lorentz_check(A: tuple) -> ResidualReport:
     """Residual of div A = dA_0/dt at the four shifted argument patterns
     (sigma on every axis except one in turn)."""
     div = reduce(add, (partial_delta(A[i], i) for i in (1, 2, 3)))
     dA0 = partial_delta(A[0], 0)
-    return _fields_report([shift_all_except(div, k) - shift_all_except(dA0, k) for k in range(4)], tolerance)
+    return _fields_report([shift_all_except(div, k) - shift_all_except(dA0, k) for k in range(4)], 1e-10)
 
 
 def _fields_report(fields: list, tolerance: float) -> ResidualReport:
@@ -112,10 +112,10 @@ def em_wave_form(A: tuple) -> tuple:
     return tuple(out)
 
 
-def em_wave_reduction_residual(A: tuple, tolerance: float = 1e-9) -> ResidualReport:
+def em_wave_reduction_residual(A: tuple) -> ResidualReport:
     """Gap between the Euler-Lagrange expressions and the wave form; small
     only when the Lorentz conditions hold."""
-    return _fields_report([e - w for e, w in zip(el_expressions_d(em_lagrangian(), A), em_wave_form(A))], tolerance)
+    return _fields_report([e - w for e, w in zip(el_expressions_d(em_lagrangian(), A), em_wave_form(A))], 1e-9)
 
 
 def default_lattice(points_per_axis: int = 6) -> GridD:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .report import ResidualReport
+from .report import IDENTITY_TOLERANCE, INVARIANCE_TOLERANCE, ResidualReport
 from .timescale import _Arithmetic, _frozen, _overlap, _sealed, forward_quotient, shift_values, window_integral
 from .variational import _central_difference, _el_values
 
@@ -76,10 +76,6 @@ class FieldD(_Arithmetic):
     @property
     def hi(self) -> tuple:
         return tuple(l + n - 1 for l, n in zip(self.lo, self.values.shape))
-
-    @property
-    def window(self) -> tuple:
-        return tuple(zip(self.lo, self.hi))
 
     def restrict(self, lo, hi) -> "FieldD":
         sl = []
@@ -413,12 +409,7 @@ def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float
 
 
 def check_invariance_d(
-    L: LagrangianD,
-    fam: GaugeFamilyD,
-    u: tuple,
-    trials: int = 20,
-    seed: int = 0,
-    tolerance: float = 1e-12,
+    L: LagrangianD, fam: GaugeFamilyD, u: tuple, trials: int = 20, seed: int = 0
 ) -> ResidualReport:
     """Functional deviation under seeded random polynomial parameters of
     sup 0.1.  Every action writes its pattern into one (U, G) pair that the
@@ -431,21 +422,19 @@ def check_invariance_d(
         p = random_polynomial_field(fam.grid, seed=[seed, trial], amplitude=0.1)
         return base, functional_d(L, transform_d(fam, p, u), _slots=slots)
 
-    return ResidualReport.from_trials((0, trials - 1), trials, pair, tolerance)
+    return ResidualReport.from_trials((0, trials - 1), trials, pair, INVARIANCE_TOLERANCE)
 
 
-def noether_identity_d(
-    L: LagrangianD, fam: GaugeFamilyD, u: tuple, tolerance: float = 1e-9
-) -> ResidualReport:
+def noether_identity_d(L: LagrangianD, fam: GaugeFamilyD, u: tuple) -> ResidualReport:
     """Residual of sum_k adjoint_k(E_k) on the largest interior window."""
     if fam.n != L.n:
         raise ValueError(f"component count mismatch: the family has n = {fam.n}, the density n = {L.n}")
     es = el_expressions_d(L, u)
     total = reduce(add, (gauge_field_adjoint(fam, es[k], k) for k in range(fam.n)))
-    return ResidualReport.from_per_point((total.lo[0], total.hi[0]), total.values, tolerance)
+    return ResidualReport.from_per_point((total.lo[0], total.hi[0]), total.values, IDENTITY_TOLERANCE)
 
 
-def double_fundamental_oracle(M: FieldD, tolerance: float = 1e-12) -> tuple[float, float, bool]:
+def double_fundamental_oracle(M: FieldD) -> tuple[float, float, bool]:
     """Impulse form of the double fundamental lemma on the field's window.
 
     Pairs M against eta^sigma for every unit impulse eta placed at a point
@@ -465,8 +454,8 @@ def double_fundamental_oracle(M: FieldD, tolerance: float = 1e-12) -> tuple[floa
         eta_sigma = shift_all_except(FieldD(grid, (0,) * grid.d, spike), None)
         max_integral = max(max_integral, abs(multi_integral(M * eta_sigma)))
     sup_m = float(np.max(np.abs(M.restrict(lo, hi).values)))
-    consistent = (max_integral <= tolerance) == (sup_m <= tolerance)
-    return max_integral, sup_m, consistent
+    integrals_vanish, m_vanishes = (value <= 1e-12 for value in (max_integral, sup_m))
+    return max_integral, sup_m, integrals_vanish == m_vanishes
 
 
 # The field-strength densities (curl2 and em) and the named 2-d densities.

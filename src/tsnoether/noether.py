@@ -30,7 +30,7 @@ from operator import add
 
 import numpy as np
 
-from .report import ResidualReport
+from .report import IDENTITY_TOLERANCE, INVARIANCE_TOLERANCE, ResidualReport
 from .timescale import (
     GridFunction,
     TimeScale,
@@ -243,12 +243,7 @@ def random_gauge_params(fam: GaugeFamily, seed) -> tuple:
 
 
 def check_invariance(
-    L: Lagrangian,
-    fam: GaugeFamily,
-    y: GridFunction,
-    trials: int = 20,
-    seed: int = 0,
-    tolerance: float = 1e-12,
+    L: Lagrangian, fam: GaugeFamily, y: GridFunction, trials: int = 20, seed: int = 0
 ) -> ResidualReport:
     """Action deviation |action(y) - action(ybar)| over the seeded probes
     of random_gauge_params.
@@ -262,7 +257,7 @@ def check_invariance(
         params = random_gauge_params(fam, seed=[seed, trial])
         return base, eval_functional(L, transform(fam, params, y)[1])
 
-    return ResidualReport.from_trials(y.window, trials, pair, tolerance)
+    return ResidualReport.from_trials(y.window, trials, pair, INVARIANCE_TOLERANCE)
 
 
 def necessary_condition_residual(
@@ -279,9 +274,7 @@ def _require_condition_h(ts: TimeScale) -> float:
     return ts.condition_h[0]
 
 
-def noether_identity(
-    L: Lagrangian, fam: GaugeFamily, y: GridFunction, tolerance: float = 1e-9
-) -> list[ResidualReport]:
+def noether_identity(L: Lagrangian, fam: GaugeFamily, y: GridFunction) -> list[ResidualReport]:
     """Per-parameter residual of the gauge dependency among the
     Euler-Lagrange expressions, on the largest window all terms share.
 
@@ -289,19 +282,17 @@ def noether_identity(
     time-component term; an all-zero row is skipped, not added as zeros,
     so such a family's residual is bitwise that of the family without f.
     """
-    return _identity_reports(L, fam, y, tolerance)
+    return _identity_reports(L, fam, y)
 
 
-def noether_identity_time(
-    L: Lagrangian, fam: GaugeFamily, y: GridFunction, tolerance: float = 1e-9
-) -> list[ResidualReport]:
+def noether_identity_time(L: Lagrangian, fam: GaugeFamily, y: GridFunction) -> list[ResidualReport]:
     """noether_identity for a family that must have f coefficients."""
     if fam.f is None:
         raise ValueError("time variant needs a family with f coefficients")
-    return _identity_reports(L, fam, y, tolerance)
+    return _identity_reports(L, fam, y)
 
 
-def _identity_reports(L: Lagrangian, fam: GaugeFamily, y: GridFunction, tolerance: float) -> list[ResidualReport]:
+def _identity_reports(L: Lagrangian, fam: GaugeFamily, y: GridFunction) -> list[ResidualReport]:
     if fam.n != y.n:
         raise ValueError(f"component count mismatch: the family has n = {fam.n}, the path n = {y.n}")
     b1 = _require_condition_h(y.ts)
@@ -313,7 +304,7 @@ def _identity_reports(L: Lagrangian, fam: GaugeFamily, y: GridFunction, toleranc
         total = _identity_sum(fam, fam.g[j], E, b1)
         if moves_time[j]:
             total = total + _identity_sum(fam, fam.f[j][None], Es, b1)
-        reports.append(ResidualReport.from_per_point(total.window, total.values, tolerance))
+        reports.append(ResidualReport.from_per_point(total.window, total.values, IDENTITY_TOLERANCE))
     return reports
 
 
@@ -423,9 +414,7 @@ class FundamentalLemmaReport:
     consistent: bool
 
 
-def fundamental_lemma_oracle(
-    ts: TimeScale, fs, tolerance: float = 1e-10
-) -> FundamentalLemmaReport:
+def fundamental_lemma_oracle(ts: TimeScale, fs) -> FundamentalLemmaReport:
     """Brute-force both directions of the weighted fundamental lemma.
 
     fs = [f_0 .. f_m].  The pairing integral sums
@@ -471,8 +460,7 @@ def fundamental_lemma_oracle(
     window = (0, min(conclusion.hi, reach_hi))
     sup = float(np.max(np.abs(conclusion.restrict(*window).values)))
 
-    ints_ok = max_integral <= tolerance
-    concl_ok = sup <= tolerance
+    ints_ok, concl_ok = (value <= 1e-10 for value in (max_integral, sup))
     return FundamentalLemmaReport(
         m=m,
         domain=window,

@@ -6,6 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Verdict thresholds that checks in more than one module share.  Every
+# identity, 1-D and d-D, passes at sup |residual| <= IDENTITY_TOLERANCE; every
+# invariance trial loop at INVARIANCE_TOLERANCE scaled by max(1, max |action|).
+IDENTITY_TOLERANCE = 1e-9
+INVARIANCE_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class ResidualReport:

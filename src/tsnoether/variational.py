@@ -195,9 +195,14 @@ def _el_values(P: np.ndarray, Q: np.ndarray, scales: tuple, lo: tuple) -> np.nda
     return e
 
 
-def el_residual(L: Lagrangian, y: GridFunction, tolerance: float = 1e-8) -> ResidualReport:
+# The Euler-Lagrange threshold: el_residual's verdict and solve_extremal's
+# default stopping test, so a converged solve passes its el report.
+EL_TOLERANCE = 1e-8
+
+
+def el_residual(L: Lagrangian, y: GridFunction) -> ResidualReport:
     e = el_expressions(L, y)
-    return ResidualReport.from_per_point(e.window, e.values, tolerance)
+    return ResidualReport.from_per_point(e.window, e.values, EL_TOLERANCE)
 
 
 def second_el_expression(L: Lagrangian, y: GridFunction) -> GridFunction:
@@ -218,7 +223,7 @@ def solve_extremal(
     L: Lagrangian,
     ts: TimeScale,
     boundary: BoundaryData,
-    tol: float = 1e-8,
+    tol: float = EL_TOLERANCE,
     max_iter: int = 50,
 ) -> GridFunction:
     """Solve the Euler-Lagrange system over the full scale window with the
@@ -421,7 +426,10 @@ def catalog(name: str) -> Lagrangian:
     if name.startswith("quad:"):
         try:
             n_s, cv_s, cu_s, cuv_s = name.split(":")[1:]
-            return _quadratic(int(n_s), float(cv_s), float(cu_s), float(cuv_s))
+            n, cv, cu, cuv = int(n_s), float(cv_s), float(cu_s), float(cuv_s)
         except ValueError as exc:
             raise ValueError(f"bad inline quadratic spec {name!r}") from exc
+        if n < 1:
+            raise ValueError(f"bad inline quadratic spec {name!r}: n must be at least 1")
+        return _quadratic(n, cv, cu, cuv)
     raise ValueError(f"unknown Lagrangian {name!r}")

@@ -303,6 +303,49 @@ class TestExitCodes:
         )
         assert code == 1 and data["verdict"] == "fail"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["scale", "--scale", "h:0.3:0:1"], "bad scale spec 'h:0.3:0:1': b - a must be a positive multiple of h"),
+            (["scale", "--scale", "h:1:1:0"], "bad scale spec 'h:1:1:0': need b > a"),
+            (["derive", "--scale", "h:1:0:5", "--order", "0"], "order must be >= 1"),
+            (["solve", "--scale", "h:1:0:1", "--lagrangian", "poisson", "--alpha", "0", "--beta", "1"],
+             "scale too small for a boundary value problem"),
+            (["solve", "--scale", "h:1:0:5", "--lagrangian", "poisson", "--alpha", "0", "--beta", "0,1"],
+             "alpha and beta dimensions differ"),
+            (["check2d", "--grid", "h:1:0:5"], "supported dimensions are 2..4"),
+            (["check2d", "--grid", "h:1:0:5,h:1:0:5", "--lagrangian", "nope"], "unknown 2-d Lagrangian 'nope'"),
+            (["check2d", "--grid", "h:1:0:5,h:1:0:5", "--family", "{tmp}/empty.json"], "empty coefficient table"),
+            (["em", "--lattice", "h:1:0:5,h:1:0:5"], "the lattice needs 4 scale specs"),
+            (["integrate", "--scale", "h:1:0:5", "--poly", "1;2"], "expected 1 component polynomials"),
+            (["el", "--scale", "h:1:0:5", "--lagrangian", "dirichlet", "--csv", "{tmp}/headless.csv"],
+             "missing t,y1..yn header"),
+            (["el", "--scale", "h:1:0:5", "--lagrangian", "quad:0:1:1:1"],
+             "bad inline quadratic spec 'quad:0:1:1:1': n must be at least 1"),
+            (["el", "--scale", "h:1:0:5", "--lagrangian", "quad:-1:1:1:1"],
+             "bad inline quadratic spec 'quad:-1:1:1:1': n must be at least 1"),
+        ],
+        ids=["scale-not-multiple", "scale-reversed", "derive-order-0", "solve-two-points", "solve-dimensions",
+             "check2d-one-axis", "check2d-lagrangian", "check2d-empty-family", "em-two-axes", "integrate-components",
+             "el-csv-header", "quad-zero-components", "quad-negative-components"],
+    )
+    def test_refusal_message(self, tmp_path, capsys, args, message):
+        (tmp_path / "empty.json").write_text('{"a": []}')
+        (tmp_path / "headless.csv").write_text("x,y1\n0.0,1.0\n")
+        code, data, _ = run(tmp_path, *(a.replace("{tmp}", str(tmp_path)) for a in args))
+        assert code == 2 and data is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bare_command_exits_2(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().out.startswith("usage: noether")
+
+    def test_singular_jacobian_exits_1(self, tmp_path, capsys):
+        code, data, _ = run(tmp_path, "solve", "--scale", "h:1:0:4", "--lagrangian", "quad:1:1:-2:0",
+                            "--alpha", "0", "--beta", "1")
+        assert code == 1 and data is None
+        assert capsys.readouterr().err.startswith("error: singular Jacobian:")
+
 
 class TestScaleAndCalculus:
     def test_scale_report(self, tmp_path):
@@ -312,6 +355,11 @@ class TestScaleAndCalculus:
         assert sec["kind"] == "q-geometric"
         assert sec["condition_h"] == [2.0, 0.0]
         assert sec["points"] == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+    def test_step_that_divides_the_span_after_rounding(self, tmp_path):
+        # 0.3 / 0.0001 is 2999.9999999999995 in floats: a multiple of h within rounding
+        code, data, _ = run(tmp_path, "scale", "--scale", "h:0.0001:0:0.3")
+        assert code == 0 and data["sections"][0]["n_points"] == 3001
 
     def test_derive_writes_csv(self, tmp_path):
         result = tmp_path / "d.csv"

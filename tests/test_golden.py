@@ -35,9 +35,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsnoether import cli
+from tsnoether import cli, em, multigrid, noether, variational
 from tsnoether.cli import main
 from tsnoether.noether import random_gauge_params, transform
+from tsnoether.report import ResidualReport
 from tsnoether.timescale import GridFunction, parse_scale_spec
 from tsnoether.variational import catalog, el_expressions, eval_functional, solve_extremal
 
@@ -192,3 +193,34 @@ def test_resolved_extremals_are_within_twice_the_tolerance_of_the_old(name):
     old, new = frozen_solution(SUPERSEDED, name), frozen_solution(GOLDEN, name)
     assert old.shape == new.shape == (npts, n)
     assert np.max(np.abs(new - old)) <= 2 * tol * inv_norm
+
+
+CHECKS = [
+    (variational, "el_residual"),
+    (noether, "check_invariance"),
+    (noether, "noether_identity"),
+    (noether, "noether_identity_time"),
+    (noether, "fundamental_lemma_oracle"),
+    (multigrid, "check_invariance_d"),
+    (multigrid, "noether_identity_d"),
+    (multigrid, "double_fundamental_oracle"),
+    (em, "em_lorentz_check"),
+    (em, "em_wave_reduction_residual"),
+    (em, "_gauge_invariance"),
+]
+
+
+@pytest.mark.parametrize("module, name", CHECKS, ids=[name for _, name in CHECKS])
+def test_no_check_takes_a_tolerance(module, name):
+    """Each check's threshold is a library constant that the goldens pin,
+    so no caller can pass a broken control with a looser one."""
+    assert "tolerance" not in inspect.signature(getattr(module, name)).parameters
+
+
+def test_report_kernels_and_solver_keep_their_controls():
+    """The kernels take the threshold the checks hand them, and Newton's
+    default stopping test is the el verdict's threshold."""
+    assert list(inspect.signature(ResidualReport.from_per_point).parameters) == ["domain", "per_point", "tolerance"]
+    assert list(inspect.signature(ResidualReport.from_trials).parameters) == ["domain", "trials", "pair", "tolerance"]
+    solve = inspect.signature(solve_extremal).parameters
+    assert solve["tol"].default is variational.EL_TOLERANCE and solve["max_iter"].default == 50

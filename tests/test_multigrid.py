@@ -1584,7 +1584,7 @@ def test_invariance_loops_drop_their_pair_on_return():
 
     fam = em.em_gauge_family(em_lattice("mixed", 5))
     with recorded_actions(em, "em_functional", keep_pairs=False) as log:
-        em._gauge_invariance(fam, 3, 1, 1e-12)
+        em._gauge_invariance(fam, 3, 1)
     grid = grid_2d("hq", 20)
     u = tuple(random_polynomial_field(grid, seed=[1, k]) for k in range(2))
     with recorded_actions(multigrid, "functional_d", keep_pairs=False) as log2d:
@@ -1674,7 +1674,7 @@ def test_held_slot_actions_bitwise_equal_fresh_calls(kind, size, trials, seed, d
     if kind in ("uniform", "mixed"):
         fam = em.em_gauge_family(em_lattice(kind, size))
         with recorded_actions(em, "em_functional") as log:
-            report = em._gauge_invariance(fam, trials, seed, 1e-12)
+            report = em._gauge_invariance(fam, trials, seed)
         actions = len(log)
         assert bits(report) == bits(earlier_em_gauge_invariance(fam, trials, seed))
         assert actions == 2 * trials

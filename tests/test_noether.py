@@ -285,7 +285,7 @@ class TestNoetherIdentity:
         hi = len(ts) - 1 - m
         fam = GaugeFamily.constant(ts, [[[0.2, -0.5, 1.0]]])
         y = random_path(ts, 1, seed=13, hi=hi)
-        rep = noether_identity(catalog("dirichlet"), fam, y, tolerance=np.inf)[0]
+        rep = noether_identity(catalog("dirichlet"), fam, y)[0]
         assert rep.domain == (0, hi - 2 - m)
 
     def test_requires_affine_jump_law(self):
@@ -306,7 +306,7 @@ class TestNoetherIdentity:
         fam = GaugeFamily(ts, 0, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
         L = catalog("quad:1:0.5:0.3:0.1")
         y = random_path(ts, 1, seed=[15, m], hi=hi)
-        generic = noether_identity(L, fam, y, tolerance=np.inf)[0].per_point[:, 0]
+        generic = noether_identity(L, fam, y)[0].per_point[:, 0]
         coro = identity_lhs_h_calculus(L, [g_callables[0]], t[: hi + 1], y.values[:, 0], h, m)
         k = generic.shape[0]
         scale = np.maximum(1.0, np.abs(generic))
@@ -322,7 +322,7 @@ class TestNoetherIdentity:
         fam = GaugeFamily(ts, 0, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
         L = catalog("quad:1:0.5:0.3:0.1")
         y = random_path(ts, 1, seed=[16, m], hi=hi)
-        generic = noether_identity(L, fam, y, tolerance=np.inf)[0].per_point[:, 0]
+        generic = noether_identity(L, fam, y)[0].per_point[:, 0]
         coro = identity_lhs_q_calculus(L, [g_callables[0]], t[: hi + 1], y.values[:, 0], q, m)
         k = generic.shape[0]
         scale = np.maximum(1.0, np.abs(generic))
@@ -359,7 +359,7 @@ class TestNoetherIdentity:
         cv, cu, cuv = rng.uniform(0.2, 1.0), rng.uniform(-1, 1), rng.uniform(-1, 1)
         L = catalog(f"quad:{n}:{cv!r}:{cu!r}:{cuv!r}")
         y = GridFunction(ts, 0, rng.uniform(-1, 1, (hi + 1, n)))
-        generic = noether_identity(L, fam, y, tolerance=np.inf)[0].per_point[:, 0]
+        generic = noether_identity(L, fam, y)[0].per_point[:, 0]
         if geometric:
             form = identity_lhs_q_calculus(L, g_callables, t[: hi + 1], y.values, q, m)
         else:
@@ -399,7 +399,7 @@ class TestNoetherIdentityTime:
         assert el_expressions(L, y).values.max() <= 1e-10
         assert np.max(np.abs(second_el_expression(L, y).values)) <= 1e-10
         fam = GaugeFamily.constant(ts, [[[1.0]]], f=[[1.0]])
-        rep = noether_identity_time(L, fam, y, tolerance=1e-8)[0]
+        rep = noether_identity_time(L, fam, y)[0]
         assert rep.sup_norm <= 1e-8
 
     @pytest.mark.parametrize("trial", range(6))
@@ -573,7 +573,7 @@ def test_pair_difference_identity_for_arbitrary_paths(vals):
     ts = h_uniform(0.5, 0, 0.5 * (len(vals) - 1))
     y = GridFunction(ts, 0, np.array(vals))
     fam = GaugeFamily.constant(ts, [[[1.0], [1.0]]])
-    rep = noether_identity(PAIRDIFF, fam, y, tolerance=1e-9)[0]
+    rep = noether_identity(PAIRDIFF, fam, y)[0]
     assert rep.sup_norm <= 1e-9
 
 

@@ -374,6 +374,30 @@ class TestSolver:
         assert err.value.history == [(1.0, 0.0)]
         assert err.value.final_residual == 1.0
 
+    def test_damping_halves_down_to_the_floor(self):
+        # 1/2 v^2 - 1/4 u^4 pulled to beta = 5: full Newton steps overshoot,
+        # so the steps are halved, and some reach the 2^-20 floor
+        L = Lagrangian(
+            n=1,
+            eval=lambda t, U, V: 0.5 * V[:, 0] * V[:, 0] - 0.25 * U[:, 0] ** 4,
+            d_t=lambda t, U, V: np.zeros(len(t)),
+            d_u=lambda t, U, V: -(U**3),
+            d_v=lambda t, U, V: V.copy(),
+            vectorized=True,
+        )
+        ts = h_uniform(0.1, 0, 1)
+        with pytest.raises(ConvergenceError, match="did not converge") as err:
+            solve_extremal(L, ts, BoundaryData([0.0], [5.0]))
+        history = err.value.history
+        assert len(history) == 50
+        scales = [scale for _, scale in history]
+        assert min(scales) < 1.0
+        assert all(2.0**-20 <= scale <= 1.0 and np.log2(scale).is_integer() for scale in scales)
+        start = el_residual(L, GridFunction(ts, 0, np.linspace(0.0, 5.0, len(ts)))).sup_norm
+        before = [start] + [r for r, _ in history[:-1]]
+        assert all(r < prev for prev, (r, scale) in zip(before, history) if scale > 2.0**-20)
+        assert any(scale == 2.0**-20 for scale in scales)
+
 
 def interior_residual(L, ts, start):
     """The Euler-Lagrange expressions over the full scale as a function of
