@@ -30,13 +30,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.cmd is None:
-        parser.print_help()
+        parser.print_help(sys.stderr)
         return 2
     try:
         if getattr(args, "trials", 1) < 1:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
         report, ok = args.run(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
@@ -143,11 +143,10 @@ def _section(name: str, rep: ResidualReport, verbose: bool) -> dict:
     return out
 
 
-def _load_path(args, ts: TimeScale, n: int, lo: int = 0, hi: int | None = None) -> GridFunction:
-    """The path from --csv, from --poly / --y-poly on [lo, hi], or else a
+def _load_path(args, ts: TimeScale, n: int, hi: int | None = None) -> GridFunction:
+    """The path from --csv, from --poly / --y-poly on [0, hi], or else a
     seeded random cubic per component; every sample must be finite."""
-    hi = len(ts) - 1 if hi is None else hi
-    t = ts.points[lo : hi + 1]
+    t = ts.points if hi is None else ts.points[: hi + 1]
     poly = getattr(args, "poly", None) or getattr(args, "y_poly", None)
     if getattr(args, "csv", None):
         y = read_csv(ts, args.csv)
@@ -160,11 +159,11 @@ def _load_path(args, ts: TimeScale, n: int, lo: int = 0, hi: int | None = None) 
             coeffs = [float(c) for c in comp.split(",")]
             with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below names the point
                 cols.append(np.polynomial.polynomial.polyval(t, coeffs))
-        y = GridFunction(ts, lo, np.column_stack(cols))
+        y = GridFunction(ts, 0, np.column_stack(cols))
     else:
         coeffs = np.random.default_rng([args.seed, 97]).uniform(-1, 1, (n, 4))
         scaled = t[:, None] / max(1.0, np.max(np.abs(ts.points)))
-        y = GridFunction(ts, lo, np.polynomial.polynomial.polyval(scaled, coeffs.T, tensor=False))
+        y = GridFunction(ts, 0, np.polynomial.polynomial.polyval(scaled, coeffs.T, tensor=False))
     finite = np.isfinite(y.values)
     if not finite.all():  # a whole-array test; a per-row one costs 20x more
         row = np.flatnonzero(~finite)[0] // y.n

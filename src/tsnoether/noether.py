@@ -330,16 +330,11 @@ def second_el_via_reparametrization(L: Lagrangian, y: GridFunction) -> GridFunct
     pts = ts.points
     gaps = np.append(np.diff(pts), 0.0)
 
-    def mu_of(t: float) -> float:
-        i = int(np.searchsorted(pts, t))
-        if i >= pts.size or abs(pts[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError("time not on the scale")
-        return float(gaps[i])
+    def density(T, U, V):  # T is always the path's own scale points
+        mu = gaps[np.searchsorted(pts, T)]
+        return L.sample("L", U[:, 0] - mu * V[:, 0], U[:, 1:], V[:, 1:] / V[:, :1]) * V[:, 0]
 
-    def density(t, U, V):
-        return L.at("L", U[0] - mu_of(t) * V[0], U[1:], V[1:] / V[0]) * V[0]
-
-    augmented = Lagrangian(n=L.n + 1, eval=density)
+    augmented = Lagrangian(n=L.n + 1, eval=density, vectorized=True)
     s = GridFunction(ts, y.lo, pts[y.lo : y.hi + 1])
     z = GridFunction.stack([s, y])
     return el_expressions(augmented, z).component(0)
@@ -368,8 +363,7 @@ def identity_lhs_h_calculus(L: Lagrangian, g_funcs, t: np.ndarray, y: np.ndarray
 def _el_uniform(L: Lagrangian, t: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
     u = y[1:]
     v = (y[1:] - y[:-1]) / h
-    pu = np.array([L.at("u", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
-    pv = np.array([L.at("v", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
+    pu, pv = L.sample("u", t[:-1], u, v), L.sample("v", t[:-1], u, v)
     return pu[:-1] - (pv[1:] - pv[:-1]) / h
 
 
@@ -378,8 +372,7 @@ def identity_lhs_q_calculus(L: Lagrangian, g_funcs, t: np.ndarray, y: np.ndarray
     y = np.atleast_2d(y.T).T
     u = y[1:]
     v = (y[1:] - y[:-1]) / ((q - 1) * t[:-1])[:, None]
-    pu = np.array([L.at("u", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
-    pv = np.array([L.at("v", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
+    pu, pv = L.sample("u", t[:-1], u, v), L.sample("v", t[:-1], u, v)
     E = pu[:-1] - (pv[1:] - pv[:-1]) / ((q - 1) * t[:-2])[:, None]
     npts = E.shape[0]
     out = np.zeros(npts - m)

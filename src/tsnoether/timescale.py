@@ -52,6 +52,9 @@ class TimeScale:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("time scale needs at least 2 points")
+        bad = np.flatnonzero(~np.isfinite(pts))
+        if bad.size:
+            raise ValueError(f"point {bad[0]} of the scale, {pts[bad[0]]}, is not a finite float")
         if not np.all(np.diff(pts) > 0):
             raise ValueError("time scale points must be strictly increasing")
         pts = pts.copy()
@@ -213,8 +216,9 @@ def q_geometric(q: float, a: float, count: int) -> TimeScale:
 
 
 def explicit_scale(points) -> TimeScale:
-    """Explicit point list; the affine jump law is detected, not asserted."""
-    pts = np.asarray(points, dtype=float)
+    """Explicit point list; the affine jump law is detected, not asserted,
+    once the points have passed TimeScale's checks."""
+    pts = TimeScale(points, kind="explicit").points
     return TimeScale(pts, kind="explicit", condition_h=_fit_affine_jump(pts))
 
 
@@ -318,10 +322,11 @@ class GridFunction(_Arithmetic):
         return GridFunction(self.ts, lo, self.values[lo - self.lo : hi - self.lo + 1])
 
     @staticmethod
-    def from_callable(ts: TimeScale, fn, lo: int = 0, hi: int | None = None) -> "GridFunction":
-        hi = len(ts) - 1 if hi is None else hi
-        rows = [np.atleast_1d(np.asarray(fn(ts.t(i)), dtype=float)) for i in range(lo, hi + 1)]
-        return GridFunction(ts, lo, _sealed(np.vstack(rows)))
+    def from_callable(ts: TimeScale, fn) -> "GridFunction":
+        """fn sampled at every point of the scale; restrict the result for a
+        subwindow."""
+        rows = [np.atleast_1d(np.asarray(fn(ts.t(i)), dtype=float)) for i in range(len(ts))]
+        return GridFunction(ts, 0, _sealed(np.vstack(rows)))
 
     @staticmethod
     def stack(parts: list["GridFunction"]) -> "GridFunction":
@@ -443,17 +448,11 @@ def window_integral(scales, lo, values: np.ndarray) -> np.ndarray:
     return np.array([np.sum(c) for c in weighted])
 
 
-def delta_integral(f: GridFunction, a_idx: int | None = None, b_idx: int | None = None) -> np.ndarray:
-    """Delta integral from points[a_idx] to points[b_idx]: sum of mu(i) * f(i)
-    over a_idx <= i < b_idx.  The upper limit itself is never sampled, so it
-    may sit one index past the window (the default integrates the whole
-    window)."""
-    top = min(f.hi + 1, len(f.ts) - 1)
-    a_idx = f.lo if a_idx is None else a_idx
-    b_idx = top if b_idx is None else b_idx
-    if not (f.lo <= a_idx <= b_idx <= top):
-        raise ValueError("integration limits outside the window")
-    return window_integral((f.ts,), (a_idx,), f.values[a_idx - f.lo : b_idx - f.lo])
+def delta_integral(f: GridFunction) -> np.ndarray:
+    """Delta integral over the window of f: the sum of mu(i) * f(i) over its
+    indices, the scale maximum (mu = 0) dropped.  To integrate from
+    points[a] to points[b], restrict f to [a, b - 1] first."""
+    return window_integral((f.ts,), (f.lo,), f.values)
 
 
 def write_csv(f: GridFunction, path) -> None:

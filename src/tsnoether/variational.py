@@ -22,9 +22,9 @@ from .timescale import window_integral
 class ConvergenceError(RuntimeError):
     """Newton failed; carries the final residual sup-norm and the iteration
     history, one (residual sup after the step, damping scale) per Newton
-    iteration.  An iteration whose Jacobian was singular took no step and
-    records its residual with scale 0.0; solve_extremal states when that
-    can happen."""
+    iteration.  An iteration that took no step, because its Jacobian was
+    singular or no damping scale lowered the residual, records its residual
+    with scale 0.0; solve_extremal states when that can happen."""
 
     def __init__(self, message: str, final_residual: float, history=()):
         super().__init__(message)
@@ -89,12 +89,6 @@ class Lagrangian:
         else:
             out = np.array([fn(t, u, v) for t, u, v in zip(T, U, V)], dtype=float)
         return out.reshape(len(T), -1) if which in ("u", "v") else out.reshape(len(T))
-
-    def at(self, which: str, t: float, u, v):
-        """One point of `sample`: a float for "L" and "t", an n-vector for
-        "u" and "v".  The per-point oracles read the density through this."""
-        row = self.sample(which, np.array([t], dtype=float), np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0]
-        return float(row) if which in ("L", "t") else row
 
 
 @dataclass(frozen=True)
@@ -230,8 +224,10 @@ def solve_extremal(
     endpoint rows pinned to the boundary data.
 
     Newton iteration from the straight line between the boundary values,
-    with step halving (up to 20 times per step) when the residual does not
-    decrease.  Success means el sup-norm <= tol, the residual being
+    with step halving when the residual does not decrease: the scales 1,
+    1/2, ..., 2^-20 are tried in turn, and when none of the 21 lowers the
+    residual Newton stops there with a ConvergenceError, taking no uphill
+    step.  Success means el sup-norm <= tol, the residual being
     el_expressions' to the bit.  Each trial path is sampled once, and the
     accepted one's samples also serve the next Jacobian (see
     _jacobian_bands), which _cyclic_reduction solves in O(N n^3).
@@ -265,16 +261,20 @@ def solve_extremal(
         except np.linalg.LinAlgError as exc:
             history.append((rnorm, 0.0))
             raise ConvergenceError(f"singular Jacobian: {exc}", rnorm, history) from exc
-        # Damping: halve until the residual norm decreases; after 20
-        # halvings the step at scale 2^-20 is taken as it is.
+        # Damping: halve until the residual norm decreases, down to 2^-20.
         scale = 1.0
-        for halvings in range(21):
+        for _ in range(21):
             trial = y.copy()
             trial[1:-1] += scale * step
             path_trial, r_trial = _newton_sample(L, ts, trial)
-            if halvings == 20 or np.max(np.abs(r_trial)) < rnorm:
+            if np.max(np.abs(r_trial)) < rnorm:
                 break
             scale *= 0.5
+        else:
+            history.append((rnorm, 0.0))
+            raise ConvergenceError(
+                f"Newton stopped: no step scale from 1 down to 2^-20 lowers the residual {rnorm:.3e}", rnorm, history
+            )
         y, path, r = trial, path_trial, r_trial
         rnorm = float(np.max(np.abs(r)))
         history.append((rnorm, scale))
@@ -431,5 +431,8 @@ def catalog(name: str) -> Lagrangian:
             raise ValueError(f"bad inline quadratic spec {name!r}") from exc
         if n < 1:
             raise ValueError(f"bad inline quadratic spec {name!r}: n must be at least 1")
+        for coeff, value in (("cv", cv), ("cu", cu), ("cuv", cuv)):
+            if not np.isfinite(value):
+                raise ValueError(f"bad inline quadratic spec {name!r}: {coeff} = {value} is not finite")
         return _quadratic(n, cv, cu, cuv)
     raise ValueError(f"unknown Lagrangian {name!r}")

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import re
 import shlex
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from tsnoether import cli, noether
 from tsnoether.cli import main
-from tsnoether.timescale import MAX_POINTS, parse_scale_spec
+from tsnoether.timescale import MAX_POINTS, GridFunction, delta_integral, parse_scale_spec
+from tsnoether.variational import Lagrangian
 
 
 def run(tmp_path, *args, name="report.json"):
@@ -324,21 +326,43 @@ class TestExitCodes:
              "bad inline quadratic spec 'quad:0:1:1:1': n must be at least 1"),
             (["el", "--scale", "h:1:0:5", "--lagrangian", "quad:-1:1:1:1"],
              "bad inline quadratic spec 'quad:-1:1:1:1': n must be at least 1"),
+            (["el", "--scale", "h:1:0:5", "--lagrangian", "quad:1:x:0:0"], "bad inline quadratic spec 'quad:1:x:0:0'"),
+            (["el", "--scale", "h:1:0:5", "--lagrangian", "quad:1:1:1"], "bad inline quadratic spec 'quad:1:1:1'"),
+            (["el", "--scale", "h:1:0:5", "--lagrangian", "quad:1:nan:0:0", "--poly", "0,1"],
+             "bad inline quadratic spec 'quad:1:nan:0:0': cv = nan is not finite"),
+            (["el", "--scale", "h:1:0:5", "--lagrangian", "quad:1:inf:0:0", "--poly", "0,1"],
+             "bad inline quadratic spec 'quad:1:inf:0:0': cv = inf is not finite"),
+            (["el", "--scale", "h:1:0:5", "--lagrangian", "quad:1:0.5:0:1e400", "--poly", "0,1"],
+             "bad inline quadratic spec 'quad:1:0.5:0:1e400': cuv = inf is not finite"),
+            (["solve", "--scale", "h:1:0:5", "--lagrangian", "quad:1:nan:0:0", "--alpha", "0", "--beta", "1"],
+             "bad inline quadratic spec 'quad:1:nan:0:0': cv = nan is not finite"),
+            (["solve", "--scale", "h:1:0:5", "--lagrangian", "pair-difference", "--alpha", "0", "--beta", "1"],
+             "boundary dimension does not match the Lagrangian"),
+            (["scale", "--scale", "explicit:@{tmp}/inf3.txt"],
+             "bad scale spec 'explicit:@{tmp}/inf3.txt': point 2 of the scale, inf, is not a finite float"),
+            (["scale", "--scale", "explicit:@{tmp}/inf2.txt"],
+             "bad scale spec 'explicit:@{tmp}/inf2.txt': point 1 of the scale, inf, is not a finite float"),
         ],
         ids=["scale-not-multiple", "scale-reversed", "derive-order-0", "solve-two-points", "solve-dimensions",
              "check2d-one-axis", "check2d-lagrangian", "check2d-empty-family", "em-two-axes", "integrate-components",
-             "el-csv-header", "quad-zero-components", "quad-negative-components"],
+             "el-csv-header", "quad-zero-components", "quad-negative-components", "quad-coefficient-word",
+             "quad-three-fields", "quad-nan", "quad-inf", "quad-overflow", "solve-quad-nan", "solve-boundary-dimension",
+             "explicit-inf-last", "explicit-inf-second"],
     )
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print before the message
     def test_refusal_message(self, tmp_path, capsys, args, message):
         (tmp_path / "empty.json").write_text('{"a": []}')
         (tmp_path / "headless.csv").write_text("x,y1\n0.0,1.0\n")
+        (tmp_path / "inf3.txt").write_text("0\n1\ninf\n")
+        (tmp_path / "inf2.txt").write_text("0\ninf\n")
         code, data, _ = run(tmp_path, *(a.replace("{tmp}", str(tmp_path)) for a in args))
         assert code == 2 and data is None
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
 
     def test_bare_command_exits_2(self, capsys):
         assert main([]) == 2
-        assert capsys.readouterr().out.startswith("usage: noether")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: noether")
 
     def test_singular_jacobian_exits_1(self, tmp_path, capsys):
         code, data, _ = run(tmp_path, "solve", "--scale", "h:1:0:4", "--lagrangian", "quad:1:1:-2:0",
@@ -658,11 +682,11 @@ def test_em_default_lattice_passes(tmp_path):
     assert code == 0 and data["verdict"] == "pass"
 
 
-def earlier_seeded_path(seed, ts, n, lo, hi):
+def earlier_seeded_path(seed, ts, n, hi):
     """The random path of _load_path as it was before its coefficients were
     drawn at once: one draw of four and one polyval per component."""
     rng = np.random.default_rng([seed, 97])
-    t = ts.points[lo : hi + 1] / max(1.0, np.max(np.abs(ts.points)))
+    t = ts.points[: hi + 1] / max(1.0, np.max(np.abs(ts.points)))
     return np.column_stack([np.polynomial.polynomial.polyval(t, rng.uniform(-1, 1, 4)) for _ in range(n)])
 
 
@@ -675,11 +699,26 @@ def earlier_seeded_path(seed, ts, n, lo, hi):
 )
 def test_seeded_path_bitwise_equals_earlier_copy(spec, n, seed, data):
     ts = parse_scale_spec(spec)
-    lo = data.draw(st.integers(0, 2))
-    hi = data.draw(st.integers(lo, len(ts) - 1))
-    y = cli._load_path(argparse.Namespace(seed=seed), ts, n, lo, hi)
-    assert y.window == (lo, hi) and y.values.flags.c_contiguous
-    assert y.values.tobytes() == earlier_seeded_path(seed, ts, n, lo, hi).tobytes()
+    hi = data.draw(st.integers(0, len(ts) - 1))
+    y = cli._load_path(argparse.Namespace(seed=seed), ts, n, hi)
+    assert y.window == (0, hi) and y.values.flags.c_contiguous
+    assert y.values.tobytes() == earlier_seeded_path(seed, ts, n, hi).tobytes()
+
+
+def test_each_operation_has_one_form(monkeypatch):
+    # A window is set by restrict, a density is read through sample, and
+    # only bad input's ValueError or OSError exits 2: no second form of any.
+    assert list(inspect.signature(delta_integral).parameters) == ["f"]
+    assert list(inspect.signature(GridFunction.from_callable).parameters) == ["ts", "fn"]
+    assert list(inspect.signature(cli._load_path).parameters) == ["args", "ts", "n", "hi"]
+    assert not hasattr(Lagrangian, "at")
+
+    def lookup_bug(spec):
+        raise KeyError(spec)
+
+    monkeypatch.setattr(cli, "parse_scale_spec", lookup_bug)
+    with pytest.raises(KeyError):
+        main(["scale", "--scale", "h:1:0:5"])
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -359,6 +359,22 @@ class TestFieldD:
             f.values[0, 0] = 5.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FieldD(grid_z2(), (0,), np.ones(4)), "field dimension does not match the grid"),
+        (lambda: FieldD(grid_z2(), (0, 0), np.ones((4, 3))) + FieldD(grid_mixed(), (0, 0), np.ones((4, 3))),
+         "fields live on different grids"),
+        (lambda: double_fundamental_oracle(FieldD(grid_z2(), (3, 0), np.ones((1, 3)))), "no base cells in the window"),
+    ],
+    ids=["one-axis-window", "two-grids", "window-at-the-top"],
+)
+def test_refusal_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestThreeAxes:
     def grid3(self):
         return GridD(

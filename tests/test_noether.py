@@ -23,6 +23,7 @@ from tsnoether import (
     necessary_condition_residual,
     noether_identity,
     noether_identity_time,
+    parse_scale_spec,
     q_geometric,
     random_gauge_params,
     second_el_expression,
@@ -763,3 +764,140 @@ def test_identity_applies_f_bitwise_as_time_identity(r, n, m, geometric, zero_ro
     for a, b in zip(plain, timed):
         assert a.domain == b.domain and a.per_point.tobytes() == b.per_point.tobytes()
         assert (a.sup_norm, a.l2_norm, a.tolerance, a.verdict) == (b.sup_norm, b.l2_norm, b.tolerance, b.verdict)
+
+
+# The h-form, q-form and reparametrization oracles as they were when they
+# read the density one point at a time (through a one-row accessor).
+
+def earlier_at(L, which, t, u, v):
+    row = L.sample(which, np.array([t], dtype=float), np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0]
+    return float(row) if which in ("L", "t") else row
+
+
+def earlier_h_form(L, g_funcs, t, y, h, m):
+    y = np.atleast_2d(y.T).T
+    u = y[1:]
+    v = (y[1:] - y[:-1]) / h
+    pu = np.array([earlier_at(L, "u", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
+    pv = np.array([earlier_at(L, "v", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
+    E = pu[:-1] - (pv[1:] - pv[:-1]) / h
+    npts = E.shape[0]
+    out = np.zeros(npts - m)
+    for k in range(y.shape[1]):
+        for i in range(m + 1):
+            w = np.array([g_funcs[k][i](tv + h) for tv in t[:npts]]) * E[:, k]
+            for _ in range(i):
+                w = (w[1:] - w[:-1]) / h
+            out += (-1.0) ** i * w[: npts - m]
+    return out
+
+
+def earlier_q_form(L, g_funcs, t, y, q, m):
+    y = np.atleast_2d(y.T).T
+    u = y[1:]
+    v = (y[1:] - y[:-1]) / ((q - 1) * t[:-1])[:, None]
+    pu = np.array([earlier_at(L, "u", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
+    pv = np.array([earlier_at(L, "v", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
+    E = pu[:-1] - (pv[1:] - pv[:-1]) / ((q - 1) * t[:-2])[:, None]
+    npts = E.shape[0]
+    out = np.zeros(npts - m)
+    for k in range(y.shape[1]):
+        for i in range(m + 1):
+            w = np.array([g_funcs[k][i](q * tv) for tv in t[:npts]]) * E[:, k]
+            tt = t[:npts]
+            for _ in range(i):
+                w = (w[1:] - w[:-1]) / ((q - 1) * tt[: w.size - 1])
+                tt = tt[: w.size]
+            out += (-1.0) ** i * (1.0 / q) ** (i * (i + 1) // 2) * w[: npts - m]
+    return out
+
+
+def earlier_reparametrization(L, y):
+    ts = y.ts
+    pts = ts.points
+    gaps = np.append(np.diff(pts), 0.0)
+
+    def mu_of(t):
+        i = int(np.searchsorted(pts, t))
+        if i >= pts.size or abs(pts[i] - t) > 1e-9 * max(1.0, abs(t)):
+            raise ValueError("time not on the scale")
+        return float(gaps[i])
+
+    def density(t, U, V):
+        return earlier_at(L, "L", U[0] - mu_of(t) * V[0], U[1:], V[1:] / V[0]) * V[0]
+
+    augmented = Lagrangian(n=L.n + 1, eval=density)
+    s = GridFunction(ts, y.lo, pts[y.lo : y.hi + 1])
+    return el_expressions(augmented, GridFunction.stack([s, y])).component(0)
+
+
+def oracle_density(kind, n):
+    """A time-dependent density of n components: vectorized or per point,
+    with analytic partials or with central differences for all of them."""
+    quad = catalog(f"quad:{n}:0.5:0.3:0.1")
+    if kind == "vectorized":
+        return quad
+    if kind == "vectorized-fd":
+        return Lagrangian(n=n, eval=lambda t, U, V: quad.eval(t, U, V) + 0.1 * t * U[:, 0], vectorized=True)
+
+    def d_u(t, u, v):
+        out = -np.sin(u)
+        out[0] += 0.1 * t
+        return out
+
+    partials = {} if kind == "per-point-fd" else {
+        "d_t": lambda t, u, v: 0.1 * u[0], "d_u": d_u, "d_v": lambda t, u, v: v.copy()
+    }
+    return Lagrangian(n=n, eval=lambda t, u, v: float(0.5 * v @ v + np.sum(np.cos(u)) + 0.1 * t * u[0]), **partials)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["vectorized", "vectorized-fd", "per-point", "per-point-fd"]),
+    spec=st.sampled_from(["h:0.5:0:7", "q:1.5:1:14", "real:0.1:0:2"]),
+    n=st.integers(1, 3),
+    m=st.integers(0, 2),
+    lo=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oracles_bitwise_equal_per_point_copies(kind, spec, n, m, lo, seed):
+    ts = parse_scale_spec(spec)
+    L = oracle_density(kind, n)
+    rng = np.random.default_rng(seed)
+    hi = len(ts) - 1 - m
+    t = ts.points[: hi + 1]
+    y = rng.uniform(-1, 1, (hi + 1, n))
+    coeffs = rng.uniform(-1, 1, (n, m + 1, 3)) / t[hi] ** np.arange(3)
+    g_funcs = [
+        [(lambda c: (lambda tt: np.polynomial.polynomial.polyval(tt, c)))(coeffs[k, i]) for i in range(m + 1)]
+        for k in range(n)
+    ]
+    if ts.kind == "q-geometric":
+        q = ts.condition_h[0]
+        assert np.array_equal(identity_lhs_q_calculus(L, g_funcs, t, y, q, m), earlier_q_form(L, g_funcs, t, y, q, m))
+    else:
+        h = ts.condition_h[1]
+        assert np.array_equal(identity_lhs_h_calculus(L, g_funcs, t, y, h, m), earlier_h_form(L, g_funcs, t, y, h, m))
+    path = GridFunction(ts, lo, y[lo:])
+    a, b = second_el_via_reparametrization(L, path), earlier_reparametrization(L, path)
+    assert a.window == b.window and np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GaugeFamily.constant(h_uniform(1.0, 0, 5), [[1.0, 1.0]]), "g must be indexed [parameter][component][order]"),
+        (lambda: transform(GaugeFamily(h_uniform(1.0, 0, 5), 0, [[[np.ones(4)]]]),
+                           (GridFunction(h_uniform(1.0, 0, 5), 0, np.zeros(6)),),
+                           GridFunction(h_uniform(1.0, 0, 5), 0, np.zeros(6))),
+         "family coefficients do not cover the path window"),
+        (lambda: fundamental_lemma_oracle(h_uniform(1.0, 0, 5), []), "need at least f_0"),
+        (lambda: fundamental_lemma_oracle(h_uniform(1.0, 0, 5), [GridFunction(h_uniform(1.0, 0, 5), 0, np.zeros(2))]),
+         "coefficient windows too small"),
+    ],
+    ids=["constant-two-axes", "path-beyond-family", "no-coefficients", "short-coefficient"],
+)
+def test_refusal_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

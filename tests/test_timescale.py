@@ -96,6 +96,38 @@ class TestConstruction:
         with pytest.raises(ValueError):
             parse_scale_spec(spec)
 
+    def test_two_point_explicit_scale_takes_its_gap_as_the_jump(self):
+        assert explicit_scale([0.0, 0.5]).condition_h == (1.0, 0.5)
+
+
+def six_points():
+    return GridFunction(h_uniform(1.0, 0, 5), 0, np.arange(6.0))
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would come before the refusal
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: timescale.TimeScale(np.arange(3.0), "explicit", (-1.0, 0.0)),
+         "condition (H) slope b1 must be positive"),
+        (lambda: timescale.TimeScale([0, 1, 3], "explicit", (1.0, 1.0)), "points do not satisfy the declared jump law"),
+        (lambda: explicit_scale([0.0, 1.0, np.inf]), "point 2 of the scale, inf, is not a finite float"),
+        (lambda: explicit_scale([0.0, np.nan, np.nan]), "point 1 of the scale, nan, is not a finite float"),
+        (lambda: GridFunction(h_uniform(1.0, 0, 5), 0, np.empty((0, 1))), "values must be a nonempty (npoints, n) array"),
+        (lambda: six_points().at(6), "index 6 outside window [0, 5]"),
+        (lambda: six_points().restrict(2, 1), "[2, 1] is not a subwindow of [0, 5]"),
+        (lambda: six_points() + GridFunction(h_uniform(0.5, 0, 2.5), 0, np.arange(6.0)),
+         "grid functions live on different scales"),
+        (lambda: mixed(six_points(), 0, -1), "derivative order must be >= 0"),
+    ],
+    ids=["negative-slope", "jump-law", "infinite-point", "nan-point", "empty-values", "at-outside", "restrict-reversed",
+         "two-scales", "negative-order"],
+)
+def test_refusal_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
 
 class TestJumpOperators:
     def test_h_half_sigma_mu(self):
@@ -248,23 +280,12 @@ class TestIntegral:
     def test_counting_measure(self):
         ts = h_uniform(1.0, 0, 5)
         f = GridFunction.from_callable(ts, lambda t: 1.0)
-        assert delta_integral(f, 0, 3)[0] == 3.0
+        assert delta_integral(f.restrict(0, 2))[0] == 3.0
 
     def test_q_scale_weighted_sum(self):
         ts = q_geometric(2.0, 1.0, 4)
         f = GridFunction.from_callable(ts, lambda t: t)
-        assert delta_integral(f, 0, 3)[0] == 21.0
-
-    def test_empty_range(self):
-        ts = h_uniform(1.0, 0, 5)
-        f = GridFunction.from_callable(ts, lambda t: t)
-        assert delta_integral(f, 2, 2)[0] == 0.0
-
-    def test_limits_validated(self):
-        ts = h_uniform(1.0, 0, 5)
-        f = GridFunction(ts, 1, np.arange(4.0))
-        with pytest.raises(ValueError):
-            delta_integral(f, 0, 3)
+        assert delta_integral(f.restrict(0, 2))[0] == 21.0
 
     @pytest.mark.parametrize("ts", scales_zoo())
     def test_integration_by_parts(self, ts):
@@ -564,7 +585,7 @@ def test_value_ownership(count_copies, ts, n, seed, data):
     # Every kernel below stores what it computes without a copy.
     with count_copies(timescale) as copies:
         results = [f + g, f - 2.0, 3.0 * g, f * g, f.restrict(hi, hi), f.component(n - 1)]
-        results += [GridFunction.stack([f, g]), GridFunction.from_callable(ts, np.sin, lo, hi)]
+        results += [GridFunction.stack([f, g]), GridFunction.from_callable(ts, np.sin).restrict(lo, hi)]
         # The probes and paths of the 1-D trial loops, and the Newton solution.
         params = random_gauge_params(GaugeFamily.constant(ts, [[[0.5]] * n]), seed)
         results += [*params, transform(GaugeFamily.constant(ts, [[[0.5]] * n]), params, f)[1]]

@@ -376,27 +376,68 @@ class TestSolver:
 
     def test_damping_halves_down_to_the_floor(self):
         # 1/2 v^2 - 1/4 u^4 pulled to beta = 5: full Newton steps overshoot,
-        # so the steps are halved, and some reach the 2^-20 floor
+        # so the steps are halved, until no scale down to 2^-20 lowers the
+        # residual and Newton stops there instead of stepping uphill
+        samples = []
+
+        def d_u(t, U, V):
+            samples.append(len(t))
+            return -(U**3)
+
         L = Lagrangian(
             n=1,
             eval=lambda t, U, V: 0.5 * V[:, 0] * V[:, 0] - 0.25 * U[:, 0] ** 4,
             d_t=lambda t, U, V: np.zeros(len(t)),
-            d_u=lambda t, U, V: -(U**3),
+            d_u=d_u,
             d_v=lambda t, U, V: V.copy(),
             vectorized=True,
         )
         ts = h_uniform(0.1, 0, 1)
-        with pytest.raises(ConvergenceError, match="did not converge") as err:
+        with pytest.raises(ConvergenceError, match=r"no step scale from 1 down to 2\^-20") as err:
             solve_extremal(L, ts, BoundaryData([0.0], [5.0]))
-        history = err.value.history
-        assert len(history) == 50
-        scales = [scale for _, scale in history]
+        sampled = len(samples)
+        *steps, (last, stop) = err.value.history
+        assert 0 < len(steps) < 49 and stop == 0.0
+        assert last == err.value.final_residual == steps[-1][0]
+        scales = [scale for _, scale in steps]
         assert min(scales) < 1.0
         assert all(2.0**-20 <= scale <= 1.0 and np.log2(scale).is_integer() for scale in scales)
         start = el_residual(L, GridFunction(ts, 0, np.linspace(0.0, 5.0, len(ts)))).sup_norm
-        before = [start] + [r for r, _ in history[:-1]]
-        assert all(r < prev for prev, (r, scale) in zip(before, history) if scale > 2.0**-20)
-        assert any(scale == 2.0**-20 for scale in scales)
+        before = [start] + [r for r, _ in steps[:-1]]
+        assert all(r < prev for prev, (r, _) in zip(before, steps))
+        # One L_u sample per trial path (1 - log2(scale) for an accepted step,
+        # all 21 scales in the last iteration), two per Jacobian and the start.
+        trials = sum(1 - int(np.log2(scale)) for scale in scales) + 21
+        assert sampled == 1 + 2 * (len(steps) + 1) + trials
+
+
+def five_points():
+    return GridFunction(h_uniform(1.0, 0, 4), 0, np.arange(5.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: eval_functional(catalog("dirichlet"), five_points().restrict(0, 0)), "path window too small"),
+        (lambda: variation_pairing(catalog("dirichlet"), five_points(), five_points().restrict(0, 3)),
+         "eta must share the path window and component count"),
+        (lambda: el_expressions(catalog("dirichlet"), five_points().restrict(0, 1)),
+         "need at least 3 points to form Euler-Lagrange expressions"),
+        (lambda: second_el_expression(catalog("dirichlet"), five_points().restrict(0, 1)), "need at least 3 points"),
+        (lambda: solve_extremal(catalog("pair-difference"), h_uniform(1.0, 0, 4), BoundaryData([0.0], [1.0])),
+         "boundary dimension does not match the Lagrangian"),
+        (lambda: catalog("quad:1:x:0:0"), "bad inline quadratic spec 'quad:1:x:0:0'"),
+        (lambda: catalog("quad:1:1:1"), "bad inline quadratic spec 'quad:1:1:1'"),
+        (lambda: catalog("quad:1:nan:0:0"), "bad inline quadratic spec 'quad:1:nan:0:0': cv = nan is not finite"),
+        (lambda: catalog("quad:1:0.5:0:1e400"), "bad inline quadratic spec 'quad:1:0.5:0:1e400': cuv = inf is not finite"),
+    ],
+    ids=["one-point-action", "eta-window", "el-two-points", "second-el-two-points", "boundary-dimension",
+         "quad-coefficient-word", "quad-three-fields", "quad-nan", "quad-overflow"],
+)
+def test_refusal_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def interior_residual(L, ts, start):
