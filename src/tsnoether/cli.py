@@ -54,19 +54,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(cmd=None)
     sub = parser.add_subparsers(dest="cmd")
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, seed=True, verbose=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--verbose", action="store_true", help="include per-point arrays")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if verbose:
+            p.add_argument("--verbose", action="store_true", help="include per-point arrays")
         p.set_defaults(run=fn)
         return p
 
-    p = add("scale", _cmd_scale, help="inspect a scale spec")
+    p = add("scale", _cmd_scale, seed=False, verbose=False, help="inspect a scale spec")
     p.add_argument("--scale", required=True)
 
     for name, fn in (("derive", _cmd_derive), ("integrate", _cmd_integrate)):
-        p = add(name, fn, help=f"{name} a grid function")
+        p = add(name, fn, verbose=name == "derive", help=f"{name} a grid function")
         p.add_argument("--scale", required=True)
         p.add_argument("--poly", help="semicolon-separated component polynomials 'c0,c1,...'")
         p.add_argument("--csv", help="grid function CSV produced by this tool")
@@ -80,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", help="path polynomials")
     p.add_argument("--csv")
 
-    p = add("solve", _cmd_solve, help="solve the Euler-Lagrange boundary value problem")
+    p = add("solve", _cmd_solve, seed=False, help="solve the Euler-Lagrange boundary value problem")
     p.add_argument("--scale", required=True)
     p.add_argument("--lagrangian", required=True)
     p.add_argument("--alpha", required=True, help="comma-separated left boundary values")
@@ -105,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", default="default", help='"default" or 4 comma-separated scale specs')
     p.add_argument("--trials", type=int, default=50)
 
-    p = add("oracle-fl", _cmd_oracle_fl, help="fundamental lemma brute-force oracle")
+    p = add("oracle-fl", _cmd_oracle_fl, verbose=False, help="fundamental lemma brute-force oracle")
     p.add_argument("--scale", required=True)
     p.add_argument("--order", type=int, default=1, help="highest derivative order m")
     p.add_argument("--mode", choices=["vanishing", "impulse"], default="vanishing")
@@ -192,7 +194,10 @@ def _family_table(path_or_name: str):
     if path_or_name in _FAMILIES:
         return _FAMILIES[path_or_name]
     with open(path_or_name) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path_or_name}: {exc}") from None
 
 
 def load_family(path_or_name: str, ts: TimeScale) -> nt.GaugeFamily:
@@ -285,7 +290,10 @@ def load_family2d(path_or_name: str, grid: mg.GridD):
     data = _family_table(path_or_name)
     if not isinstance(data, dict) or "a" not in data:
         raise ValueError(f"{path_or_name}: a d-D family file needs an \"a\" coefficient table")
-    return mg.GaugeFamilyD(grid, data["a"])
+    try:
+        return mg.GaugeFamilyD(grid, data["a"])
+    except ValueError as exc:
+        raise ValueError(f"{path_or_name}: {exc}") from None
 
 
 # Points per axis that check2d and em need: the identity takes three

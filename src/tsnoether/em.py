@@ -135,7 +135,7 @@ def lorentz_field(grid: GridD) -> tuple:
     shape = grid.shape
     zeros = _sealed(np.zeros(shape))
     A0 = _sealed((t0[:, None] * t1[None, :])[:, :, None, None] * np.ones((1, 1, shape[2], shape[3])))
-    anti = np.concatenate(([0.0], np.cumsum(grid.scales[1].mu_array() * t1[:-1])))
+    anti = np.concatenate(([0.0], np.cumsum(np.diff(t1) * t1[:-1])))
     A1 = _sealed(anti[None, :, None, None] * np.ones((shape[0], 1, shape[2], shape[3])))
     lo = (0, 0, 0, 0)
     return (FieldD(grid, lo, A0), FieldD(grid, lo, A1), FieldD(grid, lo, zeros), FieldD(grid, lo, zeros))

@@ -223,7 +223,7 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
         shape = [1] * grid.d
         shape[ax] = cells[ax]
         coords.append(s.points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
-        mus.append(None if s.unit_steps else s.mu_array()[lo[ax] : cell_hi[ax] + 1].reshape(shape))
+        mus.append(None if s.unit_steps else np.diff(s.points[lo[ax] : cell_hi[ax] + 2]).reshape(shape))
     key = ((L.n,) + cells, (grid.d, L.n) + cells, L.g_slots)
     held = bool(slots) and slots[2] == key
     U, G = slots[:2] if held else (np.empty(key[0]), np.empty(key[1]))
@@ -287,7 +287,7 @@ class GaugeFamilyD:
             raise ValueError("empty coefficient table")
         for k, row in enumerate(a):
             if len(row) != self.grid.d + 1:
-                raise ValueError("each component needs 1 + d coefficients")
+                raise ValueError(f"row {k} needs d + 1 = {self.grid.d + 1} coefficients, got {len(row)}")
             for i, c in enumerate(row):
                 if not np.isfinite(c):
                     raise ValueError(f"coefficient a[{k}][{i}] is not finite: {c}")

@@ -123,7 +123,7 @@ class GaugeFamily:
 
         g = table["g"]
         if not isinstance(g, list) or len(g) != r or any(not isinstance(comp, list) or len(comp) != n for comp in g):
-            raise ValueError("family table shape does not match r and n")
+            raise ValueError(f"{source}g must be r = {r} rows of n = {n} entries each")
         g = [[row(g[j][k], f"g[{j}][{k}]") for k in range(n)] for j in range(r)]
         f = table.get("f")
         if f is not None and (not isinstance(f, list) or len(f) != r):
@@ -326,8 +326,7 @@ def second_el_via_reparametrization(L: Lagrangian, y: GridFunction) -> GridFunct
     component, computed purely by finite differences, must match
     second_el_expression.
     """
-    ts = y.ts
-    pts = ts.points
+    pts = y.ts.points
     gaps = np.append(np.diff(pts), 0.0)
 
     def density(T, U, V):  # T is always the path's own scale points
@@ -335,8 +334,7 @@ def second_el_via_reparametrization(L: Lagrangian, y: GridFunction) -> GridFunct
         return L.sample("L", U[:, 0] - mu * V[:, 0], U[:, 1:], V[:, 1:] / V[:, :1]) * V[:, 0]
 
     augmented = Lagrangian(n=L.n + 1, eval=density, vectorized=True)
-    s = GridFunction(ts, y.lo, pts[y.lo : y.hi + 1])
-    z = GridFunction.stack([s, y])
+    z = GridFunction(y.ts, y.lo, _sealed(np.column_stack((pts[y.lo : y.hi + 1], y.values))))
     return el_expressions(augmented, z).component(0)
 
 
@@ -348,7 +346,10 @@ def second_el_via_reparametrization(L: Lagrangian, y: GridFunction) -> GridFunct
 def identity_lhs_h_calculus(L: Lagrangian, g_funcs, t: np.ndarray, y: np.ndarray, h: float, m: int) -> np.ndarray:
     """sum_k sum_i (-1)^i [g(t+h) * E_k]^(i-fold forward difference / h)."""
     y = np.atleast_2d(y.T).T
-    E = _el_uniform(L, t, y, h)
+    u = y[1:]
+    v = (y[1:] - y[:-1]) / h
+    pu, pv = L.sample("u", t[:-1], u, v), L.sample("v", t[:-1], u, v)
+    E = pu[:-1] - (pv[1:] - pv[:-1]) / h
     npts = E.shape[0]
     out = np.zeros(npts - m)
     for k in range(y.shape[1]):
@@ -358,13 +359,6 @@ def identity_lhs_h_calculus(L: Lagrangian, g_funcs, t: np.ndarray, y: np.ndarray
                 w = (w[1:] - w[:-1]) / h
             out += (-1.0) ** i * w[: npts - m]
     return out
-
-
-def _el_uniform(L: Lagrangian, t: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    u = y[1:]
-    v = (y[1:] - y[:-1]) / h
-    pu, pv = L.sample("u", t[:-1], u, v), L.sample("v", t[:-1], u, v)
-    return pu[:-1] - (pv[1:] - pv[:-1]) / h
 
 
 def identity_lhs_q_calculus(L: Lagrangian, g_funcs, t: np.ndarray, y: np.ndarray, q: float, m: int) -> np.ndarray:
@@ -429,11 +423,11 @@ def fundamental_lemma_oracle(ts: TimeScale, fs) -> FundamentalLemmaReport:
 
     free_lo = m if m >= 1 else 0
     free_hi = npts - m - 1 if m >= 1 else npts - 2
-    mu = ts.mu_array()
+    mu = np.diff(ts.points)
 
     max_integral = 0.0
     for s in range(free_lo, free_hi + 1):
-        eta = GridFunction(ts, 0, _impulse(npts, s))
+        eta = GridFunction(ts, 0, np.eye(1, npts, s)[0])
         integrand = None
         for i, f in enumerate(fs):
             term = f * mixed(eta, m - i, i)
@@ -483,9 +477,3 @@ def vanishing_coefficients(ts: TimeScale, m: int, rng) -> list[GridFunction]:
         w = (-1.0) ** i * (1.0 / b1) ** ((i * (i - 1)) // 2)
         target[: term.values.shape[0]] -= w * term.values[:, 0]
     return [GridFunction(ts, 0, target)] + fs
-
-
-def _impulse(npts: int, at: int) -> np.ndarray:
-    vals = np.zeros(npts)
-    vals[at] = 1.0
-    return vals

@@ -2,12 +2,12 @@
 
 A time scale here is a finite, strictly increasing grid of real points.
 The jump operators sigma/rho act on indices (saturating at the ends),
-the graininess mu(i) is the gap to the next point, and delta derivatives
-are forward difference quotients.  Grid functions carry an explicit index
-window so that every domain shrink (one point lost from the top per
-derivative order) is visible in the result.  The kernels shift_values,
-forward_quotient and window_integral also serve the product grids of
-multigrid.
+the graininess mu, the gap to the next point, is np.diff of the points,
+and delta derivatives are forward difference quotients.  Grid functions
+carry an explicit index window so that every domain shrink (one point
+lost from the top per derivative order) is visible in the result.  The
+kernels shift_values, forward_quotient and window_integral also serve the
+product grids of multigrid.
 
 Values are read-only and copied only when needed: a kernel marks the
 arrays it creates read-only and they are stored as they are, a sigma shift
@@ -70,9 +70,6 @@ class TimeScale:
     def __len__(self) -> int:
         return self.points.size
 
-    def t(self, i: int) -> float:
-        return float(self.points[i])
-
     def sigma(self, i: int) -> int:
         """Index of the next point; the maximum maps to itself."""
         self._check_index(i)
@@ -82,15 +79,6 @@ class TimeScale:
         """Index of the previous point; the minimum maps to itself."""
         self._check_index(i)
         return max(i - 1, 0)
-
-    def mu(self, i: int) -> float:
-        """Graininess sigma(t) - t; zero only at the maximal point."""
-        self._check_index(i)
-        return float(self.points[self.sigma(i)] - self.points[i])
-
-    def mu_array(self) -> np.ndarray:
-        """Gaps points[i+1] - points[i] for i = 0 .. n-2."""
-        return np.diff(self.points)
 
     @cached_property
     def unit_steps(self) -> bool:
@@ -147,14 +135,9 @@ def _affine_jump_holds(pts: np.ndarray, b1: float, b0: float) -> bool:
 
 def _fit_affine_jump(pts: np.ndarray) -> tuple[float, float] | None:
     """Fit sigma(t) = b1*t + b0 from the first two gaps, validate everywhere."""
-    if pts.size < 2:
-        return None
     if pts.size == 2:
         return (1.0, float(pts[1] - pts[0]))
-    denom = pts[1] - pts[0]
-    if denom <= 0:
-        return None
-    b1 = float((pts[2] - pts[1]) / denom)
+    b1 = float((pts[2] - pts[1]) / (pts[1] - pts[0]))
     b0 = float(pts[1] - b1 * pts[0])
     if b1 > 0 and _affine_jump_holds(pts, b1, b0):
         return (b1, b0)
@@ -236,11 +219,26 @@ def parse_scale_spec(spec: str) -> TimeScale:
             return q_geometric(float(parts[1]), float(parts[2]), int(parts[3]))
         if head == "explicit" and len(parts) == 2 and parts[1].startswith("@"):
             with open(parts[1][1:]) as fh:
-                pts = [float(line) for line in fh if line.strip()]
+                lines = fh.readlines()
+            try:
+                pts = [float(line) for line in lines if line.strip()]
+            except ValueError:
+                raise _bad_field((lineno, [line]) for lineno, line in enumerate(lines, start=1) if line.strip()) from None
             return explicit_scale(pts)
     except (ValueError, OSError) as exc:
         raise ValueError(f"bad scale spec {spec!r}: {exc}") from exc
     raise ValueError(f"bad scale spec {spec!r}")
+
+
+def _bad_field(rows) -> ValueError:
+    """The refusal of the first field that float() rejects among rows of
+    (line number, fields), for a parse that has failed."""
+    for lineno, fields in rows:
+        for field in fields:
+            try:
+                float(field)
+            except ValueError:
+                return ValueError(f"line {lineno} has the field {field.strip()!r}, which is not a number")
 
 
 def _overlap(*parts) -> tuple[tuple, list]:
@@ -304,15 +302,6 @@ class GridFunction(_Arithmetic):
     def window(self) -> tuple[int, int]:
         return (self.lo, self.hi)
 
-    def times(self) -> np.ndarray:
-        return self.ts.points[self.lo : self.hi + 1]
-
-    def at(self, i: int) -> np.ndarray:
-        """Sample at global scale index i."""
-        if not self.lo <= i <= self.hi:
-            raise ValueError(f"index {i} outside window [{self.lo}, {self.hi}]")
-        return self.values[i - self.lo]
-
     def component(self, k: int) -> "GridFunction":
         return GridFunction(self.ts, self.lo, self.values[:, k : k + 1])
 
@@ -325,13 +314,8 @@ class GridFunction(_Arithmetic):
     def from_callable(ts: TimeScale, fn) -> "GridFunction":
         """fn sampled at every point of the scale; restrict the result for a
         subwindow."""
-        rows = [np.atleast_1d(np.asarray(fn(ts.t(i)), dtype=float)) for i in range(len(ts))]
+        rows = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in ts.points.tolist()]
         return GridFunction(ts, 0, _sealed(np.vstack(rows)))
-
-    @staticmethod
-    def stack(parts: list["GridFunction"]) -> "GridFunction":
-        (lo,), cols = _overlap(*(((p.lo,), p.values) for p in parts))
-        return GridFunction(parts[0].ts, lo, _sealed(np.hstack(cols)))
 
     def _binary(self, other, op) -> "GridFunction":
         if isinstance(other, GridFunction):
@@ -458,7 +442,7 @@ def delta_integral(f: GridFunction) -> np.ndarray:
 def write_csv(f: GridFunction, path) -> None:
     """CSV with header t,y1..yn and the repr of each value, one row per
     window index; one %-format per block, so the text is never held whole."""
-    table = np.column_stack((f.times(), f.values))
+    table = np.column_stack((f.ts.points[f.lo : f.hi + 1], f.values))
     row = ",".join(["%r"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("t," + ",".join(f"y{k + 1}" for k in range(f.n)) + "\n")
@@ -487,7 +471,10 @@ def read_csv(ts: TimeScale, path) -> GridFunction:
                     fields += row
                 elif line.strip():
                     raise ValueError(f"line {lineno} has {len(row)} fields, the header has {width}")
-            block = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, width)
+            try:
+                block = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, width)
+            except ValueError:
+                raise _bad_field((lineno, line.split(",")) for lineno, line in lines if line.strip()) from None
             if not block.size:
                 continue
             if not blocks:

@@ -137,13 +137,11 @@ def eval_functional(L: Lagrangian, y: GridFunction) -> float:
 
 def lagrangian_along(L: Lagrangian, y: GridFunction, *which: str):
     """Sample L ("L") or a partial ("t", "u", "v") along
-    (t, y(sigma(t)), y_delta(t)) on [lo, hi-1]: one GridFunction per entry
-    of which, all from one sample of the path arguments, and a tuple of
-    them when there are several."""
+    (t, y(sigma(t)), y_delta(t)) on [lo, hi-1]: a tuple of one GridFunction
+    per entry of which, all from one sample of the path arguments."""
     _check_dims(L, y)
     ts, us, vs = _path_args(y)
-    out = tuple(GridFunction(y.ts, y.lo, L.sample(w, ts, us, vs)) for w in which)
-    return out[0] if len(out) == 1 else out
+    return tuple(GridFunction(y.ts, y.lo, L.sample(w, ts, us, vs)) for w in which)
 
 
 def first_variation(L: Lagrangian, y: GridFunction, eta: GridFunction) -> float:
@@ -249,7 +247,7 @@ def solve_extremal(
     lam = np.linspace(0.0, 1.0, npts)[:, None]
     y = (1 - lam) * boundary.alpha[None, :] + lam * boundary.beta[None, :]
 
-    mu = ts.mu_array()
+    mu = np.diff(ts.points)
     path, r = _newton_sample(L, ts, y)
     rnorm = float(np.max(np.abs(r)))
     history: list[tuple[float, float]] = []

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from tsnoether import cli, noether
 from tsnoether.cli import main
-from tsnoether.timescale import MAX_POINTS, GridFunction, delta_integral, parse_scale_spec
-from tsnoether.variational import Lagrangian
+from tsnoether.timescale import MAX_POINTS, GridFunction, TimeScale, delta_integral, h_uniform, parse_scale_spec
+from tsnoether.variational import Lagrangian, catalog, lagrangian_along
 
 
 def run(tmp_path, *args, name="report.json"):
@@ -317,7 +317,8 @@ class TestExitCodes:
              "alpha and beta dimensions differ"),
             (["check2d", "--grid", "h:1:0:5"], "supported dimensions are 2..4"),
             (["check2d", "--grid", "h:1:0:5,h:1:0:5", "--lagrangian", "nope"], "unknown 2-d Lagrangian 'nope'"),
-            (["check2d", "--grid", "h:1:0:5,h:1:0:5", "--family", "{tmp}/empty.json"], "empty coefficient table"),
+            (["check2d", "--grid", "h:1:0:5,h:1:0:5", "--family", "{tmp}/empty.json"],
+             "{tmp}/empty.json: empty coefficient table"),
             (["em", "--lattice", "h:1:0:5,h:1:0:5"], "the lattice needs 4 scale specs"),
             (["integrate", "--scale", "h:1:0:5", "--poly", "1;2"], "expected 1 component polynomials"),
             (["el", "--scale", "h:1:0:5", "--lagrangian", "dirichlet", "--csv", "{tmp}/headless.csv"],
@@ -342,12 +343,21 @@ class TestExitCodes:
              "bad scale spec 'explicit:@{tmp}/inf3.txt': point 2 of the scale, inf, is not a finite float"),
             (["scale", "--scale", "explicit:@{tmp}/inf2.txt"],
              "bad scale spec 'explicit:@{tmp}/inf2.txt': point 1 of the scale, inf, is not a finite float"),
+            (["el", "--scale", "h:1:0:2", "--lagrangian", "dirichlet", "--csv", "{tmp}/word.csv"],
+             "line 3 has the field 'abc', which is not a number"),
+            (["el", "--scale", "h:1:0:2", "--lagrangian", "dirichlet", "--csv", "{tmp}/blank.csv"],
+             "line 4 has the field '', which is not a number"),
+            (["scale", "--scale", "explicit:@{tmp}/word.txt"],
+             "bad scale spec 'explicit:@{tmp}/word.txt': line 3 has the field 'abc', which is not a number"),
+            (["scale", "--scale", "explicit:@{tmp}/gap.txt"],
+             "bad scale spec 'explicit:@{tmp}/gap.txt': line 4 has the field '1 2', which is not a number"),
         ],
         ids=["scale-not-multiple", "scale-reversed", "derive-order-0", "solve-two-points", "solve-dimensions",
              "check2d-one-axis", "check2d-lagrangian", "check2d-empty-family", "em-two-axes", "integrate-components",
              "el-csv-header", "quad-zero-components", "quad-negative-components", "quad-coefficient-word",
              "quad-three-fields", "quad-nan", "quad-inf", "quad-overflow", "solve-quad-nan", "solve-boundary-dimension",
-             "explicit-inf-last", "explicit-inf-second"],
+             "explicit-inf-last", "explicit-inf-second", "csv-word", "csv-empty-field", "explicit-word",
+             "explicit-two-numbers"],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning would print before the message
     def test_refusal_message(self, tmp_path, capsys, args, message):
@@ -355,6 +365,10 @@ class TestExitCodes:
         (tmp_path / "headless.csv").write_text("x,y1\n0.0,1.0\n")
         (tmp_path / "inf3.txt").write_text("0\n1\ninf\n")
         (tmp_path / "inf2.txt").write_text("0\ninf\n")
+        (tmp_path / "word.csv").write_text("t,y1\n0.0,1.0\n1.0,abc\n2.0,3.0\n")
+        (tmp_path / "blank.csv").write_text("t,y1\n0.0,1.0\n\n1.0,\n2.0,3.0\n")
+        (tmp_path / "word.txt").write_text("0\n1\nabc\n3\n")
+        (tmp_path / "gap.txt").write_text("0\n1\n\n1 2\n3\n")
         code, data, _ = run(tmp_path, *(a.replace("{tmp}", str(tmp_path)) for a in args))
         assert code == 2 and data is None
         assert capsys.readouterr().err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
@@ -610,7 +624,11 @@ class TestFamilyCoefficientForms:
              "g[0][1] must be a list of m + 1 = 1 coefficient specs, got {'poly': [0, 1]}"),
             ({"r": 1, "m": 1, "n": 2, "g": [[[1.0, 0.5], [1.0]]]},
              "g[0][1] must be a list of m + 1 = 2 coefficient specs, got [1.0]"),
-            ({"r": 1, "m": 0, "n": 2, "g": [1.0, 1.0]}, "family table shape does not match r and n"),
+            ({"r": 1, "m": 0, "n": 2, "g": [1.0, 1.0]}, "bad.json: g must be r = 1 rows of n = 2 entries each"),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[1.0]]]}, "bad.json: g must be r = 1 rows of n = 2 entries each"),
+            ('{"r": 1, "m": 0, "n": 2, "g": [[[1.0], [1.0', "bad.json: Expecting ',' delimiter: line 1 column 44 (char 43)"),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [{"csv": "gword.csv"}]]]},
+             "line 3 has the field 'abc', which is not a number"),
             ({"r": None, "m": 0, "n": 2, "g": [[[1.0], [1.0]]]}, "r, m and n must be non-negative integers"),
             ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [1.0]]], "f": []},
              "the f table needs one row per parameter (r = 1), got []"),
@@ -641,20 +659,42 @@ class TestFamilyCoefficientForms:
             ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [{"csv": "g3.csv"}]]]},
              "coefficient g[0][1][0]: the CSV covers [0, 2], not the family window [0, 9]"),
         ],
-        ids=["missing-r", "bare-spec", "short-row", "flat-g", "null-r", "short-f", "poly-number", "poly-null",
+        ids=["missing-r", "bare-spec", "short-row", "flat-g", "short-g", "truncated", "csv-word", "null-r", "short-f", "poly-number", "poly-null",
              "poly-nested", "poly-empty", "poly-bool", "csv-null", "csv-number", "bool-constant", "bool-r",
              "bool-m", "bool-n", "zero-r", "zero-n", "csv-short"],
     )
     def test_malformed_family_file_named(self, tmp_path, monkeypatch, capsys, family, message):
-        # g3.csv, a coefficient on 3 of the scale's 10 points, for the csv-short case.
+        # g3.csv, a coefficient on 3 of the scale's 10 points, for the csv-short case;
+        # a string family is the file's text.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "g3.csv").write_text("t,y1\n0.0,1.0\n1.0,1.0\n2.0,1.0\n")
+        (tmp_path / "gword.csv").write_text("t,y1\n0.0,1.0\n1.0,abc\n2.0,1.0\n")
         fam_path = tmp_path / "bad.json"
-        fam_path.write_text(json.dumps(family))
+        fam_path.write_text(family if isinstance(family, str) else json.dumps(family))
         code = main(["check-noether", "--scale", "h:1:0:9", "--lagrangian", "pair-difference",
                      "--family", str(fam_path)])
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("bad.json") <= 1
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ('{"a": [[0, 1]]}', "row 0 needs d + 1 = 3 coefficients, got 2"),
+            ('{"a": [[0, 1, 0], [0, 1, 0, 0]]}', "row 1 needs d + 1 = 3 coefficients, got 4"),
+            ('{"a": 5}', "the coefficient table must be rows of numbers: 'int' object is not iterable"),
+            ('{"a": []}', "empty coefficient table"),
+            ('{"a": [[]]}', "empty coefficient table"),
+            ('{"a": [[0, 1, 0]', "Expecting ',' delimiter: line 1 column 17 (char 16)"),
+        ],
+        ids=["short-row", "long-row", "number", "no-rows", "empty-row", "truncated"],
+    )
+    def test_malformed_2d_family_file_named(self, tmp_path, capsys, family, message):
+        fam_path = tmp_path / "bad.json"
+        fam_path.write_text(family)
+        code, data, _ = run(tmp_path, "check2d", "--grid", "h:1:0:5,h:1:0:5", "--trials", "2", "--family", str(fam_path))
+        assert code == 2 and data is None
+        assert capsys.readouterr().err == f"error: {fam_path}: {message}\n"
 
     def test_csv_coefficient_with_two_components_named(self, tmp_path, capsys):
         import tsnoether as tn
@@ -712,6 +752,15 @@ def test_each_operation_has_one_form(monkeypatch):
     assert list(inspect.signature(GridFunction.from_callable).parameters) == ["ts", "fn"]
     assert list(inspect.signature(cli._load_path).parameters) == ["args", "ts", "n", "hi"]
     assert not hasattr(Lagrangian, "at")
+    # A point is points[i], a gap np.diff of the points, a sample
+    # values[i - lo], and a several-component path one np.column_stack.
+    assert not any(hasattr(TimeScale, name) for name in ("t", "mu", "mu_array"))
+    assert not any(hasattr(GridFunction, name) for name in ("at", "times", "stack"))
+    assert not any(hasattr(noether, name) for name in ("_impulse", "_el_uniform"))
+    # One return form: a tuple of one GridFunction per partial asked for.
+    y = GridFunction(h_uniform(1.0, 0, 4), 0, np.arange(5.0))
+    one = lagrangian_along(catalog("dirichlet"), y, "u")
+    assert type(one) is tuple and len(one) == 1 and isinstance(one[0], GridFunction)
 
     def lookup_bug(spec):
         raise KeyError(spec)
@@ -719,6 +768,44 @@ def test_each_operation_has_one_form(monkeypatch):
     monkeypatch.setattr(cli, "parse_scale_spec", lookup_bug)
     with pytest.raises(KeyError):
         main(["scale", "--scale", "h:1:0:5"])
+
+
+# The least argv of each command, and the commands that read --seed (a
+# random path, probe or field) and --verbose (per-point arrays).
+COMMAND_ARGS = {
+    "scale": ["--scale", "h:1:0:5"],
+    "derive": ["--scale", "h:1:0:5"],
+    "integrate": ["--scale", "h:1:0:5"],
+    "el": ["--scale", "h:1:0:5", "--lagrangian", "dirichlet"],
+    "solve": ["--scale", "h:1:0:5", "--lagrangian", "poisson", "--alpha", "0", "--beta", "5"],
+    "check-invariance": ["--scale", "h:1:0:5", "--lagrangian", "pair-difference", "--family", "pairdiff"],
+    "check-noether": ["--scale", "h:1:0:5", "--lagrangian", "pair-difference", "--family", "pairdiff"],
+    "check-noether-time": ["--scale", "h:1:0:5", "--lagrangian", "pair-difference", "--family", "pairdiff-time0"],
+    "check2d": ["--grid", "h:1:0:5,h:1:0:5"],
+    "em": [],
+    "oracle-fl": ["--scale", "h:1:0:5"],
+}
+READERS = {
+    ("--seed", "1"): set(COMMAND_ARGS) - {"scale", "solve"},
+    ("--verbose",): set(COMMAND_ARGS) - {"scale", "integrate", "oracle-fl"},
+}
+
+
+@pytest.mark.parametrize("option", list(READERS), ids=[o[0] for o in READERS])
+@pytest.mark.parametrize("cmd", list(COMMAND_ARGS))
+def test_options_only_where_read(capsys, cmd, option):
+    """A command lists --seed and --verbose only when it reads them; the
+    rest refuse them as usage errors."""
+    argv = [cmd, *COMMAND_ARGS[cmd], *option]
+    if cmd in READERS[option]:
+        args = cli._build_parser().parse_args(argv)
+        assert getattr(args, option[0][2:]) == (1 if option[0] == "--seed" else True)
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage: noether")
+    assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

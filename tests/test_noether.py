@@ -424,12 +424,9 @@ class TestBoundaryVanishingChains:
         vals = rng.uniform(-1, 1, len(ts))
         vals[: m + 1] = 0.0  # forces the first m delta derivatives to vanish at a
         eta = GridFunction(ts, 0, vals)
-        for i in range(m + 1):
-            if i:
-                assert delta_derivative(eta, i).at(0)[0] == 0.0
-            assert mixed(eta, i, 0).at(0)[0] == 0.0
-        for i in range(1, m - 1):
-            assert mixed(eta, i, m - 1 - i).at(0)[0] == 0.0
+        terms = [mixed(eta, i, 0) for i in range(m + 1)] + [delta_derivative(eta, i) for i in range(1, m + 1)]
+        for term in terms + [mixed(eta, i, m - 1 - i) for i in range(1, m - 1)]:
+            assert term.lo == 0 and term.values[0, 0] == 0.0
 
 
 class TestFundamentalLemmaOracle:
@@ -506,7 +503,7 @@ class TestTimeShiftTerm:
         p = GridFunction.from_callable(ts, lambda t: 0.1 * t)
         alpha, _ = transform(fam, (p,), GridFunction(ts, 0, np.zeros(9)))
         # order zero term is p(rho(t)), added to the time t
-        assert alpha.at(4)[0] == pytest.approx(4.3)
+        assert alpha.values[4 - alpha.lo, 0] == pytest.approx(4.3)
 
     def test_missing_f(self):
         # Without f coefficients the family moves no time.
@@ -827,8 +824,8 @@ def earlier_reparametrization(L, y):
         return earlier_at(L, "L", U[0] - mu_of(t) * V[0], U[1:], V[1:] / V[0]) * V[0]
 
     augmented = Lagrangian(n=L.n + 1, eval=density)
-    s = GridFunction(ts, y.lo, pts[y.lo : y.hi + 1])
-    return el_expressions(augmented, GridFunction.stack([s, y])).component(0)
+    z = GridFunction(ts, y.lo, np.column_stack((pts[y.lo : y.hi + 1], y.values)))
+    return el_expressions(augmented, z).component(0)
 
 
 def oracle_density(kind, n):

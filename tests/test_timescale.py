@@ -114,13 +114,12 @@ def six_points():
         (lambda: explicit_scale([0.0, 1.0, np.inf]), "point 2 of the scale, inf, is not a finite float"),
         (lambda: explicit_scale([0.0, np.nan, np.nan]), "point 1 of the scale, nan, is not a finite float"),
         (lambda: GridFunction(h_uniform(1.0, 0, 5), 0, np.empty((0, 1))), "values must be a nonempty (npoints, n) array"),
-        (lambda: six_points().at(6), "index 6 outside window [0, 5]"),
         (lambda: six_points().restrict(2, 1), "[2, 1] is not a subwindow of [0, 5]"),
         (lambda: six_points() + GridFunction(h_uniform(0.5, 0, 2.5), 0, np.arange(6.0)),
          "grid functions live on different scales"),
         (lambda: mixed(six_points(), 0, -1), "derivative order must be >= 0"),
     ],
-    ids=["negative-slope", "jump-law", "infinite-point", "nan-point", "empty-values", "at-outside", "restrict-reversed",
+    ids=["negative-slope", "jump-law", "infinite-point", "nan-point", "empty-values", "restrict-reversed",
          "two-scales", "negative-order"],
 )
 def test_refusal_message(call, message):
@@ -133,25 +132,25 @@ class TestJumpOperators:
     def test_h_half_sigma_mu(self):
         ts = h_uniform(0.5, 0, 3)
         i = 2  # t = 1.0
-        assert ts.t(ts.sigma(i)) == 1.5
-        assert ts.mu(i) == 0.5
+        assert ts.points[ts.sigma(i)] == 1.5
+        assert np.diff(ts.points)[i] == 0.5
 
     def test_q2_sigma_mu(self):
         ts = q_geometric(2.0, 1.0, 5)
         i = 2  # t = 4
-        assert ts.t(ts.sigma(i)) == 8.0
-        assert ts.mu(i) == 4.0
+        assert ts.points[ts.sigma(i)] == 8.0
+        assert np.diff(ts.points)[i] == 4.0
 
     def test_explicit_next_prev(self):
         ts = explicit_scale([0.0, 1.0, 3.0])
-        assert ts.t(ts.sigma(1)) == 3.0
-        assert ts.t(ts.rho(1)) == 0.0
+        assert ts.points[ts.sigma(1)] == 3.0
+        assert ts.points[ts.rho(1)] == 0.0
 
     def test_saturation_at_ends(self):
         ts = h_uniform(1.0, 0, 3)
         assert ts.sigma(3) == 3
         assert ts.rho(0) == 0
-        assert ts.mu(3) == 0.0
+        assert ts.points[ts.sigma(3)] - ts.points[3] == 0.0
 
     def test_sigma_rho_identity_off_minimum(self):
         for ts in scales_zoo():
@@ -165,7 +164,7 @@ class TestJumpOperators:
         with pytest.raises(ValueError):
             ts.sigma(4)
         with pytest.raises(ValueError):
-            ts.mu(-1)
+            ts.rho(-1)
 
 
 class TestDerivative:
@@ -258,9 +257,10 @@ class TestMixed:
         sd = mixed(f, 1, 1)
         ds = shift(delta_derivative(f, 1), 1)
         q = 2.0
-        assert sd.at(0)[0] == pytest.approx(q * q * (q + 1))
-        assert ds.at(0)[0] == pytest.approx((q + 1) * q)
-        assert sd.at(0)[0] == pytest.approx(q * ds.at(0)[0])
+        sd0, ds0 = sd.values[0 - sd.lo, 0], ds.values[0 - ds.lo, 0]
+        assert sd0 == pytest.approx(q * q * (q + 1))
+        assert ds0 == pytest.approx((q + 1) * q)
+        assert sd0 == pytest.approx(q * ds0)
 
     @pytest.mark.parametrize("ts", scales_zoo())
     def test_commutation_everywhere(self, ts):
@@ -341,7 +341,7 @@ def test_csv_bytes_match_row_reference_and_read_back_bitwise(tmp_path_factory, w
     path = tmp_path_factory.mktemp("csv") / "f.csv"
     write_csv(f, path)
     lines = ["t," + ",".join(f"y{k + 1}" for k in range(width))]
-    lines += [",".join(repr(float(v)) for v in (t, *row)) for t, row in zip(f.times(), f.values)]
+    lines += [",".join(repr(float(v)) for v in (t, *row)) for t, row in zip(f.ts.points[f.lo : f.hi + 1], f.values)]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     g = read_csv(ts, path)
     assert g.window == f.window
@@ -421,7 +421,7 @@ class TestGridFunction:
         f = GridFunction(ts, 1, vals)
         write_csv(f, tmp_path / "f.csv")
         lines = ["t,y1,y2,y3"]
-        for t, row in zip(f.times(), f.values):
+        for t, row in zip(f.ts.points[f.lo : f.hi + 1], f.values):
             lines.append(",".join(repr(float(v)) for v in (t, *row)))
         assert (tmp_path / "f.csv").read_text() == "\n".join(lines) + "\n"
 
@@ -559,7 +559,7 @@ def rho_reference(ts, f, k):
     idx = [i for i in range(len(ts)) if f.lo <= source(i) <= f.hi]
     if not idx:
         return None
-    return idx[0], np.array([f.at(source(i)) for i in idx])
+    return idx[0], np.array([f.values[source(i) - f.lo] for i in idx])
 
 
 @given(ts=ownership_scales, n=st.integers(1, 3), seed=st.integers(0, 2**16), data=st.data())
@@ -585,7 +585,7 @@ def test_value_ownership(count_copies, ts, n, seed, data):
     # Every kernel below stores what it computes without a copy.
     with count_copies(timescale) as copies:
         results = [f + g, f - 2.0, 3.0 * g, f * g, f.restrict(hi, hi), f.component(n - 1)]
-        results += [GridFunction.stack([f, g]), GridFunction.from_callable(ts, np.sin).restrict(lo, hi)]
+        results.append(GridFunction.from_callable(ts, np.sin).restrict(lo, hi))
         # The probes and paths of the 1-D trial loops, and the Newton solution.
         params = random_gauge_params(GaugeFamily.constant(ts, [[[0.5]] * n]), seed)
         results += [*params, transform(GaugeFamily.constant(ts, [[[0.5]] * n]), params, f)[1]]

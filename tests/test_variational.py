@@ -267,7 +267,7 @@ class TestOnePathSample:
         L = catalog("quad:2:0.5:0.3:0.2")
         y = GridFunction(ts, 0, np.random.default_rng(1).uniform(-1, 1, (len(ts), 2)))
         for w, gf in zip("tuvL", lagrangian_along(L, y, *"tuvL")):
-            assert np.array_equal(gf.values, lagrangian_along(L, y, w).values)
+            assert np.array_equal(gf.values, lagrangian_along(L, y, w)[0].values)
 
 
 class TestPathWindowAboveZero:
@@ -280,7 +280,8 @@ class TestPathWindowAboveZero:
         t = y.ts.points
         rows = range(y.lo, y.hi)
         mu = np.array([t[i + 1] - t[i] for i in rows])
-        args = [(t[i], y.at(i + 1), (y.at(i + 1) - y.at(i)) / (t[i + 1] - t[i])) for i in rows]
+        v = y.values
+        args = [(t[i], v[i + 1 - y.lo], (v[i + 1 - y.lo] - v[i - y.lo]) / (t[i + 1] - t[i])) for i in rows]
         lt, lu, lv, lval = (np.array([per_point_sample(L, w, *arg) for arg in args]) for w in "tuvL")
         el = lu[:-1] - (lv[1:] - lv[:-1]) / mu[:-1, None]
         inner = np.array([lval[k] - np.sum(args[k][2] * lv[k]) - mu[k] * lt[k] for k in range(len(args))])
@@ -300,9 +301,9 @@ class TestPathWindowAboveZero:
         y = GridFunction(ts, lo, rng.uniform(-2, 2, (len(ts) - lo - 1, 2)))
         eta = GridFunction(ts, lo, rng.uniform(-2, 2, (len(ts) - lo - 1, 2)))
         lu, lv, el, second = self.reference(slow, y)
-        t = ts.points
+        t, e = ts.points, eta.values
         pairing = sum(
-            (t[i + 1] - t[i]) * (lu[k] @ eta.at(i + 1) + lv[k] @ ((eta.at(i + 1) - eta.at(i)) / (t[i + 1] - t[i])))
+            (t[i + 1] - t[i]) * (lu[k] @ e[i + 1 - lo] + lv[k] @ ((e[i + 1 - lo] - e[i - lo]) / (t[i + 1] - t[i])))
             for k, i in enumerate(range(y.lo, y.hi))
         )
         for L in (fast, slow):
@@ -554,7 +555,7 @@ class TestBandedNewton:
         vals[1:-1] = z.reshape(npts - 2, n)
         path, r = _newton_sample(L, ts, vals)
         assert np.array_equal(r.ravel(), f0)
-        A, B, C = _jacobian_bands(L, path, ts.mu_array())
+        A, B, C = _jacobian_bands(L, path, np.diff(ts.points))
         assert A.shape == B.shape == C.shape == (npts - 2, n, n)
         assert np.all(A[0] == 0.0) and np.all(C[-1] == 0.0)
         T, U, V, Pu, Pv = path
@@ -563,7 +564,7 @@ class TestBandedNewton:
             delta = eps * np.max(np.abs(L.sample("L", T, U, V))) / variational.FD_STEP
         else:
             delta = eps * max(np.max(np.abs(Pu)), np.max(np.abs(Pv)))
-        bound = 16 * delta / (1e-7 * np.min(ts.mu_array()) ** 2)
+        bound = 16 * delta / (1e-7 * np.min(np.diff(ts.points)) ** 2)
         gap = np.abs(dense_from_bands(A, B, C) - brute_force_jacobian(residual, z, f0))
         assert np.max(gap) <= bound
 
@@ -589,7 +590,7 @@ class TestBandedNewton:
         path = _newton_sample(L, ts, vals)[0]
         T, U, V = path[:3]
         seen.clear()
-        _jacobian_bands(L, path, ts.mu_array())
+        _jacobian_bands(L, path, np.diff(ts.points))
         assert len(seen) == 2 * n
         for (Up, Vp), (slot, k) in zip(seen, [(s, k) for s in range(2) for k in range(n)]):
             X, Xp, other, other_p = (U, Up, V, Vp) if slot == 0 else (V, Vp, U, Up)
@@ -788,7 +789,7 @@ class TestArrayDensities:
         mu = np.diff(ts.points)
         args = list(zip(ts.points[:-1], y.values[1:], np.diff(y.values, axis=0) / mu[:, None]))
         for which in ("t", "u", "v", "L"):
-            a, b = lagrangian_along(fast, y, which), lagrangian_along(slow, y, which)
+            (a,), (b,) = lagrangian_along(fast, y, which), lagrangian_along(slow, y, which)
             assert a.window == b.window == (0, npts - 2)
             ref = np.array([per_point_sample(slow, which, *arg) for arg in args], dtype=float)
             assert np.array_equal(a.values, b.values) and np.array_equal(b.values, ref.reshape(b.values.shape)), which
