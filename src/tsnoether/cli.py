@@ -64,13 +64,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=fn)
         return p
 
+    def numbers(text):  # a type=: argparse's refusal names the option, this function and the text
+        return [float(c) for c in text.split(",")]
+
+    def polynomials(text):
+        return [numbers(comp) for comp in text.split(";")]
+
+    def family_args(p):
+        p.add_argument("--scale", required=True)
+        p.add_argument("--lagrangian", required=True)
+        p.add_argument("--family", required=True, help="JSON family file or builtin name")
+        p.add_argument("--y-poly", type=polynomials, help="path polynomials; default is a seeded random polynomial")
+
     p = add("scale", _cmd_scale, seed=False, verbose=False, help="inspect a scale spec")
     p.add_argument("--scale", required=True)
 
     for name, fn in (("derive", _cmd_derive), ("integrate", _cmd_integrate)):
         p = add(name, fn, verbose=name == "derive", help=f"{name} a grid function")
         p.add_argument("--scale", required=True)
-        p.add_argument("--poly", help="semicolon-separated component polynomials 'c0,c1,...'")
+        p.add_argument("--poly", type=polynomials, help="semicolon-separated component polynomials 'c0,c1,...'")
         p.add_argument("--csv", help="grid function CSV produced by this tool")
         if name == "derive":
             p.add_argument("--order", type=int, default=1)
@@ -79,23 +91,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("el", _cmd_el, help="Euler-Lagrange residual along a path")
     p.add_argument("--scale", required=True)
     p.add_argument("--lagrangian", required=True)
-    p.add_argument("--poly", help="path polynomials")
+    p.add_argument("--poly", type=polynomials, help="path polynomials")
     p.add_argument("--csv")
 
     p = add("solve", _cmd_solve, seed=False, help="solve the Euler-Lagrange boundary value problem")
     p.add_argument("--scale", required=True)
     p.add_argument("--lagrangian", required=True)
-    p.add_argument("--alpha", required=True, help="comma-separated left boundary values")
-    p.add_argument("--beta", required=True, help="comma-separated right boundary values")
+    p.add_argument("--alpha", type=numbers, required=True, help="comma-separated left boundary values")
+    p.add_argument("--beta", type=numbers, required=True, help="comma-separated right boundary values")
     p.add_argument("--result-csv", help="write the extremal here")
 
     p = add("check-invariance", _cmd_check_invariance, help="random-probe invariance check")
-    _family_args(p)
+    family_args(p)
     p.add_argument("--trials", type=int, default=20)
 
     for name, time_variant, kind in (("check-noether", False, "gauge"), ("check-noether-time", True, "time-transformed")):
         p = add(name, functools.partial(_cmd_identity, time_variant=time_variant), help=f"{kind} identity residual")
-        _family_args(p)
+        family_args(p)
 
     p = add("check2d", _cmd_check2d, help="double-integral invariance and identity")
     p.add_argument("--grid", required=True, help="comma-separated scale specs, one per axis")
@@ -113,13 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["vanishing", "impulse"], default="vanishing")
 
     return parser
-
-
-def _family_args(p):
-    p.add_argument("--scale", required=True)
-    p.add_argument("--lagrangian", required=True)
-    p.add_argument("--family", required=True, help="JSON family file or builtin name")
-    p.add_argument("--y-poly", help="path polynomials; default is a seeded random polynomial")
 
 
 def _emit(report: dict, args) -> None:
@@ -153,12 +158,10 @@ def _load_path(args, ts: TimeScale, n: int, hi: int | None = None) -> GridFuncti
     if getattr(args, "csv", None):
         y = read_csv(ts, args.csv)
     elif poly:
-        comps = poly.split(";")
-        if len(comps) != n:
+        if len(poly) != n:
             raise ValueError(f"expected {n} component polynomials")
         cols = []
-        for comp in comps:
-            coeffs = [float(c) for c in comp.split(",")]
+        for coeffs in poly:
             with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below names the point
                 cols.append(np.polynomial.polynomial.polyval(t, coeffs))
         y = GridFunction(ts, 0, np.column_stack(cols))
@@ -189,20 +192,16 @@ _FAMILIES = {
 }
 
 
-def _family_table(path_or_name: str):
-    """The built-in table of that name, or else the JSON file at that path."""
-    if path_or_name in _FAMILIES:
-        return _FAMILIES[path_or_name]
-    with open(path_or_name) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path_or_name}: {exc}") from None
-
-
-def load_family(path_or_name: str, ts: TimeScale) -> nt.GaugeFamily:
-    """The built-in 1-D family of that name, or else the family file at that path."""
-    return nt.GaugeFamily.from_table(ts, _family_table(path_or_name), f"{path_or_name}: ")
+def load_family(path_or_name: str, build):
+    """build(table) of the built-in table of that name, or else of the JSON
+    family file at that path; each ValueError gains the name or path, once."""
+    try:
+        if path_or_name in _FAMILIES:
+            return build(_FAMILIES[path_or_name])
+        with open(path_or_name) as fh:
+            return build(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path_or_name}: {exc}") from None
 
 
 def _cmd_scale(args):
@@ -253,11 +252,7 @@ def _cmd_el(args):
 def _cmd_solve(args):
     ts = parse_scale_spec(args.scale)
     L = catalog(args.lagrangian)
-    bd = BoundaryData(
-        np.array([float(x) for x in args.alpha.split(",")]),
-        np.array([float(x) for x in args.beta.split(",")]),
-    )
-    y = solve_extremal(L, ts, bd)
+    y = solve_extremal(L, ts, BoundaryData(np.array(args.alpha), np.array(args.beta)))
     if args.result_csv:
         write_csv(y, args.result_csv)
     rep = el_residual(L, y)
@@ -270,7 +265,7 @@ def _family_problem(args):
     """The density, the gauge family and the path of the family commands."""
     ts = parse_scale_spec(args.scale)
     L = catalog(args.lagrangian)
-    fam = load_family(args.family, ts)
+    fam = load_family(args.family, functools.partial(nt.GaugeFamily.from_table, ts))
     return L, fam, _load_path(args, ts, L.n, hi=len(ts) - 1 - fam.m)
 
 
@@ -284,16 +279,6 @@ def _cmd_identity(args, time_variant: bool):
     fn = nt.noether_identity_time if time_variant else nt.noether_identity
     reports = fn(*_family_problem(args))
     return _report_sections([_section(f"identity-j{j}", rep, args.verbose) for j, rep in enumerate(reports)])
-
-
-def load_family2d(path_or_name: str, grid: mg.GridD):
-    data = _family_table(path_or_name)
-    if not isinstance(data, dict) or "a" not in data:
-        raise ValueError(f"{path_or_name}: a d-D family file needs an \"a\" coefficient table")
-    try:
-        return mg.GaugeFamilyD(grid, data["a"])
-    except ValueError as exc:
-        raise ValueError(f"{path_or_name}: {exc}") from None
 
 
 # Points per axis that check2d and em need: the identity takes three
@@ -314,7 +299,7 @@ def _lattice(specs: list[str]) -> mg.GridD:
 def _cmd_check2d(args):
     grid = _lattice(args.grid.split(","))
     L = mg.catalog2d(args.lagrangian)
-    fam = load_family2d(args.family, grid)
+    fam = load_family(args.family, functools.partial(mg.GaugeFamilyD.from_table, grid))
     u = tuple(mg.random_polynomial_field(grid, seed=[args.seed, 7 + k]) for k in range(L.n))
     inv = mg.check_invariance_d(L, fam, u, trials=args.trials, seed=args.seed)
     ident = mg.noether_identity_d(L, fam, u)

@@ -293,6 +293,13 @@ class GaugeFamilyD:
                     raise ValueError(f"coefficient a[{k}][{i}] is not finite: {c}")
         object.__setattr__(self, "a", a)
 
+    @staticmethod
+    def from_table(grid: GridD, table) -> "GaugeFamilyD":
+        """The family of a d-D family-file table, {"a": rows}."""
+        if not isinstance(table, dict) or "a" not in table:
+            raise ValueError('a d-D family file needs an "a" coefficient table')
+        return GaugeFamilyD(grid, table["a"])
+
     @property
     def n(self) -> int:
         return len(self.a)

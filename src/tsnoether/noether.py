@@ -98,21 +98,20 @@ class GaugeFamily:
         return (self.lo, self.lo + self.g.shape[3] - 1)
 
     @staticmethod
-    def from_table(ts: TimeScale, table, source: str = "") -> "GaugeFamily":
+    def from_table(ts: TimeScale, table) -> "GaugeFamily":
         """The family of a family-file table (integers r, n >= 1 and m >= 0,
         g[j][k] and an optional f[j], each a list of m + 1 _coeff_grid specs)
-        on the window [0, len(ts) - 1 - m]; source, "{path}: " for a file,
-        starts the messages about the table as a whole."""
+        on the window [0, len(ts) - 1 - m]."""
         missing = [key for key in ("r", "m", "n", "g") if not isinstance(table, dict) or key not in table]
         if missing:
-            raise ValueError(f"{source}a family file needs r, m, n and g; missing: {', '.join(missing)}")
+            raise ValueError(f"a family file needs r, m, n and g; missing: {', '.join(missing)}")
         if not all(type(table[key]) is int and table[key] >= 0 for key in "rmn"):
-            raise ValueError(f"{source}r, m and n must be non-negative integers, got {[table[k] for k in 'rmn']}")
+            raise ValueError(f"r, m and n must be non-negative integers, got {[table[k] for k in 'rmn']}")
         r, m, n = table["r"], table["m"], table["n"]
         if r == 0 or n == 0:
-            raise ValueError(f"{source}r and n must be positive, got r = {r}, n = {n}")
+            raise ValueError(f"r and n must be positive, got r = {r}, n = {n}")
         if m >= len(ts):
-            raise ValueError(f"{source}a family of order m = {m} needs more than {m} points, the scale has {len(ts)}")
+            raise ValueError(f"a family of order m = {m} needs more than {m} points, the scale has {len(ts)}")
         lo, hi = 0, len(ts) - 1 - m
 
         def row(spec, name: str) -> list:
@@ -123,7 +122,7 @@ class GaugeFamily:
 
         g = table["g"]
         if not isinstance(g, list) or len(g) != r or any(not isinstance(comp, list) or len(comp) != n for comp in g):
-            raise ValueError(f"{source}g must be r = {r} rows of n = {n} entries each")
+            raise ValueError(f"g must be r = {r} rows of n = {n} entries each")
         g = [[row(g[j][k], f"g[{j}][{k}]") for k in range(n)] for j in range(r)]
         f = table.get("f")
         if f is not None and (not isinstance(f, list) or len(f) != r):
@@ -158,7 +157,10 @@ def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
     elif isinstance(spec, dict) and "csv" in spec:
         if not isinstance(spec["csv"], str):
             raise ValueError(f"coefficient {name}: \"csv\" must be a file path, got {spec['csv']!r}")
-        c = read_csv(ts, spec["csv"])
+        try:
+            c = read_csv(ts, spec["csv"])
+        except ValueError as exc:
+            raise ValueError(f"coefficient {name}: {exc}") from None
         if c.lo > lo or c.hi < hi:
             raise ValueError(f"coefficient {name}: the CSV covers [{c.lo}, {c.hi}], not the family window [{lo}, {hi}]")
         if c.n != 1:

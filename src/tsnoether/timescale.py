@@ -460,7 +460,7 @@ def read_csv(ts: TimeScale, path) -> GridFunction:
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("t,"):
-            raise ValueError("missing t,y1..yn header")
+            raise ValueError(f"{path}: missing t,y1..yn header")
         width = header.count(",") + 1
         rows, blocks = enumerate(fh, start=2), []
         for lines in iter(lambda: list(islice(rows, CSV_BLOCK_ROWS)), []):
@@ -470,11 +470,12 @@ def read_csv(ts: TimeScale, path) -> GridFunction:
                 if len(row) == width:
                     fields += row
                 elif line.strip():
-                    raise ValueError(f"line {lineno} has {len(row)} fields, the header has {width}")
+                    raise ValueError(f"{path}: line {lineno} has {len(row)} fields, the header has {width}")
             try:
                 block = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, width)
             except ValueError:
-                raise _bad_field((lineno, line.split(",")) for lineno, line in lines if line.strip()) from None
+                bad = _bad_field((lineno, line.split(",")) for lineno, line in lines if line.strip())
+                raise ValueError(f"{path}: {bad}") from None
             if not block.size:
                 continue
             if not blocks:
@@ -484,9 +485,9 @@ def read_csv(ts: TimeScale, path) -> GridFunction:
                     lo = end = lo - 1  # the nearer point: t0 may sit just above it
             pts = ts.points[end : end + len(block)]
             if pts.size < len(block) or not np.all(np.abs(block[:, 0] - pts) <= 1e-12 * np.maximum(1.0, np.abs(pts))):
-                raise ValueError("CSV times do not match the scale points")
+                raise ValueError(f"{path}: CSV times do not match the scale points")
             blocks.append(block[:, 1:].copy())
             end += len(block)
     if not blocks:
-        raise ValueError("empty grid function file")
+        raise ValueError(f"{path}: empty grid function file")
     return GridFunction(ts, lo, _sealed(blocks[0] if len(blocks) == 1 else np.concatenate(blocks)))

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import inspect
 import json
 import re
@@ -122,6 +123,26 @@ class TestExitCodes:
             main([*args, "--out", str(out)])
         assert exc.value.code == 2 and not out.exists()
         assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, option, text",
+        [
+            (["el", "--scale", "h:1:0:5", "--lagrangian", "dirichlet", "--poly", "0,x"], "--poly", "0,x"),
+            (["check-invariance", "--scale", "h:1:0:5", "--lagrangian", "pair-difference", "--family", "pairdiff",
+              "--y-poly", "0,1;1,,2"], "--y-poly", "0,1;1,,2"),
+            (["solve", "--scale", "h:1:0:5", "--lagrangian", "poisson", "--alpha", "a", "--beta", "1"], "--alpha", "a"),
+            (["solve", "--scale", "h:1:0:5", "--lagrangian", "poisson", "--alpha", "0", "--beta", "1;2"],
+             "--beta", "1;2"),
+        ],
+        ids=["poly", "y-poly", "alpha", "beta"],
+    )
+    def test_number_list_refusal_names_its_option(self, tmp_path, capsys, args, option, text):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and not out.exists() and err.startswith("usage: noether")
+        assert f"argument {option}: " in err and repr(text) in err
 
     def test_four_points_per_axis_suffice(self, tmp_path):
         assert run(tmp_path, "check2d", "--grid", "h:1:0:3,q:2:1:4", "--trials", "2")[0] == 0
@@ -283,7 +304,7 @@ class TestExitCodes:
             (["integrate", "--scale", "h:1:0:5", "--poly", "0,0,inf"], "the path is not finite at t = 0.0"),
             (["integrate", "--scale", "h:1:0:5", "--poly", "0,0,1e308"], "the path is not finite at t = 2.0"),
             (["check-noether", "--scale", "h:1:0:5", "--lagrangian", "pair-difference", "--family", "{tmp}/fam.json"],
-             "coefficient g[0][0][0] is not finite"),
+             "{tmp}/fam.json: coefficient g[0][0][0] is not finite"),
         ],
         ids=["poly-inf", "poly-nan", "csv-nan", "y-poly-overflow", "alpha-nan", "beta-inf",
              "poly-invalid", "poly-overflow", "family-poly-overflow"],
@@ -294,7 +315,7 @@ class TestExitCodes:
         (tmp_path / "fam.json").write_text(json.dumps(fam))
         code, data, _ = run(tmp_path, *(a.replace("{tmp}", str(tmp_path)) for a in args))
         assert code == 2 and data is None
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
 
     def test_verdict_failure_exits_one(self, tmp_path):
         fam = write_pairdiff_family(tmp_path, broken=True)
@@ -322,7 +343,7 @@ class TestExitCodes:
             (["em", "--lattice", "h:1:0:5,h:1:0:5"], "the lattice needs 4 scale specs"),
             (["integrate", "--scale", "h:1:0:5", "--poly", "1;2"], "expected 1 component polynomials"),
             (["el", "--scale", "h:1:0:5", "--lagrangian", "dirichlet", "--csv", "{tmp}/headless.csv"],
-             "missing t,y1..yn header"),
+             "{tmp}/headless.csv: missing t,y1..yn header"),
             (["el", "--scale", "h:1:0:5", "--lagrangian", "quad:0:1:1:1"],
              "bad inline quadratic spec 'quad:0:1:1:1': n must be at least 1"),
             (["el", "--scale", "h:1:0:5", "--lagrangian", "quad:-1:1:1:1"],
@@ -344,9 +365,9 @@ class TestExitCodes:
             (["scale", "--scale", "explicit:@{tmp}/inf2.txt"],
              "bad scale spec 'explicit:@{tmp}/inf2.txt': point 1 of the scale, inf, is not a finite float"),
             (["el", "--scale", "h:1:0:2", "--lagrangian", "dirichlet", "--csv", "{tmp}/word.csv"],
-             "line 3 has the field 'abc', which is not a number"),
+             "{tmp}/word.csv: line 3 has the field 'abc', which is not a number"),
             (["el", "--scale", "h:1:0:2", "--lagrangian", "dirichlet", "--csv", "{tmp}/blank.csv"],
-             "line 4 has the field '', which is not a number"),
+             "{tmp}/blank.csv: line 4 has the field '', which is not a number"),
             (["scale", "--scale", "explicit:@{tmp}/word.txt"],
              "bad scale spec 'explicit:@{tmp}/word.txt': line 3 has the field 'abc', which is not a number"),
             (["scale", "--scale", "explicit:@{tmp}/gap.txt"],
@@ -628,7 +649,9 @@ class TestFamilyCoefficientForms:
             ({"r": 1, "m": 0, "n": 2, "g": [[[1.0]]]}, "bad.json: g must be r = 1 rows of n = 2 entries each"),
             ('{"r": 1, "m": 0, "n": 2, "g": [[[1.0], [1.0', "bad.json: Expecting ',' delimiter: line 1 column 44 (char 43)"),
             ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [{"csv": "gword.csv"}]]]},
-             "line 3 has the field 'abc', which is not a number"),
+             "coefficient g[0][1][0]: gword.csv: line 3 has the field 'abc', which is not a number"),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [{"csv": "gshift.csv"}]]]},
+             "coefficient g[0][1][0]: gshift.csv: CSV times do not match the scale points"),
             ({"r": None, "m": 0, "n": 2, "g": [[[1.0], [1.0]]]}, "r, m and n must be non-negative integers"),
             ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [1.0]]], "f": []},
              "the f table needs one row per parameter (r = 1), got []"),
@@ -659,23 +682,25 @@ class TestFamilyCoefficientForms:
             ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [{"csv": "g3.csv"}]]]},
              "coefficient g[0][1][0]: the CSV covers [0, 2], not the family window [0, 9]"),
         ],
-        ids=["missing-r", "bare-spec", "short-row", "flat-g", "short-g", "truncated", "csv-word", "null-r", "short-f", "poly-number", "poly-null",
-             "poly-nested", "poly-empty", "poly-bool", "csv-null", "csv-number", "bool-constant", "bool-r",
-             "bool-m", "bool-n", "zero-r", "zero-n", "csv-short"],
+        ids=["missing-r", "bare-spec", "short-row", "flat-g", "short-g", "truncated", "csv-word", "csv-times", "null-r",
+             "short-f", "poly-number", "poly-null", "poly-nested", "poly-empty", "poly-bool", "csv-null", "csv-number",
+             "bool-constant", "bool-r", "bool-m", "bool-n", "zero-r", "zero-n", "csv-short"],
     )
     def test_malformed_family_file_named(self, tmp_path, monkeypatch, capsys, family, message):
-        # g3.csv, a coefficient on 3 of the scale's 10 points, for the csv-short case;
-        # a string family is the file's text.
+        # g3.csv, a coefficient on 3 of the scale's 10 points, for the csv-short case,
+        # and gshift.csv, whose times sit between the points; a string family is the
+        # file's text.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "g3.csv").write_text("t,y1\n0.0,1.0\n1.0,1.0\n2.0,1.0\n")
         (tmp_path / "gword.csv").write_text("t,y1\n0.0,1.0\n1.0,abc\n2.0,1.0\n")
+        (tmp_path / "gshift.csv").write_text("t,y1\n0.5,1.0\n1.5,1.0\n")
         fam_path = tmp_path / "bad.json"
         fam_path.write_text(family if isinstance(family, str) else json.dumps(family))
         code = main(["check-noether", "--scale", "h:1:0:9", "--lagrangian", "pair-difference",
                      "--family", str(fam_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert message in err and err.count("bad.json") <= 1
+        assert err.startswith(f"error: {fam_path}: ") and message in err and err.count("bad.json") == 1
 
     @pytest.mark.parametrize(
         "family, message",
@@ -707,7 +732,7 @@ class TestFamilyCoefficientForms:
         code = main(["check-noether", "--scale", "h:1:0:9", "--lagrangian", "pair-difference",
                      "--family", str(fam_path)])
         assert code == 2
-        assert capsys.readouterr().err == "error: coefficient g[0][0][0] must have one component\n"
+        assert capsys.readouterr().err == f"error: {fam_path}: coefficient g[0][0][0] must have one component\n"
 
     def test_bad_coefficient_spec(self, tmp_path):
         fam_path = tmp_path / "bad.json"
@@ -905,7 +930,8 @@ def family_bits(fam):
 @pytest.mark.parametrize("spec", ["h:0.5:0:4", "q:2:1:7", "real:0.25:-1:1"])
 def test_builtin_family_tables_equal_earlier_code(name, spec):
     ts = parse_scale_spec(spec)
-    assert family_bits(cli.load_family(name, ts)) == family_bits(earlier_builtin_family(name, ts))
+    fam = cli.load_family(name, functools.partial(noether.GaugeFamily.from_table, ts))
+    assert family_bits(fam) == family_bits(earlier_builtin_family(name, ts))
 
 
 @settings(max_examples=60, deadline=None)
@@ -930,7 +956,7 @@ def test_constant_family_equals_earlier_code_and_family_file(spec, r, n, m, move
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fam.json"
         path.write_text(json.dumps({"r": r, "m": m, "n": n, "g": g, **({"f": f} if moves_time else {})}))
-        from_file = cli.load_family(str(path), ts)
+        from_file = cli.load_family(str(path), functools.partial(noether.GaugeFamily.from_table, ts))
     fam = noether.GaugeFamily.constant(ts, g, f=f)
     assert family_bits(fam) == family_bits(earlier_constant_family(ts, g, f=f)) == family_bits(from_file)
 
@@ -943,4 +969,53 @@ def test_builtin_2d_family_tables_equal_earlier_code(name, rows):
     from tsnoether.multigrid import GaugeFamilyD
 
     grid = cli._lattice(["h:1:0:5", "q:2:1:6"])
-    assert cli.load_family2d(name, grid) == GaugeFamilyD(grid, rows)
+    assert cli.load_family(name, functools.partial(GaugeFamilyD.from_table, grid)) == GaugeFamilyD(grid, rows)
+
+
+def test_one_family_reader(tmp_path):
+    # cli resolves a name or a path and names it in each refusal, 1-D or
+    # d-D alike; each family class reads its own table format.
+    from tsnoether.multigrid import GaugeFamilyD
+
+    assert list(inspect.signature(cli.load_family).parameters) == ["path_or_name", "build"]
+    assert list(inspect.signature(noether.GaugeFamily.from_table).parameters) == ["ts", "table"]
+    assert list(inspect.signature(GaugeFamilyD.from_table).parameters) == ["grid", "table"]
+    assert not any(hasattr(cli, name) for name in ("_family_table", "load_family2d"))
+    grid = cli._lattice(["h:1:0:5", "q:2:1:6"])
+    for table in ({"b": [[0.0, 1.0, 0.0]]}, [[0.0, 1.0, 0.0]], None):
+        with pytest.raises(ValueError) as err:
+            GaugeFamilyD.from_table(grid, table)
+        assert str(err.value) == 'a d-D family file needs an "a" coefficient table'
+    build = functools.partial(GaugeFamilyD.from_table, cli._lattice(["h:1:0:5"] * 3))
+    (tmp_path / "a2.json").write_text('{"a": [[0, 1]]}')
+    (tmp_path / "anoa.json").write_text('{"b": [[0, 1, 0]]}')
+    for name, message in (
+        (str(tmp_path / "a2.json"), "row 0 needs d + 1 = 4 coefficients, got 2"),
+        (str(tmp_path / "anoa.json"), 'a d-D family file needs an "a" coefficient table'),
+        ("grad2", "row 0 needs d + 1 = 4 coefficients, got 3"),
+    ):
+        with pytest.raises(ValueError) as err:
+            cli.load_family(name, build)
+        assert str(err.value) == f"{name}: {message}"
+
+
+@pytest.mark.parametrize("lagrangian", ["pair-difference", "quad:2:0.5:0.3:0.2"])
+@pytest.mark.parametrize(
+    "spec", ["h:1:0:10", "q:1.1:1:40", "real:0.0001:0:1", "h:0.1:0:3", "explicit:@geo.txt", "explicit:@gaps.txt"]
+)
+def test_zero_time_table_leaves_invariance_bits(tmp_path, monkeypatch, capsys, spec, lagrangian):
+    # An all-zero f table sends every trial through the image scale of the
+    # identity time map; the report must be the one of the family without f.
+    # geo.txt holds 1.05^k, k < 31; gaps.txt 31 points whose gaps, drawn
+    # from uniform(0.5, 1.5), fit no jump law.
+    monkeypatch.chdir(tmp_path)
+    points = np.round(np.cumsum(np.random.default_rng(5).uniform(0.5, 1.5, 31)) - 1.0, 6)
+    for name, pts in (("geo.txt", 1.05 ** np.arange(31)), ("gaps.txt", points)):
+        (tmp_path / name).write_text("".join(f"{p!r}\n" for p in pts.tolist()))
+    if spec == "explicit:@gaps.txt":
+        assert parse_scale_spec(spec).condition_h is None
+    reports = []
+    for family in ("pairdiff", "pairdiff-time0"):
+        code = main(["check-invariance", "--scale", spec, "--lagrangian", lagrangian, "--family", family, "--verbose"])
+        reports.append((code, capsys.readouterr().out))
+    assert reports[0] == reports[1]

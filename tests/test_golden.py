@@ -28,6 +28,7 @@ Each case is a full `noether` argument list, whether it also writes a
 test's temporary directory, which holds the family files of FAMILIES.
 """
 
+import functools
 import inspect
 import json
 from pathlib import Path
@@ -141,7 +142,7 @@ def test_refrozen_deviations_are_within_summation_error_of_the_old_sum(name):
     args = cli._build_parser().parse_args(next(argv for case, argv, *_ in CASES if case == name))
     ts = parse_scale_spec(args.scale)
     L = catalog(args.lagrangian)
-    fam = cli.load_family(args.family, ts)
+    fam = cli.load_family(args.family, functools.partial(noether.GaugeFamily.from_table, ts))
     y = cli._load_path(args, ts, L.n, hi=len(ts) - 1 - fam.m)
     frozen = json.loads((GOLDEN / f"{name}.json").read_text())["sections"][0]["per_point"]
     assert len(frozen) == args.trials

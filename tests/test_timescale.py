@@ -468,8 +468,9 @@ class TestGridFunction:
         assert g.window == (0, 2999) and g.values[:, 0].tobytes() == (np.arange(3000) / 7).tobytes()
         lines[bad - 1] += ",9.0"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^line {bad} has 3 fields, the header has 2$"):
+        with pytest.raises(ValueError) as err:
             read_csv(ts, path)
+        assert str(err.value) == f"{path}: line {bad} has 3 fields, the header has 2"
 
     def test_csv_read_memory_is_bounded(self, tmp_path):
         # Rows are parsed a block at a time and each block keeps only its
@@ -514,8 +515,9 @@ class TestGridFunction:
             read_csv(ts, path)
         lines[5] = "4.0,0.0"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="^line 2501 has 3 fields, the header has 2$"):
+        with pytest.raises(ValueError) as err:
             read_csv(ts, path)
+        assert str(err.value) == f"{path}: line 2501 has 3 fields, the header has 2"
 
     def test_csv_blocks_of_blank_lines_are_skipped(self, tmp_path):
         ts = h_uniform(1.0, 0, 9)
@@ -526,6 +528,24 @@ class TestGridFunction:
         path.write_text("t,y1\n" + "\n" * 5)
         with pytest.raises(ValueError, match="empty grid function file"):
             read_csv(ts, path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,y1\n0.0,1.0\n", "missing t,y1..yn header"),
+            ("t,y1\n0.0,1.0\n1.0,2.0,3.0\n", "line 3 has 3 fields, the header has 2"),
+            ("t,y1\n0.0,1.0\n1.0,abc\n", "line 3 has the field 'abc', which is not a number"),
+            ("t,y1\n0.5,1.0\n1.5,2.0\n", "CSV times do not match the scale points"),
+            ("t,y1\n\n", "empty grid function file"),
+        ],
+        ids=["header", "field-count", "bad-field", "time-mismatch", "empty"],
+    )
+    def test_csv_refusal_starts_with_its_path(self, tmp_path, text, message):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_csv(h_uniform(1.0, 0, 9), path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_values_frozen(self):
         ts = h_uniform(1.0, 0, 3)
