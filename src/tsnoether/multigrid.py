@@ -200,8 +200,11 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     straight from the component's own values: U[k] is the all-sigma view,
     and G[j, k] the difference of that view and the one without sigma on
     axis j, divided by mu_j, element by element as forward_quotient does
-    (and, like it, not divided on a scale of unit steps).  Only the G slots
-    of L.g_slots are written; the others are NaN from the pair's making.
+    (and, like it, not divided on a scale of unit steps).  The second view
+    is copied into the slot and subtracted there, as a ufunc would pass
+    its short strided rows through numpy's buffer and a copy does not.
+    Only the G slots of L.g_slots are written; the others are NaN from the
+    pair's making.
 
     `slots` is a loop's held [U, G, key] list, empty until the first call:
     U and G are rewritten when the key (both shapes and L.g_slots) matches,
@@ -234,7 +237,8 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
         U[k] = v[up]
         for j in range(grid.d):
             if L.g_slots is None or (j, k) in L.g_slots:
-                np.subtract(U[k], v[up[:j] + (slice(0, -1),) + up[j + 1 :]], out=G[j, k])
+                G[j, k] = v[up[:j] + (slice(0, -1),) + up[j + 1 :]]
+                np.subtract(U[k], G[j, k], out=G[j, k])
                 if mus[j] is not None:
                     G[j, k] /= mus[j]
             elif not held:
@@ -323,16 +327,19 @@ def _times(c: float, f: FieldD) -> FieldD:
 
 def _rho_quotient(p: FieldD, axis: int) -> FieldD:
     """shift_axis(partial_delta(p, axis), axis, -1).  On a window at the
-    scale minimum it is one buffer of p's shape: the quotient written after
-    the first slab and divided in place, as forward_quotient divides, then
-    that slab repeated in front.  Above the minimum the shift is a view."""
+    scale minimum, of C-ordered values, it is one buffer of p's shape: the
+    differences at the axis stride over the flat values, written after the
+    first flat slab and right everywhere but where the axis index is 0,
+    then the rest divided in place, as forward_quotient divides, and slab
+    1 repeated over slab 0.  Above the minimum the shift is a view."""
     n = p.values.shape[axis]
-    if p.lo[axis] or n < 2:
+    if p.lo[axis] or n < 2 or not p.values.flags.c_contiguous:
         return shift_axis(partial_delta(p, axis), axis, -1)
     before = (slice(None),) * axis
     out = np.empty(p.values.shape)
+    src, step = p.values.ravel(), prod(p.values.shape[axis + 1 :])
+    np.subtract(src[step:], src[:-step], out=out.ravel()[step:])
     body = out[before + (slice(1, None),)]
-    np.subtract(p.values[before + (slice(1, None),)], p.values[before + (slice(0, -1),)], out=body)
     ts = p.grid.scales[axis]
     if not ts.unit_steps:
         body /= np.diff(ts.points[:n]).reshape((n - 1,) + (1,) * (p.grid.d - axis - 1))
@@ -385,11 +392,14 @@ def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float
     The coefficients are one draw of shape (3, d, degree + 1): term, axis,
     power, evaluated by one polyval call on all axes' scaled points laid
     end to end.  Each term is the product ((a0*a1)*a2)*a3 of one
-    polynomial per axis.  Its last product is formed in rows of the last
-    axis when that axis is the shorter, as numpy runs one inner loop per
-    row and factors commute bit for bit, and in the grid's layout
-    otherwise.  The sum ((0.0 + t0) + t1) + t2 turns a -0.0 into +0.0; it
-    is scaled into a grid-shaped buffer made after the product's is freed.
+    polynomial per axis.  Its last product is an outer product formed in
+    rows of the last axis when that axis is the shorter, as numpy runs one
+    inner loop per row and factors commute bit for bit, and otherwise by
+    einsum in the grid's layout, which the outer ufunc would pass through
+    numpy's buffer in short rows.  einsum adds each product to +0.0, which
+    changes only the sign of a zero, and the sum ((0.0 + t0) + t1) + t2
+    turns any -0.0 into +0.0 anyway; it is scaled into a grid-shaped
+    buffer made after the product's is freed.
     """
     coeffs = np.random.default_rng(seed).uniform(-1, 1, (3, grid.d, degree + 1))
     table = np.polynomial.polynomial.polyval(
@@ -405,7 +415,10 @@ def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float
     term = np.empty_like(acc)
     for i in range(3):
         head = reduce(np.multiply.outer, [a[i] for a in axes]).ravel()
-        np.multiply.outer(*((last[i], head) if transposed else (head, last[i])), out=term)
+        if transposed:
+            np.multiply.outer(last[i], head, out=term)
+        else:
+            np.einsum("i,j->ij", head, last[i], out=term)
         np.add(acc if i else 0.0, term, out=acc)
     peak = np.max(np.abs(acc, out=term))
     del term

@@ -159,7 +159,7 @@ def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
             raise ValueError(f"coefficient {name}: \"csv\" must be a file path, got {spec['csv']!r}")
         try:
             c = read_csv(ts, spec["csv"])
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise ValueError(f"coefficient {name}: {exc}") from None
         if c.lo > lo or c.hi < hi:
             raise ValueError(f"coefficient {name}: the CSV covers [{c.lo}, {c.hi}], not the family window [{lo}, {hi}]")

@@ -420,11 +420,13 @@ def window_integral(scales, lo, values: np.ndarray) -> np.ndarray:
     The first product is the only copy, component-major in C order whatever
     the layout of values (a strided shift view, a transposed edge, a
     broadcast), so np.sum adds the same pairs every time; the others run in
-    place, and not at all on a later axis of unit steps."""
+    place.  On an axis of unit steps, where the product changes no bit, it
+    is not taken: the first axis is only copied, the others are skipped."""
     cells = tuple(slice(0, min(n, len(s) - 1 - l)) for s, l, n in zip(scales, lo, values.shape))
     weighted = np.moveaxis(values[cells], -1, 0)
     for ax, (s, l) in enumerate(zip(scales, lo)):
-        if ax and s.unit_steps:
+        if s.unit_steps:
+            weighted = weighted if ax else np.array(weighted, order="C")
             continue
         n = weighted.shape[ax + 1]
         mu = np.diff(s.points[l : l + n + 1]).reshape((n,) + (1,) * (len(scales) - ax - 1))

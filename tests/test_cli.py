@@ -56,6 +56,7 @@ class TestExitCodes:
              "--family", "does-not-exist.json"]
         )
         assert code == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'does-not-exist.json'\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -681,10 +682,12 @@ class TestFamilyCoefficientForms:
             ({"r": 1, "m": 0, "n": 0, "g": [[]]}, "bad.json: r and n must be positive, got r = 1, n = 0"),
             ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [{"csv": "g3.csv"}]]]},
              "coefficient g[0][1][0]: the CSV covers [0, 2], not the family window [0, 9]"),
+            ({"r": 1, "m": 0, "n": 2, "g": [[[1.0], [{"csv": "nothere.csv"}]]]},
+             "coefficient g[0][1][0]: [Errno 2] No such file or directory: 'nothere.csv'"),
         ],
         ids=["missing-r", "bare-spec", "short-row", "flat-g", "short-g", "truncated", "csv-word", "csv-times", "null-r",
              "short-f", "poly-number", "poly-null", "poly-nested", "poly-empty", "poly-bool", "csv-null", "csv-number",
-             "bool-constant", "bool-r", "bool-m", "bool-n", "zero-r", "zero-n", "csv-short"],
+             "bool-constant", "bool-r", "bool-m", "bool-n", "zero-r", "zero-n", "csv-short", "csv-missing"],
     )
     def test_malformed_family_file_named(self, tmp_path, monkeypatch, capsys, family, message):
         # g3.csv, a coefficient on 3 of the scale's 10 points, for the csv-short case,

@@ -1,6 +1,8 @@
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import reduce
+from itertools import accumulate
+from math import prod
 import operator
 import weakref
 from operator import add
@@ -1795,3 +1797,152 @@ def test_central_differences_of_the_declared_slots_only():
     assert all(d_g[s].tobytes() == np.zeros(cells).tobytes() for s in undeclared(declared))
     assert not np.all(d_g[declared.g_slots[0]] == 0.0)
     assert declared.sample("u", coords, U, with_nan).tobytes() == every.sample("u", coords, U, G).tobytes()
+
+
+# Lattice kernels in long passes.  A ufunc passes an operand's short strided
+# or broadcast rows through numpy's buffer, so four kernels were rewritten to
+# run in long contiguous passes: the probe product by einsum in the grid's
+# layout, the rho-quotient as one difference over the flat values, the slot
+# operand copied before its subtract and the unit-step integral copied in
+# place of a multiply by 1.0.  Each is pinned here, at the benchmark's sizes,
+# against a test-local copy of the formulation it replaced.
+
+def outer_random_polynomial_field(grid, seed, degree=2, amplitude=1.0):
+    """random_polynomial_field with every last product an outer ufunc."""
+    coeffs = np.random.default_rng(seed).uniform(-1, 1, (3, grid.d, degree + 1))
+    table = np.polynomial.polynomial.polyval(
+        np.concatenate([s.points / max(np.max(np.abs(s.points)), 1.0) for s in grid.scales]),
+        np.repeat(coeffs, grid.shape, axis=1).transpose(2, 0, 1),
+        tensor=False,
+    )
+    *axes, last = (table[:, e - n : e] for n, e in zip(grid.shape, accumulate(grid.shape)))
+    rows = (prod(grid.shape[:-1]), grid.shape[-1])
+    transposed = rows[1] < rows[0]
+    acc = np.empty(rows[::-1] if transposed else rows)
+    term = np.empty_like(acc)
+    for i in range(3):
+        head = reduce(np.multiply.outer, [a[i] for a in axes]).ravel()
+        np.multiply.outer(*((last[i], head) if transposed else (head, last[i])), out=term)
+        np.add(acc if i else 0.0, term, out=acc)
+    peak = np.max(np.abs(acc))
+    return (acc.T if transposed else acc).reshape(grid.shape) * (amplitude / peak if peak > 0 else 1.0)
+
+
+def probe_grids():
+    """The check2d grids (square, and 40 x 300 in both orientations), the em
+    lattices at 16^4 and 14^4, and a 3-d grid, each with an h axis from 0."""
+    h, q = h_uniform(1.0, 0.0, 299.0), q_geometric(1.01, 1.0, 300)
+    short = h_uniform(0.5, 0.0, 19.5)
+    return {
+        "hq-300": GridD((h, q)),
+        "qh-300": GridD((q, h)),
+        "short-first": GridD((short, q)),
+        "short-last": GridD((q, short)),
+        "uniform-16": em_lattice("uniform", 16),
+        "mixed-14": em_lattice("mixed", 14),
+        "hqh-3d": GridD((h_uniform(1.0, 0.0, 11.0), q_geometric(1.2, 1.0, 9), h_uniform(0.25, 0.0, 2.0))),
+    }
+
+
+@pytest.mark.parametrize("zeros", ["none", "constant"])
+@pytest.mark.parametrize("name", sorted(probe_grids()))
+def test_probe_field_bitwise_equals_outer_products(name, zeros):
+    # "constant" zeroes the constant coefficients of the first axis that
+    # starts at 0 with random signs, so that every product on that point is
+    # a signed zero.
+    grid = probe_grids()[name]
+    axis = next(ax for ax, s in enumerate(grid.scales) if s.points[0] == 0.0)
+    for seed in range(3):
+        rng = np.random.default_rng([31, seed])
+        draw = rng.uniform(-1, 1, (3, grid.d, 3))
+        if zeros == "constant":
+            draw[:, axis, 0] = np.where(rng.integers(0, 2, 3), -0.0, 0.0)
+        with fixed_draw(draw):
+            vals = random_polynomial_field(grid, seed, amplitude=0.1).values
+            ref = outer_random_polynomial_field(grid, seed, amplitude=0.1)
+        assert same_bytes(vals, ref), f"{name}, seed {seed}"
+
+
+def rho_windows(grid):
+    """A field on the whole grid, one on a window that starts above the scale
+    minimum on every axis, and one whose values are a strided view (the sigma
+    shift along the last axis, which keeps the window at the minimum)."""
+    rng = np.random.default_rng(grid.shape)
+    whole = FieldD(grid, (0,) * grid.d, signed_samples(rng, grid.shape))
+    above = whole.restrict((1,) * grid.d, tuple(n - 1 for n in grid.shape))
+    strided = shift_axis(whole, grid.d - 1, 1)
+    assert whole.values.flags.c_contiguous and not strided.values.flags.c_contiguous
+    assert strided.lo == (0,) * grid.d
+    return {"whole": whole, "above": above, "strided": strided}
+
+
+@pytest.mark.parametrize("window", ["whole", "above", "strided"])
+@pytest.mark.parametrize("name", ["hq-300", "qh-300", "uniform-16", "mixed-14", "hqh-3d"])
+def test_flat_rho_quotient_bitwise_equals_shifted_quotient(name, window):
+    grid = probe_grids()[name]
+    p = rho_windows(grid)[window]
+    for axis in range(grid.d):
+        out = multigrid._rho_quotient(p, axis)
+        ref = shift_axis(partial_delta(p, axis), axis, -1)
+        assert out.lo == ref.lo and same_bytes(np.ascontiguousarray(out.values), np.ascontiguousarray(ref.values)), axis
+
+
+def multiplied_window_integral(scales, lo, values):
+    """window_integral with the first axis always multiplied by its mu."""
+    cells = tuple(slice(0, min(n, len(s) - 1 - l)) for s, l, n in zip(scales, lo, values.shape))
+    weighted = np.moveaxis(values[cells], -1, 0)
+    for ax, (s, l) in enumerate(zip(scales, lo)):
+        if ax and s.unit_steps:
+            continue
+        n = weighted.shape[ax + 1]
+        mu = np.diff(s.points[l : l + n + 1]).reshape((n,) + (1,) * (len(scales) - ax - 1))
+        weighted = np.multiply(weighted, mu, order="C") if ax == 0 else np.multiply(weighted, mu, out=weighted)
+    return np.array([np.sum(c) for c in weighted])
+
+
+@pytest.mark.parametrize("specials", ["zeros", "inf", "-inf", "both-inf"])
+@pytest.mark.parametrize("second", [None, "h", "q"])
+def test_unit_step_integral_copy_bitwise_equals_multiply(second, specials):
+    # Samples of +-0.0 (a column of -0.0 only, too) and +-inf, with a
+    # component axis and in a strided (transposed) layout.
+    unit = h_uniform(1.0, -3.0, 40.0)
+    others = {None: (), "h": (h_uniform(1.0, 0.0, 6.0),), "q": (q_geometric(1.3, 1.0, 7),)}[second]
+    scales = (unit, *others)
+    shape = tuple(len(s) for s in scales)
+    rng = np.random.default_rng(len(shape))
+    vals = signed_samples(rng, shape + (3,))
+    vals[..., 2] = -0.0
+    if specials != "zeros":
+        picks = rng.uniform(size=shape) < 0.05
+        vals[..., 1][picks] = {"inf": np.inf, "-inf": -np.inf, "both-inf": np.inf}[specials]
+        if specials == "both-inf":
+            vals[..., 1][rng.uniform(size=shape) < 0.05] = -np.inf
+    for lo in ((0,) * len(scales), (2,) * len(scales)):
+        window = vals[tuple(slice(l, None) for l in lo)]
+        for layout in (window, np.asfortranarray(window)):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                out, ref = window_integral(scales, lo, layout), multiplied_window_integral(scales, lo, layout)
+            assert out.tobytes() == ref.tobytes(), lo
+
+
+@pytest.mark.parametrize("kind", ["uniform", "mixed", "hq", "qh"])
+def test_held_slot_functional_bitwise_equals_fresh_and_subtracted_view(kind):
+    # Each action writes its slots by copying the shifted view and
+    # subtracting it in place; the earlier code subtracted the view itself
+    # (earlier_pattern_args).  A window above the minimum changes the pattern
+    # shape, so that the held pair is made again and then reused.
+    from tsnoether import em
+
+    if kind in ("uniform", "mixed"):
+        grid, densities = em_lattice(kind, 9), [em.em_lagrangian()]
+        fields = [em.random_em_field(grid, seed=[31, t]) for t in range(3)]
+    else:
+        grid, densities = grid_2d(kind, 120), [catalog2d("curl2"), catalog2d("dirichlet2")]
+        fields = [tuple(random_polynomial_field(grid, seed=[31, t, k]) for k in range(2)) for t in range(3)]
+    above = tuple(f.restrict((1,) * grid.d, tuple(n - 1 for n in grid.shape)) for f in fields[0])
+    for L in densities:
+        slots = []
+        for u in [*fields, above, fields[1]]:
+            u = u[: L.n]
+            held = functional_d(L, u, _slots=slots)
+            assert bits(held) == bits(functional_d(L, u)) == bits(earlier_pattern_functional_d(L, u))

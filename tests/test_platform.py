@@ -63,3 +63,57 @@ def test_solve_on_scalar_blocks_divides_with_one_rhs_and_multiplies_with_three()
     assert np.array_equal(np.linalg.solve(B, R), R * (1.0 / B)), (
         "1x1 solve with three right-hand sides is not R * (1 / B) " + why
     )
+
+
+def signed_operands(rng, n):
+    """Uniform values with about a fifth of them +0.0 or -0.0."""
+    x = rng.uniform(-1, 1, n)
+    x[rng.uniform(size=n) < 0.1] = 0.0
+    x[rng.uniform(size=n) < 0.1] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (40, 300), (7, 9)])
+def test_einsum_outer_product_equals_multiply_outer_but_for_zero_signs(shape):
+    rng = np.random.default_rng(shape)
+    terms = []
+    for _ in range(3):
+        head, last = signed_operands(rng, shape[0]), signed_operands(rng, shape[1])
+        outer = np.multiply.outer(head, last)
+        einsum = np.einsum("i,j->ij", head, last, out=np.empty(shape))
+        nonzero = outer != 0.0
+        same = np.array_equal(einsum[nonzero].view(np.int64), outer[nonzero].view(np.int64))
+        assert same and not einsum[~nonzero].any(), (
+            f"np.einsum('i,j->ij') differs from np.multiply.outer on a nonzero product at {shape} ({platform()}); "
+            "multigrid.random_polynomial_field forms the probe terms of grids whose last axis is the longer "
+            "(the check2d grids) by einsum, and its values would no longer be those of the outer products"
+        )
+        terms.append((outer, einsum))
+    sums = []
+    for form in (0, 1):
+        acc = np.empty(shape)
+        for i, pair in enumerate(terms):
+            np.add(acc if i else 0.0, pair[form], out=acc)
+        sums.append(acc)
+    assert sums[0].tobytes() == sums[1].tobytes(), (
+        f"((0.0 + t0) + t1) + t2 depends on whether einsum or np.multiply.outer made the terms at {shape} "
+        f"({platform()}); multigrid.random_polynomial_field relies on the +0.0 start erasing the sign of a "
+        "zero product, so that its probe fields keep the bits of the outer products"
+    )
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_c_order_copy_equals_multiply_by_one(layout):
+    rng = np.random.default_rng(1)
+    x = signed_operands(rng, 3 * 50 * 7).reshape(3, 50, 7)
+    x[rng.uniform(size=x.shape) < 0.05] = np.inf
+    x[rng.uniform(size=x.shape) < 0.05] = -np.inf
+    x = {"C": x, "F": np.asfortranarray(x), "strided": np.moveaxis(x, -1, 0)[:, ::2]}[layout]
+    ones = np.ones((x.shape[1], 1))
+    copied, multiplied = np.array(x, order="C"), np.multiply(x, ones, order="C")
+    assert copied.flags.c_contiguous and multiplied.flags.c_contiguous
+    assert copied.tobytes() == multiplied.tobytes(), (
+        f"a C-order copy differs from the product by 1.0 on +-0.0 and +-inf samples ({platform()}); "
+        "timescale.window_integral copies the first axis in place of multiplying by its mu when that "
+        "axis has unit steps, and its integrals would no longer be those of the product"
+    )

@@ -60,13 +60,19 @@ def fix_heap() -> bool:
     return all(mallopt(param, value) == 1 for param, value in FIXED_HEAP)
 
 
-def load_cli(tree: str, name: str):
-    """The cli module of tree/src/tsnoether, imported as the package name."""
+def load_package(tree: str, name: str):
+    """tree/src/tsnoether, imported as the package name."""
     pkg = Path(tree) / "src" / "tsnoether"
     spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    return module
+
+
+def load_cli(tree: str, name: str):
+    """The cli module of tree/src/tsnoether, imported as the package name."""
+    load_package(tree, name)
     return importlib.import_module(f"{name}.cli")
 
 

@@ -3,6 +3,7 @@ grows, or whole lattice tasks under three allocation histories.
 
     PYTHONPATH=src python tools/lattice_sweep.py [--repeat 5] [--seed 0]
     PYTHONPATH=src python tools/lattice_sweep.py --tasks [--repeat 5] [--seed 0]
+    python tools/lattice_sweep.py --ab TREE_A TREE_B [--repeat 15] [--seed 0]
 
 An em trial is what `noether em` does per trial: a seeded random potential
 and parameter, the action before and the action after the gauge transform,
@@ -18,6 +19,14 @@ points, k = 100 .. 600.  Each line prints the size, the best wall time of
 three phases (drawing the fields, the gauge transform and the actions),
 and the median count of minor page faults (ru_minflt) that one trial took,
 as one JSON object per line.
+
+--ab runs the same trials on two source trees in one process, each tree's
+src/tsnoether imported under its own package name as tools/ab.py imports
+it.  At each size the two sides alternate trial by trial, A then B, then B
+then A, after one untimed warm-up each, so that host drift between sizes
+or runs reaches both alike; a sweep of one tree after another can read a
+drift as a change.  Each line prints the size, each side's best trial time
+and, per phase, the median over the --repeat pairs of B's time over A's.
 
 --tasks runs the five lattice-4d tasks of bench/workloads.py (the em and
 check2d command lines at --seed, through cli.main) instead.  Each task runs
@@ -42,12 +51,10 @@ import tempfile
 import time
 from pathlib import Path
 
-import tsnoether as tn
-
 HISTORIES = ("alone", "after-check2d", "first")
 
 
-def em_lattice(kind: str, n: int) -> tn.GridD:
+def em_lattice(tn, kind: str, n: int):
     if kind == "uniform":
         return tn.GridD(tuple(tn.h_uniform(1.0, 0.0, n - 1.0) for _ in range(4)))
     return tn.GridD(
@@ -60,7 +67,7 @@ def em_lattice(kind: str, n: int) -> tn.GridD:
     )
 
 
-def em_trial(grid: tn.GridD, seed: int):
+def em_trial(tn, grid, seed: int):
     fam = tn.em_gauge_family(grid)
     slots: list = []
 
@@ -78,7 +85,7 @@ def em_trial(grid: tn.GridD, seed: int):
     return trial
 
 
-def check2d_trial(k: int, seed: int):
+def check2d_trial(tn, k: int, seed: int):
     grid = tn.GridD((tn.h_uniform(1.0, 0.0, k - 1.0), tn.q_geometric(1 + 3 / k, 1.0, k)))
     L = tn.catalog2d("curl2")
     fam = tn.GaugeFamilyD(grid, [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
@@ -112,6 +119,32 @@ def measure(trial, repeat: int) -> dict:
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
     row = {key: round(min(t[key] for t in times), 5) for key in times[0]}
     row["minflt"] = statistics.median(faults)
+    return row
+
+
+def sweep(tn):
+    """(task, size key, size, cells, trial maker) for every swept size; the
+    maker takes the seed and gives a trial on tn's classes."""
+    for kind in ("uniform", "mixed"):
+        for n in (8, 12, 16, 20):
+            yield f"em/{kind}", "n", n, n**4, lambda seed, kind=kind, n=n: em_trial(tn, em_lattice(tn, kind, n), seed)
+    for k in (100, 200, 300, 400, 500, 600):
+        yield "check2d/grad2/hq", "k", k, k * k, lambda seed, k=k: check2d_trial(tn, k, seed)
+
+
+def measure_ab(trials, repeat: int) -> dict:
+    """Both sides' best trial times and, per phase, the median of the
+    per-pair ratios B/A, the sides alternating in order pair by pair."""
+    for trial in trials:
+        trial(repeat)
+    times: tuple[list, list] = ([], [])
+    for t in range(repeat):
+        for side in (0, 1) if t % 2 == 0 else (1, 0):
+            times[side].append(trials[side](t))
+    row = {f"{side}_trial_s": round(min(t["trial_s"] for t in times[i]), 5) for i, side in enumerate("ab")}
+    for key in times[0][0]:
+        ratio = statistics.median(b[key] / a[key] for a, b in zip(*times))
+        row[f"{key.removesuffix('_s')}_ratio"] = round(ratio, 3)
     return row
 
 
@@ -157,8 +190,19 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tasks", action="store_true", help="time the lattice-4d tasks under three histories")
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument("--tasks", action="store_true", help="time the lattice-4d tasks under three histories")
+    modes.add_argument("--ab", nargs=2, metavar=("TREE_A", "TREE_B"), help="compare two source trees in one process")
     args = parser.parse_args()
+    if args.ab:
+        from ab import load_package
+
+        sides = [sweep(load_package(tree, f"tsnoether_{side}")) for tree, side in zip(args.ab, "ab")]
+        for (task, key, size, cells, make_a), (*_, make_b) in zip(*sides):
+            row = {"task": task, key: size, "cells" if key == "n" else "points": cells}
+            row.update(measure_ab((make_a(args.seed), make_b(args.seed)), args.repeat))
+            print(json.dumps(row), flush=True)
+        return
     if args.tasks:
         spawn = multiprocessing.get_context("spawn")
         for history in HISTORIES:
@@ -167,14 +211,11 @@ def main() -> None:
                     row = fresh.apply(history_rounds, (history, name, args.seed, args.repeat))
                 print(json.dumps(row), flush=True)
         return
-    for kind in ("uniform", "mixed"):
-        for n in (8, 12, 16, 20):
-            row = {"task": f"em/{kind}", "n": n, "cells": n**4}
-            row.update(measure(em_trial(em_lattice(kind, n), args.seed), args.repeat))
-            print(json.dumps(row), flush=True)
-    for k in (100, 200, 300, 400, 500, 600):
-        row = {"task": "check2d/grad2/hq", "k": k, "points": k * k}
-        row.update(measure(check2d_trial(k, args.seed), args.repeat))
+    import tsnoether
+
+    for task, key, size, cells, make in sweep(tsnoether):
+        row = {"task": task, key: size, "cells" if key == "n" else "points": cells}
+        row.update(measure(make(args.seed), args.repeat))
         print(json.dumps(row), flush=True)
 
 
