@@ -47,6 +47,11 @@ class GridD:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.scales)
 
+    @cached_property
+    def probe_points(self) -> np.ndarray:
+        """Each axis's points over max(max |t|, 1), end to end: the probe's polyval argument."""
+        return _sealed(np.concatenate([s.points / max(np.max(np.abs(s.points)), 1.0) for s in self.scales]))
+
     def same_as(self, other: "GridD") -> bool:
         return self is other or (
             self.d == other.d and all(a.same_as(b) for a, b in zip(self.scales, other.scales))
@@ -165,9 +170,9 @@ class LagrangianD:
     `g_slots`, a tuple of (j, k) pairs, names the gradient slots that the
     density and its partials read; None means every slot.  The pattern
     writes only those, and its other G slots hold NaN, so a density that
-    reads one fails.  A missing g partial is differenced in those slots
-    only and is exactly 0.0 in the others, the partial of a density that
-    does not read them.
+    reads one fails.  A g partial is taken as 0.0 outside them, the partial
+    of a density that does not read them: a missing one is differenced in
+    those slots only, and el_expressions_d reads a given one in no other.
     """
 
     d: int
@@ -258,13 +263,15 @@ def functional_d(L: LagrangianD, u: tuple, _slots: list | None = None) -> float:
 def el_expressions_d(L: LagrangianD, u: tuple) -> tuple:
     """Euler-Lagrange expressions dL/du_k - sum_j d/dx_j (dL/dg_jk), one field
     per component, on the doubly shrunk interior; each is one array, taken
-    by the assembly _el_values that the 1-D expressions share."""
+    by the assembly _el_values that the 1-D expressions share, over the
+    declared slots (j, k) only."""
     coords, U, G, lo, cell_hi = _pattern_args(L, u)
     if any(c == l for l, c in zip(lo, cell_hi)):
         raise ValueError("window too small for the Euler-Lagrange expressions")
     grid = u[0].grid
     P, Q = L.sample("u", coords, U, G), L.sample("g", coords, U, G)
-    return tuple(FieldD(grid, lo, _sealed(_el_values(P[k], Q[:, k], grid.scales, lo))) for k in range(L.n))
+    axes = [None if L.g_slots is None else {j for j, c in L.g_slots if c == k} for k in range(L.n)]
+    return tuple(FieldD(grid, lo, _sealed(_el_values(P[k], Q[:, k], grid.scales, lo, axes[k]))) for k in range(L.n))
 
 
 @dataclass(frozen=True)
@@ -330,8 +337,9 @@ def _rho_quotient(p: FieldD, axis: int) -> FieldD:
     scale minimum, of C-ordered values, it is one buffer of p's shape: the
     differences at the axis stride over the flat values, written after the
     first flat slab and right everywhere but where the axis index is 0,
-    then the rest divided in place, as forward_quotient divides, and slab
-    1 repeated over slab 0.  Above the minimum the shift is a view."""
+    then off unit steps the unwritten head zeroed and the whole divided in
+    one pass by 1.0 and the gaps, and slab 1 repeated over slab 0.  Above
+    the minimum the shift is a view."""
     n = p.values.shape[axis]
     if p.lo[axis] or n < 2 or not p.values.flags.c_contiguous:
         return shift_axis(partial_delta(p, axis), axis, -1)
@@ -339,11 +347,11 @@ def _rho_quotient(p: FieldD, axis: int) -> FieldD:
     out = np.empty(p.values.shape)
     src, step = p.values.ravel(), prod(p.values.shape[axis + 1 :])
     np.subtract(src[step:], src[:-step], out=out.ravel()[step:])
-    body = out[before + (slice(1, None),)]
     ts = p.grid.scales[axis]
     if not ts.unit_steps:
-        body /= np.diff(ts.points[:n]).reshape((n - 1,) + (1,) * (p.grid.d - axis - 1))
-    out[before + (slice(0, 1),)] = body[before + (slice(0, 1),)]
+        out.ravel()[:step] = 0.0
+        out /= np.concatenate(([1.0], np.diff(ts.points[:n]))).reshape((n,) + (1,) * (p.grid.d - axis - 1))
+    out[before + (slice(0, 1),)] = out[before + (slice(1, 2),)]
     return FieldD(p.grid, p.lo, _sealed(out))
 
 
@@ -390,41 +398,27 @@ def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float
     """Seeded separable polynomial samples scaled to the given sup amplitude.
 
     The coefficients are one draw of shape (3, d, degree + 1): term, axis,
-    power, evaluated by one polyval call on all axes' scaled points laid
-    end to end.  Each term is the product ((a0*a1)*a2)*a3 of one
-    polynomial per axis.  Its last product is an outer product formed in
-    rows of the last axis when that axis is the shorter, as numpy runs one
-    inner loop per row and factors commute bit for bit, and otherwise by
-    einsum in the grid's layout, which the outer ufunc would pass through
-    numpy's buffer in short rows.  einsum adds each product to +0.0, which
-    changes only the sign of a zero, and the sum ((0.0 + t0) + t1) + t2
-    turns any -0.0 into +0.0 anyway; it is scaled into a grid-shaped
-    buffer made after the product's is freed.
+    power, evaluated by one polyval call on the grid's probe_points.  The
+    sum ((0.0 + t0) + t1) + t2 of the terms ((a0*a1)*a2)*a3 is one einsum
+    contraction of the leading axes' stacked products (heads) with the last
+    axis's polynomials, adding k = 0, 1, 2 in order to +0.0 with each product
+    and sum rounded.  It runs in rows of the last axis when that axis is the
+    shorter, so that inner loops run over the long heads (factors commute
+    bit for bit), and otherwise in place in the grid's layout, where it is
+    also scaled.  The peak max(max x, -min x) is max |x| exactly.
     """
     coeffs = np.random.default_rng(seed).uniform(-1, 1, (3, grid.d, degree + 1))
     table = np.polynomial.polynomial.polyval(
-        np.concatenate([s.points / max(np.max(np.abs(s.points)), 1.0) for s in grid.scales]),
-        np.repeat(coeffs, grid.shape, axis=1).transpose(2, 0, 1),
-        tensor=False,
+        grid.probe_points, np.repeat(coeffs, grid.shape, axis=1).transpose(2, 0, 1), tensor=False
     )
     *axes, last = (table[:, e - n : e] for n, e in zip(grid.shape, accumulate(grid.shape)))
-    rows = (prod(grid.shape[:-1]), grid.shape[-1])
-    transposed = rows[1] < rows[0]
-    vals = None if transposed else np.empty(grid.shape)
-    acc = np.empty(rows[::-1]) if transposed else vals.reshape(rows)
-    term = np.empty_like(acc)
-    for i in range(3):
-        head = reduce(np.multiply.outer, [a[i] for a in axes]).ravel()
-        if transposed:
-            np.multiply.outer(last[i], head, out=term)
-        else:
-            np.einsum("i,j->ij", head, last[i], out=term)
-        np.add(acc if i else 0.0, term, out=acc)
-    peak = np.max(np.abs(acc, out=term))
-    del term
-    if transposed:
-        vals = np.empty(grid.shape)
-    np.multiply(acc.T if transposed else acc, amplitude / peak if peak > 0 else 1.0, out=vals.reshape(rows))
+    heads = np.array([reduce(np.multiply.outer, [a[i] for a in axes]).ravel() for i in range(3)])
+    vals = np.empty(grid.shape)
+    flat = vals.reshape(len(heads[0]), -1)
+    transposed = flat.shape[1] < flat.shape[0]
+    acc = np.einsum("ki,kj->ij", last, heads) if transposed else np.einsum("ki,kj->ij", heads, last, out=flat)
+    peak = np.maximum(np.max(acc), -np.min(acc))
+    np.multiply(acc.T if transposed else acc, amplitude / peak if peak > 0 else 1.0, out=flat)
     return FieldD(grid, (0,) * grid.d, _sealed(vals))
 
 
@@ -481,7 +475,7 @@ def double_fundamental_oracle(M: FieldD) -> tuple[float, float, bool]:
 # The field-strength densities (curl2 and em) and the named 2-d densities.
 
 def _zero_d_u(coords, U, G):
-    return np.zeros_like(U)
+    return 0.0
 
 
 def _field_strength_lagrangian(d: int, n: int, plus: tuple, minus: tuple = ()) -> LagrangianD:

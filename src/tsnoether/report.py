@@ -34,9 +34,10 @@ class ResidualReport:
 
     @staticmethod
     def from_per_point(domain: tuple[int, int], per_point, tolerance: float) -> "ResidualReport":
-        # C order makes the l2 sum add the same pairs whatever the layout.
+        # C order makes the l2 sum add the same pairs whatever the layout; the
+        # sup is max |x| with no |x| buffer, and + 0.0 prints a -0.0 sup as 0.0.
         arr = np.atleast_1d(np.asarray(per_point, dtype=float, order="C"))
-        sup = float(np.max(np.abs(arr))) if arr.size else 0.0
+        sup = float(np.maximum(np.max(arr), -np.min(arr)) + 0.0) if arr.size else 0.0
         l2 = float(np.sqrt(np.sum(arr * arr)))
         return ResidualReport(
             domain=(int(domain[0]), int(domain[1])),

@@ -245,6 +245,9 @@ def _overlap(*parts) -> tuple[tuple, list]:
     """The common window of (lo, values) pairs, lo a tuple over the leading
     axes of values (a further component axis is carried whole): its lo, and
     each values cut to it as a view.  Raises when the windows are disjoint."""
+    (lo, first), k = parts[0], len(parts[0][0])
+    if 0 not in first.shape[:k] and all(l == lo and v.shape[:k] == first.shape[:k] for l, v in parts):
+        return lo, [v for _, v in parts]  # one window: each values whole
     lo = tuple(map(max, zip(*[l for l, _ in parts])))
     end = tuple(map(min, zip(*[map(add, l, v.shape) for l, v in parts])))
     if any(map(ge, lo, end)):
@@ -421,17 +424,16 @@ def window_integral(scales, lo, values: np.ndarray) -> np.ndarray:
     the layout of values (a strided shift view, a transposed edge, a
     broadcast), so np.sum adds the same pairs every time; the others run in
     place.  On an axis of unit steps, where the product changes no bit, it
-    is not taken: the first axis is only copied, the others are skipped."""
+    is not taken, and a window of unit steps on every axis is summed from
+    its C-order values, copied only when they are in another layout."""
     cells = tuple(slice(0, min(n, len(s) - 1 - l)) for s, l, n in zip(scales, lo, values.shape))
-    weighted = np.moveaxis(values[cells], -1, 0)
+    view = weighted = np.moveaxis(values[cells], -1, 0)
     for ax, (s, l) in enumerate(zip(scales, lo)):
-        if s.unit_steps:
-            weighted = weighted if ax else np.array(weighted, order="C")
-            continue
-        n = weighted.shape[ax + 1]
-        mu = np.diff(s.points[l : l + n + 1]).reshape((n,) + (1,) * (len(scales) - ax - 1))
-        weighted = np.multiply(weighted, mu, order="C") if ax == 0 else np.multiply(weighted, mu, out=weighted)
-    return np.array([np.sum(c) for c in weighted])
+        if not s.unit_steps:
+            n = weighted.shape[ax + 1]
+            mu = np.diff(s.points[l : l + n + 1]).reshape((n,) + (1,) * (len(scales) - ax - 1))
+            weighted = np.multiply(weighted, mu, out=None if weighted is view else weighted, order="C")
+    return np.array([np.sum(c) for c in np.ascontiguousarray(weighted)])
 
 
 def delta_integral(f: GridFunction) -> np.ndarray:

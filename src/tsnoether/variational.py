@@ -175,15 +175,17 @@ def el_expressions(L: Lagrangian, y: GridFunction) -> GridFunction:
     return GridFunction(y.ts, y.lo, _sealed(_el_values(pu.values, pv.values[None], (y.ts,), (y.lo,))))
 
 
-def _el_values(P: np.ndarray, Q: np.ndarray, scales: tuple, lo: tuple) -> np.ndarray:
+def _el_values(P: np.ndarray, Q: np.ndarray, scales: tuple, lo: tuple, axes=None) -> np.ndarray:
     """P minus the axis-j quotient of each Q[j], subtracted in axis order, from
     samples on the window at lo of the product of scales: one entry fewer on
     each leading axis, a trailing component axis kept whole.  Every
-    Euler-Lagrange expression, 1-D and d-D, and Newton's residual take this."""
+    Euler-Lagrange expression, 1-D and d-D, and Newton's residual take this.
+    Given `axes`, any other Q[j] is taken as 0.0: its quotient would change no bit."""
     inner = (slice(0, -1),) * len(scales)
     e = P[inner].copy()
     for j, (ts, l) in enumerate(zip(scales, lo)):
-        e -= forward_quotient(Q[j][inner[:j] + (slice(None),) + inner[j + 1 :]], ts, l, j)
+        if axes is None or j in axes:
+            e -= forward_quotient(Q[j][inner[:j] + (slice(None),) + inner[j + 1 :]], ts, l, j)
     return e
 
 

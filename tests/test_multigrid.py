@@ -1830,7 +1830,8 @@ def outer_random_polynomial_field(grid, seed, degree=2, amplitude=1.0):
 
 def probe_grids():
     """The check2d grids (square, and 40 x 300 in both orientations), the em
-    lattices at 16^4 and 14^4, and a 3-d grid, each with an h axis from 0."""
+    lattices at 10^4, 12^4, 16^4 and 14^4, and a 3-d grid, each with an h
+    axis from 0."""
     h, q = h_uniform(1.0, 0.0, 299.0), q_geometric(1.01, 1.0, 300)
     short = h_uniform(0.5, 0.0, 19.5)
     return {
@@ -1838,18 +1839,23 @@ def probe_grids():
         "qh-300": GridD((q, h)),
         "short-first": GridD((short, q)),
         "short-last": GridD((q, short)),
+        "uniform-10": em_lattice("uniform", 10),
+        "uniform-12": em_lattice("uniform", 12),
         "uniform-16": em_lattice("uniform", 16),
         "mixed-14": em_lattice("mixed", 14),
         "hqh-3d": GridD((h_uniform(1.0, 0.0, 11.0), q_geometric(1.2, 1.0, 9), h_uniform(0.25, 0.0, 2.0))),
     }
 
 
-@pytest.mark.parametrize("zeros", ["none", "constant"])
+@pytest.mark.parametrize("zeros", ["none", "constant", "wide"])
 @pytest.mark.parametrize("name", sorted(probe_grids()))
 def test_probe_field_bitwise_equals_outer_products(name, zeros):
     # "constant" zeroes the constant coefficients of the first axis that
     # starts at 0 with random signs, so that every product on that point is
-    # a signed zero.
+    # a signed zero; "wide" draws magnitudes of 1e-20 to 1e20, and one term
+    # near 1e-320 / d per axis, whose products are subnormal.  The one
+    # contraction is also pinned to the per-axis generator and, on the
+    # seeded draw itself, to the earliest one, which draws axis by axis.
     grid = probe_grids()[name]
     axis = next(ax for ax, s in enumerate(grid.scales) if s.points[0] == 0.0)
     for seed in range(3):
@@ -1857,10 +1863,16 @@ def test_probe_field_bitwise_equals_outer_products(name, zeros):
         draw = rng.uniform(-1, 1, (3, grid.d, 3))
         if zeros == "constant":
             draw[:, axis, 0] = np.where(rng.integers(0, 2, 3), -0.0, 0.0)
+        elif zeros == "wide":
+            draw *= 10.0 ** rng.uniform(-20, 20, draw.shape)
+            draw[2] = rng.uniform(-1, 1, (grid.d, 3)) * 10.0 ** (-320 / grid.d)
         with fixed_draw(draw):
             vals = random_polynomial_field(grid, seed, amplitude=0.1).values
-            ref = outer_random_polynomial_field(grid, seed, amplitude=0.1)
-        assert same_bytes(vals, ref), f"{name}, seed {seed}"
+            refs = [outer_random_polynomial_field(grid, seed, amplitude=0.1),
+                    per_axis_random_polynomial_field(grid, seed, amplitude=0.1)]
+        if zeros == "none":
+            refs.append(earlier_random_polynomial_field(grid, [31, seed], amplitude=0.1))
+        assert all(same_bytes(vals, ref) for ref in refs), f"{name}, seed {seed}"
 
 
 def rho_windows(grid):
@@ -1876,15 +1888,53 @@ def rho_windows(grid):
     return {"whole": whole, "above": above, "strided": strided}
 
 
+def body_divided_rho_quotient(p, axis):
+    """_rho_quotient as it divided the strided body after the flat
+    difference, or None where it took shift_axis(partial_delta(...))."""
+    n = p.values.shape[axis]
+    if p.lo[axis] or n < 2 or not p.values.flags.c_contiguous:
+        return None
+    before = (slice(None),) * axis
+    out = np.empty(p.values.shape)
+    src, step = p.values.ravel(), prod(p.values.shape[axis + 1 :])
+    np.subtract(src[step:], src[:-step], out=out.ravel()[step:])
+    body = out[before + (slice(1, None),)]
+    ts = p.grid.scales[axis]
+    if not ts.unit_steps:
+        body /= np.diff(ts.points[:n]).reshape((n - 1,) + (1,) * (p.grid.d - axis - 1))
+    out[before + (slice(0, 1),)] = body[before + (slice(0, 1),)]
+    return out
+
+
+def rho_grids():
+    """Grids of 2 to 4 axes with non-unit axes (q and h:0.5) at every
+    position, the last one included, and some unit axes among them."""
+    q, half, unit = q_geometric(1.2, 0.5, 7), h_uniform(0.5, -1.0, 2.0), h_uniform(1.0, 0.0, 5.0)
+    return {
+        "q-half": GridD((q, half)),
+        "unit-q": GridD((unit, q)),
+        "half-unit-q": GridD((half, unit, q)),
+        "q-q-half": GridD((q, q_geometric(1.5, 1.0, 5), half)),
+        "unit-half-q-unit": GridD((unit, half, q, h_uniform(1.0, 0.0, 3.0))),
+        "q-half-unit-q": GridD((q, half, unit, q_geometric(1.05, 2.0, 4))),
+    }
+
+
 @pytest.mark.parametrize("window", ["whole", "above", "strided"])
-@pytest.mark.parametrize("name", ["hq-300", "qh-300", "uniform-16", "mixed-14", "hqh-3d"])
+@pytest.mark.parametrize("name", ["hq-300", "qh-300", "uniform-16", "mixed-14", "hqh-3d", *sorted(rho_grids())])
 def test_flat_rho_quotient_bitwise_equals_shifted_quotient(name, window):
-    grid = probe_grids()[name]
+    # At the minimum, the one-pass divide is also pinned to the division of
+    # the strided body that it replaced.
+    grid = {**probe_grids(), **rho_grids()}[name]
     p = rho_windows(grid)[window]
     for axis in range(grid.d):
         out = multigrid._rho_quotient(p, axis)
         ref = shift_axis(partial_delta(p, axis), axis, -1)
         assert out.lo == ref.lo and same_bytes(np.ascontiguousarray(out.values), np.ascontiguousarray(ref.values)), axis
+        earlier = body_divided_rho_quotient(p, axis)
+        assert (earlier is None) == (window != "whole"), axis
+        if earlier is not None:
+            assert same_bytes(out.values, earlier), axis
 
 
 def multiplied_window_integral(scales, lo, values):
@@ -1901,12 +1951,14 @@ def multiplied_window_integral(scales, lo, values):
 
 
 @pytest.mark.parametrize("specials", ["zeros", "inf", "-inf", "both-inf"])
-@pytest.mark.parametrize("second", [None, "h", "q"])
+@pytest.mark.parametrize("second", [None, "h", "q", "q-h", "h-h-h"])
 def test_unit_step_integral_copy_bitwise_equals_multiply(second, specials):
     # Samples of +-0.0 (a column of -0.0 only, too) and +-inf, with a
-    # component axis and in a strided (transposed) layout.
-    unit = h_uniform(1.0, -3.0, 40.0)
-    others = {None: (), "h": (h_uniform(1.0, 0.0, 6.0),), "q": (q_geometric(1.3, 1.0, 7),)}[second]
+    # component axis and in a strided (transposed) layout, and one C-order
+    # component, which a window of unit steps only ("h" is h:1) sums where
+    # it lies; a q axis after unit ones takes the one product.
+    unit, h, q = h_uniform(1.0, -3.0, 40.0), h_uniform(1.0, 0.0, 6.0), q_geometric(1.3, 1.0, 7)
+    others = {None: (), "h": (h,), "q": (q,), "q-h": (q, h), "h-h-h": (h, h_uniform(1.0, 2.0, 5.0), h)}[second]
     scales = (unit, *others)
     shape = tuple(len(s) for s in scales)
     rng = np.random.default_rng(len(shape))
@@ -1919,7 +1971,7 @@ def test_unit_step_integral_copy_bitwise_equals_multiply(second, specials):
             vals[..., 1][rng.uniform(size=shape) < 0.05] = -np.inf
     for lo in ((0,) * len(scales), (2,) * len(scales)):
         window = vals[tuple(slice(l, None) for l in lo)]
-        for layout in (window, np.asfortranarray(window)):
+        for layout in (window, np.asfortranarray(window), np.ascontiguousarray(window[..., 1:2])):
             with np.errstate(invalid="ignore"):  # inf - inf
                 out, ref = window_integral(scales, lo, layout), multiplied_window_integral(scales, lo, layout)
             assert out.tobytes() == ref.tobytes(), lo
@@ -1946,3 +1998,139 @@ def test_held_slot_functional_bitwise_equals_fresh_and_subtracted_view(kind):
             u = u[: L.n]
             held = functional_d(L, u, _slots=slots)
             assert bits(held) == bits(functional_d(L, u)) == bits(earlier_pattern_functional_d(L, u))
+
+
+# Each probe field in one contraction, and no lattice pass that changes no
+# bit.  The probe sum is one einsum of the stacked heads with the last
+# axis's polynomials; the rho-quotient off unit steps divides its whole
+# buffer once, by 1.0 and the gaps; window_integral copies nothing before
+# its first product, nor a C-order window of unit steps; and the
+# Euler-Lagrange expressions read no undeclared slot.  The long-pass tests
+# above pin the first three bit for bit against the earlier formulations;
+# these pin what bits cannot show, and the last against its full assembly.
+
+def test_probe_points_are_cached_and_read_only():
+    grid = em_lattice("mixed", 6)
+    points = grid.probe_points
+    assert points is grid.probe_points and not points.flags.writeable
+    ref = np.concatenate([s.points / max(np.max(np.abs(s.points)), 1.0) for s in grid.scales])
+    assert same_bytes(points, ref)
+
+
+@pytest.mark.parametrize("name", sorted(rho_grids()))
+def test_one_pass_rho_quotient_reads_no_unwritten_entry(name):
+    # np.empty is made to return signalling NaNs: the head that the flat
+    # difference leaves unwritten is zeroed before the divide, so no
+    # invalid operation is raised, and every other entry is written.
+    grid = rho_grids()[name]
+    p = rho_windows(grid)["whole"]
+    real = np.empty
+
+    def signalling(shape, *args, **kwargs):
+        return np.full(shape, np.uint64(0x7FF0000000000001)).view(np.float64)
+
+    for axis in range(grid.d):
+        ref = multigrid._rho_quotient(p, axis).values
+        with mock.patch.object(multigrid.np, "empty", signalling), np.errstate(invalid="raise"):
+            out = multigrid._rho_quotient(p, axis).values
+        assert same_bytes(out, ref), axis
+    assert np.empty is real
+
+
+def test_integral_copies_its_window_at_most_once():
+    # 960 kB of C-order samples on unit axes are summed where they lie; in
+    # another layout, or weighted by a q axis, they are copied once, so the
+    # product is taken in C order and not copied again to be summed.
+    import tracemalloc
+
+    unit, q = h_uniform(1.0, 0.0, 400.0), q_geometric(1.001, 1.0, 301)
+    values = np.random.default_rng(0).uniform(-1, 1, (400, 300, 1))
+    peaks = {}
+    for second in ("unit", "q"):
+        scales = (unit, h_uniform(1.0, 0.0, 300.0) if second == "unit" else q)
+        for order in "CF":
+            layout = np.asarray(values, order=order)
+            tracemalloc.start()
+            window_integral(scales, (0, 0), layout)
+            peaks[second, order] = tracemalloc.get_traced_memory()[1] / values.nbytes
+            tracemalloc.stop()
+    assert peaks.pop(("unit", "C")) < 0.1
+    assert all(1.0 <= peak < 1.5 for peak in peaks.values()), peaks
+
+
+def full_el_expressions_d(L, u):
+    """el_expressions_d as assembled before: every slot's quotient is
+    subtracted, and the zero u partial of the built-in densities is a
+    full-lattice array."""
+    coords, U, G, lo, cell_hi = multigrid._pattern_args(L, u)
+    grid = u[0].grid
+    P = np.zeros_like(U) if L.d_u is multigrid._zero_d_u else L.sample("u", coords, U, G)
+    Q = L.sample("g", coords, U, G)
+    inner = (slice(0, -1),) * grid.d
+    out = []
+    for k in range(L.n):
+        e = P[k][inner].copy()
+        for j, (ts, l) in enumerate(zip(grid.scales, lo)):
+            e -= forward_quotient(Q[j, k][inner[:j] + (slice(None),) + inner[j + 1 :]], ts, l, j)
+        out.append(FieldD(grid, lo, e))
+    return tuple(out)
+
+
+def differenced_density():
+    """A 3-d, two-component density with no partials given, declaring four
+    of its six slots, so that central differences give its partials."""
+
+    def density(coords, U, G):
+        return G[0, 1] * G[2, 0] + coords[1] * G[0, 1] ** 2 + U[1] * G[2, 0] ** 3 + 0.5 * G[1, 1] * U[0]
+
+    return LagrangianD(d=3, n=2, density=density, g_slots=((2, 0), (0, 1), (1, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("name", ["em-mixed", "em-uniform", "curl2", "dirichlet2", "differenced", "differenced-all"])
+def test_el_expressions_bitwise_equal_full_assembly(name):
+    from tsnoether import em
+
+    L = {"em-mixed": em.em_lagrangian(), "em-uniform": em.em_lagrangian(), "curl2": catalog2d("curl2"),
+         "dirichlet2": catalog2d("dirichlet2"), "differenced": differenced_density(),
+         "differenced-all": replace(differenced_density(), g_slots=None)}[name]
+    grid = {"em-mixed": em_lattice("mixed", 7), "em-uniform": em_lattice("uniform", 8), "curl2": grid_2d("qh", 40),
+            "dirichlet2": grid_2d("hq", 40)}.get(name, GridD((q_geometric(1.2, 1.0, 8), h_uniform(0.5, 0.0, 3.0),
+                                                              h_uniform(1.0, 0.0, 5.0))))
+    fields = [tuple(random_polynomial_field(grid, seed=[33, t, k]) for k in range(L.n)) for t in range(2)]
+    fields.append(tuple(f.restrict((1,) * grid.d, tuple(n - 1 for n in grid.shape)) for f in fields[0]))
+    quotients = []
+    real = variational.forward_quotient
+
+    def counting(*args):
+        quotients.append(args[3])
+        return real(*args)
+
+    for u in fields:
+        ref = full_el_expressions_d(L, u)
+        quotients.clear()
+        with mock.patch.object(variational, "forward_quotient", counting):
+            out = el_expressions_d(L, u)
+        assert bits(out) == bits(ref)
+        assert len(quotients) == (L.d * L.n if L.g_slots is None else len(L.g_slots))
+
+
+def test_zero_u_partial_is_one_scalar():
+    from tsnoether import em
+
+    for L in (em.em_lagrangian(), catalog2d("curl2"), catalog2d("dirichlet2")):
+        U, G = np.ones((L.n, 3, 4)[: 1 + L.d]), np.ones((L.d, L.n, 3, 4)[: 2 + L.d])
+        assert np.asarray(L.d_u((), U, G)).shape == ()
+        assert same_bytes(np.ascontiguousarray(L.sample("u", (), U, G)), np.zeros(U.shape))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [3.0, -5.0, 4.0], [-np.inf, 2.0], [np.inf, -np.inf], [5e-324, -1e-320, 0.0],
+     [1e150, -1e154, 2.0], [np.nan, 1.0], [1.0, -np.nan]],
+)
+def test_report_sup_bitwise_equals_abs_max(values):
+    arr = np.array(values)
+    rep = ResidualReport.from_per_point((0, 0), arr.reshape(-1, 1)[::-1], 1.0)
+    ref = float(np.max(np.abs(arr)))
+    assert np.float64(rep.sup_norm).tobytes() == np.float64(ref).tobytes() or (np.isnan(rep.sup_norm) and np.isnan(ref))
+    assert not np.signbit(rep.sup_norm) or np.isnan(rep.sup_norm)

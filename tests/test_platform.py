@@ -117,3 +117,24 @@ def test_c_order_copy_equals_multiply_by_one(layout):
         "timescale.window_integral copies the first axis in place of multiplying by its mu when that "
         "axis has unit steps, and its integrals would no longer be those of the product"
     )
+
+
+@pytest.mark.parametrize("shape", [(4096, 16), (2744, 14), (300, 300), (40, 300), (300, 40), (7, 9)])
+def test_einsum_contraction_of_three_terms_is_their_sequential_sum(shape):
+    # Both layouts of the probe sum: rows of the grid (heads, last) and rows
+    # of a shorter last axis (last, heads), each as a fresh result and into a
+    # given buffer; operands with +-0.0, subnormals and exponents of +-20.
+    rng = np.random.default_rng(shape)
+    heads, last = (signed_operands(rng, 3 * n).reshape(3, n) * 10.0 ** rng.uniform(-20, 20, (3, n)) for n in shape)
+    heads[rng.uniform(size=heads.shape) < 0.05] = 5e-324
+    last[rng.uniform(size=last.shape) < 0.05] = -3e-310
+    for a, b in ((heads, last), (last, heads)):
+        ref = np.empty((a.shape[1], b.shape[1]))
+        for k in range(3):
+            np.add(ref if k else 0.0, np.multiply.outer(a[k], b[k]), out=ref)
+        for out in (np.einsum("ki,kj->ij", a, b), np.einsum("ki,kj->ij", a, b, out=np.empty(ref.shape))):
+            assert out.tobytes() == ref.tobytes(), (
+                f"np.einsum('ki,kj->ij') over three terms differs from ((0.0 + t0) + t1) + t2 at "
+                f"{ref.shape} ({platform()}); multigrid.random_polynomial_field forms each probe field's sum "
+                "by this contraction, and its values would no longer be those of the termwise sum"
+            )

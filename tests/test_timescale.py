@@ -685,3 +685,47 @@ def test_window_integral_is_layout_independent(d, seed, data):
         assert np.array_equal(ref, np.zeros(n))
     for arr in layouts:
         assert timescale.window_integral(scales, lo, arr).tobytes() == ref.tobytes()
+
+
+# The window kernel: operands that share one window are returned whole.
+
+def general_overlap(*parts):
+    """timescale._overlap without its one-window return."""
+    lo = tuple(map(max, zip(*[l for l, _ in parts])))
+    end = tuple(map(min, zip(*[[l_ + n for l_, n in zip(l, v.shape)] for l, v in parts])))
+    if any(a >= b for a, b in zip(lo, end)):
+        raise ValueError("windows do not overlap")
+    return lo, [v[tuple(slice(a - l_, b - l_) for a, b, l_ in zip(lo, end, l))] for l, v in parts]
+
+
+@pytest.mark.parametrize(
+    "lows, shapes",
+    [
+        ([(3,), (3,)], [(10, 1), (10, 1)]),
+        ([(3,), (3,)], [(10, 1), (10, 3)]),  # trailing component axes differ
+        ([(0,), (0,), (0,)], [(4, 2), (4, 2), (4, 1)]),
+        ([(1, 2), (1, 2)], [(5, 6), (5, 6)]),
+        ([(0, 0, 1), (0, 0, 1)], [(3, 4, 5), (3, 4, 5)]),
+        ([(3,), (4,)], [(10, 1), (9, 1)]),  # one window, but not one lo
+        ([(3,), (3,)], [(10, 1), (9, 1)]),  # one lo, not one window
+        ([(1, 2), (1, 2)], [(5, 6), (5, 5)]),
+        ([(0,), (0,)], [(0, 2), (0, 2)]),  # empty windows
+        ([(0,), (5,)], [(3, 1), (3, 1)]),  # disjoint windows
+    ],
+)
+def test_overlap_of_one_window_equals_the_general_path(lows, shapes):
+    rng = np.random.default_rng(len(shapes))
+    parts = [(lo, rng.uniform(-1, 1, shape)) for lo, shape in zip(lows, shapes)]
+    parts[-1] = (parts[-1][0], np.asfortranarray(parts[-1][1]))
+    try:
+        ref = general_overlap(*parts)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            timescale._overlap(*parts)
+        return
+    lo, views = timescale._overlap(*parts)
+    assert lo == ref[0] and [v.shape for v in views] == [v.shape for v in ref[1]]
+    assert [v.tobytes() for v in views] == [v.tobytes() for v in ref[1]]
+    assert all(np.shares_memory(v, values) for v, (_, values) in zip(views, parts))
+    if len(set(lows)) == 1 and len({s[: len(lows[0])] for s in shapes}) == 1:
+        assert all(v is values for v, (_, values) in zip(views, parts))
