@@ -301,8 +301,9 @@ def _cmd_check2d(args):
     L = mg.catalog2d(args.lagrangian)
     fam = load_family(args.family, functools.partial(mg.GaugeFamilyD.from_table, grid))
     u = tuple(mg.random_polynomial_field(grid, seed=[args.seed, 7 + k]) for k in range(L.n))
-    inv = mg.check_invariance_d(L, fam, u, trials=args.trials, seed=args.seed)
-    ident = mg.noether_identity_d(L, fam, u)
+    slots: list = []  # one pattern workspace for both sections (multigrid._pattern_args)
+    inv = mg.check_invariance_d(L, fam, u, trials=args.trials, seed=args.seed, _slots=slots)
+    ident = mg.noether_identity_d(L, fam, u, _slots=slots)
     return _report_sections(
         [_section("invariance", inv, args.verbose), _section("identity", ident, args.verbose)]
     )
@@ -318,11 +319,14 @@ def _cmd_em(args):
         grid = _lattice(specs)
 
     fam = em_mod.em_gauge_family(grid)
-    gauge_rep = em_mod._gauge_invariance(fam, args.trials, args.seed)
-    ident = mg.noether_identity_d(em_mod.em_lagrangian(), fam, em_mod.random_em_field(grid, seed=[args.seed, 1]))
+    slots: list = []  # one pattern workspace for the gauge, identity and wave-form sections
+    gauge_rep = em_mod._gauge_invariance(fam, args.trials, args.seed, _slots=slots)
+    ident = mg.noether_identity_d(
+        em_mod.em_lagrangian(), fam, em_mod.random_em_field(grid, seed=[args.seed, 1]), _slots=slots
+    )
     A = em_mod.lorentz_field(grid)
     lorentz = em_mod.em_lorentz_check(A)
-    wave = em_mod.em_wave_reduction_residual(A)
+    wave = em_mod.em_wave_reduction_residual(A, _slots=slots)
     sections = [
         _section("gauge-invariance", gauge_rep, args.verbose),
         _section("identity", ident, args.verbose),

@@ -62,12 +62,13 @@ def em_gauge_family(grid: GridD) -> GaugeFamilyD:
     return GaugeFamilyD(grid, [[-1.0 if i == 1 + k else 0.0 for i in range(5)] for k in range(4)])
 
 
-def _gauge_invariance(fam: GaugeFamilyD, trials: int, seed: int) -> ResidualReport:
+def _gauge_invariance(fam: GaugeFamilyD, trials: int, seed: int, _slots: list | None = None) -> ResidualReport:
     """Action deviation under the gauge family `fam`: trial t draws a
     potential (seed [seed, 1, t]) and a parameter p (seed [seed, 2, t]).
-    Both actions of every trial write their pattern into one (U, G) pair
-    that the loop holds until it returns (see multigrid._pattern_args)."""
-    slots: list = []
+    Both actions of every trial write their pattern into one workspace (see
+    multigrid._pattern_args), the command's `_slots` or else one the loop
+    holds until it returns."""
+    slots = [] if _slots is None else _slots
 
     def pair(trial: int) -> tuple[float, float]:
         A = random_em_field(fam.grid, seed=[seed, 1, trial])
@@ -112,10 +113,12 @@ def em_wave_form(A: tuple) -> tuple:
     return tuple(out)
 
 
-def em_wave_reduction_residual(A: tuple) -> ResidualReport:
+def em_wave_reduction_residual(A: tuple, _slots: list | None = None) -> ResidualReport:
     """Gap between the Euler-Lagrange expressions and the wave form; small
-    only when the Lorentz conditions hold."""
-    return _fields_report([e - w for e, w in zip(el_expressions_d(em_lagrangian(), A), em_wave_form(A))], 1e-9)
+    only when the Lorentz conditions hold.  `_slots` is a held pattern
+    workspace (see multigrid._pattern_args)."""
+    es = el_expressions_d(em_lagrangian(), A, _slots)
+    return _fields_report([e - w for e, w in zip(es, em_wave_form(A))], 1e-9)
 
 
 def default_lattice(points_per_axis: int = 6) -> GridD:

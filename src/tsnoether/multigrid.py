@@ -52,6 +52,16 @@ class GridD:
         """Each axis's points over max(max |t|, 1), end to end: the probe's polyval argument."""
         return _sealed(np.concatenate([s.points / max(np.max(np.abs(s.points)), 1.0) for s in self.scales]))
 
+    @cached_property
+    def rho_divisors(self) -> tuple:
+        """Per axis, None on unit steps, else 1.0 and the axis's gaps as a
+        read-only C-order table of the grid's shape: _rho_quotient's divisor
+        on a field of the whole grid."""
+        return tuple(
+            None if s.unit_steps else _sealed(_table(np.concatenate(([1.0], np.diff(s.points))), ax, self.shape))
+            for ax, s in enumerate(self.scales)
+        )
+
     def same_as(self, other: "GridD") -> bool:
         return self is other or (
             self.d == other.d and all(a.same_as(b) for a, b in zip(self.scales, other.scales))
@@ -197,6 +207,34 @@ class LagrangianD:
         return np.broadcast_to(out, {"L": U.shape[1:], "u": U.shape, "g": G.shape}[which])
 
 
+def _table(mu: np.ndarray, axis: int, shape: tuple) -> np.ndarray:
+    """mu along one axis, repeated over the others into a C-order array of
+    shape: a divisor or weight that a ufunc reads in one contiguous pass, as
+    it would pass the short runs of the broadcast mu through numpy's buffer."""
+    return np.broadcast_to(mu.reshape((-1,) + (1,) * (len(shape) - axis - 1)), shape).copy()
+
+
+def _pattern_workspace(L: LagrangianD, grid: GridD, lo: tuple, cells: tuple, key: tuple) -> list:
+    """A new [U, G, key, coords, plan, gaps] workspace for _pattern_args."""
+    d, cell_hi = grid.d, tuple(l + c - 1 for l, c in zip(lo, cells))
+    coords, gaps = [], []
+    for ax, s in enumerate(grid.scales):
+        coords.append(s.points[lo[ax] : cell_hi[ax] + 1].reshape((1,) * ax + (-1,) + (1,) * (d - ax - 1)))
+        gaps.append(None if s.unit_steps else _table(np.diff(s.points[lo[ax] : cell_hi[ax] + 2]), ax, cells))
+    U, G = np.empty((L.n,) + cells), np.empty((d, L.n) + cells)
+    up = (slice(1, None),) * d
+    plan = []
+    for k in range(L.n):
+        written = []
+        for j in range(d):
+            if L.g_slots is None or (j, k) in L.g_slots:
+                written.append((G[j, k], up[:j] + (slice(0, -1),) + up[j + 1 :], gaps[j]))
+            else:
+                G[j, k] = np.nan
+        plan.append((U[k], up, tuple(written)))
+    return [U, G, key, tuple(coords), tuple(plan), tuple(gaps)]
+
+
 def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     """Shifted-argument slots on the base-cell window shared by all of them.
 
@@ -206,15 +244,20 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     and G[j, k] the difference of that view and the one without sigma on
     axis j, divided by mu_j, element by element as forward_quotient does
     (and, like it, not divided on a scale of unit steps).  The second view
-    is copied into the slot and subtracted there, as a ufunc would pass
-    its short strided rows through numpy's buffer and a copy does not.
-    Only the G slots of L.g_slots are written; the others are NaN from the
-    pair's making.
+    is copied into the slot and subtracted there, and mu_j is a C-order
+    table of the cell shape, as a ufunc would pass short strided or
+    broadcast rows through numpy's buffer and a copy does not.  Only the G
+    slots of L.g_slots are written; the others are NaN from the pair's
+    making.
 
-    `slots` is a loop's held [U, G, key] list, empty until the first call:
-    U and G are rewritten when the key (both shapes and L.g_slots) matches,
-    and a new pair is made and stored with its key when it does not, so a
-    reused pair gives the bits of a fresh one, NaN slots included.
+    `slots` is a command's held workspace, empty until the first call:
+    [U, G, key, coords, plan, gaps], where the plan names per component
+    the U[k] view and, per written slot, the G[j, k] view, the source slice
+    and the divisor, and gaps holds each axis's table (None on unit steps).
+    The key is the grid, the window's lo and cell shape, L.n and L.g_slots;
+    when it matches, the call only copies, subtracts and divides, and when
+    it does not, a new workspace is made and stored, so a reused pair gives
+    the bits of a fresh one, NaN slots included.
     """
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
@@ -226,46 +269,40 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     if 0 in cells:
         raise ValueError("window too small for the shifted argument pattern")
     cell_hi = tuple(l + c - 1 for l, c in zip(lo, cells))
-    coords, mus = [], []
-    for ax, s in enumerate(grid.scales):
-        shape = [1] * grid.d
-        shape[ax] = cells[ax]
-        coords.append(s.points[lo[ax] : cell_hi[ax] + 1].reshape(shape))
-        mus.append(None if s.unit_steps else np.diff(s.points[lo[ax] : cell_hi[ax] + 2]).reshape(shape))
-    key = ((L.n,) + cells, (grid.d, L.n) + cells, L.g_slots)
-    held = bool(slots) and slots[2] == key
-    U, G = slots[:2] if held else (np.empty(key[0]), np.empty(key[1]))
-    if slots is not None:
-        slots[:] = U, G, key
-    up = (slice(1, None),) * grid.d
-    for k, v in enumerate(views):
-        U[k] = v[up]
-        for j in range(grid.d):
-            if L.g_slots is None or (j, k) in L.g_slots:
-                G[j, k] = v[up[:j] + (slice(0, -1),) + up[j + 1 :]]
-                np.subtract(U[k], G[j, k], out=G[j, k])
-                if mus[j] is not None:
-                    G[j, k] /= mus[j]
-            elif not held:
-                G[j, k] = np.nan
-    return tuple(coords), U, G, lo, cell_hi
+    key = (grid, lo, cells, L.n, L.g_slots)
+    if slots is None:
+        slots = []
+    if not slots or slots[2] != key:
+        slots[:] = _pattern_workspace(L, grid, lo, cells, key)
+    U, G, _, coords, plan, _ = slots
+    for v, (U_k, up, written) in zip(views, plan):
+        U_k[...] = v[up]
+        for G_jk, src, mu in written:
+            G_jk[...] = v[src]
+            np.subtract(U_k, G_jk, out=G_jk)
+            if mu is not None:
+                G_jk /= mu
+    return coords, U, G, lo, cell_hi
 
 
 def functional_d(L: LagrangianD, u: tuple, _slots: list | None = None) -> float:
-    """The d-fold delta integral of the density along the shifted pattern.
-    `_slots` is a trial loop's held (U, G) pair (see _pattern_args); the
-    density's result is summed before the call returns, so a result that is
-    a view of G is never read after the next call rewrites it."""
-    coords, U, G, lo, cell_hi = _pattern_args(L, u, _slots)
-    return float(window_integral(u[0].grid.scales, lo, L.sample("L", coords, U, G)[..., None])[0])
+    """The d-fold delta integral of the density along the shifted pattern,
+    weighted by the pattern's gap tables.  `_slots` is a command's held
+    workspace (see _pattern_args); the density's result is summed before the
+    call returns, so a result that is a view of G is never read after the
+    next call rewrites it."""
+    slots = [] if _slots is None else _slots
+    coords, U, G, lo, cell_hi = _pattern_args(L, u, slots)
+    return float(window_integral(u[0].grid.scales, lo, L.sample("L", coords, U, G)[..., None], slots[5])[0])
 
 
-def el_expressions_d(L: LagrangianD, u: tuple) -> tuple:
+def el_expressions_d(L: LagrangianD, u: tuple, _slots: list | None = None) -> tuple:
     """Euler-Lagrange expressions dL/du_k - sum_j d/dx_j (dL/dg_jk), one field
     per component, on the doubly shrunk interior; each is one array, taken
     by the assembly _el_values that the 1-D expressions share, over the
-    declared slots (j, k) only."""
-    coords, U, G, lo, cell_hi = _pattern_args(L, u)
+    declared slots (j, k) only.  `_slots` is a held workspace, as for
+    functional_d: P and Q are taken before the call returns."""
+    coords, U, G, lo, cell_hi = _pattern_args(L, u, _slots)
     if any(c == l for l, c in zip(lo, cell_hi)):
         raise ValueError("window too small for the Euler-Lagrange expressions")
     grid = u[0].grid
@@ -338,8 +375,9 @@ def _rho_quotient(p: FieldD, axis: int) -> FieldD:
     differences at the axis stride over the flat values, written after the
     first flat slab and right everywhere but where the axis index is 0,
     then off unit steps the unwritten head zeroed and the whole divided in
-    one pass by 1.0 and the gaps, and slab 1 repeated over slab 0.  Above
-    the minimum the shift is a view."""
+    one pass by 1.0 and the gaps (the grid's rho_divisors table on a field
+    of the whole grid), and slab 1 repeated over slab 0.  Above the minimum
+    the shift is a view."""
     n = p.values.shape[axis]
     if p.lo[axis] or n < 2 or not p.values.flags.c_contiguous:
         return shift_axis(partial_delta(p, axis), axis, -1)
@@ -350,7 +388,10 @@ def _rho_quotient(p: FieldD, axis: int) -> FieldD:
     ts = p.grid.scales[axis]
     if not ts.unit_steps:
         out.ravel()[:step] = 0.0
-        out /= np.concatenate(([1.0], np.diff(ts.points[:n]))).reshape((n,) + (1,) * (p.grid.d - axis - 1))
+        if p.values.shape == p.grid.shape:
+            out /= p.grid.rho_divisors[axis]
+        else:
+            out /= np.concatenate(([1.0], np.diff(ts.points[:n]))).reshape((n,) + (1,) * (p.grid.d - axis - 1))
     out[before + (slice(0, 1),)] = out[before + (slice(1, 2),)]
     return FieldD(p.grid, p.lo, _sealed(out))
 
@@ -398,38 +439,43 @@ def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float
     """Seeded separable polynomial samples scaled to the given sup amplitude.
 
     The coefficients are one draw of shape (3, d, degree + 1): term, axis,
-    power, evaluated by one polyval call on the grid's probe_points.  The
-    sum ((0.0 + t0) + t1) + t2 of the terms ((a0*a1)*a2)*a3 is one einsum
-    contraction of the leading axes' stacked products (heads) with the last
-    axis's polynomials, adding k = 0, 1, 2 in order to +0.0 with each product
-    and sum rounded.  It runs in rows of the last axis when that axis is the
+    power, evaluated on the grid's probe_points by polyval's own Horner
+    steps, inline: the top coefficient plus x * 0 (which turns a -0.0 into
+    +0.0, as polyval does), then c + t * x down the powers.  The sum
+    ((0.0 + t0) + t1) + t2 of the terms ((a0*a1)*a2)*a3 is one einsum
+    contraction of the leading axes' stacked products (heads, one broadcast
+    product per leading axis, in that order) with the last axis's
+    polynomials, adding k = 0, 1, 2 in order to +0.0 with each product and
+    sum rounded.  It runs in rows of the last axis when that axis is the
     shorter, so that inner loops run over the long heads (factors commute
     bit for bit), and otherwise in place in the grid's layout, where it is
     also scaled.  The peak max(max x, -min x) is max |x| exactly.
     """
     coeffs = np.random.default_rng(seed).uniform(-1, 1, (3, grid.d, degree + 1))
-    table = np.polynomial.polynomial.polyval(
-        grid.probe_points, np.repeat(coeffs, grid.shape, axis=1).transpose(2, 0, 1), tensor=False
-    )
-    *axes, last = (table[:, e - n : e] for n, e in zip(grid.shape, accumulate(grid.shape)))
-    heads = np.array([reduce(np.multiply.outer, [a[i] for a in axes]).ravel() for i in range(3)])
+    c, x = np.repeat(coeffs, grid.shape, axis=1), grid.probe_points
+    table = c[..., -1] + x * 0
+    for i in range(2, degree + 2):
+        table = c[..., -i] + table * x
+    heads, *axes, last = (table[:, e - n : e] for n, e in zip(grid.shape, accumulate(grid.shape)))
+    for a in axes:
+        heads = (heads[:, :, None] * a[:, None, :]).reshape(3, -1)
     vals = np.empty(grid.shape)
     flat = vals.reshape(len(heads[0]), -1)
     transposed = flat.shape[1] < flat.shape[0]
     acc = np.einsum("ki,kj->ij", last, heads) if transposed else np.einsum("ki,kj->ij", heads, last, out=flat)
-    peak = np.maximum(np.max(acc), -np.min(acc))
+    peak = np.maximum(acc.max(), -acc.min())
     np.multiply(acc.T if transposed else acc, amplitude / peak if peak > 0 else 1.0, out=flat)
     return FieldD(grid, (0,) * grid.d, _sealed(vals))
 
 
 def check_invariance_d(
-    L: LagrangianD, fam: GaugeFamilyD, u: tuple, trials: int = 20, seed: int = 0
+    L: LagrangianD, fam: GaugeFamilyD, u: tuple, trials: int = 20, seed: int = 0, _slots: list | None = None
 ) -> ResidualReport:
     """Functional deviation under seeded random polynomial parameters of
-    sup 0.1.  Every action writes its pattern into one (U, G) pair that the
-    loop holds until it returns (see _pattern_args), in place of allocating
-    both on every trial."""
-    slots: list = []
+    sup 0.1.  Every action writes its pattern into one workspace (see
+    _pattern_args), the command's `_slots` or else one the loop holds until
+    it returns, in place of allocating it on every trial."""
+    slots = [] if _slots is None else _slots
     base = functional_d(L, u, _slots=slots)
 
     def pair(trial: int) -> tuple[float, float]:
@@ -439,11 +485,12 @@ def check_invariance_d(
     return ResidualReport.from_trials((0, trials - 1), trials, pair, INVARIANCE_TOLERANCE)
 
 
-def noether_identity_d(L: LagrangianD, fam: GaugeFamilyD, u: tuple) -> ResidualReport:
-    """Residual of sum_k adjoint_k(E_k) on the largest interior window."""
+def noether_identity_d(L: LagrangianD, fam: GaugeFamilyD, u: tuple, _slots: list | None = None) -> ResidualReport:
+    """Residual of sum_k adjoint_k(E_k) on the largest interior window;
+    `_slots` is a held workspace, as for functional_d."""
     if fam.n != L.n:
         raise ValueError(f"component count mismatch: the family has n = {fam.n}, the density n = {L.n}")
-    es = el_expressions_d(L, u)
+    es = el_expressions_d(L, u, _slots)
     total = reduce(add, (gauge_field_adjoint(fam, es[k], k) for k in range(fam.n)))
     return ResidualReport.from_per_point((total.lo[0], total.hi[0]), total.values, IDENTITY_TOLERANCE)
 
@@ -483,7 +530,9 @@ def _field_strength_lagrangian(d: int, n: int, plus: tuple, minus: tuple = ()) -
     sum of 1/2 (G[j, k] - G[k, j])^2 over the pairs (j, k) of plus minus
     that over minus, formed in place term by term in pair order.  The first
     term starts the sum: adding it to 0.0 would change no bit.  The density
-    reads the slots of the pairs and their transposes, and declares them."""
+    reads the slots of the pairs and their transposes, and declares them;
+    no two pairs share a slot, so the g partial writes each slot once, as
+    0.0 plus or minus the pair's difference."""
 
     def density(coords, U, G):
         out = F = None
@@ -499,12 +548,12 @@ def _field_strength_lagrangian(d: int, n: int, plus: tuple, minus: tuple = ()) -
         return out
 
     def d_g(coords, U, G):
-        out = np.zeros_like(G)
+        out = np.zeros(G.shape)  # calloc'd: the slots no pair writes stay unfaulted
         for (first, second), pairs in (((np.add, np.subtract), plus), ((np.subtract, np.add), minus)):
             for j, k in pairs:
-                F = G[j, k] - G[k, j]
-                first(out[j, k], F, out=out[j, k])
-                second(out[k, j], F, out=out[k, j])
+                F = np.subtract(G[j, k], G[k, j], out=out[j, k])
+                second(0.0, F, out=out[k, j])
+                first(0.0, F, out=F)
         return out
 
     slots = tuple(s for j, k in plus + minus for s in ((j, k), (k, j)))

@@ -416,7 +416,7 @@ def mixed(f: GridFunction, s: int, d: int) -> GridFunction:
     return out
 
 
-def window_integral(scales, lo, values: np.ndarray) -> np.ndarray:
+def window_integral(scales, lo, values: np.ndarray, _gaps: tuple | None = None) -> np.ndarray:
     """Delta integral of samples with a trailing component axis on the window
     at lo of a product of 1 to 4 time scales: cells at a scale maximum are
     dropped, the rest weighted by each axis's mu, one np.sum per component.
@@ -425,13 +425,16 @@ def window_integral(scales, lo, values: np.ndarray) -> np.ndarray:
     broadcast), so np.sum adds the same pairs every time; the others run in
     place.  On an axis of unit steps, where the product changes no bit, it
     is not taken, and a window of unit steps on every axis is summed from
-    its C-order values, copied only when they are in another layout."""
+    its C-order values, copied only when they are in another layout.
+    `_gaps`, given, holds each axis's mu as a C-order table of the window's
+    cell shape (multigrid's pattern workspace), read in place of the
+    broadcast mu: the same products in the same order."""
     cells = tuple(slice(0, min(n, len(s) - 1 - l)) for s, l, n in zip(scales, lo, values.shape))
     view = weighted = np.moveaxis(values[cells], -1, 0)
     for ax, (s, l) in enumerate(zip(scales, lo)):
         if not s.unit_steps:
-            n = weighted.shape[ax + 1]
-            mu = np.diff(s.points[l : l + n + 1]).reshape((n,) + (1,) * (len(scales) - ax - 1))
+            shape = (weighted.shape[ax + 1],) + (1,) * (len(scales) - ax - 1)
+            mu = np.diff(s.points[l : l + shape[0] + 1]).reshape(shape) if _gaps is None else _gaps[ax]
             weighted = np.multiply(weighted, mu, out=None if weighted is view else weighted, order="C")
     return np.array([np.sum(c) for c in np.ascontiguousarray(weighted)])
 

@@ -1617,8 +1617,10 @@ def test_held_slots_reallocated_when_the_pattern_shape_changes():
     cube = tuple(random_polynomial_field(three, seed=[4, k]) for k in range(2))
     slots = []
     previous = None
-    for lagrangian, u, reused in ((L, full, False), (L, small, False), (L, moved, True), (L, full, False),
-                                  (L3, cube, False), (L3, cube, True), (L, full, False)):
+    # The workspace holds the window's coordinates and gap tables, so a
+    # window of the same shape at another lo is made again, then reused.
+    for lagrangian, u, reused in ((L, full, False), (L, small, False), (L, moved, False), (L, moved, True),
+                                  (L, full, False), (L3, cube, False), (L3, cube, True), (L, full, False)):
         value = functional_d(lagrangian, u, _slots=slots)
         assert bits(value) == bits(functional_d(lagrangian, u)) == bits(fieldwise_functional_d(lagrangian, u))
         _, U, G, _, _ = multigrid._pattern_args(lagrangian, u)
@@ -2134,3 +2136,215 @@ def test_report_sup_bitwise_equals_abs_max(values):
     ref = float(np.max(np.abs(arr)))
     assert np.float64(rep.sup_norm).tobytes() == np.float64(ref).tobytes() or (np.isnan(rep.sup_norm) and np.isnan(ref))
     assert not np.signbit(rep.sup_norm) or np.isnan(rep.sup_norm)
+
+
+# One pattern workspace per lattice command.  check2d and em hold one
+# workspace for every pattern section: U, G, the key, the cell coordinates,
+# a plan of slot views and per-axis C-order gap tables, which divide the
+# slots and weigh the integral as the broadcast gaps did.  Probe fields take
+# polyval's Horner steps inline and their heads by broadcast products.
+
+LATTICE_COMMANDS = {
+    "check2d-hq": ["check2d", "--grid", "h:1:0:59,q:1.05:1:60", "--family", "grad2", "--trials", "3"],
+    "check2d-qh": ["check2d", "--grid", "q:1.05:1:60,h:0.5:0:29.5", "--lagrangian", "curl2", "--trials", "3"],
+    "em-uniform": ["em", "--lattice", "h:1:0:6,h:1:0:6,h:1:0:6,h:1:0:6", "--trials", "3"],
+    "em-mixed": ["em", "--lattice", "h:0.5:0:3,q:1.1:1:8,h:1:0:7,q:1.15:0.5:8", "--trials", "3"],
+}
+
+
+def cli_stdout(argv):
+    import io
+    from contextlib import redirect_stdout
+
+    from tsnoether import cli
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_COMMANDS))
+def test_lattice_commands_share_one_workspace_bitwise_as_fresh_pairs(name):
+    # Every pattern of the command goes through one list; with a fresh
+    # workspace for every call instead, the report keeps every byte.
+    argv = [*LATTICE_COMMANDS[name], "--seed", "5"]
+    real = multigrid._pattern_args
+    lists = []
+
+    def recording(L, u, slots=None):
+        lists.append(slots)
+        return real(L, u, slots)
+
+    def fresh(L, u, slots=None):
+        if slots is not None:
+            slots.clear()  # a new workspace on every call
+        return real(L, u, slots)
+
+    with mock.patch.object(multigrid, "_pattern_args", recording):
+        shared = cli_stdout(argv)
+    with mock.patch.object(multigrid, "_pattern_args", fresh):
+        unshared = cli_stdout(argv)
+    # check2d: the base action, 3 trial actions and the identity; em: 2
+    # actions per trial, the identity and the wave form.
+    calls = {"check2d": 1 + 3 + 1, "em": 2 * 3 + 1 + 1}[argv[0]]
+    assert len(lists) == calls and all(s is lists[0] for s in lists) and lists[0] is not None
+    assert shared == unshared and shared[0] in (0, 1)
+
+
+def holds_pattern_of(slots, L, u):
+    """The workspace's U and G are the pattern of u, written by the last call."""
+    _, U, G, _, _ = multigrid._pattern_args(L, u)
+    return same_bytes(slots[0], U) and same_bytes(slots[1], G)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "mixed"])
+def test_em_sections_on_one_workspace_bitwise_equal_fresh_calls(kind):
+    from tsnoether import em
+
+    grid = em_lattice(kind, 7)
+    fam = em.em_gauge_family(grid)
+    slots = []
+    gauge = em._gauge_invariance(fam, 3, 5, _slots=slots)
+    U, plan = slots[0], slots[4]
+    ident = noether_identity_d(em.em_lagrangian(), fam, em.random_em_field(grid, seed=[5, 1]), _slots=slots)
+    assert holds_pattern_of(slots, em.em_lagrangian(), em.random_em_field(grid, seed=[5, 1]))
+    wave = em.em_wave_reduction_residual(lorentz_field(grid), _slots=slots)
+    assert holds_pattern_of(slots, em.em_lagrangian(), lorentz_field(grid))
+    assert slots[0] is U and slots[4] is plan  # one key on the grid for all three sections
+    assert bits(gauge) == bits(earlier_em_gauge_invariance(fam, 3, 5))
+    assert bits(ident) == bits(noether_identity_d(em.em_lagrangian(), fam, em.random_em_field(grid, seed=[5, 1])))
+    assert bits(wave) == bits(em.em_wave_reduction_residual(lorentz_field(grid)))
+
+
+@pytest.mark.parametrize("kind", ["hq", "qh"])
+def test_check2d_sections_on_one_workspace_bitwise_equal_fresh_calls(kind):
+    grid = grid_2d(kind, 40)
+    for name, table in TABLES_2D.items():
+        L = catalog2d(name)
+        u = tuple(random_polynomial_field(grid, seed=[6, 7 + k]) for k in range(L.n))
+        slots = []
+        inv = check_invariance_d(L, GaugeFamilyD(grid, table), u, trials=3, seed=6, _slots=slots)
+        U = slots[0]
+        ident = noether_identity_d(L, GaugeFamilyD(grid, table), u, _slots=slots)
+        assert slots[0] is U and holds_pattern_of(slots, L, u)
+        fields = ConstantFieldFamily(grid, table)
+        assert bits(inv) == bits(fieldwise_check_invariance_d(L, fields, u, 3, 6))
+        assert bits(ident) == bits(noether_identity_d(L, GaugeFamilyD(grid, table), u))
+
+
+def test_workspace_made_again_when_lo_or_grid_changes():
+    # Same cell shape, density and declared slots: a window at another lo,
+    # or the same window on another grid, has other coordinates and gaps.
+    grid = GridD((q_geometric(1.2, 1.0, 10), h_uniform(0.5, 0.0, 4.5)))
+    other = GridD((q_geometric(1.3, 0.5, 10), h_uniform(0.25, 1.0, 3.25)))
+    L = LagrangianD(d=2, n=1, density=lambda coords, U, G: G[0, 0] * coords[0] + G[1, 0] * coords[1] + U[0])
+    f = random_polynomial_field(grid, seed=[9, 0])
+    g = FieldD(other, f.lo, f.values)
+    slots = []
+    for u, made in (((f.restrict((0, 0), (7, 7)),), True), ((f.restrict((2, 1), (9, 8)),), True),
+                    ((f.restrict((2, 1), (9, 8)),), False), ((g.restrict((2, 1), (9, 8)),), True),
+                    ((g.restrict((2, 1), (9, 8)),), False), ((f.restrict((0, 0), (7, 7)),), True)):
+        before = slots[0] if slots else None
+        value = functional_d(L, u, _slots=slots)
+        assert (slots[0] is not before) == made
+        assert bits(value) == bits(functional_d(L, u)) == bits(earlier_pattern_functional_d(L, u))
+        coords, U, G, _, _ = multigrid._pattern_args(L, u, slots)
+        _, U_ref, G_ref, _, _ = earlier_pattern_args(L, u)
+        assert same_bytes(U, U_ref) and same_bytes(G, G_ref)
+        assert all(same_bytes(c, r) for c, r in zip(coords, earlier_pattern_args(L, u)[0]))
+
+
+@pytest.mark.parametrize("name", sorted(rho_grids()))
+def test_gap_tables_bitwise_equal_broadcast_gaps(name):
+    # The slot divides and the integral weights by C-order tables equal the
+    # broadcast forms; each table is the broadcast gap in C order, None on
+    # unit steps.  Fields on the whole grid, above the minimum on every
+    # axis, and at the minimum one point short on axis 0 (C-ordered).
+    grid = rho_grids()[name]
+    windows = rho_windows(grid)
+    short = windows["whole"].restrict((0,) * grid.d, (grid.shape[0] - 2, *(n - 1 for n in grid.shape[1:])))
+    L = LagrangianD(d=grid.d, n=2, density=lambda coords, U, G: G.sum(axis=(0, 1)) * U[1] - coords[-1] * G[-1, 0])
+    for p in (windows["whole"], windows["above"], short):
+        u = (p, p * p)
+        slots = []
+        coords, U, G, lo, cell_hi = multigrid._pattern_args(L, u, slots)
+        _, U_ref, G_ref, _, _ = earlier_pattern_args(L, u)
+        assert same_bytes(U, U_ref) and same_bytes(G, G_ref)
+        cells = U.shape[1:]
+        for ax, (s, table) in enumerate(zip(grid.scales, slots[5])):
+            if s.unit_steps:
+                assert table is None
+                continue
+            mu = np.diff(s.points[lo[ax] : cell_hi[ax] + 2]).reshape((1,) * ax + (-1,) + (1,) * (grid.d - ax - 1))
+            assert table.flags.c_contiguous and same_bytes(table, np.broadcast_to(mu, cells))
+        rng = np.random.default_rng(grid.shape)
+        vals = signed_samples(rng, cells + (1,))
+        vals[rng.uniform(size=vals.shape) < 0.05] = np.inf
+        weighted = window_integral(grid.scales, lo, vals, slots[5])
+        assert same_bytes(weighted, window_integral(grid.scales, lo, vals))
+        assert bits(functional_d(L, u)) == bits(earlier_pattern_functional_d(L, u))
+        # _rho_quotient: the grid's table on the whole grid, the broadcast
+        # divisor on the short window.
+        for axis in range(grid.d):
+            out = multigrid._rho_quotient(p, axis)
+            assert same_bytes(np.ascontiguousarray(out.values), np.ascontiguousarray(
+                shift_axis(partial_delta(p, axis), axis, -1).values)), axis
+            if p is not windows["above"]:
+                assert same_bytes(out.values, body_divided_rho_quotient(p, axis)), axis
+
+
+def test_grid_divisor_tables_are_cached_and_read_only():
+    grid = rho_grids()["q-half-unit-q"]
+    tables = grid.rho_divisors
+    assert tables is grid.rho_divisors
+    for ax, (s, table) in enumerate(zip(grid.scales, tables)):
+        if s.unit_steps:
+            assert table is None
+            continue
+        assert not table.flags.writeable and table.flags.c_contiguous and table.shape == grid.shape
+        gaps = np.concatenate(([1.0], np.diff(s.points))).reshape((-1,) + (1,) * (grid.d - ax - 1))
+        assert same_bytes(table, np.broadcast_to(gaps, grid.shape))
+        with pytest.raises(ValueError):
+            table[(0,) * grid.d] = 2.0
+
+
+def contraction_operands(grid, draw):
+    """The heads and the last axis's polynomials that random_polynomial_field
+    contracts, taken from its einsum call on a fixed draw."""
+    calls, real = [], np.einsum
+
+    def spy(spec, a, b, **kwargs):
+        calls.append((a.copy(), b.copy()))
+        return real(spec, a, b, **kwargs)
+
+    with fixed_draw(draw), mock.patch.object(multigrid.np, "einsum", spy), np.errstate(all="ignore"):
+        random_polynomial_field(grid, 0, degree=draw.shape[2] - 1)
+    ((a, b),) = calls
+    return (b, a) if grid.shape[-1] < prod(grid.shape[:-1]) else (a, b)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_inline_horner_and_heads_bitwise_equal_polyval_and_outer(degree):
+    # Coefficients with signed zeros (a -0.0 top coefficient becomes +0.0
+    # through x * 0, as in polyval), points below zero, and magnitudes up to
+    # 1e+-300, whose products overflow to inf and NaN.
+    neg, q, half = h_uniform(0.5, -3.0, 1.0), q_geometric(1.3, 0.25, 5), h_uniform(1.0, -2.0, 2.0)
+    grids = [GridD((neg, q)), GridD((q, neg, half)), GridD((half, neg, q, half)), GridD((q, half))]
+    rng = np.random.default_rng([34, degree])
+    for case in range(60):
+        grid = grids[case % len(grids)]
+        draw = rng.uniform(-1, 1, (3, grid.d, degree + 1))
+        if case % 3:
+            draw[rng.uniform(size=draw.shape) < 0.3] = 0.0
+            draw *= np.where(rng.uniform(size=draw.shape) < 0.5, -1.0, 1.0)
+        if case % 4 == 3:
+            draw *= 10.0 ** rng.uniform(-300, 300, draw.shape)
+        with np.errstate(all="ignore"):
+            table = np.polynomial.polynomial.polyval(
+                grid.probe_points, np.repeat(draw, grid.shape, axis=1).transpose(2, 0, 1), tensor=False
+            )
+            *axes, last = (table[:, e - n : e] for n, e in zip(grid.shape, accumulate(grid.shape)))
+            heads = np.array([reduce(np.multiply.outer, [a[i] for a in axes]).ravel() for i in range(3)])
+        got_heads, got_last = contraction_operands(grid, draw)
+        assert same_bytes(got_last, last) and same_bytes(got_heads, heads), case

@@ -11,8 +11,11 @@ Each tree's src/tsnoether is imported under its own package name
 cli.main, PAIRS times per side after one untimed warm-up call each.  The
 calls alternate in order, A then B, then B then A, so that neither side
 always runs on the heap the other just left.  Each pair gives the ratio of
-B's wall time to A's; the tool prints the median ratio, its quartiles and
-whether every call wrote the same stdout bytes and exit code.  Separate
+B's wall time to A's; the tool prints the median ratio, its quartiles,
+each side's median minor page faults per call (getrusage's ru_minflt read
+around each timed call) and whether every call wrote the same stdout bytes
+and exit code.  A gain that comes with fewer faults may be the heap's, not
+the code's; the fault counts show which without a second tool.  Separate
 processes per run cannot tell a code effect of a few percent on a
 millisecond command from the heap layout each process happens to get; one
 process shares one history between both sides.
@@ -36,6 +39,7 @@ import ctypes
 import importlib
 import importlib.util
 import io
+import resource
 import statistics
 import subprocess
 import sys
@@ -76,14 +80,21 @@ def load_cli(tree: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def timed_call(cli, argv: list[str]) -> tuple[float, tuple[int, bytes]]:
-    """Wall time of cli.main(argv), and its exit code and stdout bytes."""
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def timed_call(cli, argv: list[str]) -> tuple[float, int, tuple[int, bytes]]:
+    """Wall time and minor page faults of cli.main(argv), and its exit code
+    and stdout bytes."""
     out = io.StringIO()
     with redirect_stdout(out):
+        faults = minor_faults()
         start = time.perf_counter()
         code = cli.main(argv)
         elapsed = time.perf_counter() - start
-    return elapsed, (code, out.getvalue().encode())
+        faults = minor_faults() - faults
+    return elapsed, faults, (code, out.getvalue().encode())
 
 
 def reading(trees: list[str], command: list[str]) -> tuple[str, bool]:
@@ -91,19 +102,22 @@ def reading(trees: list[str], command: list[str]) -> tuple[str, bool]:
     wrote the same stdout bytes and exit code."""
     clis = (load_cli(trees[0], "tsnoether_a"), load_cli(trees[1], "tsnoether_b"))
     times: tuple[list, list] = ([], [])
+    faults: tuple[list, list] = ([], [])
     outputs = set()
     for i in range(PAIRS + 1):
         for side in (0, 1) if i % 2 == 0 else (1, 0):
-            elapsed, output = timed_call(clis[side], command)
+            elapsed, minflt, output = timed_call(clis[side], command)
             outputs.add(output)
             if i:
                 times[side].append(elapsed)
+                faults[side].append(minflt)
     ratios = [b / a for a, b in zip(*times)]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
     identical = len(outputs) == 1
     line = (
         f"A {statistics.median(times[0]) * 1e3:.3f} ms, B {statistics.median(times[1]) * 1e3:.3f} ms; "
         f"B/A median {statistics.median(ratios):.3f} (IQR {q1:.3f}-{q3:.3f}) over {PAIRS} pairs; "
+        f"minor faults per call A {statistics.median(faults[0]):g}, B {statistics.median(faults[1]):g}; "
         f"stdout identical: {'yes' if identical else 'no'}"
     )
     return line, identical
