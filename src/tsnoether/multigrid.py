@@ -55,8 +55,8 @@ class GridD:
     @cached_property
     def rho_divisors(self) -> tuple:
         """Per axis, None on unit steps, else 1.0 and the axis's gaps as a
-        read-only C-order table of the grid's shape: _rho_quotient's divisor
-        on a field of the whole grid."""
+        read-only C-order table of the grid's shape: _rho_quotient's divisor,
+        whose leading corner serves a field at the scale minimum."""
         return tuple(
             None if s.unit_steps else _sealed(_table(np.concatenate(([1.0], np.diff(s.points))), ax, self.shape))
             for ax, s in enumerate(self.scales)
@@ -253,11 +253,12 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     `slots` is a command's held workspace, empty until the first call:
     [U, G, key, coords, plan, gaps], where the plan names per component
     the U[k] view and, per written slot, the G[j, k] view, the source slice
-    and the divisor, and gaps holds each axis's table (None on unit steps).
-    The key is the grid, the window's lo and cell shape, L.n and L.g_slots;
-    when it matches, the call only copies, subtracts and divides, and when
-    it does not, a new workspace is made and stored, so a reused pair gives
-    the bits of a fresh one, NaN slots included.
+    and the divisor, and gaps holds each axis's table (None on unit steps),
+    returned last as window_integral's weights.  The key is the grid, the
+    window's lo and cell shape, L.n and L.g_slots; when it matches, the call
+    only copies, subtracts and divides, and when it does not (or no list is
+    given), a new workspace is made and stored, so a reused pair gives the
+    bits of a fresh one, NaN slots included.
     """
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
@@ -274,7 +275,7 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
         slots = []
     if not slots or slots[2] != key:
         slots[:] = _pattern_workspace(L, grid, lo, cells, key)
-    U, G, _, coords, plan, _ = slots
+    U, G, _, coords, plan, gaps = slots
     for v, (U_k, up, written) in zip(views, plan):
         U_k[...] = v[up]
         for G_jk, src, mu in written:
@@ -282,7 +283,7 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
             np.subtract(U_k, G_jk, out=G_jk)
             if mu is not None:
                 G_jk /= mu
-    return coords, U, G, lo, cell_hi
+    return coords, U, G, lo, cell_hi, gaps
 
 
 def functional_d(L: LagrangianD, u: tuple, _slots: list | None = None) -> float:
@@ -291,9 +292,8 @@ def functional_d(L: LagrangianD, u: tuple, _slots: list | None = None) -> float:
     workspace (see _pattern_args); the density's result is summed before the
     call returns, so a result that is a view of G is never read after the
     next call rewrites it."""
-    slots = [] if _slots is None else _slots
-    coords, U, G, lo, cell_hi = _pattern_args(L, u, slots)
-    return float(window_integral(u[0].grid.scales, lo, L.sample("L", coords, U, G)[..., None], slots[5])[0])
+    coords, U, G, lo, _, gaps = _pattern_args(L, u, _slots)
+    return float(window_integral(u[0].grid.scales, lo, L.sample("L", coords, U, G)[..., None], gaps)[0])
 
 
 def el_expressions_d(L: LagrangianD, u: tuple, _slots: list | None = None) -> tuple:
@@ -302,7 +302,7 @@ def el_expressions_d(L: LagrangianD, u: tuple, _slots: list | None = None) -> tu
     by the assembly _el_values that the 1-D expressions share, over the
     declared slots (j, k) only.  `_slots` is a held workspace, as for
     functional_d: P and Q are taken before the call returns."""
-    coords, U, G, lo, cell_hi = _pattern_args(L, u, _slots)
+    coords, U, G, lo, cell_hi, _ = _pattern_args(L, u, _slots)
     if any(c == l for l, c in zip(lo, cell_hi)):
         raise ValueError("window too small for the Euler-Lagrange expressions")
     grid = u[0].grid
@@ -375,9 +375,10 @@ def _rho_quotient(p: FieldD, axis: int) -> FieldD:
     differences at the axis stride over the flat values, written after the
     first flat slab and right everywhere but where the axis index is 0,
     then off unit steps the unwritten head zeroed and the whole divided in
-    one pass by 1.0 and the gaps (the grid's rho_divisors table on a field
-    of the whole grid), and slab 1 repeated over slab 0.  Above the minimum
-    the shift is a view."""
+    one pass by 1.0 and the gaps (the leading corner of the grid's
+    rho_divisors table, of p's shape: the table is constant off its axis),
+    and slab 1 repeated over slab 0.  Above the minimum the shift is a
+    view."""
     n = p.values.shape[axis]
     if p.lo[axis] or n < 2 or not p.values.flags.c_contiguous:
         return shift_axis(partial_delta(p, axis), axis, -1)
@@ -385,13 +386,9 @@ def _rho_quotient(p: FieldD, axis: int) -> FieldD:
     out = np.empty(p.values.shape)
     src, step = p.values.ravel(), prod(p.values.shape[axis + 1 :])
     np.subtract(src[step:], src[:-step], out=out.ravel()[step:])
-    ts = p.grid.scales[axis]
-    if not ts.unit_steps:
+    if not p.grid.scales[axis].unit_steps:
         out.ravel()[:step] = 0.0
-        if p.values.shape == p.grid.shape:
-            out /= p.grid.rho_divisors[axis]
-        else:
-            out /= np.concatenate(([1.0], np.diff(ts.points[:n]))).reshape((n,) + (1,) * (p.grid.d - axis - 1))
+        out /= p.grid.rho_divisors[axis][tuple(map(slice, out.shape))]
     out[before + (slice(0, 1),)] = out[before + (slice(1, 2),)]
     return FieldD(p.grid, p.lo, _sealed(out))
 

@@ -1147,7 +1147,7 @@ def earlier_el_values(pu, pv, ts, lo):
 
 
 def earlier_el_expressions_d(L, u):
-    coords, U, G, lo, cell_hi = multigrid._pattern_args(L, u)
+    coords, U, G, lo, cell_hi, _ = multigrid._pattern_args(L, u)
     grid = u[0].grid
     P, Q = L.sample("u", coords, U, G), L.sample("g", coords, U, G)
     inner = tuple(slice(0, c - l) for l, c in zip(lo, cell_hi))
@@ -1489,7 +1489,7 @@ def test_field_strength_densities_equal_earlier_copies(em, scales, seed, data):
         for k in range(d)
     )
     new, earlier = (em_lagrangian(), earlier_em_lagrangian()) if em else (catalog2d("curl2"), earlier_curl2())
-    coords, U, G, lo, cell_hi = multigrid._pattern_args(new, u)
+    coords, U, G, lo, cell_hi, _ = multigrid._pattern_args(new, u)
     assert new.sample("L", coords, U, G).tobytes() == earlier.sample("L", coords, U, G).tobytes()
     dg, dg_earlier = new.sample("g", coords, U, G), earlier.sample("g", coords, U, G)
     assert np.array_equal(dg, dg_earlier)
@@ -1623,7 +1623,7 @@ def test_held_slots_reallocated_when_the_pattern_shape_changes():
                                   (L, full, False), (L3, cube, False), (L3, cube, True), (L, full, False)):
         value = functional_d(lagrangian, u, _slots=slots)
         assert bits(value) == bits(functional_d(lagrangian, u)) == bits(fieldwise_functional_d(lagrangian, u))
-        _, U, G, _, _ = multigrid._pattern_args(lagrangian, u)
+        _, U, G, _, _, _ = multigrid._pattern_args(lagrangian, u)
         assert (slots[0].shape, slots[1].shape) == (U.shape, G.shape)
         assert (slots[1] is previous) == reused
         previous = slots[1]
@@ -1652,7 +1652,7 @@ def test_held_slots_divide_by_mu_on_every_call():
     slots = []
     for u in (f, g, f, g, g):
         value = functional_d(L, u, _slots=slots)
-        _, U, G, _, _ = multigrid._pattern_args(L, u)
+        _, U, G, _, _, _ = multigrid._pattern_args(L, u)
         assert slots[0].tobytes() == U.tobytes() and slots[1].tobytes() == G.tobytes()
         assert bits(value) == bits(functional_d(L, u)) == bits(fieldwise_functional_d(L, u))
 
@@ -1661,7 +1661,7 @@ def test_held_slots_with_a_density_that_returns_a_view_of_g():
     grid = grid_2d("qh", 12)
     L = LagrangianD(d=2, n=1, density=lambda coords, U, G: G[1, 0])
     u = (random_polynomial_field(grid, seed=[8, 0]),)
-    coords, U, G, _, _ = multigrid._pattern_args(L, u)
+    coords, U, G, _, _, _ = multigrid._pattern_args(L, u)
     assert np.shares_memory(L.sample("L", coords, U, G), G)
     table = [(0.5, 1.0, -0.75)]
     with recorded_actions(multigrid, "functional_d") as log:
@@ -1758,8 +1758,8 @@ def test_pattern_writes_only_the_declared_slots(name):
     slots = []
     for u in (full[0], full[1], inner, full[1], full[0]):
         for held in (slots, None):
-            _, U, G, lo, cell_hi = multigrid._pattern_args(L, u, held)
-            _, U_all, G_all, lo_all, cell_hi_all = multigrid._pattern_args(every, u)
+            _, U, G, lo, cell_hi, _ = multigrid._pattern_args(L, u, held)
+            _, U_all, G_all, lo_all, cell_hi_all, _ = multigrid._pattern_args(every, u)
             assert (lo, cell_hi, U.tobytes()) == (lo_all, cell_hi_all, U_all.tobytes())
             assert all(G[s].tobytes() == G_all[s].tobytes() for s in L.g_slots)
             assert all(np.isnan(G[s]).all() for s in undeclared(L))
@@ -2064,7 +2064,7 @@ def full_el_expressions_d(L, u):
     """el_expressions_d as assembled before: every slot's quotient is
     subtracted, and the zero u partial of the built-in densities is a
     full-lattice array."""
-    coords, U, G, lo, cell_hi = multigrid._pattern_args(L, u)
+    coords, U, G, lo, cell_hi, _ = multigrid._pattern_args(L, u)
     grid = u[0].grid
     P = np.zeros_like(U) if L.d_u is multigrid._zero_d_u else L.sample("u", coords, U, G)
     Q = L.sample("g", coords, U, G)
@@ -2194,7 +2194,7 @@ def test_lattice_commands_share_one_workspace_bitwise_as_fresh_pairs(name):
 
 def holds_pattern_of(slots, L, u):
     """The workspace's U and G are the pattern of u, written by the last call."""
-    _, U, G, _, _ = multigrid._pattern_args(L, u)
+    _, U, G, _, _, _ = multigrid._pattern_args(L, u)
     return same_bytes(slots[0], U) and same_bytes(slots[1], G)
 
 
@@ -2249,7 +2249,7 @@ def test_workspace_made_again_when_lo_or_grid_changes():
         value = functional_d(L, u, _slots=slots)
         assert (slots[0] is not before) == made
         assert bits(value) == bits(functional_d(L, u)) == bits(earlier_pattern_functional_d(L, u))
-        coords, U, G, _, _ = multigrid._pattern_args(L, u, slots)
+        coords, U, G, _, _, _ = multigrid._pattern_args(L, u, slots)
         _, U_ref, G_ref, _, _ = earlier_pattern_args(L, u)
         assert same_bytes(U, U_ref) and same_bytes(G, G_ref)
         assert all(same_bytes(c, r) for c, r in zip(coords, earlier_pattern_args(L, u)[0]))
@@ -2268,11 +2268,11 @@ def test_gap_tables_bitwise_equal_broadcast_gaps(name):
     for p in (windows["whole"], windows["above"], short):
         u = (p, p * p)
         slots = []
-        coords, U, G, lo, cell_hi = multigrid._pattern_args(L, u, slots)
+        coords, U, G, lo, cell_hi, gaps = multigrid._pattern_args(L, u, slots)
         _, U_ref, G_ref, _, _ = earlier_pattern_args(L, u)
-        assert same_bytes(U, U_ref) and same_bytes(G, G_ref)
+        assert same_bytes(U, U_ref) and same_bytes(G, G_ref) and gaps is slots[5]
         cells = U.shape[1:]
-        for ax, (s, table) in enumerate(zip(grid.scales, slots[5])):
+        for ax, (s, table) in enumerate(zip(grid.scales, gaps)):
             if s.unit_steps:
                 assert table is None
                 continue
@@ -2281,12 +2281,17 @@ def test_gap_tables_bitwise_equal_broadcast_gaps(name):
         rng = np.random.default_rng(grid.shape)
         vals = signed_samples(rng, cells + (1,))
         vals[rng.uniform(size=vals.shape) < 0.05] = np.inf
-        weighted = window_integral(grid.scales, lo, vals, slots[5])
+        weighted = window_integral(grid.scales, lo, vals, gaps)
         assert same_bytes(weighted, window_integral(grid.scales, lo, vals))
         assert bits(functional_d(L, u)) == bits(earlier_pattern_functional_d(L, u))
-        # _rho_quotient: the grid's table on the whole grid, the broadcast
-        # divisor on the short window.
-        for axis in range(grid.d):
+    # _rho_quotient divides by the grid's table cut to the field's shape: on
+    # the whole grid, on the short window, and on C-ordered windows at the
+    # minimum of the quotient's axis that start above it on every other.
+    whole = windows["whole"].values
+    for axis in range(grid.d):
+        lo = tuple(0 if ax == axis else 1 for ax in range(grid.d))
+        inner = FieldD(grid, lo, whole[tuple(slice(l, None) for l in lo)].copy())
+        for p in (windows["whole"], windows["above"], short, inner):
             out = multigrid._rho_quotient(p, axis)
             assert same_bytes(np.ascontiguousarray(out.values), np.ascontiguousarray(
                 shift_axis(partial_delta(p, axis), axis, -1).values)), axis
