@@ -52,8 +52,8 @@ def em_lagrangian() -> LagrangianD:
     return _field_strength_lagrangian(4, 4, _ELECTRIC, _MAGNETIC)
 
 
-def em_functional(A: tuple, _slots: list | None = None) -> float:
-    return functional_d(em_lagrangian(), A, _slots=_slots)
+def em_functional(A: tuple) -> float:
+    return functional_d(em_lagrangian(), A)
 
 
 def em_gauge_family(grid: GridD) -> GaugeFamilyD:
@@ -62,20 +62,16 @@ def em_gauge_family(grid: GridD) -> GaugeFamilyD:
     return GaugeFamilyD(grid, [[-1.0 if i == 1 + k else 0.0 for i in range(5)] for k in range(4)])
 
 
-def _gauge_invariance(fam: GaugeFamilyD, trials: int, seed: int, _slots: list | None = None) -> ResidualReport:
+def _gauge_invariance(fam: GaugeFamilyD, trials: int, seed: int) -> ResidualReport:
     """Action deviation under the gauge family `fam`: trial t draws a
-    potential (seed [seed, 1, t]) and a parameter p (seed [seed, 2, t]).
-    Both actions of every trial write their pattern into one workspace (see
-    multigrid._pattern_args), the command's `_slots` or else one the loop
-    holds until it returns."""
-    slots = [] if _slots is None else _slots
+    potential (seed [seed, 1, t]) and a parameter p (seed [seed, 2, t])."""
 
     def pair(trial: int) -> tuple[float, float]:
         A = random_em_field(fam.grid, seed=[seed, 1, trial])
-        before = em_functional(A, _slots=slots)
+        before = em_functional(A)
         p = random_polynomial_field(fam.grid, seed=[seed, 2, trial])
         # The family subtracts the quotient; -p adds it, as the golden reports pin.
-        return before, em_functional(transform_d(fam, -p, A), _slots=slots)
+        return before, em_functional(transform_d(fam, -p, A))
 
     return ResidualReport.from_trials((0, trials - 1), trials, pair, INVARIANCE_TOLERANCE)
 
@@ -113,11 +109,10 @@ def em_wave_form(A: tuple) -> tuple:
     return tuple(out)
 
 
-def em_wave_reduction_residual(A: tuple, _slots: list | None = None) -> ResidualReport:
+def em_wave_reduction_residual(A: tuple) -> ResidualReport:
     """Gap between the Euler-Lagrange expressions and the wave form; small
-    only when the Lorentz conditions hold.  `_slots` is a held pattern
-    workspace (see multigrid._pattern_args)."""
-    es = el_expressions_d(em_lagrangian(), A, _slots)
+    only when the Lorentz conditions hold."""
+    es = el_expressions_d(em_lagrangian(), A)
     return _fields_report([e - w for e, w in zip(es, em_wave_form(A))], 1e-9)
 
 

@@ -29,7 +29,10 @@ from .variational import _central_difference, _el_values
 
 @dataclass(frozen=True, eq=False)
 class GridD:
-    """A d-dimensional rectangle built from one time scale per axis."""
+    """A d-dimensional rectangle built from one time scale per axis.  It owns
+    the pattern workspace of the actions on it (see _pattern_args), which
+    lives and dies with the grid and which any action on the grid rewrites,
+    so one grid is not used from two threads at once."""
 
     scales: tuple
 
@@ -61,6 +64,10 @@ class GridD:
             None if s.unit_steps else _sealed(_table(np.concatenate(([1.0], np.diff(s.points))), ax, self.shape))
             for ax, s in enumerate(self.scales)
         )
+
+    @cached_property
+    def _workspace(self) -> list:  # _pattern_args's, empty until the first action
+        return []
 
     def same_as(self, other: "GridD") -> bool:
         return self is other or (
@@ -235,7 +242,7 @@ def _pattern_workspace(L: LagrangianD, grid: GridD, lo: tuple, cells: tuple, key
     return [U, G, key, tuple(coords), tuple(plan), tuple(gaps)]
 
 
-def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
+def _pattern_args(L: LagrangianD, u: tuple):
     """Shifted-argument slots on the base-cell window shared by all of them.
 
     The u slot carries sigma on every axis; gradient slot j carries the
@@ -250,15 +257,15 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     slots of L.g_slots are written; the others are NaN from the pair's
     making.
 
-    `slots` is a command's held workspace, empty until the first call:
-    [U, G, key, coords, plan, gaps], where the plan names per component
-    the U[k] view and, per written slot, the G[j, k] view, the source slice
-    and the divisor, and gaps holds each axis's table (None on unit steps),
-    returned last as window_integral's weights.  The key is the grid, the
-    window's lo and cell shape, L.n and L.g_slots; when it matches, the call
-    only copies, subtracts and divides, and when it does not (or no list is
-    given), a new workspace is made and stored, so a reused pair gives the
-    bits of a fresh one, NaN slots included.
+    The pair lives in the workspace of u[0].grid: [U, G, key, coords, plan,
+    gaps], where the plan names per component the U[k] view and, per
+    written slot, the G[j, k] view, the source slice and the divisor, and
+    gaps holds each axis's table (None on unit steps), returned last as
+    window_integral's weights.  The key is the window's lo and cell shape,
+    L.n and L.g_slots; when it matches, the call only copies, subtracts and
+    divides, and when it does not, a new workspace is made and stored, so a
+    reused pair gives the bits of a fresh one, NaN slots included.  No key
+    holds the grid, so that refcounting frees the grid and its pair.
     """
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
@@ -270,12 +277,11 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     if 0 in cells:
         raise ValueError("window too small for the shifted argument pattern")
     cell_hi = tuple(l + c - 1 for l, c in zip(lo, cells))
-    key = (grid, lo, cells, L.n, L.g_slots)
-    if slots is None:
-        slots = []
-    if not slots or slots[2] != key:
-        slots[:] = _pattern_workspace(L, grid, lo, cells, key)
-    U, G, _, coords, plan, gaps = slots
+    key = (lo, cells, L.n, L.g_slots)
+    workspace = grid._workspace
+    if not workspace or workspace[2] != key:
+        workspace[:] = _pattern_workspace(L, grid, lo, cells, key)
+    U, G, _, coords, plan, gaps = workspace
     for v, (U_k, up, written) in zip(views, plan):
         U_k[...] = v[up]
         for G_jk, src, mu in written:
@@ -286,23 +292,22 @@ def _pattern_args(L: LagrangianD, u: tuple, slots: list | None = None):
     return coords, U, G, lo, cell_hi, gaps
 
 
-def functional_d(L: LagrangianD, u: tuple, _slots: list | None = None) -> float:
+def functional_d(L: LagrangianD, u: tuple) -> float:
     """The d-fold delta integral of the density along the shifted pattern,
-    weighted by the pattern's gap tables.  `_slots` is a command's held
-    workspace (see _pattern_args); the density's result is summed before the
-    call returns, so a result that is a view of G is never read after the
-    next call rewrites it."""
-    coords, U, G, lo, _, gaps = _pattern_args(L, u, _slots)
+    weighted by the pattern's gap tables.  The density's result is summed
+    before the call returns, so a result that is a view of the grid's G is
+    never read after the next action rewrites it."""
+    coords, U, G, lo, _, gaps = _pattern_args(L, u)
     return float(window_integral(u[0].grid.scales, lo, L.sample("L", coords, U, G)[..., None], gaps)[0])
 
 
-def el_expressions_d(L: LagrangianD, u: tuple, _slots: list | None = None) -> tuple:
+def el_expressions_d(L: LagrangianD, u: tuple) -> tuple:
     """Euler-Lagrange expressions dL/du_k - sum_j d/dx_j (dL/dg_jk), one field
     per component, on the doubly shrunk interior; each is one array, taken
     by the assembly _el_values that the 1-D expressions share, over the
-    declared slots (j, k) only.  `_slots` is a held workspace, as for
-    functional_d: P and Q are taken before the call returns."""
-    coords, U, G, lo, cell_hi, _ = _pattern_args(L, u, _slots)
+    declared slots (j, k) only.  P and Q are taken before the call returns,
+    as for functional_d."""
+    coords, U, G, lo, cell_hi, _ = _pattern_args(L, u)
     if any(c == l for l, c in zip(lo, cell_hi)):
         raise ValueError("window too small for the Euler-Lagrange expressions")
     grid = u[0].grid
@@ -465,29 +470,23 @@ def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float
     return FieldD(grid, (0,) * grid.d, _sealed(vals))
 
 
-def check_invariance_d(
-    L: LagrangianD, fam: GaugeFamilyD, u: tuple, trials: int = 20, seed: int = 0, _slots: list | None = None
-) -> ResidualReport:
+def check_invariance_d(L: LagrangianD, fam: GaugeFamilyD, u: tuple, trials: int = 20, seed: int = 0) -> ResidualReport:
     """Functional deviation under seeded random polynomial parameters of
-    sup 0.1.  Every action writes its pattern into one workspace (see
-    _pattern_args), the command's `_slots` or else one the loop holds until
-    it returns, in place of allocating it on every trial."""
-    slots = [] if _slots is None else _slots
-    base = functional_d(L, u, _slots=slots)
+    sup 0.1."""
+    base = functional_d(L, u)
 
     def pair(trial: int) -> tuple[float, float]:
         p = random_polynomial_field(fam.grid, seed=[seed, trial], amplitude=0.1)
-        return base, functional_d(L, transform_d(fam, p, u), _slots=slots)
+        return base, functional_d(L, transform_d(fam, p, u))
 
     return ResidualReport.from_trials((0, trials - 1), trials, pair, INVARIANCE_TOLERANCE)
 
 
-def noether_identity_d(L: LagrangianD, fam: GaugeFamilyD, u: tuple, _slots: list | None = None) -> ResidualReport:
-    """Residual of sum_k adjoint_k(E_k) on the largest interior window;
-    `_slots` is a held workspace, as for functional_d."""
+def noether_identity_d(L: LagrangianD, fam: GaugeFamilyD, u: tuple) -> ResidualReport:
+    """Residual of sum_k adjoint_k(E_k) on the largest interior window."""
     if fam.n != L.n:
         raise ValueError(f"component count mismatch: the family has n = {fam.n}, the density n = {L.n}")
-    es = el_expressions_d(L, u, _slots)
+    es = el_expressions_d(L, u)
     total = reduce(add, (gauge_field_adjoint(fam, es[k], k) for k in range(fam.n)))
     return ResidualReport.from_per_point((total.lo[0], total.hi[0]), total.values, IDENTITY_TOLERANCE)
 

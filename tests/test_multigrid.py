@@ -3,6 +3,7 @@ from dataclasses import replace
 from functools import reduce
 from itertools import accumulate
 from math import prod
+import gc
 import operator
 import weakref
 from operator import add
@@ -1521,25 +1522,30 @@ def test_shift_all_except_none_shifts_every_axis(d, scales, seed, data):
     assert same_bytes(out.values, ref.values) and same_bytes(out.values, f.values)
 
 
-# Held pattern slots: the invariance loops write every action's U and G into
-# one pair they hold, which must change no bit.
+# The grid's pattern workspace: every action on a grid writes its U and G
+# into the one pair the grid holds, which must change no bit.  A fresh pair
+# is taken by re-homing the fields on a new GridD of the same scales.
+
+
+def rehomed(u, grid=None):
+    """u's components on `grid`, by default a new GridD of u's scales, whose
+    workspace is empty."""
+    grid = GridD(u[0].grid.scales) if grid is None else grid
+    return tuple(FieldD(grid, f.lo, f.values) for f in u)
 
 
 @contextmanager
-def recorded_actions(module, name, keep_pairs=True):
-    """Patch module.name, an action taking (..., fields, _slots=...), so that
-    each call logs its fields, its value, the _slots list and the pair the
-    call left in it; with keep_pairs False, only weak references to the pair
-    are logged, and neither the list nor the pair is kept alive."""
+def recorded_actions(module, name):
+    """Patch module.name, an action taking (..., fields), so that each call
+    logs its fields, its value, the workspace of the fields' grid and the
+    (U, G) pair the call left in it."""
     log = []
     real = getattr(module, name)
 
-    def recording(*args, _slots=None):
-        value = real(*args, _slots=_slots)
-        if keep_pairs:
-            log.append((args[-1], value, _slots, tuple(_slots[:2])))
-        else:
-            log.append((args[-1], value, None, tuple(weakref.ref(a) for a in _slots[:2])))
+    def recording(*args):
+        value = real(*args)
+        workspace = args[-1][0].grid._workspace
+        log.append((args[-1], value, workspace, tuple(workspace[:2])))
         return value
 
     with mock.patch.object(module, name, recording):
@@ -1547,16 +1553,16 @@ def recorded_actions(module, name, keep_pairs=True):
 
 
 def assert_one_held_pair_bitwise_fresh(log, L):
-    """Every logged action wrote into the first action's list and (U, G)
-    pair, and equals a fresh functional_d call bit for bit.  (The asserts
+    """Every logged action wrote into the first action's workspace and (U, G)
+    pair, and equals a call on a fresh pair bit for bit.  (The asserts
     compare plain values: explaining a failure by the repr of the fields
     and slots would take minutes.)"""
     first = log[0]
-    one_list = all(slots is first[2] for _, _, slots, _ in log)
+    one_list = all(workspace is first[2] for _, _, workspace, _ in log)
     one_pair = all(len(pair) == 2 and all(a is b for a, b in zip(pair, first[3])) for _, _, _, pair in log)
     assert one_list and one_pair
     for fields, value, _, _ in log:
-        fresh = functional_d(L, fields)
+        fresh = functional_d(L, rehomed(fields))
         assert bits(value) == bits(fresh)
 
 
@@ -1578,7 +1584,7 @@ def earlier_em_gauge_invariance(fam, trials, seed, tolerance=1e-12):
     def pair(trial):
         A = random_em_field(fam.grid, seed=[seed, 1, trial])
         p = random_polynomial_field(fam.grid, seed=[seed, 2, trial])
-        return em_functional(A), em_functional(transform_d(fam, -p, A))
+        return em_functional(rehomed(A)), em_functional(rehomed(transform_d(fam, -p, A)))
 
     return ResidualReport.from_trials((0, trials - 1), trials, pair, tolerance)
 
@@ -1591,19 +1597,57 @@ def grid_2d(kind, k):
 TABLES_2D = {"curl2": [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)], "dirichlet2": [(0.375, 1.0, -2.5)]}
 
 
-def test_invariance_loops_drop_their_pair_on_return():
+@contextmanager
+def gc_disabled():
+    """Run the body with the cycle collector off, so that only reference
+    counts free objects."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_workspace_freed_with_its_grid():
+    # The loops leave their pair in the grid's workspace, and dropping the
+    # grid and its fields frees the pair by reference count alone.
     from tsnoether import em
 
-    fam = em.em_gauge_family(em_lattice("mixed", 5))
-    with recorded_actions(em, "em_functional", keep_pairs=False) as log:
+    with gc_disabled():
+        fam = em.em_gauge_family(em_lattice("mixed", 5))
         em._gauge_invariance(fam, 3, 1)
-    grid = grid_2d("hq", 20)
-    u = tuple(random_polynomial_field(grid, seed=[1, k]) for k in range(2))
-    with recorded_actions(multigrid, "functional_d", keep_pairs=False) as log2d:
+        grid = grid_2d("hq", 20)
+        u = tuple(random_polynomial_field(grid, seed=[1, k]) for k in range(2))
         check_invariance_d(catalog2d("curl2"), GaugeFamilyD(grid, TABLES_2D["curl2"]), u, trials=3, seed=1)
-    counts = len(log), len(log2d)
-    dead = all(ref() is None for entry in log + log2d for ref in entry[3])
-    assert counts == (6, 4) and dead
+        pairs = [weakref.ref(a) for g in (fam.grid, grid) for a in g._workspace[:2]]
+        alive = [ref() is not None for ref in pairs]
+        del fam, grid, u
+        dead = [ref() is None for ref in pairs]
+    assert alive == dead == [True] * 4
+
+
+@contextmanager
+def made_grids():
+    """Log a weak reference to every GridD made in the body."""
+    refs = []
+    real = GridD.__post_init__
+
+    def logging(self):
+        real(self)
+        refs.append(weakref.ref(self))
+
+    with mock.patch.object(GridD, "__post_init__", logging):
+        yield refs
+
+
+@pytest.mark.parametrize("name", ["check2d-hq", "em-mixed"])
+def test_no_grid_outlives_the_lattice_commands(name):
+    with gc_disabled(), made_grids() as refs:
+        code, out = cli_stdout([*LATTICE_COMMANDS[name], "--seed", "2"])
+        assert code in (0, 1) and out and len(refs) == 1
+        assert refs[0]() is None
 
 
 def test_held_slots_reallocated_when_the_pattern_shape_changes():
@@ -1615,18 +1659,18 @@ def test_held_slots_reallocated_when_the_pattern_shape_changes():
     three = GridD((*grid.scales, h_uniform(1.0, 0.0, 5.0)))
     L3 = LagrangianD(d=3, n=2, density=lambda coords, U, G: G[2, 1] * G[0, 0] + coords[1] * U[0])
     cube = tuple(random_polynomial_field(three, seed=[4, k]) for k in range(2))
-    slots = []
-    previous = None
     # The workspace holds the window's coordinates and gap tables, so a
-    # window of the same shape at another lo is made again, then reused.
+    # window of the same shape at another lo is made again, then reused;
+    # the cube's grid has a workspace of its own.
     for lagrangian, u, reused in ((L, full, False), (L, small, False), (L, moved, False), (L, moved, True),
-                                  (L, full, False), (L3, cube, False), (L3, cube, True), (L, full, False)):
-        value = functional_d(lagrangian, u, _slots=slots)
-        assert bits(value) == bits(functional_d(lagrangian, u)) == bits(fieldwise_functional_d(lagrangian, u))
-        _, U, G, _, _, _ = multigrid._pattern_args(lagrangian, u)
-        assert (slots[0].shape, slots[1].shape) == (U.shape, G.shape)
-        assert (slots[1] is previous) == reused
-        previous = slots[1]
+                                  (L, full, False), (L3, cube, False), (L3, cube, True), (L, full, True)):
+        workspace = u[0].grid._workspace
+        before = workspace[1] if workspace else None
+        value = functional_d(lagrangian, u)
+        assert bits(value) == bits(functional_d(lagrangian, rehomed(u))) == bits(fieldwise_functional_d(lagrangian, u))
+        _, U, G, _, _, _ = multigrid._pattern_args(lagrangian, rehomed(u))
+        assert (workspace[0].shape, workspace[1].shape) == (U.shape, G.shape)
+        assert (workspace[1] is before) == reused
 
 
 def test_held_slots_made_again_for_other_declared_slots():
@@ -1638,10 +1682,9 @@ def test_held_slots_made_again_for_other_declared_slots():
     curl2 = catalog2d("curl2")
     every = replace(curl2, g_slots=None)
     reading = replace(curl2, density=lambda coords, U, G: curl2.density(coords, U, G) + 0.0 * G[0, 0])
-    slots = []
-    values = [functional_d(L, u, _slots=slots) for L in (every, reading, every)]
-    assert np.isnan(values[1]) and np.isnan(functional_d(reading, u))
-    assert bits(values[0]) == bits(values[2]) == bits(functional_d(every, u))
+    values = [functional_d(L, u) for L in (every, reading, every)]
+    assert np.isnan(values[1]) and np.isnan(functional_d(reading, rehomed(u)))
+    assert bits(values[0]) == bits(values[2]) == bits(functional_d(every, rehomed(u)))
 
 
 def test_held_slots_divide_by_mu_on_every_call():
@@ -1649,12 +1692,12 @@ def test_held_slots_divide_by_mu_on_every_call():
     L = LagrangianD(d=3, n=2, density=lambda coords, U, G: G[0, 0] * G[2, 1] - G[1, 1] * U[0])
     f = tuple(random_polynomial_field(grid, seed=[5, k]) for k in range(2))
     g = tuple(random_polynomial_field(grid, seed=[6, k], amplitude=3.0).restrict((1, 0, 1), (8, 7, 8)) for k in range(2))
-    slots = []
+    workspace = grid._workspace
     for u in (f, g, f, g, g):
-        value = functional_d(L, u, _slots=slots)
-        _, U, G, _, _, _ = multigrid._pattern_args(L, u)
-        assert slots[0].tobytes() == U.tobytes() and slots[1].tobytes() == G.tobytes()
-        assert bits(value) == bits(functional_d(L, u)) == bits(fieldwise_functional_d(L, u))
+        value = functional_d(L, u)
+        _, U, G, _, _, _ = multigrid._pattern_args(L, rehomed(u))
+        assert workspace[0].tobytes() == U.tobytes() and workspace[1].tobytes() == G.tobytes()
+        assert bits(value) == bits(functional_d(L, rehomed(u))) == bits(fieldwise_functional_d(L, u))
 
 
 def test_held_slots_with_a_density_that_returns_a_view_of_g():
@@ -1755,11 +1798,11 @@ def test_pattern_writes_only_the_declared_slots(name):
     grid = em_lattice("mixed", 6) if name == "em" else grid_2d("qh", 12)
     full = [tuple(random_polynomial_field(grid, seed=[seed, k]) for k in range(L.n)) for seed in (1, 2)]
     inner = tuple(f.restrict((1,) * grid.d, tuple(n - 2 for n in grid.shape)) for f in full[0])
-    slots = []
+    # The grid's workspace, reused on the repeated windows, and a fresh one.
     for u in (full[0], full[1], inner, full[1], full[0]):
-        for held in (slots, None):
-            _, U, G, lo, cell_hi, _ = multigrid._pattern_args(L, u, held)
-            _, U_all, G_all, lo_all, cell_hi_all, _ = multigrid._pattern_args(every, u)
+        _, U_all, G_all, lo_all, cell_hi_all, _ = multigrid._pattern_args(every, rehomed(u))
+        for fields in (u, rehomed(u)):
+            _, U, G, lo, cell_hi, _ = multigrid._pattern_args(L, fields)
             assert (lo, cell_hi, U.tobytes()) == (lo_all, cell_hi_all, U_all.tobytes())
             assert all(G[s].tobytes() == G_all[s].tobytes() for s in L.g_slots)
             assert all(np.isnan(G[s]).all() for s in undeclared(L))
@@ -1995,11 +2038,10 @@ def test_held_slot_functional_bitwise_equals_fresh_and_subtracted_view(kind):
         fields = [tuple(random_polynomial_field(grid, seed=[31, t, k]) for k in range(2)) for t in range(3)]
     above = tuple(f.restrict((1,) * grid.d, tuple(n - 1 for n in grid.shape)) for f in fields[0])
     for L in densities:
-        slots = []
         for u in [*fields, above, fields[1]]:
             u = u[: L.n]
-            held = functional_d(L, u, _slots=slots)
-            assert bits(held) == bits(functional_d(L, u)) == bits(earlier_pattern_functional_d(L, u))
+            held = functional_d(L, u)
+            assert bits(held) == bits(functional_d(L, rehomed(u))) == bits(earlier_pattern_functional_d(L, u))
 
 
 # Each probe field in one contraction, and no lattice pass that changes no
@@ -2138,11 +2180,12 @@ def test_report_sup_bitwise_equals_abs_max(values):
     assert not np.signbit(rep.sup_norm) or np.isnan(rep.sup_norm)
 
 
-# One pattern workspace per lattice command.  check2d and em hold one
-# workspace for every pattern section: U, G, the key, the cell coordinates,
-# a plan of slot views and per-axis C-order gap tables, which divide the
-# slots and weigh the integral as the broadcast gaps did.  Probe fields take
-# polyval's Horner steps inline and their heads by broadcast products.
+# One pattern workspace per lattice command.  check2d and em make one
+# grid, whose workspace serves every pattern section: U, G, the key, the
+# cell coordinates, a plan of slot views and per-axis C-order gap tables,
+# which divide the slots and weigh the integral as the broadcast gaps did.
+# Probe fields take polyval's Horner steps inline and their heads by
+# broadcast products.
 
 LATTICE_COMMANDS = {
     "check2d-hq": ["check2d", "--grid", "h:1:0:59,q:1.05:1:60", "--family", "grad2", "--trials", "3"],
@@ -2166,20 +2209,19 @@ def cli_stdout(argv):
 
 @pytest.mark.parametrize("name", sorted(LATTICE_COMMANDS))
 def test_lattice_commands_share_one_workspace_bitwise_as_fresh_pairs(name):
-    # Every pattern of the command goes through one list; with a fresh
-    # workspace for every call instead, the report keeps every byte.
+    # Every pattern of the command goes through one grid's workspace; with a
+    # fresh workspace for every call instead, the report keeps every byte.
     argv = [*LATTICE_COMMANDS[name], "--seed", "5"]
     real = multigrid._pattern_args
     lists = []
 
-    def recording(L, u, slots=None):
-        lists.append(slots)
-        return real(L, u, slots)
+    def recording(L, u):
+        lists.append(u[0].grid._workspace)
+        return real(L, u)
 
-    def fresh(L, u, slots=None):
-        if slots is not None:
-            slots.clear()  # a new workspace on every call
-        return real(L, u, slots)
+    def fresh(L, u):
+        u[0].grid._workspace.clear()  # a new workspace on every call
+        return real(L, u)
 
     with mock.patch.object(multigrid, "_pattern_args", recording):
         shared = cli_stdout(argv)
@@ -2188,14 +2230,14 @@ def test_lattice_commands_share_one_workspace_bitwise_as_fresh_pairs(name):
     # check2d: the base action, 3 trial actions and the identity; em: 2
     # actions per trial, the identity and the wave form.
     calls = {"check2d": 1 + 3 + 1, "em": 2 * 3 + 1 + 1}[argv[0]]
-    assert len(lists) == calls and all(s is lists[0] for s in lists) and lists[0] is not None
+    assert len(lists) == calls and all(s is lists[0] for s in lists)
     assert shared == unshared and shared[0] in (0, 1)
 
 
-def holds_pattern_of(slots, L, u):
+def holds_pattern_of(workspace, L, u):
     """The workspace's U and G are the pattern of u, written by the last call."""
-    _, U, G, _, _, _ = multigrid._pattern_args(L, u)
-    return same_bytes(slots[0], U) and same_bytes(slots[1], G)
+    _, U, G, _, _, _ = multigrid._pattern_args(L, rehomed(u))
+    return same_bytes(workspace[0], U) and same_bytes(workspace[1], G)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "mixed"])
@@ -2204,52 +2246,56 @@ def test_em_sections_on_one_workspace_bitwise_equal_fresh_calls(kind):
 
     grid = em_lattice(kind, 7)
     fam = em.em_gauge_family(grid)
-    slots = []
-    gauge = em._gauge_invariance(fam, 3, 5, _slots=slots)
-    U, plan = slots[0], slots[4]
-    ident = noether_identity_d(em.em_lagrangian(), fam, em.random_em_field(grid, seed=[5, 1]), _slots=slots)
-    assert holds_pattern_of(slots, em.em_lagrangian(), em.random_em_field(grid, seed=[5, 1]))
-    wave = em.em_wave_reduction_residual(lorentz_field(grid), _slots=slots)
-    assert holds_pattern_of(slots, em.em_lagrangian(), lorentz_field(grid))
-    assert slots[0] is U and slots[4] is plan  # one key on the grid for all three sections
+    workspace = grid._workspace
+    gauge = em._gauge_invariance(fam, 3, 5)
+    U, plan = workspace[0], workspace[4]
+    ident = noether_identity_d(em.em_lagrangian(), fam, em.random_em_field(grid, seed=[5, 1]))
+    assert holds_pattern_of(workspace, em.em_lagrangian(), em.random_em_field(grid, seed=[5, 1]))
+    wave = em.em_wave_reduction_residual(lorentz_field(grid))
+    assert holds_pattern_of(workspace, em.em_lagrangian(), lorentz_field(grid))
+    assert workspace[0] is U and workspace[4] is plan  # one key on the grid for all three sections
     assert bits(gauge) == bits(earlier_em_gauge_invariance(fam, 3, 5))
-    assert bits(ident) == bits(noether_identity_d(em.em_lagrangian(), fam, em.random_em_field(grid, seed=[5, 1])))
-    assert bits(wave) == bits(em.em_wave_reduction_residual(lorentz_field(grid)))
+    fresh = GridD(grid.scales)
+    assert bits(ident) == bits(noether_identity_d(em.em_lagrangian(), em.em_gauge_family(fresh),
+                                                  em.random_em_field(fresh, seed=[5, 1])))
+    assert bits(wave) == bits(em.em_wave_reduction_residual(lorentz_field(GridD(grid.scales))))
 
 
 @pytest.mark.parametrize("kind", ["hq", "qh"])
 def test_check2d_sections_on_one_workspace_bitwise_equal_fresh_calls(kind):
     grid = grid_2d(kind, 40)
+    workspace = grid._workspace
     for name, table in TABLES_2D.items():
         L = catalog2d(name)
         u = tuple(random_polynomial_field(grid, seed=[6, 7 + k]) for k in range(L.n))
-        slots = []
-        inv = check_invariance_d(L, GaugeFamilyD(grid, table), u, trials=3, seed=6, _slots=slots)
-        U = slots[0]
-        ident = noether_identity_d(L, GaugeFamilyD(grid, table), u, _slots=slots)
-        assert slots[0] is U and holds_pattern_of(slots, L, u)
+        inv = check_invariance_d(L, GaugeFamilyD(grid, table), u, trials=3, seed=6)
+        U = workspace[0]
+        ident = noether_identity_d(L, GaugeFamilyD(grid, table), u)
+        assert workspace[0] is U and holds_pattern_of(workspace, L, u)
         fields = ConstantFieldFamily(grid, table)
         assert bits(inv) == bits(fieldwise_check_invariance_d(L, fields, u, 3, 6))
-        assert bits(ident) == bits(noether_identity_d(L, GaugeFamilyD(grid, table), u))
+        fresh = GridD(grid.scales)
+        assert bits(ident) == bits(noether_identity_d(L, GaugeFamilyD(fresh, table), rehomed(u, fresh)))
 
 
 def test_workspace_made_again_when_lo_or_grid_changes():
-    # Same cell shape, density and declared slots: a window at another lo,
-    # or the same window on another grid, has other coordinates and gaps.
+    # Same cell shape, density and declared slots: a window at another lo
+    # has other coordinates and gaps, and the same window on another grid
+    # goes to that grid's own workspace.
     grid = GridD((q_geometric(1.2, 1.0, 10), h_uniform(0.5, 0.0, 4.5)))
     other = GridD((q_geometric(1.3, 0.5, 10), h_uniform(0.25, 1.0, 3.25)))
     L = LagrangianD(d=2, n=1, density=lambda coords, U, G: G[0, 0] * coords[0] + G[1, 0] * coords[1] + U[0])
     f = random_polynomial_field(grid, seed=[9, 0])
     g = FieldD(other, f.lo, f.values)
-    slots = []
     for u, made in (((f.restrict((0, 0), (7, 7)),), True), ((f.restrict((2, 1), (9, 8)),), True),
                     ((f.restrict((2, 1), (9, 8)),), False), ((g.restrict((2, 1), (9, 8)),), True),
                     ((g.restrict((2, 1), (9, 8)),), False), ((f.restrict((0, 0), (7, 7)),), True)):
-        before = slots[0] if slots else None
-        value = functional_d(L, u, _slots=slots)
-        assert (slots[0] is not before) == made
-        assert bits(value) == bits(functional_d(L, u)) == bits(earlier_pattern_functional_d(L, u))
-        coords, U, G, _, _, _ = multigrid._pattern_args(L, u, slots)
+        workspace = u[0].grid._workspace
+        before = workspace[0] if workspace else None
+        value = functional_d(L, u)
+        assert (workspace[0] is not before) == made
+        assert bits(value) == bits(functional_d(L, rehomed(u))) == bits(earlier_pattern_functional_d(L, u))
+        coords, U, G, _, _, _ = multigrid._pattern_args(L, u)
         _, U_ref, G_ref, _, _ = earlier_pattern_args(L, u)
         assert same_bytes(U, U_ref) and same_bytes(G, G_ref)
         assert all(same_bytes(c, r) for c, r in zip(coords, earlier_pattern_args(L, u)[0]))
@@ -2267,10 +2313,9 @@ def test_gap_tables_bitwise_equal_broadcast_gaps(name):
     L = LagrangianD(d=grid.d, n=2, density=lambda coords, U, G: G.sum(axis=(0, 1)) * U[1] - coords[-1] * G[-1, 0])
     for p in (windows["whole"], windows["above"], short):
         u = (p, p * p)
-        slots = []
-        coords, U, G, lo, cell_hi, gaps = multigrid._pattern_args(L, u, slots)
+        coords, U, G, lo, cell_hi, gaps = multigrid._pattern_args(L, u)
         _, U_ref, G_ref, _, _ = earlier_pattern_args(L, u)
-        assert same_bytes(U, U_ref) and same_bytes(G, G_ref) and gaps is slots[5]
+        assert same_bytes(U, U_ref) and same_bytes(G, G_ref) and gaps is grid._workspace[5]
         cells = U.shape[1:]
         for ax, (s, table) in enumerate(zip(grid.scales, gaps)):
             if s.unit_steps:

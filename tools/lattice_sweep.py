@@ -7,18 +7,18 @@ grows, or whole lattice tasks under three allocation histories.
 
 An em trial is what `noether em` does per trial: a seeded random potential
 and parameter, the action before and the action after the gauge transform,
-both written into one pair of pattern slots held across the trials, as the
-command's trial loop holds it; so that its phases are timed apart, it
-draws both fields before the first action.  It runs on n^4 lattices,
-n = 8 .. 20, all axes h:1 ("uniform") or the mixed h/q axes h:0.5, q:1.1,
-h:1, q:1.15 ("mixed").  A check2d trial is what `noether check2d` does per
-trial with curl2 and grad2: a seeded parameter and the action of the
-transformed fields, in held slots too, on h:1 x q:(1 + 3/k) grids of k^2
-points, k = 100 .. 600.  Each line prints the size, the best wall time of
---repeat trials after one untimed warm-up, the best time of each of its
-three phases (drawing the fields, the gauge transform and the actions),
-and the median count of minor page faults (ru_minflt) that one trial took,
-as one JSON object per line.
+both written into the grid's one pattern workspace, which every trial on
+the grid reuses as the command's trial loop does; so that its phases are
+timed apart, it draws both fields before the first action.  It runs on n^4
+lattices, n = 8 .. 20, all axes h:1 ("uniform") or the mixed h/q axes
+h:0.5, q:1.1, h:1, q:1.15 ("mixed").  A check2d trial is what `noether
+check2d` does per trial with curl2 and grad2: a seeded parameter and the
+action of the transformed fields, in the grid's workspace too, on h:1 x
+q:(1 + 3/k) grids of k^2 points, k = 100 .. 600.  Each line prints the
+size, the best wall time of --repeat trials after one untimed warm-up, the
+best time of each of its three phases (drawing the fields, the gauge
+transform and the actions), and the median count of minor page faults
+(ru_minflt) that one trial took, as one JSON object per line.
 
 --ab runs the same trials on two source trees in one process, each tree's
 src/tsnoether imported under its own package name as tools/ab.py imports
@@ -27,6 +27,10 @@ then A, after one untimed warm-up each, so that host drift between sizes
 or runs reaches both alike; a sweep of one tree after another can read a
 drift as a change.  Each line prints the size, each side's best trial time
 and, per phase, the median over the --repeat pairs of B's time over A's.
+A tree whose actions took the workspace as an argument (before the grid
+owned it) makes a fresh pair for every action here, as this tool passes
+none; compare across that change with tools/ab.py, which runs whole
+commands.
 
 --tasks runs the five lattice-4d tasks of bench/workloads.py (the em and
 check2d command lines at --seed, through cli.main) instead.  Each task runs
@@ -69,7 +73,6 @@ def em_lattice(tn, kind: str, n: int):
 
 def em_trial(tn, grid, seed: int):
     fam = tn.em_gauge_family(grid)
-    slots: list = []
 
     def trial(t: int) -> dict:
         start = time.perf_counter()
@@ -78,8 +81,8 @@ def em_trial(tn, grid, seed: int):
         drawn = time.perf_counter()
         moved = tn.transform_d(fam, -p, A)
         transformed = time.perf_counter()
-        tn.em_functional(A, _slots=slots)
-        tn.em_functional(moved, _slots=slots)
+        tn.em_functional(A)
+        tn.em_functional(moved)
         return phases(start, drawn, transformed, time.perf_counter())
 
     return trial
@@ -90,7 +93,6 @@ def check2d_trial(tn, k: int, seed: int):
     L = tn.catalog2d("curl2")
     fam = tn.GaugeFamilyD(grid, [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
     u = tuple(tn.random_polynomial_field(grid, seed=[seed, 7 + c]) for c in range(L.n))
-    slots: list = []
 
     def trial(t: int) -> dict:
         start = time.perf_counter()
@@ -98,7 +100,7 @@ def check2d_trial(tn, k: int, seed: int):
         drawn = time.perf_counter()
         moved = tn.transform_d(fam, p, u)
         transformed = time.perf_counter()
-        tn.functional_d(L, moved, _slots=slots)
+        tn.functional_d(L, moved)
         return phases(start, drawn, transformed, time.perf_counter())
 
     return trial
