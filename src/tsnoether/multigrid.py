@@ -24,7 +24,7 @@ import numpy as np
 
 from .report import IDENTITY_TOLERANCE, INVARIANCE_TOLERANCE, ResidualReport
 from .timescale import _Arithmetic, _frozen, _overlap, _sealed, forward_quotient, shift_values, window_integral
-from .variational import _central_difference, _el_values
+from .variational import _el_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,15 +181,15 @@ class LagrangianD:
     All callables are vectorized over trailing cell axes: u is passed with
     shape (n, *cells) and g with shape (d, n, *cells); coords is a tuple of
     broadcastable coordinate arrays.  `sample` is the only caller of the
-    callables.  Missing partials are filled in by central differences, one
-    slot entry U[k] or G[j, k] at a time.
+    callables, and a check that reads a partial the density lacks raises
+    ValueError naming it.
 
     `g_slots`, a tuple of (j, k) pairs, names the gradient slots that the
     density and its partials read; None means every slot.  The pattern
     writes only those, and its other G slots hold NaN, so a density that
     reads one fails.  A g partial is taken as 0.0 outside them, the partial
-    of a density that does not read them: a missing one is differenced in
-    those slots only, and el_expressions_d reads a given one in no other.
+    of a density that does not read them: el_expressions_d reads it in no
+    other slot.
     """
 
     d: int
@@ -204,14 +204,9 @@ class LagrangianD:
         broadcast to the cell shape U.shape[1:], to U.shape or to G.shape."""
         fn = {"L": self.density, "u": self.d_u, "g": self.d_g}[which]
         if fn is None:
-            args, slot = (coords, U, G), "Lug".index(which)
-            indices = np.ndindex(args[slot].shape[:slot])
-            if which == "g" and self.g_slots is not None:
-                indices = self.g_slots
-            out = _central_difference(self.density, args, slot, indices)
-        else:
-            out = np.asarray(fn(coords, U, G), dtype=float)
-        return np.broadcast_to(out, {"L": U.shape[1:], "u": U.shape, "g": G.shape}[which])
+            raise ValueError(f"the density has no {which!r} partial (d_{which})")
+        shape = {"L": U.shape[1:], "u": U.shape, "g": G.shape}[which]
+        return np.broadcast_to(np.asarray(fn(coords, U, G), dtype=float), shape)
 
 
 def _table(mu: np.ndarray, axis: int, shape: tuple) -> np.ndarray:

@@ -320,13 +320,35 @@ def _identity_sum(fam: GaugeFamily, table: np.ndarray, E: GridFunction, b1: floa
     return reduce(add, (term(k, i, row) for k, rows in enumerate(table) for i, row in enumerate(rows)))
 
 
+# The relative step of the oracle's central differences (_central_difference).
+FD_STEP = 1e-6
+
+
+def _central_difference(fn, args: tuple, slot: int) -> np.ndarray:
+    """Central differences of fn(*args) in each column of the 2-D argument
+    args[slot], shaped like it: the entries x of a column move together by
+    +-h, h = FD_STEP * max(1, |x|) elementwise, and the quotient
+    (fn(x + h) - fn(x - h)) / (2h) fills that column."""
+    X = args[slot]
+    out = np.empty(X.shape)
+    for k in range(X.shape[1]):
+        h = FD_STEP * np.maximum(1.0, np.abs(X[:, k]))
+        values = []
+        for step in (h, -h):
+            moved = X.copy()
+            moved[:, k] += step
+            values.append(fn(*args[:slot], moved, *args[slot + 1 :]))
+        out[:, k] = (values[0] - values[1]) / (2 * h)
+    return out
+
+
 def second_el_via_reparametrization(L: Lagrangian, y: GridFunction) -> GridFunction:
     """Finite-difference oracle for the time-component expression.
 
     Time is adjoined as a path component s with s(t) = t and the density
     rescaled accordingly; the ordinary Euler-Lagrange expression of the s
-    component, computed purely by finite differences, must match
-    second_el_expression.
+    component, with the augmented density's u and v partials taken by
+    central differences of its values, must match second_el_expression.
     """
     pts = y.ts.points
     gaps = np.append(np.diff(pts), 0.0)
@@ -335,7 +357,13 @@ def second_el_via_reparametrization(L: Lagrangian, y: GridFunction) -> GridFunct
         mu = gaps[np.searchsorted(pts, T)]
         return L.sample("L", U[:, 0] - mu * V[:, 0], U[:, 1:], V[:, 1:] / V[:, :1]) * V[:, 0]
 
-    augmented = Lagrangian(n=L.n + 1, eval=density, vectorized=True)
+    augmented = Lagrangian(
+        n=L.n + 1,
+        eval=density,
+        d_u=lambda T, U, V: _central_difference(density, (T, U, V), 1),
+        d_v=lambda T, U, V: _central_difference(density, (T, U, V), 2),
+        vectorized=True,
+    )
     z = GridFunction(y.ts, y.lo, _sealed(np.column_stack((pts[y.lo : y.hi + 1], y.values))))
     return el_expressions(augmented, z).component(0)
 

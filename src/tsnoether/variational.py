@@ -9,7 +9,6 @@ discrete Euler-Lagrange boundary value problems by damped Newton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,31 +31,6 @@ class ConvergenceError(RuntimeError):
         self.history = list(history)
 
 
-# Relative step of every central difference that fills in a missing
-# partial of a density: each perturbed entry x moves by FD_STEP * max(1, |x|).
-FD_STEP = 1e-6
-
-
-def _central_difference(fn: Callable, args: tuple, slot: int, indices) -> np.ndarray:
-    """Central differences of fn(*args) in the argument args[slot], shaped
-    like it: for each index, the entries x = args[slot][index] move together
-    by +-h, h = FD_STEP * max(1, |x|) elementwise, and the quotient
-    (fn(x + h) - fn(x - h)) / (2h) fills those entries; the entries of no
-    index are 0.0."""
-    X = args[slot]
-    out = np.zeros(X.shape)
-    for index in indices:
-        x = X[index]
-        h = FD_STEP * np.maximum(1.0, np.abs(x))
-        values = []
-        for step in (h, -h):
-            moved = X.copy()
-            moved[index] = x + step
-            values.append(fn(*args[:slot], moved, *args[slot + 1 :]))
-        out[index] = (values[0] - values[1]) / (2 * h)
-    return out
-
-
 @dataclass(frozen=True)
 class Lagrangian:
     """An evaluable density L(t, u, v) with u, v in R^n.
@@ -65,8 +39,8 @@ class Lagrangian:
     returns a float (eval, d_t) or an n-vector (d_u, d_v).  Vectorized, it
     takes a whole path (t[N], U[N, n], V[N, n]) and returns (N,) or (N, n).
     `sample` is the only caller of the callables in either convention.
-    Analytic partials are optional; central differences with the step
-    FD_STEP * max(1, |x|) of each entry x fill in for any that are missing.
+    Partials are optional, but a check that reads one the density lacks
+    raises ValueError naming it: no partial is made up from eval.
     """
 
     n: int
@@ -81,9 +55,7 @@ class Lagrangian:
         shape (N,) for "L" and "t", (N, n) for "u" and "v"."""
         fn = {"L": self.eval, "t": self.d_t, "u": self.d_u, "v": self.d_v}[which]
         if fn is None:
-            slot = "tuv".index(which)
-            columns = [(slice(None), *k) for k in np.ndindex(np.shape((T, U, V)[slot])[1:])]
-            return _central_difference(partial(self.sample, "L"), (T, U, V), slot, columns)
+            raise ValueError(f"the density has no {which!r} partial (d_{which})")
         if self.vectorized:
             out = np.asarray(fn(T, U, V), dtype=float)
         else:

@@ -1025,3 +1025,25 @@ def test_zero_time_table_leaves_invariance_bits(tmp_path, monkeypatch, capsys, s
         code = main(["check-invariance", "--scale", spec, "--lagrangian", lagrangian, "--family", family, "--verbose"])
         reports.append((code, capsys.readouterr().out))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "density",
+    ["dirichlet", "poisson", "pair-difference", "quad:3:0.5:-0.3:0.2", "curl2", "dirichlet2", "em"],
+)
+def test_every_command_density_has_all_its_partials(density):
+    # A check refuses a density that lacks a partial it reads, so a command
+    # density with all of them keeps every exit code and report byte.
+    from tsnoether import em, multigrid
+
+    rng = np.random.default_rng(7)
+    if density in ("curl2", "dirichlet2", "em"):
+        L = em.em_lagrangian() if density == "em" else multigrid.catalog2d(density)
+        coords = tuple(rng.uniform(1, 2, 3).reshape((1,) * ax + (3,) + (1,) * (L.d - ax - 1)) for ax in range(L.d))
+        U, G = rng.uniform(-2, 2, (L.n,) + (3,) * L.d), rng.uniform(-2, 2, (L.d, L.n) + (3,) * L.d)
+        parts = [(w, L.sample(w, coords, U, G)) for w in "ug"]
+    else:
+        L = catalog(density)
+        T, U, V = rng.uniform(-2, 2, 5), rng.uniform(-2, 2, (5, L.n)), rng.uniform(-2, 2, (5, L.n))
+        parts = [(w, L.sample(w, T, U, V)) for w in "tuv"]
+    assert all(getattr(L, f"d_{w}") is not None and np.all(np.isfinite(p)) for w, p in parts)

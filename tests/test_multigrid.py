@@ -1,6 +1,6 @@
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 from math import prod
 import gc
@@ -175,7 +175,7 @@ class TestEulerLagrangeD:
 
     def test_independent_density(self):
         g = grid_z2(5, 5)
-        L = LagrangianD(d=2, n=1, density=lambda c, U, G: c[0] + 0 * U[0])
+        L = differenced_d(LagrangianD(d=2, n=1, density=lambda c, U, G: c[0] + 0 * U[0]))
         u = (random_polynomial_field(g, seed=1),)
         assert el_residual_d(L, u).sup_norm <= 1e-9
 
@@ -316,6 +316,34 @@ class TestNoetherIdentityD:
         for a, b in zip(u, ubar):
             lo, hi = b.lo, b.hi
             assert np.array_equal(a.restrict(lo, hi).values, b.values)
+
+
+class TestMissingPartialsD:
+    """A d-D check reads only the partials a density gives: one it lacks is
+    a ValueError that names it, and the density alone serves the checks that
+    read no partial."""
+
+    def case(self, **missing):
+        grid = grid_mixed()
+        full = catalog2d("curl2")
+        u = tuple(random_polynomial_field(grid, seed=[6, k], degree=2) for k in range(2))
+        return full, replace(full, **missing), GaugeFamilyD(grid, TABLES_2D["curl2"]), u
+
+    @pytest.mark.parametrize("missing", ["u", "g"])
+    @pytest.mark.parametrize("check", ["el_expressions_d", "noether_identity_d"])
+    def test_check_names_the_missing_partial(self, check, missing):
+        _, L, fam, u = self.case(**{f"d_{missing}": None})
+        args = (L, u) if check == "el_expressions_d" else (L, fam, u)
+        with pytest.raises(ValueError) as err:
+            getattr(multigrid, check)(*args)
+        assert str(err.value) == f"the density has no {missing!r} partial (d_{missing})"
+
+    def test_density_alone_serves_the_checks_that_read_no_partial(self):
+        full, bare, fam, u = self.case(d_u=None, d_g=None)
+        assert bits(functional_d(bare, u)) == bits(functional_d(full, u))
+        assert bits(check_invariance_d(bare, fam, u, trials=3, seed=2)) == bits(
+            check_invariance_d(full, fam, u, trials=3, seed=2)
+        )
 
 
 class TestDoubleFundamentalLemma:
@@ -1027,7 +1055,7 @@ def lattice_axis():
 
 def density_with_partials(d, n, analytic):
     """A density with products of slots and a coordinate factor, with its
-    partials given analytically or left to finite differences."""
+    partials given analytically or taken by central differences."""
 
     def density(coords, U, G):
         out = 0.3 * U[0] * G[0, 0] + coords[0] * U[n - 1] * U[0]
@@ -1052,7 +1080,7 @@ def density_with_partials(d, n, analytic):
 
     if analytic:
         return LagrangianD(d=d, n=n, density=density, d_u=d_u, d_g=d_g)
-    return LagrangianD(d=d, n=n, density=density)
+    return differenced_d(LagrangianD(d=d, n=n, density=density))
 
 
 @given(
@@ -1108,36 +1136,22 @@ def earlier_partial_u(L, coords, U, G):
 
 
 def earlier_partial_g(L, coords, U, G):
-    out = np.empty_like(G)
-    for j in range(L.d):
-        for k in range(L.n):
-            h = 1e-6 * np.maximum(1.0, np.abs(G[j, k]))
-            gp, gm = G.copy(), G.copy()
-            gp[j, k] = G[j, k] + h
-            gm[j, k] = G[j, k] - h
-            out[j, k] = (L.density(coords, U, gp) - L.density(coords, U, gm)) / (2 * h)
+    """The g partial in the same way, in the declared slots only (every slot
+    when g_slots is None) and 0.0 in the others."""
+    out = np.zeros_like(G)
+    for j, k in np.ndindex(L.d, L.n) if L.g_slots is None else L.g_slots:
+        h = 1e-6 * np.maximum(1.0, np.abs(G[j, k]))
+        gp, gm = G.copy(), G.copy()
+        gp[j, k] = G[j, k] + h
+        gm[j, k] = G[j, k] - h
+        out[j, k] = (L.density(coords, U, gp) - L.density(coords, U, gm)) / (2 * h)
     return out
 
 
-@given(
-    d=st.integers(2, 4),
-    n=st.integers(1, 3),
-    spread=st.sampled_from([0.5, 3.0, 1e3]),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-@settings(max_examples=60, deadline=None)
-def test_central_differences_bitwise_equal_earlier_copies(d, n, spread, seed, data):
-    rng = np.random.default_rng(seed)
-    cells = tuple(data.draw(st.integers(1, 4), label=f"cells{ax}") for ax in range(d))
-    coords = tuple(
-        rng.uniform(-1, 1, cells[ax]).reshape([cells[ax] if a == ax else 1 for a in range(d)]) for ax in range(d)
-    )
-    U = rng.uniform(-spread, spread, (n,) + cells)
-    G = rng.uniform(-spread, spread, (d, n) + cells)
-    L = density_with_partials(d, n, analytic=False)
-    assert L.sample("u", coords, U, G).tobytes() == earlier_partial_u(L, coords, U, G).tobytes()
-    assert L.sample("g", coords, U, G).tobytes() == earlier_partial_g(L, coords, U, G).tobytes()
+def differenced_d(L):
+    """L with its u and g partials taken by central differences of its
+    density: the library makes up no partial."""
+    return replace(L, d_u=partial(earlier_partial_u, L), d_g=partial(earlier_partial_g, L))
 
 
 # The Euler-Lagrange assemblies as they were written before the 1-D and d-D
@@ -1750,8 +1764,8 @@ def test_held_slot_actions_bitwise_equal_fresh_calls(kind, size, trials, seed, d
 
 
 # Declared gradient slots: a density names the G slots it reads
-# (LagrangianD.g_slots), the pattern writes only those and leaves NaN in the
-# others, and the central-difference fallback differences only those.
+# (LagrangianD.g_slots), and the pattern writes only those and leaves NaN in
+# the others.
 
 
 def field_strength_densities():
@@ -1820,28 +1834,6 @@ def test_density_reading_an_undeclared_slot_fails():
     report = check_invariance_d(reading, fam, u, trials=3, seed=3)
     assert not report.verdict and np.isnan(report.sup_norm)
     assert np.isnan(functional_d(reading, u))
-
-
-def test_central_differences_of_the_declared_slots_only():
-    def density(coords, U, G):
-        return G[0, 1] * G[2, 0] + coords[1] * G[0, 1] ** 2 + U[1] * G[2, 0] ** 3
-
-    declared = LagrangianD(d=3, n=2, density=density, g_slots=((2, 0), (0, 1)))
-    every = replace(declared, g_slots=None)
-    rng = np.random.default_rng(24)
-    cells = (3, 2, 4)
-    coords = tuple(rng.uniform(-1, 1, c).reshape([c if a == ax else 1 for a in range(3)]) for ax, c in enumerate(cells))
-    U = rng.uniform(-2, 2, (2,) + cells)
-    G = rng.uniform(-2, 2, (3, 2) + cells)
-    with_nan = G.copy()
-    for s in undeclared(declared):
-        with_nan[s] = np.nan
-    d_g = declared.sample("g", coords, U, with_nan)
-    d_g_every = every.sample("g", coords, U, G)
-    assert all(d_g[s].tobytes() == d_g_every[s].tobytes() for s in declared.g_slots)
-    assert all(d_g[s].tobytes() == np.zeros(cells).tobytes() for s in undeclared(declared))
-    assert not np.all(d_g[declared.g_slots[0]] == 0.0)
-    assert declared.sample("u", coords, U, with_nan).tobytes() == every.sample("u", coords, U, G).tobytes()
 
 
 # Lattice kernels in long passes.  A ufunc passes an operand's short strided
@@ -2120,14 +2112,14 @@ def full_el_expressions_d(L, u):
     return tuple(out)
 
 
-def differenced_density():
-    """A 3-d, two-component density with no partials given, declaring four
-    of its six slots, so that central differences give its partials."""
+def differenced_density(g_slots=((2, 0), (0, 1), (1, 1), (1, 0))):
+    """A 3-d, two-component density given by its values, declaring four of
+    its six slots by default, with central differences for its partials."""
 
     def density(coords, U, G):
         return G[0, 1] * G[2, 0] + coords[1] * G[0, 1] ** 2 + U[1] * G[2, 0] ** 3 + 0.5 * G[1, 1] * U[0]
 
-    return LagrangianD(d=3, n=2, density=density, g_slots=((2, 0), (0, 1), (1, 1), (1, 0)))
+    return differenced_d(LagrangianD(d=3, n=2, density=density, g_slots=g_slots))
 
 
 @pytest.mark.parametrize("name", ["em-mixed", "em-uniform", "curl2", "dirichlet2", "differenced", "differenced-all"])
@@ -2136,7 +2128,7 @@ def test_el_expressions_bitwise_equal_full_assembly(name):
 
     L = {"em-mixed": em.em_lagrangian(), "em-uniform": em.em_lagrangian(), "curl2": catalog2d("curl2"),
          "dirichlet2": catalog2d("dirichlet2"), "differenced": differenced_density(),
-         "differenced-all": replace(differenced_density(), g_slots=None)}[name]
+         "differenced-all": differenced_density(g_slots=None)}[name]
     grid = {"em-mixed": em_lattice("mixed", 7), "em-uniform": em_lattice("uniform", 8), "curl2": grid_2d("qh", 40),
             "dirichlet2": grid_2d("hq", 40)}.get(name, GridD((q_geometric(1.2, 1.0, 8), h_uniform(0.5, 0.0, 3.0),
                                                               h_uniform(1.0, 0.0, 5.0))))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import reduce
 from operator import add
 
@@ -33,6 +34,8 @@ from tsnoether import (
     transform,
 )
 from tsnoether.variational import BoundaryData, Lagrangian, variation_pairing
+
+from differencing import differenced
 
 PAIRDIFF = catalog("pair-difference")
 
@@ -823,7 +826,8 @@ def earlier_reparametrization(L, y):
     def density(t, U, V):
         return earlier_at(L, "L", U[0] - mu_of(t) * V[0], U[1:], V[1:] / V[0]) * V[0]
 
-    augmented = Lagrangian(n=L.n + 1, eval=density)
+    # The differences the oracle's own partials must match bit for bit.
+    augmented = differenced(Lagrangian(n=L.n + 1, eval=density))
     z = GridFunction(ts, y.lo, np.column_stack((pts[y.lo : y.hi + 1], y.values)))
     return el_expressions(augmented, z).component(0)
 
@@ -835,17 +839,19 @@ def oracle_density(kind, n):
     if kind == "vectorized":
         return quad
     if kind == "vectorized-fd":
-        return Lagrangian(n=n, eval=lambda t, U, V: quad.eval(t, U, V) + 0.1 * t * U[:, 0], vectorized=True)
+        return differenced(
+            Lagrangian(n=n, eval=lambda t, U, V: quad.eval(t, U, V) + 0.1 * t * U[:, 0], vectorized=True)
+        )
 
     def d_u(t, u, v):
         out = -np.sin(u)
         out[0] += 0.1 * t
         return out
 
-    partials = {} if kind == "per-point-fd" else {
-        "d_t": lambda t, u, v: 0.1 * u[0], "d_u": d_u, "d_v": lambda t, u, v: v.copy()
-    }
-    return Lagrangian(n=n, eval=lambda t, u, v: float(0.5 * v @ v + np.sum(np.cos(u)) + 0.1 * t * u[0]), **partials)
+    bare = Lagrangian(n=n, eval=lambda t, u, v: float(0.5 * v @ v + np.sum(np.cos(u)) + 0.1 * t * u[0]))
+    if kind == "per-point-fd":
+        return differenced(bare)
+    return replace(bare, d_t=lambda t, u, v: 0.1 * u[0], d_u=d_u, d_v=lambda t, u, v: v.copy())
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -24,9 +23,11 @@ from tsnoether import (
     real_approx,
     solve_extremal,
 )
-from tsnoether import GaugeFamily, noether_identity_time, second_el_expression, variational
+from tsnoether import GaugeFamily, check_invariance, noether, noether_identity_time, second_el_expression, variational
 from tsnoether.report import ResidualReport
 from tsnoether.variational import _cyclic_reduction, _jacobian_bands, _newton_sample, lagrangian_along, variation_pairing
+
+from differencing import FD_STEP, differenced, earlier_central_difference
 
 
 def random_quadratic(rng, n):
@@ -185,15 +186,56 @@ class TestEulerLagrange:
         rhs = a * el_expressions(L1, y).values + b * el_expressions(L2, y).values
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
-    def test_finite_difference_fallback_close_to_analytic(self):
-        ts = h_uniform(1.0, 0, 6)
-        rng = np.random.default_rng(11)
-        L = random_quadratic(rng, 2)
-        bare = Lagrangian(n=2, eval=L.eval)
-        y = GridFunction(ts, 0, rng.uniform(-1, 1, (7, 2)))
-        full = el_expressions(L, y).values
-        fd = el_expressions(bare, y).values
-        assert np.max(np.abs(full - fd)) < 1e-6
+
+class TestMissingPartials:
+    """A check reads only the partials a density gives: one it lacks is a
+    ValueError that names it, and no partial is made up from the values."""
+
+    @staticmethod
+    def density(given):
+        """pair-difference with only the partials named in given."""
+        full = catalog("pair-difference")
+        return Lagrangian(n=2, eval=full.eval, vectorized=True, **{f"d_{w}": getattr(full, f"d_{w}") for w in given})
+
+    @staticmethod
+    def path():
+        ts = q_geometric(1.5, 1.0, 8)
+        return GridFunction(ts, 0, np.random.default_rng(4).uniform(-2, 2, (len(ts), 2)))
+
+    @pytest.mark.parametrize(
+        "check, given, missing",
+        [
+            (el_expressions, "tv", "u"),
+            (el_expressions, "tu", "v"),
+            (el_residual, "", "u"),
+            (second_el_expression, "uv", "t"),
+            (second_el_expression, "tu", "v"),
+            (lambda L, y: variation_pairing(L, y, y), "tv", "u"),
+            (lambda L, y: variation_pairing(L, y, y), "tu", "v"),
+            (lambda L, y: lagrangian_along(L, y, "L", "t"), "uv", "t"),
+        ],
+        ids=["el-u", "el-v", "el-residual", "second-t", "second-v", "pairing-u", "pairing-v", "along-t"],
+    )
+    def test_check_names_the_missing_partial(self, check, given, missing):
+        with pytest.raises(ValueError) as err:
+            check(self.density(given), self.path())
+        assert str(err.value) == f"the density has no {missing!r} partial (d_{missing})"
+
+    @pytest.mark.parametrize("given, missing", [("tv", "u"), ("tu", "v"), ("", "u")])
+    def test_solve_refuses_before_any_jacobian(self, given, missing):
+        with mock.patch.object(variational, "_jacobian_bands") as bands:
+            with pytest.raises(ValueError) as err:
+                solve_extremal(self.density(given), h_uniform(1.0, 0, 6), BoundaryData([0.0, 1.0], [2.0, -1.0]))
+        assert str(err.value) == f"the density has no {missing!r} partial (d_{missing})"
+        assert not bands.called
+
+    def test_values_alone_serve_the_checks_that_read_no_partial(self):
+        y = self.path()
+        bare, full = self.density(""), catalog("pair-difference")
+        fam = GaugeFamily.constant(y.ts, [[[1.0], [1.0]]])
+        assert eval_functional(bare, y) == eval_functional(full, y)
+        a, b = check_invariance(bare, fam, y, trials=4, seed=5), check_invariance(full, fam, y, trials=4, seed=5)
+        assert (a.per_point.tobytes(), a.sup_norm, a.verdict) == (b.per_point.tobytes(), b.sup_norm, b.verdict)
 
 
 class TestSecondEulerLagrange:
@@ -296,11 +338,13 @@ class TestPathWindowAboveZero:
         ts = differential_scale(kind, 12, rng)
         if density == "quad":
             fast, slow = catalog("quad:2:0.5:0.3:0.2"), per_point_quadratic(2, 0.5, 0.3, 0.2)
+            source = slow
         else:
-            fast, slow = rational_density(2, True), rational_density(2, False)
+            source = rational_density(2, False)
+            fast, slow = differenced(rational_density(2, True)), differenced(source)
         y = GridFunction(ts, lo, rng.uniform(-2, 2, (len(ts) - lo - 1, 2)))
         eta = GridFunction(ts, lo, rng.uniform(-2, 2, (len(ts) - lo - 1, 2)))
-        lu, lv, el, second = self.reference(slow, y)
+        lu, lv, el, second = self.reference(source, y)
         t, e = ts.points, eta.values
         pairing = sum(
             (t[i + 1] - t[i]) * (lu[k] @ e[i + 1 - lo] + lv[k] @ ((e[i + 1 - lo] - e[i - lo]) / (t[i + 1] - t[i])))
@@ -496,15 +540,15 @@ def block_thomas(A, B, C, f):
 
 
 def nonlinear_density(rng, n):
-    """Coupled, time-dependent, non-polynomial density given by its values
-    only, so every partial comes from finite differences."""
+    """Coupled, time-dependent, non-polynomial density given by its values,
+    with every partial a central difference of them."""
     a = rng.uniform(0.5, 1.5, n)
     b = rng.uniform(-1, 1, n)
     c = float(rng.uniform(-1, 1))
-    return Lagrangian(
+    return differenced(Lagrangian(
         n=n,
         eval=lambda t, u, v: float(0.5 * a @ (v * v) + np.cos(b @ u) * (1 + 0.1 * np.sin(t)) + c * np.tanh(u @ v)),
-    )
+    ))
 
 
 def quartic_density(n, calls):
@@ -561,7 +605,7 @@ class TestBandedNewton:
         T, U, V, Pu, Pv = path
         eps = np.finfo(float).eps
         if nonlinear:
-            delta = eps * np.max(np.abs(L.sample("L", T, U, V))) / variational.FD_STEP
+            delta = eps * np.max(np.abs(L.sample("L", T, U, V))) / FD_STEP
         else:
             delta = eps * max(np.max(np.abs(Pu)), np.max(np.abs(Pv)))
         bound = 16 * delta / (1e-7 * np.min(np.diff(ts.points)) ** 2)
@@ -705,8 +749,8 @@ PER_POINT_CATALOG = {
 
 
 def rational_density(n, vectorized):
-    """A density given by its values only, so every partial comes from
-    central differences; the same formula in either calling convention."""
+    """A density given by its values only, the same formula in either
+    calling convention; differenced(...) gives it partials."""
     if vectorized:
         def density(t, U, V):
             w = U[:, -1] - V[:, 0]
@@ -720,19 +764,20 @@ def rational_density(n, vectorized):
 
 def per_point_sample(L, which, t, u, v):
     """One point of L or a partial, reading each missing partial as a
-    central difference with the step FD_STEP * max(1, |x_k|) per entry."""
+    central difference with the step FD_STEP * max(1, |x_k|) per entry: the
+    reference for differenced(...) of a value-only density."""
     if which == "L":
         return L.eval(t, u, v)
     fn = {"t": L.d_t, "u": L.d_u, "v": L.d_v}[which]
     if fn is not None:
         return fn(t, u, v)
     if which == "t":
-        h = variational.FD_STEP * max(1.0, abs(t))
+        h = FD_STEP * max(1.0, abs(t))
         return (L.eval(t + h, u, v) - L.eval(t - h, u, v)) / (2 * h)
     x = u if which == "u" else v
     out = np.empty(x.size)
     for k in range(x.size):
-        h = variational.FD_STEP * max(1.0, abs(x[k]))
+        h = FD_STEP * max(1.0, abs(x[k]))
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
@@ -773,11 +818,13 @@ class TestArrayDensities:
     def test_catalog_equals_per_point_copy(self, name, n, cv, cu, cuv, kind, npts, seed):
         if name == "quad":
             fast = catalog(f"quad:{n}:{cv!r}:{cu!r}:{cuv!r}")
-            slow = per_point_quadratic(n, cv, cu, cuv)
+            slow = source = per_point_quadratic(n, cv, cu, cuv)
         elif name == "rational":
-            fast, slow = rational_density(n, True), rational_density(n, False)
+            source = rational_density(n, False)
+            fast, slow = differenced(rational_density(n, True)), differenced(source)
         else:
             fast, slow = catalog(name), PER_POINT_CATALOG[name]
+            source = slow
         assert fast.vectorized and not slow.vectorized
         rng = np.random.default_rng(seed)
         ts = differential_scale(kind, npts, rng)
@@ -791,7 +838,7 @@ class TestArrayDensities:
         for which in ("t", "u", "v", "L"):
             (a,), (b,) = lagrangian_along(fast, y, which), lagrangian_along(slow, y, which)
             assert a.window == b.window == (0, npts - 2)
-            ref = np.array([per_point_sample(slow, which, *arg) for arg in args], dtype=float)
+            ref = np.array([per_point_sample(source, which, *arg) for arg in args], dtype=float)
             assert np.array_equal(a.values, b.values) and np.array_equal(b.values, ref.reshape(b.values.shape)), which
         action = np.sum(mu * np.array([slow.eval(*arg) for arg in args], dtype=float))
         assert eval_functional(fast, y) == eval_functional(slow, y) == action
@@ -813,16 +860,14 @@ class TestPairDifferenceSquare:
 
 
 def self_check(L: Lagrangian, seed: int) -> float:
-    """Worst relative gap between L's analytic partials and the central
-    differences that replace(L, d_t=None, d_u=None, d_v=None) samples on
-    20 random probe points."""
+    """Worst relative gap between L's analytic partials and central
+    differences of its values on 20 random probe points."""
     probes = np.random.default_rng(seed).uniform(-2, 2, (20, 1 + 2 * L.n))
     T, U, V = probes[:, 0], probes[:, 1 : 1 + L.n], probes[:, 1 + L.n :]
-    bare = replace(L, d_t=None, d_u=None, d_v=None)
     worst = 0.0
     for which, fn in (("t", L.d_t), ("u", L.d_u), ("v", L.d_v)):
         if fn is not None:
-            fd = bare.sample(which, T, U, V)
+            fd = earlier_central_difference(L, which, T, U, V)
             worst = max(worst, float(np.max(np.abs(L.sample(which, T, U, V) - fd) / np.maximum(1.0, np.abs(fd)))))
     return worst
 
@@ -832,26 +877,6 @@ class TestLagrangianPartials:
     def test_self_check_passes_for_catalog(self, name):
         assert catalog(name).d_u is not None and catalog(name).d_v is not None
         assert self_check(catalog(name), seed=2) < 1e-6
-
-
-def earlier_central_difference(L, which, T, U, V):
-    """Lagrangian's central differences as they were before the 1-D and d-D
-    loops shared one kernel: one column at a time, step 1e-6 * max(1, |x|)."""
-    args = [T, U, V]
-    slot = "tuv".index(which)
-    shape = args[slot].shape
-    X = np.reshape(args[slot], (len(T), -1))
-    out = np.empty(X.shape)
-    for k in range(X.shape[1]):
-        h = 1e-6 * np.maximum(1.0, np.abs(X[:, k]))
-        Xp, Xm = X.copy(), X.copy()
-        Xp[:, k] += h
-        Xm[:, k] -= h
-        args[slot] = Xp.reshape(shape)
-        fp = L.sample("L", *args)
-        args[slot] = Xm.reshape(shape)
-        out[:, k] = (fp - L.sample("L", *args)) / (2 * h)
-    return out.reshape(shape)
 
 
 @settings(max_examples=80, deadline=None)
@@ -864,16 +889,17 @@ def earlier_central_difference(L, which, T, U, V):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_central_differences_bitwise_equal_earlier_copy(n, width, vectorized, npts, spread, seed):
+    # The reparametrization oracle's kernel, in the u and v slots it takes.
     # Entries on both sides of 1 in magnitude take both branches of the step.
     # u and v may be wider or narrower than n: each of their own columns is
     # differenced, as the density itself takes them.
     rng = np.random.default_rng(seed)
     T, U, V = (rng.uniform(-spread, spread, shape) for shape in ((npts,), (npts, width), (npts, width)))
     L = rational_density(n, vectorized)
-    for which in "tuv":
-        new = L.sample(which, T, U, V)
-        assert new.shape == ((npts,) if which == "t" else (npts, width))
-        assert new.tobytes() == earlier_central_difference(L, which, T, U, V).tobytes()
+    for slot in (1, 2):
+        new = noether._central_difference(lambda *args: L.sample("L", *args), (T, U, V), slot)
+        assert new.shape == (npts, width)
+        assert new.tobytes() == earlier_central_difference(L, "tuv"[slot], T, U, V).tobytes()
 
 
 class TestResidualReport:
