@@ -266,7 +266,7 @@ def _family_problem(args):
     ts = parse_scale_spec(args.scale)
     L = catalog(args.lagrangian)
     fam = load_family(args.family, functools.partial(nt.GaugeFamily.from_table, ts))
-    return L, fam, _load_path(args, ts, L.n, hi=len(ts) - 1 - fam.m)
+    return L, fam, _load_path(args, ts, L.n, hi=fam.window[1])
 
 
 def _cmd_check_invariance(args):
@@ -286,7 +286,9 @@ def _cmd_identity(args, time_variant: bool):
 MIN_LATTICE_POINTS = 4
 
 
-def _lattice(specs: list[str]) -> mg.GridD:
+def _lattice(specs: list[str], d: int) -> mg.GridD:
+    if len(specs) != d:
+        raise ValueError(f"the lattice needs {d} scale specs, got {len(specs)}")
     grid = mg.GridD(tuple(parse_scale_spec(s) for s in specs))
     for ax, npts in enumerate(grid.shape):
         if npts < MIN_LATTICE_POINTS:
@@ -297,8 +299,8 @@ def _lattice(specs: list[str]) -> mg.GridD:
 
 
 def _cmd_check2d(args):
-    grid = _lattice(args.grid.split(","))
     L = mg.catalog2d(args.lagrangian)
+    grid = _lattice(args.grid.split(","), L.d)
     fam = load_family(args.family, functools.partial(mg.GaugeFamilyD.from_table, grid))
     u = tuple(mg.random_polynomial_field(grid, seed=[args.seed, 7 + k]) for k in range(L.n))
     inv = mg.check_invariance_d(L, fam, u, trials=args.trials, seed=args.seed)
@@ -309,13 +311,7 @@ def _cmd_check2d(args):
 
 
 def _cmd_em(args):
-    if args.lattice == "default":
-        grid = em_mod.default_lattice()
-    else:
-        specs = args.lattice.split(",")
-        if len(specs) != 4:
-            raise ValueError("the lattice needs 4 scale specs")
-        grid = _lattice(specs)
+    grid = em_mod.default_lattice() if args.lattice == "default" else _lattice(args.lattice.split(","), 4)
 
     fam = em_mod.em_gauge_family(grid)
     gauge_rep = em_mod._gauge_invariance(fam, args.trials, args.seed)

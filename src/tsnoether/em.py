@@ -116,12 +116,13 @@ def em_wave_reduction_residual(A: tuple) -> ResidualReport:
     return _fields_report([e - w for e, w in zip(es, em_wave_form(A))], 1e-9)
 
 
-def default_lattice(points_per_axis: int = 6) -> GridD:
-    return GridD(tuple(h_uniform(1.0, 0.0, points_per_axis - 1.0) for _ in range(4)))
+def default_lattice() -> GridD:
+    """The lattice of `noether em --lattice default`: six unit-step points per axis."""
+    return GridD(tuple(h_uniform(1.0, 0.0, 5.0) for _ in range(4)))
 
 
-def random_em_field(grid: GridD, seed, degree: int = 2) -> tuple:
-    return tuple(random_polynomial_field(grid, seed=[seed, k], degree=degree) for k in range(4))
+def random_em_field(grid: GridD, seed) -> tuple:
+    return tuple(random_polynomial_field(grid, seed=[seed, k]) for k in range(4))
 
 
 def lorentz_field(grid: GridD) -> tuple:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .report import IDENTITY_TOLERANCE, INVARIANCE_TOLERANCE, ResidualReport
+from .report import IDENTITY_TOLERANCE, INVARIANCE_TOLERANCE, PROBE_AMPLITUDE, ResidualReport
 from .timescale import _Arithmetic, _frozen, _overlap, _sealed, forward_quotient, shift_values, window_integral
 from .variational import _el_values
 
@@ -264,7 +264,8 @@ def _pattern_args(L: LagrangianD, u: tuple):
     """
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
-        raise ValueError("component or dimension mismatch")
+        raise ValueError(f"component or dimension mismatch: the density has n = {L.n} on d = {L.d} axes,"
+                         f" the fields n = {len(u)} on d = {grid.d}")
     if not all(f.grid.same_as(grid) for f in u):
         raise ValueError("components live on different grids")
     lo, views = _overlap(*((f.lo, f.values) for f in u))
@@ -467,11 +468,11 @@ def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float
 
 def check_invariance_d(L: LagrangianD, fam: GaugeFamilyD, u: tuple, trials: int = 20, seed: int = 0) -> ResidualReport:
     """Functional deviation under seeded random polynomial parameters of
-    sup 0.1."""
+    sup PROBE_AMPLITUDE."""
     base = functional_d(L, u)
 
     def pair(trial: int) -> tuple[float, float]:
-        p = random_polynomial_field(fam.grid, seed=[seed, trial], amplitude=0.1)
+        p = random_polynomial_field(fam.grid, seed=[seed, trial], amplitude=PROBE_AMPLITUDE)
         return base, functional_d(L, transform_d(fam, p, u))
 
     return ResidualReport.from_trials((0, trials - 1), trials, pair, INVARIANCE_TOLERANCE)

@@ -30,7 +30,7 @@ from operator import add
 
 import numpy as np
 
-from .report import IDENTITY_TOLERANCE, INVARIANCE_TOLERANCE, ResidualReport
+from .report import IDENTITY_TOLERANCE, INVARIANCE_TOLERANCE, PROBE_AMPLITUDE, ResidualReport
 from .timescale import (
     GridFunction,
     TimeScale,
@@ -55,15 +55,14 @@ from .variational import (
 class GaugeFamily:
     """Coefficient tables for a gauge transformation family.
 
-    g[j, k, i] holds the samples, on the family window starting at index lo
-    of the scale ts, of the coefficient multiplying the i-th order term of
+    g[j, k, i] holds the samples, on the family window [0, width - 1] of the
+    scale ts, of the coefficient multiplying the i-th order term of
     parameter j in component k; the optional f[j, i] plays the same role for
     the time reparametrization.  The window is the interval the identity
     lives on.  Both tables are stored as read-only float arrays.
     """
 
     ts: TimeScale
-    lo: int
     g: np.ndarray
     f: np.ndarray | None = None
 
@@ -71,8 +70,8 @@ class GaugeFamily:
         g = np.asarray(self.g, dtype=float)
         if g.ndim != 4 or 0 in g.shape:
             raise ValueError(f"g must be a nonempty [parameter][component][order][point] table, got shape {g.shape}")
-        if self.lo < 0 or self.lo + g.shape[3] > len(self.ts):
-            raise ValueError(f"the window of {g.shape[3]} points at {self.lo} does not fit inside the scale")
+        if g.shape[3] > len(self.ts):
+            raise ValueError(f"the window of {g.shape[3]} points does not fit inside the scale of {len(self.ts)} points")
         object.__setattr__(self, "g", _frozen(g))
         if self.f is not None:
             f = np.asarray(self.f, dtype=float)
@@ -95,7 +94,7 @@ class GaugeFamily:
 
     @property
     def window(self) -> tuple[int, int]:
-        return (self.lo, self.lo + self.g.shape[3] - 1)
+        return (0, self.g.shape[3] - 1)
 
     @staticmethod
     def from_table(ts: TimeScale, table) -> "GaugeFamily":
@@ -112,13 +111,13 @@ class GaugeFamily:
             raise ValueError(f"r and n must be positive, got r = {r}, n = {n}")
         if m >= len(ts):
             raise ValueError(f"a family of order m = {m} needs more than {m} points, the scale has {len(ts)}")
-        lo, hi = 0, len(ts) - 1 - m
+        hi = len(ts) - 1 - m
 
         def row(spec, name: str) -> list:
             """The m + 1 coefficients of one g[j][k] or f[j] entry."""
             if not isinstance(spec, list) or len(spec) != m + 1:
                 raise ValueError(f"{name} must be a list of m + 1 = {m + 1} coefficient specs, got {spec!r}")
-            return [_coeff_grid(ts, c, lo, hi, f"{name}[{i}]") for i, c in enumerate(spec)]
+            return [_coeff_grid(ts, c, hi, f"{name}[{i}]") for i, c in enumerate(spec)]
 
         g = table["g"]
         if not isinstance(g, list) or len(g) != r or any(not isinstance(comp, list) or len(comp) != n for comp in g):
@@ -127,7 +126,7 @@ class GaugeFamily:
         f = table.get("f")
         if f is not None and (not isinstance(f, list) or len(f) != r):
             raise ValueError(f"the f table needs one row per parameter (r = {r}), got {f!r}")
-        return GaugeFamily(ts, lo, g, None if f is None else [row(f[j], f"f[{j}]") for j in range(r)])
+        return GaugeFamily(ts, g, None if f is None else [row(f[j], f"f[{j}]") for j in range(r)])
 
     @staticmethod
     def constant(ts: TimeScale, g, f=None) -> "GaugeFamily":
@@ -142,10 +141,10 @@ class GaugeFamily:
         return GaugeFamily.from_table(ts, {"r": r, "m": width - 1, "n": n, "g": g.tolist(), "f": f})
 
 
-def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
-    """The samples on [lo, hi] of one family-table coefficient spec: a
+def _coeff_grid(ts: TimeScale, spec, hi: int, name: str) -> np.ndarray:
+    """The samples on [0, hi] of one family-table coefficient spec: a
     number, {"poly": [c0, c1, ...]} or {"csv": path} with one value column."""
-    t = ts.points[lo : hi + 1]
+    t = ts.points[: hi + 1]
     if type(spec) in (int, float):  # exact types: JSON true and false are bools, which are ints
         vals = np.full(t.size, float(spec))
     elif isinstance(spec, dict) and "poly" in spec:
@@ -161,11 +160,11 @@ def _coeff_grid(ts: TimeScale, spec, lo: int, hi: int, name: str) -> np.ndarray:
             c = read_csv(ts, spec["csv"])
         except (ValueError, OSError) as exc:
             raise ValueError(f"coefficient {name}: {exc}") from None
-        if c.lo > lo or c.hi < hi:
-            raise ValueError(f"coefficient {name}: the CSV covers [{c.lo}, {c.hi}], not the family window [{lo}, {hi}]")
+        if c.lo > 0 or c.hi < hi:
+            raise ValueError(f"coefficient {name}: the CSV covers [{c.lo}, {c.hi}], not the family window [0, {hi}]")
         if c.n != 1:
             raise ValueError(f"coefficient {name} must have one component")
-        vals = c.values[lo - c.lo : hi - c.lo + 1, 0]
+        vals = c.values[: hi + 1, 0]
     else:
         raise ValueError(f"coefficient {name} must be a number, {{\"poly\": [...]}} or {{\"csv\": path}}, got {spec!r}")
     if not np.all(np.isfinite(vals)):
@@ -188,17 +187,17 @@ def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.
         raise ValueError("parameter functions are scalar")
     if y.n != fam.n:
         raise ValueError(f"component count mismatch: the family has n = {fam.n}, the path n = {y.n}")
-    lo, hi = fam.window
-    if y.lo < lo or y.hi > hi:
+    hi = fam.window[1]
+    if y.hi > hi:
         raise ValueError("family coefficients do not cover the path window")
-    D = np.empty((fam.r, fam.m + 1, hi - lo + 1))
+    D = np.empty((fam.r, fam.m + 1, hi + 1))
     for j, p in enumerate(params):
         for i in range(fam.m + 1):
             term = mixed(p, fam.m - i - 1, i)
-            if term.lo > lo or term.hi < hi:
+            if term.lo > 0 or term.hi < hi:
                 raise ValueError("parameter window too small for the requested term")
-            D[j, i] = term.values[lo - term.lo : hi - term.lo + 1, 0]
-    rows = slice(y.lo - lo, y.hi - lo + 1)
+            D[j, i] = term.values[: hi + 1, 0]
+    rows = slice(y.lo, y.hi + 1)
 
     def weighted(table: np.ndarray) -> np.ndarray:
         sums = (reduce(add, (table[j, ..., i, :] * D[j, i] for i in range(fam.m + 1))) for j in range(fam.r))
@@ -225,10 +224,6 @@ def transform(fam: GaugeFamily, params: tuple, y: GridFunction):
     alpha = GridFunction(y.ts, y.lo, alpha_vals)
     image = explicit_scale(alpha_vals)
     return alpha, GridFunction(image, 0, ybar_vals)
-
-
-# Sup of each seeded probe parameter of the invariance checks.
-PROBE_AMPLITUDE = 0.1
 
 
 def random_gauge_params(fam: GaugeFamily, seed) -> tuple:
@@ -314,7 +309,7 @@ def _identity_sum(fam: GaugeFamily, table: np.ndarray, E: GridFunction, b1: floa
     """The identity's terms for one parameter: table[k, i] pairs with E's
     component k at order i."""
     def term(k: int, i: int, row: np.ndarray) -> GridFunction:
-        t = shift(GridFunction(fam.ts, fam.lo, row), 1) * E.component(k)
+        t = shift(GridFunction(fam.ts, 0, row), 1) * E.component(k)
         return (-1.0) ** i * (1.0 / b1) ** ((i * (i + 1)) // 2) * (delta_derivative(t, i) if i else t)
 
     return reduce(add, (term(k, i, row) for k, rows in enumerate(table) for i, row in enumerate(rows)))

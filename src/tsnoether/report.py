@@ -12,6 +12,11 @@ import numpy as np
 IDENTITY_TOLERANCE = 1e-9
 INVARIANCE_TOLERANCE = 1e-12
 
+# Sup of each seeded probe parameter of the two generic invariance loops,
+# noether.check_invariance and multigrid.check_invariance_d.  em's gauge trial
+# draws its parameter at sup 1, which its golden reports pin.
+PROBE_AMPLITUDE = 0.1
+
 
 @dataclass(frozen=True)
 class ResidualReport:

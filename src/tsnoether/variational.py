@@ -74,7 +74,7 @@ class BoundaryData:
         a = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         b = np.atleast_1d(np.asarray(self.beta, dtype=float))
         if a.shape != b.shape:
-            raise ValueError("alpha and beta dimensions differ")
+            raise ValueError(f"alpha and beta dimensions differ: alpha has shape {a.shape}, beta {b.shape}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError(f"boundary values must be finite, got alpha {a.tolist()} and beta {b.tolist()}")
         object.__setattr__(self, "alpha", a)
@@ -214,7 +214,7 @@ def solve_extremal(
     """
     n = L.n
     if boundary.alpha.size != n:
-        raise ValueError("boundary dimension does not match the Lagrangian")
+        raise ValueError(f"boundary dimension does not match the Lagrangian: boundary size {boundary.alpha.size}, L.n = {n}")
     npts = len(ts)
     if npts < 3:
         raise ValueError("scale too small for a boundary value problem")

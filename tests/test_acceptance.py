@@ -159,7 +159,7 @@ def test_criterion_5_identity_and_corollaries():
             hi = len(ts) - 1 - m
             t = ts.points
             g_calls = [(lambda c: (lambda tt: 1 + c * tt / 50))(0.2 * (i + 1)) for i in range(m + 1)]
-            fam = tn.GaugeFamily(ts, 0, [[[gc(t[: hi + 1]) for gc in g_calls]]])
+            fam = tn.GaugeFamily(ts, [[[gc(t[: hi + 1]) for gc in g_calls]]])
             y = random_poly_gf(ts, seed=[5, m], n=1)
             y = y.restrict(0, hi)
             generic = tn.noether_identity(Lq, fam, y)[0].per_point[:, 0]
@@ -274,18 +274,18 @@ def test_criterion_8_multi_integral():
 
 def test_criterion_9_em_example():
     start = time.perf_counter()
-    grid = tn.default_lattice(6)
+    grid = tn.default_lattice()
     L = tn.em_lagrangian()
     fam = tn.em_gauge_family(grid)
     worst_gauge = 0.0
     for trial in range(50):
-        F_t = tn.random_em_field(grid, seed=[9, 0, trial], degree=2)
+        F_t = tn.random_em_field(grid, seed=[9, 0, trial])
         base = tn.em_functional(F_t)
         p = tn.random_polynomial_field(grid, seed=[9, 1, trial])
         # -p: A_k + (Delta_k p)^rho_k under the family's A_k - (Delta_k p)^rho_k
         dev = abs(tn.em_functional(tn.transform_d(fam, -p, F_t)) - base)
         worst_gauge = max(worst_gauge, dev / max(1.0, abs(base)))
-    F = tn.random_em_field(grid, seed=[9, 0], degree=2)
+    F = tn.random_em_field(grid, seed=[9, 0])
     ident = tn.noether_identity_d(L, fam, F).sup_norm
 
     FL = tn.lorentz_field(grid)
@@ -300,7 +300,7 @@ def test_criterion_9_em_example():
             tn.h_uniform(1.0, 0, 5),
         )
     )
-    F_mixed = tn.random_em_field(mixed, seed=[9, 2], degree=2)
+    F_mixed = tn.random_em_field(mixed, seed=[9, 2])
     ident_mixed = tn.noether_identity_d(L, tn.em_gauge_family(mixed), F_mixed).sup_norm
     elapsed = time.perf_counter() - start
     ok = (

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -336,12 +337,12 @@ class TestExitCodes:
             (["solve", "--scale", "h:1:0:1", "--lagrangian", "poisson", "--alpha", "0", "--beta", "1"],
              "scale too small for a boundary value problem"),
             (["solve", "--scale", "h:1:0:5", "--lagrangian", "poisson", "--alpha", "0", "--beta", "0,1"],
-             "alpha and beta dimensions differ"),
-            (["check2d", "--grid", "h:1:0:5"], "supported dimensions are 2..4"),
+             "alpha and beta dimensions differ: alpha has shape (1,), beta (2,)"),
+            (["check2d", "--grid", "h:1:0:5"], "the lattice needs 2 scale specs, got 1"),
             (["check2d", "--grid", "h:1:0:5,h:1:0:5", "--lagrangian", "nope"], "unknown 2-d Lagrangian 'nope'"),
             (["check2d", "--grid", "h:1:0:5,h:1:0:5", "--family", "{tmp}/empty.json"],
              "{tmp}/empty.json: empty coefficient table"),
-            (["em", "--lattice", "h:1:0:5,h:1:0:5"], "the lattice needs 4 scale specs"),
+            (["em", "--lattice", "h:1:0:5,h:1:0:5"], "the lattice needs 4 scale specs, got 2"),
             (["integrate", "--scale", "h:1:0:5", "--poly", "1;2"], "expected 1 component polynomials"),
             (["el", "--scale", "h:1:0:5", "--lagrangian", "dirichlet", "--csv", "{tmp}/headless.csv"],
              "{tmp}/headless.csv: missing t,y1..yn header"),
@@ -360,7 +361,9 @@ class TestExitCodes:
             (["solve", "--scale", "h:1:0:5", "--lagrangian", "quad:1:nan:0:0", "--alpha", "0", "--beta", "1"],
              "bad inline quadratic spec 'quad:1:nan:0:0': cv = nan is not finite"),
             (["solve", "--scale", "h:1:0:5", "--lagrangian", "pair-difference", "--alpha", "0", "--beta", "1"],
-             "boundary dimension does not match the Lagrangian"),
+             "boundary dimension does not match the Lagrangian: boundary size 1, L.n = 2"),
+            (["solve", "--scale", "h:1:0:9", "--lagrangian", "quad:2:1:0:0", "--alpha", "0", "--beta", "1"],
+             "boundary dimension does not match the Lagrangian: boundary size 1, L.n = 2"),
             (["scale", "--scale", "explicit:@{tmp}/inf3.txt"],
              "bad scale spec 'explicit:@{tmp}/inf3.txt': point 2 of the scale, inf, is not a finite float"),
             (["scale", "--scale", "explicit:@{tmp}/inf2.txt"],
@@ -378,6 +381,7 @@ class TestExitCodes:
              "check2d-one-axis", "check2d-lagrangian", "check2d-empty-family", "em-two-axes", "integrate-components",
              "el-csv-header", "quad-zero-components", "quad-negative-components", "quad-coefficient-word",
              "quad-three-fields", "quad-nan", "quad-inf", "quad-overflow", "solve-quad-nan", "solve-boundary-dimension",
+             "solve-quad-boundary-dimension",
              "explicit-inf-last", "explicit-inf-second", "csv-word", "csv-empty-field", "explicit-word",
              "explicit-two-numbers"],
     )
@@ -913,7 +917,7 @@ def earlier_constant_family(ts, g, f=None):
         table = np.asarray(table, dtype=float)
         return np.broadcast_to(table[..., None], table.shape + (width,))
 
-    return noether.GaugeFamily(ts, 0, along(g), None if f is None else along(f))
+    return noether.GaugeFamily(ts, along(g), None if f is None else along(f))
 
 
 def earlier_builtin_family(name, ts):
@@ -928,8 +932,8 @@ def earlier_builtin_family(name, ts):
 
 
 def family_bits(fam):
-    """The scale, the window start, and the shape and bytes of each table."""
-    return fam.ts, fam.lo, fam.g.shape, fam.g.tobytes(), None if fam.f is None else (fam.f.shape, fam.f.tobytes())
+    """The scale, the window, and the shape and bytes of each table."""
+    return fam.ts, fam.window, fam.g.shape, fam.g.tobytes(), None if fam.f is None else (fam.f.shape, fam.f.tobytes())
 
 
 @pytest.mark.parametrize("name", ["pairdiff", "pairdiff-broken", "pairdiff-time0", "time-translation"])
@@ -974,7 +978,7 @@ def test_constant_family_equals_earlier_code_and_family_file(spec, r, n, m, move
 def test_builtin_2d_family_tables_equal_earlier_code(name, rows):
     from tsnoether.multigrid import GaugeFamilyD
 
-    grid = cli._lattice(["h:1:0:5", "q:2:1:6"])
+    grid = cli._lattice(["h:1:0:5", "q:2:1:6"], 2)
     assert cli.load_family(name, functools.partial(GaugeFamilyD.from_table, grid)) == GaugeFamilyD(grid, rows)
 
 
@@ -987,12 +991,12 @@ def test_one_family_reader(tmp_path):
     assert list(inspect.signature(noether.GaugeFamily.from_table).parameters) == ["ts", "table"]
     assert list(inspect.signature(GaugeFamilyD.from_table).parameters) == ["grid", "table"]
     assert not any(hasattr(cli, name) for name in ("_family_table", "load_family2d"))
-    grid = cli._lattice(["h:1:0:5", "q:2:1:6"])
+    grid = cli._lattice(["h:1:0:5", "q:2:1:6"], 2)
     for table in ({"b": [[0.0, 1.0, 0.0]]}, [[0.0, 1.0, 0.0]], None):
         with pytest.raises(ValueError) as err:
             GaugeFamilyD.from_table(grid, table)
         assert str(err.value) == 'a d-D family file needs an "a" coefficient table'
-    build = functools.partial(GaugeFamilyD.from_table, cli._lattice(["h:1:0:5"] * 3))
+    build = functools.partial(GaugeFamilyD.from_table, cli._lattice(["h:1:0:5"] * 3, 3))
     (tmp_path / "a2.json").write_text('{"a": [[0, 1]]}')
     (tmp_path / "anoa.json").write_text('{"b": [[0, 1, 0]]}')
     for name, message in (
@@ -1003,6 +1007,58 @@ def test_one_family_reader(tmp_path):
         with pytest.raises(ValueError) as err:
             cli.load_family(name, build)
         assert str(err.value) == f"{name}: {message}"
+
+
+def test_removed_parameters_are_gone():
+    # One value each: the family window starts at the scale minimum, the
+    # default lattice has one size, em draws one degree, and the lattice
+    # command names its axis count.
+    from tsnoether import em
+
+    assert list(inspect.signature(noether.GaugeFamily).parameters) == ["ts", "g", "f"]
+    assert list(inspect.signature(noether._coeff_grid).parameters) == ["ts", "spec", "hi", "name"]
+    assert list(inspect.signature(em.default_lattice).parameters) == []
+    assert list(inspect.signature(em.random_em_field).parameters) == ["grid", "seed"]
+    assert list(inspect.signature(cli._lattice).parameters) == ["specs", "d"]
+
+
+@contextmanager
+def no_field_drawn():
+    """Fail the test on any draw of a random lattice field, check2d's or em's."""
+    from tsnoether import em, multigrid
+
+    drawn = AssertionError("a lattice field was drawn")
+    with mock.patch.object(multigrid, "random_polynomial_field", side_effect=drawn), \
+            mock.patch.object(em, "random_polynomial_field", side_effect=drawn):
+        yield
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["check2d", "--grid", "h:1:0:5"], "the lattice needs 2 scale specs, got 1"),
+        (["check2d", "--grid", ",".join(["h:1:0:5"] * 3)], "the lattice needs 2 scale specs, got 3"),
+        (["check2d", "--grid", ",".join(["h:1:0:5"] * 3), "--family", "{tmp}/grad3.json"],
+         "the lattice needs 2 scale specs, got 3"),
+        (["check2d", "--grid", ",".join(["h:1:0:5"] * 4)], "the lattice needs 2 scale specs, got 4"),
+        (["em", "--lattice", "h:1:0:5,h:1:0:5"], "the lattice needs 4 scale specs, got 2"),
+    ],
+    ids=["check2d-1", "check2d-3", "check2d-3-family-of-3-axes", "check2d-4", "em-2"],
+)
+def test_lattice_axis_count_refused_before_any_field(tmp_path, capsys, args, message):
+    # The count is checked where the specs are read, so neither the built-in
+    # family nor a family of as many axes as the grid is blamed for it.
+    (tmp_path / "grad3.json").write_text('{"a": [[0, 1, 0, 0], [0, 0, 1, 0]]}')
+    with no_field_drawn():
+        code, data, _ = run(tmp_path, *(a.replace("{tmp}", str(tmp_path)) for a in args))
+    assert code == 2 and data is None
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [["check2d", "--grid", "h:1:0:5,h:1:0:5"], ["em", "--lattice", "default"]])
+def test_field_guard_fires_on_a_lattice_of_the_right_count(tmp_path, args):
+    with no_field_drawn(), pytest.raises(AssertionError, match="a lattice field was drawn"):
+        run(tmp_path, *args, "--trials", "1")
 
 
 @pytest.mark.parametrize("lagrangian", ["pair-difference", "quad:2:0.5:0.3:0.2"])

@@ -46,7 +46,7 @@ def mixed_lattice():
     )
 
 
-GRID = default_lattice(6)
+GRID = default_lattice()
 LATTICES = [GRID, mixed_lattice()]
 _ELECTRIC = ((1, 0), (2, 0), (3, 0))
 _MAGNETIC = ((2, 3), (3, 1), (1, 2))
@@ -179,7 +179,7 @@ class TestNoetherResidual:
 
     @pytest.mark.parametrize("grid", LATTICES)
     def test_random_polynomial_potential(self, grid):
-        F = random_em_field(grid, seed=7, degree=2)
+        F = random_em_field(grid, seed=7)
         rep = noether_identity_d(em_lagrangian(), em_gauge_family(grid), F)
         assert rep.sup_norm <= 1e-9 and rep.verdict
 

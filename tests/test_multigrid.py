@@ -1021,6 +1021,38 @@ def fieldwise_check_invariance_d(L, fam, u, trials, seed, amplitude=0.1, toleran
     return ResidualReport.from_trials((0, trials - 1), trials, pair, tolerance)
 
 
+def test_both_invariance_loops_draw_probes_of_sup_probe_amplitude():
+    # One home for the probe sup: report.PROBE_AMPLITUDE, which the 1-D loop
+    # (through random_gauge_params) and the d-D loop both read.
+    from tsnoether import noether, report
+
+    assert noether.PROBE_AMPLITUDE is report.PROBE_AMPLITUDE and multigrid.PROBE_AMPLITUDE is report.PROBE_AMPLITUDE
+    fam = noether.GaugeFamily.constant(q_geometric(1.25, 0.5, 9), [[[1.0, 0.5]], [[0.25, -1.0]]])
+    for p in noether.random_gauge_params(fam, [3, 1]):
+        assert np.max(np.abs(p.values)) == pytest.approx(report.PROBE_AMPLITUDE, rel=1e-15)
+    grid = GridD((h_uniform(1.0, 0.0, 6.0), q_geometric(1.5, 1.0, 7)))
+    L, table = catalog2d("curl2"), [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    u = tuple(random_polynomial_field(grid, seed=[4, k]) for k in range(2))
+    with mock.patch.object(multigrid, "random_polynomial_field", wraps=random_polynomial_field) as draw:
+        inv = check_invariance_d(L, GaugeFamilyD(grid, table), u, trials=3, seed=5)
+    assert [c.kwargs["amplitude"] for c in draw.call_args_list] == [report.PROBE_AMPLITUDE] * 3
+    fields = ConstantFieldFamily(grid, table)
+    assert bits(inv) == bits(fieldwise_check_invariance_d(L, fields, u, 3, 5, amplitude=report.PROBE_AMPLITUDE))
+
+
+@pytest.mark.parametrize(
+    "d, count, counts",
+    [(3, 2, "n = 2 on d = 3"), (2, 1, "n = 1 on d = 2")],
+    ids=["fields-on-3-axes", "one-field"],
+)
+def test_pattern_mismatch_names_both_counts(d, count, counts):
+    grid = GridD((h_uniform(1.0, 0.0, 4.0),) * d)
+    u = tuple(FieldD(grid, (0,) * d, np.zeros(grid.shape)) for _ in range(count))
+    with pytest.raises(ValueError) as err:
+        functional_d(catalog2d("curl2"), u)
+    assert str(err.value) == f"component or dimension mismatch: the density has n = 2 on d = 2 axes, the fields {counts}"
+
+
 def fieldwise_noether_identity_d(L, fam, u, tolerance=1e-9):
     es = fieldwise_el_expressions_d(L, u)
     total = reduce(add, (fieldwise_gauge_field_adjoint(fam, es[k], k) for k in range(fam.n)))

@@ -63,7 +63,7 @@ class TestGaugeFamily:
         assert np.all(fam.g[0, 0, 1] == -1.0) and np.all(fam.f[1, 1] == 0.3)
         # A row is a view of the read-only table, so wrapping it copies nothing.
         with count_copies(timescale) as copies:
-            row = GridFunction(fam.ts, fam.lo, fam.g[1, 0, 0])
+            row = GridFunction(fam.ts, 0, fam.g[1, 0, 0])
         assert copies == [] and row.window == fam.window
 
     @pytest.mark.parametrize("m", [2, 4], ids=["m-equals-points", "m-beyond-points"])
@@ -86,30 +86,30 @@ class TestGaugeFamily:
     def test_caller_table_is_copied(self):
         ts = h_uniform(1.0, 0, 4)
         g = np.ones((1, 1, 1, 3))
-        fam = GaugeFamily(ts, 1, g)
+        fam = GaugeFamily(ts, g)
         g[:] = 7.0
-        assert fam.window == (1, 3) and np.all(fam.g == 1.0)
+        assert fam.window == (0, 2) and np.all(fam.g == 1.0)
 
     @pytest.mark.parametrize("g", [np.ones((1, 1, 5)), np.ones((1, 1, 1, 1, 5)), np.ones((1, 0, 1, 5))])
     def test_rejects_g_that_is_not_a_nonempty_4d_table(self, g):
         with pytest.raises(ValueError, match=r"g must be a nonempty \[parameter\]\[component\]\[order\]\[point\] table"):
-            GaugeFamily(h_uniform(1.0, 0, 4), 0, g)
+            GaugeFamily(h_uniform(1.0, 0, 4), g)
 
     @pytest.mark.parametrize("f_shape", [(1, 2), (2, 2, 5), (1, 1, 5), (1, 2, 4)])
     def test_rejects_f_that_is_not_parameter_order_point(self, f_shape):
         with pytest.raises(ValueError, match=r"f must be a \[parameter\]\[order\]\[point\] table of shape \(1, 2, 5\)"):
-            GaugeFamily(h_uniform(1.0, 0, 5), 0, np.ones((1, 1, 2, 5)), np.ones(f_shape))
+            GaugeFamily(h_uniform(1.0, 0, 5), np.ones((1, 1, 2, 5)), np.ones(f_shape))
 
-    @pytest.mark.parametrize("lo, npts", [(1, 5), (0, 6), (-1, 3)])
-    def test_rejects_window_past_the_scale(self, lo, npts):
-        with pytest.raises(ValueError, match=f"the window of {npts} points at {lo} does not fit inside the scale"):
-            GaugeFamily(h_uniform(1.0, 0, 4), lo, np.ones((1, 1, 1, npts)))
+    def test_rejects_window_past_the_scale(self):
+        with pytest.raises(ValueError) as err:
+            GaugeFamily(h_uniform(1.0, 0, 4), np.ones((1, 1, 1, 6)))
+        assert str(err.value) == "the window of 6 points does not fit inside the scale of 5 points"
 
 
 def gauge_term(fam, params):
     """The perturbation of a one-component family, read off transform on a
     zero path over the family window."""
-    y = GridFunction(fam.ts, fam.lo, np.zeros((fam.g.shape[3], 1)))
+    y = GridFunction(fam.ts, 0, np.zeros((fam.g.shape[3], 1)))
     return transform(fam, params, y)[1]
 
 
@@ -307,7 +307,7 @@ class TestNoetherIdentity:
         hi = len(ts) - 1 - m
         t = ts.points
         g_callables = [[(lambda c: (lambda tt: 1 + c * tt))(0.1 * (i + 1)) for i in range(m + 1)]]
-        fam = GaugeFamily(ts, 0, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
+        fam = GaugeFamily(ts, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
         L = catalog("quad:1:0.5:0.3:0.1")
         y = random_path(ts, 1, seed=[15, m], hi=hi)
         generic = noether_identity(L, fam, y)[0].per_point[:, 0]
@@ -323,7 +323,7 @@ class TestNoetherIdentity:
         hi = len(ts) - 1 - m
         t = ts.points
         g_callables = [[(lambda c: (lambda tt: 1 + c * tt / 100))(0.3 * (i + 1)) for i in range(m + 1)]]
-        fam = GaugeFamily(ts, 0, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
+        fam = GaugeFamily(ts, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
         L = catalog("quad:1:0.5:0.3:0.1")
         y = random_path(ts, 1, seed=[16, m], hi=hi)
         generic = noether_identity(L, fam, y)[0].per_point[:, 0]
@@ -359,7 +359,7 @@ class TestNoetherIdentity:
             [(lambda c: (lambda tt: np.polynomial.polynomial.polyval(tt, c)))(coeffs[k, i]) for i in range(m + 1)]
             for k in range(n)
         ]
-        fam = GaugeFamily(ts, 0, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
+        fam = GaugeFamily(ts, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
         cv, cu, cuv = rng.uniform(0.2, 1.0), rng.uniform(-1, 1), rng.uniform(-1, 1)
         L = catalog(f"quad:{n}:{cv!r}:{cu!r}:{cuv!r}")
         y = GridFunction(ts, 0, rng.uniform(-1, 1, (hi + 1, n)))
@@ -585,7 +585,7 @@ def test_pair_difference_identity_for_arbitrary_paths(vals):
 # for bit.
 
 def earlier_term_sum(fam, row, p):
-    total = reduce(add, (GridFunction(fam.ts, fam.lo, c) * mixed(p, fam.m - i - 1, i) for i, c in enumerate(row)))
+    total = reduce(add, (GridFunction(fam.ts, 0, c) * mixed(p, fam.m - i - 1, i) for i, c in enumerate(row)))
     lo, hi = fam.window
     if total.lo > lo or total.hi < hi:
         raise ValueError("parameter window too small for the requested term")
@@ -644,13 +644,13 @@ def test_gauge_pass_bitwise_equals_earlier_copy(r, n, m, with_f, kind, scale, se
     rng = np.random.default_rng(seed)
     ts = gauge_scale(kind, data.draw(st.integers(m + 2, 14), label="npts"), rng)
     top = len(ts) - 1 - m  # the highest index every term of a whole-scale parameter reaches
-    flo = data.draw(st.integers(0, top - 1), label="family lo")
+    flo = 0  # every family window starts at the scale minimum
     fhi = data.draw(st.integers(flo + 1, top), label="family hi")
     ylo = data.draw(st.integers(flo, fhi - 1), label="path lo")
     yhi = data.draw(st.integers(ylo + 1, fhi), label="path hi")
     width = fhi - flo + 1
     f = rng.uniform(-1, 1, (r, m + 1, width)) if with_f else None
-    fam = GaugeFamily(ts, flo, rng.uniform(-1, 1, (r, n, m + 1, width)), f)
+    fam = GaugeFamily(ts, rng.uniform(-1, 1, (r, n, m + 1, width)), f)
     params = random_gauge_params(fam, [seed, 1])
     for new, old in zip(params, earlier_random_gauge_params(fam, [seed, 1])):
         assert new.window == old.window and new.values.tobytes() == old.values.tobytes()
@@ -703,7 +703,7 @@ def earlier_identity_time(L, fam, y, tolerance=1e-9):
 
     def identity_sum(table, E):
         def term(k, i, row):
-            t = shift(GridFunction(fam.ts, fam.lo, row), 1) * E.component(k)
+            t = shift(GridFunction(fam.ts, 0, row), 1) * E.component(k)
             return (-1.0) ** i * (1.0 / b1) ** ((i * (i + 1)) // 2) * (delta_derivative(t, i) if i else t)
 
         return reduce(add, (term(k, i, row) for k, rows in enumerate(table) for i, row in enumerate(rows)))
@@ -726,7 +726,7 @@ def time_family_case(r, n, m, geometric, zero_row, seed):
     f = rng.uniform(-1, 1, (r, m + 1, hi + 1))
     if zero_row:
         f[0] = 0.0
-    fam = GaugeFamily(ts, 0, rng.uniform(-1, 1, (r, n, m + 1, hi + 1)), f)
+    fam = GaugeFamily(ts, rng.uniform(-1, 1, (r, n, m + 1, hi + 1)), f)
     L = catalog(f"quad:{n}:0.5:0.25:0.125")
     return L, fam, GridFunction(ts, 0, rng.uniform(-1, 1, (hi + 1, n)))
 
@@ -890,7 +890,7 @@ def test_oracles_bitwise_equal_per_point_copies(kind, spec, n, m, lo, seed):
     "call, message",
     [
         (lambda: GaugeFamily.constant(h_uniform(1.0, 0, 5), [[1.0, 1.0]]), "g must be indexed [parameter][component][order]"),
-        (lambda: transform(GaugeFamily(h_uniform(1.0, 0, 5), 0, [[[np.ones(4)]]]),
+        (lambda: transform(GaugeFamily(h_uniform(1.0, 0, 5), [[[np.ones(4)]]]),
                            (GridFunction(h_uniform(1.0, 0, 5), 0, np.zeros(6)),),
                            GridFunction(h_uniform(1.0, 0, 5), 0, np.zeros(6))),
          "family coefficients do not cover the path window"),

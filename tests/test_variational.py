@@ -470,14 +470,15 @@ def five_points():
          "need at least 3 points to form Euler-Lagrange expressions"),
         (lambda: second_el_expression(catalog("dirichlet"), five_points().restrict(0, 1)), "need at least 3 points"),
         (lambda: solve_extremal(catalog("pair-difference"), h_uniform(1.0, 0, 4), BoundaryData([0.0], [1.0])),
-         "boundary dimension does not match the Lagrangian"),
+         "boundary dimension does not match the Lagrangian: boundary size 1, L.n = 2"),
+        (lambda: BoundaryData([0.0, 1.0], [2.0]), "alpha and beta dimensions differ: alpha has shape (2,), beta (1,)"),
         (lambda: catalog("quad:1:x:0:0"), "bad inline quadratic spec 'quad:1:x:0:0'"),
         (lambda: catalog("quad:1:1:1"), "bad inline quadratic spec 'quad:1:1:1'"),
         (lambda: catalog("quad:1:nan:0:0"), "bad inline quadratic spec 'quad:1:nan:0:0': cv = nan is not finite"),
         (lambda: catalog("quad:1:0.5:0:1e400"), "bad inline quadratic spec 'quad:1:0.5:0:1e400': cuv = inf is not finite"),
     ],
     ids=["one-point-action", "eta-window", "el-two-points", "second-el-two-points", "boundary-dimension",
-         "quad-coefficient-word", "quad-three-fields", "quad-nan", "quad-overflow"],
+         "boundary-alpha-beta", "quad-coefficient-word", "quad-three-fields", "quad-nan", "quad-overflow"],
 )
 def test_refusal_message(call, message):
     with pytest.raises(ValueError) as err:

@@ -30,7 +30,8 @@ and, per phase, the median over the --repeat pairs of B's time over A's.
 A tree whose actions took the workspace as an argument (before the grid
 owned it) makes a fresh pair for every action here, as this tool passes
 none; compare across that change with tools/ab.py, which runs whole
-commands.
+commands.  The check2d trial reads its probe sup from each tree's
+report.PROBE_AMPLITUDE, so --ab takes trees that define it there.
 
 --tasks runs the five lattice-4d tasks of bench/workloads.py (the em and
 check2d command lines at --seed, through cli.main) instead.  Each task runs
@@ -96,7 +97,7 @@ def check2d_trial(tn, k: int, seed: int):
 
     def trial(t: int) -> dict:
         start = time.perf_counter()
-        p = tn.random_polynomial_field(grid, seed=[seed, t], amplitude=0.1)
+        p = tn.random_polynomial_field(grid, seed=[seed, t], amplitude=tn.report.PROBE_AMPLITUDE)
         drawn = time.perf_counter()
         moved = tn.transform_d(fam, p, u)
         transformed = time.perf_counter()
