@@ -303,9 +303,7 @@ def el_expressions_d(L: LagrangianD, u: tuple) -> tuple:
     by the assembly _el_values that the 1-D expressions share, over the
     declared slots (j, k) only.  P and Q are taken before the call returns,
     as for functional_d."""
-    coords, U, G, lo, cell_hi, _ = _pattern_args(L, u)
-    if any(c == l for l, c in zip(lo, cell_hi)):
-        raise ValueError("window too small for the Euler-Lagrange expressions")
+    coords, U, G, lo, _, _ = _pattern_args(L, u)
     grid = u[0].grid
     P, Q = L.sample("u", coords, U, G), L.sample("g", coords, U, G)
     axes = [None if L.g_slots is None else {j for j, c in L.g_slots if c == k} for k in range(L.n)]
@@ -410,21 +408,12 @@ def gauge_field_adjoint(fam: GaugeFamilyD, q: FieldD, k: int) -> FieldD:
 
 
 def gauge_pairing(fam: GaugeFamilyD, p: FieldD, q: FieldD, k: int) -> tuple[float, float]:
-    """Both sides of the adjoint relation:
-    integral of q * (shifted-pattern gauge term of p) versus
-    integral of adjoint(q) * p^sigma.  They agree when p vanishes near the
-    fence."""
-    if not any(fam.a[k]):
-        return 0.0, 0.0
-    p_sigma = shift_all_except(p, None)
-    lhs_field = _gauge_sum(
-        fam.a[k],
-        lambda i, c: _times(c, p_sigma if i == 0 else shift_all_except(partial_delta(p, i - 1), i - 1)),
-        p.grid,
-    )
-    lhs = multi_integral(q * lhs_field)
-    rhs = multi_integral(gauge_field_adjoint(fam, q, k) * p_sigma)
-    return lhs, rhs
+    """Both sides of summation by parts, <q, (G p)^sigma> = <G* q, p^sigma>:
+    the integral of q times the gauge field of p with sigma on every axis
+    versus the integral of the adjoint field of q times p^sigma.  They agree
+    when p vanishes near the fence."""
+    lhs = multi_integral(q * shift_all_except(gauge_field(fam, p, k), None))
+    return lhs, multi_integral(gauge_field_adjoint(fam, q, k) * shift_all_except(p, None))
 
 
 def transform_d(fam: GaugeFamilyD, p: FieldD, u: tuple) -> tuple:

@@ -73,6 +73,8 @@ class BoundaryData:
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         b = np.atleast_1d(np.asarray(self.beta, dtype=float))
+        if a.ndim > 1 or b.ndim > 1:
+            raise ValueError(f"boundary values must be 1-D: alpha has shape {a.shape}, beta {b.shape}")
         if a.shape != b.shape:
             raise ValueError(f"alpha and beta dimensions differ: alpha has shape {a.shape}, beta {b.shape}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -81,13 +83,11 @@ class BoundaryData:
         object.__setattr__(self, "beta", b)
 
 
-def _check_dims(L: Lagrangian, y: GridFunction) -> None:
+def _path_args(L: Lagrangian, y: GridFunction):
+    """Times, y(sigma(t)) and y_delta(t) on [lo, hi-1] of a path y with L's
+    component count and at least 2 points: the check of every 1-D entry."""
     if y.n != L.n:
         raise ValueError(f"Lagrangian has n={L.n} but path has n={y.n} components")
-
-
-def _path_args(y: GridFunction):
-    """Times, y(sigma(t)) and y_delta(t) on [lo, hi-1]."""
     if y.hi - y.lo < 1:
         raise ValueError("path window too small")
     return _path_sample(y.ts, y.lo, y.values)
@@ -101,8 +101,7 @@ def _path_sample(ts: TimeScale, lo: int, vals: np.ndarray):
 
 def eval_functional(L: Lagrangian, y: GridFunction) -> float:
     """Delta integral of L(t, y(sigma(t)), y_delta(t)) over the path window."""
-    _check_dims(L, y)
-    ts, us, vs = _path_args(y)
+    ts, us, vs = _path_args(L, y)
     # Adding +0.0 makes an action of -0.0 terms +0.0 however np.sum starts.
     return float(window_integral((y.ts,), (y.lo,), L.sample("L", ts, us, vs)[:, None])[0] + 0.0)
 
@@ -111,8 +110,7 @@ def lagrangian_along(L: Lagrangian, y: GridFunction, *which: str):
     """Sample L ("L") or a partial ("t", "u", "v") along
     (t, y(sigma(t)), y_delta(t)) on [lo, hi-1]: a tuple of one GridFunction
     per entry of which, all from one sample of the path arguments."""
-    _check_dims(L, y)
-    ts, us, vs = _path_args(y)
+    ts, us, vs = _path_args(L, y)
     return tuple(GridFunction(y.ts, y.lo, L.sample(w, ts, us, vs)) for w in which)
 
 
@@ -126,7 +124,6 @@ def first_variation(L: Lagrangian, y: GridFunction, eta: GridFunction) -> float:
 def variation_pairing(L: Lagrangian, y: GridFunction, eta: GridFunction) -> float:
     """Delta integral of L_u . eta^sigma + L_v . eta^delta along y, for any
     eta on the path window (first_variation when eta vanishes at the ends)."""
-    _check_dims(L, y)
     if eta.n != y.n or eta.lo != y.lo or eta.hi != y.hi:
         raise ValueError("eta must share the path window and component count")
     pu, pv = lagrangian_along(L, y, "u", "v")
@@ -140,21 +137,28 @@ def el_expressions(L: Lagrangian, y: GridFunction) -> GridFunction:
     The outer delta derivative costs one more point, so the result lives
     on [lo, hi-2].
     """
-    _check_dims(L, y)
-    if y.hi - y.lo < 2:
-        raise ValueError("need at least 3 points to form Euler-Lagrange expressions")
-    pu, pv = lagrangian_along(L, y, "u", "v")
-    return GridFunction(y.ts, y.lo, _sealed(_el_values(pu.values, pv.values[None], (y.ts,), (y.lo,))))
+    return GridFunction(y.ts, y.lo, _sealed(_el_sample(L, y.ts, y.lo, *_path_args(L, y))[1]))
+
+
+def _el_sample(L: Lagrangian, ts: TimeScale, lo: int, T: np.ndarray, U: np.ndarray, V: np.ndarray):
+    """The path sample (T, U, V, Pu, Pv) of a path on the window of ts at lo
+    and its Euler-Lagrange expressions: the one 1-D assembly, which
+    el_expressions and Newton's residual share."""
+    Pu, Pv = L.sample("u", T, U, V), L.sample("v", T, U, V)
+    return (T, U, V, Pu, Pv), _el_values(Pu, Pv[None], (ts,), (lo,))
 
 
 def _el_values(P: np.ndarray, Q: np.ndarray, scales: tuple, lo: tuple, axes=None) -> np.ndarray:
     """P minus the axis-j quotient of each Q[j], subtracted in axis order, from
     samples on the window at lo of the product of scales: one entry fewer on
     each leading axis, a trailing component axis kept whole.  Every
-    Euler-Lagrange expression, 1-D and d-D, and Newton's residual take this.
+    Euler-Lagrange expression, 1-D and d-D, and Newton's residual take this,
+    and it alone refuses a window that leaves no entry on some axis.
     Given `axes`, any other Q[j] is taken as 0.0: its quotient would change no bit."""
     inner = (slice(0, -1),) * len(scales)
     e = P[inner].copy()
+    if 0 in e.shape[: len(scales)]:
+        raise ValueError("window too small for the Euler-Lagrange expressions")
     for j, (ts, l) in enumerate(zip(scales, lo)):
         if axes is None or j in axes:
             e -= forward_quotient(Q[j][inner[:j] + (slice(None),) + inner[j + 1 :]], ts, l, j)
@@ -174,11 +178,8 @@ def el_residual(L: Lagrangian, y: GridFunction) -> ResidualReport:
 def second_el_expression(L: Lagrangian, y: GridFunction) -> GridFunction:
     """The time-component expression
     dL/dt - (L - sum_k v_k dL/dv_k - mu dL/dt)_delta along y, on [lo, hi-2]."""
-    _check_dims(L, y)
-    if y.hi - y.lo < 2:
-        raise ValueError("need at least 3 points")
     # One sample of the path serves the three partials and y_delta (vs).
-    ts, us, vs = _path_args(y)
+    ts, us, vs = _path_args(L, y)
     lt, lv, lval = (L.sample(w, ts, us, vs).reshape(len(ts), -1) for w in "tvL")
     mu = np.diff(y.ts.points[y.lo : y.hi + 1])[:, None]
     inner = lval - np.sum(vs * lv, axis=1, keepdims=True) - mu * lt
@@ -222,7 +223,7 @@ def solve_extremal(
     y = (1 - lam) * boundary.alpha[None, :] + lam * boundary.beta[None, :]
 
     mu = np.diff(ts.points)
-    path, r = _newton_sample(L, ts, y)
+    path, r = _el_sample(L, ts, 0, *_path_sample(ts, 0, y))
     rnorm = float(np.max(np.abs(r)))
     history: list[tuple[float, float]] = []
     for _ in range(max_iter):
@@ -238,7 +239,7 @@ def solve_extremal(
         for _ in range(21):
             trial = y.copy()
             trial[1:-1] += scale * step
-            path_trial, r_trial = _newton_sample(L, ts, trial)
+            path_trial, r_trial = _el_sample(L, ts, 0, *_path_sample(ts, 0, trial))
             if np.max(np.abs(r_trial)) < rnorm:
                 break
             scale *= 0.5
@@ -253,14 +254,6 @@ def solve_extremal(
     if not rnorm <= tol:  # a NaN residual fails too
         raise ConvergenceError(f"Newton did not converge: residual {rnorm:.3e}", rnorm, history)
     return GridFunction(ts, 0, _sealed(y))
-
-
-def _newton_sample(L: Lagrangian, ts: TimeScale, vals: np.ndarray):
-    """The path sample (T, U, V, Pu, Pv) of the full-scale path vals and its
-    Euler-Lagrange expressions, as el_expressions computes them."""
-    T, U, V = _path_sample(ts, 0, vals)
-    Pu, Pv = L.sample("u", T, U, V), L.sample("v", T, U, V)
-    return (T, U, V, Pu, Pv), _el_values(Pu, Pv[None], (ts,), (0,))
 
 
 def _jacobian_bands(L: Lagrangian, path, mu: np.ndarray):

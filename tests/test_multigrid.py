@@ -1011,6 +1011,19 @@ def fieldwise_gauge_pairing(fam, p, q, k):
     return lhs, rhs
 
 
+def earlier_gauge_pairing(fam, p, q, k):
+    """gauge_pairing as it was before it paired gauge_field with its adjoint:
+    the sigma-shifted terms summed one by one, an all-zero row read as 0.0."""
+    if not any(fam.a[k]):
+        return 0.0, 0.0
+    shifted = multigrid.shift_all_except
+    p_sigma = shifted(p, None)
+    lhs_field = multigrid._gauge_sum(
+        fam.a[k], lambda i, c: multigrid._times(c, p_sigma if i == 0 else shifted(partial_delta(p, i - 1), i - 1)), p.grid
+    )
+    return multi_integral(q * lhs_field), multi_integral(gauge_field_adjoint(fam, q, k) * p_sigma)
+
+
 def fieldwise_check_invariance_d(L, fam, u, trials, seed, amplitude=0.1, tolerance=1e-12):
     base = fieldwise_functional_d(L, u)
 
@@ -1154,6 +1167,32 @@ def test_fused_slots_bitwise_equal_field_path(d, scales, n, analytic, seed, data
         assert bits(gauge_pairing(fam, p, u[k], k)) == bits(fieldwise_gauge_pairing(fields, p, u[k], k))
 
 
+@given(
+    d=st.integers(2, 4),
+    scales=st.lists(axis_scales(6).filter(lambda s: len(s) >= 4), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_gauge_pairing_is_summation_by_parts_of_the_earlier_sum(d, scales, seed, data):
+    # <q, (G p)^sigma> from gauge_field, against the terms shifted one by
+    # one; windows start 0 or 1 above the minimum and end 0 or 1 below the
+    # top, and a row may be all zeros of either sign.
+    grid = GridD(tuple(scales[:d]))
+    zero_row = data.draw(st.booleans(), label="zero row")
+    coeff = st.sampled_from([0.0, -0.0] if zero_row else [0.0, -0.0, 1.0, -1.0, 0.375, -2.5])
+    fam = GaugeFamilyD(grid, [tuple(data.draw(coeff, label=f"a{i}") for i in range(d + 1))])
+
+    def window(name):
+        lo = tuple(data.draw(st.integers(0, 1), label=f"{name} lo") for _ in range(d))
+        hi = tuple(m - 1 - data.draw(st.integers(0, 1), label=f"{name} hi") for m in grid.shape)
+        return lo, hi
+
+    p = random_polynomial_field(grid, [seed, 0], amplitude=0.1).restrict(*window("p"))
+    q = random_polynomial_field(grid, [seed, 1]).restrict(*window("q"))
+    assert outcome(gauge_pairing, fam, p, q, 0) == outcome(earlier_gauge_pairing, fam, p, q, 0)
+
+
 def earlier_partial_u(L, coords, U, G):
     """LagrangianD's finite-difference u partial as it was before the 1-D and
     d-D loops shared one kernel, with its step 1e-6 * max(1, |x|)."""
@@ -1209,7 +1248,7 @@ def earlier_el_expressions_d(L, u):
 
 
 def earlier_second_el_expression(L, y):
-    T, U, V = variational._path_args(y)
+    T, U, V = variational._path_args(L, y)
     lt, lv, lval = (GridFunction(y.ts, y.lo, L.sample(w, T, U, V)) for w in "tvL")
     mu = (y.ts.points[y.lo + 1 : y.hi + 1] - y.ts.points[y.lo : y.hi])[:, None]
     inner = GridFunction(y.ts, y.lo, lval.values - np.sum(V * lv.values, axis=1, keepdims=True) - mu * lt.values)
@@ -1275,6 +1314,21 @@ def test_path_equals_lattice_constant_along_a_second_axis(kind, npts, lo, short_
             assert ek.values[:, m].tobytes() == e.values[:, k].tobytes()
     s, s_earlier = second_el_expression(path, y), earlier_second_el_expression(path, y)
     assert (s.lo, s.values.tobytes()) == (s_earlier.lo, s_earlier.values.tobytes())
+
+
+@pytest.mark.parametrize("expressions, axis", [("el", 0), ("second-el", 0), ("el-d", 0), ("el-d", 1)])
+def test_every_euler_lagrange_expression_refuses_a_two_point_window(expressions, axis):
+    # One window rule, in the assembly that 1-D and d-D share.
+    ts = q_geometric(1.05, 0.5, 6)
+    path, lattice = elementwise_densities(1)
+    y = GridFunction(ts, 1, np.array([[0.5], [-1.0]]))
+    shape = (2, 4) if axis == 0 else (4, 2)
+    u = (FieldD(GridD((ts, h_uniform(1.0, 0.0, 3.0))), (1, 0), np.ones(shape)),)
+    call = {"el": partial(el_expressions, path, y), "second-el": partial(second_el_expression, path, y),
+            "el-d": partial(el_expressions_d, lattice, u)}[expressions]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == "window too small for the Euler-Lagrange expressions"
 
 
 # The window code as it was before GridFunction and FieldD shared

@@ -23,9 +23,11 @@ from tsnoether import (
     real_approx,
     solve_extremal,
 )
-from tsnoether import GaugeFamily, check_invariance, noether, noether_identity_time, second_el_expression, variational
+from tsnoether import GaugeFamily, check_invariance, noether, noether_identity_time, second_el_expression, timescale
+from tsnoether import variational
 from tsnoether.report import ResidualReport
-from tsnoether.variational import _cyclic_reduction, _jacobian_bands, _newton_sample, lagrangian_along, variation_pairing
+from tsnoether.variational import _cyclic_reduction, _el_sample, _jacobian_bands, _path_sample, lagrangian_along
+from tsnoether.variational import variation_pairing
 
 from differencing import FD_STEP, differenced, earlier_central_difference
 
@@ -279,9 +281,9 @@ class TestOnePathSample:
         calls = []
         real = variational._path_args
 
-        def counting(y):
+        def counting(L, y):
             calls.append(y.window)
-            return real(y)
+            return real(L, y)
 
         with mock.patch.object(variational, "_path_args", counting):
             yield calls
@@ -304,12 +306,74 @@ class TestOnePathSample:
             fn(*args)
             assert len(path_samples) == samples, fn.__name__
 
+    def test_el_expressions_copy_no_values_and_sample_u_and_v_once(self, count_copies):
+        # Through lagrangian_along's GridFunctions they made two copies,
+        # shapes (11, 2) and (11, 2), on this path.
+        base = catalog("quad:2:0.5:0.3:0.2")
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(t, U, V):
+                calls.append(name)
+                return fn(t, U, V)
+
+            return wrapped
+
+        L = Lagrangian(n=2, eval=base.eval, d_t=base.d_t, d_u=counted("u", base.d_u), d_v=counted("v", base.d_v),
+                       vectorized=True)
+        ts = q_geometric(1.5, 1.0, 12)
+        y = GridFunction(ts, 0, np.random.default_rng(2).uniform(-1, 1, (len(ts), 2)))
+        with count_copies(timescale) as copies:
+            e = el_expressions(L, y)
+        assert copies == [] and sorted(calls) == ["u", "v"]
+        assert e.values.tobytes() == el_expressions(base, y).values.tobytes()
+
     def test_several_partials_equal_one_at_a_time(self):
         ts = h_uniform(0.5, 0, 4)
         L = catalog("quad:2:0.5:0.3:0.2")
         y = GridFunction(ts, 0, np.random.default_rng(1).uniform(-1, 1, (len(ts), 2)))
         for w, gf in zip("tuvL", lagrangian_along(L, y, *"tuvL")):
             assert np.array_equal(gf.values, lagrangian_along(L, y, w)[0].values)
+
+
+def earlier_el_expressions(L, y):
+    """el_expressions as it was before Newton's sampler became the one 1-D
+    assembly: the partials copied into GridFunctions by lagrangian_along."""
+    pu, pv = lagrangian_along(L, y, "u", "v")
+    return variational._el_values(pu.values, pv.values[None], (y.ts,), (y.lo,))
+
+
+@given(
+    kind=st.sampled_from(["h", "q", "explicit"]),
+    npts=st.integers(6, 12),
+    lo=st.integers(1, 2),
+    short_top=st.integers(0, 1),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_el_expressions_are_newtons_assembly(kind, npts, lo, short_top, n, seed):
+    # Windows start above index 0, where the gaps of a q or explicit scale
+    # differ from those at index 0.
+    rng = np.random.default_rng(seed)
+    if kind == "h":
+        ts = h_uniform(0.25, -1.0, -1.0 + 0.25 * (npts - 1))
+    elif kind == "q":
+        ts = q_geometric(1.3, 0.5, npts)
+    else:
+        ts = explicit_scale(np.cumsum(rng.uniform(0.01, 1.0, npts)) - 2.0)
+    L = Lagrangian(
+        n=n,
+        eval=lambda t, U, V: t * np.sum(U * V, axis=1),
+        d_u=lambda t, U, V: U * U * U + t[:, None] * V,
+        d_v=lambda t, U, V: V * (1 + U * U),
+        vectorized=True,
+    )
+    y = GridFunction(ts, lo, rng.uniform(-2.0, 2.0, (npts - lo - short_top, n)))
+    e = el_expressions(L, y)
+    newton = _el_sample(L, ts, lo, *_path_sample(ts, lo, y.values))[1]
+    assert e.window == (lo, y.hi - 2)
+    assert e.values.tobytes() == newton.tobytes() == earlier_el_expressions(L, y).tobytes()
 
 
 class TestPathWindowAboveZero:
@@ -467,18 +531,21 @@ def five_points():
         (lambda: variation_pairing(catalog("dirichlet"), five_points(), five_points().restrict(0, 3)),
          "eta must share the path window and component count"),
         (lambda: el_expressions(catalog("dirichlet"), five_points().restrict(0, 1)),
-         "need at least 3 points to form Euler-Lagrange expressions"),
-        (lambda: second_el_expression(catalog("dirichlet"), five_points().restrict(0, 1)), "need at least 3 points"),
+         "window too small for the Euler-Lagrange expressions"),
+        (lambda: second_el_expression(catalog("dirichlet"), five_points().restrict(0, 1)),
+         "window too small for the Euler-Lagrange expressions"),
         (lambda: solve_extremal(catalog("pair-difference"), h_uniform(1.0, 0, 4), BoundaryData([0.0], [1.0])),
          "boundary dimension does not match the Lagrangian: boundary size 1, L.n = 2"),
         (lambda: BoundaryData([0.0, 1.0], [2.0]), "alpha and beta dimensions differ: alpha has shape (2,), beta (1,)"),
+        (lambda: solve_extremal(catalog("quad:2:1:0:0"), h_uniform(1.0, 0, 5), BoundaryData([[0.0, 1.0]], [[2.0, 3.0]])),
+         "boundary values must be 1-D: alpha has shape (1, 2), beta (1, 2)"),
         (lambda: catalog("quad:1:x:0:0"), "bad inline quadratic spec 'quad:1:x:0:0'"),
         (lambda: catalog("quad:1:1:1"), "bad inline quadratic spec 'quad:1:1:1'"),
         (lambda: catalog("quad:1:nan:0:0"), "bad inline quadratic spec 'quad:1:nan:0:0': cv = nan is not finite"),
         (lambda: catalog("quad:1:0.5:0:1e400"), "bad inline quadratic spec 'quad:1:0.5:0:1e400': cuv = inf is not finite"),
     ],
     ids=["one-point-action", "eta-window", "el-two-points", "second-el-two-points", "boundary-dimension",
-         "boundary-alpha-beta", "quad-coefficient-word", "quad-three-fields", "quad-nan", "quad-overflow"],
+         "boundary-alpha-beta", "boundary-two-axes", "quad-coefficient-word", "quad-three-fields", "quad-nan", "quad-overflow"],
 )
 def test_refusal_message(call, message):
     with pytest.raises(ValueError) as err:
@@ -598,7 +665,7 @@ class TestBandedNewton:
         f0 = residual(z)
         vals = start.copy()
         vals[1:-1] = z.reshape(npts - 2, n)
-        path, r = _newton_sample(L, ts, vals)
+        path, r = _el_sample(L, ts, 0, *_path_sample(ts, 0, vals))
         assert np.array_equal(r.ravel(), f0)
         A, B, C = _jacobian_bands(L, path, np.diff(ts.points))
         assert A.shape == B.shape == C.shape == (npts - 2, n, n)
@@ -632,7 +699,7 @@ class TestBandedNewton:
         )
         ts = q_geometric(1.5, 1.0, 9)
         vals = np.random.default_rng(n).uniform(-40, 40, (9, n))
-        path = _newton_sample(L, ts, vals)[0]
+        path = _el_sample(L, ts, 0, *_path_sample(ts, 0, vals))[0]
         T, U, V = path[:3]
         seen.clear()
         _jacobian_bands(L, path, np.diff(ts.points))
