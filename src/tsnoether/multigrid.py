@@ -23,14 +23,15 @@ from typing import Callable
 import numpy as np
 
 from .report import IDENTITY_TOLERANCE, INVARIANCE_TOLERANCE, PROBE_AMPLITUDE, ResidualReport
-from .timescale import _Arithmetic, _frozen, _overlap, _sealed, forward_quotient, shift_values, window_integral
+from .timescale import MAX_POINTS, _Arithmetic, _frozen, _overlap, _sealed, forward_quotient, shift_values, window_integral
 from .variational import _el_values
 
 
 @dataclass(frozen=True, eq=False)
 class GridD:
-    """A d-dimensional rectangle built from one time scale per axis.  It owns
-    the pattern workspace of the actions on it (see _pattern_args), which
+    """A d-dimensional rectangle built from one time scale per axis, of at
+    most MAX_POINTS points in all, refused before any field is drawn on it.
+    It owns the pattern workspace of the actions on it (see _pattern_args), which
     lives and dies with the grid and which any action on the grid rewrites,
     so one grid is not used from two threads at once."""
 
@@ -40,6 +41,9 @@ class GridD:
         scales = tuple(self.scales)
         if not 2 <= len(scales) <= 4:
             raise ValueError("supported dimensions are 2..4")
+        points = prod(len(s) for s in scales)
+        if points > MAX_POINTS:
+            raise ValueError(f"the lattice would have {points} points, more than the limit of {MAX_POINTS}")
         object.__setattr__(self, "scales", scales)
 
     @property
@@ -272,7 +276,6 @@ def _pattern_args(L: LagrangianD, u: tuple):
     cells = tuple(n - 1 for n in views[0].shape)
     if 0 in cells:
         raise ValueError("window too small for the shifted argument pattern")
-    cell_hi = tuple(l + c - 1 for l, c in zip(lo, cells))
     key = (lo, cells, L.n, L.g_slots)
     workspace = grid._workspace
     if not workspace or workspace[2] != key:
@@ -285,7 +288,7 @@ def _pattern_args(L: LagrangianD, u: tuple):
             np.subtract(U_k, G_jk, out=G_jk)
             if mu is not None:
                 G_jk /= mu
-    return coords, U, G, lo, cell_hi, gaps
+    return coords, U, G, lo, gaps
 
 
 def functional_d(L: LagrangianD, u: tuple) -> float:
@@ -293,7 +296,7 @@ def functional_d(L: LagrangianD, u: tuple) -> float:
     weighted by the pattern's gap tables.  The density's result is summed
     before the call returns, so a result that is a view of the grid's G is
     never read after the next action rewrites it."""
-    coords, U, G, lo, _, gaps = _pattern_args(L, u)
+    coords, U, G, lo, gaps = _pattern_args(L, u)
     return float(window_integral(u[0].grid.scales, lo, L.sample("L", coords, U, G)[..., None], gaps)[0])
 
 
@@ -303,7 +306,7 @@ def el_expressions_d(L: LagrangianD, u: tuple) -> tuple:
     by the assembly _el_values that the 1-D expressions share, over the
     declared slots (j, k) only.  P and Q are taken before the call returns,
     as for functional_d."""
-    coords, U, G, lo, _, _ = _pattern_args(L, u)
+    coords, U, G, lo, _ = _pattern_args(L, u)
     grid = u[0].grid
     P, Q = L.sample("u", coords, U, G), L.sample("g", coords, U, G)
     axes = [None if L.g_slots is None else {j for j, c in L.g_slots if c == k} for k in range(L.n)]

@@ -23,6 +23,8 @@ from tsnoether.cli import main
 from tsnoether.timescale import MAX_POINTS, GridFunction, TimeScale, delta_integral, h_uniform, parse_scale_spec
 from tsnoether.variational import Lagrangian, catalog, lagrangian_along
 
+import reference
+
 
 def run(tmp_path, *args, name="report.json"):
     out = tmp_path / name
@@ -244,6 +246,40 @@ class TestExitCodes:
         with mock.patch("numpy.arange", side_effect=Allocating) as arange, pytest.raises(Allocating):
             main(["scale", "--scale", f"h:1:0:{MAX_POINTS - 1}"])
         assert arange.call_args.args == (MAX_POINTS,)
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["em", "--lattice", "q:1.5:2:30,h:0.001:0:30,h:1:1:9,h:0.5:1:9", "--trials", "1"], 137704590),
+            (["check2d", "--grid", "h:1:0:9999,h:1:0:1000"], 10010000),
+        ],
+        ids=["em", "check2d"],
+    )
+    def test_oversized_lattice_refused_before_any_field(self, capsys, argv, count):
+        # Each axis is within MAX_POINTS, their product is not.  A drawn field
+        # or pattern fails the test before it allocates; the peak is that of
+        # building the axes (1.4 MB for the 30,001-point one), far below one
+        # lattice-sized field (1.1 GB for the em lattice).
+        from tsnoether import em, multigrid
+
+        drawn = AssertionError("a field was drawn on the lattice")
+        with mock.patch.object(multigrid, "random_polynomial_field", side_effect=drawn), \
+                mock.patch.object(em, "random_polynomial_field", side_effect=drawn), \
+                mock.patch.object(multigrid, "_pattern_workspace", side_effect=drawn):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 2 and peak < 4 * 2**20
+        assert capsys.readouterr().err == f"error: the lattice would have {count} points, more than the limit of {MAX_POINTS}\n"
+
+    def test_lattice_of_exactly_the_limit_is_built(self):
+        from tsnoether.multigrid import GridD
+
+        grid = GridD(tuple(parse_scale_spec(s) for s in ("h:1:0:9", "h:1:0:9", "h:1:0:99999")))
+        assert grid.shape == (10, 10, 100000) and 10 * 10 * 100000 == MAX_POINTS
 
     def test_family_order_beyond_the_scale_named(self, tmp_path, capsys):
         fam = tmp_path / "fam12.json"
@@ -754,14 +790,6 @@ def test_em_default_lattice_passes(tmp_path):
     assert code == 0 and data["verdict"] == "pass"
 
 
-def earlier_seeded_path(seed, ts, n, hi):
-    """The random path of _load_path as it was before its coefficients were
-    drawn at once: one draw of four and one polyval per component."""
-    rng = np.random.default_rng([seed, 97])
-    t = ts.points[: hi + 1] / max(1.0, np.max(np.abs(ts.points)))
-    return np.column_stack([np.polynomial.polynomial.polyval(t, rng.uniform(-1, 1, 4)) for _ in range(n)])
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     spec=st.sampled_from(["h:0.25:-1:2", "q:1.5:0.5:12", "real:0.1:-3:-1", "q:3:1:600"]),
@@ -774,7 +802,7 @@ def test_seeded_path_bitwise_equals_earlier_copy(spec, n, seed, data):
     hi = data.draw(st.integers(0, len(ts) - 1))
     y = cli._load_path(argparse.Namespace(seed=seed), ts, n, hi)
     assert y.window == (0, hi) and y.values.flags.c_contiguous
-    assert y.values.tobytes() == earlier_seeded_path(seed, ts, n, hi).tobytes()
+    assert y.values.tobytes() == reference.seeded_path(seed, ts, n, hi).tobytes()
 
 
 def test_each_operation_has_one_form(monkeypatch):
@@ -907,28 +935,13 @@ def test_ab_tool_fixed_heap_refused_without_mallopt():
     assert done.returncode == 2 and "mallopt" in done.stderr and not done.stdout
 
 
-def earlier_constant_family(ts, g, f=None):
-    """GaugeFamily.constant as it was before it read its tables through
-    GaugeFamily.from_table: each table broadcast along the window."""
-    g = np.asarray(g, dtype=float)
-    width = len(ts) - g.shape[2] + 1
-
-    def along(table):
-        table = np.asarray(table, dtype=float)
-        return np.broadcast_to(table[..., None], table.shape + (width,))
-
-    return noether.GaugeFamily(ts, along(g), None if f is None else along(f))
-
-
-def earlier_builtin_family(name, ts):
-    """The built-in 1-D families as code, before they were tables."""
-    g, f = {
-        "pairdiff": ([[[1.0], [1.0]]], None),
-        "pairdiff-broken": ([[[1.1], [1.0]]], None),
-        "pairdiff-time0": ([[[1.0], [1.0]]], [[0.0]]),
-        "time-translation": ([[[0.0]]], [[1.0]]),
-    }[name]
-    return earlier_constant_family(ts, g, f=f)
+# The built-in 1-D families as the tables (g, f) they hold.
+BUILTIN_FAMILIES = {
+    "pairdiff": ([[[1.0], [1.0]]], None),
+    "pairdiff-broken": ([[[1.1], [1.0]]], None),
+    "pairdiff-time0": ([[[1.0], [1.0]]], [[0.0]]),
+    "time-translation": ([[[0.0]]], [[1.0]]),
+}
 
 
 def family_bits(fam):
@@ -936,12 +949,12 @@ def family_bits(fam):
     return fam.ts, fam.window, fam.g.shape, fam.g.tobytes(), None if fam.f is None else (fam.f.shape, fam.f.tobytes())
 
 
-@pytest.mark.parametrize("name", ["pairdiff", "pairdiff-broken", "pairdiff-time0", "time-translation"])
+@pytest.mark.parametrize("name", list(BUILTIN_FAMILIES))
 @pytest.mark.parametrize("spec", ["h:0.5:0:4", "q:2:1:7", "real:0.25:-1:1"])
 def test_builtin_family_tables_equal_earlier_code(name, spec):
     ts = parse_scale_spec(spec)
     fam = cli.load_family(name, functools.partial(noether.GaugeFamily.from_table, ts))
-    assert family_bits(fam) == family_bits(earlier_builtin_family(name, ts))
+    assert family_bits(fam) == family_bits(reference.constant_family(ts, *BUILTIN_FAMILIES[name]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -954,8 +967,8 @@ def test_builtin_family_tables_equal_earlier_code(name, spec):
     data=st.data(),
 )
 def test_constant_family_equals_earlier_code_and_family_file(spec, r, n, m, moves_time, data):
-    # One builder: the constant case, the broadcast it replaced and the same
-    # table read from a JSON file give the same bits.
+    # One builder: the constant case, its reference (each entry held along
+    # the window) and the same table read from a JSON file give the same bits.
     ts = parse_scale_spec(spec)
     def rows(size, entry):
         return st.lists(entry, min_size=size, max_size=size)
@@ -968,7 +981,7 @@ def test_constant_family_equals_earlier_code_and_family_file(spec, r, n, m, move
         path.write_text(json.dumps({"r": r, "m": m, "n": n, "g": g, **({"f": f} if moves_time else {})}))
         from_file = cli.load_family(str(path), functools.partial(noether.GaugeFamily.from_table, ts))
     fam = noether.GaugeFamily.constant(ts, g, f=f)
-    assert family_bits(fam) == family_bits(earlier_constant_family(ts, g, f=f)) == family_bits(from_file)
+    assert family_bits(fam) == family_bits(reference.constant_family(ts, g, f)) == family_bits(from_file)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,4 @@
 from dataclasses import replace
-from functools import reduce
-from operator import add
 
 import numpy as np
 import pytest
@@ -29,13 +27,13 @@ from tsnoether import (
     random_gauge_params,
     second_el_expression,
     second_el_via_reparametrization,
-    shift,
     solve_extremal,
     transform,
 )
 from tsnoether.variational import BoundaryData, Lagrangian, variation_pairing
 
-from differencing import differenced
+import reference
+from reference import differenced
 
 PAIRDIFF = catalog("pair-difference")
 
@@ -578,48 +576,9 @@ def test_pair_difference_identity_for_arbitrary_paths(vals):
     assert rep.sup_norm <= 1e-9
 
 
-# Test-local copies of the gauge pass as it was before each term
-# p_j^(sigma^(m-i-1), delta^i) was taken once for all components and the
-# time table, and of the probe generator before its coefficients were
-# drawn at once.  transform and random_gauge_params must match them bit
-# for bit.
-
-def earlier_term_sum(fam, row, p):
-    total = reduce(add, (GridFunction(fam.ts, 0, c) * mixed(p, fam.m - i - 1, i) for i, c in enumerate(row)))
-    lo, hi = fam.window
-    if total.lo > lo or total.hi < hi:
-        raise ValueError("parameter window too small for the requested term")
-    return total.restrict(lo, hi)
-
-
-def earlier_perturbation(fam, params, y):
-    cols = []
-    for k in range(fam.n):
-        acc = reduce(add, (earlier_term_sum(fam, fam.g[j, k], params[j]) for j in range(fam.r)))
-        cols.append(acc.restrict(y.lo, y.hi).values)
-    return np.hstack(cols)
-
-
-def earlier_transform(fam, params, y):
-    """(alpha values or None, ybar values), without the input checks."""
-    ybar = y.values + earlier_perturbation(fam, params, y)
-    if fam.f is None:
-        return None, ybar
-    hsum = reduce(add, (earlier_term_sum(fam, fam.f[j], params[j]) for j in range(fam.r)))
-    return y.ts.points[y.lo : y.hi + 1] + hsum.restrict(y.lo, y.hi).values[:, 0], ybar
-
-
-def earlier_random_gauge_params(fam, seed):
-    rng = np.random.default_rng(seed)
-    ps = []
-    for _ in range(fam.r):
-        vals = np.polynomial.polynomial.polyval(fam.ts.points, rng.uniform(-1, 1, fam.m + 3))
-        peak = np.max(np.abs(vals))
-        if peak > 0:
-            vals = vals * (0.1 / peak)
-        ps.append(GridFunction(fam.ts, 0, vals))
-    return tuple(ps)
-
+# The gauge pass and the probe generator against their references: each
+# term p_j^(sigma^(m-i-1), delta^i) shifted and differenced one index at a
+# time, and one polyval per parameter.
 
 def gauge_scale(kind, npts, rng):
     if kind == "h":
@@ -652,7 +611,7 @@ def test_gauge_pass_bitwise_equals_earlier_copy(r, n, m, with_f, kind, scale, se
     f = rng.uniform(-1, 1, (r, m + 1, width)) if with_f else None
     fam = GaugeFamily(ts, rng.uniform(-1, 1, (r, n, m + 1, width)), f)
     params = random_gauge_params(fam, [seed, 1])
-    for new, old in zip(params, earlier_random_gauge_params(fam, [seed, 1])):
+    for new, old in zip(params, reference.random_gauge_params(fam, [seed, 1]), strict=True):
         assert new.window == old.window and new.values.tobytes() == old.values.tobytes()
     params = tuple(scale * p for p in params)  # sups 0.1, 1 and 37.5
     # Parameters on windows that start above the scale minimum: rho no
@@ -661,16 +620,14 @@ def test_gauge_pass_bitwise_equals_earlier_copy(r, n, m, with_f, kind, scale, se
     params = tuple(p.restrict(plo, p.hi) for p in params)
     y = GridFunction(ts, ylo, rng.uniform(-1, 1, (yhi - ylo + 1, n)))
     try:
-        alpha, ybar = earlier_transform(fam, params, y)
+        alpha, ybar = reference.transform(fam, params, y)
     except ValueError as exc:
-        # The earlier pass could also fail on windows that do not overlap.
         event(f"refused: {exc}")
-        with pytest.raises(ValueError, match="parameter window too small|shift exhausts|window too small"):
-            transform(fam, params, y)
-        return
-    if alpha is not None and not np.all(np.diff(alpha) > 0):
-        event("refused: time reparametrization is not strictly increasing")
-        with pytest.raises(ValueError, match="time reparametrization is not strictly increasing"):
+        if str(exc).startswith("time reparametrization"):
+            match = "^time reparametrization is not strictly increasing$"
+        else:  # the reference also fails on windows that do not overlap
+            match = "parameter window too small|shift exhausts|window too small"
+        with pytest.raises(ValueError, match=match):
             transform(fam, params, y)
         return
     new_alpha, new_ybar = transform(fam, params, y)
@@ -681,7 +638,7 @@ def test_gauge_pass_bitwise_equals_earlier_copy(r, n, m, with_f, kind, scale, se
         assert new_alpha.values[:, 0].tobytes() == alpha.tobytes()
         assert new_ybar.ts.points.tobytes() == alpha.tobytes()
     L = catalog(f"quad:{n}:0.5:0.25:0.125")
-    eta = GridFunction(ts, ylo, earlier_perturbation(fam, params, y))
+    eta = GridFunction(ts, ylo, reference.perturbation(fam, params, y)[0])
     assert necessary_condition_residual(L, fam, y, params) == variation_pairing(L, y, eta)
 
 
@@ -690,31 +647,9 @@ def test_parameter_window_too_small_refused_as_before():
     fam = GaugeFamily.constant(ts, [[[1.0, 0.5]]])
     p = GridFunction(ts, 2, np.ones(7))  # its terms start at index 2 and 3, the family at 0
     y = GridFunction(ts, 0, np.zeros((8, 1)))
-    for apply in (transform, earlier_transform):
+    for apply in (transform, reference.transform):
         with pytest.raises(ValueError, match="parameter window too small for the requested term"):
             apply(fam, (p,), y)
-
-
-def earlier_identity_time(L, fam, y, tolerance=1e-9):
-    """noether_identity_time as it was before it shared noether_identity's
-    loop, with its own copy of the identity's terms."""
-    b1 = y.ts.condition_h[0]
-    E, Es = el_expressions(L, y), second_el_expression(L, y)
-
-    def identity_sum(table, E):
-        def term(k, i, row):
-            t = shift(GridFunction(fam.ts, 0, row), 1) * E.component(k)
-            return (-1.0) ** i * (1.0 / b1) ** ((i * (i + 1)) // 2) * (delta_derivative(t, i) if i else t)
-
-        return reduce(add, (term(k, i, row) for k, rows in enumerate(table) for i, row in enumerate(rows)))
-
-    totals = []
-    for j in range(fam.r):
-        total = identity_sum(fam.g[j], E)
-        if np.any(fam.f[j] != 0.0):
-            total = total + identity_sum(fam.f[j][None], Es)
-        totals.append(total)
-    return totals
 
 
 def time_family_case(r, n, m, geometric, zero_row, seed):
@@ -748,7 +683,7 @@ def test_time_identity_bitwise_equals_earlier_copy(r, n, m, geometric, zero_row,
     # zero f row is skipped, not added.
     L, fam, y = time_family_case(r, n, m, geometric, zero_row, seed)
     reports = noether_identity_time(L, fam, y)
-    for rep, total in zip(reports, earlier_identity_time(L, fam, y), strict=True):
+    for rep, total in zip(reports, reference.identity(L, fam, y), strict=True):
         assert rep.domain == total.window and rep.per_point.tobytes() == total.values.tobytes()
 
 
@@ -766,71 +701,8 @@ def test_identity_applies_f_bitwise_as_time_identity(r, n, m, geometric, zero_ro
         assert (a.sup_norm, a.l2_norm, a.tolerance, a.verdict) == (b.sup_norm, b.l2_norm, b.tolerance, b.verdict)
 
 
-# The h-form, q-form and reparametrization oracles as they were when they
-# read the density one point at a time (through a one-row accessor).
-
-def earlier_at(L, which, t, u, v):
-    row = L.sample(which, np.array([t], dtype=float), np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0]
-    return float(row) if which in ("L", "t") else row
-
-
-def earlier_h_form(L, g_funcs, t, y, h, m):
-    y = np.atleast_2d(y.T).T
-    u = y[1:]
-    v = (y[1:] - y[:-1]) / h
-    pu = np.array([earlier_at(L, "u", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
-    pv = np.array([earlier_at(L, "v", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
-    E = pu[:-1] - (pv[1:] - pv[:-1]) / h
-    npts = E.shape[0]
-    out = np.zeros(npts - m)
-    for k in range(y.shape[1]):
-        for i in range(m + 1):
-            w = np.array([g_funcs[k][i](tv + h) for tv in t[:npts]]) * E[:, k]
-            for _ in range(i):
-                w = (w[1:] - w[:-1]) / h
-            out += (-1.0) ** i * w[: npts - m]
-    return out
-
-
-def earlier_q_form(L, g_funcs, t, y, q, m):
-    y = np.atleast_2d(y.T).T
-    u = y[1:]
-    v = (y[1:] - y[:-1]) / ((q - 1) * t[:-1])[:, None]
-    pu = np.array([earlier_at(L, "u", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
-    pv = np.array([earlier_at(L, "v", tv, uu, vv) for tv, uu, vv in zip(t[:-1], u, v)])
-    E = pu[:-1] - (pv[1:] - pv[:-1]) / ((q - 1) * t[:-2])[:, None]
-    npts = E.shape[0]
-    out = np.zeros(npts - m)
-    for k in range(y.shape[1]):
-        for i in range(m + 1):
-            w = np.array([g_funcs[k][i](q * tv) for tv in t[:npts]]) * E[:, k]
-            tt = t[:npts]
-            for _ in range(i):
-                w = (w[1:] - w[:-1]) / ((q - 1) * tt[: w.size - 1])
-                tt = tt[: w.size]
-            out += (-1.0) ** i * (1.0 / q) ** (i * (i + 1) // 2) * w[: npts - m]
-    return out
-
-
-def earlier_reparametrization(L, y):
-    ts = y.ts
-    pts = ts.points
-    gaps = np.append(np.diff(pts), 0.0)
-
-    def mu_of(t):
-        i = int(np.searchsorted(pts, t))
-        if i >= pts.size or abs(pts[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError("time not on the scale")
-        return float(gaps[i])
-
-    def density(t, U, V):
-        return earlier_at(L, "L", U[0] - mu_of(t) * V[0], U[1:], V[1:] / V[0]) * V[0]
-
-    # The differences the oracle's own partials must match bit for bit.
-    augmented = differenced(Lagrangian(n=L.n + 1, eval=density))
-    z = GridFunction(ts, y.lo, np.column_stack((pts[y.lo : y.hi + 1], y.values)))
-    return el_expressions(augmented, z).component(0)
-
+# The h-form, q-form and reparametrization oracles against their references,
+# which read the density one point at a time (through a one-row sample).
 
 def oracle_density(kind, n):
     """A time-dependent density of n components: vectorized or per point,
@@ -877,13 +749,14 @@ def test_oracles_bitwise_equal_per_point_copies(kind, spec, n, m, lo, seed):
     ]
     if ts.kind == "q-geometric":
         q = ts.condition_h[0]
-        assert np.array_equal(identity_lhs_q_calculus(L, g_funcs, t, y, q, m), earlier_q_form(L, g_funcs, t, y, q, m))
+        out, ref = identity_lhs_q_calculus(L, g_funcs, t, y, q, m), reference.identity_form(L, g_funcs, t, y, m, q * t, (q - 1) * t, q)
     else:
         h = ts.condition_h[1]
-        assert np.array_equal(identity_lhs_h_calculus(L, g_funcs, t, y, h, m), earlier_h_form(L, g_funcs, t, y, h, m))
+        out, ref = identity_lhs_h_calculus(L, g_funcs, t, y, h, m), reference.identity_form(L, g_funcs, t, y, m, t + h, np.full(t.size, h), 1.0)
+    assert np.array_equal(out, ref)
     path = GridFunction(ts, lo, y[lo:])
-    a, b = second_el_via_reparametrization(L, path), earlier_reparametrization(L, path)
-    assert a.window == b.window and np.array_equal(a.values, b.values)
+    a = second_el_via_reparametrization(L, path)
+    assert a.window == (lo, len(ts) - 1 - m - 2) and np.array_equal(a.values[:, 0], reference.reparametrization(L, path))
 
 
 @pytest.mark.parametrize(

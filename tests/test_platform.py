@@ -35,7 +35,7 @@ def test_negative_flips_the_sign_of_nan():
     x = np.array([np.nan, -np.nan])
     assert np.array_equal(np.signbit(-x), ~np.signbit(x)), (
         f"np.negative did not flip a NaN's sign ({platform()}); multigrid.FieldD.__neg__ relies on it, "
-        "and test_multigrid's window-arithmetic tests compare NaN bits with the earlier copies"
+        "and test_multigrid's window-arithmetic tests compare NaN bits with tests/reference.py"
     )
 
 

@@ -24,6 +24,8 @@ from tsnoether import timescale
 from tsnoether.noether import GaugeFamily, random_gauge_params, transform
 from tsnoether.variational import BoundaryData, catalog, solve_extremal
 
+import reference
+
 
 def scales_zoo():
     return [
@@ -48,6 +50,14 @@ class TestConstruction:
         ts = real_approx(0.25, 0, 1)
         assert ts.kind == "real-approx"
         assert ts.condition_h == (1.0, 0.25)
+
+    @pytest.mark.parametrize("spec", ["real:0.001:-10:10", "real:1e-3:-50:50"])
+    def test_uniform_scale_crossing_zero_far_from_its_start_keeps_its_law(self, spec):
+        # The point of a + h k nearest 0 is off by a rounding error of the
+        # size of |a|, not of |t|: a fit rule of 1e-12 max(|t_next|, |b0|)
+        # would refuse these scales.
+        ts = parse_scale_spec(spec)
+        assert ts.condition_h == (1.0, 0.001) and len(ts) == 1 + round(2 * ts.points[-1] / 0.001)
 
     def test_explicit_detection_accepts_affine_orbit(self):
         # {1,2,4,8} is the q=2 orbit; all non-maximal points obey sigma = 2t.
@@ -568,20 +578,6 @@ ownership_scales = st.one_of(
 )
 
 
-def rho_reference(ts, f, k):
-    """The rho^k shift (k > 0) one index at a time, as (lo, values)."""
-
-    def source(i):
-        for _ in range(k):
-            i = ts.rho(i)
-        return i
-
-    idx = [i for i in range(len(ts)) if f.lo <= source(i) <= f.hi]
-    if not idx:
-        return None
-    return idx[0], np.array([f.values[source(i) - f.lo] for i in idx])
-
-
 @given(ts=ownership_scales, n=st.integers(1, 3), seed=st.integers(0, 2**16), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_value_ownership(count_copies, ts, n, seed, data):
@@ -618,10 +614,12 @@ def test_value_ownership(count_copies, ts, n, seed, data):
         if hi >= k:
             sigma = shift(f, k)
             results.append(sigma)
-        ref = rho_reference(ts, f, k)
-        if ref is None:
+        try:
+            ref = reference.shift(f.values, f.lo, ts, -k)
+        except ValueError:
             with pytest.raises(ValueError):
                 shift(f, -k)
+            ref = None
         else:
             rho = shift(f, -k)
             results.append(rho)
@@ -649,17 +647,6 @@ kernel_scales = st.one_of(
 )
 
 
-def kernel_reference(scales, lo, values):
-    """Per component, np.sum of a C-contiguous mu-weighted copy of the
-    window's cells below every scale maximum."""
-    hi = [min(l + n, len(s) - 1) for s, l, n in zip(scales, lo, values.shape)]
-    w = values[tuple(slice(0, h - l) for l, h in zip(lo, hi))]
-    for ax, (s, l, h) in enumerate(zip(scales, lo, hi)):
-        mu = s.points[l + 1 : h + 1] - s.points[l:h]
-        w = w * mu.reshape([-1 if a == ax else 1 for a in range(values.ndim)])
-    return np.array([np.sum(np.ascontiguousarray(w[..., k])) for k in range(values.shape[-1])])
-
-
 @given(d=st.integers(1, 4), seed=st.integers(0, 2**16), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_window_integral_is_layout_independent(d, seed, data):
@@ -679,7 +666,7 @@ def test_window_integral_is_layout_independent(d, seed, data):
     layouts.append(layouts[0][:, np.arange(values.shape[1])])  # a gather along a later axis
     if flat is not None:
         layouts.append(values)
-    ref = kernel_reference(scales, lo, layouts[0])
+    ref = reference.integral(scales, lo, layouts[0])
     assert ref.shape == (n,)
     if 0 in shape:
         assert np.array_equal(ref, np.zeros(n))
@@ -687,16 +674,8 @@ def test_window_integral_is_layout_independent(d, seed, data):
         assert timescale.window_integral(scales, lo, arr).tobytes() == ref.tobytes()
 
 
-# The window kernel: operands that share one window are returned whole.
-
-def general_overlap(*parts):
-    """timescale._overlap without its one-window return."""
-    lo = tuple(map(max, zip(*[l for l, _ in parts])))
-    end = tuple(map(min, zip(*[[l_ + n for l_, n in zip(l, v.shape)] for l, v in parts])))
-    if any(a >= b for a, b in zip(lo, end)):
-        raise ValueError("windows do not overlap")
-    return lo, [v[tuple(slice(a - l_, b - l_) for a, b, l_ in zip(lo, end, l))] for l, v in parts]
-
+# The window kernel: operands that share one window are returned whole, and
+# others are cut as the reference cuts them.
 
 @pytest.mark.parametrize(
     "lows, shapes",
@@ -718,7 +697,7 @@ def test_overlap_of_one_window_equals_the_general_path(lows, shapes):
     parts = [(lo, rng.uniform(-1, 1, shape)) for lo, shape in zip(lows, shapes)]
     parts[-1] = (parts[-1][0], np.asfortranarray(parts[-1][1]))
     try:
-        ref = general_overlap(*parts)
+        ref = reference.overlap(*parts)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
             timescale._overlap(*parts)

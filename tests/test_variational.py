@@ -29,7 +29,8 @@ from tsnoether.report import ResidualReport
 from tsnoether.variational import _cyclic_reduction, _el_sample, _jacobian_bands, _path_sample, lagrangian_along
 from tsnoether.variational import variation_pairing
 
-from differencing import FD_STEP, differenced, earlier_central_difference
+from reference import FD_STEP, differenced, path_partial
+import reference
 
 
 def random_quadratic(rng, n):
@@ -336,13 +337,6 @@ class TestOnePathSample:
             assert np.array_equal(gf.values, lagrangian_along(L, y, w)[0].values)
 
 
-def earlier_el_expressions(L, y):
-    """el_expressions as it was before Newton's sampler became the one 1-D
-    assembly: the partials copied into GridFunctions by lagrangian_along."""
-    pu, pv = lagrangian_along(L, y, "u", "v")
-    return variational._el_values(pu.values, pv.values[None], (y.ts,), (y.lo,))
-
-
 @given(
     kind=st.sampled_from(["h", "q", "explicit"]),
     npts=st.integers(6, 12),
@@ -373,7 +367,7 @@ def test_el_expressions_are_newtons_assembly(kind, npts, lo, short_top, n, seed)
     e = el_expressions(L, y)
     newton = _el_sample(L, ts, lo, *_path_sample(ts, lo, y.values))[1]
     assert e.window == (lo, y.hi - 2)
-    assert e.values.tobytes() == newton.tobytes() == earlier_el_expressions(L, y).tobytes()
+    assert e.values.tobytes() == newton.tobytes() == reference.el_expressions(L, y).values.tobytes()
 
 
 class TestPathWindowAboveZero:
@@ -935,7 +929,7 @@ def self_check(L: Lagrangian, seed: int) -> float:
     worst = 0.0
     for which, fn in (("t", L.d_t), ("u", L.d_u), ("v", L.d_v)):
         if fn is not None:
-            fd = earlier_central_difference(L, which, T, U, V)
+            fd = path_partial(L, which, T, U, V)
             worst = max(worst, float(np.max(np.abs(L.sample(which, T, U, V) - fd) / np.maximum(1.0, np.abs(fd)))))
     return worst
 
@@ -967,7 +961,7 @@ def test_central_differences_bitwise_equal_earlier_copy(n, width, vectorized, np
     for slot in (1, 2):
         new = noether._central_difference(lambda *args: L.sample("L", *args), (T, U, V), slot)
         assert new.shape == (npts, width)
-        assert new.tobytes() == earlier_central_difference(L, "tuv"[slot], T, U, V).tobytes()
+        assert new.tobytes() == path_partial(L, "tuv"[slot], T, U, V).tobytes()
 
 
 class TestResidualReport:
