@@ -33,7 +33,8 @@ class GridD:
     most MAX_POINTS points in all, refused before any field is drawn on it.
     It owns the pattern workspace of the actions on it (see _pattern_args), which
     lives and dies with the grid and which any action on the grid rewrites,
-    so one grid is not used from two threads at once."""
+    so one grid is not used from two threads at once.  After an
+    Euler-Lagrange call its G may hold the g partial, not the pattern."""
 
     scales: tuple
 
@@ -193,7 +194,10 @@ class LagrangianD:
     writes only those, and its other G slots hold NaN, so a density that
     reads one fails.  A g partial is taken as 0.0 outside them, the partial
     of a density that does not read them: el_expressions_d reads it in no
-    other slot.
+    other slot.  A g partial may return G itself, written over: its only
+    reader, el_expressions_d, takes the u partial first and reads nothing
+    of the pattern after it, and the next action on the grid writes the
+    pattern again.
     """
 
     d: int
@@ -515,8 +519,9 @@ def _field_strength_lagrangian(d: int, n: int, plus: tuple, minus: tuple = ()) -
     that over minus, formed in place term by term in pair order.  The first
     term starts the sum: adding it to 0.0 would change no bit.  The density
     reads the slots of the pairs and their transposes, and declares them;
-    no two pairs share a slot, so the g partial writes each slot once, as
-    0.0 plus or minus the pair's difference."""
+    no two pairs share a slot, so the g partial writes each slot once, over
+    G, as 0.0 plus or minus the pair's difference, which it takes before
+    it writes either slot of the pair."""
 
     def density(coords, U, G):
         out = F = None
@@ -532,13 +537,12 @@ def _field_strength_lagrangian(d: int, n: int, plus: tuple, minus: tuple = ()) -
         return out
 
     def d_g(coords, U, G):
-        out = np.zeros(G.shape)  # calloc'd: the slots no pair writes stay unfaulted
         for (first, second), pairs in (((np.add, np.subtract), plus), ((np.subtract, np.add), minus)):
             for j, k in pairs:
-                F = np.subtract(G[j, k], G[k, j], out=out[j, k])
-                second(0.0, F, out=out[k, j])
+                F = np.subtract(G[j, k], G[k, j], out=G[j, k])
+                second(0.0, F, out=G[k, j])
                 first(0.0, F, out=F)
-        return out
+        return G
 
     slots = tuple(s for j, k in plus + minus for s in ((j, k), (k, j)))
     return LagrangianD(d=d, n=n, density=density, d_u=_zero_d_u, d_g=d_g, g_slots=slots)
@@ -555,7 +559,7 @@ def catalog2d(name: str) -> LagrangianD:
             return 0.5 * (G[0][0] ** 2 + G[1][0] ** 2)
 
         def d_g(coords, U, G):
-            return G.copy()
+            return G
 
         return LagrangianD(d=2, n=1, density=density, d_u=_zero_d_u, d_g=d_g)
     raise ValueError(f"unknown 2-d Lagrangian {name!r}")

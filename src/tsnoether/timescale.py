@@ -49,16 +49,14 @@ class TimeScale:
     condition_h: tuple[float, float] | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _frozen(np.asarray(self.points, dtype=float))
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("time scale needs at least 2 points")
-        bad = np.flatnonzero(~np.isfinite(pts))
-        if bad.size:
-            raise ValueError(f"point {bad[0]} of the scale, {pts[bad[0]]}, is not a finite float")
-        if not np.all(np.diff(pts) > 0):
+        if not np.isfinite(pts).all():
+            bad = np.flatnonzero(~np.isfinite(pts))[0]
+            raise ValueError(f"point {bad} of the scale, {pts[bad]}, is not a finite float")
+        if not np.all(pts[1:] > pts[:-1]):
             raise ValueError("time scale points must be strictly increasing")
-        pts = pts.copy()
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.condition_h is not None:
             b1, b0 = self.condition_h
@@ -128,9 +126,13 @@ def _sealed(values: np.ndarray) -> np.ndarray:
 
 
 def _affine_jump_holds(pts: np.ndarray, b1: float, b0: float) -> bool:
-    predicted = b1 * pts[:-1] + b0
-    tol = AFFINE_JUMP_RTOL * np.maximum(1.0, np.abs(pts[:-1]))
-    return bool(np.all(np.abs(pts[1:] - predicted) <= tol))
+    gap = b1 * pts[:-1]  # |t_{i+1} - (b1 t_i + b0)| and its tolerance, two buffers
+    gap += b0
+    np.abs(np.subtract(pts[1:], gap, out=gap), out=gap)
+    tol = np.abs(pts[:-1])
+    np.maximum(tol, 1.0, out=tol)
+    tol *= AFFINE_JUMP_RTOL
+    return bool(np.all(gap <= tol))
 
 
 def _fit_affine_jump(pts: np.ndarray) -> tuple[float, float] | None:
@@ -167,8 +169,10 @@ def _uniform(h: float, a: float, b: float, kind: str) -> TimeScale:
     n = round(steps)
     if n < 1 or abs(steps - n) > 1e-9 * max(1.0, abs(steps)):
         raise ValueError("b - a must be a positive multiple of h")
-    pts = a + h * np.arange(n + 1)
-    return TimeScale(pts, kind=kind, condition_h=(1.0, h))
+    pts = np.arange(n + 1, dtype=float)  # a + h * k, in place
+    pts *= h
+    pts += a
+    return TimeScale(_sealed(pts), kind=kind, condition_h=(1.0, h))
 
 
 def _check_point_count(npts: float) -> None:
@@ -192,10 +196,10 @@ def q_geometric(q: float, a: float, count: int) -> TimeScale:
     pts[0] = a
     with np.errstate(over="ignore"):
         np.multiply.accumulate(pts, out=pts)
-    bad = np.flatnonzero(~np.isfinite(pts))
-    if bad.size:
-        raise ValueError(f"point {bad[0]} of the geometric scale, a*q**{bad[0]}, is not a finite float")
-    return TimeScale(pts, kind="q-geometric", condition_h=(float(q), 0.0))
+    if not np.isfinite(pts).all():
+        bad = np.flatnonzero(~np.isfinite(pts))[0]
+        raise ValueError(f"point {bad} of the geometric scale, a*q**{bad}, is not a finite float")
+    return TimeScale(_sealed(pts), kind="q-geometric", condition_h=(float(q), 0.0))
 
 
 def explicit_scale(points) -> TimeScale:
@@ -461,8 +465,9 @@ def write_csv(f: GridFunction, path) -> None:
 def read_csv(ts: TimeScale, path) -> GridFunction:
     """Read a GridFunction written by write_csv; each row must have the
     header's field count and its time t match its scale point p with
-    |t - p| <= 1e-12 * max(1, |p|), the first row's time placing the window
-    at its nearest point.  Rows are parsed CSV_BLOCK_ROWS lines at a time,
+    |t - p| <= 1e-12 * max(|p|, mu(p)), mu(p) the gap to the next point (0
+    at the scale maximum), the first row's time placing the window at its
+    nearest point.  Rows are parsed CSV_BLOCK_ROWS lines at a time,
     and a block keeps only its value columns once its times match."""
     with open(path) as fh:
         header = fh.readline()
@@ -490,8 +495,10 @@ def read_csv(ts: TimeScale, path) -> GridFunction:
                 lo = end = int(np.searchsorted(ts.points, t0))
                 if lo == len(ts) or (lo > 0 and t0 - ts.points[lo - 1] < ts.points[lo] - t0):
                     lo = end = lo - 1  # the nearer point: t0 may sit just above it
-            pts = ts.points[end : end + len(block)]
-            if pts.size < len(block) or not np.all(np.abs(block[:, 0] - pts) <= 1e-12 * np.maximum(1.0, np.abs(pts))):
+            near = ts.points[end : end + len(block) + 1]  # the block's points and the next one
+            pts, size, mu = near[: len(block)], np.abs(near[: len(block)]), np.diff(near)
+            np.maximum(size[: mu.size], mu, out=size[: mu.size])  # max(|p|, mu(p)), mu 0 at the maximum
+            if pts.size < len(block) or not np.all(np.abs(block[:, 0] - pts) <= 1e-12 * size):
                 raise ValueError(f"{path}: CSV times do not match the scale points")
             blocks.append(block[:, 1:].copy())
             end += len(block)

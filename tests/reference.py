@@ -197,8 +197,12 @@ def el_values(P, Q, scales, lo):
 
 
 def el_expressions_d(L, u):
+    """The g partial taken as 0.0 outside the declared slots, where it may hold anything."""
     coords, U, G, lo = pattern(L, u)
-    P, Q = L.sample("u", coords, U, G), L.sample("g", coords, U, G)
+    P, Q = L.sample("u", coords, U, G), np.array(L.sample("g", coords, U, G))
+    for s in np.ndindex(Q.shape[:2]):
+        if L.g_slots is not None and s not in L.g_slots:
+            Q[s] = 0.0
     return tuple(FieldD(u[0].grid, lo, el_values(P[k], Q[:, k], u[0].grid.scales, lo)) for k in range(L.n))
 
 

@@ -281,6 +281,20 @@ class TestExitCodes:
         grid = GridD(tuple(parse_scale_spec(s) for s in ("h:1:0:9", "h:1:0:9", "h:1:0:99999")))
         assert grid.shape == (10, 10, 100000) and 10 * 10 * 100000 == MAX_POINTS
 
+    @pytest.mark.parametrize("scale", ["h:1e-13:0:1e-11", "h:1:0:100", "h:1e13:0:1e15"])
+    def test_csv_with_a_deleted_line_refused_at_any_step(self, tmp_path, capsys, scale):
+        # A row's time must lie within 1e-12 max(|p|, mu(p)) of its point p, so
+        # a row one point off is refused on a step of 1e-13 as on one of 1e13.
+        csv = tmp_path / "d.csv"
+        assert main(["derive", "--scale", scale, "--poly", "0,1,1", "--result-csv", str(csv)]) == 0
+        el = ["el", "--scale", scale, "--lagrangian", "poisson", "--csv", str(csv), "--out", str(tmp_path / "e.json")]
+        assert main(el) in (0, 1)
+        lines = csv.read_text().splitlines(keepends=True)
+        csv.write_text("".join(lines[:4] + lines[5:]))
+        capsys.readouterr()
+        assert main(el) == 2
+        assert capsys.readouterr().err == f"error: {csv}: CSV times do not match the scale points\n"
+
     def test_family_order_beyond_the_scale_named(self, tmp_path, capsys):
         fam = tmp_path / "fam12.json"
         fam.write_text(json.dumps({"r": 1, "m": 12, "n": 2, "g": [[[1.0] * 13, [1.0] * 13]]}))

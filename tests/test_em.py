@@ -256,3 +256,26 @@ class TestConstruction:
         # em functional integrates over base cells only
         F = zero_field(GRID)
         assert multi_integral(ref_density(F)) == 0.0
+
+
+def test_em_command_peak_in_cell_arrays():
+    # Each em section becomes its report as soon as it returns, and the g
+    # partial takes no array of its own: at 12^4 the traced peak of a second
+    # run (the first builds the parser) is 35.9 arrays of the pattern's cell
+    # shape, 11^4 floats, about the moment of the gauge section's transform.
+    import io
+    import tracemalloc
+    from contextlib import redirect_stdout
+
+    from tsnoether.cli import main
+
+    argv = ["em", "--lattice", "h:1:0:11,h:1:0:11,h:1:0:11,h:1:0:11", "--trials", "2"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 36.9 * 8 * 11**4

@@ -1014,9 +1014,13 @@ def test_field_strength_densities_equal_earlier_copies(em, scales, seed, data):
     ref = reference.field_strength_lagrangian(4, reference.ELECTRIC, reference.MAGNETIC) if em else (
         reference.field_strength_lagrangian(2, ((0, 1),)))
     coords, U, G, _, _ = multigrid._pattern_args(new, u)
-    for which in "Lug":
+    for which in "Lu":
         assert new.sample(which, coords, U, G).tobytes() == ref.sample(which, coords, U, G).tobytes()
-    dg = new.sample("g", coords, U, G)
+    # The g partial writes over the G it is given, so each call gets its own
+    # copy; the slots it does not declare keep the pattern's NaN.
+    dg, dg_ref = (L.sample("g", coords, U, G.copy()) for L in (new, ref))
+    assert all(dg[s].tobytes() == dg_ref[s].tobytes() for s in ref.g_slots)
+    assert all(dg[s].tobytes() == G[s].tobytes() for s in undeclared(new))
     assert new.g_slots == ref.g_slots and not np.signbit(dg[dg == 0.0]).any()
     assert bits(functional_d(new, u)) == bits(functional_d(ref, u))
     assert bits(el_expressions_d(new, u)) == bits(el_expressions_d(ref, u))
@@ -1287,14 +1291,19 @@ def test_undeclared_slots_change_no_bit(name, seed, data):
     coords = tuple(rng.uniform(-1, 1, c).reshape([c if a == ax else 1 for a in range(L.d)]) for ax, c in enumerate(cells))
     U = signed_samples(rng, (L.n,) + cells)
     G = signed_samples(rng, (L.d, L.n) + cells)
-    reference = [L.sample(which, coords, U, G).tobytes() for which in "Lug"]
+
+    def partials(G):
+        # The g partial writes its declared slots over a copy of G and leaves the others as G has them.
+        d_g = L.sample("g", coords, U, G.copy())
+        assert all(d_g[s].tobytes() == G[s].tobytes() for s in undeclared(L))
+        return [L.sample(which, coords, U, G).tobytes() for which in "Lu"] + [d_g[s].tobytes() for s in L.g_slots]
+
+    reference = partials(G)
     for fill in (lambda: rng.uniform(-1e3, 1e3, cells), lambda: np.full(cells, np.nan)):
         moved = G.copy()
         for s in undeclared(L):
             moved[s] = fill()
-        assert [L.sample(which, coords, U, moved).tobytes() for which in "Lug"] == reference
-    d_g = L.sample("g", coords, U, G)
-    assert all(d_g[s].tobytes() == np.zeros(cells).tobytes() for s in undeclared(L))
+        assert partials(moved) == reference
 
 
 @pytest.mark.parametrize("name", ["em", "curl2"])
@@ -1553,6 +1562,26 @@ def test_el_expressions_bitwise_equal_full_assembly(name):
         assert len(quotients) == (L.d * L.n if L.g_slots is None else len(L.g_slots))
 
 
+@pytest.mark.parametrize("kind", ["uniform", "mixed"])
+def test_em_euler_lagrange_call_allocates_less_than_one_G(kind):
+    # The field-strength g partial is written over the pattern's own G, so on
+    # a built workspace the call allocates only the expressions and their quotients.
+    import tracemalloc
+
+    from tsnoether import em
+
+    grid, L = em_lattice(kind, 10), em.em_lagrangian()
+    A = em.random_em_field(grid, seed=[0, 1])
+    el_expressions_d(L, A)
+    tracemalloc.start()
+    try:
+        el_expressions_d(L, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid._workspace[1].nbytes
+
+
 def test_zero_u_partial_is_one_scalar():
     from tsnoether import em
 
@@ -1629,10 +1658,11 @@ def test_lattice_commands_share_one_workspace_bitwise_as_fresh_pairs(name):
     assert shared == unshared and shared[0] in (0, 1)
 
 
-def holds_pattern_of(workspace, L, u):
-    """The workspace's U and G are the pattern of u, written by the last call."""
-    _, U, G, _, _ = multigrid._pattern_args(L, rehomed(u))
-    return same_bytes(workspace[0], U) and same_bytes(workspace[1], G)
+def holds_el_state_of(workspace, L, u):
+    """The workspace's U is the pattern of u and its G the g partial of that
+    pattern, which the last call, an Euler-Lagrange one, wrote over G."""
+    coords, U, G, _, _ = multigrid._pattern_args(L, rehomed(u))
+    return same_bytes(workspace[0], U) and same_bytes(workspace[1], L.sample("g", coords, U, G))
 
 
 @pytest.mark.parametrize("kind", ["uniform", "mixed"])
@@ -1645,9 +1675,9 @@ def test_em_sections_on_one_workspace_bitwise_equal_fresh_calls(kind):
     gauge = em._gauge_invariance(fam, 3, 5)
     U, plan = workspace[0], workspace[4]
     ident = noether_identity_d(em.em_lagrangian(), fam, em.random_em_field(grid, seed=[5, 1]))
-    assert holds_pattern_of(workspace, em.em_lagrangian(), em.random_em_field(grid, seed=[5, 1]))
+    assert holds_el_state_of(workspace, em.em_lagrangian(), em.random_em_field(grid, seed=[5, 1]))
     wave = em.em_wave_reduction_residual(lorentz_field(grid))
-    assert holds_pattern_of(workspace, em.em_lagrangian(), lorentz_field(grid))
+    assert holds_el_state_of(workspace, em.em_lagrangian(), lorentz_field(grid))
     assert workspace[0] is U and workspace[4] is plan  # one key on the grid for all three sections
     assert bits(gauge) == bits(reference.em_gauge_invariance(fam, 3, 5))
     fresh = GridD(grid.scales)
@@ -1666,7 +1696,7 @@ def test_check2d_sections_on_one_workspace_bitwise_equal_fresh_calls(kind):
         inv = check_invariance_d(L, GaugeFamilyD(grid, table), u, trials=3, seed=6)
         U = workspace[0]
         ident = noether_identity_d(L, GaugeFamilyD(grid, table), u)
-        assert workspace[0] is U and holds_pattern_of(workspace, L, u)
+        assert workspace[0] is U and holds_el_state_of(workspace, L, u)
         assert bits(inv) == bits(reference.check_invariance_d(L, GaugeFamilyD(grid, table), u, 3, 6))
         fresh = GridD(grid.scales)
         assert bits(ident) == bits(noether_identity_d(L, GaugeFamilyD(fresh, table), rehomed(u, fresh)))

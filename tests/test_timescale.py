@@ -59,6 +59,22 @@ class TestConstruction:
         ts = parse_scale_spec(spec)
         assert ts.condition_h == (1.0, 0.001) and len(ts) == 1 + round(2 * ts.points[-1] / 0.001)
 
+    @pytest.mark.parametrize("spec", ["h:1:0:999999", "q:1.000001:1:1000000", "real:0.001:0:999.999"])
+    def test_scale_of_a_million_points_built_in_about_three_point_arrays(self, spec):
+        # The points are filled and sealed in place and stored uncopied; the
+        # checks take a bool array at a time and the jump law two buffers.
+        parse_scale_spec(spec)
+        tracemalloc.start()
+        try:
+            ts = parse_scale_spec(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ts) == 10**6 and peak <= 3.25 * ts.points.nbytes
+        if spec[0] != "q":
+            h = float(spec.split(":")[1])
+            assert ts.points.tobytes() == (0.0 + h * np.arange(10**6)).tobytes()
+
     def test_explicit_detection_accepts_affine_orbit(self):
         # {1,2,4,8} is the q=2 orbit; all non-maximal points obey sigma = 2t.
         ts = explicit_scale([1.0, 2.0, 4.0, 8.0])
