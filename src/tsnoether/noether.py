@@ -363,47 +363,38 @@ def second_el_via_reparametrization(L: Lagrangian, y: GridFunction) -> GridFunct
     return el_expressions(augmented, z).component(0)
 
 
-# Independent single-scale forms of the identity, used to cross-check the
-# generic weights on uniform and geometric grids.  These work on raw sample
-# arrays with their own difference quotients (constant-step division for
-# uniform grids, (q-1)*t division for geometric ones).
+# An independent form of the identity under condition (H), sigma(t) = b1*t + b0,
+# used to cross-check the generic weights.  It works on raw sample arrays with
+# its own quotients by mu = (b1 - 1)*t + b0; with b1 = 1 (h-calculus) or b0 = 0
+# (q-calculus) each operation rounds as in a form written for that case alone.
 
-def identity_lhs_h_calculus(L: Lagrangian, g_funcs, t: np.ndarray, y: np.ndarray, h: float, m: int) -> np.ndarray:
-    """sum_k sum_i (-1)^i [g(t+h) * E_k]^(i-fold forward difference / h)."""
+def _identity_lhs_affine(L: Lagrangian, g_funcs, t: np.ndarray, y: np.ndarray, b1: float, b0: float, m: int) -> np.ndarray:
+    """sum_k sum_i (-1)^i (1/b1)^(i(i+1)/2) [g(b1 t + b0) * E_k]^(i-fold delta quotient)."""
     y = np.atleast_2d(y.T).T
+    mu = (b1 - 1.0) * t + b0
     u = y[1:]
-    v = (y[1:] - y[:-1]) / h
+    v = (y[1:] - y[:-1]) / mu[:-1, None]
     pu, pv = L.sample("u", t[:-1], u, v), L.sample("v", t[:-1], u, v)
-    E = pu[:-1] - (pv[1:] - pv[:-1]) / h
+    E = pu[:-1] - (pv[1:] - pv[:-1]) / mu[:-2, None]
     npts = E.shape[0]
     out = np.zeros(npts - m)
     for k in range(y.shape[1]):
         for i in range(m + 1):
-            w = np.array([g_funcs[k][i](tv + h) for tv in t[:npts]]) * E[:, k]
+            w = np.array([g_funcs[k][i](b1 * tv + b0) for tv in t[:npts]]) * E[:, k]
             for _ in range(i):
-                w = (w[1:] - w[:-1]) / h
-            out += (-1.0) ** i * w[: npts - m]
+                w = (w[1:] - w[:-1]) / mu[: w.size - 1]
+            out += (-1.0) ** i * (1.0 / b1) ** (i * (i + 1) // 2) * w[: npts - m]
     return out
+
+
+def identity_lhs_h_calculus(L: Lagrangian, g_funcs, t: np.ndarray, y: np.ndarray, h: float, m: int) -> np.ndarray:
+    """sum_k sum_i (-1)^i [g(t+h) * E_k]^(i-fold forward difference / h)."""
+    return _identity_lhs_affine(L, g_funcs, t, y, 1.0, h, m)
 
 
 def identity_lhs_q_calculus(L: Lagrangian, g_funcs, t: np.ndarray, y: np.ndarray, q: float, m: int) -> np.ndarray:
     """sum_k sum_i (-1)^i (1/q)^(i(i+1)/2) [g(q t) * E_k]^(i-fold q-difference)."""
-    y = np.atleast_2d(y.T).T
-    u = y[1:]
-    v = (y[1:] - y[:-1]) / ((q - 1) * t[:-1])[:, None]
-    pu, pv = L.sample("u", t[:-1], u, v), L.sample("v", t[:-1], u, v)
-    E = pu[:-1] - (pv[1:] - pv[:-1]) / ((q - 1) * t[:-2])[:, None]
-    npts = E.shape[0]
-    out = np.zeros(npts - m)
-    for k in range(y.shape[1]):
-        for i in range(m + 1):
-            w = np.array([g_funcs[k][i](q * tv) for tv in t[:npts]]) * E[:, k]
-            tt = t[:npts]
-            for _ in range(i):
-                w = (w[1:] - w[:-1]) / ((q - 1) * tt[: w.size - 1])
-                tt = tt[: w.size]
-            out += (-1.0) ** i * (1.0 / q) ** (i * (i + 1) // 2) * w[: npts - m]
-    return out
+    return _identity_lhs_affine(L, g_funcs, t, y, q, 0.0, m)
 
 
 @dataclass(frozen=True)
@@ -431,8 +422,9 @@ def fundamental_lemma_oracle(ts: TimeScale, fs) -> FundamentalLemmaReport:
 
     fs = [f_0 .. f_m].  The pairing integral sums
     mu(t) * sum_i f_i(t) * eta^(sigma^(m-i), delta^i)(t) over the integration
-    window; every unit impulse eta honoring the boundary-vanishing pattern
-    (first m and last m points pinned) spans the admissible variations.
+    window; the unit impulses eta at indices m .. npts - max(m, 1) - 1 span the
+    admissible variations (the boundary-vanishing pattern pins m points at
+    each end, and the maximum, where mu = 0, is never a summand).
     """
     m = len(fs) - 1
     if m < 0:
@@ -441,17 +433,15 @@ def fundamental_lemma_oracle(ts: TimeScale, fs) -> FundamentalLemmaReport:
     npts = len(ts)
     if npts < 2 * m + 1:
         raise ValueError(f"grid needs at least {2 * m + 1} points for order {m}")
-    upper = npts - m if m >= 1 else npts - 1  # summand indices [0, upper-1]
+    upper = npts - max(m, 1)  # summand indices [0, upper-1]
     for f in fs:
         if f.lo > 0 or f.hi < upper - 1:
             raise ValueError("coefficient windows too small")
 
-    free_lo = m if m >= 1 else 0
-    free_hi = npts - m - 1 if m >= 1 else npts - 2
     mu = np.diff(ts.points)
 
     max_integral = 0.0
-    for s in range(free_lo, free_hi + 1):
+    for s in range(m, upper):
         eta = GridFunction(ts, 0, np.eye(1, npts, s)[0])
         integrand = None
         for i, f in enumerate(fs):
@@ -494,7 +484,7 @@ def vanishing_coefficients(ts: TimeScale, m: int, rng) -> list[GridFunction]:
     if len(ts) < 2 * m + 1:
         raise ValueError(f"order {m} needs a grid of at least {2 * m + 1} points, this one has {len(ts)}")
     b1 = _require_condition_h(ts)
-    upper = len(ts) - m if m >= 1 else len(ts) - 1
+    upper = len(ts) - max(m, 1)
     fs = [GridFunction(ts, 0, rng.uniform(-1, 1, upper)) for _ in range(m)]
     target = np.zeros(upper)
     for i, f in enumerate(fs, start=1):

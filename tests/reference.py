@@ -380,8 +380,9 @@ def at(L, which, t, u, v):
 
 
 def identity_form(L, g_funcs, t, y, m, sigma, mu, b1):
-    """The h-form (sigma = t + h, mu = h, b1 = 1) or the q-form (sigma = q t,
-    mu = (q - 1) t, b1 = q) of the identity, reading L one point at a time."""
+    """The identity's form under the jump law sigma = b1 t + b0, with
+    mu = (b1 - 1) t + b0: the h-form has b1 = 1, the q-form b0 = 0.  It
+    reads L one point at a time."""
     y = np.atleast_2d(y.T).T
     u, v = y[1:], (y[1:] - y[:-1]) / mu[:-1, None]
     pu, pv = (np.array([at(L, w, *point) for point in zip(t[:-1], u, v)]) for w in "uv")

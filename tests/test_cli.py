@@ -608,6 +608,29 @@ class TestCheckers:
                             "--order", "1", "--mode", "impulse", name="r2.json")
         assert code == 1 and data["sections"][0]["consistent"]
 
+    def test_explicit_affine_scale_reaches_identity_and_lemma(self, tmp_path):
+        # sigma(t) = 1.25 t + 0.5 from -0.75: a jump law that is neither h nor
+        # q, fitted on a scale that crosses 0.  Each control passes and each
+        # broken one fails, the identity's by more than 10^3 x its tolerance.
+        pts = [-0.75]
+        for _ in range(19):
+            pts.append(1.25 * pts[-1] + 0.5)
+        points = tmp_path / "affine.txt"
+        points.write_text("".join(f"{p!r}\n" for p in pts))
+        scale = ["--scale", f"explicit:@{points}"]
+        code, data, _ = run(tmp_path, "scale", *scale, name="scale.json")
+        assert code == 0 and data["sections"][0]["condition_h"] == [1.25, 0.5]
+        identity = ["check-noether", *scale, "--lagrangian", "pair-difference", "--family"]
+        code, data, _ = run(tmp_path, *identity, "pairdiff", name="pairdiff.json")
+        assert code == 0 and data["sections"][0]["sup_norm"] == 0.0
+        code, data, _ = run(tmp_path, *identity, "pairdiff-broken", name="broken.json")
+        section = data["sections"][0]
+        assert code == 1 and section["sup_norm"] > 1e3 * section["tolerance"]
+        code, data, _ = run(tmp_path, "oracle-fl", *scale, "--order", "2", name="fl.json")
+        assert code == 0 and data["sections"][0]["consistent"]
+        code, data, _ = run(tmp_path, "oracle-fl", *scale, "--order", "2", "--mode", "impulse", name="impulse.json")
+        assert code == 1 and data["sections"][0]["consistent"]
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):

@@ -29,7 +29,9 @@ from tsnoether import (
     second_el_via_reparametrization,
     solve_extremal,
     transform,
+    vanishing_coefficients,
 )
+from tsnoether.noether import _identity_lhs_affine
 from tsnoether.variational import BoundaryData, Lagrangian, variation_pairing
 
 import reference
@@ -47,6 +49,31 @@ def random_path(ts, n, seed, lo=0, hi=None):
     hi = len(ts) - 1 if hi is None else hi
     rng = np.random.default_rng(seed)
     return GridFunction(ts, lo, rng.uniform(-1, 1, (hi - lo + 1, n)))
+
+
+def affine_scale(b1, b0, t0, npts):
+    """The explicit scale t0, b1*t0 + b0, ...; its jump law is fitted, not declared."""
+    pts = [t0]
+    for _ in range(npts - 1):
+        pts.append(b1 * pts[-1] + b0)
+    return explicit_scale(pts)
+
+
+# Affine jump laws sigma(t) = b1*t + b0 that are neither h nor q: with b0 > 0,
+# crossing 0, and with b0 < 0.  Each is (b1, b0, t0).
+AFFINE_LAWS = [(1.5, 0.25, 0.1), (1.25, 0.5, -0.75), (2.0, -0.5, 1.0)]
+AFFINE_IDS = ["1.5t+0.25", "1.25t+0.5", "2t-0.5"]
+
+
+def corollary_form(L, g_funcs, t, y, ts, m):
+    """The independent identity form of ts's jump law: the public h- or q-form
+    on those scales, the one condition-(H) form with the fitted law on others."""
+    b1, b0 = ts.condition_h
+    if ts.kind == "q-geometric":
+        return identity_lhs_q_calculus(L, g_funcs, t, y, b1, m)
+    if ts.kind == "explicit":
+        return _identity_lhs_affine(L, g_funcs, t, y, b1, b0, m)
+    return identity_lhs_h_calculus(L, g_funcs, t, y, b0, m)
 
 
 class TestGaugeFamily:
@@ -299,60 +326,51 @@ class TestNoetherIdentity:
             noether_identity(PAIRDIFF, fam, y)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
-    def test_h_calculus_form_matches_generic(self, m):
-        h = 0.5
-        ts = h_uniform(h, 0, 7)
+    @pytest.mark.parametrize(
+        "ts, slope, div, seed",
+        [(h_uniform(0.5, 0, 7), 0.1, 1, 15), (q_geometric(2.0, 1.0, 12), 0.3, 100, 16),
+         *((affine_scale(*law, 12), 0.3, 100, 43) for law in AFFINE_LAWS)],
+        ids=["h", "q", *AFFINE_IDS],
+    )
+    def test_calculus_form_matches_generic(self, ts, slope, div, seed, m):
         hi = len(ts) - 1 - m
         t = ts.points
-        g_callables = [[(lambda c: (lambda tt: 1 + c * tt))(0.1 * (i + 1)) for i in range(m + 1)]]
+        g_callables = [[(lambda c: (lambda tt: 1 + c * tt / div))(slope * (i + 1)) for i in range(m + 1)]]
         fam = GaugeFamily(ts, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
         L = catalog("quad:1:0.5:0.3:0.1")
-        y = random_path(ts, 1, seed=[15, m], hi=hi)
+        y = random_path(ts, 1, seed=[seed, m], hi=hi)
         generic = noether_identity(L, fam, y)[0].per_point[:, 0]
-        coro = identity_lhs_h_calculus(L, [g_callables[0]], t[: hi + 1], y.values[:, 0], h, m)
-        k = generic.shape[0]
-        scale = np.maximum(1.0, np.abs(generic))
-        assert np.max(np.abs(generic - coro[:k]) / scale) <= 1e-12
-
-    @pytest.mark.parametrize("m", [0, 1, 2])
-    def test_q_calculus_form_matches_generic(self, m):
-        q = 2.0
-        ts = q_geometric(q, 1.0, 12)
-        hi = len(ts) - 1 - m
-        t = ts.points
-        g_callables = [[(lambda c: (lambda tt: 1 + c * tt / 100))(0.3 * (i + 1)) for i in range(m + 1)]]
-        fam = GaugeFamily(ts, [[[g(t[: hi + 1]) for g in row] for row in g_callables]])
-        L = catalog("quad:1:0.5:0.3:0.1")
-        y = random_path(ts, 1, seed=[16, m], hi=hi)
-        generic = noether_identity(L, fam, y)[0].per_point[:, 0]
-        coro = identity_lhs_q_calculus(L, [g_callables[0]], t[: hi + 1], y.values[:, 0], q, m)
+        coro = corollary_form(L, [g_callables[0]], t[: hi + 1], y.values[:, 0], ts, m)
         k = generic.shape[0]
         scale = np.maximum(1.0, np.abs(generic))
         assert np.max(np.abs(generic - coro[:k]) / scale) <= 1e-12
 
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         m=st.integers(0, 2),
         n=st.integers(1, 2),
-        geometric=st.booleans(),
+        kind=st.sampled_from(["h", "q", "affine"]),
         step=st.sampled_from([0, 1, 2]),
         npts=st.integers(8, 16),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_calculus_forms_match_generic_for_random_coefficients(self, m, n, geometric, step, npts, seed):
+    def test_calculus_forms_match_generic_for_random_coefficients(self, m, n, kind, step, npts, seed):
         # Random quadratic coefficient polynomials g[k][i] and a random
-        # quadratic density; the h- and q-forms keep their own quotients.
+        # quadratic density; the forms keep their own quotients.  An affine
+        # law draws b1, b0 and the first gap, so its scale may cross 0.
         rng = np.random.default_rng(seed)
-        if geometric:
-            q = (1.5, 2.0, 1.1)[step]
-            ts = q_geometric(q, 1.0, npts)
-        else:
+        if kind == "q":
+            ts = q_geometric((1.5, 2.0, 1.1)[step], 1.0, npts)
+        elif kind == "h":
             h = (0.5, 0.25, 0.1)[step]
             ts = h_uniform(h, 0, h * (npts - 1))
+        else:
+            b1, b0, gap = rng.choice([1.1, 1.25, 1.5, 2.0, 3.0]), rng.uniform(-1, 1), rng.uniform(0.1, 1)
+            ts = affine_scale(b1, b0, (gap - b0) / (b1 - 1), npts)
         hi = len(ts) - 1 - m
         t = ts.points
-        coeffs = rng.uniform(-1, 1, (n, m + 1, 3)) / t[hi] ** np.arange(3)
+        coeffs = rng.uniform(-1, 1, (n, m + 1, 3)) / np.max(np.abs(t[: hi + 1])) ** np.arange(3)
         g_callables = [
             [(lambda c: (lambda tt: np.polynomial.polynomial.polyval(tt, c)))(coeffs[k, i]) for i in range(m + 1)]
             for k in range(n)
@@ -362,12 +380,9 @@ class TestNoetherIdentity:
         L = catalog(f"quad:{n}:{cv!r}:{cu!r}:{cuv!r}")
         y = GridFunction(ts, 0, rng.uniform(-1, 1, (hi + 1, n)))
         generic = noether_identity(L, fam, y)[0].per_point[:, 0]
-        if geometric:
-            form = identity_lhs_q_calculus(L, g_callables, t[: hi + 1], y.values, q, m)
-        else:
-            form = identity_lhs_h_calculus(L, g_callables, t[: hi + 1], y.values, h, m)
+        form = corollary_form(L, g_callables, t[: hi + 1], y.values, ts, m)
         k = generic.shape[0]
-        # Where t + h or q t is inexact the coefficients are sampled at
+        # Where b1 t + b0 is inexact the coefficients are sampled at
         # points an ulp apart; the gap is rounding of the summed terms,
         # whose size the sup of the residual stands for.
         assert np.max(np.abs(generic - form[:k])) <= 1e-12 * max(1.0, np.max(np.abs(generic)))
@@ -447,7 +462,8 @@ class TestFundamentalLemmaOracle:
 
     @pytest.mark.parametrize(
         "ts",
-        [h_uniform(1.0, 0, 6), h_uniform(0.5, 0, 3.5), q_geometric(2.0, 1.0, 8)],
+        [h_uniform(1.0, 0, 6), h_uniform(0.5, 0, 3.5), q_geometric(2.0, 1.0, 8),
+         *(affine_scale(*law, 8) for law in AFFINE_LAWS)],
     )
     def test_order_one_constructed_vanishing(self, ts):
         rng = np.random.default_rng(21)
@@ -462,7 +478,8 @@ class TestFundamentalLemmaOracle:
 
     @pytest.mark.parametrize(
         "ts",
-        [h_uniform(1.0, 0, 9), h_uniform(0.5, 0, 5), q_geometric(2.0, 1.0, 11)],
+        [h_uniform(1.0, 0, 9), h_uniform(0.5, 0, 5), q_geometric(2.0, 1.0, 11),
+         *(affine_scale(*law, 11) for law in AFFINE_LAWS)],
     )
     def test_order_two_constructed_vanishing_and_impulse(self, ts):
         rng = np.random.default_rng(22)
@@ -483,6 +500,16 @@ class TestFundamentalLemmaOracle:
         rep2 = fundamental_lemma_oracle(ts, [GridFunction(ts, 0, spiked), f1, f2])
         assert not rep2.verdict and rep2.consistent
         assert rep2.max_integral > 1e-3 and rep2.conclusion_sup > 1e-3
+
+    @pytest.mark.parametrize("m, hi", [(0, 9), (1, 9), (2, 8)])
+    def test_vanishing_coefficients_span_the_summands(self, m, hi):
+        # On 11 points the summands are t_0 .. t_(10 - max(m, 1)): the
+        # maximum, where mu = 0, never is one, whatever the order.
+        ts = affine_scale(*AFFINE_LAWS[1], 11)
+        fs = vanishing_coefficients(ts, m, np.random.default_rng(44))
+        assert [f.window for f in fs] == [(0, hi)] * (m + 1)
+        rep = fundamental_lemma_oracle(ts, fs)
+        assert rep.verdict and rep.consistent
 
     def test_grid_too_small(self):
         ts = h_uniform(1.0, 0, 3)
@@ -701,8 +728,9 @@ def test_identity_applies_f_bitwise_as_time_identity(r, n, m, geometric, zero_ro
         assert (a.sup_norm, a.l2_norm, a.tolerance, a.verdict) == (b.sup_norm, b.l2_norm, b.tolerance, b.verdict)
 
 
-# The h-form, q-form and reparametrization oracles against their references,
-# which read the density one point at a time (through a one-row sample).
+# The identity forms and the reparametrization oracle against their
+# references, which read the density one point at a time (through a one-row
+# sample).
 
 def oracle_density(kind, n):
     """A time-dependent density of n components: vectorized or per point,
@@ -729,14 +757,14 @@ def oracle_density(kind, n):
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(["vectorized", "vectorized-fd", "per-point", "per-point-fd"]),
-    spec=st.sampled_from(["h:0.5:0:7", "q:1.5:1:14", "real:0.1:0:2"]),
+    ts=st.sampled_from([parse_scale_spec(spec) for spec in ("h:0.5:0:7", "q:1.5:1:14", "real:0.1:0:2")]
+                       + [affine_scale(*law, 14) for law in AFFINE_LAWS]),
     n=st.integers(1, 3),
     m=st.integers(0, 2),
     lo=st.integers(0, 2),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_oracles_bitwise_equal_per_point_copies(kind, spec, n, m, lo, seed):
-    ts = parse_scale_spec(spec)
+def test_oracles_bitwise_equal_per_point_copies(kind, ts, n, m, lo, seed):
     L = oracle_density(kind, n)
     rng = np.random.default_rng(seed)
     hi = len(ts) - 1 - m
@@ -747,13 +775,15 @@ def test_oracles_bitwise_equal_per_point_copies(kind, spec, n, m, lo, seed):
         [(lambda c: (lambda tt: np.polynomial.polynomial.polyval(tt, c)))(coeffs[k, i]) for i in range(m + 1)]
         for k in range(n)
     ]
+    b1, b0 = ts.condition_h
     if ts.kind == "q-geometric":
-        q = ts.condition_h[0]
-        out, ref = identity_lhs_q_calculus(L, g_funcs, t, y, q, m), reference.identity_form(L, g_funcs, t, y, m, q * t, (q - 1) * t, q)
+        sigma, mu = b1 * t, (b1 - 1) * t
+    elif ts.kind == "explicit":
+        sigma, mu = b1 * t + b0, (b1 - 1) * t + b0
     else:
-        h = ts.condition_h[1]
-        out, ref = identity_lhs_h_calculus(L, g_funcs, t, y, h, m), reference.identity_form(L, g_funcs, t, y, m, t + h, np.full(t.size, h), 1.0)
-    assert np.array_equal(out, ref)
+        sigma, mu = t + b0, np.full(t.size, b0)
+    out = corollary_form(L, g_funcs, t, y, ts, m)
+    assert np.array_equal(out, reference.identity_form(L, g_funcs, t, y, m, sigma, mu, b1))
     path = GridFunction(ts, lo, y[lo:])
     a = second_el_via_reparametrization(L, path)
     assert a.window == (lo, len(ts) - 1 - m - 2) and np.array_equal(a.values[:, 0], reference.reparametrization(L, path))

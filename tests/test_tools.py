@@ -2,14 +2,17 @@
 by path and takes one small measurement, so that a library change that
 breaks a tool's calls fails here, not on its next use by hand."""
 
+import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 import tsnoether as tn
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
 def load_tool(name: str):
@@ -37,3 +40,26 @@ def test_solve_sweep_runs_one_size():
     row = sweep.run(tn.real_approx(1 / 159, 0.0, 1.0), 1)
     assert set(row) == {"N", "solve_s", "tracemalloc_peak_mb", "residual", "dv_samples"}
     assert row["N"] == 160 and row["residual"] <= 1e-9 and row["dv_samples"] > 0
+
+
+def test_mutant_record_is_replayable():
+    """Every mutant in MUTANTS.json can be replayed: its old text occurs
+    exactly once in its file, and each test it lists names a file that
+    exists and, after each ::, a class or function defined in the scope
+    before it.  tools/mutants.py meets a stale text only in the middle of a
+    replay, and an id that matches no test only after it has copied the
+    tree.  When this fails, retarget the mutant's text or ids; do not drop
+    the mutant."""
+    trees = {}
+    for m in json.loads((ROOT / "MUTANTS.json").read_text())["mutants"]:
+        assert (ROOT / m["file"]).read_text().count(m["old"]) == 1, m["id"]
+        for test in m["tests"]:
+            path, *names = test.split("::")
+            assert (ROOT / path).is_file(), (m["id"], test)
+            if path not in trees:
+                trees[path] = ast.parse((ROOT / path).read_text())
+            scope = trees[path]
+            for name in names:
+                scope = next((node for node in scope.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                              and node.name == name.split("[")[0]), None)
+                assert scope is not None, (m["id"], test)
