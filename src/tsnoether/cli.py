@@ -316,8 +316,8 @@ def _cmd_em(args):
     # Each section becomes its dict as its check returns: no per_point or field outlives it.
     fam = em_mod.em_gauge_family(grid)
     sections = [_section("gauge-invariance", em_mod._gauge_invariance(fam, args.trials, args.seed), args.verbose)]
-    A = em_mod.random_em_field(grid, seed=[args.seed, 1])
-    sections.append(_section("identity", mg.noether_identity_d(em_mod.em_lagrangian(), fam, A), args.verbose))
+    ident = mg.noether_identity_d(em_mod.em_lagrangian(), fam, em_mod.random_em_field(grid, seed=[args.seed, 1]))
+    sections.append(_section("identity", ident, args.verbose))
     A = em_mod.lorentz_field(grid)
     sections.append(_section("lorentz", em_mod.em_lorentz_check(A), args.verbose))
     sections.append(_section("wave-form", em_mod.em_wave_reduction_residual(A), args.verbose))

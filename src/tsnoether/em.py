@@ -33,10 +33,10 @@ from .multigrid import (
     LagrangianD,
     el_expressions_d,
     functional_d,
+    gauge_field,
     partial_delta,
     random_polynomial_field,
     shift_all_except,
-    transform_d,
     _field_strength_lagrangian,
 )
 from .timescale import _sealed, h_uniform
@@ -67,11 +67,14 @@ def _gauge_invariance(fam: GaugeFamilyD, trials: int, seed: int) -> ResidualRepo
     potential (seed [seed, 1, t]) and a parameter p (seed [seed, 2, t])."""
 
     def pair(trial: int) -> tuple[float, float]:
-        A = random_em_field(fam.grid, seed=[seed, 1, trial])
-        before = em_functional(A)
-        p = random_polynomial_field(fam.grid, seed=[seed, 2, trial])
+        A = list(random_em_field(fam.grid, seed=[seed, 1, trial]))
+        before = em_functional(tuple(A))
         # The family subtracts the quotient; -p adds it, as the golden reports pin.
-        return before, em_functional(transform_d(fam, -p, A))
+        # Each A_k is replaced as it is transformed, so no second potential is held.
+        minus_p = -random_polynomial_field(fam.grid, seed=[seed, 2, trial])
+        for k in range(fam.n):
+            A[k] = A[k] + gauge_field(fam, minus_p, k)
+        return before, em_functional(tuple(A))
 
     return ResidualReport.from_trials((0, trials - 1), trials, pair, INVARIANCE_TOLERANCE)
 
@@ -81,13 +84,18 @@ def em_lorentz_check(A: tuple) -> ResidualReport:
     (sigma on every axis except one in turn)."""
     div = reduce(add, (partial_delta(A[i], i) for i in (1, 2, 3)))
     dA0 = partial_delta(A[0], 0)
-    return _fields_report([shift_all_except(div, k) - shift_all_except(dA0, k) for k in range(4)], 1e-10)
+    fields = [shift_all_except(div, k) - shift_all_except(dA0, k) for k in range(4)]
+    del div, dA0
+    return _fields_report(fields, 1e-10)
 
 
 def _fields_report(fields: list, tolerance: float) -> ResidualReport:
-    """One report over the ravelled values of fields, on the last one's axis-0 window."""
+    """One report over the ravelled values of fields, on the last one's
+    axis-0 window; it empties the list before the report's sums."""
+    domain = (fields[-1].lo[0], fields[-1].hi[0])
     per_point = np.concatenate([f.values.ravel() for f in fields])
-    return ResidualReport.from_per_point((fields[-1].lo[0], fields[-1].hi[0]), per_point, tolerance)
+    fields.clear()
+    return ResidualReport.from_per_point(domain, per_point, tolerance)
 
 
 def em_wave_form(A: tuple) -> tuple:
@@ -100,20 +108,23 @@ def em_wave_form(A: tuple) -> tuple:
     substituting the continuity conditions forces the split (the quadratic
     cross terms cancel with opposite orientations for k = 0 and k > 0).
     """
-    out = []
-    for k, A_k in enumerate(A):
-        wave = shift_all_except(partial_delta(partial_delta(A_k, 0), 0), 0)
-        for i in (1, 2, 3):
-            wave = wave - shift_all_except(partial_delta(partial_delta(A_k, i), i), i)
-        out.append(wave if k == 0 else -wave)
-    return tuple(out)
+    return tuple(_wave(A_k, k) for k, A_k in enumerate(A))
+
+
+def _wave(A_k: FieldD, k: int) -> FieldD:
+    """Component k of em_wave_form."""
+    wave = shift_all_except(partial_delta(partial_delta(A_k, 0), 0), 0)
+    for i in (1, 2, 3):
+        wave = wave - shift_all_except(partial_delta(partial_delta(A_k, i), i), i)
+    return wave if k == 0 else -wave
 
 
 def em_wave_reduction_residual(A: tuple) -> ResidualReport:
     """Gap between the Euler-Lagrange expressions and the wave form; small
-    only when the Lorentz conditions hold."""
-    es = el_expressions_d(em_lagrangian(), A)
-    return _fields_report([e - w for e, w in zip(es, em_wave_form(A))], 1e-9)
+    only when the Lorentz conditions hold.  Each E_k and its wave are
+    dropped before the next component's are formed."""
+    es = list(el_expressions_d(em_lagrangian(), A))
+    return _fields_report([es.pop(0) - _wave(A_k, k) for k, A_k in enumerate(A)], 1e-9)
 
 
 def default_lattice() -> GridD:
@@ -128,13 +139,11 @@ def random_em_field(grid: GridD, seed) -> tuple:
 def lorentz_field(grid: GridD) -> tuple:
     """A field satisfying the continuity conditions exactly: A_0 = t0*t1,
     A_1 the axis-1 delta antiderivative of t1, A_2 = A_3 = 0, so that
-    div A and dA_0/dt both equal t1 as fields."""
+    div A and dA_0/dt both equal t1 as fields.  Each component is a
+    read-only broadcast view of its small product, not a grid-sized copy."""
     t0 = grid.scales[0].points
     t1 = grid.scales[1].points
-    shape = grid.shape
-    zeros = _sealed(np.zeros(shape))
-    A0 = _sealed((t0[:, None] * t1[None, :])[:, :, None, None] * np.ones((1, 1, shape[2], shape[3])))
-    anti = np.concatenate(([0.0], np.cumsum(np.diff(t1) * t1[:-1])))
-    A1 = _sealed(anti[None, :, None, None] * np.ones((shape[0], 1, shape[2], shape[3])))
-    lo = (0, 0, 0, 0)
-    return (FieldD(grid, lo, A0), FieldD(grid, lo, A1), FieldD(grid, lo, zeros), FieldD(grid, lo, zeros))
+    A0 = _sealed(t0[:, None] * t1[None, :])[:, :, None, None]
+    A1 = _sealed(np.concatenate(([0.0], np.cumsum(np.diff(t1) * t1[:-1]))))[None, :, None, None]
+    zeros = _sealed(np.zeros(1))
+    return tuple(FieldD(grid, (0,) * 4, np.broadcast_to(v, grid.shape)) for v in (A0, A1, zeros, zeros))

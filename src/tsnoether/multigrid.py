@@ -475,11 +475,13 @@ def check_invariance_d(L: LagrangianD, fam: GaugeFamilyD, u: tuple, trials: int 
 
 
 def noether_identity_d(L: LagrangianD, fam: GaugeFamilyD, u: tuple) -> ResidualReport:
-    """Residual of sum_k adjoint_k(E_k) on the largest interior window."""
+    """Residual of sum_k adjoint_k(E_k) on the largest interior window.  u
+    is dropped once E is formed, and each E_k as its adjoint term is added."""
     if fam.n != L.n:
         raise ValueError(f"component count mismatch: the family has n = {fam.n}, the density n = {L.n}")
-    es = el_expressions_d(L, u)
-    total = reduce(add, (gauge_field_adjoint(fam, es[k], k) for k in range(fam.n)))
+    es = list(el_expressions_d(L, u))
+    del u
+    total = reduce(add, (gauge_field_adjoint(fam, es.pop(0), k) for k in range(fam.n)))
     return ResidualReport.from_per_point((total.lo[0], total.hi[0]), total.values, IDENTITY_TOLERANCE)
 
 

@@ -950,13 +950,14 @@ def test_ab_tool_on_two_copies_of_one_tree(tmp_path):
         for prefix, line in zip(prefixes, lines):
             found = re.fullmatch(
                 prefix + r"A \S+ ms, B \S+ ms; B/A median (\S+) \(IQR (\S+)-(\S+)\) over 30 pairs; "
-                r"minor faults per call A (\S+), B (\S+); stdout identical: yes",
+                r"minor faults per call A (\S+), B (\S+); traced peak A (\S+) MiB, B (\S+) MiB; "
+                r"stdout identical: yes",
                 line,
             )
             assert found, done.stdout
             q1, median, q3 = float(found[2]), float(found[1]), float(found[3])
             assert 0 < q1 <= median <= q3
-            assert all(float(found[i]) >= 0 for i in (4, 5))
+            assert all(float(found[i]) >= 0 for i in (4, 5, 6, 7))
 
 
 def test_ab_tool_fixed_heap_refused_without_mallopt():

@@ -20,6 +20,7 @@ from tsnoether import (
     lorentz_field,
     multi_integral,
     noether_identity_d,
+    parse_scale_spec,
     partial_delta,
     q_geometric,
     random_em_field,
@@ -48,6 +49,7 @@ def mixed_lattice():
 
 GRID = default_lattice()
 LATTICES = [GRID, mixed_lattice()]
+Q_TIME_LATTICE = GridD(tuple(parse_scale_spec(s) for s in ("q:1.5:1:6", "h:1:0:5", "q:2:1:6", "h:0.5:0:2.5")))
 _ELECTRIC = ((1, 0), (2, 0), (3, 0))
 _MAGNETIC = ((2, 3), (3, 1), (1, 2))
 
@@ -245,6 +247,20 @@ class TestLorentzAndWave:
         F = random_em_field(GRID, seed=11)
         assert em_lorentz_check(F).sup_norm > 1e-3
 
+    @pytest.mark.parametrize("grid", [GRID, mixed_lattice(), Q_TIME_LATTICE], ids=["uniform", "mixed", "q-time"])
+    def test_broadcast_lorentz_field_gives_the_bits_of_copies(self, grid):
+        # A_0 = t0*t1 is constant along axes 2 and 3, A_1 along 0, 2 and 3,
+        # and A_2 = A_3 = 0 everywhere: each is a read-only view that repeats
+        # its small product with stride 0, and the checks read it as they
+        # read a full C-order copy of the same values.
+        F = lorentz_field(grid)
+        for f, flat in zip(F, ((2, 3), (0, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3))):
+            assert f.values.shape == grid.shape and not f.values.flags.writeable
+            assert [ax for ax in range(4) if f.values.strides[ax] == 0] == list(flat)
+        copies = tuple(FieldD(grid, f.lo, np.ascontiguousarray(f.values)) for f in F)
+        for check in (em_lorentz_check, em_wave_reduction_residual):
+            assert same_bits(check(F).per_point, check(copies).per_point)
+
 
 class TestConstruction:
     def test_dimension_checks(self):
@@ -259,10 +275,14 @@ class TestConstruction:
 
 
 def test_em_command_peak_in_cell_arrays():
-    # Each em section becomes its report as soon as it returns, and the g
-    # partial takes no array of its own: at 12^4 the traced peak of a second
-    # run (the first builds the parser) is 35.9 arrays of the pattern's cell
-    # shape, 11^4 floats, about the moment of the gauge section's transform.
+    # Each em section becomes its report as soon as it returns, the g partial
+    # takes no array of its own, and each section holds one working set
+    # beside the pattern workspace (20 cell arrays): at 12^4 the traced peak
+    # of a second run (the first builds the parser) is 30.4 arrays of the
+    # pattern's cell shape, 11^4 floats.  Two moments bind within 0.4 of
+    # each other: the identity's Euler-Lagrange assembly, with the potential
+    # still alive, and the gauge trial's transform, which replaces one A_k
+    # at a time beside -p.
     import io
     import tracemalloc
     from contextlib import redirect_stdout
@@ -278,4 +298,23 @@ def test_em_command_peak_in_cell_arrays():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 36.9 * 8 * 11**4
+    assert peak < 30.8 * 8 * 11**4
+
+
+def test_em_wave_form_peak_in_cell_arrays():
+    # The wave-form section forms E_k minus its wave one component at a time
+    # and drops both before the next: on a 12^4 grid whose pattern workspace
+    # is built, the traced peak of the residual is 7.5 arrays of the cell
+    # shape, where forming every wave first reads 9.5.
+    import tracemalloc
+
+    grid = GridD(tuple(h_uniform(1.0, 0.0, 11.0) for _ in range(4)))
+    F = lorentz_field(grid)
+    em_wave_reduction_residual(F)
+    tracemalloc.start()
+    try:
+        em_wave_reduction_residual(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.0 * 8 * 11**4

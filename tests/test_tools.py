@@ -5,6 +5,8 @@ breaks a tool's calls fails here, not on its next use by hand."""
 import ast
 import importlib.util
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,19 @@ def test_solve_sweep_runs_one_size():
     row = sweep.run(tn.real_approx(1 / 159, 0.0, 1.0), 1)
     assert set(row) == {"N", "solve_s", "tracemalloc_peak_mb", "residual", "dv_samples"}
     assert row["N"] == 160 and row["residual"] <= 1e-9 and row["dv_samples"] > 0
+
+
+def test_ab_reading_prints_both_traced_peaks(monkeypatch):
+    ab = load_tool("ab")
+    monkeypatch.setattr(ab, "PAIRS", 2)
+    try:
+        line, identical = ab.reading([str(ROOT), str(ROOT)], ["em", "--trials", "2"])
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] in ("tsnoether_a", "tsnoether_b")]:
+            del sys.modules[name]
+    assert identical and line.endswith("stdout identical: yes")
+    peaks = re.search(r"traced peak A ([0-9.]+) MiB, B ([0-9.]+) MiB; ", line)
+    assert peaks and all(float(x) > 0 for x in peaks.groups())
 
 
 def test_mutant_record_is_replayable():

@@ -13,12 +13,14 @@ calls alternate in order, A then B, then B then A, so that neither side
 always runs on the heap the other just left.  Each pair gives the ratio of
 B's wall time to A's; the tool prints the median ratio, its quartiles,
 each side's median minor page faults per call (getrusage's ru_minflt read
-around each timed call) and whether every call wrote the same stdout bytes
-and exit code.  A gain that comes with fewer faults may be the heap's, not
-the code's; the fault counts show which without a second tool.  Separate
-processes per run cannot tell a code effect of a few percent on a
-millisecond command from the heap layout each process happens to get; one
-process shares one history between both sides.
+around each timed call), each side's traced peak (tracemalloc's peak over
+one untimed call per side after the pairs) and whether every call wrote
+the same stdout bytes and exit code.  A gain that comes with fewer faults
+may be the heap's, not the code's; the fault counts show which without a
+second tool, and the traced peaks show a memory change of both trees from
+one process.  Separate processes per run cannot tell a code effect of a
+few percent on a millisecond command from the heap layout each process
+happens to get; one process shares one history between both sides.
 
 One history still leaves one heap layout, and a layout can move a short
 command by 10-40%.  With --fixed-heap the tool also takes the reading with
@@ -44,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -97,6 +100,20 @@ def timed_call(cli, argv: list[str]) -> tuple[float, int, tuple[int, bytes]]:
     return elapsed, faults, (code, out.getvalue().encode())
 
 
+def traced_peak(cli, argv: list[str]) -> tuple[int, tuple[int, bytes]]:
+    """tracemalloc's peak bytes over one cli.main(argv) call, and its exit
+    code and stdout bytes."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak, (code, out.getvalue().encode())
+
+
 def reading(trees: list[str], command: list[str]) -> tuple[str, bool]:
     """The timing line of PAIRS alternating pairs, and whether every call
     wrote the same stdout bytes and exit code."""
@@ -111,6 +128,11 @@ def reading(trees: list[str], command: list[str]) -> tuple[str, bool]:
             if i:
                 times[side].append(elapsed)
                 faults[side].append(minflt)
+    peaks = []
+    for cli in clis:
+        peak, output = traced_peak(cli, command)
+        peaks.append(peak)
+        outputs.add(output)
     ratios = [b / a for a, b in zip(*times)]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
     identical = len(outputs) == 1
@@ -118,6 +140,7 @@ def reading(trees: list[str], command: list[str]) -> tuple[str, bool]:
         f"A {statistics.median(times[0]) * 1e3:.3f} ms, B {statistics.median(times[1]) * 1e3:.3f} ms; "
         f"B/A median {statistics.median(ratios):.3f} (IQR {q1:.3f}-{q3:.3f}) over {PAIRS} pairs; "
         f"minor faults per call A {statistics.median(faults[0]):g}, B {statistics.median(faults[1]):g}; "
+        f"traced peak A {peaks[0] / 2**20:.2f} MiB, B {peaks[1] / 2**20:.2f} MiB; "
         f"stdout identical: {'yes' if identical else 'no'}"
     )
     return line, identical
