@@ -178,8 +178,9 @@ def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.
 
     params holds one scalar GridFunction per parameter.  Each term
     D[j, i] = p_j^(sigma^(m-i-1), delta^i) is taken once on the family
-    window, and the g and f tables weight it with left-to-right sums, i
-    inside and j outside.
+    window, and the g and f tables weight it on y's window with
+    left-to-right sums, i inside and j outside.  Each product is written
+    points-first, so both results are fresh read-only C-order arrays.
     """
     if len(params) != fam.r:
         raise ValueError(f"family expects {fam.r} parameters")
@@ -200,10 +201,15 @@ def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.
     rows = slice(y.lo, y.hi + 1)
 
     def weighted(table: np.ndarray) -> np.ndarray:
-        sums = (reduce(add, (table[j, ..., i, :] * D[j, i] for i in range(fam.m + 1))) for j in range(fam.r))
-        return reduce(add, sums)[..., rows]
+        def product(j: int, i: int) -> np.ndarray:
+            out = np.empty((len(y.values),) + table.shape[1:-2])
+            np.multiply(table[j, ..., i, rows], D[j, i, rows], out=out.T)
+            return out
 
-    return weighted(fam.g).T, None if fam.f is None else weighted(fam.f)
+        sums = (reduce(add, (product(j, i) for i in range(fam.m + 1))) for j in range(fam.r))
+        return reduce(add, sums)
+
+    return _sealed(weighted(fam.g)), None if fam.f is None else _sealed(weighted(fam.f))
 
 
 def transform(fam: GaugeFamily, params: tuple, y: GridFunction):
@@ -310,7 +316,9 @@ def _identity_sum(fam: GaugeFamily, table: np.ndarray, E: GridFunction, b1: floa
     component k at order i."""
     def term(k: int, i: int, row: np.ndarray) -> GridFunction:
         t = shift(GridFunction(fam.ts, 0, row), 1) * E.component(k)
-        return (-1.0) ** i * (1.0 / b1) ** ((i * (i + 1)) // 2) * (delta_derivative(t, i) if i else t)
+        c = (-1.0) ** i * (1.0 / b1) ** ((i * (i + 1)) // 2)
+        t = delta_derivative(t, i) if i else t
+        return t if c == 1.0 else c * t  # a multiply by 1.0 changes no bit
 
     return reduce(add, (term(k, i, row) for k, rows in enumerate(table) for i, row in enumerate(rows)))
 

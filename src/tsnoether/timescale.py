@@ -339,14 +339,29 @@ def forward_quotient(values: np.ndarray, ts: TimeScale, lo: int, axis: int = 0) 
     """Forward difference quotient of float samples along one axis, whose
     window on the scale ts starts at index lo: np.diff of the values over
     np.diff of the window's points.  The result has one entry fewer on that
-    axis; it is divided in place, and not at all on a scale of unit steps.
-    The result is a fresh read-only array."""
+    axis and is a fresh read-only array in the layout of values: C order
+    for C-order values, so (N - 1, n) rows for (N, n) path samples."""
+    return _sealed(_quotient(values, ts, lo, axis))
+
+
+def _quotient(values: np.ndarray, ts: TimeScale, lo: int, axis: int) -> np.ndarray:
+    """forward_quotient's result, writeable, for a caller that writes over it.
+    It is divided in place, and not at all on a scale of unit steps.  Along
+    axis 0 of a two-column sample, such as a pair path or a 2-D field two
+    points wide, each column is divided in its own pass: against an (N, 1)
+    gap, rows of two run one inner loop per point (ROADMAP item 1).  From
+    three columns on, and for one, the broadcast is as fast or faster."""
     out = np.diff(values, axis=axis)
     if not ts.unit_steps:
         shape = [1] * values.ndim
         shape[axis] = out.shape[axis]
-        out /= np.diff(ts.points[lo : lo + shape[axis] + 1]).reshape(shape)
-    return _sealed(out)
+        mu = np.diff(ts.points[lo : lo + shape[axis] + 1])
+        if values.ndim == 2 and axis == 0 and out.shape[1] == 2:
+            for column in out.T:
+                column /= mu
+        else:
+            out /= mu.reshape(shape)
+    return out
 
 
 def shift_values(values: np.ndarray, axis: int, lo: int, npts: int, k: int) -> tuple[int, np.ndarray]:

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .report import ResidualReport
-from .timescale import GridFunction, TimeScale, _sealed, delta_derivative, delta_integral, forward_quotient, shift
+from .timescale import GridFunction, TimeScale, _quotient, _sealed, delta_derivative, delta_integral, forward_quotient, shift
 from .timescale import window_integral
 
 
@@ -154,15 +154,20 @@ def _el_values(P: np.ndarray, Q: np.ndarray, scales: tuple, lo: tuple, axes=None
     each leading axis, a trailing component axis kept whole.  Every
     Euler-Lagrange expression, 1-D and d-D, and Newton's residual take this,
     and it alone refuses a window that leaves no entry on some axis.
-    Given `axes`, any other Q[j] is taken as 0.0: its quotient would change no bit."""
+    Given `axes`, any other Q[j] is taken as 0.0: its quotient would change no bit.
+    The result is a fresh writeable array, C order for C-order Q: the first
+    quotient's own, with P minus it written over it (P is copied only when
+    `axes` leaves no quotient)."""
     inner = (slice(0, -1),) * len(scales)
-    e = P[inner].copy()
-    if 0 in e.shape[: len(scales)]:
+    if min(P.shape[: len(scales)]) < 2:
         raise ValueError("window too small for the Euler-Lagrange expressions")
+    e = None
     for j, (ts, l) in enumerate(zip(scales, lo)):
         if axes is None or j in axes:
-            e -= forward_quotient(Q[j][inner[:j] + (slice(None),) + inner[j + 1 :]], ts, l, j)
-    return e
+            q = _quotient(Q[j][inner[:j] + (slice(None),) + inner[j + 1 :]], ts, l, j)
+            e = np.subtract(P[inner], q, out=q) if e is None else np.subtract(e, q, out=e)
+            del q  # before the next axis's quotient is formed: one cell array less at the peak
+    return P[inner].copy() if e is None else e
 
 
 # The Euler-Lagrange threshold: el_residual's verdict and solve_extremal's
@@ -360,7 +365,10 @@ def _quadratic(n: int, cv: float, cu: float, cuv: float) -> Lagrangian:
 
 def _pair_difference_dv(t, U, V) -> np.ndarray:
     w = V[:, 0] - V[:, 1]
-    return np.column_stack([2 * w, -2 * w])
+    out = np.empty((len(w), 2))
+    np.multiply(2, w, out=out[:, 0])
+    np.multiply(-2, w, out=out[:, 1])
+    return out
 
 
 def catalog(name: str) -> Lagrangian:

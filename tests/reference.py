@@ -225,6 +225,12 @@ def second_el_expression(L, y):
     return GridFunction(y.ts, y.lo, el_values(lt, inner[None], (y.ts,), (y.lo,)))
 
 
+def pair_difference_dv(V):
+    """The pair-difference v partial: 2w and -2w of w = v0 - v1, stacked as columns."""
+    w = V[:, 0] - V[:, 1]
+    return np.column_stack([2 * w, -2 * w])
+
+
 # The field-strength densities: multigrid._field_strength_lagrangian.
 
 ELECTRIC, MAGNETIC = ((1, 0), (2, 0), (3, 0)), ((2, 3), (3, 1), (1, 2))

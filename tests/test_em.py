@@ -301,6 +301,30 @@ def test_em_command_peak_in_cell_arrays():
     assert peak < 30.8 * 8 * 11**4
 
 
+def test_check_noether_command_peak_in_point_arrays():
+    # The 1-D bound beside em's: the Euler-Lagrange assembly writes over its
+    # quotient, and the gauge and identity terms make no transposing copy,
+    # so the traced peak of a second check-noether run (the first builds the
+    # parser) on a 10^4-point q scale is 14.1 arrays of 10^4 floats (16.9
+    # before the long column passes).
+    import io
+    import tracemalloc
+    from contextlib import redirect_stdout
+
+    from tsnoether.cli import main
+
+    argv = ["check-noether", "--scale", "q:1.0005:1:10000", "--lagrangian", "pair-difference", "--family", "pairdiff"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 14.5 * 8 * 10**4
+
+
 def test_em_wave_form_peak_in_cell_arrays():
     # The wave-form section forms E_k minus its wave one component at a time
     # and drops both before the next: on a 12^4 grid whose pattern workspace

@@ -1547,7 +1547,7 @@ def test_el_expressions_bitwise_equal_full_assembly(name):
     fields = [tuple(random_polynomial_field(grid, seed=[33, t, k]) for k in range(L.n)) for t in range(2)]
     fields.append(tuple(f.restrict((1,) * grid.d, tuple(n - 1 for n in grid.shape)) for f in fields[0]))
     quotients = []
-    real = variational.forward_quotient
+    real = variational._quotient
 
     def counting(*args):
         quotients.append(args[3])
@@ -1556,7 +1556,7 @@ def test_el_expressions_bitwise_equal_full_assembly(name):
     for u in fields:
         ref = reference.el_expressions_d(L, u)
         quotients.clear()
-        with mock.patch.object(variational, "forward_quotient", counting):
+        with mock.patch.object(variational, "_quotient", counting):
             out = el_expressions_d(L, u)
         assert bits(out) == bits(ref)
         assert len(quotients) == (L.d * L.n if L.g_slots is None else len(L.g_slots))
