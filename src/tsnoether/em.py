@@ -33,11 +33,11 @@ from .multigrid import (
     LagrangianD,
     el_expressions_d,
     functional_d,
-    gauge_field,
     partial_delta,
     random_polynomial_field,
     shift_all_except,
     _field_strength_lagrangian,
+    _transformed,
 )
 from .timescale import _sealed, h_uniform
 
@@ -70,10 +70,12 @@ def _gauge_invariance(fam: GaugeFamilyD, trials: int, seed: int) -> ResidualRepo
         A = list(random_em_field(fam.grid, seed=[seed, 1, trial]))
         before = em_functional(tuple(A))
         # The family subtracts the quotient; -p adds it, as the golden reports pin.
-        # Each A_k is replaced as it is transformed, so no second potential is held.
+        # Each A_k is replaced as it is transformed, so no second potential is
+        # held, and -p is dropped before the second action.
         minus_p = -random_polynomial_field(fam.grid, seed=[seed, 2, trial])
         for k in range(fam.n):
-            A[k] = A[k] + gauge_field(fam, minus_p, k)
+            A[k] = _transformed(fam, minus_p, A[k], k)
+        del minus_p
         return before, em_functional(tuple(A))
 
     return ResidualReport.from_trials((0, trials - 1), trials, pair, INVARIANCE_TOLERANCE)

@@ -359,35 +359,59 @@ class GaugeFamilyD:
         return len(self.a)
 
 
-def _gauge_sum(row, term, grid: GridD) -> FieldD:
+def _gauge_sum(row, term, grid: GridD) -> tuple:
     """Sum of term(i, row[i]) over the coefficients that are not zero (of
     either sign), so that skipped terms do not shrink the window; the zero
-    field on the whole grid if all are."""
+    field on the whole grid if all are.  Terms and sum are _sum's pairs."""
     out = None
     for i, c in enumerate(row):
         if c != 0.0:
-            out = term(i, c) if out is None else out + term(i, c)
-    return FieldD(grid, (0,) * grid.d, _sealed(np.zeros(grid.shape))) if out is None else out
+            out = term(i, c) if out is None else _sum(out, term(i, c))
+    return ((0,) * grid.d, np.zeros(grid.shape)) if out is None else out
 
 
-def _times(c: float, f: FieldD) -> FieldD:
-    """c * f, or f itself when c is 1.0, where the product changes no bit."""
-    return f if c == 1.0 else c * f
+def _sum(a: tuple, b: tuple) -> tuple:
+    """a + b for (lo, values) pairs whose values are writeable only when
+    made for this sum: on one window, written over b's buffer or else a's
+    (a stays the first operand); else a new array on the common window."""
+    (lo, x), (lo_b, y) = a, b
+    if lo == lo_b and x.shape == y.shape:
+        for buf in (y, x):
+            if buf.flags.writeable:
+                return lo, np.add(x, y, out=buf)
+    lo, (x, y) = _overlap(a, b)
+    return lo, np.add(x, y)
 
 
-def _rho_quotient(p: FieldD, axis: int) -> FieldD:
-    """shift_axis(partial_delta(p, axis), axis, -1).  On a window at the
-    scale minimum, of C-ordered values, it is one buffer of p's shape: the
-    differences at the axis stride over the flat values, written after the
-    first flat slab and right everywhere but where the axis index is 0,
-    then off unit steps the unwritten head zeroed and the whole divided in
-    one pass by 1.0 and the gaps (the leading corner of the grid's
-    rho_divisors table, of p's shape: the table is constant off its axis),
-    and slab 1 repeated over slab 0.  Above the minimum the shift is a
-    view."""
+def _times(c: float, term: tuple) -> tuple:
+    """c times a _sum pair: the pair itself when c is 1.0, where the product
+    changes no bit, else formed over its values when they are writeable."""
+    lo, values = term
+    if c == 1.0:
+        return term
+    return lo, np.multiply(values, c, out=values if values.flags.writeable else None)
+
+
+def _field(grid: GridD, term: tuple) -> FieldD:
+    """The field of a _sum pair, its values sealed."""
+    lo, values = term
+    return FieldD(grid, lo, _sealed(values))
+
+
+def _rho_quotient(p: FieldD, axis: int) -> tuple:
+    """shift_axis(partial_delta(p, axis), axis, -1) as a _sum pair.  On a
+    window at the scale minimum, of C-ordered values, it is one new buffer
+    of p's shape: the differences at the axis stride over the flat values,
+    written after the first flat slab and right everywhere but where the
+    axis index is 0, then off unit steps the unwritten head zeroed and the
+    whole divided in one pass by 1.0 and the gaps (the leading corner of
+    the grid's rho_divisors table, of p's shape: the table is constant off
+    its axis), and slab 1 repeated over slab 0.  Above the minimum the
+    shift is a view."""
     n = p.values.shape[axis]
     if p.lo[axis] or n < 2 or not p.values.flags.c_contiguous:
-        return shift_axis(partial_delta(p, axis), axis, -1)
+        f = shift_axis(partial_delta(p, axis), axis, -1)
+        return f.lo, f.values
     before = (slice(None),) * axis
     out = np.empty(p.values.shape)
     src, step = p.values.ravel(), prod(p.values.shape[axis + 1 :])
@@ -396,7 +420,13 @@ def _rho_quotient(p: FieldD, axis: int) -> FieldD:
         out.ravel()[:step] = 0.0
         out /= p.grid.rho_divisors[axis][tuple(map(slice, out.shape))]
     out[before + (slice(0, 1),)] = out[before + (slice(1, 2),)]
-    return FieldD(p.grid, p.lo, _sealed(out))
+    return p.lo, out
+
+
+def _gauge_values(fam: GaugeFamilyD, p: FieldD, k: int) -> tuple:
+    """gauge_field as a _sum pair: each term and its coefficient formed in the
+    term's own buffer, and the terms summed over one of theirs."""
+    return _gauge_sum(fam.a[k], lambda i, c: _times(c, (p.lo, p.values) if i == 0 else _rho_quotient(p, i - 1)), p.grid)
 
 
 def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
@@ -406,12 +436,20 @@ def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
     Zero coefficients contribute nothing and are skipped so they do not
     shrink the window.
     """
-    return _gauge_sum(fam.a[k], lambda i, c: _times(c, p if i == 0 else _rho_quotient(p, i - 1)), p.grid)
+    return _field(p.grid, _gauge_values(fam, p, k))
 
 
 def gauge_field_adjoint(fam: GaugeFamilyD, q: FieldD, k: int) -> FieldD:
     """Summation-by-parts transpose: q*a0 - sum_j d/dx_j (q * a_j)."""
-    return _gauge_sum(fam.a[k], lambda i, c: _times(c, q) if i == 0 else -partial_delta(_times(c, q), i - 1), q.grid)
+
+    def term(i, c):
+        qc = _times(c, (q.lo, q.values))
+        if i == 0:
+            return qc
+        f = -partial_delta(_field(q.grid, qc), i - 1)
+        return f.lo, f.values
+
+    return _field(q.grid, _gauge_sum(fam.a[k], term, q.grid))
 
 
 def gauge_pairing(fam: GaugeFamilyD, p: FieldD, q: FieldD, k: int) -> tuple[float, float]:
@@ -423,10 +461,18 @@ def gauge_pairing(fam: GaugeFamilyD, p: FieldD, q: FieldD, k: int) -> tuple[floa
     return lhs, multi_integral(gauge_field_adjoint(fam, q, k) * shift_all_except(p, None))
 
 
+def _transformed(fam: GaugeFamilyD, p: FieldD, u_k: FieldD, k: int) -> FieldD:
+    """u_k + gauge_field(fam, p, k), over the gauge term's own buffer when it
+    has one on u_k's window; p and u_k are never written."""
+    if not u_k.grid.same_as(p.grid):
+        raise ValueError("fields live on different grids")
+    return _field(u_k.grid, _sum((u_k.lo, u_k.values), _gauge_values(fam, p, k)))
+
+
 def transform_d(fam: GaugeFamilyD, p: FieldD, u: tuple) -> tuple:
     if len(u) != fam.n:
         raise ValueError(f"component count mismatch: the family has n = {fam.n}, the field n = {len(u)}")
-    return tuple(u_k + gauge_field(fam, p, k) for k, u_k in enumerate(u))
+    return tuple(_transformed(fam, p, u_k, k) for k, u_k in enumerate(u))
 
 
 def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float = 1.0) -> FieldD:

@@ -173,6 +173,12 @@ def _coeff_grid(ts: TimeScale, spec, hi: int, name: str) -> np.ndarray:
 
 
 def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.ndarray, np.ndarray | None]:
+    """_perturbation_values's arrays, sealed."""
+    dy, dt = _perturbation_values(fam, params, y)
+    return _sealed(dy), None if dt is None else _sealed(dt)
+
+
+def _perturbation_values(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.ndarray, np.ndarray | None]:
     """What the family adds on y's window: to the components, shape
     (points, n), and to the times, shape (points,) or None without f.
 
@@ -180,7 +186,7 @@ def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.
     D[j, i] = p_j^(sigma^(m-i-1), delta^i) is taken once on the family
     window, and the g and f tables weight it on y's window with
     left-to-right sums, i inside and j outside.  Each product is written
-    points-first, so both results are fresh read-only C-order arrays.
+    points-first, so both results are new writeable C-order arrays.
     """
     if len(params) != fam.r:
         raise ValueError(f"family expects {fam.r} parameters")
@@ -209,7 +215,7 @@ def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.
         sums = (reduce(add, (product(j, i) for i in range(fam.m + 1))) for j in range(fam.r))
         return reduce(add, sums)
 
-    return _sealed(weighted(fam.g)), None if fam.f is None else _sealed(weighted(fam.f))
+    return weighted(fam.g), None if fam.f is None else weighted(fam.f)
 
 
 def transform(fam: GaugeFamily, params: tuple, y: GridFunction):
@@ -220,11 +226,11 @@ def transform(fam: GaugeFamily, params: tuple, y: GridFunction):
     lives on the image scale alpha(points); alpha must come out strictly
     increasing.
     """
-    dy, dt = _perturbation(fam, params, y)
-    ybar_vals = _sealed(y.values + dy)
+    dy, dt = _perturbation_values(fam, params, y)
+    ybar_vals = _sealed(np.add(y.values, dy, out=dy))
     if dt is None:
         return None, GridFunction(y.ts, y.lo, ybar_vals)
-    alpha_vals = _sealed(y.ts.points[y.lo : y.hi + 1] + dt)
+    alpha_vals = _sealed(np.add(y.ts.points[y.lo : y.hi + 1], dt, out=dt))
     if not np.all(np.diff(alpha_vals) > 0):
         raise ValueError("time reparametrization is not strictly increasing")
     alpha = GridFunction(y.ts, y.lo, alpha_vals)

@@ -278,11 +278,12 @@ def test_em_command_peak_in_cell_arrays():
     # Each em section becomes its report as soon as it returns, the g partial
     # takes no array of its own, and each section holds one working set
     # beside the pattern workspace (20 cell arrays): at 12^4 the traced peak
-    # of a second run (the first builds the parser) is 30.4 arrays of the
-    # pattern's cell shape, 11^4 floats.  Two moments bind within 0.4 of
-    # each other: the identity's Euler-Lagrange assembly, with the potential
-    # still alive, and the gauge trial's transform, which replaces one A_k
-    # at a time beside -p.
+    # of a second run (the first builds the parser) is 30.35 arrays of the
+    # pattern's cell shape, 11^4 floats.  The identity's Euler-Lagrange
+    # assembly, with the potential still alive, binds.  The gauge trial's
+    # transform, which replaces one A_k at a time beside -p and forms each
+    # new A_k in its gauge term's buffer, peaks 0.7 below it, and its second
+    # action, after -p is dropped, 2.5 below.
     import io
     import tracemalloc
     from contextlib import redirect_stdout
@@ -342,3 +343,25 @@ def test_em_wave_form_peak_in_cell_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 8.0 * 8 * 11**4
+
+
+def test_em_gauge_trial_peak_in_cell_arrays():
+    # The gauge trial forms each new A_k in its gauge term's buffer and
+    # drops -p before its second action: on a 16^4 grid whose pattern
+    # workspace is built, the traced peak of a trial is the transform's,
+    # 8.2 arrays of the cell shape (15^4 floats).  Holding -p through the
+    # second action reads 8.5, and also forming each quotient, product and
+    # sum in an array of its own 9.1.
+    import tracemalloc
+
+    from tsnoether.em import _gauge_invariance, em_gauge_family
+
+    fam = em_gauge_family(GridD(tuple(h_uniform(1.0, 0.0, 15.0) for _ in range(4))))
+    _gauge_invariance(fam, 1, 0)
+    tracemalloc.start()
+    try:
+        _gauge_invariance(fam, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.35 * 8 * 15**4

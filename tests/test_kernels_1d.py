@@ -148,6 +148,12 @@ def test_perturbation_and_transform_pinned_in_c_order(kind, n, with_f):
         params = reference.random_gauge_params(fam, [seed, 1])
         lo = int(rng.integers(0, 3))
         y = GridFunction(ts, lo, samples(rng, (width - lo - int(rng.integers(0, 3)), n)))
+
+        def inputs():
+            arrays = (y.values, ts.points, fam.g, *(q.values for q in params)) + (() if fam.f is None else (fam.f,))
+            return [a.tobytes() for a in arrays]
+
+        before = inputs()
         dy, dt = _perturbation(fam, params, y)
         ref_dy, ref_dt = reference.perturbation(fam, params, y)
         assert_pinned(dy, ref_dy)
@@ -157,10 +163,14 @@ def test_perturbation_and_transform_pinned_in_c_order(kind, n, with_f):
         except ValueError:
             with pytest.raises(ValueError, match="^time reparametrization is not strictly increasing$"):
                 transform(fam, params, y)
+            assert inputs() == before
             continue
         new_alpha, new_ybar = transform(fam, params, y)
         assert_pinned(new_ybar.values, ybar)
         assert new_alpha is None if alpha is None else new_alpha.values[:, 0].tobytes() == alpha.tobytes()
+        assert not (new_alpha is not None and new_alpha.values.flags.writeable)
+        # The sums are written over the perturbation's own buffers, never over y or the scale.
+        assert inputs() == before
 
 
 @pytest.mark.parametrize("with_f", [False, True])

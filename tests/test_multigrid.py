@@ -488,6 +488,11 @@ def bits(x):
     return ("array", np.asarray(x).shape, np.asarray(x, dtype=float).tobytes())
 
 
+def rho_quotient(p, axis):
+    """multigrid._rho_quotient's (lo, values) pair as a field."""
+    return multigrid._field(p.grid, multigrid._rho_quotient(p, axis))
+
+
 def outcome(fn, *args):
     """bits of fn(*args), or the message of the ValueError it raises."""
     try:
@@ -562,7 +567,7 @@ def test_field_value_ownership(count_copies, scales, seed, data):
         results += lorentz_field(GridD(tuple(scales * 2)[:4]))
         if hi[axis] > lo[axis]:
             results.append(partial_delta(f, axis))
-            results.append(multigrid._rho_quotient(f, axis))
+            results.append(rho_quotient(f, axis))
         if hi[axis] >= k:
             sigma = shift_axis(f, axis, k)
             results.append(sigma)
@@ -711,10 +716,10 @@ def test_rho_quotient_bitwise_equals_two_kernel_copy(count_copies, d, scales, se
     for axis in range(d):
         if p.hi[axis] == p.lo[axis]:
             with pytest.raises(ValueError, match="window too small"):
-                multigrid._rho_quotient(p, axis)
+                rho_quotient(p, axis)
             continue
         with count_copies(multigrid) as copies:
-            out = multigrid._rho_quotient(p, axis)
+            out = rho_quotient(p, axis)
         assert copies == [] and not out.values.flags.writeable
         assert bits(out) == bits(reference.rho_quotient(p, axis))
     # The gauge term of each component, with coefficients of 0 (skipped),
@@ -1415,7 +1420,7 @@ def test_flat_rho_quotient_bitwise_equals_shifted_quotient(name, window):
     grid = named_grid(name)
     p = rho_windows(grid)[window]
     for axis in range(grid.d):
-        assert bits(multigrid._rho_quotient(p, axis)) == bits(reference.rho_quotient(p, axis)), axis
+        assert bits(rho_quotient(p, axis)) == bits(reference.rho_quotient(p, axis)), axis
 
 
 @pytest.mark.parametrize("specials", ["zeros", "inf", "-inf", "both-inf"])
@@ -1496,9 +1501,9 @@ def test_one_pass_rho_quotient_reads_no_unwritten_entry(name):
         return np.full(shape, np.uint64(0x7FF0000000000001)).view(np.float64)
 
     for axis in range(grid.d):
-        ref = multigrid._rho_quotient(p, axis).values
+        ref = rho_quotient(p, axis).values
         with mock.patch.object(multigrid.np, "empty", signalling), np.errstate(invalid="raise"):
-            out = multigrid._rho_quotient(p, axis).values
+            out = rho_quotient(p, axis).values
         assert same_bytes(out, ref), axis
     assert np.empty is real
 
@@ -1761,7 +1766,7 @@ def test_gap_tables_bitwise_equal_broadcast_gaps(name):
         lo = tuple(0 if ax == axis else 1 for ax in range(grid.d))
         inner = FieldD(grid, lo, whole[tuple(slice(l, None) for l in lo)].copy())
         for p in (windows["whole"], windows["above"], short, inner):
-            assert bits(multigrid._rho_quotient(p, axis)) == bits(reference.rho_quotient(p, axis)), axis
+            assert bits(rho_quotient(p, axis)) == bits(reference.rho_quotient(p, axis)), axis
 
 
 def test_grid_divisor_tables_are_cached_and_read_only():
@@ -1818,3 +1823,66 @@ def test_inline_horner_and_heads_bitwise_equal_polyval_and_outer(degree):
             heads = np.array([reduce(np.multiply.outer, [a[i] for a in axes]).ravel() for i in range(3)])
         got_heads, got_last = contraction_operands(grid, draw)
         assert same_bytes(got_last, last) and same_bytes(got_heads, heads), case
+
+
+# transform_d and em's per-component step write each transformed component
+# over the buffer its gauge term was just formed in: the bits must be those
+# of u_k + gauge_field(fam, p, k), and neither p nor any u_k may be written.
+
+TRANSFORM_AXES = {
+    "unit": lambda m: h_uniform(1.0, -1.0, m - 2.0),
+    "h": lambda m: h_uniform(0.5, 0.0, 0.5 * (m - 1)),
+    "q": lambda m: q_geometric(1.5, 0.5, m),
+}
+
+
+def special_field(grid, rng, lo, hi, own):
+    """Signed samples with +-inf entries on [lo, hi]: a view of a C-order
+    array, or (own) a C-order array of the window's own."""
+    vals = signed_samples(rng, grid.shape)
+    vals[rng.uniform(size=grid.shape) < 0.05] = np.inf
+    vals[rng.uniform(size=grid.shape) < 0.05] = -np.inf
+    f = FieldD(grid, (0,) * grid.d, vals).restrict(lo, hi)
+    return FieldD(grid, f.lo, f.values.copy()) if own else f
+
+
+@given(
+    d=st.integers(2, 4),
+    kinds=st.lists(st.sampled_from(sorted(TRANSFORM_AXES)), min_size=4, max_size=4),
+    sizes=st.lists(st.integers(3, 5), min_size=4, max_size=4),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_transform_in_gauge_buffer_bitwise_equals_sum_and_writes_no_input(d, kinds, sizes, n, seed, data):
+    # p at the scale minimum (the one-buffer rho quotient) or above it (a
+    # view), u_k on windows of their own, some of p's shape at another lo,
+    # and rows of coefficients 0, -0.0, +-1.0, 1.1 and 0.5, so that a row
+    # may hold a lone p term of 1.0 (p's own values) or two nonzero terms.
+    grid = GridD(tuple(TRANSFORM_AXES[kind](m) for kind, m in zip(kinds[:d], sizes[:d])))
+    rng = np.random.default_rng(seed)
+
+    def field(label):
+        lo = tuple(data.draw(st.integers(0, 1), label=f"{label} lo") for _ in range(d))
+        hi = tuple(l + m - 2 + data.draw(st.integers(0, 1 - l), label=f"{label} hi") for l, m in zip(lo, grid.shape))
+        return special_field(grid, rng, lo, hi, data.draw(st.booleans(), label=f"{label} own"))
+
+    p = field("p")
+    u = tuple(field(f"u{k}") for k in range(n))
+    coeff = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.1, 0.5])
+    fam = GaugeFamilyD(grid, [tuple(data.draw(coeff, label=f"a{k}") for _ in range(d + 1)) for k in range(n)])
+    inputs = [f.values.tobytes() for f in (p, *u)]
+
+    with np.errstate(all="ignore"):  # inf - inf, inf * 0.5, inf + -inf
+        expected = [outcome(lambda k: u[k] + gauge_field(fam, p, k), k) for k in range(n)]
+        for k in range(n):
+            assert outcome(multigrid._transformed, fam, p, u[k], k) == expected[k]
+            assert bits(gauge_field(fam, p, k)) == bits(reference.gauge_field(fam, p, k))
+        whole = next((e for e in expected if e[0] == "error"), tuple(expected))
+        assert outcome(transform_d, fam, p, u) == outcome(reference.transform_d, fam, p, u) == whole
+        if whole[0] != "error":
+            each = tuple(multigrid._transformed(fam, p, u_k, k) for k, u_k in enumerate(u))
+            for f in transform_d(fam, p, u) + each:
+                assert not f.values.flags.writeable and f.values.flags.c_contiguous
+    assert [f.values.tobytes() for f in (p, *u)] == inputs
