@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .report import IDENTITY_TOLERANCE, INVARIANCE_TOLERANCE, PROBE_AMPLITUDE, ResidualReport
-from .timescale import MAX_POINTS, _Arithmetic, _frozen, _overlap, _sealed, forward_quotient, shift_values, window_integral
+from .timescale import MAX_POINTS, _Arithmetic, _frozen, _overlap, _quotient, _sealed, shift_values, window_integral
 from .variational import _el_values
 
 
@@ -33,8 +33,10 @@ class GridD:
     most MAX_POINTS points in all, refused before any field is drawn on it.
     It owns the pattern workspace of the actions on it (see _pattern_args), which
     lives and dies with the grid and which any action on the grid rewrites,
-    so one grid is not used from two threads at once.  After an
-    Euler-Lagrange call its G may hold the g partial, not the pattern."""
+    so one grid is not used from two threads at once: G, with U for a density
+    that reads it and else one scratch cell array, n + d n or 1 + d n cell
+    arrays.  After an Euler-Lagrange call its G may hold the g partial, not
+    the pattern."""
 
     scales: tuple
 
@@ -127,9 +129,14 @@ class FieldD(_Arithmetic):
 
 def partial_delta(f: FieldD, axis: int) -> FieldD:
     """Forward difference quotient along one axis; its top index is lost."""
-    if f.values.shape[axis] < 2:
+    return FieldD(f.grid, f.lo, _sealed(_partial(f.grid, f.lo, f.values, axis)))
+
+
+def _partial(grid: GridD, lo: tuple, values: np.ndarray, axis: int) -> np.ndarray:
+    """partial_delta's values for the samples values at lo, writeable."""
+    if values.shape[axis] < 2:
         raise ValueError(f"window too small on axis {axis}")
-    return FieldD(f.grid, f.lo, forward_quotient(f.values, f.grid.scales[axis], f.lo[axis], axis))
+    return _quotient(values, grid.scales[axis], lo[axis], axis)
 
 
 def shift_axis(f: FieldD, axis: int, k: int) -> FieldD:
@@ -198,6 +205,12 @@ class LagrangianD:
     reader, el_expressions_d, takes the u partial first and reads nothing
     of the pattern after it, and the next action on the grid writes the
     pattern again.
+
+    A density whose u partial is this module's _zero_d_u (the
+    field-strength densities and dirichlet2) reads no u slot: the pattern
+    holds no U rows, and U is a read-only NaN broadcast of its shape, so a
+    density or g partial that reads it anyway gets NaN, as from an
+    undeclared G slot.
     """
 
     d: int
@@ -231,7 +244,10 @@ def _pattern_workspace(L: LagrangianD, grid: GridD, lo: tuple, cells: tuple, key
     for ax, s in enumerate(grid.scales):
         coords.append(s.points[lo[ax] : cell_hi[ax] + 1].reshape((1,) * ax + (-1,) + (1,) * (d - ax - 1)))
         gaps.append(None if s.unit_steps else _table(np.diff(s.points[lo[ax] : cell_hi[ax] + 2]), ax, cells))
-    U, G = np.empty((L.n,) + cells), np.empty((d, L.n) + cells)
+    holds_u = L.d_u is not _zero_d_u
+    G = np.empty((d, L.n) + cells)
+    U = np.empty((L.n,) + cells) if holds_u else np.broadcast_to(np.nan, (L.n,) + cells)
+    minuends = U if holds_u else (np.empty(cells),) * L.n
     up = (slice(1, None),) * d
     plan = []
     for k in range(L.n):
@@ -241,7 +257,7 @@ def _pattern_workspace(L: LagrangianD, grid: GridD, lo: tuple, cells: tuple, key
                 written.append((G[j, k], up[:j] + (slice(0, -1),) + up[j + 1 :], gaps[j]))
             else:
                 G[j, k] = np.nan
-        plan.append((U[k], up, tuple(written)))
+        plan.append((minuends[k], up, tuple(written)))
     return [U, G, key, tuple(coords), tuple(plan), tuple(gaps)]
 
 
@@ -258,17 +274,20 @@ def _pattern_args(L: LagrangianD, u: tuple):
     table of the cell shape, as a ufunc would pass short strided or
     broadcast rows through numpy's buffer and a copy does not.  Only the G
     slots of L.g_slots are written; the others are NaN from the pair's
-    making.
+    making.  For a density that reads no U (see LagrangianD), one scratch
+    cell array takes every component's all-sigma view in turn, just before
+    that component's G slots, and U is NaN.
 
     The pair lives in the workspace of u[0].grid: [U, G, key, coords, plan,
-    gaps], where the plan names per component the U[k] view and, per
-    written slot, the G[j, k] view, the source slice and the divisor, and
-    gaps holds each axis's table (None on unit steps), returned last as
-    window_integral's weights.  The key is the window's lo and cell shape,
-    L.n and L.g_slots; when it matches, the call only copies, subtracts and
-    divides, and when it does not, a new workspace is made and stored, so a
-    reused pair gives the bits of a fresh one, NaN slots included.  No key
-    holds the grid, so that refcounting frees the grid and its pair.
+    gaps], where the plan names per component the U[k] view (or the
+    scratch) and, per written slot, the G[j, k] view, the source slice and
+    the divisor, and gaps holds each axis's table (None on unit steps),
+    returned last as window_integral's weights.  The key is the window's lo
+    and cell shape, L.n, L.g_slots and whether U is held; when it matches,
+    the call only copies, subtracts and divides, and when it does not, a
+    new workspace is made and stored, so a reused pair gives the bits of a
+    fresh one, NaN slots included.  No key holds the grid, so that
+    refcounting frees the grid and its pair.
     """
     grid = u[0].grid
     if len(u) != L.n or L.d != grid.d:
@@ -280,7 +299,7 @@ def _pattern_args(L: LagrangianD, u: tuple):
     cells = tuple(n - 1 for n in views[0].shape)
     if 0 in cells:
         raise ValueError("window too small for the shifted argument pattern")
-    key = (lo, cells, L.n, L.g_slots)
+    key = (lo, cells, L.n, L.g_slots, L.d_u is not _zero_d_u)
     workspace = grid._workspace
     if not workspace or workspace[2] != key:
         workspace[:] = _pattern_workspace(L, grid, lo, cells, key)
@@ -310,8 +329,13 @@ def el_expressions_d(L: LagrangianD, u: tuple) -> tuple:
     by the assembly _el_values that the 1-D expressions share, over the
     declared slots (j, k) only.  P and Q are taken before the call returns,
     as for functional_d."""
-    coords, U, G, lo, _ = _pattern_args(L, u)
-    grid = u[0].grid
+    return _el_fields(L, u[0].grid, _pattern_args(L, u))
+
+
+def _el_fields(L: LagrangianD, grid: GridD, pattern: tuple) -> tuple:
+    """el_expressions_d on a pattern _pattern_args made, so that a caller
+    may drop the fields first."""
+    coords, U, G, lo, _ = pattern
     P, Q = L.sample("u", coords, U, G), L.sample("g", coords, U, G)
     axes = [None if L.g_slots is None else {j for j, c in L.g_slots if c == k} for k in range(L.n)]
     return tuple(FieldD(grid, lo, _sealed(_el_values(P[k], Q[:, k], grid.scales, lo, axes[k]))) for k in range(L.n))
@@ -440,14 +464,15 @@ def gauge_field(fam: GaugeFamilyD, p: FieldD, k: int) -> FieldD:
 
 
 def gauge_field_adjoint(fam: GaugeFamilyD, q: FieldD, k: int) -> FieldD:
-    """Summation-by-parts transpose: q*a0 - sum_j d/dx_j (q * a_j)."""
+    """Summation-by-parts transpose: q*a0 - sum_j d/dx_j (q * a_j).  Each
+    axis term is negated in its quotient's own buffer."""
 
     def term(i, c):
-        qc = _times(c, (q.lo, q.values))
+        lo, qc = _times(c, (q.lo, q.values))
         if i == 0:
-            return qc
-        f = -partial_delta(_field(q.grid, qc), i - 1)
-        return f.lo, f.values
+            return lo, qc
+        out = _partial(q.grid, lo, qc, i - 1)
+        return lo, np.negative(out, out=out)
 
     return _field(q.grid, _gauge_sum(fam.a[k], term, q.grid))
 
@@ -488,8 +513,9 @@ def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float
     polynomials, adding k = 0, 1, 2 in order to +0.0 with each product and
     sum rounded.  It runs in rows of the last axis when that axis is the
     shorter, so that inner loops run over the long heads (factors commute
-    bit for bit), and otherwise in place in the grid's layout, where it is
-    also scaled.  The peak max(max x, -min x) is max |x| exactly.
+    bit for bit), written transposed into the grid's layout, and otherwise
+    in that layout; either way it is scaled there.  The peak
+    max(max x, -min x) is max |x| exactly.
     """
     coeffs = np.random.default_rng(seed).uniform(-1, 1, (3, grid.d, degree + 1))
     c, x = np.repeat(coeffs, grid.shape, axis=1), grid.probe_points
@@ -501,10 +527,12 @@ def random_polynomial_field(grid: GridD, seed, degree: int = 2, amplitude: float
         heads = (heads[:, :, None] * a[:, None, :]).reshape(3, -1)
     vals = np.empty(grid.shape)
     flat = vals.reshape(len(heads[0]), -1)
-    transposed = flat.shape[1] < flat.shape[0]
-    acc = np.einsum("ki,kj->ij", last, heads) if transposed else np.einsum("ki,kj->ij", heads, last, out=flat)
-    peak = np.maximum(acc.max(), -acc.min())
-    np.multiply(acc.T if transposed else acc, amplitude / peak if peak > 0 else 1.0, out=flat)
+    if flat.shape[1] < flat.shape[0]:
+        np.einsum("ki,kj->ij", last, heads, out=flat.T)
+    else:
+        np.einsum("ki,kj->ij", heads, last, out=flat)
+    peak = np.maximum(flat.max(), -flat.min())
+    flat *= amplitude / peak if peak > 0 else 1.0
     return FieldD(grid, (0,) * grid.d, _sealed(vals))
 
 
@@ -522,11 +550,13 @@ def check_invariance_d(L: LagrangianD, fam: GaugeFamilyD, u: tuple, trials: int 
 
 def noether_identity_d(L: LagrangianD, fam: GaugeFamilyD, u: tuple) -> ResidualReport:
     """Residual of sum_k adjoint_k(E_k) on the largest interior window.  u
-    is dropped once E is formed, and each E_k as its adjoint term is added."""
+    is dropped once its pattern is written, before E is assembled, and each
+    E_k as its adjoint term is added."""
     if fam.n != L.n:
         raise ValueError(f"component count mismatch: the family has n = {fam.n}, the density n = {L.n}")
-    es = list(el_expressions_d(L, u))
+    grid, pattern = u[0].grid, _pattern_args(L, u)
     del u
+    es = list(_el_fields(L, grid, pattern))
     total = reduce(add, (gauge_field_adjoint(fam, es.pop(0), k) for k in range(fam.n)))
     return ResidualReport.from_per_point((total.lo[0], total.hi[0]), total.values, IDENTITY_TOLERANCE)
 
@@ -566,10 +596,11 @@ def _field_strength_lagrangian(d: int, n: int, plus: tuple, minus: tuple = ()) -
     sum of 1/2 (G[j, k] - G[k, j])^2 over the pairs (j, k) of plus minus
     that over minus, formed in place term by term in pair order.  The first
     term starts the sum: adding it to 0.0 would change no bit.  The density
-    reads the slots of the pairs and their transposes, and declares them;
-    no two pairs share a slot, so the g partial writes each slot once, over
-    G, as 0.0 plus or minus the pair's difference, which it takes before
-    it writes either slot of the pair."""
+    reads no u slot, as its zero u partial tells the pattern, and of G only
+    the slots of the pairs and their transposes, which it declares; no two
+    pairs share a slot, so the g
+    partial writes each slot once, over G, as 0.0 plus or minus the pair's
+    difference, which it takes before it writes either slot of the pair."""
 
     def density(coords, U, G):
         out = F = None

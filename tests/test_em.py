@@ -277,13 +277,15 @@ class TestConstruction:
 def test_em_command_peak_in_cell_arrays():
     # Each em section becomes its report as soon as it returns, the g partial
     # takes no array of its own, and each section holds one working set
-    # beside the pattern workspace (20 cell arrays): at 12^4 the traced peak
-    # of a second run (the first builds the parser) is 30.35 arrays of the
-    # pattern's cell shape, 11^4 floats.  The identity's Euler-Lagrange
-    # assembly, with the potential still alive, binds.  The gauge trial's
-    # transform, which replaces one A_k at a time beside -p and forms each
-    # new A_k in its gauge term's buffer, peaks 0.7 below it, and its second
-    # action, after -p is dropped, 2.5 below.
+    # beside the pattern workspace, whose 16 G slots and one scratch array
+    # hold no U for a density that reads none (17 cell arrays; 20 with U):
+    # at 12^4 the traced peak of a second run (the first builds the parser)
+    # is 25.73 arrays of the pattern's cell shape, 11^4 floats.  The gauge
+    # trial's transform binds, which replaces one A_k at a time beside -p
+    # and forms each new A_k in its gauge term's buffer.  The identity drops
+    # the potential once its pattern is written and peaks 2.6 below it.
+    # With U held and the potential alive through the identity's
+    # Euler-Lagrange assembly, which then bound, the peak read 30.35.
     import io
     import tracemalloc
     from contextlib import redirect_stdout
@@ -299,7 +301,68 @@ def test_em_command_peak_in_cell_arrays():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 30.8 * 8 * 11**4
+    assert peak < 26.2 * 8 * 11**4
+
+
+def test_em_identity_and_euler_lagrange_peaks_in_cell_arrays():
+    # On a 12^4 grid whose pattern workspace is built, the identity's traced
+    # peak, its potential drawn inside the call, is 6.1 arrays of the cell
+    # shape: it drops the potential once the pattern is written (10.24
+    # when held through the assembly).  E alone, on a potential drawn
+    # before, peaks at 4.56: the assembly drops each axis quotient before
+    # the next is formed (5.24 when held).
+    import tracemalloc
+
+    from tsnoether.multigrid import el_expressions_d, noether_identity_d
+
+    grid = GridD(tuple(h_uniform(1.0, 0.0, 11.0) for _ in range(4)))
+    fam, L = em_gauge_family(grid), em_lagrangian()
+    A = random_em_field(grid, seed=[0, 1])
+    peaks = []
+    for call in (lambda: noether_identity_d(L, fam, random_em_field(grid, seed=[0, 1])), lambda: el_expressions_d(L, A)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * 11**4))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 6.5 and peaks[1] < 4.9, peaks
+
+
+def test_em_identity_report_dropped_before_the_lorentz_section():
+    # em turns the identity's report into its section and drops it, so no
+    # per_point of it is alive while the lorentz and wave sections run.
+    import gc
+    import io
+    import weakref
+    from contextlib import redirect_stdout
+    from unittest import mock
+
+    from tsnoether import cli, em, multigrid
+
+    real_identity, real_lorentz = multigrid.noether_identity_d, em.em_lorentz_check
+    refs, alive = [], []
+
+    def identity(*args):
+        report = real_identity(*args)
+        refs.append(weakref.ref(report))
+        return report
+
+    def lorentz(A):
+        alive.append([ref() is not None for ref in refs])
+        return real_lorentz(A)
+
+    was_enabled = gc.isenabled()
+    gc.disable()  # reference counts alone must free it
+    try:
+        with mock.patch.object(multigrid, "noether_identity_d", identity), \
+                mock.patch.object(em, "em_lorentz_check", lorentz), redirect_stdout(io.StringIO()):
+            assert cli.main(["em", "--trials", "2"]) == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert alive == [[False]]
 
 
 def test_check_noether_command_peak_in_point_arrays():
@@ -349,9 +412,11 @@ def test_em_gauge_trial_peak_in_cell_arrays():
     # The gauge trial forms each new A_k in its gauge term's buffer and
     # drops -p before its second action: on a 16^4 grid whose pattern
     # workspace is built, the traced peak of a trial is the transform's,
-    # 8.2 arrays of the cell shape (15^4 floats).  Holding -p through the
-    # second action reads 8.5, and also forming each quotient, product and
-    # sum in an array of its own 9.1.
+    # 7.86 arrays of the cell shape (15^4 floats), with each probe field
+    # contracted in its own buffer.  A grid-sized contraction array beside
+    # each probe read 8.2, also holding -p through the second action 8.5,
+    # and also forming each quotient, product and sum in an array of its
+    # own 9.1.
     import tracemalloc
 
     from tsnoether.em import _gauge_invariance, em_gauge_family
@@ -364,4 +429,4 @@ def test_em_gauge_trial_peak_in_cell_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8.35 * 8 * 15**4
+    assert peak < 8.0 * 8 * 15**4

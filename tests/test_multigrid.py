@@ -1314,7 +1314,7 @@ def test_undeclared_slots_change_no_bit(name, seed, data):
 @pytest.mark.parametrize("name", ["em", "curl2"])
 def test_pattern_writes_only_the_declared_slots(name):
     L = field_strength_densities()[name]
-    every = replace(L, g_slots=None)
+    every = replace(L, g_slots=None, d_u=held_zero_d_u)
     grid = em_lattice("mixed", 6) if name == "em" else grid_2d("qh", 12)
     full = [tuple(random_polynomial_field(grid, seed=[seed, k]) for k in range(L.n)) for seed in (1, 2)]
     inner = tuple(f.restrict((1,) * grid.d, tuple(n - 2 for n in grid.shape)) for f in full[0])
@@ -1323,7 +1323,7 @@ def test_pattern_writes_only_the_declared_slots(name):
         _, U_all, G_all, lo_all, _ = multigrid._pattern_args(every, rehomed(u))
         for fields in (u, rehomed(u)):
             _, U, G, lo, _ = multigrid._pattern_args(L, fields)
-            assert (lo, U.shape, U.tobytes()) == (lo_all, U_all.shape, U_all.tobytes())
+            assert (lo, U.shape) == (lo_all, U_all.shape) and np.isnan(U).all()
             assert all(G[s].tobytes() == G_all[s].tobytes() for s in L.g_slots)
             assert all(np.isnan(G[s]).all() for s in undeclared(L))
             assert not np.isnan(G_all).any()
@@ -1886,3 +1886,169 @@ def test_transform_in_gauge_buffer_bitwise_equals_sum_and_writes_no_input(d, kin
             for f in transform_d(fam, p, u) + each:
                 assert not f.values.flags.writeable and f.values.flags.c_contiguous
     assert [f.values.tobytes() for f in (p, *u)] == inputs
+
+
+# Densities whose u partial is multigrid._zero_d_u read no u slot: the
+# pattern holds no U rows, one scratch cell array takes each component's
+# all-sigma view before its G slots, and U is a read-only NaN broadcast.
+
+def reads_no_u_densities():
+    """The built-in densities whose u partial is _zero_d_u, and a 3-d
+    field-strength density."""
+    from tsnoether.em import em_lagrangian
+
+    return {"em": em_lagrangian(), "curl2": catalog2d("curl2"), "dirichlet2": catalog2d("dirichlet2"),
+            "strength3": multigrid._field_strength_lagrangian(3, 3, ((1, 0), (2, 0)), ((1, 2),))}
+
+
+def held_zero_d_u(coords, U, G):
+    """A zero u partial other than _zero_d_u, with which the pattern holds U."""
+    return 0.0
+
+
+@given(
+    name=st.sampled_from(sorted(reads_no_u_densities())),
+    kinds=st.lists(st.sampled_from(sorted(TRANSFORM_AXES)), min_size=4, max_size=4),
+    sizes=st.lists(st.integers(5, 6), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_densities_reading_no_u_bitwise_equal_a_held_u(name, kinds, sizes, seed, data):
+    # The action, E and the identity sum of a density that reads no U
+    # equal those of the same density with a U held, by bytes, on the
+    # grid's one workspace (switched between the two) and on fresh ones.
+    L = reads_no_u_densities()[name]
+    held = replace(L, d_u=held_zero_d_u)
+    grid = GridD(tuple(TRANSFORM_AXES[kind](m) for kind, m in zip(kinds[: L.d], sizes[: L.d])))
+    u = []
+    for k in range(L.n):
+        lo = tuple(data.draw(st.integers(0, 1), label=f"lo{k}") for _ in range(L.d))
+        u.append(random_polynomial_field(grid, [seed, k]).restrict(lo, tuple(m - 1 for m in grid.shape)))
+    u = tuple(u)
+    coeff = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.375, -2.5])
+    fam = GaugeFamilyD(grid, [tuple(data.draw(coeff, label=f"a{k}") for _ in range(L.d + 1)) for k in range(L.n)])
+
+    def results(density, fields):
+        return (bits(functional_d(density, fields)), bits(el_expressions_d(density, fields)),
+                bits(noether_identity_d(density, GaugeFamilyD(fields[0].grid, fam.a), fields)))
+
+    expected = results(held, rehomed(u))
+    assert results(L, u) == results(held, u) == results(L, u) == expected
+    assert results(L, rehomed(u)) == expected
+
+
+def test_density_reading_u_its_zero_u_partial_leaves_unread_gets_nan():
+    # A density or g partial that reads U beside the u partial _zero_d_u
+    # reads NaN; with another zero u partial the pattern holds U.
+    grid = grid_2d("qh", 12)
+    curl2 = catalog2d("curl2")
+    u = tuple(random_polynomial_field(grid, seed=[4, k]) for k in range(2))
+    for field in ("density", "d_g"):
+        base = getattr(curl2, field)
+        reading = replace(curl2, **{field: lambda coords, U, G, base=base: base(coords, U, G) + 0.0 * U[1]})
+        honest = replace(reading, d_u=held_zero_d_u)
+        values = (functional_d(reading, u),) if field == "density" else (e.values for e in el_expressions_d(reading, u))
+        assert all(np.isnan(v).all() for v in values), field
+        assert np.isfinite(functional_d(honest, u)) and all(np.isfinite(e.values).all() for e in el_expressions_d(honest, u))
+    _, U, _, _, _ = multigrid._pattern_args(curl2, u)
+    assert U.shape == (2, 11, 11) and np.isnan(U).all() and not U.flags.writeable
+
+
+def test_workspace_key_holds_whether_u_is_held():
+    # One window and declared slots, with and without a u slot: each switch
+    # makes a new workspace, whose U a density that reads it finds written.
+    grid = grid_2d("hq", 10)
+    curl2 = catalog2d("curl2")
+    held = replace(curl2, d_u=held_zero_d_u, density=lambda coords, U, G: curl2.density(coords, U, G) + U[0] * U[1])
+    u = tuple(random_polynomial_field(grid, seed=[8, k]) for k in range(2))
+    workspace = grid._workspace
+    keys = []
+    for L in (curl2, held, curl2, held):
+        value = functional_d(L, u)
+        keys.append(workspace[2])
+        assert bits(value) == bits(functional_d(L, rehomed(u)))
+        assert np.isnan(workspace[0]).all() == (L is curl2)
+    assert keys[0] == keys[2] != keys[1] == keys[3]
+    assert workspace[0].nbytes == np.empty((2, 9, 9)).nbytes and workspace[0].flags.writeable
+
+
+def test_identity_drops_the_fields_before_the_assembly():
+    # noether_identity_d writes the pattern of u and drops u before E is
+    # assembled, so that no component is alive beside the assembly.
+    grid = em_lattice("mixed", 6)
+    from tsnoether import em
+
+    real, alive = multigrid._el_fields, []
+    refs = []
+
+    def fields():
+        u = em.random_em_field(grid, seed=[2, 1])
+        refs.extend(weakref.ref(f) for f in u)
+        return u
+
+    def checking(*args):
+        alive.append(sum(r() is not None for r in refs))
+        return real(*args)
+
+    expected = bits(noether_identity_d(em.em_lagrangian(), em.em_gauge_family(grid), fields()))
+    refs.clear()
+    with gc_disabled(), mock.patch.object(multigrid, "_el_fields", checking):
+        # Not inside an assert, whose rewriting would hold the fields.
+        got = bits(noether_identity_d(em.em_lagrangian(), em.em_gauge_family(grid), fields()))
+    assert alive == [0] and got == expected
+
+
+@given(
+    d=st.integers(2, 4),
+    kinds=st.lists(st.sampled_from(sorted(TRANSFORM_AXES)), min_size=4, max_size=4),
+    sizes=st.lists(st.integers(3, 5), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_adjoint_terms_in_own_buffers_bitwise_equal_reference(d, kinds, sizes, seed, data):
+    # Each axis term of the adjoint is negated in its quotient's buffer and
+    # the terms are summed in place: the bytes of tests/reference.py's new
+    # arrays, on windows at or above the scale minimum, with q unwritten.
+    # NaNs of both signs go only into a lone axis term, whose negation
+    # must flip each NaN's sign: where two NaNs of opposite sign meet in an
+    # add, the one that comes out can depend on the loop numpy takes.
+    grid = GridD(tuple(TRANSFORM_AXES[kind](m) for kind, m in zip(kinds[:d], sizes[:d])))
+    rng = np.random.default_rng(seed)
+    lo = tuple(data.draw(st.integers(0, 1), label="lo") for _ in range(d))
+    q = special_field(grid, rng, lo, tuple(m - 1 for m in grid.shape), data.draw(st.booleans(), label="own"))
+    if data.draw(st.booleans(), label="lone NaN term"):
+        row = [0.0] * (d + 1)
+        row[data.draw(st.integers(1, d), label="axis")] = data.draw(st.sampled_from([1.0, -1.0, 1.1, 0.5]), label="a")
+        values = q.values.copy()
+        nan = rng.uniform(size=values.shape) < 0.1
+        values[nan] = np.where(rng.uniform(size=nan.sum()) < 0.5, np.nan, -np.nan)
+        q = FieldD(grid, q.lo, values)
+    else:
+        row = [data.draw(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.1, 0.5]), label="a") for _ in range(d + 1)]
+    fam = GaugeFamilyD(grid, [row])
+    before = q.values.tobytes()
+    with np.errstate(all="ignore"):  # inf - inf, inf * 0.5, inf + -inf
+        assert outcome(gauge_field_adjoint, fam, q, 0) == outcome(reference.gauge_field_adjoint, fam, q, 0)
+    assert q.values.tobytes() == before
+
+
+def test_em_adjoint_peak_in_grid_arrays():
+    # The em family's one axis term per component, c q with c = -1.0 and its
+    # quotient, negated in place: 1.94 arrays of the 16^4 grid's shape,
+    # where negating into a new array read 2.88.
+    import tracemalloc
+
+    from tsnoether import em
+
+    grid = em_lattice("mixed", 16)
+    fam, q = em.em_gauge_family(grid), random_polynomial_field(grid, seed=[3, 0])
+    for k in range(4):
+        tracemalloc.start()
+        try:
+            gauge_field_adjoint(fam, q, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * q.values.nbytes, k
