@@ -173,12 +173,6 @@ def _coeff_grid(ts: TimeScale, spec, hi: int, name: str) -> np.ndarray:
 
 
 def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.ndarray, np.ndarray | None]:
-    """_perturbation_values's arrays, sealed."""
-    dy, dt = _perturbation_values(fam, params, y)
-    return _sealed(dy), None if dt is None else _sealed(dt)
-
-
-def _perturbation_values(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.ndarray, np.ndarray | None]:
     """What the family adds on y's window: to the components, shape
     (points, n), and to the times, shape (points,) or None without f.
 
@@ -226,7 +220,7 @@ def transform(fam: GaugeFamily, params: tuple, y: GridFunction):
     lives on the image scale alpha(points); alpha must come out strictly
     increasing.
     """
-    dy, dt = _perturbation_values(fam, params, y)
+    dy, dt = _perturbation(fam, params, y)
     ybar_vals = _sealed(np.add(y.values, dy, out=dy))
     if dt is None:
         return None, GridFunction(y.ts, y.lo, ybar_vals)
@@ -274,7 +268,7 @@ def necessary_condition_residual(
 ) -> float:
     """Value of the first-variation pairing of the path with the family's
     perturbation; zero (to rounding) whenever the action is invariant."""
-    return variation_pairing(L, y, GridFunction(y.ts, y.lo, _perturbation(fam, params, y)[0]))
+    return variation_pairing(L, y, GridFunction(y.ts, y.lo, _sealed(_perturbation(fam, params, y)[0])))
 
 
 def _require_condition_h(ts: TimeScale) -> float:

@@ -126,11 +126,15 @@ def _sealed(values: np.ndarray) -> np.ndarray:
 
 
 def _affine_jump_holds(pts: np.ndarray, b1: float, b0: float) -> bool:
+    """Whether each t_{i+1} is within 1e-12 (|b1 t_i| + |b0| + |t_0|) of b1 t_i + b0:
+    no floor, so no unit of time, but a looser rule near 0 on a scale that
+    starts far from 0 (the |t_0| term, the rounding of a + k h)."""
     gap = b1 * pts[:-1]  # |t_{i+1} - (b1 t_i + b0)| and its tolerance, two buffers
     gap += b0
     np.abs(np.subtract(pts[1:], gap, out=gap), out=gap)
-    tol = np.abs(pts[:-1])
-    np.maximum(tol, 1.0, out=tol)
+    tol = np.multiply(b1, pts[:-1])
+    np.abs(tol, out=tol)
+    tol += abs(b0) + abs(pts[0])
     tol *= AFFINE_JUMP_RTOL
     return bool(np.all(gap <= tol))
 

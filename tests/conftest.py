@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -24,3 +25,17 @@ def _count_copies(module):
 def count_copies():
     """count_copies(module) is a context that yields the list of copies."""
     return _count_copies
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """traced_peak(call) is (call(), tracemalloc's peak bytes over the call)."""
+    return _traced_peak

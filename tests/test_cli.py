@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -224,13 +223,8 @@ class TestExitCodes:
         ],
         ids=["h-huge", "h-limit-plus-one", "real-subnormal-step", "q-huge"],
     )
-    def test_oversized_scale_refused_before_allocation(self, capsys, spec, count):
-        tracemalloc.start()
-        try:
-            code = main(["scale", "--scale", spec])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_oversized_scale_refused_before_allocation(self, capsys, traced_peak, spec, count):
+        code, peak = traced_peak(lambda: main(["scale", "--scale", spec]))
         assert code == 2 and peak < 2**20
         err = capsys.readouterr().err
         assert err == f"error: bad scale spec {spec!r}: the scale would have {count} points, more than the limit of {MAX_POINTS}\n"
@@ -255,7 +249,7 @@ class TestExitCodes:
         ],
         ids=["em", "check2d"],
     )
-    def test_oversized_lattice_refused_before_any_field(self, capsys, argv, count):
+    def test_oversized_lattice_refused_before_any_field(self, capsys, traced_peak, argv, count):
         # Each axis is within MAX_POINTS, their product is not.  A drawn field
         # or pattern fails the test before it allocates; the peak is that of
         # building the axes (1.4 MB for the 30,001-point one), far below one
@@ -266,12 +260,7 @@ class TestExitCodes:
         with mock.patch.object(multigrid, "random_polynomial_field", side_effect=drawn), \
                 mock.patch.object(em, "random_polynomial_field", side_effect=drawn), \
                 mock.patch.object(multigrid, "_pattern_workspace", side_effect=drawn):
-            tracemalloc.start()
-            try:
-                code = main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(lambda: main(argv))
         assert code == 2 and peak < 4 * 2**20
         assert capsys.readouterr().err == f"error: the lattice would have {count} points, more than the limit of {MAX_POINTS}\n"
 
@@ -630,6 +619,18 @@ class TestCheckers:
         assert code == 0 and data["sections"][0]["consistent"]
         code, data, _ = run(tmp_path, "oracle-fl", *scale, "--order", "2", "--mode", "impulse", name="impulse.json")
         assert code == 1 and data["sections"][0]["consistent"]
+
+    @pytest.mark.parametrize("step", [1e-114, 1e-14, 1e-13, 1.0, 1e13])
+    def test_explicit_scale_off_its_fitted_law_refused_at_any_step(self, tmp_path, capsys, step):
+        # sigma(t) = 2t + step fits the first two gaps, and the fourth point
+        # lies 3.5 steps below sigma(3 step).  The fit rule 1e-12 max(1, |t|)
+        # fitted (2, step) at steps of 1e-13 and less, and the identity passed
+        # there with sup 0.
+        points = tmp_path / "off.txt"
+        points.write_text("".join(f"{p!r}\n" for p in (np.array([0, 1, 3, 3.5, 7, 7.2]) * step).tolist()))
+        argv = ["check-noether", "--scale", f"explicit:@{points}", "--lagrangian", "pair-difference", "--family", "pairdiff"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: this check needs a scale with an affine jump law sigma(t) = b1*t + b0\n"
 
 
 class TestDeterminism:

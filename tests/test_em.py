@@ -1,3 +1,5 @@
+import io
+from contextlib import redirect_stdout
 from functools import reduce
 from operator import add
 
@@ -29,6 +31,7 @@ from tsnoether import (
     shift_axis,
     transform_d,
 )
+from tsnoether.cli import main
 
 
 def zero_field(grid):
@@ -274,7 +277,7 @@ class TestConstruction:
         assert multi_integral(ref_density(F)) == 0.0
 
 
-def test_em_command_peak_in_cell_arrays():
+def test_em_command_peak_in_cell_arrays(traced_peak):
     # Each em section becomes its report as soon as it returns, the g partial
     # takes no array of its own, and each section holds one working set
     # beside the pattern workspace, whose 16 G slots and one scratch array
@@ -286,47 +289,27 @@ def test_em_command_peak_in_cell_arrays():
     # the potential once its pattern is written and peaks 2.6 below it.
     # With U held and the potential alive through the identity's
     # Euler-Lagrange assembly, which then bound, the peak read 30.35.
-    import io
-    import tracemalloc
-    from contextlib import redirect_stdout
-
-    from tsnoether.cli import main
-
     argv = ["em", "--lattice", "h:1:0:11,h:1:0:11,h:1:0:11,h:1:0:11", "--trials", "2"]
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < 26.2 * 8 * 11**4
+        code, peak = traced_peak(lambda: main(argv))
+    assert code == 0 and peak < 26.2 * 8 * 11**4
 
 
-def test_em_identity_and_euler_lagrange_peaks_in_cell_arrays():
+def test_em_identity_and_euler_lagrange_peaks_in_cell_arrays(traced_peak):
     # On a 12^4 grid whose pattern workspace is built, the identity's traced
     # peak, its potential drawn inside the call, is 6.1 arrays of the cell
     # shape: it drops the potential once the pattern is written (10.24
     # when held through the assembly).  E alone, on a potential drawn
     # before, peaks at 4.56: the assembly drops each axis quotient before
     # the next is formed (5.24 when held).
-    import tracemalloc
-
-    from tsnoether.multigrid import el_expressions_d, noether_identity_d
-
     grid = GridD(tuple(h_uniform(1.0, 0.0, 11.0) for _ in range(4)))
     fam, L = em_gauge_family(grid), em_lagrangian()
     A = random_em_field(grid, seed=[0, 1])
     peaks = []
     for call in (lambda: noether_identity_d(L, fam, random_em_field(grid, seed=[0, 1])), lambda: el_expressions_d(L, A)):
         call()
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * 11**4))
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(call)[1] / (8 * 11**4))
     assert peaks[0] < 6.5 and peaks[1] < 4.9, peaks
 
 
@@ -334,9 +317,7 @@ def test_em_identity_report_dropped_before_the_lorentz_section():
     # em turns the identity's report into its section and drops it, so no
     # per_point of it is alive while the lorentz and wave sections run.
     import gc
-    import io
     import weakref
-    from contextlib import redirect_stdout
     from unittest import mock
 
     from tsnoether import cli, em, multigrid
@@ -365,50 +346,32 @@ def test_em_identity_report_dropped_before_the_lorentz_section():
     assert alive == [[False]]
 
 
-def test_check_noether_command_peak_in_point_arrays():
+def test_check_noether_command_peak_in_point_arrays(traced_peak):
     # The 1-D bound beside em's: the Euler-Lagrange assembly writes over its
     # quotient, and the gauge and identity terms make no transposing copy,
     # so the traced peak of a second check-noether run (the first builds the
     # parser) on a 10^4-point q scale is 14.1 arrays of 10^4 floats (16.9
     # before the long column passes).
-    import io
-    import tracemalloc
-    from contextlib import redirect_stdout
-
-    from tsnoether.cli import main
-
     argv = ["check-noether", "--scale", "q:1.0005:1:10000", "--lagrangian", "pair-difference", "--family", "pairdiff"]
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < 14.5 * 8 * 10**4
+        code, peak = traced_peak(lambda: main(argv))
+    assert code == 0 and peak < 14.5 * 8 * 10**4
 
 
-def test_em_wave_form_peak_in_cell_arrays():
+def test_em_wave_form_peak_in_cell_arrays(traced_peak):
     # The wave-form section forms E_k minus its wave one component at a time
     # and drops both before the next: on a 12^4 grid whose pattern workspace
     # is built, the traced peak of the residual is 7.5 arrays of the cell
     # shape, where forming every wave first reads 9.5.
-    import tracemalloc
-
     grid = GridD(tuple(h_uniform(1.0, 0.0, 11.0) for _ in range(4)))
     F = lorentz_field(grid)
     em_wave_reduction_residual(F)
-    tracemalloc.start()
-    try:
-        em_wave_reduction_residual(F)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: em_wave_reduction_residual(F))[1]
     assert peak < 8.0 * 8 * 11**4
 
 
-def test_em_gauge_trial_peak_in_cell_arrays():
+def test_em_gauge_trial_peak_in_cell_arrays(traced_peak):
     # The gauge trial forms each new A_k in its gauge term's buffer and
     # drops -p before its second action: on a 16^4 grid whose pattern
     # workspace is built, the traced peak of a trial is the transform's,
@@ -417,16 +380,9 @@ def test_em_gauge_trial_peak_in_cell_arrays():
     # each probe read 8.2, also holding -p through the second action 8.5,
     # and also forming each quotient, product and sum in an array of its
     # own 9.1.
-    import tracemalloc
-
-    from tsnoether.em import _gauge_invariance, em_gauge_family
+    from tsnoether.em import _gauge_invariance
 
     fam = em_gauge_family(GridD(tuple(h_uniform(1.0, 0.0, 15.0) for _ in range(4))))
     _gauge_invariance(fam, 1, 0)
-    tracemalloc.start()
-    try:
-        _gauge_invariance(fam, 1, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: _gauge_invariance(fam, 1, 0))[1]
     assert peak < 8.0 * 8 * 15**4

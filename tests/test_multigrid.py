@@ -1508,12 +1508,10 @@ def test_one_pass_rho_quotient_reads_no_unwritten_entry(name):
     assert np.empty is real
 
 
-def test_integral_copies_its_window_at_most_once():
+def test_integral_copies_its_window_at_most_once(traced_peak):
     # 960 kB of C-order samples on unit axes are summed where they lie; in
     # another layout, or weighted by a q axis, they are copied once, so the
     # product is taken in C order and not copied again to be summed.
-    import tracemalloc
-
     unit, q = h_uniform(1.0, 0.0, 400.0), q_geometric(1.001, 1.0, 301)
     values = np.random.default_rng(0).uniform(-1, 1, (400, 300, 1))
     peaks = {}
@@ -1521,10 +1519,7 @@ def test_integral_copies_its_window_at_most_once():
         scales = (unit, h_uniform(1.0, 0.0, 300.0) if second == "unit" else q)
         for order in "CF":
             layout = np.asarray(values, order=order)
-            tracemalloc.start()
-            window_integral(scales, (0, 0), layout)
-            peaks[second, order] = tracemalloc.get_traced_memory()[1] / values.nbytes
-            tracemalloc.stop()
+            peaks[second, order] = traced_peak(lambda: window_integral(scales, (0, 0), layout))[1] / values.nbytes
     assert peaks.pop(("unit", "C")) < 0.1
     assert all(1.0 <= peak < 1.5 for peak in peaks.values()), peaks
 
@@ -1568,22 +1563,15 @@ def test_el_expressions_bitwise_equal_full_assembly(name):
 
 
 @pytest.mark.parametrize("kind", ["uniform", "mixed"])
-def test_em_euler_lagrange_call_allocates_less_than_one_G(kind):
+def test_em_euler_lagrange_call_allocates_less_than_one_G(traced_peak, kind):
     # The field-strength g partial is written over the pattern's own G, so on
     # a built workspace the call allocates only the expressions and their quotients.
-    import tracemalloc
-
     from tsnoether import em
 
     grid, L = em_lattice(kind, 10), em.em_lagrangian()
     A = em.random_em_field(grid, seed=[0, 1])
     el_expressions_d(L, A)
-    tracemalloc.start()
-    try:
-        el_expressions_d(L, A)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: el_expressions_d(L, A))[1]
     assert peak < grid._workspace[1].nbytes
 
 
@@ -2034,21 +2022,14 @@ def test_adjoint_terms_in_own_buffers_bitwise_equal_reference(d, kinds, sizes, s
     assert q.values.tobytes() == before
 
 
-def test_em_adjoint_peak_in_grid_arrays():
+def test_em_adjoint_peak_in_grid_arrays(traced_peak):
     # The em family's one axis term per component, c q with c = -1.0 and its
     # quotient, negated in place: 1.94 arrays of the 16^4 grid's shape,
     # where negating into a new array read 2.88.
-    import tracemalloc
-
     from tsnoether import em
 
     grid = em_lattice("mixed", 16)
     fam, q = em.em_gauge_family(grid), random_polynomial_field(grid, seed=[3, 0])
     for k in range(4):
-        tracemalloc.start()
-        try:
-            gauge_field_adjoint(fam, q, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: gauge_field_adjoint(fam, q, k))[1]
         assert peak < 2.2 * q.values.nbytes, k

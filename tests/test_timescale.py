@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -59,17 +57,41 @@ class TestConstruction:
         ts = parse_scale_spec(spec)
         assert ts.condition_h == (1.0, 0.001) and len(ts) == 1 + round(2 * ts.points[-1] / 0.001)
 
+    @pytest.mark.parametrize(
+        "spec, law",
+        [("h:1e-4:-100:100", (1.0, 1e-4)), ("h:0.001:-1000:1000", (1.0, 0.001)), ("h:1:-1000000:-999000", (1.0, 1.0)),
+         ("h:1e-13:0:1e-11", (1.0, 1e-13)), ("h:1e13:0:1e15", (1.0, 1e13))],
+    )
+    def test_uniform_scale_keeps_its_law_at_any_step_and_start(self, spec, law):
+        # The fit rule has no floor and no unit of time, and its |t_0| term
+        # covers the rounding of a + h k on a scale that starts far from 0.
+        assert parse_scale_spec(spec).condition_h == law
+
+    @pytest.mark.parametrize(
+        "points, law",
+        [(np.cumsum([0.0, 1.0, 1e-5, 1e-10]), (1e-5, 1.0)),  # b0 sets sigma's rounding
+         (1.5 ** np.arange(30.0), (1.5, 0.0))],  # b1 t does
+        ids=["slow-orbit", "q"],
+    )
+    def test_point_one_ulp_off_its_law_keeps_it(self, points, law):
+        pts = points.copy()
+        pts[-1] = np.nextafter(pts[-1], np.inf)
+        assert explicit_scale(pts).condition_h == pytest.approx(law, rel=1e-9)
+
+    @pytest.mark.parametrize("off, law", [(1e-6, (1.0, 1e5)), (1e-5, None)])
+    def test_rule_is_looser_near_zero_on_a_scale_that_starts_far_from_it(self, off, law):
+        # Off by 1e-6 at 0 on 1e5 k from -10^6 is within 1e-12 (|t| + h + |t_0|)
+        # of its law, where the rule 1e-12 max(1, |t|) allowed 1e-7.
+        pts = 1e5 * np.arange(-10.0, 2.0)
+        pts[10] = off
+        assert explicit_scale(pts).condition_h == law
+
     @pytest.mark.parametrize("spec", ["h:1:0:999999", "q:1.000001:1:1000000", "real:0.001:0:999.999"])
-    def test_scale_of_a_million_points_built_in_about_three_point_arrays(self, spec):
+    def test_scale_of_a_million_points_built_in_about_three_point_arrays(self, traced_peak, spec):
         # The points are filled and sealed in place and stored uncopied; the
         # checks take a bool array at a time and the jump law two buffers.
         parse_scale_spec(spec)
-        tracemalloc.start()
-        try:
-            ts = parse_scale_spec(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ts, peak = traced_peak(lambda: parse_scale_spec(spec))
         assert len(ts) == 10**6 and peak <= 3.25 * ts.points.nbytes
         if spec[0] != "q":
             h = float(spec.split(":")[1])
@@ -498,7 +520,7 @@ class TestGridFunction:
             read_csv(ts, path)
         assert str(err.value) == f"{path}: line {bad} has 3 fields, the header has 2"
 
-    def test_csv_read_memory_is_bounded(self, tmp_path):
+    def test_csv_read_memory_is_bounded(self, tmp_path, traced_peak):
         # Rows are parsed a block at a time and each block keeps only its
         # value columns: 10^5 rows of 3 components, a 2.4 MB result, peaked
         # at 34.9 MB when every field's text was held, and at 6.8 MB when
@@ -507,12 +529,7 @@ class TestGridFunction:
         f = GridFunction(ts, 0, np.random.default_rng(3).uniform(-1, 1, (10**5, 3)))
         path = tmp_path / "f.csv"
         write_csv(f, path)
-        tracemalloc.start()
-        try:
-            g = read_csv(ts, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        g, peak = traced_peak(lambda: read_csv(ts, path))
         assert g.values.tobytes() == f.values.tobytes()
         assert peak <= 5.6e6, peak
 

@@ -4,11 +4,11 @@
 
 Each mutant in MUTANTS.json names a file, an exact old text that must occur
 in it once, the new text that replaces it, and the tests to run (pytest
-node ids or files).  The runner copies src/, tests/, tools/ and README.md
-(whose command examples a test runs) into WORKERS temporary directories,
-runs every listed test once on the unmutated code, and then has each copy
-take the next mutant in turn: it writes the mutated file, runs the
-mutant's tests with pytest -x and puts the file back.
+node ids or files).  The runner copies src/, tests/, tools/ and the files
+that tests read (README.md, ROADMAP.md, MUTANTS.json) into WORKERS
+temporary directories, runs every listed test once on the unmutated code,
+and then has each copy take the next mutant in turn: it writes the mutated
+file, runs the mutant's tests with pytest -x and puts the file back.
 
 A mutant is killed when its tests fail (or error, or run past TIMEOUT
 seconds), and survived when they pass; killed_by names the first failing
@@ -40,7 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "MUTANTS.json"
-COPIED = ("src", "tests", "tools", "pyproject.toml", "README.md")
+COPIED = ("src", "tests", "tools", "pyproject.toml", "README.md", "ROADMAP.md", "MUTANTS.json")
 TIMEOUT = 600.0  # seconds per pytest run
 WORKERS = 2  # tree copies, each running one pytest process at a time
 
