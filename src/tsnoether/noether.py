@@ -35,6 +35,7 @@ from .timescale import (
     GridFunction,
     TimeScale,
     _frozen,
+    _overlap,
     _sealed,
     delta_derivative,
     explicit_scale,
@@ -59,7 +60,9 @@ class GaugeFamily:
     scale ts, of the coefficient multiplying the i-th order term of
     parameter j in component k; the optional f[j, i] plays the same role for
     the time reparametrization.  The window is the interval the identity
-    lives on.  Both tables are stored as read-only float arrays.
+    lives on.  Both tables are stored as read-only float arrays; a table of
+    constants from from_table is a broadcast of its [j, k, i] values, one
+    value per entry with stride 0 along the points (_constant).
     """
 
     ts: TimeScale
@@ -122,17 +125,20 @@ class GaugeFamily:
         g = table["g"]
         if not isinstance(g, list) or len(g) != r or any(not isinstance(comp, list) or len(comp) != n for comp in g):
             raise ValueError(f"g must be r = {r} rows of n = {n} entries each")
-        g = [[row(g[j][k], f"g[{j}][{k}]") for k in range(n)] for j in range(r)]
+        entries = [c for j in range(r) for k in range(n) for c in row(g[j][k], f"g[{j}][{k}]")]
+        g = _coeff_table(entries, (r, n, m + 1), hi + 1)
         f = table.get("f")
         if f is not None and (not isinstance(f, list) or len(f) != r):
             raise ValueError(f"the f table needs one row per parameter (r = {r}), got {f!r}")
-        return GaugeFamily(ts, g, None if f is None else [row(f[j], f"f[{j}]") for j in range(r)])
+        f = None if f is None else _coeff_table([c for j in range(r) for c in row(f[j], f"f[{j}]")], (r, m + 1), hi + 1)
+        return GaugeFamily(ts, g, f)
 
     @staticmethod
     def constant(ts: TimeScale, g, f=None) -> "GaugeFamily":
         """from_table of nested constant tables g[j][k][i] (and f[j][i]),
-        with r, n and m + 1 the shape of g: each entry is held along the
-        window, and a non-finite one is refused."""
+        with r, n and m + 1 the shape of g: each table is held as one value
+        per entry (a broadcast along the window), and a non-finite entry is
+        refused."""
         g = np.asarray(g, dtype=float)
         if g.ndim != 3:
             raise ValueError("g must be indexed [parameter][component][order]")
@@ -141,12 +147,13 @@ class GaugeFamily:
         return GaugeFamily.from_table(ts, {"r": r, "m": width - 1, "n": n, "g": g.tolist(), "f": f})
 
 
-def _coeff_grid(ts: TimeScale, spec, hi: int, name: str) -> np.ndarray:
-    """The samples on [0, hi] of one family-table coefficient spec: a
-    number, {"poly": [c0, c1, ...]} or {"csv": path} with one value column."""
+def _coeff_grid(ts: TimeScale, spec, hi: int, name: str) -> float | np.ndarray:
+    """One family-table coefficient spec: a number as its float, or the
+    samples on [0, hi] of {"poly": [c0, c1, ...]} or of {"csv": path} with
+    one value column."""
     t = ts.points[: hi + 1]
     if type(spec) in (int, float):  # exact types: JSON true and false are bools, which are ints
-        vals = np.full(t.size, float(spec))
+        vals = float(spec)
     elif isinstance(spec, dict) and "poly" in spec:
         coeffs = spec["poly"]
         if not isinstance(coeffs, list) or not coeffs or not all(type(c) in (int, float) for c in coeffs):
@@ -172,15 +179,39 @@ def _coeff_grid(ts: TimeScale, spec, hi: int, name: str) -> np.ndarray:
     return vals
 
 
+def _coeff_table(entries: list, shape: tuple, width: int) -> np.ndarray:
+    """The read-only table of shape + (width,) that holds, in C order, the
+    entries of _coeff_grid for a family window of width points.  Where every
+    entry is a float, the table is a broadcast of those floats along the
+    window; otherwise each entry is sampled per point."""
+    if all(isinstance(c, float) for c in entries):
+        return np.broadcast_to(_sealed(np.array(entries)).reshape(shape + (1,)), shape + (width,))
+    table = np.empty((len(entries), width))
+    for samples, c in zip(table, entries):
+        samples[...] = c
+    return _sealed(table).reshape(shape + (width,))
+
+
+def _constant(table: np.ndarray) -> bool:
+    """Whether each row of a coefficient table holds one value: the table
+    is a broadcast with stride 0 along the points, as _coeff_table stores a
+    family of constants.  A kernel then reads row[..., 0] as a scalar, whose
+    products have the bits of the products by the row."""
+    return table.strides[-1] == 0
+
+
 def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.ndarray, np.ndarray | None]:
     """What the family adds on y's window: to the components, shape
     (points, n), and to the times, shape (points,) or None without f.
 
     params holds one scalar GridFunction per parameter.  Each term
-    D[j, i] = p_j^(sigma^(m-i-1), delta^i) is taken once on the family
-    window, and the g and f tables weight it on y's window with
-    left-to-right sums, i inside and j outside.  Each product is written
-    points-first, so both results are new writeable C-order arrays.
+    D[j][i] = p_j^(sigma^(m-i-1), delta^i) is taken once, must cover the
+    family window, and is read on y's window, where the g and f tables
+    weight it with left-to-right sums, i inside and j outside.  Each
+    product is written points-first, so both results are new writeable
+    C-order arrays: a table of constants writes one column per component,
+    D[j][i] times its scalar (a copy of D[j][i] for 1.0), and a per-point
+    table one transposed product.
     """
     if len(params) != fam.r:
         raise ValueError(f"family expects {fam.r} parameters")
@@ -191,19 +222,26 @@ def _perturbation(fam: GaugeFamily, params: tuple, y: GridFunction) -> tuple[np.
     hi = fam.window[1]
     if y.hi > hi:
         raise ValueError("family coefficients do not cover the path window")
-    D = np.empty((fam.r, fam.m + 1, hi + 1))
-    for j, p in enumerate(params):
+    rows = slice(y.lo, y.hi + 1)
+    D = [[] for _ in params]
+    for p, terms in zip(params, D):
         for i in range(fam.m + 1):
             term = mixed(p, fam.m - i - 1, i)
             if term.lo > 0 or term.hi < hi:
                 raise ValueError("parameter window too small for the requested term")
-            D[j, i] = term.values[: hi + 1, 0]
-    rows = slice(y.lo, y.hi + 1)
+            terms.append(term.values[rows, 0])
 
     def weighted(table: np.ndarray) -> np.ndarray:
         def product(j: int, i: int) -> np.ndarray:
             out = np.empty((len(y.values),) + table.shape[1:-2])
-            np.multiply(table[j, ..., i, rows], D[j, i, rows], out=out.T)
+            if not _constant(table):
+                np.multiply(table[j, ..., i, rows], D[j][i], out=out.T)
+                return out
+            for column, c in zip(out.reshape(len(out), -1).T, table[j, ..., i, 0].reshape(-1).tolist()):
+                if c == 1.0:  # a multiply by 1.0 changes no bit
+                    column[...] = D[j][i]
+                else:
+                    np.multiply(D[j][i], c, out=column)
             return out
 
         sums = (reduce(add, (product(j, i) for i in range(fam.m + 1))) for j in range(fam.r))
@@ -298,9 +336,12 @@ def noether_identity_time(L: Lagrangian, fam: GaugeFamily, y: GridFunction) -> l
 def _identity_reports(L: Lagrangian, fam: GaugeFamily, y: GridFunction) -> list[ResidualReport]:
     if fam.n != y.n:
         raise ValueError(f"component count mismatch: the family has n = {fam.n}, the path n = {y.n}")
+    if not fam.ts.same_as(y.ts):
+        raise ValueError("grid functions live on different scales")
     b1 = _require_condition_h(y.ts)
     E = el_expressions(L, y)
-    moves_time = [fam.f is not None and np.any(fam.f[j] != 0.0) for j in range(fam.r)]
+    f = fam.f if fam.f is None or not _constant(fam.f) else fam.f[..., :1]
+    moves_time = [f is not None and np.any(f[j] != 0.0) for j in range(fam.r)]
     Es = second_el_expression(L, y) if any(moves_time) else None
     reports = []
     for j in range(fam.r):
@@ -313,9 +354,14 @@ def _identity_reports(L: Lagrangian, fam: GaugeFamily, y: GridFunction) -> list[
 
 def _identity_sum(fam: GaugeFamily, table: np.ndarray, E: GridFunction, b1: float) -> GridFunction:
     """The identity's terms for one parameter: table[k, i] pairs with E's
-    component k at order i."""
+    component k at order i.  A constant row c gives c * E_k, or E_k itself
+    for 1.0, on the common window of E and the sigma-shifted row."""
     def term(k: int, i: int, row: np.ndarray) -> GridFunction:
-        t = shift(GridFunction(fam.ts, 0, row), 1) * E.component(k)
+        if _constant(row):
+            (lo,), (_, e) = _overlap(((0,), row[1:]), ((E.lo,), E.values[:, k]))
+            t = GridFunction(E.ts, lo, e if row[0] == 1.0 else _sealed(np.multiply(e, float(row[0]))))
+        else:
+            t = shift(GridFunction(fam.ts, 0, row), 1) * E.component(k)
         c = (-1.0) ** i * (1.0 / b1) ** ((i * (i + 1)) // 2)
         t = delta_derivative(t, i) if i else t
         return t if c == 1.0 else c * t  # a multiply by 1.0 changes no bit

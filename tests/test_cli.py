@@ -1023,6 +1023,15 @@ def test_constant_family_equals_earlier_code_and_family_file(spec, r, n, m, move
     assert family_bits(fam) == family_bits(reference.constant_family(ts, g, f)) == family_bits(from_file)
 
 
+def test_noether_time_on_a_million_points_peaks_below_90_mib(tmp_path, traced_peak):
+    # The constant family holds one value per entry.  Held per point, its
+    # tables and their copies took this command's traced peak to 106.8 MiB.
+    argv = ["check-noether-time", "--scale", "h:1:0:999999", "--lagrangian", "pair-difference",
+            "--family", "pairdiff-time0", "--out", str(tmp_path / "report.json")]
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0 and peak < 90 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 @pytest.mark.parametrize(
     "name, rows",
     [("grad2", [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]), ("grad2-broken", [(0.0, 1.1, 0.0), (0.0, 0.0, 1.0)])],

@@ -3,7 +3,10 @@
 The files under tests/golden/ were written before the 1-D and the
 product-grid calculi shared their axis kernels and their trial loop.
 `check2d_qh_grad2_verbose` and `em_mixed_spatial_q_verbose` were written
-before lattice values stopped being copied on every construction.  These
+before lattice values stopped being copied on every construction.
+`noether_mixed_verbose` and `invariance_mixed_verbose` were written
+before a family of constants was held as one value per entry; their
+family mixes constants with sampled entries and is held per point.  These
 changes compute the same floating point operations, so every byte
 below must stay the same.  Regenerate a file only for a deliberate
 change of the arithmetic, and say so in CHANGES.md.
@@ -25,7 +28,8 @@ Two such changes so far:
 
 Each case is a full `noether` argument list, whether it also writes a
 `--result-csv`, and its expected exit code.  `{tmp}` stands for the
-test's temporary directory, which holds the family files of FAMILIES.
+test's temporary directory, which holds the family files of FAMILIES
+and the coefficient CSV of famx.json.
 """
 
 import functools
@@ -50,7 +54,19 @@ FAMILIES = {
     # An order-1 family: both components get p^sigma^0 + 0.5 p^delta.
     "fam1.json": {"r": 1, "m": 1, "n": 2, "g": [[[1.0, 0.5], [1.0, 0.5]]]},
     "famt.json": {"r": 1, "m": 0, "n": 2, "g": [[[1.0], [1.0]]], "f": [[0.0]]},
+    # Constants beside sampled entries, so each table is held per point; f
+    # row 0 is zero at t = 0 only, and row 1 is all zero.
+    "famx.json": {
+        "r": 2,
+        "m": 1,
+        "n": 2,
+        "g": [[[1.0, {"poly": [0.5, -0.25]}], [{"csv": "{tmp}/coef.csv"}, 0.7]], [[-1.0, 0.0], [1.1, {"poly": [0.0, 0.1]}]]],
+        "f": [[{"poly": [0.0, 0.01]}, 0.0], [0.0, 0.0]],
+    },
 }
+# The coefficient CSV of famx.json: 0.6 - 0.01 i at t = 0.25 i on h:0.25:0:4.
+COEF_CSV = "t,y1\n" + "".join(f"{0.25 * i!r},{0.6 - 0.01 * i!r}\n" for i in range(17))
+MIXED = ["--scale", "h:0.25:0:4", "--lagrangian", "quad:2:0.5:0.25:0.125", "--family", "{tmp}/famx.json", "--verbose"]
 
 PAIR = ["--lagrangian", "pair-difference"]
 
@@ -73,6 +89,9 @@ CASES = [
     ("invariance_real_1e4_verbose", ["check-invariance", "--scale", "real:0.0001:0:1", *PAIR, "--family", "pairdiff", "--verbose"], False, 0),
     ("noether_q_m1_verbose", ["check-noether", "--scale", "q:2:1:11", *PAIR, "--family", "{tmp}/fam1.json", "--verbose"], False, 0),
     ("noether_time_h_verbose", ["check-noether-time", "--scale", "h:1:0:10", *PAIR, "--family", "{tmp}/famt.json", "--verbose"], False, 0),
+    # A family file that mixes constants with poly and csv entries.
+    ("noether_mixed_verbose", ["check-noether", *MIXED], False, 1),
+    ("invariance_mixed_verbose", ["check-invariance", *MIXED], False, 1),
     # The only paths where an n >= 2 catalog density's value reaches the report bytes.
     (
         "invariance_q_quad2_verbose",
@@ -107,7 +126,8 @@ CASES = [
 @pytest.mark.parametrize("name, argv, with_csv, code", CASES, ids=[c[0] for c in CASES])
 def test_solve_report_is_byte_identical(tmp_path, name, argv, with_csv, code):
     for fname, family in FAMILIES.items():
-        (tmp_path / fname).write_text(json.dumps(family))
+        (tmp_path / fname).write_text(json.dumps(family).replace("{tmp}", str(tmp_path)))
+    (tmp_path / "coef.csv").write_text(COEF_CSV)
     report = tmp_path / "report.json"
     csv = tmp_path / "result.csv"
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(report)]

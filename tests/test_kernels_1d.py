@@ -7,7 +7,8 @@ tests/reference.py by raw bytes: on n = 1, 2, 3, 8 and 33 components
 (forward_quotient divides two columns one by one, any other count through
 a broadcast), on unit-step h, q, real-approx and explicit scales (an
 affine one and one of subnormal gaps), with -0.0, infinite, NaN and
-subnormal entries.  Each result must also come back in C
+subnormal entries, and with family tables held per point or, for
+constants, as a broadcast.  Each result must also come back in C
 order, since an F-order (N, n) array makes every later pass over it run
 rows of n entries (ROADMAP item 1), and each kernel result read-only but
 the perturbation, which transform writes over.
@@ -135,17 +136,45 @@ def test_euler_lagrange_expressions_pinned_in_c_order(kind, n):
         assert_pinned(second_el_expression(L, y).values, reference.second_el_expression(L, y).values)
 
 
+# The entries of the held families: each sign of zero, +-1.0 (a copy or a
+# view, not a product), a subnormal and a value whose products overflow.
+CONSTANTS = np.array([0.0, -0.0, 1.0, -1.0, 0.7, 5e-324, 1e300])
+
+
+def family(rng, ts, r, n, m, f_shape, held):
+    """A family of random tables, f's of 1e-3 * uniform draws when f_shape
+    is given: per point, with the special values among g's samples, or
+    held as constants (a broadcast) drawn from CONSTANTS."""
+    width = len(ts) - m
+    if held:
+        f = None if f_shape is None else 1e-3 * rng.uniform(-1, 1, f_shape)
+        return GaugeFamily.constant(ts, rng.choice(CONSTANTS, (r, n, m + 1)), f)
+    f = None if f_shape is None else 1e-3 * rng.uniform(-1, 1, f_shape + (width,))
+    return GaugeFamily(ts, samples(rng, (r, n, m + 1, width)), f)
+
+
 @pytest.mark.parametrize("with_f", [False, True])
 @pytest.mark.parametrize("n", COUNTS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_perturbation_and_transform_pinned_in_c_order(kind, n, with_f):
+    perturbation_and_transform_pinned(kind, n, with_f, held=False)
+
+
+@pytest.mark.parametrize("with_f", [False, True])
+@pytest.mark.parametrize("n", COUNTS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_held_perturbation_and_transform_pinned_in_c_order(kind, n, with_f):
+    perturbation_and_transform_pinned(kind, n, with_f, held=True)
+
+
+def perturbation_and_transform_pinned(kind, n, with_f, held):
     for seed in range(3):
         rng = np.random.default_rng([seed, n, KINDS.index(kind), with_f])
         ts = scale(kind, 20)
         r, m = 1 + seed % 2, seed
         width = len(ts) - m
-        f = 1e-3 * rng.uniform(-1, 1, (r, m + 1, width)) if with_f else None
-        fam = GaugeFamily(ts, samples(rng, (r, n, m + 1, width)), f)
+        fam = family(rng, ts, r, n, m, (r, m + 1) if with_f else None, held)
+        f = fam.f
         params = reference.random_gauge_params(fam, [seed, 1])
         lo = int(rng.integers(0, 3))
         y = GridFunction(ts, lo, samples(rng, (width - lo - int(rng.integers(0, 3)), n)))
@@ -178,14 +207,29 @@ def test_perturbation_and_transform_pinned_in_c_order(kind, n, with_f):
 @pytest.mark.parametrize("n", COUNTS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_identity_sums_pinned_in_c_order(kind, n, with_f):
+    identity_sums_pinned(kind, n, with_f, held=False)
+
+
+@pytest.mark.parametrize("with_f", [False, True])
+@pytest.mark.parametrize("n", COUNTS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_held_identity_sums_pinned_in_c_order(kind, n, with_f):
+    identity_sums_pinned(kind, n, with_f, held=True)
+
+
+def identity_sums_pinned(kind, n, with_f, held):
     L = catalog(f"quad:{n}:0.5:0.25:0.125")
     for seed in range(3):
         rng = np.random.default_rng([seed, n, KINDS.index(kind), with_f])
         ts = scale(kind, 20)
         r, m = 1 + seed % 2, seed
         hi = len(ts) - 1 - m
-        f = samples(rng, (r, m + 1, hi + 1)) if with_f else None
-        fam = GaugeFamily(ts, samples(rng, (r, n, m + 1, hi + 1)), f)
+        if held:
+            fam = family(rng, ts, r, n, m, (r, m + 1) if with_f else None, held=True)
+        else:
+            f = samples(rng, (r, m + 1, hi + 1)) if with_f else None
+            fam = GaugeFamily(ts, samples(rng, (r, n, m + 1, hi + 1)), f)
+        f = fam.f
         y = GridFunction(ts, 0, samples(rng, (hi + 1, n)))
         totals = reference.identity(L, fam, y)
         for rep, total in zip(noether_identity(L, fam, y), totals, strict=True):

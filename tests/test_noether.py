@@ -1,4 +1,6 @@
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from tsnoether import (
     catalog,
     delta_derivative,
     el_expressions,
+    el_residual,
     eval_functional,
     explicit_scale,
     fundamental_lemma_oracle,
@@ -31,7 +34,7 @@ from tsnoether import (
     transform,
     vanishing_coefficients,
 )
-from tsnoether.noether import _identity_lhs_affine
+from tsnoether.noether import _identity_lhs_affine, _perturbation
 from tsnoether.variational import BoundaryData, Lagrangian, variation_pairing
 
 import reference
@@ -677,6 +680,156 @@ def test_parameter_window_too_small_refused_as_before():
     for apply in (transform, reference.transform):
         with pytest.raises(ValueError, match="parameter window too small for the requested term"):
             apply(fam, (p,), y)
+
+
+# A family of constants is held as a broadcast of its [j, k, i] table,
+# stride 0 along the points, and the kernels read each row as one scalar;
+# every result must keep the bits of the same family held per point
+# (reference.constant_family).
+
+def explicit_at(points):
+    """The scale that "explicit:@<file>" reads from a file of these points."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "points.txt"
+        path.write_text("".join(f"{p!r}\n" for p in points))
+        return parse_scale_spec(f"explicit:@{path}")
+
+
+# Scales of 13 or 14 points with an affine jump law: h, q, real and an
+# explicit 1.5t + 0.25 read from a file.
+FORM_SCALES = {
+    "h": parse_scale_spec("h:0.5:-1:5"),
+    "q": parse_scale_spec("q:1.25:0.5:13"),
+    "real": parse_scale_spec("real:0.1:0:1.2"),
+    "explicit": explicit_at(affine_scale(1.5, 0.25, 0.1, 14).points.tolist()),
+}
+HELD_ENTRIES = [0.0, -0.0, 1.0, -1.0, 0.7, 1.1, 1e-300, 1e300]
+
+
+def draw_tables(data, r, n, m, with_f, entries):
+    def table(shape):
+        size = int(np.prod(shape))
+        cells = data.draw(st.lists(st.sampled_from(entries), min_size=size, max_size=size))
+        return np.reshape(cells, shape)
+
+    return table((r, n, m + 1)), table((r, m + 1)) if with_f else None
+
+
+def both_forms(ts, g, f):
+    """The family of the constant tables g and f held as a broadcast, and held per point."""
+    held, sampled = GaugeFamily.constant(ts, g, f), reference.constant_family(ts, g, f)
+    for a, b in ((held.g, sampled.g), (held.f, sampled.f)):
+        assert a is None and b is None or a.strides[-1] == 0 and b.strides[-1] != 0 and a.shape == b.shape
+    return held, sampled
+
+
+def outcome(call, bits):
+    """bits(call()), or the message of the ValueError it raises."""
+    try:
+        result = call()
+    except ValueError as exc:
+        return str(exc)
+    return bits(result)
+
+
+def report_bits(rep):
+    """The report's fields, each float as its bytes, so that a NaN equals itself."""
+    return rep.domain, rep.per_point.tobytes(), np.array([rep.sup_norm, rep.l2_norm, rep.tolerance]).tobytes(), rep.verdict
+
+
+def values_bits(*arrays):
+    return tuple(None if a is None else (a.shape, a.tobytes()) for a in arrays)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(list(FORM_SCALES)),
+    r=st.integers(1, 3),
+    n=st.integers(1, 3),
+    m=st.integers(0, 2),
+    with_f=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_held_family_bitwise_equals_family_per_point(kind, r, n, m, with_f, seed, data):
+    ts = FORM_SCALES[kind]
+    forms = both_forms(ts, *draw_tables(data, r, n, m, with_f, HELD_ENTRIES))
+    hi = forms[0].window[1]
+    ylo = data.draw(st.integers(0, 2), label="path lo")
+    yhi = data.draw(st.one_of(st.just(hi), st.integers(ylo + 1, hi)), label="path hi")
+    y = GridFunction(ts, ylo, np.random.default_rng(seed).uniform(-1, 1, (yhi - ylo + 1, n)))
+    params = random_gauge_params(forms[0], [seed, 1])
+    L = catalog(f"quad:{n}:0.5:0.25:0.125")
+
+    def transformed(pair):
+        alpha, ybar = pair
+        return values_bits(None if alpha is None else alpha.values, ybar.values, ybar.ts.points)
+
+    def results(fam):
+        with np.errstate(all="ignore"):  # the 1e300 entries overflow
+            return (
+                outcome(lambda: _perturbation(fam, params, y), lambda pair: values_bits(*pair)),
+                outcome(lambda: transform(fam, params, y), transformed),
+                outcome(lambda: check_invariance(L, fam, y, trials=3, seed=seed), report_bits),
+                outcome(lambda: noether_identity(L, fam, y), lambda reps: [report_bits(rep) for rep in reps]),
+                outcome(lambda: noether_identity_time(L, fam, y), lambda reps: [report_bits(rep) for rep in reps]),
+            )
+
+    held, sampled = results(forms[0]), results(forms[1])
+    for name, a, b in zip(("perturbation", "transform", "invariance", "identity", "time identity"), held, sampled):
+        event(f"{name}: {b if isinstance(b, str) else 'computed'}")
+        assert a == b, name
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_unit_rows_keep_the_window_of_their_shifted_row(m):
+    # A 1.0 row is E_k itself on the window it shares with the
+    # sigma-shifted row; with every row 1.0 only that window bounds the sum.
+    ts = h_uniform(0.5, 0.0, 6.0)
+    L = catalog("quad:1:0.5:0.25:0.125")
+    y = random_path(ts, 1, m)
+    held, sampled = both_forms(ts, [[[1.0] * (m + 1)]], None)
+    (a,), (b,) = noether_identity(L, held, y), noether_identity(L, sampled, y)
+    assert a.domain == b.domain == (0, min(len(ts) - 3, len(ts) - m - 2) - m)
+    assert report_bits(a) == report_bits(b)
+
+
+def test_constant_family_holds_no_point_array(traced_peak):
+    ts = h_uniform(1.0, 0.0, 999_999.0)
+    fam, peak = traced_peak(lambda: GaugeFamily.constant(ts, [[[1.1], [1.0]]], f=[[0.0]]))
+    assert fam.g.shape == (1, 2, 1, 10**6) and fam.f.shape == (1, 1, 10**6)
+    assert peak < 0.01 * 8 * 10**6, f"building the family peaked at {peak} bytes"
+
+
+# ROADMAP item 22's bit half for the 1-D Euler-Lagrange expressions and the
+# identity sums: each density below has E linear in y, so the path 2^k y,
+# at k where nothing under- or overflows, gives 2^k times every per-point
+# value of the path y, bit for bit.  The families move no time: the
+# time-component expression is quadratic in y.
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(list(FORM_SCALES)),
+    density=st.sampled_from(["pair-difference", "dirichlet", "quad"]),
+    held=st.booleans(),
+    m=st.integers(0, 2),
+    k=st.integers(-40, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_el_and_identity_scale_with_the_path_by_powers_of_two(kind, density, held, m, k, seed, data):
+    ts = FORM_SCALES[kind]
+    n = {"pair-difference": 2, "dirichlet": 1}.get(density) or data.draw(st.integers(1, 3), label="n")
+    L = catalog(f"quad:{n}:0.5:0.25:0.125" if density == "quad" else density)
+    g, _ = draw_tables(data, data.draw(st.integers(1, 2), label="r"), n, m, False, [0.0, -0.0, 1.0, -1.0, 0.7, 1.1])
+    fam = both_forms(ts, g, None)[0 if held else 1]
+    vals = np.random.default_rng(seed).uniform(-1, 1, (fam.window[1] + 1, n))
+    y, scaled = (GridFunction(ts, 0, v) for v in (vals, vals * 2.0**k))
+    pairs = [(el_residual(L, y), el_residual(L, scaled))]
+    pairs += zip(noether_identity(L, fam, y), noether_identity(L, fam, scaled), strict=True)
+    for base, rep in pairs:
+        assert rep.domain == base.domain
+        assert rep.per_point.tobytes() == (base.per_point * 2.0**k).tobytes()
 
 
 def time_family_case(r, n, m, geometric, zero_row, seed):

@@ -138,3 +138,35 @@ def test_einsum_contraction_of_three_terms_is_their_sequential_sum(shape):
                 f"{ref.shape} ({platform()}); multigrid.random_polynomial_field forms each probe field's sum "
                 "by this contraction, and its values would no longer be those of the termwise sum"
             )
+
+
+def held_operands(rng):
+    """Random samples with +-0.0, +-inf and subnormals among them."""
+    x = signed_operands(rng, 1000) * 10.0 ** rng.uniform(-20, 20, 1000)
+    x[rng.uniform(size=x.size) < 0.05] = np.inf
+    x[rng.uniform(size=x.size) < 0.05] = -np.inf
+    x[rng.uniform(size=x.size) < 0.05] = 5e-324
+    x[rng.uniform(size=x.size) < 0.05] = -3e-310
+    return x
+
+
+@pytest.mark.parametrize("c", [0.7, 1.1, -1.0, 0.0, -0.0])
+def test_product_by_a_scalar_equals_product_by_its_row(c):
+    x = held_operands(np.random.default_rng(7))
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        scalar = np.multiply(x, c)
+        products = [(np.multiply(x, row), np.multiply(row, x)) for row in (np.broadcast_to(c, x.shape), np.full(x.shape, c))]
+    for right, left in products:
+        assert scalar.tobytes() == right.tobytes() == left.tobytes(), (
+            f"x * {c!r} differs from the product by a row of {c!r} on +-0.0, +-inf and subnormal samples "
+            f"({platform()}); noether's kernels multiply by a constant family's scalar where a row of samples "
+            "held it, and its reports would no longer be those of the per-point tables"
+        )
+
+
+def test_product_by_one_is_the_value():
+    x = held_operands(np.random.default_rng(8))
+    assert np.multiply(x, 1.0).tobytes() == x.tobytes(), (
+        f"x * 1.0 is not x on +-0.0, +-inf and subnormal samples ({platform()}); noether's kernels take "
+        "a family's 1.0 coefficient as the term itself (a copy or a view), not its product"
+    )
